@@ -17,12 +17,14 @@
 #   make benchjson - regenerate the "after" entry of BENCH_batchfft.json
 #   make benchgate - benchdiff smoke gate: identical inputs pass, a
 #               synthetically inflated copy must fail
+#   make benchsmoke - the repository benchmark's own smoke test; bench/
+#               is a nested module that the root go test never compiles
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck ci bench benchjson benchsessions trace benchgate check
+.PHONY: all build test race vet fmtcheck ci bench benchjson benchsessions trace benchgate benchsmoke check
 
 all: check
 
@@ -104,6 +106,13 @@ benchgate:
 	$(GO) run ./cmd/benchdiff -old-labels baseline -new-labels multires /tmp/lsopc-benchgate-multires.json /tmp/lsopc-benchgate-multires.json
 	$(GO) run ./cmd/benchjson -tiled -o /tmp/lsopc-benchgate-tiled.json
 	$(GO) run ./cmd/benchdiff -old-labels monolithic -new-labels tiled -threshold 0.67 /tmp/lsopc-benchgate-tiled.json /tmp/lsopc-benchgate-tiled.json
+
+# The benchmark (bench/, run by bench/run.sh) is a module of its own, so
+# the root build and tests never see it; its smoke test runs miniature
+# workloads end to end and compiles every call the ladder makes, so an
+# API change that breaks the benchmark fails here.
+benchsmoke:
+	cd bench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

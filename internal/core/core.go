@@ -5,9 +5,10 @@
 //
 // Per iteration the optimizer:
 //  1. extracts the binary mask from the level-set function ψ (Eq. 6),
-//  2. simulates the three process corners and accumulates the total
-//     cost gradient G = G_nom + w_pvb·(G_outer + G_inner)
-//     (Eqs. 11–14),
+//  2. simulates the three process corners as two focus groups —
+//     {nominal, outer} share one best-focus SOCS pass, {inner} runs the
+//     defocused bank — and accumulates the total cost gradient
+//     G = G_nom + w_pvb·(G_outer + G_inner) (Eqs. 11–14),
 //  3. forms the evolution velocity v = −G·|∇ψ| + λ^PRP·v_prev
 //     (Eqs. 10, 15, 16),
 //  4. advances ψ by a CFL-limited step Δt = λ_t / max|v| (lines 5–6),
@@ -253,15 +254,20 @@ type Optimizer struct {
 	target *grid.Field
 	opts   Options
 	pool   *rt.Pool
-	// corners holds one worker per process corner when the PV-band cost
-	// is active: the three corners simulate concurrently on sibling
-	// simulators scheduled on Split sub-engines, so the corner fan-out
-	// and the per-corner FFT fan-out compose without oversubscription.
-	// nil when PVBWeight == 0 (nominal-only optimization).
-	corners []*cornerWorker
-	// Pre-bound engine tasks (created once; see simulateCorners and
-	// costAtPsi).
-	cornerTasks []func()
+	// groups holds one focus group per kernel bank when the PV-band cost
+	// is active: nominal and outer share the best-focus bank, so one SOCS
+	// pass and one adjoint serve both, and inner runs the defocused bank.
+	// The groups simulate concurrently on sibling simulators scheduled
+	// on Split sub-engines, so the group fan-out and the per-kernel FFT
+	// fan-out compose without oversubscription. nil when PVBWeight == 0
+	// (nominal-only optimization).
+	groups []*focusGroup
+	// corner points at each condition's entry in its group, indexed by
+	// litho.Condition, so cost terms sum in the fixed
+	// nominal→outer→inner order whatever the grouping.
+	corner [3]*litho.GroupCorner
+	// Pre-bound engine tasks (created once; see Eval and costAtPsi).
+	groupTasks  []func()
 	costTasks   []func()
 	combineBody func(lo, hi int)
 
@@ -287,18 +293,15 @@ type Optimizer struct {
 	released bool
 }
 
-// cornerWorker bundles one process corner's simulator and result
-// buffers. Each worker owns its gradient and image scratch, so the three
-// corners can run concurrently; results are combined afterwards in the
-// fixed nominal→outer→inner order, which keeps the total gradient
-// bit-identical to the serial accumulation for any engine.
-type cornerWorker struct {
-	sim    *litho.Simulator
-	cond   litho.Condition
-	weight float64
-	grad   *grid.Field
-	imgs   *litho.CornerImages
-	cost   float64
+// focusGroup bundles the corners that share one kernel bank with their
+// simulator session and gradient. Each group owns its gradient and image
+// scratch, so the groups can run concurrently; their gradients are
+// combined afterwards in group order, which keeps the total gradient
+// bit-identical for any engine.
+type focusGroup struct {
+	sim     *litho.Simulator
+	corners []litho.GroupCorner
+	grad    *grid.Field
 }
 
 // ErrShapeMismatch is returned when the target does not match the
@@ -324,47 +327,49 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 		sim.SetSink(opts.Sink, opts.TraceID)
 	}
 	if opts.PVBWeight > 0 {
-		subs := sim.Engine().Split(len(litho.AllConditions))
-		for i, cond := range litho.AllConditions {
-			csim, err := sim.Sibling(subs[i])
+		conds := sim.FocusGroups(litho.AllConditions)
+		subs := sim.Engine().Split(len(conds))
+		for i, cs := range conds {
+			gsim, err := sim.Sibling(subs[i])
 			if err != nil {
 				o.Release()
 				return nil, err
 			}
-			weight := 1.0
-			if cond != litho.Nominal {
-				weight = opts.PVBWeight
+			g := &focusGroup{sim: gsim, grad: pool.Field(n, n)}
+			for _, cond := range cs {
+				weight := 1.0
+				if cond != litho.Nominal {
+					weight = opts.PVBWeight
+				}
+				g.corners = append(g.corners, litho.GroupCorner{
+					Cond: cond, Weight: weight, Out: litho.LeaseCornerImages(pool, n),
+				})
 			}
-			o.corners = append(o.corners, &cornerWorker{
-				sim:    csim,
-				cond:   cond,
-				weight: weight,
-				grad:   pool.Field(n, n),
-				imgs:   litho.LeaseCornerImages(pool, n),
-			})
+			for j := range g.corners {
+				o.corner[g.corners[j].Cond] = &g.corners[j]
+			}
+			o.groups = append(o.groups, g)
 		}
-		// Bind the per-corner simulate and cost-probe tasks and the
+		// Bind the per-group simulate and cost-probe tasks and the
 		// gradient combine once, so each iteration reuses them.
-		o.cornerTasks = make([]func(), len(o.corners))
-		o.costTasks = make([]func(), len(o.corners))
-		for i := range o.corners {
-			c := o.corners[i]
-			o.cornerTasks[i] = func() {
-				c.grad.Zero()
-				c.cost = c.sim.ForwardAndGradient(c.grad, o.maskSpec, c.cond, o.target, c.imgs, c.weight)
+		o.groupTasks = make([]func(), len(o.groups))
+		o.costTasks = make([]func(), len(o.groups))
+		for i, g := range o.groups {
+			o.groupTasks[i] = func() {
+				g.grad.Zero()
+				g.sim.ForwardAndGradientGroup(g.grad, o.maskSpec, o.target, g.corners)
 			}
 			o.costTasks[i] = func() {
-				c.sim.Forward(c.imgs, o.maskSpec, c.cond)
-				c.cost = litho.CostAt(c.imgs.R, o.target)
+				g.sim.ForwardGroup(o.maskSpec, o.target, g.corners)
 			}
 		}
 		o.combineBody = func(lo, hi int) {
-			d := o.grad.Data
-			g0 := o.corners[0].grad.Data
-			g1 := o.corners[1].grad.Data
-			g2 := o.corners[2].grad.Data
-			for j := lo; j < hi; j++ {
-				d[j] = g0[j] + g1[j] + g2[j]
+			d := o.grad.Data[lo:hi]
+			copy(d, o.groups[0].grad.Data[lo:hi])
+			for _, g := range o.groups[1:] {
+				for j, v := range g.grad.Data[lo:hi] {
+					d[j] += v
+				}
 			}
 		}
 	}
@@ -399,13 +404,16 @@ func (o *Optimizer) Release() {
 	}
 	o.released = true
 	pool := o.pool
-	for _, c := range o.corners {
-		c.sim.Release()
-		pool.PutField(c.grad)
-		c.imgs.ReleaseTo(pool)
-		c.grad, c.imgs = nil, nil
+	for _, g := range o.groups {
+		g.sim.Release()
+		pool.PutField(g.grad)
+		for _, c := range g.corners {
+			c.Out.ReleaseTo(pool)
+		}
+		g.grad, g.corners = nil, nil
 	}
-	o.corners, o.cornerTasks, o.costTasks, o.combineBody = nil, nil, nil, nil
+	o.groups, o.groupTasks, o.costTasks, o.combineBody = nil, nil, nil, nil
+	o.corner = [3]*litho.GroupCorner{}
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
 	o.imgs.ReleaseTo(pool)
@@ -417,12 +425,8 @@ func (o *Optimizer) Release() {
 	o.curv, o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil, nil
 }
 
-// simulateCorners runs ForwardAndGradient for all three corners
-// concurrently (each on its own sibling simulator and sub-engine) and
-// leaves per-corner costs and gradients in the workers.
-func (o *Optimizer) simulateCorners() {
-	o.sim.Engine().Parallel(o.cornerTasks...)
-}
+// cost returns the latest cost of one process corner.
+func (o *Optimizer) cost(cond litho.Condition) float64 { return o.corner[cond].Cost }
 
 // Run executes Algorithm 1 and returns the optimized mask. The result
 // owns its fields, so it stays valid after Release.
@@ -520,13 +524,13 @@ func (s *levelStepper) Eval(i int) solve.Stats {
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
 
 	var costNom, costPVB float64
-	if o.corners != nil {
-		// All three corners concurrently; combine gradients in the
-		// fixed nominal→outer→inner order so the sum matches the
-		// serial accumulation bit-for-bit on any engine.
-		o.simulateCorners()
-		costNom = o.corners[0].cost
-		costPVB = o.corners[1].cost + o.corners[2].cost
+	if o.groups != nil {
+		// The focus groups concurrently, each on its own sibling
+		// simulator and sub-engine; combine gradients in the fixed group
+		// order so the sum is bit-identical on any engine.
+		o.sim.Engine().Parallel(o.groupTasks...)
+		costNom = o.cost(litho.Nominal)
+		costPVB = o.cost(litho.Outer) + o.cost(litho.Inner)
 		o.sim.Engine().ForChunk(len(o.grad.Data), o.combineBody)
 	} else {
 		o.grad.Zero()
@@ -769,9 +773,9 @@ func snapshotsFromSolve(ss []solve.Snapshot) []Snapshot {
 func (o *Optimizer) costAtPsi(psi *grid.Field) float64 {
 	levelset.MaskFromPsi(o.mask, psi)
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-	if o.corners != nil {
+	if o.groups != nil {
 		o.sim.Engine().Parallel(o.costTasks...)
-		return o.corners[0].cost + o.opts.PVBWeight*o.corners[1].cost + o.opts.PVBWeight*o.corners[2].cost
+		return o.cost(litho.Nominal) + o.opts.PVBWeight*o.cost(litho.Outer) + o.opts.PVBWeight*o.cost(litho.Inner)
 	}
 	o.sim.Forward(o.imgs, o.maskSpec, litho.Nominal)
 	return litho.CostAt(o.imgs.R, o.target)

@@ -1,7 +1,6 @@
 package levelset
 
 import (
-	"container/heap"
 	"math"
 
 	"lsopc/internal/grid"
@@ -29,7 +28,9 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 	// Seed: pixels with a sign change to a 4-neighbour get their
 	// distance from linear interpolation of ψ along each crossing axis:
 	// the zero crossing sits at frac = ψ(p)/(ψ(p)−ψ(n)) of the edge.
-	var pq pixelHeap
+	// The trial heap holds at most a few entries per front pixel; one
+	// grid's worth of capacity keeps it from ever regrowing in practice.
+	pq := make(pixelHeap, 0, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
@@ -76,7 +77,7 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 					if t := eikonalUpdate(dist, state, w, h, nx, ny); t < dist[j] {
 						dist[j] = t
 						state[j] = 1
-						heap.Push(&pq, pixelItem{idx: j, t: t})
+						pq.push(pixelItem{idx: j, t: t})
 					}
 				}
 			}
@@ -84,8 +85,8 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 	}
 
 	// March.
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(pixelItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		i := it.idx
 		if state[i] == 2 {
 			continue // stale heap entry
@@ -107,7 +108,7 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 			if t := eikonalUpdate(dist, state, w, h, nx, ny); t < dist[j] {
 				dist[j] = t
 				state[j] = 1
-				heap.Push(&pq, pixelItem{idx: j, t: t})
+				pq.push(pixelItem{idx: j, t: t})
 			}
 		}
 	}
@@ -181,17 +182,49 @@ type pixelItem struct {
 	t   float64
 }
 
-// pixelHeap is a min-heap on tentative distance.
+// pixelHeap is a min-heap on tentative distance. push and pop follow
+// container/heap's sift-up and sift-down step for step, so entries of
+// equal distance pop in the same order, without boxing every entry in an
+// interface.
 type pixelHeap []pixelItem
 
-func (p pixelHeap) Len() int            { return len(p) }
-func (p pixelHeap) Less(i, j int) bool  { return p[i].t < p[j].t }
-func (p pixelHeap) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pixelHeap) Push(x interface{}) { *p = append(*p, x.(pixelItem)) }
-func (p *pixelHeap) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
+// push adds it and restores the heap order (container/heap.Push).
+func (p *pixelHeap) push(it pixelItem) {
+	*p = append(*p, it)
+	h := *p
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].t < h[i].t) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the minimum entry (container/heap.Pop).
+func (p *pixelHeap) pop() pixelItem {
+	h := *p
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].t < h[j1].t {
+			j = j2 // right child
+		}
+		if !(h[j].t < h[i].t) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*p = h[:n]
 	return it
 }

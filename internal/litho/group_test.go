@@ -1,0 +1,232 @@
+package litho
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"lsopc/internal/engine"
+	"lsopc/internal/grid"
+)
+
+// groupPath is one of the four execution paths of the forward+adjoint
+// model: float64 or float32 batches, retained or streamed.
+type groupPath struct {
+	name      string
+	precision Precision
+	stream    bool
+	diffusion float64
+}
+
+var groupPaths = []groupPath{
+	{name: "f64-retained", precision: Float64},
+	{name: "f64-streaming", precision: Float64, stream: true},
+	{name: "f32-retained", precision: Float32},
+	{name: "f32-streaming", precision: Float32, stream: true},
+	{name: "f64-retained-diffusion", precision: Float64, diffusion: 40},
+}
+
+// groupSim builds a 64-px simulator on the given path; streaming paths
+// drop the retention budget so the per-kernel batch is never kept.
+func groupSim(t *testing.T, p groupPath) *Simulator {
+	t.Helper()
+	cfg := DefaultConfig(64, 32)
+	cfg.Optics.Kernels = 4
+	cfg.Precision = p.precision
+	cfg.DiffusionNM = p.diffusion
+	s, err := NewSimulator(cfg, engine.New("group-test", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.stream {
+		s.retainBytes = 0
+	}
+	if s.canRetain() == p.stream {
+		t.Fatalf("%s: canRetain = %v", p.name, s.canRetain())
+	}
+	return s
+}
+
+// TestGroupMatchesSeparateCorners checks the nominal+outer focus group
+// against two separate ForwardAndGradient calls: images and costs are
+// bit-identical (one SOCS pass, scaled per corner), the gradient equal up
+// to the rounding of one adjoint instead of two.
+func TestGroupMatchesSeparateCorners(t *testing.T) {
+	const n = 64
+	mask := randomMask(n, 42)
+	target := randomMask(n, 99)
+	for _, p := range groupPaths {
+		s := groupSim(t, p)
+		spec := grid.NewCField(n, n)
+		s.MaskSpectrumInto(spec, mask)
+
+		refGrad := grid.NewField(n, n)
+		refNom, refOut := NewCornerImages(n), NewCornerImages(n)
+		refCostNom := s.ForwardAndGradient(refGrad, spec, Nominal, target, refNom, 1)
+		refCostOut := s.ForwardAndGradient(refGrad, spec, Outer, target, refOut, 0.6)
+
+		grad := grid.NewField(n, n)
+		group := []GroupCorner{
+			{Cond: Nominal, Weight: 1, Out: NewCornerImages(n)},
+			{Cond: Outer, Weight: 0.6, Out: NewCornerImages(n)},
+		}
+		s.ForwardAndGradientGroup(grad, spec, target, group)
+
+		fieldsEqual(t, p.name+" nominal aerial", group[0].Out.Aerial, refNom.Aerial)
+		fieldsEqual(t, p.name+" nominal resist", group[0].Out.R, refNom.R)
+		fieldsEqual(t, p.name+" outer aerial", group[1].Out.Aerial, refOut.Aerial)
+		fieldsEqual(t, p.name+" outer resist", group[1].Out.R, refOut.R)
+		if group[0].Cost != refCostNom || group[1].Cost != refCostOut {
+			t.Fatalf("%s: group costs (%v, %v), separate (%v, %v)", p.name,
+				group[0].Cost, group[1].Cost, refCostNom, refCostOut)
+		}
+		// The float32 adjoint rounds W_c to float32 on entry to the
+		// batch, so one adjoint over Σ w_c·W_c and two summed adjoints
+		// differ at float32 resolution; float64 paths agree to 1e-9.
+		tol := 1e-9
+		if p.precision == Float32 {
+			tol = 1e-6
+		}
+		if e := relErr(refGrad, grad); e > tol {
+			t.Fatalf("%s: group gradient relative error %.3g > %g", p.name, e, tol)
+		}
+		if refGrad.Norm() == 0 {
+			t.Fatalf("%s: degenerate test: zero gradient", p.name)
+		}
+	}
+}
+
+// TestOneCornerGroupIsForwardAndGradient pins the one-corner group to
+// ForwardAndGradient bit for bit, on every path and corner, with the
+// weight applied after the adjoint.
+func TestOneCornerGroupIsForwardAndGradient(t *testing.T) {
+	const n = 64
+	mask := randomMask(n, 7)
+	target := randomMask(n, 8)
+	for _, p := range groupPaths {
+		s := groupSim(t, p)
+		spec := grid.NewCField(n, n)
+		s.MaskSpectrumInto(spec, mask)
+		for _, cond := range AllConditions {
+			refGrad := grid.NewField(n, n)
+			ref := NewCornerImages(n)
+			refCost := s.ForwardAndGradient(refGrad, spec, cond, target, ref, 0.7)
+
+			grad := grid.NewField(n, n)
+			group := []GroupCorner{{Cond: cond, Weight: 0.7, Out: NewCornerImages(n)}}
+			s.ForwardAndGradientGroup(grad, spec, target, group)
+
+			label := p.name + " " + cond.String()
+			fieldsEqual(t, label+" aerial", group[0].Out.Aerial, ref.Aerial)
+			fieldsEqual(t, label+" resist", group[0].Out.R, ref.R)
+			fieldsEqual(t, label+" gradient", grad, refGrad)
+			if group[0].Cost != refCost {
+				t.Fatalf("%s: cost %v vs %v", label, group[0].Cost, refCost)
+			}
+		}
+	}
+}
+
+// TestForwardGroupMatchesAerial checks the forward-only group: aerial
+// images bit-identical to per-corner Aerial calls, resist images and
+// costs only where asked for.
+func TestForwardGroupMatchesAerial(t *testing.T) {
+	const n = 64
+	s := testSim(t, 3)
+	spec := s.MaskSpectrum(randomMask(n, 3))
+	target := randomMask(n, 4)
+	group := []GroupCorner{
+		{Cond: Nominal, Out: &CornerImages{Aerial: grid.NewField(n, n)}},
+		{Cond: Outer, Out: NewCornerImages(n)},
+	}
+	s.ForwardGroup(spec, target, group)
+	for _, c := range group {
+		ref := NewCornerImages(n)
+		s.Forward(ref, spec, c.Cond)
+		fieldsEqual(t, c.Cond.String()+" aerial", c.Out.Aerial, ref.Aerial)
+		if c.Out.R != nil {
+			fieldsEqual(t, c.Cond.String()+" resist", c.Out.R, ref.R)
+			if c.Cost != CostAt(ref.R, target) {
+				t.Fatalf("%v: cost %v vs %v", c.Cond, c.Cost, CostAt(ref.R, target))
+			}
+		}
+	}
+	if group[0].Cost != 0 {
+		t.Fatalf("aerial-only corner got cost %v", group[0].Cost)
+	}
+}
+
+// TestGroupRejectsMixedFocus: nominal and inner use different kernel
+// banks, so they cannot share one SOCS pass.
+func TestGroupRejectsMixedFocus(t *testing.T) {
+	const n = 64
+	s := testSim(t, 2)
+	spec := s.MaskSpectrum(randomMask(n, 5))
+	target := randomMask(n, 6)
+	mixed := func() []GroupCorner {
+		return []GroupCorner{
+			{Cond: Nominal, Weight: 1, Out: NewCornerImages(n)},
+			{Cond: Inner, Weight: 0.6, Out: NewCornerImages(n)},
+		}
+	}
+	for name, call := range map[string]func(){
+		"ForwardGroup":            func() { s.ForwardGroup(spec, target, mixed()) },
+		"ForwardAndGradientGroup": func() { s.ForwardAndGradientGroup(grid.NewField(n, n), spec, target, mixed()) },
+		"empty":                   func() { s.ForwardGroup(spec, target, nil) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: mixed-focus group was accepted", name)
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, "focus group") {
+					t.Fatalf("%s: unclear panic %v", name, r)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
+	s, spec, _, target := warmSim(t, 4)
+	n := s.GridSize()
+	grad := grid.NewField(n, n)
+	group := []GroupCorner{
+		{Cond: Nominal, Weight: 1, Out: NewCornerImages(n)},
+		{Cond: Outer, Weight: 0.6, Out: NewCornerImages(n)},
+	}
+	s.ForwardAndGradientGroup(grad, spec, target, group)
+	if avg := testing.AllocsPerRun(20, func() {
+		grad.Zero()
+		s.ForwardAndGradientGroup(grad, spec, target, group)
+		s.ForwardGroup(spec, target, group)
+	}); avg != 0 {
+		t.Fatalf("warm group calls allocate %.1f objects/op, want 0", avg)
+	}
+}
+
+func TestFocusGroupsSplitByBank(t *testing.T) {
+	s := testSim(t, 2)
+	cfg := s.Config()
+	cfg.DefocusNM = 0
+	flat, err := NewSimulator(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sim   *Simulator
+		conds []Condition
+		want  string
+	}{
+		{s, AllConditions, "[[nominal outer] [inner]]"},
+		{s, []Condition{Outer, Inner}, "[[outer] [inner]]"},
+		{s, []Condition{Inner}, "[[inner]]"},
+		{flat, AllConditions, "[[nominal outer inner]]"},
+	} {
+		if got := fmt.Sprint(tc.sim.FocusGroups(tc.conds)); got != tc.want {
+			t.Errorf("FocusGroups(%v) = %s, want %s", tc.conds, got, tc.want)
+		}
+	}
+}

@@ -7,6 +7,11 @@
 // It also implements the adjoint (gradient) of the image-fidelity cost
 // ‖R − R*‖² with respect to the mask (Eq. 11), accumulated in the
 // frequency domain so each kernel costs one extra FFT.
+//
+// Corners that share a focus setting (nominal and outer) share their
+// coherent fields, so they can run as one focus group: one SOCS pass and
+// one adjoint serve every corner of the group (ForwardGroup,
+// ForwardAndGradientGroup).
 package litho
 
 import (
@@ -169,6 +174,7 @@ type Simulator struct {
 	opR        *grid.Field
 	opTarget   *grid.Field
 	opScale    float64
+	opAccum    bool
 	opGrad     *grid.Field
 
 	materializeBody   func(lo, hi int)
@@ -186,6 +192,11 @@ type Simulator struct {
 	// hot paths at a single nil check; set via SetSink.
 	sink    obs.Sink
 	traceID string
+
+	// retainBytes is the retention budget canRetain checks against
+	// (retainLimitBytes; lowered only by tests to reach the streaming
+	// paths on small grids).
+	retainBytes int
 
 	released bool
 }
@@ -256,6 +267,7 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 		ampSpec:     pool.CField(n, n),
 		sens:        pool.Field(n, n),
 		aerial:      pool.Field(n, n),
+		retainBytes: retainLimitBytes,
 	}
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
@@ -310,6 +322,13 @@ func (s *Simulator) bindBodies() {
 	}
 	s.sensBody = func(lo, hi int) {
 		w, r, target, c := s.opW, s.opR, s.opTarget, s.opScale
+		if s.opAccum {
+			for i := lo; i < hi; i++ {
+				rv := r.Data[i]
+				w.Data[i] += c * (rv - target.Data[i]) * rv * (1 - rv)
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
 			rv := r.Data[i]
 			w.Data[i] = c * (rv - target.Data[i]) * rv * (1 - rv)
@@ -347,25 +366,27 @@ func (s *Simulator) bindBodies() {
 	s.bindBodies32()
 }
 
-// SetSink attaches a trace sink to the session: Forward, GradientInto
-// and ForwardAndGradient then emit one per-corner timing event per call,
-// tagged with traceID so traces from concurrent sessions stay
-// distinguishable. Pass nil to detach (the default); the disabled path
-// costs one nil check per call and never allocates.
+// SetSink attaches a trace sink to the session: Forward, GradientInto,
+// ForwardAndGradient and the focus-group calls then emit one timing
+// event per call, tagged with traceID so traces from concurrent
+// sessions stay distinguishable. Pass nil to detach (the default); the
+// disabled path costs one nil check per call and never allocates.
 func (s *Simulator) SetSink(sink obs.Sink, traceID string) {
 	s.sink = sink
 	s.traceID = traceID
 }
 
-// traceCorner reports one simulate span to the attached sink.
-func (s *Simulator) traceCorner(name string, cond Condition, d time.Duration) {
+// traceGroup reports one simulate span over a focus group to the
+// attached sink; the event's Corner names the group ("inner",
+// "nominal+outer").
+func (s *Simulator) traceGroup(name string, group []GroupCorner, d time.Duration) {
 	if s.sink != nil {
 		s.sink.Emit(obs.Event{
 			Type:   obs.EventCorner,
 			Trace:  s.traceID,
 			Name:   name,
 			Engine: s.eng.Name(),
-			Corner: cond.String(),
+			Corner: groupLabel(group),
 			N:      s.cfg.Optics.GridSize,
 			DurNS:  d.Nanoseconds(),
 		})
@@ -543,11 +564,8 @@ func (s *Simulator) aerialStreaming(dst *grid.Field, bank *optics.Bank, maskSpec
 // Aerial computes the dose-scaled aerial image (Eq. 1) for the given
 // corner into dst: dst = dose · Σ_k μ_k |h_k ⊗ M|².
 func (s *Simulator) Aerial(dst *grid.Field, maskSpec *grid.CField, cond Condition) {
-	s.aerialInto(dst, s.Bank(cond), maskSpec)
-	s.blurInPlace(dst)
-	if dose := s.Dose(cond); dose != 1 {
-		dst.Scale(dst, dose)
-	}
+	group := [1]GroupCorner{{Cond: cond, Out: &CornerImages{Aerial: dst}}}
+	s.groupForward(s.Bank(cond), maskSpec, nil, group[:])
 }
 
 // AerialFast computes the Eq. 17 fused-kernel approximation of the
@@ -612,14 +630,10 @@ func (c *CornerImages) ReleaseTo(p *rt.Pool) {
 }
 
 // Forward fills out with the exact aerial image and sigmoid resist image
-// at the given corner.
+// at the given corner: the one-corner ForwardGroup.
 func (s *Simulator) Forward(out *CornerImages, maskSpec *grid.CField, cond Condition) {
-	start := time.Now()
-	s.Aerial(out.Aerial, maskSpec, cond)
-	s.Resist(out.R, out.Aerial)
-	d := time.Since(start)
-	mForwardNS.Observe(float64(d))
-	s.traceCorner("forward", cond, d)
+	group := [1]GroupCorner{{Cond: cond, Out: out}}
+	s.ForwardGroup(maskSpec, nil, group[:])
 }
 
 // GradientInto accumulates the Jacobian of L = ‖R − R*‖² with respect to
@@ -636,26 +650,39 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 	start := time.Now()
 	bank := s.Bank(cond)
 	s.sensitivity(s.sens, r, target, s.Dose(cond))
-	switch {
-	case s.f32() && s.canRetain():
-		fields := s.retained32(len(bank.Kernels))
-		s.materialize32(fields, bank, maskSpec)
-		s.batch32.BatchInverseBanded(fields, bank.Radius())
-		s.adjointFromFields32(fields, bank, s.sens)
-	case s.f32():
-		s.adjointStreaming32(bank, maskSpec, s.sens)
-	case s.canRetain():
-		fields := s.retained(len(bank.Kernels))
-		s.materialize(fields, bank, maskSpec)
-		s.batch.BatchInverseBanded(fields, bank.Radius())
-		s.adjointFromFields(fields, bank, s.sens)
-	default:
-		s.adjointStreaming(bank, maskSpec, s.sens)
-	}
+	s.adjoint(bank, maskSpec, s.sens, false)
 	s.applyGradient(grad, weight)
 	d := time.Since(start)
 	mGradientNS.Observe(float64(d))
-	s.traceCorner("gradient", cond, d)
+	group := [1]GroupCorner{{Cond: cond}}
+	s.traceGroup("gradient", group[:], d)
+}
+
+// adjoint runs the adjoint half of Eq. 11 for the sensitivity w into
+// s.accum on the session's execution path (retained or streaming,
+// float64 or float32). fieldsReady says the retained batch already holds
+// this mask's E_k for bank, as aerialInto leaves it.
+func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field, fieldsReady bool) {
+	switch {
+	case s.f32() && s.canRetain():
+		fields := s.retained32(len(bank.Kernels))
+		if !fieldsReady {
+			s.materialize32(fields, bank, maskSpec)
+			s.batch32.BatchInverseBanded(fields, bank.Radius())
+		}
+		s.adjointFromFields32(fields, bank, w)
+	case s.f32():
+		s.adjointStreaming32(bank, maskSpec, w)
+	case s.canRetain():
+		fields := s.retained(len(bank.Kernels))
+		if !fieldsReady {
+			s.materialize(fields, bank, maskSpec)
+			s.batch.BatchInverseBanded(fields, bank.Radius())
+		}
+		s.adjointFromFields(fields, bank, w)
+	default:
+		s.adjointStreaming(bank, maskSpec, w)
+	}
 }
 
 // sensitivity computes the resist sensitivity field
@@ -663,10 +690,16 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 // the blur's adjoint (itself) maps the sensitivity back through the
 // latent-image convolution.
 func (s *Simulator) sensitivity(w *grid.Field, r, target *grid.Field, dose float64) {
-	s.opW, s.opR, s.opTarget, s.opScale = w, r, target, 2*s.cfg.Steepness*dose
+	s.sensitivityTerm(w, r, target, 2*s.cfg.Steepness*dose, false)
+	s.blurInPlace(w)
+}
+
+// sensitivityTerm sets (or, with accumulate, adds to) w the unblurred
+// sensitivity scale·(R−R*)⊙R⊙(1−R) of one resist image.
+func (s *Simulator) sensitivityTerm(w *grid.Field, r, target *grid.Field, scale float64, accumulate bool) {
+	s.opW, s.opR, s.opTarget, s.opScale, s.opAccum = w, r, target, scale, accumulate
 	s.eng.ForChunk(len(w.Data), s.sensBody)
 	s.opW, s.opR, s.opTarget = nil, nil, nil
-	s.blurInPlace(w)
 }
 
 // zeroAccumBand clears the rows of the gradient accumulator the adjoint

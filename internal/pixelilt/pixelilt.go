@@ -290,8 +290,9 @@ type stepper struct {
 	mask   *grid.Field
 	spec   *grid.CField
 	gradM  *grid.Field
-	imgs   *litho.CornerImages
-	maxG   float64 // ∞-norm of dL/dθ from the latest Eval
+	imgs   []*litho.CornerImages // one per corner of the largest focus group so far
+	group  []litho.GroupCorner   // reused focus-group scratch
+	maxG   float64               // ∞-norm of dL/dθ from the latest Eval
 }
 
 // newStepper leases scratch from the simulator's pool and seeds θ from
@@ -313,7 +314,6 @@ func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaIni
 		mask:   pool.Field(n, n),
 		spec:   pool.CField(n, n),
 		gradM:  pool.Field(n, n),
-		imgs:   litho.LeaseCornerImages(pool, n),
 	}
 	if thetaInit != nil {
 		s.theta.CopyFrom(thetaInit)
@@ -334,7 +334,10 @@ func (s *stepper) release() {
 	s.pool.PutField(s.mask)
 	s.pool.PutCField(s.spec)
 	s.pool.PutField(s.gradM)
-	s.imgs.ReleaseTo(s.pool)
+	for _, im := range s.imgs {
+		im.ReleaseTo(s.pool)
+	}
+	s.imgs = nil
 }
 
 // driver builds the solve driver for this level. The baselines use a
@@ -376,8 +379,20 @@ func (s *stepper) Eval(i int) solve.Stats {
 	corners, weights := s.opts.cornerPlan(i)
 	s.gradM.Zero()
 	cost := 0.0
-	for c, cond := range corners {
-		cost += s.sim.ForwardAndGradient(s.gradM, s.spec, cond, s.target, s.imgs, weights[c])
+	// Corners on one kernel bank (nominal and outer) run as one focus
+	// group: one SOCS pass and one adjoint for both. Costs still sum in
+	// plan order.
+	w := weights
+	for _, conds := range s.sim.FocusGroups(corners) {
+		s.group = s.group[:0]
+		for k, cond := range conds {
+			s.group = append(s.group, litho.GroupCorner{Cond: cond, Weight: w[k], Out: s.cornerImages(k)})
+		}
+		w = w[len(conds):]
+		s.sim.ForwardAndGradientGroup(s.gradM, s.spec, s.target, s.group)
+		for _, c := range s.group {
+			cost += c.Cost
+		}
 	}
 
 	// dL/dθ = dL/dM ⊙ a·M(1−M); the ∞-norm normalises the step, keeping
@@ -396,6 +411,15 @@ func (s *stepper) Eval(i int) solve.Stats {
 		Evals: len(corners),
 		Name:  s.opts.Variant.String(),
 	}
+}
+
+// cornerImages returns the k-th corner's image storage, leasing it from
+// the pool on first use (release returns it).
+func (s *stepper) cornerImages(k int) *litho.CornerImages {
+	for len(s.imgs) <= k {
+		s.imgs = append(s.imgs, litho.LeaseCornerImages(s.pool, s.sim.GridSize()))
+	}
+	return s.imgs[k]
 }
 
 // SaveBest is never called: the baselines report the final iterate.

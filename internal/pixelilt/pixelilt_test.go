@@ -8,6 +8,7 @@ import (
 	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 	"lsopc/internal/litho"
+	"lsopc/internal/obs"
 )
 
 func newTestSim(t *testing.T, kernels int) *litho.Simulator {
@@ -231,5 +232,31 @@ func TestGrayMaskConsistentWithBinary(t *testing.T) {
 		if (res.Gray.Data[i] > 0.5) != (res.Mask.Data[i] == 1) {
 			t.Fatal("binary mask must be the gray mask thresholded at 1/2")
 		}
+	}
+}
+
+// TestExactPlanRunsFocusGroups: MOSAIC_exact's nominal and outer corners
+// share one best-focus SOCS pass, so each iteration simulates two focus
+// groups while CornerSims still counts three conditions.
+func TestExactPlanRunsFocusGroups(t *testing.T) {
+	sink := &obs.CollectorSink{}
+	opts := DefaultOptions(MosaicExact)
+	opts.MaxIter = 3
+	opts.Sink = sink
+	res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 20), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CornerSims != 9 {
+		t.Fatalf("corner sims = %d, want 9", res.CornerSims)
+	}
+	groups := map[string]int{}
+	for _, e := range sink.Events() {
+		if e.Type == obs.EventCorner {
+			groups[e.Corner]++
+		}
+	}
+	if len(groups) != 2 || groups["nominal+outer"] != 3 || groups["inner"] != 3 {
+		t.Fatalf("focus groups simulated = %v, want nominal+outer and inner once per iteration", groups)
 	}
 }

@@ -974,10 +974,7 @@ func (s *Session) Evaluate(l *Layout, mask *Field, elapsed time.Duration) (Repor
 	}
 	evalStart := time.Now()
 	defer s.traceSpan("evaluate", evalStart)
-	s.sim.MaskSpectrumInto(s.spec, mask)
-	s.sim.PrintedBinary(s.printed, s.spec, litho.Nominal)
-	s.sim.PrintedBinary(s.outer, s.spec, litho.Outer)
-	s.sim.PrintedBinary(s.inner, s.spec, litho.Inner)
+	s.printCorners(s.printed, s.outer, s.inner, mask)
 
 	probes := metrics.Probes(l, s.p.metrics.EPESpacingNM)
 	epe, _ := metrics.EPE(s.printed, probes, s.p.metrics)
@@ -1007,14 +1004,31 @@ func (p *Pipeline) PrintedImages(mask *Field) (nominal, outer, inner *Field) {
 // three corners on this session.
 func (s *Session) PrintedImages(mask *Field) (nominal, outer, inner *Field) {
 	n := s.sim.GridSize()
-	s.sim.MaskSpectrumInto(s.spec, mask)
 	nominal = grid.NewField(n, n)
 	outer = grid.NewField(n, n)
 	inner = grid.NewField(n, n)
-	s.sim.PrintedBinary(nominal, s.spec, litho.Nominal)
-	s.sim.PrintedBinary(outer, s.spec, litho.Outer)
-	s.sim.PrintedBinary(inner, s.spec, litho.Inner)
+	s.printCorners(nominal, outer, inner, mask)
 	return nominal, outer, inner
+}
+
+// printCorners writes the binary printed images of mask at the three
+// corners. Nominal and outer share one best-focus SOCS pass (a focus
+// group); each image is bit-identical to a per-corner PrintedBinary.
+func (s *Session) printCorners(nominal, outer, inner, mask *Field) {
+	s.sim.MaskSpectrumInto(s.spec, mask)
+	// The aerial images land in the output fields and are thresholded
+	// in place.
+	printed := [...]*Field{litho.Nominal: nominal, litho.Outer: outer, litho.Inner: inner}
+	for _, conds := range s.sim.FocusGroups(litho.AllConditions) {
+		group := make([]litho.GroupCorner, len(conds))
+		for i, cond := range conds {
+			group[i] = litho.GroupCorner{Cond: cond, Out: &litho.CornerImages{Aerial: printed[cond]}}
+		}
+		s.sim.ForwardGroup(s.spec, nil, group)
+	}
+	for _, f := range printed {
+		s.sim.ResistBinary(f, f)
+	}
 }
 
 // Benchmarks returns the ten ICCAD-2013-style benchmark specs (B1…B10).

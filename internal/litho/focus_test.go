@@ -1,0 +1,101 @@
+package litho
+
+import (
+	"testing"
+
+	"lsopc/internal/grid"
+)
+
+// TestAerialAtFocusMatchesCorners pins the unit-dose focus aerial to the
+// corner path on every execution path: at best focus it is Aerial(Nominal)
+// bit for bit, at the inner corner's defocus it is Aerial(Inner) before
+// the dose scale.
+func TestAerialAtFocusMatchesCorners(t *testing.T) {
+	const n = 64
+	mask := randomMask(n, 11)
+	for _, p := range groupPaths {
+		s := groupSim(t, p)
+		spec := grid.NewCField(n, n)
+		s.MaskSpectrumInto(spec, mask)
+		got := grid.NewField(n, n)
+		ref := grid.NewField(n, n)
+
+		if err := s.AerialAtFocus(got, spec, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Aerial(ref, spec, Nominal)
+		fieldsEqual(t, p.name+" best focus", got, ref)
+
+		if err := s.AerialAtFocus(got, spec, s.Config().DefocusNM); err != nil {
+			t.Fatal(err)
+		}
+		got.Scale(got, s.Dose(Inner))
+		s.Aerial(ref, spec, Inner)
+		fieldsEqual(t, p.name+" inner defocus", got, ref)
+	}
+}
+
+// TestAerialAtFocusStreamingMatchesRetained checks an intermediate focus,
+// whose bank the session does not hold: the streaming path reproduces
+// the retained batch bit for bit.
+func TestAerialAtFocusStreamingMatchesRetained(t *testing.T) {
+	const n = 64
+	mask := randomMask(n, 12)
+	for _, prec := range []Precision{Float64, Float32} {
+		var out [2]*grid.Field
+		for i, stream := range []bool{false, true} {
+			s := groupSim(t, groupPath{name: "focus", precision: prec, stream: stream})
+			spec := grid.NewCField(n, n)
+			s.MaskSpectrumInto(spec, mask)
+			out[i] = grid.NewField(n, n)
+			if err := s.AerialAtFocus(out[i], spec, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fieldsEqual(t, "streaming vs retained at 10 nm", out[1], out[0])
+		if out[0].Norm() == 0 {
+			t.Fatal("degenerate test: zero aerial")
+		}
+	}
+}
+
+// TestFocusBank: the session's own banks serve best focus and the inner
+// corner's defocus; any other focus comes from the shared memoized cache.
+func TestFocusBank(t *testing.T) {
+	s := testSim(t, 2)
+	for _, tc := range []struct {
+		focus float64
+		want  Condition
+	}{{0, Nominal}, {s.Config().DefocusNM, Inner}} {
+		b, err := s.focusBank(tc.focus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != s.Bank(tc.want) {
+			t.Fatalf("focusBank(%g) is not the %v bank", tc.focus, tc.want)
+		}
+	}
+	a, err := s.focusBank(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib := testSim(t, 2)
+	b, err := sib.focusBank(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a.DefocusNM != 10 || a == s.Bank(Nominal) || a == s.Bank(Inner) {
+		t.Fatalf("focusBank(10) = %p (defocus %g), second session %p", a, a.DefocusNM, b)
+	}
+}
+
+func TestAerialAtFocusZeroAllocWarm(t *testing.T) {
+	s, spec, imgs, _ := warmSim(t, 4)
+	defocus := s.Config().DefocusNM
+	if avg := testing.AllocsPerRun(20, func() {
+		_ = s.AerialAtFocus(imgs.Aerial, spec, 0)
+		_ = s.AerialAtFocus(imgs.Aerial, spec, defocus)
+	}); avg != 0 {
+		t.Fatalf("warm AerialAtFocus allocates %.1f objects/op, want 0", avg)
+	}
+}

@@ -568,6 +568,34 @@ func (s *Simulator) Aerial(dst *grid.Field, maskSpec *grid.CField, cond Conditio
 	s.groupForward(s.Bank(cond), maskSpec, nil, group[:])
 }
 
+// focusBank returns the kernel bank at the given defocus: the session's
+// own banks at best focus and at DefocusNM, otherwise the process-wide
+// memoized bank for the session's optics (synthesised on first use).
+func (s *Simulator) focusBank(defocusNM float64) (*optics.Bank, error) {
+	switch defocusNM {
+	case s.nominalBank.DefocusNM:
+		return s.nominalBank, nil
+	case s.defocusBank.DefocusNM:
+		return s.defocusBank, nil
+	}
+	return rt.OpticsBankFor(s.cfg.Optics, defocusNM, s.eng)
+}
+
+// AerialAtFocus computes the unit-dose aerial image at the given defocus
+// into dst, dst = Σ_k μ_k |h_k ⊗ M|² through focusBank(defocusNM), on
+// the same SOCS path as Aerial: at best focus and at DefocusNM it is
+// bit-identical to Aerial(Nominal) and to Aerial(Inner) before its dose
+// scale. A dose d prints where d·dst ≥ Threshold.
+func (s *Simulator) AerialAtFocus(dst *grid.Field, maskSpec *grid.CField, defocusNM float64) error {
+	bank, err := s.focusBank(defocusNM)
+	if err != nil {
+		return err
+	}
+	s.aerialInto(dst, bank, maskSpec)
+	s.blurInPlace(dst)
+	return nil
+}
+
 // AerialFast computes the Eq. 17 fused-kernel approximation of the
 // aerial image: dst = dose · |(Σ_k μ_k h_k) ⊗ M|². One convolution
 // instead of K; exact only for a coherent (K = 1) system. This is the

@@ -48,8 +48,8 @@ const (
 	// EventPool is an rt pool lease (hit = served from the free list,
 	// miss = fresh allocation) or release.
 	EventPool = "pool"
-	// EventSpan is a coarse job span: a whole optimize or evaluate call
-	// with its engine and wall time.
+	// EventSpan is a coarse job span: a whole optimize, evaluate or
+	// process-window call with its engine and wall time.
 	EventSpan = "span"
 	// EventProgress is a human-readable progress line (the experiments
 	// harness emits these; LineSink renders them verbatim).

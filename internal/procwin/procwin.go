@@ -7,24 +7,20 @@
 // The paper evaluates robustness only through the PV band at the two
 // extreme corners; this package generalises that to the dense
 // focus/dose matrix a lithographer would actually inspect, and is used
-// by the processwindow example and the pw CLI. Sparse kernel boxes make
-// the per-focus kernel banks cheap to construct.
+// by the processwindow example and the pw CLI. The sweep runs on a litho
+// simulator session: one SOCS pass per focus value on the session's
+// banded batch path, every dose thresholded from that pass.
 package procwin
 
 import (
 	"fmt"
 
-	"lsopc/internal/engine"
-	"lsopc/internal/fft"
 	"lsopc/internal/grid"
 	"lsopc/internal/litho"
-	"lsopc/internal/optics"
-	"lsopc/internal/rt"
 )
 
 // Config parameterises the sweep matrix.
 type Config struct {
-	Litho litho.Config
 	// FocusMaxNM sweeps defocus over [0, +FocusMaxNM] in FocusSteps
 	// steps (defocus is symmetric in this scalar model, so negative
 	// focus repeats the positive branch).
@@ -36,23 +32,20 @@ type Config struct {
 	DoseSteps int
 }
 
-// DefaultConfig covers the contest's process window (±25 nm focus,
-// ±2 % dose) with a 6×5 matrix.
+// DefaultConfig covers the process window of the simulator's PV-band
+// corners — focus up to the inner corner's defocus, dose ±DoseVar (the
+// contest's ±25 nm, ±2 %) — with a 6×5 matrix.
 func DefaultConfig(l litho.Config) Config {
 	return Config{
-		Litho:      l,
-		FocusMaxNM: 25,
+		FocusMaxNM: l.DefocusNM,
 		FocusSteps: 6,
-		DoseDelta:  0.02,
+		DoseDelta:  l.DoseVar,
 		DoseSteps:  5,
 	}
 }
 
 // Validate checks the sweep configuration.
 func (c Config) Validate() error {
-	if err := c.Litho.Validate(); err != nil {
-		return err
-	}
 	switch {
 	case c.FocusMaxNM < 0:
 		return fmt.Errorf("procwin: focus range must be ≥ 0, got %g", c.FocusMaxNM)
@@ -62,6 +55,31 @@ func (c Config) Validate() error {
 		return fmt.Errorf("procwin: dose delta must be in [0,1), got %g", c.DoseDelta)
 	}
 	return nil
+}
+
+// FocusValues returns the swept defocus values in nm.
+func (c Config) FocusValues() []float64 {
+	out := make([]float64, c.FocusSteps)
+	for i := range out {
+		if c.FocusSteps > 1 {
+			out[i] = c.FocusMaxNM * float64(i) / float64(c.FocusSteps-1)
+		}
+	}
+	return out
+}
+
+// DoseValues returns the swept dose factors.
+func (c Config) DoseValues() []float64 {
+	out := make([]float64, c.DoseSteps)
+	for i := range out {
+		if c.DoseSteps == 1 {
+			out[i] = 1
+			continue
+		}
+		t := float64(i) / float64(c.DoseSteps-1)
+		out[i] = 1 - c.DoseDelta + 2*c.DoseDelta*t
+	}
+	return out
 }
 
 // CutLine selects where CD is measured: the printed run length through
@@ -84,113 +102,35 @@ type Result struct {
 	TargetCD float64 // CD at nominal conditions
 }
 
-// Analyzer holds the per-focus kernel banks (shared through the
-// process-wide memoized bank cache) and leased scratch. Not safe for
-// concurrent use; create one per goroutine and Release when done.
+// Analyzer sweeps masks across the focus×dose matrix on one simulator
+// session. It borrows the session — the session's kernel banks, batch
+// FFT plan and pooled scratch — so, like the session, it is not safe for
+// concurrent use.
 type Analyzer struct {
-	cfg         Config
-	eng         *engine.Engine
-	pool        *rt.Pool
-	plan        *fft.Plan2D
-	planScratch *grid.CField
-	banks       []*optics.Bank // one per focus step
-	focus       []float64
-	field       *grid.CField
-	aerial      *grid.Field
-	released    bool
+	cfg Config
+	sim *litho.Simulator
 }
 
-// New builds an analyzer. Kernel banks come from the process-wide
-// memoized cache (one synthesis per focus value across all analyzers);
-// scratch is leased from the shared pool.
-func New(cfg Config, eng *engine.Engine) (*Analyzer, error) {
+// New builds an analyzer on the simulator session sim.
+func New(cfg Config, sim *litho.Simulator) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if eng == nil {
-		eng = engine.CPU()
+	if sim == nil {
+		return nil, fmt.Errorf("procwin: analyzer requires a simulator session")
 	}
-	n := cfg.Litho.Optics.GridSize
-	pool := rt.Shared
-	a := &Analyzer{
-		cfg:    cfg,
-		eng:    eng,
-		pool:   pool,
-		field:  pool.CField(n, n),
-		aerial: pool.Field(n, n),
-	}
-	a.planScratch = pool.CField(n, fft.Plan2DScratchLen(n, n)/n)
-	a.plan = fft.NewPlan2DFromPlans(fft.CachedPlan(n), fft.CachedPlan(n), eng, a.planScratch.Data)
-	for i := 0; i < cfg.FocusSteps; i++ {
-		var f float64
-		if cfg.FocusSteps > 1 {
-			f = cfg.FocusMaxNM * float64(i) / float64(cfg.FocusSteps-1)
-		}
-		bank, err := rt.OpticsBankFor(cfg.Litho.Optics, f, eng)
-		if err != nil {
-			a.Release()
-			return nil, err
-		}
-		a.banks = append(a.banks, bank)
-		a.focus = append(a.focus, f)
-	}
-	return a, nil
-}
-
-// Release returns the analyzer's leased scratch to the pool. The shared
-// kernel banks are untouched. Idempotent and nil-safe.
-func (a *Analyzer) Release() {
-	if a == nil || a.released {
-		return
-	}
-	a.released = true
-	a.pool.PutCField(a.field)
-	a.pool.PutField(a.aerial)
-	a.pool.PutCField(a.planScratch)
-	a.field, a.aerial, a.planScratch, a.plan = nil, nil, nil, nil
-}
-
-// FocusValues returns the swept defocus values in nm.
-func (a *Analyzer) FocusValues() []float64 {
-	out := make([]float64, len(a.focus))
-	copy(out, a.focus)
-	return out
-}
-
-// DoseValues returns the swept dose factors.
-func (a *Analyzer) DoseValues() []float64 {
-	out := make([]float64, a.cfg.DoseSteps)
-	for i := range out {
-		if a.cfg.DoseSteps == 1 {
-			out[i] = 1
-			continue
-		}
-		t := float64(i) / float64(a.cfg.DoseSteps-1)
-		out[i] = 1 - a.cfg.DoseDelta + 2*a.cfg.DoseDelta*t
-	}
-	return out
-}
-
-// aerialAt computes the unit-dose aerial image for focus index fi.
-func (a *Analyzer) aerialAt(maskSpec *grid.CField, fi int) {
-	bank := a.banks[fi]
-	a.aerial.Zero()
-	for _, k := range bank.Kernels {
-		k.MulInto(a.field, maskSpec)
-		a.plan.Inverse(a.field)
-		a.field.AccumAbsSq(a.aerial, k.Weight)
-	}
+	return &Analyzer{cfg: cfg, sim: sim}, nil
 }
 
 // measureCD returns the printed run length (nm) through the cut on the
-// thresholded image I·dose ≥ I_th.
-func (a *Analyzer) measureCD(dose float64, cut CutLine) float64 {
-	th := a.cfg.Litho.Threshold / dose
-	n := a.aerial.W
-	if cut.X < 0 || cut.X >= n || cut.Y < 0 || cut.Y >= a.aerial.H {
+// thresholded image dose·aerial ≥ I_th, with aerial at unit dose.
+func (a *Analyzer) measureCD(aerial *grid.Field, dose float64, cut CutLine) float64 {
+	th := a.sim.Config().Threshold / dose
+	n := aerial.W
+	if cut.X < 0 || cut.X >= n || cut.Y < 0 || cut.Y >= aerial.H {
 		return 0
 	}
-	on := func(x, y int) bool { return a.aerial.At(x, y) >= th }
+	on := func(x, y int) bool { return aerial.At(x, y) >= th }
 	if !on(cut.X, cut.Y) {
 		return 0
 	}
@@ -206,37 +146,42 @@ func (a *Analyzer) measureCD(dose float64, cut CutLine) float64 {
 		for y := cut.Y - 1; y >= 0 && on(cut.X, y); y-- {
 			count++
 		}
-		for y := cut.Y + 1; y < a.aerial.H && on(cut.X, y); y++ {
+		for y := cut.Y + 1; y < aerial.H && on(cut.X, y); y++ {
 			count++
 		}
 	}
-	return float64(count) * a.cfg.Litho.Optics.PixelNM
+	return float64(count) * a.sim.PixelNM()
 }
 
-// Sweep measures the CD at the cut across the full focus×dose matrix.
+// Sweep measures the CD at the cut across the full focus×dose matrix:
+// one mask spectrum, then one unit-dose SOCS pass per focus value
+// (litho.Simulator.AerialAtFocus) that every dose thresholds.
 func (a *Analyzer) Sweep(mask *grid.Field, cut CutLine) (*Result, error) {
-	n := a.cfg.Litho.Optics.GridSize
+	n := a.sim.GridSize()
 	if mask.W != n || mask.H != n {
 		return nil, fmt.Errorf("procwin: mask %dx%d does not match grid %d", mask.W, mask.H, n)
 	}
-	spec := a.pool.CField(n, n)
-	defer a.pool.PutCField(spec)
-	spec.SetReal(mask)
-	a.plan.Forward(spec)
+	pool := a.sim.Pool()
+	spec, aerial := pool.CField(n, n), pool.Field(n, n)
+	defer pool.PutCField(spec)
+	defer pool.PutField(aerial)
+	a.sim.MaskSpectrumInto(spec, mask)
 
-	res := &Result{}
-	doses := a.DoseValues()
-	for fi := range a.banks {
-		a.aerialAt(spec, fi)
+	doses := a.cfg.DoseValues()
+	res := &Result{Points: make([]Point, 0, a.cfg.FocusSteps*len(doses))}
+	for fi, f := range a.cfg.FocusValues() {
+		if err := a.sim.AerialAtFocus(aerial, spec, f); err != nil {
+			return nil, err
+		}
 		for _, d := range doses {
 			res.Points = append(res.Points, Point{
-				DefocusNM: a.focus[fi],
+				DefocusNM: f,
 				Dose:      d,
-				CDNM:      a.measureCD(d, cut),
+				CDNM:      a.measureCD(aerial, d, cut),
 			})
 		}
 		if fi == 0 {
-			res.TargetCD = a.measureCD(1, cut)
+			res.TargetCD = a.measureCD(aerial, 1, cut)
 		}
 	}
 	return res, nil

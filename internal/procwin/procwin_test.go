@@ -9,14 +9,39 @@ import (
 	"lsopc/internal/litho"
 )
 
-func testConfig(t *testing.T) Config {
-	t.Helper()
+func testLitho() litho.Config {
 	l := litho.DefaultConfig(64, 32)
 	l.Optics.Kernels = 4
-	c := DefaultConfig(l)
+	return l
+}
+
+func testConfig(t *testing.T) Config {
+	t.Helper()
+	c := DefaultConfig(testLitho())
 	c.FocusSteps = 3
 	c.DoseSteps = 3
 	return c
+}
+
+// testSim builds a 64-px, 4-kernel simulator session on eng.
+func testSim(t *testing.T, eng *engine.Engine) *litho.Simulator {
+	t.Helper()
+	sim, err := litho.NewSimulator(testLitho(), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Release)
+	return sim
+}
+
+// testAnalyzer builds the 3×3 test sweep on a serial session.
+func testAnalyzer(t *testing.T) *Analyzer {
+	t.Helper()
+	a, err := New(testConfig(t), testSim(t, engine.CPU()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 // lineMask builds a wide vertical line through the grid centre.
@@ -40,7 +65,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.FocusSteps = 0 },
 		func(c *Config) { c.DoseSteps = 0 },
 		func(c *Config) { c.DoseDelta = 1.5 },
-		func(c *Config) { c.Litho.Threshold = 0 },
+		func(c *Config) { c.DoseDelta = -0.1 },
 	}
 	for i, mut := range bad {
 		c := testConfig(t)
@@ -52,10 +77,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSweepMatrixShape(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	mask := lineMask(64, 4) // 8 px = 256 nm line
 	res, err := a.Sweep(mask, CutLine{X: 32, Y: 32, Horizontal: true})
 	if err != nil {
@@ -68,21 +90,18 @@ func TestSweepMatrixShape(t *testing.T) {
 		t.Fatal("nominal CD missing")
 	}
 	// Focus and dose axes as configured.
-	fv := a.FocusValues()
+	fv := a.cfg.FocusValues()
 	if len(fv) != 3 || fv[0] != 0 || fv[2] != 25 {
 		t.Fatalf("focus values %v", fv)
 	}
-	dv := a.DoseValues()
+	dv := a.cfg.DoseValues()
 	if len(dv) != 3 || math.Abs(dv[0]-0.98) > 1e-12 || dv[1] != 1 || math.Abs(dv[2]-1.02) > 1e-12 {
 		t.Fatalf("dose values %v", dv)
 	}
 }
 
 func TestBossungPhysics(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	mask := lineMask(64, 4)
 	res, err := a.Sweep(mask, CutLine{X: 32, Y: 32, Horizontal: true})
 	if err != nil {
@@ -104,16 +123,13 @@ func TestBossungPhysics(t *testing.T) {
 	// Defocus must not grow the line for a clear-field feature.
 	nominal := byDose[1.0][0].CDNM
 	defocused := byDose[1.0][2].CDNM
-	if defocused > nominal+2*a.cfg.Litho.Optics.PixelNM {
+	if defocused > nominal+2*a.sim.PixelNM() {
 		t.Fatalf("defocus grew CD: %g → %g", nominal, defocused)
 	}
 }
 
 func TestMeasureCDExactWidth(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	mask := lineMask(64, 6) // 12 px = 384 nm — well resolved
 	res, err := a.Sweep(mask, CutLine{X: 32, Y: 32, Horizontal: true})
 	if err != nil {
@@ -126,10 +142,7 @@ func TestMeasureCDExactWidth(t *testing.T) {
 }
 
 func TestCDZeroWhenFeatureLost(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	// Empty mask prints nothing.
 	res, err := a.Sweep(grid.NewField(64, 64), CutLine{X: 32, Y: 32, Horizontal: true})
 	if err != nil {
@@ -163,10 +176,7 @@ func TestWindowYield(t *testing.T) {
 }
 
 func TestSweepRejectsWrongMask(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	if _, err := a.Sweep(grid.NewField(32, 32), CutLine{X: 16, Y: 16}); err == nil {
 		t.Fatal("mismatched mask accepted")
 	}
@@ -175,16 +185,16 @@ func TestSweepRejectsWrongMask(t *testing.T) {
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	c := testConfig(t)
 	c.FocusSteps = 0
-	if _, err := New(c, nil); err == nil {
+	if _, err := New(c, testSim(t, nil)); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	if _, err := New(testConfig(t), nil); err == nil {
+		t.Fatal("missing session accepted")
 	}
 }
 
 func TestVerticalCut(t *testing.T) {
-	a, err := New(testConfig(t), engine.CPU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testAnalyzer(t)
 	// Horizontal line measured with a vertical cut.
 	n := 64
 	m := grid.NewField(n, n)

@@ -1067,13 +1067,28 @@ type (
 
 // ProcessWindow sweeps the mask across the contest's focus/dose window
 // (±25 nm, ±2 %) on a 6×5 matrix and measures the printed CD at the cut
-// (Bossung-curve data). The per-focus kernel banks come from the shared
-// memoized cache; the sweep does not disturb any session state.
+// (Bossung-curve data). Safe to call concurrently (each call leases its
+// own session).
 func (p *Pipeline) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult, error) {
-	an, err := procwin.New(procwin.DefaultConfig(p.cfg), p.eng)
+	s, err := p.Session()
 	if err != nil {
 		return nil, err
 	}
-	defer an.Release()
+	defer s.Close()
+	return s.ProcessWindow(mask, cut)
+}
+
+// ProcessWindow runs the focus/dose sweep on this session's forward
+// model: one SOCS pass per focus value on the same banded batch path as
+// Evaluate, so the best-focus, unit-dose sample thresholds exactly the
+// aerial image behind Evaluate's nominal print. The per-focus kernel
+// banks between best focus and the inner corner's defocus come from the
+// shared memoized cache.
+func (s *Session) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult, error) {
+	an, err := procwin.New(procwin.DefaultConfig(s.sim.Config()), s.sim)
+	if err != nil {
+		return nil, err
+	}
+	defer s.traceSpan("process_window", time.Now())
 	return an.Sweep(mask, cut)
 }

@@ -5,9 +5,10 @@
 #   make race    - race-detector run over the parallel execution layers
 #   make vet     - static analysis
 #   make bench   - the headline benchmarks behind the Table II claims,
-#               then regenerate BENCH_multires.json (full-res float64
-#               vs coarse-to-fine float32) and BENCH_tiled.json
-#               (monolithic vs tiled full-chip), both gated by benchdiff
+#               then regenerate BENCH_multires.json (full-res vs
+#               coarse-to-fine factor 2, both float64) and
+#               BENCH_tiled.json (monolithic vs tiled full-chip), both
+#               gated by benchdiff
 #   make trace   - instrumented runs (single-window and tiled, the tiled
 #               one with the -serve live endpoint attached) + JSONL
 #               trace validation (tracecheck) + analytics (tracestats)
@@ -19,12 +20,14 @@
 #               synthetically inflated copy must fail
 #   make benchsmoke - the repository benchmark's own smoke test; bench/
 #               is a nested module that the root go test never compiles
+#   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
+#               (GLP layouts, PGM masks, gob checkpoints)
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck ci bench benchjson benchsessions trace benchgate benchsmoke check
+.PHONY: all build test race vet fmtcheck ci bench benchjson benchsessions trace benchgate benchsmoke fuzz check
 
 all: check
 
@@ -86,9 +89,9 @@ trace:
 # artefact, benchdiff must pass the file against itself and must FAIL
 # against a copy with 25% inflated metrics (proving the gate trips).
 # The multires leg measures one Table II case in both variants and
-# requires the coarse-to-fine float32 path to be no slower than the
-# full-resolution float64 reference — the speedup is enforced, not
-# merely recorded. The tiled leg measures a 2x2 cell-array chip
+# requires coarse-to-fine at factor 2 to be no slower than the
+# full-resolution reference (both float64) — the speedup is enforced,
+# not merely recorded. The tiled leg measures a 2x2 cell-array chip
 # monolithic vs tiled; the 0.67 threshold is the issue's >= 0.6·N
 # speedup bound at N=1 worker (tiled <= monolithic/0.6), so on any
 # N-worker host the gate only gets easier to clear.
@@ -113,6 +116,16 @@ benchgate:
 # API change that breaks the benchmark fails here.
 benchsmoke:
 	cd bench && $(GO) test ./...
+
+# Fuzz smoke: each target runs for 10 s on its own (go test -fuzz
+# accepts one target per call). Minimising each new interesting input
+# is capped at 200 runs: uncapped, shrinking one ~1.6 KB gob checkpoint
+# can use up the whole 10 s. Failing inputs land in the package's
+# testdata/fuzz directory, where the plain go test replays them.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGLP$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 
 vet:
 	$(GO) vet ./...

@@ -41,7 +41,7 @@ func main() {
 	note := flag.String("note", "", "free-form note stored with the run")
 	filter := flag.String("bench", "", "substring filter on benchmark names")
 	sessions := flag.Bool("sessions", false, "measure concurrent-session throughput instead (BENCH_sessions.json)")
-	multires := flag.Bool("multires", false, "measure Table II per-case runtime, full-res float64 vs coarse-to-fine float32 (BENCH_multires.json)")
+	multires := flag.Bool("multires", false, "measure Table II per-case runtime, full-res float64 vs coarse-to-fine factor 2, float64 (BENCH_multires.json)")
 	tiled := flag.Bool("tiled", false, "measure full-chip runtime, monolithic window vs tiled overlap-halo optimization (BENCH_tiled.json)")
 	tracePath := flag.String("tracefile", "", "write a structured JSONL event trace of the sessions sweep to this file")
 	metrics := flag.Bool("metrics", false, "store the full flat metrics snapshot with the run (sessions mode)")

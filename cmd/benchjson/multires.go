@@ -14,26 +14,22 @@ import (
 )
 
 // multiresMain measures the Table II per-case optimization runtime for
-// the full-resolution float64 reference and the coarse-to-fine float32
-// fast path, writing both into one artefact under the fixed labels
-// "baseline" and "multires". The same file then gates the speedup:
+// the full-resolution float64 reference and the coarse-to-fine
+// (factor 2, float64) schedule, writing both into one artefact under
+// the fixed labels "baseline" and "multires". The same file then gates
+// the speedup:
 //
 //	benchdiff -old-labels baseline -new-labels multires \
 //	    BENCH_multires.json BENCH_multires.json
 //
-// exits non-zero if the fast path is ever slower than the reference —
+// exits non-zero if coarse-to-fine is ever slower than the reference —
 // the schedule's quality equivalence is enforced separately by
 // TestMultiResMatchesBaselineQuality (EPE/PVB within tolerance on all
 // ten benchmarks).
 func multiresMain(out, note, filter string) {
 	const maxIter = 10 // matches the Table2PerCase measurements in BENCH_batchfft.json
 
-	basePipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fastPipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine(), lsopc.WithPrecision(lsopc.Float32))
+	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -41,24 +37,22 @@ func multiresMain(out, note, filter string) {
 
 	baseOpts := lsopc.DefaultLevelSetOptions()
 	baseOpts.MaxIter = maxIter
-	fastOpts := baseOpts
-	fastOpts.MultiResFactor = 2
+	multiOpts := baseOpts
+	multiOpts.MultiResFactor = 2
 
 	variants := []struct {
 		label string
-		pipe  *lsopc.Pipeline
 		opts  lsopc.LevelSetOptions
 		note  string
 	}{
-		{"baseline", basePipe, baseOpts, "full-resolution float64 reference (the PR 1 batched path)"},
-		{"multires", fastPipe, fastOpts, "coarse-to-fine factor 2 + float32 batches; " + note},
+		{"baseline", baseOpts, "full-resolution float64 reference (the PR 1 batched path)"},
+		{"multires", multiOpts, "coarse-to-fine factor 2, float64; " + note},
 	}
 
 	file := benchfmt.File{
-		Description: "Table II per-case optimization runtime (PresetTest, 10 iterations): full-resolution float64 baseline vs coarse-to-fine multi-resolution with float32 spectral batches. Quality equivalence (final EPE/PVB within tolerance on all ten ICCAD cases) is enforced by TestMultiResMatchesBaselineQuality; this artefact locks in the speed side via cmd/benchdiff (-old-labels baseline -new-labels multires).",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
+		GOOS:   runtime.GOOS,
+		GOARCH: runtime.GOARCH,
+		Runs:   map[string]benchfmt.Run{},
 	}
 	if data, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(data, &file); err != nil {
@@ -69,6 +63,9 @@ func multiresMain(out, note, filter string) {
 	if file.Runs == nil {
 		file.Runs = map[string]benchfmt.Run{}
 	}
+	// Both labels are re-measured below, so the description always
+	// names this code's variants, even when merging into an old file.
+	file.Description = "Table II per-case optimization runtime (PresetTest, 10 iterations): full-resolution float64 baseline vs coarse-to-fine multi-resolution (factor 2, float64). Quality equivalence (final EPE/PVB within tolerance on all ten ICCAD cases) is enforced by TestMultiResMatchesBaselineQuality; this artefact locks in the speed side via cmd/benchdiff (-old-labels baseline -new-labels multires)."
 
 	runs := make([]benchfmt.Run, len(variants))
 	for i, v := range variants {
@@ -90,12 +87,11 @@ func multiresMain(out, note, filter string) {
 		}
 		layout := lsopc.Benchmark(spec.ID)
 		for i, v := range variants {
-			pipe, opts := v.pipe, v.opts
 			fmt.Fprintf(os.Stderr, "running %-10s %-22s ", v.label, name)
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := pipe.OptimizeLevelSet(layout, opts); err != nil {
+					if _, err := pipe.OptimizeLevelSet(layout, v.opts); err != nil {
 						b.Fatal(err)
 					}
 				}

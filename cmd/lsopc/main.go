@@ -53,7 +53,6 @@ type cliConfig struct {
 	serveAddr   string
 	health      bool
 	multires    int
-	precision   string
 	checkpoint  string
 	resume      string
 
@@ -85,7 +84,6 @@ func main() {
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live run status on this address for the duration of the run: /runs, /runs/{id}, /runs/{id}/events (SSE), /healthz, plus the -metrics endpoints (e.g. :6060)")
 	flag.BoolVar(&cfg.health, "health", false, "run the numerical-health watchdog (NaN/Inf, stall, divergence detection; aborts the run on an unhealthy iteration)")
 	flag.IntVar(&cfg.multires, "multires", 1, "coarse-to-fine start factor (power of two): begin on a grid downsampled by this factor, halving each level; 1 = single resolution")
-	flag.StringVar(&cfg.precision, "precision", "float64", "forward-model precision: float64 (bit-exact reference) | float32 (fast path)")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run is cancelled (Ctrl-C)")
 	flag.StringVar(&cfg.resume, "resume", "", "resume a cancelled run from this checkpoint file (options must match the original run)")
 
@@ -165,10 +163,6 @@ func run(cfg cliConfig) error {
 		return err
 	}
 	preset, err := lsopc.ParsePreset(cfg.preset)
-	if err != nil {
-		return err
-	}
-	prec, err := lsopc.ParsePrecision(cfg.precision)
 	if err != nil {
 		return err
 	}
@@ -270,9 +264,6 @@ func run(cfg cliConfig) error {
 	}
 	if cfg.health {
 		popts = append(popts, lsopc.WithHealthPolicy(lsopc.DefaultHealthPolicy()))
-	}
-	if prec != lsopc.Float64 {
-		popts = append(popts, lsopc.WithPrecision(prec))
 	}
 	pipe, err := lsopc.NewPipeline(preset, eng, popts...)
 	if err != nil {

@@ -182,6 +182,18 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("coarse-level checkpoint accepted by a single-resolution run")
 	}
+	// ψ with the run's W×H but only 10 of its 4096 values: CopyFrom
+	// would copy the 10 and resume from a partly restored ψ.
+	bad = *cp
+	bad.State = map[string]*grid.Field{}
+	for k, f := range cp.State {
+		bad.State[k] = f
+	}
+	psi := cp.State["psi"]
+	bad.State["psi"] = &grid.Field{W: psi.W, H: psi.H, Data: psi.Data[:10]}
+	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+		t.Fatal("checkpoint with a short psi accepted")
+	}
 	multi := opts
 	multi.MultiResFactor = 4
 	bad = *cp

@@ -17,16 +17,11 @@ import (
 // for memory.
 const retainLimitBytes = 256 << 20
 
-// canRetain reports whether the per-kernel field batch fits the session's
-// budget at its precision (complex64 batches cost half the bytes).
+// canRetain reports whether the per-kernel complex128 field batch fits
+// the session's budget.
 func (s *Simulator) canRetain() bool {
 	n := s.GridSize()
-	k := s.cfg.Optics.Kernels
-	elem := 16
-	if s.f32() {
-		elem = 8
-	}
-	return k*n*n*elem <= s.retainBytes
+	return s.cfg.Optics.Kernels*n*n*16 <= s.retainBytes
 }
 
 // retained returns the per-kernel field batch, leasing fields from the
@@ -37,15 +32,6 @@ func (s *Simulator) retained(k int) []*grid.CField {
 		s.fields = append(s.fields, s.pool.CField(n, n))
 	}
 	return s.fields[:k]
-}
-
-// retained32 is retained for the float32 batch.
-func (s *Simulator) retained32(k int) []*grid.CField32 {
-	n := s.GridSize()
-	for len(s.fields32) < k {
-		s.fields32 = append(s.fields32, s.pool.CField32(n, n))
-	}
-	return s.fields32[:k]
 }
 
 // GroupCorner is one process corner of a focus group. The corners of a

@@ -2,6 +2,7 @@ package litho
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -9,21 +10,32 @@ import (
 	"lsopc/internal/grid"
 )
 
-// groupPath is one of the four execution paths of the forward+adjoint
-// model: float64 or float32 batches, retained or streamed.
+// groupPath is one execution path of the forward+adjoint model:
+// retained or streamed batches, with or without resist diffusion.
 type groupPath struct {
 	name      string
-	precision Precision
 	stream    bool
 	diffusion float64
 }
 
 var groupPaths = []groupPath{
-	{name: "f64-retained", precision: Float64},
-	{name: "f64-streaming", precision: Float64, stream: true},
-	{name: "f32-retained", precision: Float32},
-	{name: "f32-streaming", precision: Float32, stream: true},
-	{name: "f64-retained-diffusion", precision: Float64, diffusion: 40},
+	{name: "f64-retained"},
+	{name: "f64-streaming", stream: true},
+	{name: "f64-retained-diffusion", diffusion: 40},
+}
+
+// relErr returns ‖a−b‖ / ‖a‖ (0 when both are zero).
+func relErr(a, b *grid.Field) float64 {
+	var num, den float64
+	for i := range a.Data {
+		d := a.Data[i] - b.Data[i]
+		num += d * d
+		den += a.Data[i] * a.Data[i]
+	}
+	if den == 0 {
+		return math.Sqrt(num)
+	}
+	return math.Sqrt(num / den)
 }
 
 // groupSim builds a 64-px simulator on the given path; streaming paths
@@ -32,7 +44,6 @@ func groupSim(t *testing.T, p groupPath) *Simulator {
 	t.Helper()
 	cfg := DefaultConfig(64, 32)
 	cfg.Optics.Kernels = 4
-	cfg.Precision = p.precision
 	cfg.DiffusionNM = p.diffusion
 	s, err := NewSimulator(cfg, engine.New("group-test", 3))
 	if err != nil {
@@ -80,13 +91,9 @@ func TestGroupMatchesSeparateCorners(t *testing.T) {
 			t.Fatalf("%s: group costs (%v, %v), separate (%v, %v)", p.name,
 				group[0].Cost, group[1].Cost, refCostNom, refCostOut)
 		}
-		// The float32 adjoint rounds W_c to float32 on entry to the
-		// batch, so one adjoint over Σ w_c·W_c and two summed adjoints
-		// differ at float32 resolution; float64 paths agree to 1e-9.
-		tol := 1e-9
-		if p.precision == Float32 {
-			tol = 1e-6
-		}
+		// One adjoint over Σ w_c·W_c and two summed adjoints agree up
+		// to float64 rounding.
+		const tol = 1e-9
 		if e := relErr(refGrad, grad); e > tol {
 			t.Fatalf("%s: group gradient relative error %.3g > %g", p.name, e, tol)
 		}

@@ -76,10 +76,6 @@ type Config struct {
 	// disables it and reproduces the paper's pure constant-threshold
 	// model.
 	DiffusionNM float64
-	// Precision selects the arithmetic of the per-kernel coherent-field
-	// batches (see the Precision type). Float64 — the zero value — is
-	// the bit-exact default.
-	Precision Precision
 }
 
 // DefaultConfig returns the ICCAD 2013 contest parameters at the given
@@ -110,8 +106,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("litho: dose variation must be in [0,1), got %g", c.DoseVar)
 	case c.DiffusionNM < 0:
 		return fmt.Errorf("litho: diffusion length must be ≥ 0, got %g", c.DiffusionNM)
-	case c.Precision != Float64 && c.Precision != Float32:
-		return fmt.Errorf("litho: unknown precision %d", int(c.Precision))
 	}
 	return nil
 }
@@ -130,9 +124,8 @@ type Simulator struct {
 	res  *rt.Bank // shared immutable resources
 	pool *rt.Pool // == res.Pool(); where all scratch below is leased from
 
-	plan    *fft.Plan2D
-	batch   *fft.BatchPlan2D
-	batch32 *fft.BatchPlan2D32 // nil unless cfg.Precision == Float32
+	plan  *fft.Plan2D
+	batch *fft.BatchPlan2D
 
 	nominalBank *optics.Bank // focus = 0 (aliases res.Nominal())
 	defocusBank *optics.Bank // focus = DefocusNM (aliases res.Defocus())
@@ -146,16 +139,8 @@ type Simulator struct {
 	sens    *grid.Field     // resist sensitivity W (hoisted out of the hot path)
 	aerial  *grid.Field     // aerial temp for PrintedBinary
 
-	// Float32 twins of the batch scratch, leased only when the session
-	// runs at Float32 precision (see precision.go).
-	field32   *grid.CField32
-	ampSpec32 *grid.CField32
-	fields32  []*grid.CField32
-	single32  [1]*grid.CField32
-
-	planScratch    *grid.CField // backs plan's transpose + real-pack workspace
-	batchScratch   *grid.CField // backs batch's per-worker column buffers
-	batchScratch32 *grid.CField32
+	planScratch  *grid.CField // backs plan's transpose + real-pack workspace
+	batchScratch *grid.CField // backs batch's per-worker column buffers
 
 	// Resist diffusion (see diffusion.go); nil when disabled. The
 	// spectrum is shared read-only through the bank's target cache.
@@ -165,28 +150,23 @@ type Simulator struct {
 	// Per-call operands staged for the pre-bound engine bodies below.
 	// Binding the closures once per session keeps the simulate/gradient
 	// hot paths free of closure allocations (engine bodies escape).
-	opFields   []*grid.CField
-	opFields32 []*grid.CField32
-	opBank     *optics.Bank
-	opSpec     *grid.CField
-	opDst      *grid.Field
-	opW        *grid.Field
-	opR        *grid.Field
-	opTarget   *grid.Field
-	opScale    float64
-	opAccum    bool
-	opGrad     *grid.Field
+	opFields []*grid.CField
+	opBank   *optics.Bank
+	opSpec   *grid.CField
+	opDst    *grid.Field
+	opW      *grid.Field
+	opR      *grid.Field
+	opTarget *grid.Field
+	opScale  float64
+	opAccum  bool
+	opGrad   *grid.Field
 
-	materializeBody   func(lo, hi int)
-	reduceBody        func(lo, hi int)
-	sensBody          func(lo, hi int)
-	adjointBody       func(lo, hi int)
-	ampBody           func(lo, hi int)
-	applyBody         func(lo, hi int)
-	materializeBody32 func(lo, hi int)
-	reduceBody32      func(lo, hi int)
-	adjointBody32     func(lo, hi int)
-	ampBody32         func(lo, hi int)
+	materializeBody func(lo, hi int)
+	reduceBody      func(lo, hi int)
+	sensBody        func(lo, hi int)
+	adjointBody     func(lo, hi int)
+	ampBody         func(lo, hi int)
+	applyBody       func(lo, hi int)
 
 	// Optional trace sink for per-corner timing events. nil keeps the
 	// hot paths at a single nil check; set via SetSink.
@@ -275,12 +255,6 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 	s.plan = fft.NewPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.planScratch.Data)
 	s.batchScratch = pool.CField(n, fft.BatchScratchLen(n, eng.Workers())/n)
 	s.batch = fft.NewBatchPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.batchScratch.Data)
-	if cfg.Precision == Float32 {
-		s.batchScratch32 = pool.CField32(n, fft.BatchScratchLen32(n, eng.Workers())/n)
-		s.batch32 = fft.NewBatchPlan2D32FromPlans(fft.CachedPlan32(n), fft.CachedPlan32(n), eng, s.batchScratch32.Data)
-		s.field32 = pool.CField32(n, n)
-		s.ampSpec32 = pool.CField32(n, n)
-	}
 	if cfg.DiffusionNM > 0 {
 		d, err := res.Target(diffusionKey{pixelNM: cfg.Optics.PixelNM, sigmaNM: cfg.DiffusionNM},
 			func() (*grid.Field, error) {
@@ -363,7 +337,6 @@ func (s *Simulator) bindBodies() {
 			grad.Data[i] += weight * 2 * real(s.accum.Data[i])
 		}
 	}
-	s.bindBodies32()
 }
 
 // SetSink attaches a trace sink to the session: Forward, GradientInto,
@@ -426,21 +399,12 @@ func (s *Simulator) Release() {
 	p.PutCField(s.planScratch)
 	p.PutCField(s.batchScratch)
 	p.PutCField(s.blurScratch)
-	p.PutCField32(s.field32)
-	p.PutCField32(s.ampSpec32)
-	for _, f := range s.fields32 {
-		p.PutCField32(f)
-	}
-	p.PutCField32(s.batchScratch32)
 	s.field, s.accum, s.ampSpec, s.blurScratch = nil, nil, nil, nil
 	s.fields = nil
 	s.single[0] = nil
-	s.field32, s.ampSpec32, s.batchScratch32 = nil, nil, nil
-	s.fields32 = nil
-	s.single32[0] = nil
 	s.sens, s.aerial, s.diffusion = nil, nil, nil
 	s.planScratch, s.batchScratch = nil, nil
-	s.plan, s.batch, s.batch32 = nil, nil, nil
+	s.plan, s.batch = nil, nil
 	s.opBank = nil
 }
 
@@ -528,17 +492,6 @@ func (s *Simulator) reduceAbsSq(dst *grid.Field, fields []*grid.CField, bank *op
 // by one batched banded FFT sweep; otherwise the kernels stream through
 // a single scratch field.
 func (s *Simulator) aerialInto(dst *grid.Field, bank *optics.Bank, maskSpec *grid.CField) {
-	if s.f32() {
-		if s.canRetain() {
-			fields := s.retained32(len(bank.Kernels))
-			s.materialize32(fields, bank, maskSpec)
-			s.batch32.BatchInverseBanded(fields, bank.Radius())
-			s.reduceAbsSq32(dst, fields, bank)
-			return
-		}
-		s.aerialStreaming32(dst, bank, maskSpec)
-		return
-	}
 	if s.canRetain() {
 		fields := s.retained(len(bank.Kernels))
 		s.materialize(fields, bank, maskSpec)
@@ -687,20 +640,11 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 }
 
 // adjoint runs the adjoint half of Eq. 11 for the sensitivity w into
-// s.accum on the session's execution path (retained or streaming,
-// float64 or float32). fieldsReady says the retained batch already holds
+// s.accum on the session's execution path (retained or streaming).
+// fieldsReady says the retained batch already holds
 // this mask's E_k for bank, as aerialInto leaves it.
 func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field, fieldsReady bool) {
 	switch {
-	case s.f32() && s.canRetain():
-		fields := s.retained32(len(bank.Kernels))
-		if !fieldsReady {
-			s.materialize32(fields, bank, maskSpec)
-			s.batch32.BatchInverseBanded(fields, bank.Radius())
-		}
-		s.adjointFromFields32(fields, bank, w)
-	case s.f32():
-		s.adjointStreaming32(bank, maskSpec, w)
 	case s.canRetain():
 		fields := s.retained(len(bank.Kernels))
 		if !fieldsReady {

@@ -143,4 +143,14 @@ func TestBaselineResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("checkpoint without θ accepted")
 	}
+	// θ with the run's W×H but only 10 of its values.
+	bad.State = map[string]*grid.Field{}
+	for k, f := range cp.State {
+		bad.State[k] = f
+	}
+	theta := cp.State["theta"]
+	bad.State["theta"] = &grid.Field{W: theta.W, H: theta.H, Data: theta.Data[:10]}
+	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+		t.Fatal("checkpoint with a short θ accepted")
+	}
 }

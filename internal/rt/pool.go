@@ -49,8 +49,8 @@ func traceRelease(kind string, elems int) {
 // dims keys one free list by exact grid shape.
 type dims struct{ w, h int }
 
-// Pool is a dimension-keyed free list of Field/CField/CField32 storage.
-// Lease with Field/CField/CField32, return with the matching Put method.
+// Pool is a dimension-keyed free list of Field/CField storage.
+// Lease with Field/CField, return with the matching Put method.
 // Leased fields are always zeroed, so a pooled lease is a drop-in
 // replacement for grid.NewField — results stay bit-identical whether
 // memory is fresh or recycled.
@@ -64,9 +64,8 @@ type dims struct{ w, h int }
 //
 // A Pool is safe for concurrent use. The zero value is ready to use.
 type Pool struct {
-	fields    sync.Map // dims -> *sync.Pool of *grid.Field
-	cfields   sync.Map // dims -> *sync.Pool of *grid.CField
-	cfields32 sync.Map // dims -> *sync.Pool of *grid.CField32
+	fields  sync.Map // dims -> *sync.Pool of *grid.Field
+	cfields sync.Map // dims -> *sync.Pool of *grid.CField
 
 	leases int64 // total leases served
 	reuses int64 // leases served from the free list
@@ -144,36 +143,6 @@ func (p *Pool) PutCField(c *grid.CField) {
 	mReleases.Inc()
 	traceRelease("cfield", len(c.Data))
 	list(&p.cfields, dims{c.W, c.H}).Put(c)
-}
-
-// CField32 leases a zeroed w×h complex64 field for the float32 spectral
-// fast path.
-func (p *Pool) CField32(w, h int) *grid.CField32 {
-	atomic.AddInt64(&p.leases, 1)
-	mLeases.Inc()
-	if v := list(&p.cfields32, dims{w, h}).Get(); v != nil {
-		atomic.AddInt64(&p.reuses, 1)
-		mReuses.Inc()
-		traceLease("cfield32", w*h, true)
-		c := v.(*grid.CField32)
-		c.Reshape(w, h)
-		c.Zero()
-		return c
-	}
-	mMisses.Inc()
-	traceLease("cfield32", w*h, false)
-	return grid.NewCField32(w, h)
-}
-
-// PutCField32 returns a complex64 field to the free list. nil is
-// ignored. The caller must not use c afterwards.
-func (p *Pool) PutCField32(c *grid.CField32) {
-	if c == nil {
-		return
-	}
-	mReleases.Inc()
-	traceRelease("cfield32", len(c.Data))
-	list(&p.cfields32, dims{c.W, c.H}).Put(c)
 }
 
 // Stats reports total leases and how many were served from the free

@@ -75,33 +75,6 @@ func TestPoolCFieldReuseAndZeroing(t *testing.T) {
 	}
 }
 
-func TestPoolCField32ReuseAndZeroing(t *testing.T) {
-	p := NewPool()
-	recycled := false
-	for round := 0; round < 100 && !recycled; round++ {
-		c := p.CField32(4, 4)
-		c.Data[5] = complex(1, 2)
-		p.PutCField32(c)
-
-		d := p.CField32(4, 4)
-		if d.W != 4 || d.H != 4 {
-			t.Fatalf("lease %dx%d", d.W, d.H)
-		}
-		if &d.Data[0] == &c.Data[0] {
-			recycled = true
-			for i, v := range d.Data {
-				if v != 0 {
-					t.Fatalf("recycled cfield32 not zeroed at %d: %v", i, v)
-				}
-			}
-		}
-		p.PutCField32(d)
-	}
-	if !recycled {
-		t.Fatal("free list never recycled a buffer")
-	}
-}
-
 func TestPoolDistinctSizesDoNotMix(t *testing.T) {
 	p := NewPool()
 	small := p.Field(4, 4)
@@ -137,7 +110,6 @@ func TestPoolNilPutsAreSafe(t *testing.T) {
 	p := NewPool()
 	p.PutField(nil)
 	p.PutCField(nil)
-	p.PutCField32(nil)
 }
 
 // BenchmarkPoolMixedSizeLeases exercises the multi-resolution lease
@@ -154,14 +126,10 @@ func BenchmarkPoolMixedSizeLeases(b *testing.B) {
 		fc := p.Field(coarse, coarse)
 		c := p.CField(fine, fine)
 		cc := p.CField(coarse, coarse)
-		c32 := p.CField32(fine, fine)
-		cc32 := p.CField32(coarse, coarse)
 		p.PutField(f)
 		p.PutField(fc)
 		p.PutCField(c)
 		p.PutCField(cc)
-		p.PutCField32(c32)
-		p.PutCField32(cc32)
 	}
 	warm()
 	b.ReportAllocs()

@@ -21,7 +21,7 @@ import (
 //
 // The optimizer loops consume no randomness, so no RNG state is
 // captured; identical options plus a checkpoint reproduce the
-// uninterrupted run exactly on the default float64 path.
+// uninterrupted run exactly.
 type Checkpoint struct {
 	// Method tags the optimizer that produced the checkpoint
 	// ("level-set" or a pixel-baseline variant name).
@@ -58,13 +58,44 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return gob.NewEncoder(w).Encode(cp)
 }
 
-// ReadCheckpoint decodes a checkpoint written by WriteCheckpoint.
+// ReadCheckpoint decodes a checkpoint written by WriteCheckpoint and
+// rejects one whose fields no run could have produced (see validate).
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	cp := new(Checkpoint)
 	if err := gob.NewDecoder(r).Decode(cp); err != nil {
 		return nil, fmt.Errorf("solve: decoding checkpoint: %w", err)
 	}
+	if err := cp.validate(); err != nil {
+		return nil, err
+	}
 	return cp, nil
+}
+
+// validate rejects a checkpoint that is malformed in itself: a negative
+// iteration position, a State grid whose Data does not hold exactly
+// W×H values, or a watchdog window cursor outside its window. Restoring
+// one would panic or, since grid.Field.CopyFrom copies min(len) values,
+// silently resume from a partly copied field. Whether a well-formed
+// checkpoint fits the run (method, grid, level) is the Restore and
+// Stepper.RestoreState checks.
+func (cp *Checkpoint) validate() error {
+	if cp.Iter < 0 {
+		return fmt.Errorf("solve: checkpoint at negative iteration %d", cp.Iter)
+	}
+	for name, f := range cp.State {
+		switch {
+		case f == nil:
+			return fmt.Errorf("solve: checkpoint state %q is nil", name)
+		case f.W <= 0 || f.H <= 0 || len(f.Data)%f.W != 0 || len(f.Data)/f.W != f.H:
+			return fmt.Errorf("solve: checkpoint state %q is %dx%d with %d values", name, f.W, f.H, len(f.Data))
+		}
+	}
+	if wd := cp.Watchdog; wd != nil {
+		if wd.WinLen < 0 || wd.WinLen > len(wd.Window) || wd.WinNext < 0 || wd.WinNext >= max(len(wd.Window), 1) {
+			return fmt.Errorf("solve: checkpoint watchdog window %d/%d with cursor %d", wd.WinLen, len(wd.Window), wd.WinNext)
+		}
+	}
+	return nil
 }
 
 // SaveCheckpoint writes a checkpoint to a file.

@@ -395,9 +395,13 @@ func (d *Driver) Checkpoint() *Checkpoint {
 // boundary. The driver must be configured exactly as the checkpointed
 // run was — same method, budget and iteration offset.
 func (d *Driver) Restore(cp *Checkpoint) error {
-	switch {
-	case cp == nil:
+	if cp == nil {
 		return errors.New("solve: nil checkpoint")
+	}
+	if err := cp.validate(); err != nil {
+		return err
+	}
+	switch {
 	case cp.Method != d.cfg.Method:
 		return fmt.Errorf("solve: checkpoint method %q does not match run method %q", cp.Method, d.cfg.Method)
 	case cp.Offset != d.cfg.Offset:

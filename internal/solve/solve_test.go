@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -352,6 +353,44 @@ func TestDriverRestoreValidation(t *testing.T) {
 	}
 	if err := mk().Restore(good); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// TestMalformedCheckpointRejected pins the self-consistency checks both
+// ReadCheckpoint and Restore apply: a State grid whose Data does not
+// fill W×H, a negative iteration or an out-of-window watchdog cursor is
+// an error, never a panic or a partial copy.
+func TestMalformedCheckpointRejected(t *testing.T) {
+	mk := func() *Driver { return NewDriver(newQuadStepper(1), quadConfig(10)) }
+	for _, tc := range []struct {
+		name   string
+		mangle func(cp *Checkpoint)
+	}{
+		{"short data", func(cp *Checkpoint) { cp.State["x"] = &grid.Field{W: 2, H: 2, Data: []float64{1}} }},
+		{"long data", func(cp *Checkpoint) { cp.State["x"] = &grid.Field{W: 2, H: 2, Data: make([]float64, 5)} }},
+		{"zero width", func(cp *Checkpoint) { cp.State["x"] = &grid.Field{W: 0, H: 2} }},
+		{"negative height", func(cp *Checkpoint) { cp.State["x"] = &grid.Field{W: 2, H: -2, Data: make([]float64, 4)} }},
+		{"negative iteration", func(cp *Checkpoint) { cp.Iter = -1 }},
+		{"watchdog cursor", func(cp *Checkpoint) { cp.Watchdog = &obs.WatchdogState{Window: []float64{1, 2}, WinLen: 2, WinNext: 2} }},
+		{"watchdog length", func(cp *Checkpoint) { cp.Watchdog = &obs.WatchdogState{Window: []float64{1}, WinLen: 3} }},
+	} {
+		cp := mk().Checkpoint()
+		tc.mangle(cp)
+		if err := mk().Restore(cp); err == nil {
+			t.Errorf("%s: Restore accepted the checkpoint", tc.name)
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := ReadCheckpoint(&buf); err == nil {
+			t.Errorf("%s: ReadCheckpoint accepted the checkpoint", tc.name)
+		}
+	}
+	cp := mk().Checkpoint()
+	cp.State["x"] = nil
+	if err := mk().Restore(cp); err == nil {
+		t.Error("nil state field accepted")
 	}
 }
 

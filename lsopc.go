@@ -65,10 +65,6 @@ type (
 	// HealthPolicy configures the numerical-health watchdog (NaN/Inf
 	// detection, stall and divergence windows, early abort).
 	HealthPolicy = obs.HealthPolicy
-	// Precision selects the forward model's batch arithmetic (see
-	// litho.Precision): Float64 is the bit-exact default, Float32 the
-	// reduced-precision fast path.
-	Precision = litho.Precision
 	// TileOptions configures a tiled full-chip optimization (halo
 	// width, worker count, per-tile schedule, stitch budget).
 	TileOptions = tiling.Options
@@ -91,16 +87,6 @@ type (
 	// (errors.Is(err, context.Canceled) works, errors.As recovers it).
 	CancelledError = solve.Cancelled
 )
-
-// Forward-model precisions, re-exported.
-const (
-	Float64 = litho.Float64
-	Float32 = litho.Float32
-)
-
-// ParsePrecision maps a flag value ("float64"/"f64"/"float32"/"f32") to
-// a Precision.
-func ParsePrecision(s string) (Precision, error) { return litho.ParsePrecision(s) }
 
 // Trace event types emitted through a TraceSink.
 const (
@@ -344,15 +330,6 @@ func WithFlightRecorder(rec *FlightRecorder) PipelineOption {
 	return func(p *Pipeline) { p.flight = rec }
 }
 
-// WithPrecision sets the pipeline's default forward-model precision:
-// every session it leases runs its per-kernel field batches at this
-// arithmetic. Float64 (the default) is the bit-exact reference path;
-// Float32 halves the batch memory traffic for a ~1e-6-relative aerial
-// error. Individual jobs can override via SessionPrecision.
-func WithPrecision(prec Precision) PipelineOption {
-	return func(p *Pipeline) { p.cfg.Precision = prec }
-}
-
 // NewPipeline builds a pipeline at the given preset on the given engine
 // (nil defaults to the serial CPU engine). Construction is cheap after
 // the first pipeline at a preset: the kernel banks, FFT plans and other
@@ -518,18 +495,9 @@ type Session struct {
 	closed  bool
 }
 
-// newSession builds a session on the given engine at the pipeline's
-// default precision.
+// newSession builds a session on the given engine.
 func newSession(p *Pipeline, eng *engine.Engine) (*Session, error) {
-	return newSessionPrec(p, eng, p.cfg.Precision)
-}
-
-// newSessionPrec builds a session running the forward model at an
-// explicit precision.
-func newSessionPrec(p *Pipeline, eng *engine.Engine, prec litho.Precision) (*Session, error) {
-	cfg := p.cfg
-	cfg.Precision = prec
-	sim, err := litho.NewSession(p.res, cfg, eng)
+	sim, err := litho.NewSession(p.res, p.cfg, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -572,29 +540,16 @@ func (s *Session) traceSpan(name string, start time.Time) {
 // one when available (its warm simulator scratch carries over). Close
 // the session when the job is done.
 func (p *Pipeline) Session() (*Session, error) {
-	return p.SessionPrecision(p.cfg.Precision)
-}
-
-// SessionPrecision leases a session running the forward model at an
-// explicit precision, so float32 and float64 jobs can share one
-// pipeline concurrently (e.g. fast exploratory runs next to bit-exact
-// verification runs). Idle sessions are reused only when their
-// precision matches; everything immutable (kernel banks, FFT plans,
-// target cache) is shared regardless.
-func (p *Pipeline) SessionPrecision(prec Precision) (*Session, error) {
 	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		s := p.free[i]
-		if s.sim.Precision() != prec {
-			continue
-		}
-		p.free = append(p.free[:i], p.free[i+1:]...)
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
 		p.mu.Unlock()
 		s.closed = false
 		return s, nil
 	}
 	p.mu.Unlock()
-	return newSessionPrec(p, p.eng, prec)
+	return newSession(p, p.eng)
 }
 
 // SessionOn leases a session scheduled on a specific engine (e.g. one

@@ -73,7 +73,7 @@ func TestTiledMatchesMonolithic(t *testing.T) {
 // tiled fan-out (run under -race by make race): several tiled jobs run
 // concurrently on one pipeline — each spawning tile sessions that lease
 // and release pooled scratch — while other goroutines hammer the shared
-// target cache, lease/close mixed-precision sessions, and Release() the
+// target cache, lease/close sessions, and Release() the
 // pipeline mid-flight.
 func TestTiledConcurrentSessionsStress(t *testing.T) {
 	eng := engine.New("stress", 4)
@@ -108,17 +108,13 @@ func TestTiledConcurrentSessionsStress(t *testing.T) {
 			}
 		}()
 	}
-	// Session churn at both precisions against the same bank and pool.
+	// Session churn against the same bank and pool.
 	for j := 0; j < 8; j++ {
-		prec := Float64
-		if j%2 == 1 {
-			prec = Float32
-		}
 		wg.Add(1)
-		go func(prec Precision) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				s, err := p.SessionPrecision(prec)
+				s, err := p.Session()
 				if err != nil {
 					errs <- err
 					return
@@ -128,7 +124,7 @@ func TestTiledConcurrentSessionsStress(t *testing.T) {
 				}
 				s.Close()
 			}
-		}(prec)
+		}()
 	}
 	// Concurrent pipeline releases (drain free list + flush sink).
 	for j := 0; j < 3; j++ {

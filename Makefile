@@ -21,7 +21,8 @@
 #   make benchsmoke - the repository benchmark's own smoke test; bench/
 #               is a nested module that the root go test never compiles
 #   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
-#               (GLP layouts, PGM masks, gob checkpoints)
+#               (GLP layouts, PGM masks, gob checkpoints) and the 1-D
+#               FFT kernel against its reference loop
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -126,6 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGLP$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 
 vet:
 	$(GO) vet ./...

@@ -135,7 +135,7 @@ type namedBench struct {
 
 // benchmarks mirrors the top-level bench_test.go definitions that the
 // acceptance numbers are quoted from, plus FFT micro-benchmarks for the
-// batched plan itself.
+// 1-D kernel and the batched plan.
 func benchmarks() []namedBench {
 	return []namedBench{
 		{"Table2PerCase/cpu", benchTable2(lsopc.CPUEngine())},
@@ -143,6 +143,8 @@ func benchmarks() []namedBench {
 		{"AerialExact", benchAerial(false)},
 		{"AerialFused", benchAerial(true)},
 		{"Gradient", benchGradient},
+		{"FFT1D/128", benchFFT1D(128)},
+		{"FFT1D/512", benchFFT1D(512)},
 		{"BatchFFT/forward8x128", benchBatchForward},
 		{"BatchFFT/inverseBanded8x128", benchBatchInverseBanded},
 	}
@@ -217,6 +219,24 @@ func newFFTBatch() []*grid.CField {
 		fields[i] = f
 	}
 	return fields
+}
+
+// benchFFT1D times one forward plus one inverse 1-D transform of length
+// n, the kernel under every row and column pass.
+func benchFFT1D(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		p := fft.NewPlan(n)
+		x := make([]complex128, n)
+		for j := range x {
+			x[j] = complex(float64(j%17)*0.25, float64(j%13)*-0.5)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Forward(x)
+			p.Inverse(x)
+		}
+	}
 }
 
 func benchBatchForward(b *testing.B) {

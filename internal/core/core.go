@@ -272,23 +272,25 @@ type Optimizer struct {
 	combineBody func(lo, hi int)
 
 	// Leased run scratch, returned by Release.
-	mask     *grid.Field
-	maskSpec *grid.CField
-	imgs     *litho.CornerImages
-	grad     *grid.Field // G_i (Eq. 14)
-	gmag     *grid.Field // |∇ψ_i|
-	gTerm    *grid.Field // g_i = G_i·|∇ψ_i|
-	gPrev    *grid.Field // g_{i-1}
-	velocity *grid.Field // v_i
-	curv     *grid.Field // nil unless CurvatureWeight > 0
-	psiCand  *grid.Field // nil unless LineSearch
-	bestMask *grid.Field // nil unless KeepBest
-	bestPsi  *grid.Field // nil unless KeepBest
+	mask      *grid.Field
+	maskSpec  *grid.CField
+	imgs      *litho.CornerImages
+	grad      *grid.Field // G_i (Eq. 14)
+	gmag      *grid.Field // |∇ψ_i|
+	gTerm     *grid.Field // g_i = G_i·|∇ψ_i|
+	gPrev     *grid.Field // g_{i-1}
+	velocity  *grid.Field // v_i
+	curv      *grid.Field // nil unless CurvatureWeight > 0
+	psiCand   *grid.Field // nil unless LineSearch
+	bestMask  *grid.Field // nil unless KeepBest
+	bestPsi   *grid.Field // nil unless KeepBest
+	reinit    *grid.Field // nil unless pixel-exact reinitialisation
+	reinitTmp *grid.Field // scratch of ReinitializeInto, same condition
 
 	// Per-run state reset by start; the iteration-loop bookkeeping
 	// (step scale, best cost, history, watchdog) lives in the
 	// solve.Driver built per run.
-	psi *grid.Field // level-set function (reallocated by reinit)
+	psi *grid.Field // level-set function (reallocated by sub-pixel reinit)
 
 	released bool
 }
@@ -391,6 +393,10 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 		o.bestMask = pool.Field(n, n)
 		o.bestPsi = pool.Field(n, n)
 	}
+	if opts.ReinitEvery > 0 && !opts.SubpixelReinit {
+		o.reinit = pool.Field(n, n)
+		o.reinitTmp = pool.Field(n, n)
+	}
 	return o, nil
 }
 
@@ -417,12 +423,13 @@ func (o *Optimizer) Release() {
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
 	o.imgs.ReleaseTo(pool)
-	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.curv, o.psiCand, o.bestMask, o.bestPsi} {
+	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.curv, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
 		pool.PutField(f)
 	}
 	o.mask, o.maskSpec, o.imgs = nil, nil, nil
 	o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil, nil
 	o.curv, o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil, nil
+	o.reinit, o.reinitTmp = nil, nil
 }
 
 // cost returns the latest cost of one process corner.
@@ -647,7 +654,8 @@ func (s *levelStepper) Advance(i int, dt float64) float64 {
 		if o.opts.SubpixelReinit {
 			o.psi = levelset.ReinitializeFMM(o.psi)
 		} else {
-			o.psi = levelset.Reinitialize(o.psi)
+			levelset.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
+			o.psi.CopyFrom(o.reinit)
 		}
 	}
 	return dt

@@ -1,7 +1,8 @@
 // Package fft implements the fast Fourier transforms that replace cuFFT
-// in the paper's pipeline: an iterative radix-2 complex FFT with
-// precomputed twiddle/bit-reversal plans, a 2-D transform parallelised
-// over an engine's workers, and frequency-domain convolution helpers.
+// in the paper's pipeline: an iterative radix-2 complex FFT with fused
+// stages and precomputed twiddle/bit-reversal plans, a 2-D transform
+// parallelised over an engine's workers, and frequency-domain
+// convolution helpers.
 //
 // Sizes must be powers of two. The lithography pipeline always runs on
 // power-of-two grids (the ICCAD 2013 clips are 2048×2048 at 1 nm/px), so
@@ -35,10 +36,10 @@ func tracePlanCache(n int, hit bool) {
 // power-of-two length. A Plan is immutable after creation and safe for
 // concurrent use.
 type Plan struct {
-	n    int
-	perm []int32      // bit-reversal permutation
-	w    []complex128 // forward twiddles e^{-2πik/n}, k ∈ [0, n/2)
-	winv []complex128 // inverse twiddles e^{+2πik/n}
+	n     int
+	swaps []int32      // bit-reversal swap pairs (i, j), i < j, flattened
+	tw    []complex128 // forward twiddles, stage-major (see twiddles)
+	twinv []complex128 // inverse twiddles, same layout
 }
 
 // NewPlan creates a transform plan for length n. It panics unless n is a
@@ -48,26 +49,41 @@ func NewPlan(n int) *Plan {
 		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
 	}
 	p := &Plan{n: n}
-	p.perm = make([]int32, n)
 	shift := 0
 	for 1<<shift < n {
 		shift++
 	}
 	for i := 0; i < n; i++ {
-		p.perm[i] = int32(reverseBits(uint32(i), shift))
+		if j := int(reverseBits(uint32(i), shift)); i < j {
+			p.swaps = append(p.swaps, int32(i), int32(j))
+		}
 	}
-	half := n / 2
-	if half == 0 {
-		half = 1
-	}
-	p.w = make([]complex128, half)
-	p.winv = make([]complex128, half)
-	for k := 0; k < half; k++ {
+	w := make([]complex128, n/2)
+	winv := make([]complex128, n/2)
+	for k := range w {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		p.w[k] = complex(c, s)
-		p.winv[k] = complex(c, -s)
+		w[k] = complex(c, s)
+		winv[k] = complex(c, -s)
 	}
+	p.tw = twiddles(w, n)
+	p.twinv = twiddles(winv, n)
 	return p
+}
+
+// twiddles lays the length-n table w (w[k] = e^{∓2πik/n}, k < n/2) out
+// stage-major: the stage with half-size h occupies [h-1, 2h-1) and holds
+// w[k·n/(2h)] for k < h, so every stage reads its twiddles contiguously.
+// The values are copied, never recomputed, which keeps each butterfly's
+// twiddle bit-identical to the textbook loop's tw[k·step].
+func twiddles(w []complex128, n int) []complex128 {
+	t := make([]complex128, 0, n)
+	for h := 1; h < n; h <<= 1 {
+		step := n / (2 * h)
+		for k := 0; k < h; k++ {
+			t = append(t, w[k*step])
+		}
+	}
+	return t
 }
 
 // N returns the transform length.
@@ -84,12 +100,12 @@ func reverseBits(v uint32, bits int) uint32 {
 
 // Forward computes the in-place unnormalised DFT of x.
 // It panics if len(x) differs from the plan length.
-func (p *Plan) Forward(x []complex128) { p.transform(x, p.w) }
+func (p *Plan) Forward(x []complex128) { p.transform(x, p.tw) }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/n
 // normalisation, so Inverse∘Forward is the identity.
 func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, p.winv)
+	p.transform(x, p.twinv)
 	inv := complex(1/float64(p.n), 0)
 	for i := range x {
 		x[i] *= inv
@@ -97,30 +113,96 @@ func (p *Plan) Inverse(x []complex128) {
 }
 
 // transform runs the iterative radix-2 Cooley–Tukey butterfly network
-// using the supplied twiddle table (forward or inverse).
+// with the supplied stage-major twiddle table (forward or inverse).
+//
+// Every butterfly is t := w·b; a, b = a+t, a−t with the textbook loop's
+// twiddle, so the result is bit-identical to one memory sweep per stage
+// except that the multiply by the exact-1 twiddle (index 0 of every
+// stage) is skipped, which can only flip the sign of an exact zero.
+// Only the sweeps are fused: stages 1 and 2 run as one pass over
+// 4-element blocks, each later pair of stages (h, 2h) as one pass over
+// the quarter-slices of every 4h block, and an odd last stage alone.
 func (p *Plan) transform(x []complex128, tw []complex128) {
 	n := p.n
 	if len(x) != n {
 		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), n))
 	}
-	for i, pi := range p.perm {
-		if j := int(pi); i < j {
-			x[i], x[j] = x[j], x[i]
+	sw := p.swaps
+	for k := 0; k+1 < len(sw); k += 2 {
+		i, j := sw[k], sw[k+1]
+		x[i], x[j] = x[j], x[i]
+	}
+	h := 1
+	if n >= 4 {
+		radix4First(x, tw[2])
+		h = 4
+	}
+	for ; 4*h <= n; h *= 4 {
+		stagePair(x, h, tw[h-1:2*h-1], tw[2*h-1:4*h-1])
+	}
+	if 2*h == n {
+		stage(x, h, tw[h-1:2*h-1])
+	}
+}
+
+// radix4First runs stages 1 and 2 over every 4-element block. Their
+// twiddles are 1, 1 and w2 (the stage-2 twiddle of index 1).
+func radix4First(x []complex128, w2 complex128) {
+	for b := 0; b+3 < len(x); b += 4 {
+		q := x[b : b+4 : b+4]
+		a0, a1 := q[0]+q[1], q[0]-q[1]
+		a2, a3 := q[2]+q[3], q[2]-q[3]
+		t := w2 * a3
+		q[0], q[2] = a0+a2, a0-a2
+		q[1], q[3] = a1+t, a1-t
+	}
+}
+
+// stagePair runs the stages of half-size h and 2h in one sweep: for each
+// 4h block and j < h it loads the quarter-slice elements j, j+h, j+2h,
+// j+3h, applies the stage-h butterflies (j, j+h) and (j+2h, j+3h) with
+// t1[j], then the stage-2h butterflies (j, j+2h) with t2[j] and
+// (j+h, j+3h) with t2[j+h].
+func stagePair(x []complex128, h int, t1, t2 []complex128) {
+	t1 = t1[:h]
+	t2lo, t2hi := t2[:h], t2[h:2*h]
+	for b := 0; b+4*h <= len(x); b += 4 * h {
+		q0 := x[b : b+h : b+h]
+		q1 := x[b+h : b+2*h : b+2*h][:len(q0)]
+		q2 := x[b+2*h : b+3*h : b+3*h][:len(q0)]
+		q3 := x[b+3*h : b+4*h : b+4*h][:len(q0)]
+		// j = 0: t1[0] and t2[0] are exactly 1.
+		a0, a1, a2, a3 := q0[0], q1[0], q2[0], q3[0]
+		a0, a1 = a0+a1, a0-a1
+		a2, a3 = a2+a3, a2-a3
+		t := t2hi[0] * a3
+		q0[0], q2[0] = a0+a2, a0-a2
+		q1[0], q3[0] = a1+t, a1-t
+		for j := 1; j < len(q0); j++ {
+			w1 := t1[j]
+			a0, a1, a2, a3 := q0[j], q1[j], q2[j], q3[j]
+			t := w1 * a1
+			a0, a1 = a0+t, a0-t
+			t = w1 * a3
+			a2, a3 = a2+t, a2-t
+			t = t2lo[j] * a2
+			q0[j], q2[j] = a0+t, a0-t
+			t = t2hi[j] * a3
+			q1[j], q3[j] = a1+t, a1-t
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for base := 0; base < n; base += size {
-			k := 0
-			for j := base; j < base+half; j++ {
-				w := tw[k]
-				t := w * x[j+half]
-				u := x[j]
-				x[j] = u + t
-				x[j+half] = u - t
-				k += step
-			}
+}
+
+// stage runs the single stage of half-size h with twiddles tw (tw[0] = 1).
+func stage(x []complex128, h int, tw []complex128) {
+	for b := 0; b+2*h <= len(x); b += 2 * h {
+		lo := x[b : b+h : b+h]
+		hi := x[b+h : b+2*h : b+2*h][:len(lo)]
+		t := tw[:len(lo)]
+		lo[0], hi[0] = lo[0]+hi[0], lo[0]-hi[0]
+		for j := 1; j < len(lo); j++ {
+			u, v := lo[j], t[j]*hi[j]
+			lo[j], hi[j] = u+v, u-v
 		}
 	}
 }

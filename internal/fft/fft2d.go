@@ -22,7 +22,6 @@ type Plan2D struct {
 	colPlan *Plan // length h
 	eng     *engine.Engine
 	scratch []complex128 // h*w transpose buffer
-	packed  []complex128 // w-long row-pair buffer for ForwardReal
 
 	// Row-pass operands staged per call for the pre-bound engine body.
 	// Binding the closure once at construction keeps the per-transform
@@ -32,6 +31,11 @@ type Plan2D struct {
 	rpPlan    *Plan
 	rpInverse bool
 	rowBody   func(lo, hi int)
+
+	// ForwardReal operands, staged the same way for realBody.
+	rrDst    *grid.CField
+	rrSrc    *grid.Field
+	realBody func(lo, hi int)
 }
 
 // NewPlan2D creates a 2-D plan for w×h fields executed on eng.
@@ -41,10 +45,9 @@ func NewPlan2D(w, h int, eng *engine.Engine) *Plan2D {
 }
 
 // Plan2DScratchLen returns the scratch element count a w×h Plan2D needs
-// (the transpose buffer plus the real-input row-pair buffer). Callers
-// leasing scratch from a pool hand NewPlan2DFromPlans a slice of at
-// least this length.
-func Plan2DScratchLen(w, h int) int { return w*h + w }
+// (the transpose buffer). Callers leasing scratch from a pool hand
+// NewPlan2DFromPlans a slice of at least this length.
+func Plan2DScratchLen(w, h int) int { return w * h }
 
 // NewPlan2DFromPlans builds a 2-D plan around existing (immutable,
 // shared) 1-D plans — the session constructor: a resource bank owns the
@@ -73,7 +76,6 @@ func NewPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []complex128
 		colPlan: col,
 		eng:     eng,
 		scratch: scratch[:w*h],
-		packed:  scratch[w*h : w*h+w],
 	}
 	p.rowBody = func(lo, hi int) {
 		data, n, plan := p.rpData, p.rpN, p.rpPlan
@@ -87,6 +89,7 @@ func NewPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []complex128
 			}
 		}
 	}
+	p.realBody = func(lo, hi int) { p.realRows(p.rrDst, p.rrSrc, lo, hi) }
 	return p
 }
 

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -184,6 +185,123 @@ func TestCachedPlanReuse(t *testing.T) {
 	}
 	if a.N() != 64 {
 		t.Fatalf("plan length %d", a.N())
+	}
+}
+
+// referenceTransform is the textbook radix-2 loop the stage-fused
+// kernel replaced: bit reversal by a permutation walk, then one memory
+// sweep per stage reading the length-n twiddle table at stride n/size.
+// Plan.Forward/Inverse must reproduce it bit for bit.
+func referenceTransform(x []complex128, inverse bool) {
+	n := len(x)
+	shift := 0
+	for 1<<shift < n {
+		shift++
+	}
+	for i := 0; i < n; i++ {
+		if j := int(reverseBits(uint32(i), shift)); i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := make([]complex128, n/2+1)
+	for k := range tw {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		if inverse {
+			s = -s
+		}
+		tw[k] = complex(c, s)
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for base := 0; base < n; base += size {
+			k := 0
+			for j := base; j < base+half; j++ {
+				w := tw[k]
+				t := w * x[j+half]
+				u := x[j]
+				x[j] = u + t
+				x[j+half] = u - t
+				k += step
+			}
+		}
+	}
+	if inverse {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+// checkMatchesReference runs x through Forward and Inverse and through
+// referenceTransform and reports any element that differs under ==,
+// the repository's bit-identity convention (it ignores only the sign of
+// an exact zero).
+func checkMatchesReference(t *testing.T, p *Plan, x []complex128, what string) {
+	t.Helper()
+	for _, inverse := range []bool{false, true} {
+		got := append([]complex128(nil), x...)
+		want := append([]complex128(nil), x...)
+		if inverse {
+			p.Inverse(got)
+		} else {
+			p.Forward(got)
+		}
+		referenceTransform(want, inverse)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d %s inverse=%v: element %d = %v, reference %v", p.N(), what, inverse, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for n := 1; n <= 4096; n <<= 1 {
+		p := NewPlan(n)
+		checkMatchesReference(t, p, randComplex(n, int64(n)), "dense")
+		checkMatchesReference(t, p, make([]complex128, n), "zero")
+		// Band-sparse, as the banded passes feed: only |v| ≤ R nonzero
+		// (v the signed frequency index).
+		for _, r := range []int{0, 1, 3, n / 8, n/2 - 1} {
+			if r < 0 || 2*r >= n {
+				continue
+			}
+			x := make([]complex128, n)
+			for v := -r; v <= r; v++ {
+				x[(v+n)%n] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			checkMatchesReference(t, p, x, fmt.Sprintf("band %d", r))
+		}
+	}
+}
+
+// FuzzPlanMatchesReference checks the kernel against the reference loop
+// on arbitrary inputs: logN picks the length (1 … 4096) and each pair of
+// data bytes one finite element, the rest staying zero when data runs
+// out early.
+func FuzzPlanMatchesReference(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 2})
+	f.Add(uint8(3), []byte{0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 1})
+	f.Add(uint8(9), []byte("band-sparse spectrum rows"))
+	f.Add(uint8(12), []byte{128, 127, 3, 250})
+	f.Fuzz(func(t *testing.T, logN uint8, data []byte) {
+		n := 1 << (logN % 13)
+		x := make([]complex128, n)
+		for i := 0; i+1 < len(data) && i/2 < n; i += 2 {
+			x[i/2] = complex(float64(int8(data[i]))/7, float64(int8(data[i+1]))/3)
+		}
+		checkMatchesReference(t, NewPlan(n), x, "fuzz")
+	})
+}
+
+func TestPlanZeroAllocWarm(t *testing.T) {
+	p := NewPlan(512)
+	x := randComplex(512, 1)
+	if a := testing.AllocsPerRun(20, func() { p.Forward(x); p.Inverse(x) }); a != 0 {
+		t.Fatalf("warm Forward+Inverse allocated %v times per run", a)
 	}
 }
 

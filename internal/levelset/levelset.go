@@ -54,12 +54,12 @@ func edtSq1D(f, out []float64, v []int, z []float64) {
 	}
 }
 
-// edtSq computes the exact Euclidean squared-distance transform of the
-// set {(x,y) : set(x,y) is true}: out(x,y) = min over set pixels p of
-// |(x,y)−p|². Pixels in the set get 0. If the set is empty, every output
-// is +inf.
-func edtSq(w, h int, set func(x, y int) bool) *grid.Field {
-	out := grid.NewField(w, h)
+// edtSq writes into out the exact Euclidean squared-distance transform
+// of the set {(x,y) : set(x,y) is true}: out(x,y) = min over set pixels
+// p of |(x,y)−p|². Pixels in the set get 0. If the set is empty, every
+// output is +inf. set must not read out.
+func edtSq(out *grid.Field, set func(x, y int) bool) {
+	w, h := out.W, out.H
 	// Column pass.
 	colIn := make([]float64, h)
 	colOut := make([]float64, h)
@@ -84,7 +84,6 @@ func edtSq(w, h int, set func(x, y int) bool) *grid.Field {
 		edtSq1D(out.Row(y), rowOut, v, z)
 		copy(out.Row(y), rowOut)
 	}
-	return out
 }
 
 // SignedDistance computes the signed distance function of the binary
@@ -94,18 +93,22 @@ func edtSq(w, h int, set func(x, y int) bool) *grid.Field {
 // the corresponding half is filled with ∓(W+H) as an "infinitely far"
 // sentinel.
 func SignedDistance(mask *grid.Field) *grid.Field {
-	w, h := mask.W, mask.H
-	inside := func(x, y int) bool { return mask.At(x, y) > 0.5 }
-	outside := func(x, y int) bool { return mask.At(x, y) <= 0.5 }
+	psi := grid.NewFieldLike(mask)
+	signedDistanceInto(psi, grid.NewFieldLike(mask),
+		func(x, y int) bool { return mask.At(x, y) > 0.5 },
+		func(x, y int) bool { return mask.At(x, y) <= 0.5 })
+	return psi
+}
 
-	distToInside := edtSq(w, h, inside)   // 0 on inside pixels
-	distToOutside := edtSq(w, h, outside) // 0 on outside pixels
-
-	far := float64(w + h)
-	psi := grid.NewField(w, h)
-	for i := range psi.Data {
-		dIn := distToInside.Data[i]   // squared distance to the pattern
-		dOut := distToOutside.Data[i] // squared distance to the background
+// signedDistanceInto writes into psi the signed distance between the
+// pixel sets inside and outside (see SignedDistance), using tmp as
+// scratch of the same shape. The predicates must not read psi or tmp.
+func signedDistanceInto(psi, tmp *grid.Field, inside, outside func(x, y int) bool) {
+	edtSq(psi, inside)  // squared distance to the pattern, 0 on it
+	edtSq(tmp, outside) // squared distance to the background, 0 on it
+	far := float64(psi.W + psi.H)
+	for i, dIn := range psi.Data {
+		dOut := tmp.Data[i]
 		switch {
 		case dIn >= inf && dOut >= inf:
 			// Unreachable: every pixel is in exactly one set.
@@ -120,7 +123,6 @@ func SignedDistance(mask *grid.Field) *grid.Field {
 			psi.Data[i] = math.Sqrt(dIn) - math.Sqrt(dOut)
 		}
 	}
-	return psi
 }
 
 // MaskFromPsi extracts the binary mask from the level-set function per
@@ -235,9 +237,19 @@ func Evolve(psi, v *grid.Field, dt float64) {
 // own zero sub-level set, preserving the contour while restoring the
 // |∇ψ| ≈ 1 property that long evolutions erode. Returns the new ψ.
 func Reinitialize(psi *grid.Field) *grid.Field {
-	mask := grid.NewFieldLike(psi)
-	MaskFromPsi(mask, psi)
-	return SignedDistance(mask)
+	dst := grid.NewFieldLike(psi)
+	ReinitializeInto(dst, grid.NewFieldLike(psi), psi)
+	return dst
+}
+
+// ReinitializeInto is Reinitialize writing the new ψ into dst, with tmp
+// as scratch, so a caller holding both allocates no field. dst, tmp and
+// psi must be distinct fields of one shape. The inside set is Eq. 6's
+// ψ ≤ 0, exactly what SignedDistance(MaskFromPsi(ψ)) would read.
+func ReinitializeInto(dst, tmp, psi *grid.Field) {
+	signedDistanceInto(dst, tmp,
+		func(x, y int) bool { return psi.At(x, y) <= 0 },
+		func(x, y int) bool { return !(psi.At(x, y) <= 0) })
 }
 
 // Curvature computes the mean curvature κ = div(∇ψ/|∇ψ|) with central

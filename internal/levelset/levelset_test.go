@@ -52,7 +52,8 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 			}
 		}
 		set := func(x, y int) bool { return m.At(x, y) > 0.5 }
-		got := edtSq(n, n, set)
+		got := grid.NewField(n, n)
+		edtSq(got, set)
 		want := bruteEDTSq(n, n, set)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("trial %d: EDT disagrees with brute force", trial)
@@ -63,7 +64,8 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 func TestEDTSinglePoint(t *testing.T) {
 	const n = 8
 	set := func(x, y int) bool { return x == 3 && y == 5 }
-	d := edtSq(n, n, set)
+	d := grid.NewField(n, n)
+	edtSq(d, set)
 	if d.At(3, 5) != 0 {
 		t.Fatal("distance at the set pixel must be 0")
 	}
@@ -73,7 +75,8 @@ func TestEDTSinglePoint(t *testing.T) {
 }
 
 func TestEDTEmptySet(t *testing.T) {
-	d := edtSq(4, 4, func(int, int) bool { return false })
+	d := grid.NewField(4, 4)
+	edtSq(d, func(int, int) bool { return false })
 	for _, v := range d.Data {
 		if v < inf {
 			t.Fatal("empty set must give infinite distances")
@@ -312,6 +315,29 @@ func TestReinitializePreservesContour(t *testing.T) {
 	GradMag(g, re)
 	if math.Abs(g.At(8, 16)-1) > 0.5 {
 		t.Fatalf("|∇ψ| after reinit = %g at boundary", g.At(8, 16))
+	}
+}
+
+// TestReinitializeIntoMatchesMaskPath pins the allocation-free reinit to
+// its definition, the signed distance of Eq. 6's mask of ψ, bit for bit,
+// with exact zeros and NaNs (both sides of ψ ≤ 0) in the input.
+func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
+	const n = 32
+	rng := rand.New(rand.NewSource(9))
+	psi := grid.NewField(n, n)
+	for i := range psi.Data {
+		psi.Data[i] = rng.NormFloat64()
+	}
+	psi.Data[5], psi.Data[77] = 0, math.NaN()
+	mask := grid.NewField(n, n)
+	MaskFromPsi(mask, psi)
+	want := SignedDistance(mask)
+	got, tmp := grid.NewField(n, n), grid.NewField(n, n)
+	ReinitializeInto(got, tmp, psi)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", i, got.Data[i], want.Data[i])
+		}
 	}
 }
 

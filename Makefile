@@ -21,8 +21,10 @@
 #   make benchsmoke - the repository benchmark's own smoke test; bench/
 #               is a nested module that the root go test never compiles
 #   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
-#               (GLP layouts, PGM masks, gob checkpoints) and the 1-D
-#               FFT kernel against its reference loop
+#               (GLP layouts, PGM masks, gob checkpoints), the 1-D
+#               FFT kernel against its reference loop, and the reduced-
+#               grid SOCS aerial and gradient against the dense
+#               full-grid reference
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -128,6 +130,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
+	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 
 vet:
 	$(GO) vet ./...

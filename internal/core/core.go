@@ -528,21 +528,7 @@ type levelStepper Optimizer
 func (s *levelStepper) Eval(i int) solve.Stats {
 	o := (*Optimizer)(s)
 	levelset.MaskFromPsi(o.mask, o.psi)
-	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-
-	var costNom, costPVB float64
-	if o.groups != nil {
-		// The focus groups concurrently, each on its own sibling
-		// simulator and sub-engine; combine gradients in the fixed group
-		// order so the sum is bit-identical on any engine.
-		o.sim.Engine().Parallel(o.groupTasks...)
-		costNom = o.cost(litho.Nominal)
-		costPVB = o.cost(litho.Outer) + o.cost(litho.Inner)
-		o.sim.Engine().ForChunk(len(o.grad.Data), o.combineBody)
-	} else {
-		o.grad.Zero()
-		costNom = o.sim.ForwardAndGradient(o.grad, o.maskSpec, litho.Nominal, o.target, o.imgs, 1)
-	}
+	costNom, costPVB := o.simulate()
 
 	// Velocity (Eq. 10 with our sign convention): v = +G·|∇ψ|.
 	// The paper writes v = −∂L/∂M·|∇ψ| for its ψ orientation; with
@@ -605,6 +591,24 @@ func (s *levelStepper) Eval(i int) solve.Stats {
 		LambdaPRP:   lambda,
 		Detailed:    true,
 	}
+}
+
+// simulate runs the corner simulations for the current mask and leaves
+// the gradient of the composed objective, ∂/∂M [nominal + w_pvb·(outer
+// + inner)], in o.grad. It returns the nominal cost and the summed
+// outer and inner costs.
+func (o *Optimizer) simulate() (costNom, costPVB float64) {
+	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
+	if o.groups == nil {
+		o.grad.Zero()
+		return o.sim.ForwardAndGradient(o.grad, o.maskSpec, litho.Nominal, o.target, o.imgs, 1), 0
+	}
+	// The focus groups run concurrently, each on its own sibling
+	// simulator and sub-engine; combine gradients in the fixed group
+	// order so the sum is bit-identical on any engine.
+	o.sim.Engine().Parallel(o.groupTasks...)
+	o.sim.Engine().ForChunk(len(o.grad.Data), o.combineBody)
+	return o.cost(litho.Nominal), o.cost(litho.Outer) + o.cost(litho.Inner)
 }
 
 // SaveBest copies the current iterate into the keep-best store.

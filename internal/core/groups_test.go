@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
@@ -101,5 +103,65 @@ func TestZeroDefocusIsOneFocusGroup(t *testing.T) {
 	}
 	if groups != opts.MaxIter {
 		t.Fatalf("%d group simulations in %d iterations", groups, opts.MaxIter)
+	}
+}
+
+// TestComposedGradientMatchesFiniteDifference checks the gradient Eval
+// combines from its focus groups against central finite differences of
+// the composed objective J = nominal + w_pvb·(outer + inner) on a
+// continuous mask, with the per-kernel fields on a reduced grid
+// (128 px / 8 nm, m = 64).
+func TestComposedGradientMatchesFiniteDifference(t *testing.T) {
+	const n = 128
+	cfg := litho.DefaultConfig(n, 8)
+	cfg.Optics.Kernels = 3
+	sim, err := litho.NewSimulator(cfg, engine.New("composed-test", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := sim.ReducedGrid(); m >= n {
+		t.Fatalf("per-kernel grid %d is not reduced below %d", m, n)
+	}
+	target := crossTarget(n)
+	opts := DefaultOptions()
+	o, err := New(sim, target, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Release()
+	if len(o.groups) != 2 {
+		t.Fatalf("%d focus groups, want nominal+outer and inner", len(o.groups))
+	}
+
+	// Soften the target into a continuous mask whose pixels sit in the
+	// resist sigmoid's active range.
+	mask := target.Clone()
+	for i := range mask.Data {
+		mask.Data[i] = 0.2 + 0.6*mask.Data[i]
+	}
+	objective := func(m *grid.Field) float64 {
+		o.mask.CopyFrom(m)
+		nom, pvb := o.simulate()
+		return nom + opts.PVBWeight*pvb
+	}
+	objective(mask)
+	grad := o.grad.Clone()
+	if grad.MaxAbs() == 0 {
+		t.Fatal("degenerate test: zero gradient")
+	}
+
+	const h = 1e-5
+	c := n / 2
+	for _, p := range [][2]int{{c, c}, {c - 14, c}, {c + 13, c + 3}, {c - 4, c - 14}, {c + 5, c + 5}, {c - 20, c}} {
+		x, y := p[0], p[1]
+		m := mask.Clone()
+		m.Set(x, y, mask.At(x, y)+h)
+		up := objective(m)
+		m.Set(x, y, mask.At(x, y)-h)
+		down := objective(m)
+		fd := (up - down) / (2 * h)
+		if an := grad.At(x, y); math.Abs(fd-an) > 1e-4*(1+math.Abs(fd)) {
+			t.Errorf("gradient at (%d,%d): Eval %g vs finite difference %g", x, y, an, fd)
+		}
 	}
 }

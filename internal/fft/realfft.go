@@ -13,9 +13,14 @@ import (
 // pass in half — the mask-spectrum computation of every optimizer
 // iteration is a real-input transform.
 //
-// dst receives exactly what Spectrum/Forward(SetReal(src)) would
+// The column pass is pruned to the output columns |u| ≤ band: only
+// columns 0..band and w-band..w-1 are transformed, and on return they
+// hold the full transform's bins bit for bit (the same 1-D transforms of
+// the same data). Every other column holds row-pass intermediates and
+// must not be read. band < 0, or a band covering the whole grid, gives
+// the full transform: exactly what Spectrum/Forward(SetReal(src)) would
 // produce, up to floating-point rounding.
-func (p *Plan2D) ForwardReal(dst *grid.CField, src *grid.Field) {
+func (p *Plan2D) ForwardReal(dst *grid.CField, src *grid.Field, band int) {
 	if src.W != p.w || src.H != p.h {
 		panic("fft: ForwardReal source shape mismatch")
 	}
@@ -29,9 +34,44 @@ func (p *Plan2D) ForwardReal(dst *grid.CField, src *grid.Field) {
 	p.rrDst, p.rrSrc = nil, nil
 
 	// Column pass (identical to the complex transform's second stage).
-	transpose(p.scratch, dst.Data, p.w, p.h)
-	p.rowPass(p.scratch, p.w, p.h, p.colPlan, false)
-	transpose(dst.Data, p.scratch, p.h, p.w)
+	if band < 0 || 2*band+1 >= p.w {
+		transpose(p.scratch, dst.Data, p.w, p.h)
+		p.rowPass(p.scratch, p.w, p.h, p.colPlan, false)
+		transpose(dst.Data, p.scratch, p.h, p.w)
+		return
+	}
+	// Band columns only: the low run [0, band] then the high run
+	// [w-band, w) are gathered as scratch rows 0..2·band.
+	lo, hi := p.scratch[:(band+1)*p.h], p.scratch[(band+1)*p.h:(2*band+1)*p.h]
+	gatherCols(lo, dst.Data, p.w, p.h, 0)
+	gatherCols(hi, dst.Data, p.w, p.h, p.w-band)
+	p.rowPass(p.scratch, 2*band+1, p.h, p.colPlan, false)
+	scatterCols(dst.Data, lo, p.w, p.h, 0)
+	scatterCols(dst.Data, hi, p.w, p.h, p.w-band)
+}
+
+// gatherCols copies the len(dst)/h columns of the w×h row-major matrix
+// src starting at column x0 into dst, one h-long row per column.
+func gatherCols(dst, src []complex128, w, h, x0 int) {
+	cols := len(dst) / h
+	for y := 0; y < h; y++ {
+		row := src[y*w+x0 : y*w+x0+cols]
+		for c, v := range row {
+			dst[c*h+y] = v
+		}
+	}
+}
+
+// scatterCols is the inverse of gatherCols: it writes the h-long rows of
+// src back as the columns of dst starting at x0.
+func scatterCols(dst, src []complex128, w, h, x0 int) {
+	cols := len(src) / h
+	for y := 0; y < h; y++ {
+		row := dst[y*w+x0 : y*w+x0+cols]
+		for c := range row {
+			row[c] = src[c*h+y]
+		}
+	}
 }
 
 // realRows transforms the row pairs (2i, 2i+1), i ∈ [lo, hi), of src into

@@ -15,15 +15,32 @@ import (
 // goroutine bookkeeping, which is scheduling overhead, not simulator
 // state.
 
-// warmSim returns a simulator that has run each measured path once, so
-// lazily-leased scratch (the retained kernel batch) is in place.
+// warmGrid is one simulation grid of the warm zero-alloc tests.
+type warmGrid struct {
+	n       int
+	pixelNM float64
+	reduced bool // per-kernel fields on a grid smaller than n
+}
+
+// warmGrids covers both per-kernel paths: the full grid (64 px / 32 nm)
+// and the reduced one (128 px / 8 nm, m = 64).
+var warmGrids = []warmGrid{{n: 64, pixelNM: 32}, {n: 128, pixelNM: 8, reduced: true}}
+
+// warmSim returns a 64-px simulator that has run each measured path
+// once, so lazily-leased scratch (the kernel batch) is in place.
 func warmSim(t testing.TB, kernels int) (*Simulator, *grid.CField, *CornerImages, *grid.Field) {
-	cfg := DefaultConfig(64, 32)
+	return warmSimAt(t, warmGrids[0], kernels)
+}
+
+// warmSimAt is warmSim on the given grid.
+func warmSimAt(t testing.TB, g warmGrid, kernels int) (*Simulator, *grid.CField, *CornerImages, *grid.Field) {
+	cfg := DefaultConfig(g.n, g.pixelNM)
 	cfg.Optics.Kernels = kernels
 	s, err := NewSimulator(cfg, engine.CPU())
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertReduced(t, s, g.reduced)
 	n := s.GridSize()
 	mask := centeredRectMask(n, 24, 12)
 	spec := s.MaskSpectrum(mask)

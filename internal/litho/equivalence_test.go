@@ -1,6 +1,7 @@
 package litho
 
 import (
+	"fmt"
 	"testing"
 
 	"lsopc/internal/engine"
@@ -39,10 +40,10 @@ func randomMask(n int, seed uint64) *grid.Field {
 	return m
 }
 
-// eqSim builds the test simulator on the given engine.
-func eqSim(t *testing.T, eng *engine.Engine, kernels int) *Simulator {
+// eqSim builds the test simulator for grid g on the given engine.
+func eqSim(t *testing.T, eng *engine.Engine, g warmGrid, kernels int) *Simulator {
 	t.Helper()
-	cfg := DefaultConfig(64, 32)
+	cfg := DefaultConfig(g.n, g.pixelNM)
 	cfg.Optics.Kernels = kernels
 	s, err := NewSimulator(cfg, eng)
 	if err != nil {
@@ -73,9 +74,17 @@ func cfieldsEqual(t *testing.T, what string, a, b *grid.CField) {
 // serial CPU engine and parallel engines of several worker counts
 // (GPU() collapses to one worker on single-core hosts, so explicit
 // counts are used) must produce bit-identical spectra, aerial images,
-// resist images, printed masks, gradients, and costs on a random mask.
+// resist images, printed masks, gradients, and costs on a random mask,
+// with the per-kernel fields on the full grid and on a reduced one.
 func TestEngineEquivalence(t *testing.T) {
-	const n, kernels = 64, 4
+	for _, g := range warmGrids {
+		engineEquivalence(t, g)
+	}
+}
+
+func engineEquivalence(t *testing.T, g warmGrid) {
+	const kernels = 4
+	n := g.n
 	mask := randomMask(n, 42)
 	target := randomMask(n, 99)
 
@@ -91,7 +100,8 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 
 	run := func(eng *engine.Engine) result {
-		s := eqSim(t, eng, kernels)
+		s := eqSim(t, eng, g, kernels)
+		assertReduced(t, s, g.reduced)
 		var res result
 		res.spec = grid.NewCField(n, n)
 		s.MaskSpectrumInto(res.spec, mask)
@@ -113,7 +123,7 @@ func TestEngineEquivalence(t *testing.T) {
 		res.cost = s.ForwardAndGradient(res.grad, res.spec, Inner, target, out, 0.7)
 
 		// Unfused path on a fresh simulator for the same corner.
-		s2 := eqSim(t, eng, kernels)
+		s2 := eqSim(t, eng, g, kernels)
 		out2 := NewCornerImages(n)
 		s2.Forward(out2, res.spec, Inner)
 		res.gradCost = grid.NewField(n, n)
@@ -125,7 +135,7 @@ func TestEngineEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		eng := engine.New("gpu-test", workers)
 		got := run(eng)
-		label := eng.String()
+		label := fmt.Sprintf("%d px %s", n, eng)
 		cfieldsEqual(t, label+" mask spectrum", got.spec, ref.spec)
 		fieldsEqual(t, label+" aerial", got.aerial, ref.aerial)
 		fieldsEqual(t, label+" fast aerial", got.fast, ref.fast)
@@ -141,47 +151,4 @@ func TestEngineEquivalence(t *testing.T) {
 	// The fused and unfused pipelines must agree bitwise as well: both
 	// accumulate the same per-kernel terms in the same order.
 	fieldsEqual(t, "fused vs unfused gradient", ref.grad, ref.gradCost)
-}
-
-// TestRetainedMatchesStreamingBitwise checks the two adjoint/aerial
-// execution strategies — batched per-kernel fields vs the streaming
-// single-field fallback used above the memory cap — are bit-identical:
-// both run the same banded transforms and accumulate kernels in the
-// same order.
-func TestRetainedMatchesStreamingBitwise(t *testing.T) {
-	const n, kernels = 64, 4
-	eng := engine.New("gpu-test", 3)
-	mask := randomMask(n, 7)
-	target := randomMask(n, 8)
-
-	s := eqSim(t, eng, kernels)
-	if !s.canRetain() {
-		t.Fatalf("test grid unexpectedly exceeds the retain budget")
-	}
-	spec := grid.NewCField(n, n)
-	s.MaskSpectrumInto(spec, mask)
-	bank := s.Bank(Nominal)
-
-	// Batched aerial + adjoint.
-	aerialB := grid.NewField(n, n)
-	s.aerialInto(aerialB, bank, spec)
-	gradB := grid.NewField(n, n)
-	s.sensitivity(s.sens, aerialB, target, 1)
-	s.adjointFromFields(s.retained(len(bank.Kernels)), bank, s.sens)
-	s.applyGradient(gradB, 1)
-
-	// Streaming aerial + adjoint on a sibling simulator.
-	s2, err := s.Sibling(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aerialS := grid.NewField(n, n)
-	s2.aerialStreaming(aerialS, bank, spec)
-	gradS := grid.NewField(n, n)
-	s2.sensitivity(s2.sens, aerialS, target, 1)
-	s2.adjointStreaming(bank, spec, s2.sens)
-	s2.applyGradient(gradS, 1)
-
-	fieldsEqual(t, "retained vs streaming aerial", aerialB, aerialS)
-	fieldsEqual(t, "retained vs streaming gradient", gradB, gradS)
 }

@@ -11,9 +11,9 @@ import (
 // bit for bit, at the inner corner's defocus it is Aerial(Inner) before
 // the dose scale.
 func TestAerialAtFocusMatchesCorners(t *testing.T) {
-	const n = 64
-	mask := randomMask(n, 11)
 	for _, p := range groupPaths {
+		n := p.n
+		mask := randomMask(n, 11)
 		s := groupSim(t, p)
 		spec := grid.NewCField(n, n)
 		s.MaskSpectrumInto(spec, mask)
@@ -32,28 +32,6 @@ func TestAerialAtFocusMatchesCorners(t *testing.T) {
 		got.Scale(got, s.Dose(Inner))
 		s.Aerial(ref, spec, Inner)
 		fieldsEqual(t, p.name+" inner defocus", got, ref)
-	}
-}
-
-// TestAerialAtFocusStreamingMatchesRetained checks an intermediate focus,
-// whose bank the session does not hold: the streaming path reproduces
-// the retained batch bit for bit.
-func TestAerialAtFocusStreamingMatchesRetained(t *testing.T) {
-	const n = 64
-	mask := randomMask(n, 12)
-	var out [2]*grid.Field
-	for i, stream := range []bool{false, true} {
-		s := groupSim(t, groupPath{name: "focus", stream: stream})
-		spec := grid.NewCField(n, n)
-		s.MaskSpectrumInto(spec, mask)
-		out[i] = grid.NewField(n, n)
-		if err := s.AerialAtFocus(out[i], spec, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fieldsEqual(t, "streaming vs retained at 10 nm", out[1], out[0])
-	if out[0].Norm() == 0 {
-		t.Fatal("degenerate test: zero aerial")
 	}
 }
 
@@ -88,12 +66,14 @@ func TestFocusBank(t *testing.T) {
 }
 
 func TestAerialAtFocusZeroAllocWarm(t *testing.T) {
-	s, spec, imgs, _ := warmSim(t, 4)
-	defocus := s.Config().DefocusNM
-	if avg := testing.AllocsPerRun(20, func() {
-		_ = s.AerialAtFocus(imgs.Aerial, spec, 0)
-		_ = s.AerialAtFocus(imgs.Aerial, spec, defocus)
-	}); avg != 0 {
-		t.Fatalf("warm AerialAtFocus allocates %.1f objects/op, want 0", avg)
+	for _, g := range warmGrids {
+		s, spec, imgs, _ := warmSimAt(t, g, 4)
+		defocus := s.Config().DefocusNM
+		if avg := testing.AllocsPerRun(20, func() {
+			_ = s.AerialAtFocus(imgs.Aerial, spec, 0)
+			_ = s.AerialAtFocus(imgs.Aerial, spec, defocus)
+		}); avg != 0 {
+			t.Fatalf("%d px: warm AerialAtFocus allocates %.1f objects/op, want 0", g.n, avg)
+		}
 	}
 }

@@ -9,31 +9,6 @@ import (
 	"lsopc/internal/optics"
 )
 
-// retainLimitBytes caps the memory spent on the batched per-kernel
-// coherent-field stack. Below the cap each kernel's E_k is materialised
-// into the batch and transformed by one batched FFT sweep per pass (the
-// batching the paper's GPU implementation gets from device memory);
-// above it E_k streams through a single scratch field, trading barriers
-// for memory.
-const retainLimitBytes = 256 << 20
-
-// canRetain reports whether the per-kernel complex128 field batch fits
-// the session's budget.
-func (s *Simulator) canRetain() bool {
-	n := s.GridSize()
-	return s.cfg.Optics.Kernels*n*n*16 <= s.retainBytes
-}
-
-// retained returns the per-kernel field batch, leasing fields from the
-// session's pool on first use (Release returns them).
-func (s *Simulator) retained(k int) []*grid.CField {
-	n := s.GridSize()
-	for len(s.fields) < k {
-		s.fields = append(s.fields, s.pool.CField(n, n))
-	}
-	return s.fields[:k]
-}
-
 // GroupCorner is one process corner of a focus group. The corners of a
 // group share one kernel bank (Bank(Cond)), so their coherent fields E_k
 // are the same and they differ only by the dose that scales the aerial
@@ -103,8 +78,7 @@ func groupLabel(group []GroupCorner) string {
 // groupForward runs one SOCS pass over bank and derives each corner's
 // images from it: aerial = dose · blur(Σ_k μ_k |E_k|²), the same bits a
 // pass per corner gives, then the resist image and cost where asked
-// for. With a retained batch the fields E_k are left in it for the
-// adjoint.
+// for. The fields E_k are left in the kernel batch for the adjoint.
 func (s *Simulator) groupForward(bank *optics.Bank, maskSpec *grid.CField, target *grid.Field, group []GroupCorner) {
 	base := s.aerial
 	if len(group) == 1 {
@@ -155,12 +129,13 @@ func (s *Simulator) ForwardAndGradientGroup(grad *grid.Field, maskSpec *grid.CFi
 	bank := s.groupBank(group)
 
 	// Pass 1: coherent fields and aerial intensity (Eq. 1). One batched
-	// banded inverse FFT over all K kernels, then a pixel-partitioned
-	// SOCS reduction, shared by every corner of the group.
+	// banded inverse FFT over all K kernels on the reduced grid, then a
+	// pixel-partitioned SOCS reduction, shared by every corner of the
+	// group.
 	s.groupForward(bank, maskSpec, target, group)
 
 	// Pass 2: adjoint accumulation in the frequency domain over the
-	// combined sensitivity, reusing the batched E_k when retained.
+	// combined sensitivity, reusing the batched E_k.
 	weight := 1.0
 	if len(group) == 1 {
 		weight = group[0].Weight
@@ -186,7 +161,7 @@ func (s *Simulator) ForwardAndGradientGroup(grad *grid.Field, maskSpec *grid.CFi
 // with the aerial and sigmoid resist images. It returns the corner cost
 // ‖R−target‖². It is the one-corner ForwardAndGradientGroup: compared
 // with Forward followed by GradientInto it computes each kernel's
-// coherent field only once when the batch fits in memory.
+// coherent field only once.
 func (s *Simulator) ForwardAndGradient(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, out *CornerImages, weight float64) float64 {
 	group := [1]GroupCorner{{Cond: cond, Weight: weight, Out: out}}
 	s.ForwardAndGradientGroup(grad, maskSpec, target, group[:])

@@ -59,17 +59,3 @@ func TestForwardAndGradientAccumulates(t *testing.T) {
 		t.Fatal("gradient accumulation must be order-independent")
 	}
 }
-
-func TestCanRetainRespectsBudget(t *testing.T) {
-	s := testSim(t, 3)
-	if !s.canRetain() {
-		t.Fatal("64-px grid with 3 kernels must fit the retention budget")
-	}
-	// 24 kernels at 2048² would be 1.6 GB — must not retain.
-	big := Simulator{cfg: Config{Optics: s.cfg.Optics}}
-	big.cfg.Optics.GridSize = 2048
-	big.cfg.Optics.Kernels = 24
-	if big.canRetain() {
-		t.Fatal("2048²×24 must exceed the retention budget")
-	}
-}

@@ -10,18 +10,24 @@ import (
 	"lsopc/internal/grid"
 )
 
-// groupPath is one execution path of the forward+adjoint model:
-// retained or streamed batches, with or without resist diffusion.
+// groupPath is one execution path of the forward+adjoint model: the
+// per-kernel fields on the full grid (a 64 px / 32 nm grid, whose 2048 nm
+// field puts the kernel band beyond any smaller grid) or on a reduced
+// grid (128 px / 8 nm: a 1024 nm field, r = 15, m = 64), with or without
+// resist diffusion.
 type groupPath struct {
 	name      string
-	stream    bool
+	n         int
+	pixelNM   float64
+	reduced   bool
 	diffusion float64
 }
 
 var groupPaths = []groupPath{
-	{name: "f64-retained"},
-	{name: "f64-streaming", stream: true},
-	{name: "f64-retained-diffusion", diffusion: 40},
+	{name: "f64-full", n: 64, pixelNM: 32},
+	{name: "f64-full-diffusion", n: 64, pixelNM: 32, diffusion: 40},
+	{name: "f64-reduced", n: 128, pixelNM: 8, reduced: true},
+	{name: "f64-reduced-diffusion", n: 128, pixelNM: 8, reduced: true, diffusion: 40},
 }
 
 // relErr returns ‖a−b‖ / ‖a‖ (0 when both are zero).
@@ -38,24 +44,28 @@ func relErr(a, b *grid.Field) float64 {
 	return math.Sqrt(num / den)
 }
 
-// groupSim builds a 64-px simulator on the given path; streaming paths
-// drop the retention budget so the per-kernel batch is never kept.
+// groupSim builds a 4-kernel simulator on the given path and checks the
+// path really runs on the grid it names.
 func groupSim(t *testing.T, p groupPath) *Simulator {
 	t.Helper()
-	cfg := DefaultConfig(64, 32)
+	cfg := DefaultConfig(p.n, p.pixelNM)
 	cfg.Optics.Kernels = 4
 	cfg.DiffusionNM = p.diffusion
 	s, err := NewSimulator(cfg, engine.New("group-test", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.stream {
-		s.retainBytes = 0
-	}
-	if s.canRetain() == p.stream {
-		t.Fatalf("%s: canRetain = %v", p.name, s.canRetain())
-	}
+	assertReduced(t, s, p.reduced)
 	return s
+}
+
+// assertReduced fails unless the session's per-kernel grid is smaller
+// than its simulation grid exactly when reduced is set.
+func assertReduced(t testing.TB, s *Simulator, reduced bool) {
+	t.Helper()
+	if m, n := s.ReducedGrid(), s.GridSize(); (m < n) != reduced {
+		t.Fatalf("grid %d px: per-kernel grid %d, want reduced = %v", n, m, reduced)
+	}
 }
 
 // TestGroupMatchesSeparateCorners checks the nominal+outer focus group
@@ -63,10 +73,10 @@ func groupSim(t *testing.T, p groupPath) *Simulator {
 // bit-identical (one SOCS pass, scaled per corner), the gradient equal up
 // to the rounding of one adjoint instead of two.
 func TestGroupMatchesSeparateCorners(t *testing.T) {
-	const n = 64
-	mask := randomMask(n, 42)
-	target := randomMask(n, 99)
 	for _, p := range groupPaths {
+		n := p.n
+		mask := randomMask(n, 42)
+		target := randomMask(n, 99)
 		s := groupSim(t, p)
 		spec := grid.NewCField(n, n)
 		s.MaskSpectrumInto(spec, mask)
@@ -107,10 +117,10 @@ func TestGroupMatchesSeparateCorners(t *testing.T) {
 // ForwardAndGradient bit for bit, on every path and corner, with the
 // weight applied after the adjoint.
 func TestOneCornerGroupIsForwardAndGradient(t *testing.T) {
-	const n = 64
-	mask := randomMask(n, 7)
-	target := randomMask(n, 8)
 	for _, p := range groupPaths {
+		n := p.n
+		mask := randomMask(n, 7)
+		target := randomMask(n, 8)
 		s := groupSim(t, p)
 		spec := grid.NewCField(n, n)
 		s.MaskSpectrumInto(spec, mask)
@@ -197,20 +207,22 @@ func TestGroupRejectsMixedFocus(t *testing.T) {
 }
 
 func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
-	s, spec, _, target := warmSim(t, 4)
-	n := s.GridSize()
-	grad := grid.NewField(n, n)
-	group := []GroupCorner{
-		{Cond: Nominal, Weight: 1, Out: NewCornerImages(n)},
-		{Cond: Outer, Weight: 0.6, Out: NewCornerImages(n)},
-	}
-	s.ForwardAndGradientGroup(grad, spec, target, group)
-	if avg := testing.AllocsPerRun(20, func() {
-		grad.Zero()
+	for _, g := range warmGrids {
+		s, spec, _, target := warmSimAt(t, g, 4)
+		n := s.GridSize()
+		grad := grid.NewField(n, n)
+		group := []GroupCorner{
+			{Cond: Nominal, Weight: 1, Out: NewCornerImages(n)},
+			{Cond: Outer, Weight: 0.6, Out: NewCornerImages(n)},
+		}
 		s.ForwardAndGradientGroup(grad, spec, target, group)
-		s.ForwardGroup(spec, target, group)
-	}); avg != 0 {
-		t.Fatalf("warm group calls allocate %.1f objects/op, want 0", avg)
+		if avg := testing.AllocsPerRun(20, func() {
+			grad.Zero()
+			s.ForwardAndGradientGroup(grad, spec, target, group)
+			s.ForwardGroup(spec, target, group)
+		}); avg != 0 {
+			t.Fatalf("%d px: warm group calls allocate %.1f objects/op, want 0", n, avg)
+		}
 	}
 }
 

@@ -8,6 +8,11 @@
 // ‖R − R*‖² with respect to the mask (Eq. 11), accumulated in the
 // frequency domain so each kernel costs one extra FFT.
 //
+// The per-kernel fields and their adjoint products are computed on the
+// reduced grid, the smallest power-of-two grid that holds the pupil's
+// band exactly (reduced.go); only three band-pruned transforms per call
+// run on the full simulation grid.
+//
 // Corners that share a focus setting (nominal and outer) share their
 // coherent fields, so they can run as one focus group: one SOCS pass and
 // one adjoint serve every corner of the group (ForwardGroup,
@@ -127,20 +132,33 @@ type Simulator struct {
 	plan  *fft.Plan2D
 	batch *fft.BatchPlan2D
 
+	// The reduced SOCS grid (see reduced.go): the per-kernel fields are
+	// m×m, with m ≤ N. small is the batched plan on that grid (batch
+	// itself when m == N); rescale = (m/N)² is the exact power-of-two
+	// sample scale between the grids; radius is the kernel box radius
+	// both derive from.
+	m       int
+	radius  int
+	rescale float64
+	small   *fft.BatchPlan2D
+
 	nominalBank *optics.Bank // focus = 0 (aliases res.Nominal())
 	defocusBank *optics.Bank // focus = DefocusNM (aliases res.Defocus())
 
 	// Leased scratch, reused across calls and returned by Release.
-	field   *grid.CField    // per-kernel coherent field E_k (non-batched fallback)
-	accum   *grid.CField    // frequency-domain gradient accumulator
-	ampSpec *grid.CField    // spectrum of W ⊙ conj(E_k) (non-batched fallback)
-	fields  []*grid.CField  // batched per-kernel fields (see fused.go)
-	single  [1]*grid.CField // reusable singleton for banded one-field transforms
-	sens    *grid.Field     // resist sensitivity W (hoisted out of the hot path)
-	aerial  *grid.Field     // aerial temp for PrintedBinary
+	accum  *grid.CField    // gradient accumulator; full-grid transform scratch
+	fields []*grid.CField  // per-kernel m×m fields E_k (see kernelFields)
+	single [1]*grid.CField // reusable singleton for banded one-field transforms
+	sens   *grid.Field     // resist sensitivity W (hoisted out of the hot path)
+	aerial *grid.Field     // aerial temp for PrintedBinary
+
+	// m×m scratch of the reduced path; nil when m == N.
+	smallReal *grid.Field  // SOCS image Σ μ_k|E_k|², then the low-passed W
+	smallSpec *grid.CField // their spectra
 
 	planScratch  *grid.CField // backs plan's transpose + real-pack workspace
 	batchScratch *grid.CField // backs batch's per-worker column buffers
+	smallScratch *grid.CField // backs small's column buffers; nil when m == N
 
 	// Resist diffusion (see diffusion.go); nil when disabled. The
 	// spectrum is shared read-only through the bank's target cache.
@@ -165,18 +183,12 @@ type Simulator struct {
 	reduceBody      func(lo, hi int)
 	sensBody        func(lo, hi int)
 	adjointBody     func(lo, hi int)
-	ampBody         func(lo, hi int)
 	applyBody       func(lo, hi int)
 
 	// Optional trace sink for per-corner timing events. nil keeps the
 	// hot paths at a single nil check; set via SetSink.
 	sink    obs.Sink
 	traceID string
-
-	// retainBytes is the retention budget canRetain checks against
-	// (retainLimitBytes; lowered only by tests to reach the streaming
-	// paths on small grids).
-	retainBytes int
 
 	released bool
 }
@@ -242,12 +254,10 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 		pool:        pool,
 		nominalBank: res.Nominal(),
 		defocusBank: res.Defocus(),
-		field:       pool.CField(n, n),
 		accum:       pool.CField(n, n),
-		ampSpec:     pool.CField(n, n),
 		sens:        pool.Field(n, n),
 		aerial:      pool.Field(n, n),
-		retainBytes: retainLimitBytes,
+		radius:      res.Radius(),
 	}
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
@@ -255,6 +265,15 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 	s.plan = fft.NewPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.planScratch.Data)
 	s.batchScratch = pool.CField(n, fft.BatchScratchLen(n, eng.Workers())/n)
 	s.batch = fft.NewBatchPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.batchScratch.Data)
+	s.m = reducedGrid(n, s.radius)
+	s.rescale = float64(s.m*s.m) / float64(n*n)
+	s.small = s.batch
+	if m := s.m; m < n {
+		s.smallScratch = pool.CField(m, fft.BatchScratchLen(m, eng.Workers())/m)
+		s.small = fft.NewBatchPlan2DFromPlans(fft.CachedPlan(m), fft.CachedPlan(m), eng, s.smallScratch.Data)
+		s.smallReal = pool.Field(m, m)
+		s.smallSpec = pool.CField(m, m)
+	}
 	if cfg.DiffusionNM > 0 {
 		d, err := res.Target(diffusionKey{pixelNM: cfg.Optics.PixelNM, sigmaNM: cfg.DiffusionNM},
 			func() (*grid.Field, error) {
@@ -324,13 +343,6 @@ func (s *Simulator) bindBodies() {
 			}
 		}
 	}
-	s.ampBody = func(lo, hi int) {
-		w := s.opW
-		for i := lo; i < hi; i++ {
-			e := s.field.Data[i]
-			s.ampSpec.Data[i] = complex(w.Data[i], 0) * complex(real(e), -imag(e))
-		}
-	}
 	s.applyBody = func(lo, hi int) {
 		grad, weight := s.opGrad, s.opScale
 		for i := lo; i < hi; i++ {
@@ -388,23 +400,25 @@ func (s *Simulator) Release() {
 	}
 	s.released = true
 	p := s.pool
-	p.PutCField(s.field)
 	p.PutCField(s.accum)
-	p.PutCField(s.ampSpec)
 	for _, f := range s.fields {
 		p.PutCField(f)
 	}
 	p.PutField(s.sens)
 	p.PutField(s.aerial)
+	p.PutField(s.smallReal)
+	p.PutCField(s.smallSpec)
 	p.PutCField(s.planScratch)
 	p.PutCField(s.batchScratch)
+	p.PutCField(s.smallScratch)
 	p.PutCField(s.blurScratch)
-	s.field, s.accum, s.ampSpec, s.blurScratch = nil, nil, nil, nil
+	s.accum, s.blurScratch = nil, nil
 	s.fields = nil
 	s.single[0] = nil
 	s.sens, s.aerial, s.diffusion = nil, nil, nil
-	s.planScratch, s.batchScratch = nil, nil
-	s.plan, s.batch = nil, nil
+	s.smallReal, s.smallSpec = nil, nil
+	s.planScratch, s.batchScratch, s.smallScratch = nil, nil, nil
+	s.plan, s.batch, s.small = nil, nil, nil
 	s.opBank = nil
 }
 
@@ -454,9 +468,12 @@ func (s *Simulator) MaskSpectrum(mask *grid.Field) *grid.CField {
 }
 
 // MaskSpectrumInto computes FFT(mask) into dst using the real-input
-// fast path (the mask is always real).
+// fast path (the mask is always real), pruned to the kernel band: the
+// bins |u|, |v| ≤ r every simulate call reads are exact, and the columns
+// outside |u| ≤ r hold intermediates that must not be read. Use
+// MaskSpectrum for a full spectrum.
 func (s *Simulator) MaskSpectrumInto(dst *grid.CField, mask *grid.Field) {
-	s.plan.ForwardReal(dst, mask)
+	s.plan.ForwardReal(dst, mask, s.radius)
 }
 
 // inverseBanded runs the band-limited batched inverse on a single field.
@@ -487,31 +504,27 @@ func (s *Simulator) reduceAbsSq(dst *grid.Field, fields []*grid.CField, bank *op
 }
 
 // aerialInto computes the undosed SOCS intensity Σ_k μ_k |h_k ⊗ M|²
-// into dst. When the per-kernel field batch fits the retention budget
-// all K coherent fields are materialised at once and inverse-transformed
-// by one batched banded FFT sweep; otherwise the kernels stream through
-// a single scratch field.
+// into dst. All K coherent fields are materialised on the reduced grid
+// and inverse-transformed by one batched banded FFT sweep, left in the
+// batch for the adjoint; on a reduced grid the summed image is then
+// upsampled to the full grid (band 2r).
 func (s *Simulator) aerialInto(dst *grid.Field, bank *optics.Bank, maskSpec *grid.CField) {
-	if s.canRetain() {
-		fields := s.retained(len(bank.Kernels))
-		s.materialize(fields, bank, maskSpec)
-		s.batch.BatchInverseBanded(fields, bank.Radius())
+	fields := s.coherentFields(bank, maskSpec)
+	if s.m == s.GridSize() {
 		s.reduceAbsSq(dst, fields, bank)
 		return
 	}
-	s.aerialStreaming(dst, bank, maskSpec)
+	s.reduceAbsSq(s.smallReal, fields, bank)
+	s.upsample(dst, s.smallReal, 2*bank.Radius())
 }
 
-// aerialStreaming is the low-memory SOCS fallback: each kernel streams
-// through the single scratch field and accumulates serially, in the same
-// ascending-k order as the batched reduction (bit-identical to it).
-func (s *Simulator) aerialStreaming(dst *grid.Field, bank *optics.Bank, maskSpec *grid.CField) {
-	dst.Zero()
-	for _, k := range bank.Kernels {
-		k.MulIntoBand(s.field, maskSpec)
-		s.inverseBanded(s.field, k.R)
-		s.field.AccumAbsSq(dst, k.Weight)
-	}
+// coherentFields computes E_k = h_k ⊗ M for every kernel of bank into
+// the m×m field batch and returns it.
+func (s *Simulator) coherentFields(bank *optics.Bank, maskSpec *grid.CField) []*grid.CField {
+	fields := s.kernelFields(len(bank.Kernels))
+	s.materialize(fields, bank, maskSpec)
+	s.small.BatchInverseBanded(fields, bank.Radius())
+	return fields
 }
 
 // Aerial computes the dose-scaled aerial image (Eq. 1) for the given
@@ -555,9 +568,9 @@ func (s *Simulator) AerialAtFocus(dst *grid.Field, maskSpec *grid.CField, defocu
 // fast path the paper's GPU scheme precomputes.
 func (s *Simulator) AerialFast(dst *grid.Field, maskSpec *grid.CField, cond Condition) {
 	bank := s.Bank(cond)
-	bank.Combined.MulIntoBand(s.field, maskSpec)
-	s.inverseBanded(s.field, bank.Combined.R)
-	s.field.AbsSqInto(dst)
+	bank.Combined.MulIntoBand(s.accum, maskSpec)
+	s.inverseBanded(s.accum, bank.Combined.R)
+	s.accum.AbsSqInto(dst)
 	s.blurInPlace(dst)
 	if dose := s.Dose(cond); dose != 1 {
 		dst.Scale(dst, dose)
@@ -640,21 +653,20 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 }
 
 // adjoint runs the adjoint half of Eq. 11 for the sensitivity w into
-// s.accum on the session's execution path (retained or streaming).
-// fieldsReady says the retained batch already holds
-// this mask's E_k for bank, as aerialInto leaves it.
+// s.accum. fieldsReady says the kernel batch already holds this mask's
+// E_k for bank, as aerialInto leaves it. On a reduced grid w enters
+// through its band-2r samples there, the only part the bins the
+// adjoint reads depend on.
 func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field, fieldsReady bool) {
-	switch {
-	case s.canRetain():
-		fields := s.retained(len(bank.Kernels))
-		if !fieldsReady {
-			s.materialize(fields, bank, maskSpec)
-			s.batch.BatchInverseBanded(fields, bank.Radius())
-		}
-		s.adjointFromFields(fields, bank, w)
-	default:
-		s.adjointStreaming(bank, maskSpec, w)
+	fields := s.kernelFields(len(bank.Kernels))
+	if !fieldsReady {
+		s.coherentFields(bank, maskSpec)
 	}
+	if s.m < s.GridSize() {
+		s.lowPassSamples(s.smallReal, w, 2*bank.Radius())
+		w = s.smallReal
+	}
+	s.adjointFromFields(fields, bank, w)
 }
 
 // sensitivity computes the resist sensitivity field
@@ -694,38 +706,19 @@ func (s *Simulator) zeroAccumBand(band int) {
 }
 
 // adjointFromFields runs the adjoint half of Eq. 11 given the coherent
-// fields E_k in fields (which it overwrites): every field becomes
-// W ⊙ conj(E_k), one batched output-pruned forward FFT produces the
-// amplitude spectra, and the per-kernel flip-multiplies accumulate into
-// s.accum, which is inverse-transformed back to the spatial domain.
+// fields E_k in fields (which it overwrites) and the sensitivity w on
+// the same grid: every field becomes W ⊙ conj(E_k), one batched
+// output-pruned forward FFT produces the amplitude spectra, and the
+// per-kernel flip-multiplies accumulate into the full-grid s.accum,
+// which is inverse-transformed back to the spatial domain.
 func (s *Simulator) adjointFromFields(fields []*grid.CField, bank *optics.Bank, w *grid.Field) {
 	s.opFields, s.opW = fields, w
 	s.eng.ForChunk(len(fields)*len(w.Data), s.adjointBody)
 	s.opFields, s.opW = nil, nil
-	s.batch.BatchForwardBandedCols(fields, bank.Radius())
+	s.small.BatchForwardBandedCols(fields, bank.Radius())
 	s.zeroAccumBand(bank.Radius())
 	for ki, k := range bank.Kernels {
 		k.AccumFlipMul(s.accum, fields[ki], complex(k.Weight, 0))
-	}
-	s.inverseBanded(s.accum, bank.Radius())
-}
-
-// adjointStreaming is the low-memory adjoint: per-kernel fields stream
-// through a single scratch buffer instead of the retained batch.
-func (s *Simulator) adjointStreaming(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field) {
-	s.zeroAccumBand(bank.Radius())
-	for _, k := range bank.Kernels {
-		// E_k = IFFT(spec_k ∘ Mhat)
-		k.MulIntoBand(s.field, maskSpec)
-		s.inverseBanded(s.field, k.R)
-		// amp = W ⊙ conj(E_k)
-		s.opW = w
-		s.eng.ForChunk(len(s.ampSpec.Data), s.ampBody)
-		s.opW = nil
-		s.single[0] = s.ampSpec
-		s.batch.BatchForwardBandedCols(s.single[:], k.R)
-		// accum += μ_k · amp_spec ∘ spec(flip(h_k))
-		k.AccumFlipMul(s.accum, s.ampSpec, complex(k.Weight, 0))
 	}
 	s.inverseBanded(s.accum, bank.Radius())
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lsopc/internal/engine"
+	"lsopc/internal/fft"
 	"lsopc/internal/grid"
 )
 
@@ -232,46 +233,59 @@ func TestForwardFillsCornerImages(t *testing.T) {
 
 // TestGradientMatchesFiniteDifference is the central correctness check
 // for Eq. 11: the analytic adjoint must match central finite
-// differences of the cost at randomly probed mask pixels.
+// differences of the cost at randomly probed mask pixels, with the
+// per-kernel fields on the full grid and on a reduced one.
 func TestGradientMatchesFiniteDifference(t *testing.T) {
-	for _, cond := range AllConditions {
-		s := testSim(t, 3)
-		n := s.GridSize()
-		mask := centeredRectMask(n, 14, 10)
-		// Soften the mask so probes sit in the sigmoid's active range.
-		for i := range mask.Data {
-			mask.Data[i] = 0.2 + 0.6*mask.Data[i]
+	for _, g := range warmGrids {
+		for _, cond := range AllConditions {
+			gradientMatchesFiniteDifference(t, g, cond)
 		}
-		target := centeredRectMask(n, 14, 10)
+	}
+}
 
-		// Analytic gradient.
-		spec := s.MaskSpectrum(mask)
-		imgs := NewCornerImages(n)
-		s.Forward(imgs, spec, cond)
-		grad := grid.NewField(n, n)
-		s.GradientInto(grad, spec, cond, target, imgs.R, 1)
+func gradientMatchesFiniteDifference(t *testing.T, g warmGrid, cond Condition) {
+	cfg := DefaultConfig(g.n, g.pixelNM)
+	cfg.Optics.Kernels = 3
+	s, err := NewSimulator(cfg, engine.CPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReduced(t, s, g.reduced)
+	n := s.GridSize()
+	mask := centeredRectMask(n, 14, 10)
+	// Soften the mask so probes sit in the sigmoid's active range.
+	for i := range mask.Data {
+		mask.Data[i] = 0.2 + 0.6*mask.Data[i]
+	}
+	target := centeredRectMask(n, 14, 10)
 
-		cost := func(m *grid.Field) float64 {
-			sp := s.MaskSpectrum(m)
-			out := NewCornerImages(n)
-			s.Forward(out, sp, cond)
-			return CostAt(out.R, target)
-		}
+	// Analytic gradient.
+	spec := s.MaskSpectrum(mask)
+	imgs := NewCornerImages(n)
+	s.Forward(imgs, spec, cond)
+	grad := grid.NewField(n, n)
+	s.GradientInto(grad, spec, cond, target, imgs.R, 1)
 
-		const h = 1e-5
-		probes := [][2]int{{n / 2, n / 2}, {n/2 - 7, n / 2}, {n / 2, n/2 - 5}, {n/2 + 3, n/2 + 2}, {4, 4}}
-		for _, p := range probes {
-			x, y := p[0], p[1]
-			m := mask.Clone()
-			m.Set(x, y, mask.At(x, y)+h)
-			up := cost(m)
-			m.Set(x, y, mask.At(x, y)-h)
-			down := cost(m)
-			fd := (up - down) / (2 * h)
-			an := grad.At(x, y)
-			if math.Abs(fd-an) > 1e-4*(1+math.Abs(fd)) {
-				t.Errorf("%v: gradient at (%d,%d): analytic %g vs FD %g", cond, x, y, an, fd)
-			}
+	cost := func(m *grid.Field) float64 {
+		sp := s.MaskSpectrum(m)
+		out := NewCornerImages(n)
+		s.Forward(out, sp, cond)
+		return CostAt(out.R, target)
+	}
+
+	const h = 1e-5
+	probes := [][2]int{{n / 2, n / 2}, {n/2 - 7, n / 2}, {n / 2, n/2 - 5}, {n/2 + 3, n/2 + 2}, {4, 4}}
+	for _, p := range probes {
+		x, y := p[0], p[1]
+		m := mask.Clone()
+		m.Set(x, y, mask.At(x, y)+h)
+		up := cost(m)
+		m.Set(x, y, mask.At(x, y)-h)
+		down := cost(m)
+		fd := (up - down) / (2 * h)
+		an := grad.At(x, y)
+		if math.Abs(fd-an) > 1e-4*(1+math.Abs(fd)) {
+			t.Errorf("%d px %v: gradient at (%d,%d): analytic %g vs FD %g", n, cond, x, y, an, fd)
 		}
 	}
 }
@@ -316,17 +330,38 @@ func TestNewWithBanksRejectsMismatchedGrid(t *testing.T) {
 	}
 }
 
+// TestMaskSpectrumInto checks the band-pruned mask spectrum on the bins
+// it defines, |u|, |v| ≤ r: they equal the full real-input transform bit
+// for bit and the complex path (MaskSpectrum) up to rounding.
 func TestMaskSpectrumInto(t *testing.T) {
-	s := testSim(t, 2)
-	n := s.GridSize()
-	mask := centeredRectMask(n, 8, 8)
-	a := s.MaskSpectrum(mask)
-	b := grid.NewCField(n, n)
-	s.MaskSpectrumInto(b, mask)
-	// MaskSpectrumInto uses the real-input fast path; the complex path
-	// is the reference, so this doubles as a cross-check of the two.
-	if !a.Equal(b, 1e-9) {
-		t.Fatal("MaskSpectrumInto differs from MaskSpectrum")
+	for _, g := range warmGrids {
+		cfg := DefaultConfig(g.n, g.pixelNM)
+		cfg.Optics.Kernels = 2
+		s, err := NewSimulator(cfg, engine.CPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, r := s.GridSize(), s.Resources().Radius()
+		if 2*r+1 >= n {
+			t.Fatalf("%d px: band %d covers the grid; the pruning is untested", n, r)
+		}
+		mask := centeredRectMask(n, 8, 8)
+		a := s.MaskSpectrum(mask)
+		full := grid.NewCField(n, n)
+		fft.NewPlan2D(n, n, engine.CPU()).ForwardReal(full, mask, -1)
+		b := grid.NewCField(n, n)
+		s.MaskSpectrumInto(b, mask)
+		for v := -r; v <= r; v++ {
+			for u := -r; u <= r; u++ {
+				i := (v+n)%n*n + (u+n)%n
+				if b.Data[i] != full.Data[i] {
+					t.Fatalf("%d px: bin (%d,%d) = %v, full transform %v", n, u, v, b.Data[i], full.Data[i])
+				}
+				if d := b.Data[i] - a.Data[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
+					t.Fatalf("%d px: bin (%d,%d) = %v, complex path %v", n, u, v, b.Data[i], a.Data[i])
+				}
+			}
+		}
 	}
 }
 
@@ -351,7 +386,7 @@ func TestSiblingSharesBanksNotScratch(t *testing.T) {
 
 	// Mutable scratch is private: no buffer may be shared, or concurrent
 	// sessions would corrupt each other.
-	if s2.field == s.field || s2.accum == s.accum || s2.ampSpec == s.ampSpec {
+	if s2.accum == s.accum {
 		t.Fatal("sibling aliases complex scratch")
 	}
 	if s2.sens == s.sens || s2.aerial == s.aerial {

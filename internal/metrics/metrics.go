@@ -12,6 +12,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lsopc/internal/geom"
 	"lsopc/internal/grid"
@@ -170,8 +171,30 @@ func PVBand(outer, inner *grid.Field, pixelNM float64) float64 {
 // returning the label field (0 = background, labels start at 1) and the
 // component count.
 func labelComponents(img *grid.Field) ([]int32, int) {
+	labels := make([]int32, len(img.Data))
+	return labels, labelInto(labels, img)
+}
+
+// labelBufs recycles the label fields of ShapeViolations, which every
+// Evaluate call runs on two full-grid images: without it each call
+// leaves two grid-sized arrays of garbage.
+var labelBufs sync.Pool // of *[]int32
+
+// leaseLabels returns a zeroed label field of n entries from labelBufs.
+func leaseLabels(n int) *[]int32 {
+	if b, ok := labelBufs.Get().(*[]int32); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		clear(*b)
+		return b
+	}
+	b := make([]int32, n)
+	return &b
+}
+
+// labelInto is labelComponents into the zeroed label field labels; it
+// returns the component count.
+func labelInto(labels []int32, img *grid.Field) int {
 	w, h := img.W, img.H
-	labels := make([]int32, w*h)
 	next := int32(0)
 	var stack []int32
 	for start := range img.Data {
@@ -198,7 +221,7 @@ func labelComponents(img *grid.Field) ([]int32, int) {
 			}
 		}
 	}
-	return labels, int(next)
+	return int(next)
 }
 
 // ShapeViolations approximates the contest's visual shape check by
@@ -207,8 +230,11 @@ func labelComponents(img *grid.Field) ([]int32, int) {
 // two target shapes, and break of one target shape into several printed
 // pieces counts as one violation.
 func ShapeViolations(printed, target *grid.Field) int {
-	tLabels, tN := labelComponents(target)
-	pLabels, pN := labelComponents(printed)
+	tBuf, pBuf := leaseLabels(len(target.Data)), leaseLabels(len(printed.Data))
+	defer labelBufs.Put(tBuf)
+	defer labelBufs.Put(pBuf)
+	tLabels, pLabels := *tBuf, *pBuf
+	tN, pN := labelInto(tLabels, target), labelInto(pLabels, printed)
 	if tN == 0 {
 		return pN // everything printed is stray
 	}

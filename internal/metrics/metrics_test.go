@@ -297,3 +297,25 @@ func TestReportString(t *testing.T) {
 		t.Fatal("empty report string")
 	}
 }
+
+// TestShapeViolationsReusesLabels: the recycled label fields come back
+// zeroed, so interleaved calls on different images and grid sizes give
+// the same counts as the first call on each.
+func TestShapeViolationsReusesLabels(t *testing.T) {
+	target := rasterLayout(t, &geom.Layout{W: 128, H: 128, Rects: []geom.Rect{
+		geom.NewRect(10, 10, 40, 40), geom.NewRect(50, 10, 80, 40),
+	}}, 1)
+	bridged := rasterLayout(t, squareLayout(128, 10, 10, 80, 40), 1)
+	small := rasterLayout(t, squareLayout(64, 10, 10, 40, 40), 1)
+	for i := 0; i < 3; i++ {
+		if got := ShapeViolations(bridged, target); got != 1 {
+			t.Fatalf("round %d: bridge: %d violations, want 1", i, got)
+		}
+		if got := ShapeViolations(target, target); got != 0 {
+			t.Fatalf("round %d: perfect print has %d violations", i, got)
+		}
+		if got := ShapeViolations(small, small); got != 0 {
+			t.Fatalf("round %d: 64 px perfect print has %d violations", i, got)
+		}
+	}
+}

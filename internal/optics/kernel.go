@@ -73,16 +73,17 @@ func (k Kernel) MulInto(dst, src *grid.CField) {
 // outside the band and treats it as exactly zero — together they are
 // bit-identical to MulInto followed by a full inverse, at a fraction of
 // the memory traffic.
+//
+// dst may be a smaller square grid than src: the box bins are read at
+// their wrapped src index and written at their wrapped dst index, so the
+// product lands on the m×m grid that holds the band-limited field
+// exactly (the reduced SOCS grid). On equal grids the indices coincide.
 func (k Kernel) MulIntoBand(dst, src *grid.CField) {
-	if !dst.SameShape(src) {
-		panic("optics: MulIntoBand shape mismatch")
-	}
-	n := dst.W
-	k.checkGrid(n)
+	n, m := k.checkPair(dst, src, "MulIntoBand")
 	side := k.boxSide()
 	for bv := 0; bv < side; bv++ {
 		v := bv - k.R
-		row := dst.Data[gridIndex(0, v, n) : gridIndex(0, v, n)+n]
+		row := dst.Data[gridIndex(0, v, m) : gridIndex(0, v, m)+m]
 		for i := range row {
 			row[i] = 0
 		}
@@ -91,8 +92,8 @@ func (k Kernel) MulIntoBand(dst, src *grid.CField) {
 			if c == 0 {
 				continue
 			}
-			gi := gridIndex(bu-k.R, v, n)
-			dst.Data[gi] = src.Data[gi] * c
+			u := bu - k.R
+			row[gridIndex(u, 0, m)] = src.Data[gridIndex(u, v, n)] * c
 		}
 	}
 }
@@ -100,12 +101,11 @@ func (k Kernel) MulIntoBand(dst, src *grid.CField) {
 // AccumFlipMul accumulates dst += w · src ⊙ spectrum(flip(h_k)), the
 // adjoint ("h†") multiply of the ILT gradient (Eq. 11). The flipped
 // spectrum's support is the mirrored box, handled by index reflection.
+// src may be a smaller square grid than dst (the reduced SOCS grid):
+// each bin is read at its wrapped src index and accumulated at its
+// wrapped dst index.
 func (k Kernel) AccumFlipMul(dst, src *grid.CField, w complex128) {
-	if !dst.SameShape(src) {
-		panic("optics: AccumFlipMul shape mismatch")
-	}
-	n := dst.W
-	k.checkGrid(n)
+	n, m := k.checkPair(src, dst, "AccumFlipMul")
 	side := k.boxSide()
 	for bv := 0; bv < side; bv++ {
 		v := bv - k.R
@@ -115,10 +115,22 @@ func (k Kernel) AccumFlipMul(dst, src *grid.CField, w complex128) {
 				continue
 			}
 			// spectrum(flip(h))(−u,−v) = spectrum(h)(u,v).
-			gi := gridIndex(-(bu - k.R), -v, n)
-			dst.Data[gi] += w * src.Data[gi] * c
+			u := bu - k.R
+			dst.Data[gridIndex(-u, -v, n)] += w * src.Data[gridIndex(-u, -v, m)] * c
 		}
 	}
+}
+
+// checkPair panics unless small and large are square grids with small
+// no larger than large and the kernel box fitting small; it returns the
+// large and small edge lengths.
+func (k Kernel) checkPair(small, large *grid.CField, op string) (n, m int) {
+	n, m = large.W, small.W
+	if large.H != n || small.H != m || m > n {
+		panic(fmt.Sprintf("optics: %s shape mismatch: %dx%d vs %dx%d", op, small.W, small.H, large.W, large.H))
+	}
+	k.checkGrid(m)
+	return n, m
 }
 
 // Dense expands the kernel spectrum onto a full n×n grid (wrapped FFT

@@ -126,3 +126,40 @@ func TestKernelRejectsOversizedGrid(t *testing.T) {
 	}()
 	k.MulInto(small, small.Clone())
 }
+
+// TestBandMultipliesAcrossGrids pins the reduced-grid forms of the two
+// band multiplies: MulIntoBand onto a smaller grid writes the box
+// product at each bin's wrapped index there (and zeroes the rest of the
+// band rows), and AccumFlipMul from a smaller grid equals the same-grid
+// multiply of that field zero-padded to the large grid, bit for bit.
+func TestBandMultipliesAcrossGrids(t *testing.T) {
+	const n, m, r = 32, 8, 3
+	k := Kernel{Weight: 0.5, R: r, Box: randSpec(2*r+1, 3)}
+	src := randSpec(n, 4)
+	full := grid.NewCField(n, n)
+	k.MulInto(full, src)
+	small := randSpec(m, 5) // stale data the band rows must overwrite
+	k.MulIntoBand(small, src)
+	padded := grid.NewCField(n, n)
+	for v := -r; v <= r; v++ {
+		for u := -m / 2; u < m/2; u++ {
+			got := small.Data[gridIndex(u, v, m)]
+			want := complex128(0)
+			if u >= -r && u <= r {
+				want = full.Data[gridIndex(u, v, n)]
+				padded.Data[gridIndex(u, v, n)] = got
+			}
+			if got != want {
+				t.Fatalf("MulIntoBand bin (%d,%d) = %v, want %v", u, v, got, want)
+			}
+		}
+	}
+
+	acc := randSpec(n, 6)
+	ref := acc.Clone()
+	k.AccumFlipMul(acc, small, 0.37i)
+	k.AccumFlipMul(ref, padded, 0.37i)
+	if !acc.Equal(ref, 0) {
+		t.Fatal("AccumFlipMul from the small grid differs from the zero-padded field")
+	}
+}

@@ -13,8 +13,10 @@
 //	I(x,y) = Σ_k μ_k |h_k ⊗ M|².
 //
 // Like the contest model this gives a band-limited quadratic imaging
-// operator with a dominant kernel and decaying higher-order terms; the
-// optimizer never sees anything but {μ_k, spectrum(h_k)} either way.
+// operator. Unlike the contest's eigen-kernels, whose weights decay from
+// a dominant first kernel, the Vogel-spiral samples cover equal source
+// areas and carry uniform weights μ_k = 1/K; the optimizer never sees
+// anything but {μ_k, spectrum(h_k)} either way.
 //
 // Defocus is modelled as the standard propagation phase
 // exp(i·2πδ(√((n/λ)² − |f|²) − n/λ)) across the pupil, with n the

@@ -2,11 +2,13 @@ package procwin
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lsopc/internal/engine"
 	"lsopc/internal/fft"
 	"lsopc/internal/grid"
+	"lsopc/internal/litho"
 	"lsopc/internal/rt"
 )
 
@@ -75,54 +77,95 @@ func blockMask(n int, seed uint64) *grid.Field {
 
 // TestSweepMatchesDensePerKernelSweep pins the session sweep to the dense
 // per-kernel sweep on the default 6×5 matrix, whose inner focus values
-// need banks the session does not hold: from one mask spectrum every
-// focus aerial is bit-identical, so is every CD; from the complex mask
-// transform the old sweep took, the CDs still agree. Serial and
-// three-worker sessions give the same result.
+// need banks the session does not hold. On the 64 px grid the per-kernel
+// fields run on the full grid: from one mask spectrum every focus aerial
+// is bit-identical, so is every CD; from the complex mask transform the
+// old sweep took, the CDs still agree. On the 128 px / 8 nm grid they run
+// on the reduced 64² grid: every focus aerial agrees with the dense one
+// to a relative 1e-12 and every CD is equal. Serial and three-worker
+// sessions give the same result.
 func TestSweepMatchesDensePerKernelSweep(t *testing.T) {
-	const n = 64
-	masks := map[string]*grid.Field{
-		"line8":   lineMask(n, 4),
-		"line12":  lineMask(n, 6),
-		"blocks1": blockMask(n, 1),
-		"blocks2": blockMask(n, 2),
-	}
-	cuts := []CutLine{{X: 32, Y: 32, Horizontal: true}, {X: 30, Y: 20}}
-	for _, eng := range []*engine.Engine{engine.CPU(), engine.New("pw-test", 3)} {
-		a, err := New(DefaultConfig(testLitho()), testSim(t, eng))
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range []struct {
+		n       int
+		pixelNM float64
+		reduced bool
+		cuts    []CutLine
+	}{
+		{64, 32, false, []CutLine{{X: 32, Y: 32, Horizontal: true}, {X: 30, Y: 20}}},
+		{128, 8, true, []CutLine{{X: 64, Y: 64, Horizontal: true}, {X: 60, Y: 40}}},
+	} {
+		n := g.n
+		masks := map[string]*grid.Field{
+			"line8":   lineMask(n, 4),
+			"line12":  lineMask(n, 6),
+			"blocks1": blockMask(n, 1),
+			"blocks2": blockMask(n, 2),
 		}
-		for name, mask := range masks {
-			for _, cut := range cuts {
-				label := fmt.Sprintf("%s/%s/%+v", eng.Name(), name, cut)
-				got, err := a.Sweep(mask, cut)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got.Points) != 6*5 {
-					t.Fatalf("%s: %d points, want 30", label, len(got.Points))
-				}
-				ref, refAerials := referenceSweep(t, a, mask, cut, true)
-				assertSameResult(t, label, got, ref)
-				dense, _ := referenceSweep(t, a, mask, cut, false)
-				assertSameResult(t, label+" complex spectrum", got, dense)
-
-				spec := grid.NewCField(n, n)
-				a.sim.MaskSpectrumInto(spec, mask)
-				aerial := grid.NewField(n, n)
-				for fi, f := range a.cfg.FocusValues() {
-					if err := a.sim.AerialAtFocus(aerial, spec, f); err != nil {
+		lc := litho.DefaultConfig(n, g.pixelNM)
+		lc.Optics.Kernels = 4
+		for _, eng := range []*engine.Engine{engine.CPU(), engine.New("pw-test", 3)} {
+			sim, err := litho.NewSimulator(lc, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := sim.ReducedGrid(); (m < n) != g.reduced {
+				t.Fatalf("%d px: per-kernel grid %d, want reduced = %v", n, m, g.reduced)
+			}
+			a, err := New(DefaultConfig(lc), sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, mask := range masks {
+				for _, cut := range g.cuts {
+					label := fmt.Sprintf("%d px/%s/%s/%+v", n, eng.Name(), name, cut)
+					got, err := a.Sweep(mask, cut)
+					if err != nil {
 						t.Fatal(err)
 					}
-					for i, v := range aerial.Data {
-						if v != refAerials[fi].Data[i] {
-							t.Fatalf("%s: focus %g aerial differs at %d: %v vs %v", label, f, i, v, refAerials[fi].Data[i])
+					if len(got.Points) != 6*5 {
+						t.Fatalf("%s: %d points, want 30", label, len(got.Points))
+					}
+					ref, refAerials := referenceSweep(t, a, mask, cut, true)
+					assertSameResult(t, label, got, ref)
+					dense, _ := referenceSweep(t, a, mask, cut, false)
+					assertSameResult(t, label+" complex spectrum", got, dense)
+
+					spec := grid.NewCField(n, n)
+					a.sim.MaskSpectrumInto(spec, mask)
+					aerial := grid.NewField(n, n)
+					for fi, f := range a.cfg.FocusValues() {
+						if err := a.sim.AerialAtFocus(aerial, spec, f); err != nil {
+							t.Fatal(err)
 						}
+						assertAerial(t, fmt.Sprintf("%s: focus %g", label, f), aerial, refAerials[fi], g.reduced)
 					}
 				}
 			}
+			sim.Release()
 		}
+	}
+}
+
+// assertAerial checks a session aerial against the dense one: bit for
+// bit on the full grid, within a relative 1e-12 on a reduced one.
+func assertAerial(t *testing.T, label string, got, ref *grid.Field, reduced bool) {
+	t.Helper()
+	if !reduced {
+		for i, v := range got.Data {
+			if v != ref.Data[i] {
+				t.Fatalf("%s aerial differs at %d: %v vs %v", label, i, v, ref.Data[i])
+			}
+		}
+		return
+	}
+	var num, den float64
+	for i, v := range got.Data {
+		d := v - ref.Data[i]
+		num += d * d
+		den += ref.Data[i] * ref.Data[i]
+	}
+	if e := math.Sqrt(num / den); e > 1e-12 {
+		t.Fatalf("%s aerial relative error %.3g > 1e-12", label, e)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"lsopc/internal/grid"
@@ -31,15 +32,20 @@ func ReadPGM(r io.Reader) (*grid.Field, error) {
 			return nil, fmt.Errorf("render: bad PGM header token %q", tok)
 		}
 	}
-	if w <= 0 || h <= 0 {
+	if w <= 0 || h <= 0 || h > math.MaxInt/w {
 		return nil, fmt.Errorf("render: bad PGM dimensions %dx%d", w, h)
 	}
 	if maxval <= 0 || maxval > 255 {
 		return nil, fmt.Errorf("render: unsupported PGM maxval %d", maxval)
 	}
-	pixels := make([]byte, w*h)
-	if _, err := io.ReadFull(br, pixels); err != nil {
-		return nil, fmt.Errorf("render: short PGM payload: %w", err)
+	// Read the payload as it arrives instead of allocating the declared
+	// w·h bytes up front: a header is untrusted and may claim terabytes.
+	pixels, err := io.ReadAll(io.LimitReader(br, int64(w*h)))
+	if err != nil {
+		return nil, fmt.Errorf("render: reading PGM payload: %w", err)
+	}
+	if len(pixels) != w*h {
+		return nil, fmt.Errorf("render: short PGM payload: %d of %d bytes: %w", len(pixels), w*h, io.ErrUnexpectedEOF)
 	}
 	f := grid.NewField(w, h)
 	scale := 1 / float64(maxval)

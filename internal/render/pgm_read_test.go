@@ -67,6 +67,10 @@ func TestReadPGMErrors(t *testing.T) {
 		"big maxval":  "P5\n1 1\n65535\n\x00\x00",
 		"short data":  "P5\n4 4\n255\n\x00\x01",
 		"empty input": "",
+		// Headers claiming more pixels than memory holds, or than an
+		// int can count, must fail on the missing payload.
+		"huge dims":     "P5 6 6666666666666 6",
+		"overflow dims": "P5\n4611686018427387904 4\n255\n\x00",
 	}
 	for name, src := range cases {
 		if _, err := ReadPGM(strings.NewReader(src)); err == nil {

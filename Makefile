@@ -22,7 +22,8 @@
 #               is a nested module that the root go test never compiles
 #   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
 #               (GLP layouts, PGM masks, gob checkpoints), the 1-D
-#               FFT kernel against its reference loop, and the reduced-
+#               FFT kernel against its reference loop, the real-output
+#               banded inverse against the complex one, and the reduced-
 #               grid SOCS aerial and gradient against the dense
 #               full-grid reference
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
@@ -42,11 +43,13 @@ test:
 
 # The packages whose correctness depends on goroutine scheduling: the
 # engine worker pool, the batched FFT passes, the litho paths that fan
-# kernels/corners across workers, the session runtime (pool + banks),
+# kernels/corners across workers, the distance transform that fans its
+# column and row passes across workers (levelset), the optimizer's
+# fused level-set tail (core), the session runtime (pool + banks),
 # the observability layer (shared sinks, atomic metrics), and the root
 # package's concurrent-pipeline equivalence and trace-integrity tests.
 race:
-	$(GO) test -race ./internal/engine ./internal/fft ./internal/litho ./internal/core ./internal/pixelilt ./internal/rt ./internal/obs ./internal/obs/recorder ./internal/solve ./internal/tiling .
+	$(GO) test -race ./internal/engine ./internal/fft ./internal/litho ./internal/levelset ./internal/core ./internal/pixelilt ./internal/rt ./internal/obs ./internal/obs/recorder ./internal/solve ./internal/tiling .
 
 # Instrumented benchmark runs; fails if an emitted JSONL trace is
 # malformed, missing any event family of the taxonomy (DESIGN.md §9),
@@ -130,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
+	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 
 vet:

@@ -9,13 +9,15 @@ import (
 )
 
 // allocOpts returns an option set whose steady-state iteration touches
-// no allocating side channel: no reinitialisation (replaces ψ), no
-// snapshots (clones the mask), and an iteration budget big enough that
-// the pre-sized history slice never regrows.
-func allocOpts(budget int) Options {
+// no allocating side channel: no snapshots (clones the mask), and an
+// iteration budget big enough that the pre-sized history slice never
+// regrows. reinitEvery sets the pixel-exact reinitialisation period
+// (0 disables it); the sub-pixel FMM reinit returns a new ψ and is not
+// covered.
+func allocOpts(budget, reinitEvery int) Options {
 	opts := DefaultOptions()
 	opts.MaxIter = budget
-	opts.ReinitEvery = 0
+	opts.ReinitEvery = reinitEvery
 	opts.SnapshotEvery = 0
 	opts.Tolerance = 0 // never converge inside the measured window
 	return opts
@@ -23,8 +25,8 @@ func allocOpts(budget int) Options {
 
 // warmDriver builds an optimizer mid-run: the solve driver constructed
 // and one step taken, so every lazily-reached path is already warm.
-func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget int) (*Optimizer, *solve.Driver) {
-	o, err := New(sim, target, allocOpts(budget))
+func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, reinitEvery int) (*Optimizer, *solve.Driver) {
+	o, err := New(sim, target, allocOpts(budget, reinitEvery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,20 +38,25 @@ func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget i
 	return o, drv
 }
 
+// TestIterationZeroAllocWarm pins the steady-state iteration at zero
+// allocations, without reinitialisation and with a pixel-exact reinit
+// every second iteration (the EDT's scratch is allocated once, by New).
 func TestIterationZeroAllocWarm(t *testing.T) {
-	sim := newTestSim(t, 4)
-	o, drv := warmDriver(t, sim, crossTarget(64), 1000)
-	defer o.Release()
-	if avg := testing.AllocsPerRun(20, func() {
-		drv.Step()
-	}); avg != 0 {
-		t.Fatalf("warm level-set iteration allocates %.1f objects/op, want 0", avg)
+	for _, reinitEvery := range []int{0, 2} {
+		sim := newTestSim(t, 4)
+		o, drv := warmDriver(t, sim, crossTarget(64), 1000, reinitEvery)
+		if avg := testing.AllocsPerRun(20, func() {
+			drv.Step()
+		}); avg != 0 {
+			t.Fatalf("ReinitEvery=%d: warm level-set iteration allocates %.1f objects/op, want 0", reinitEvery, avg)
+		}
+		o.Release()
 	}
 }
 
 func BenchmarkLevelSetIteration(b *testing.B) {
 	sim := newTestSimB(b, 8)
-	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2)
+	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2, 0)
 	defer o.Release()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -155,8 +155,24 @@ func DefaultOptions() Options {
 	}
 }
 
-// Validate checks option sanity.
+// Validate checks option sanity. NaN and ±Inf are rejected up front:
+// every ordered comparison below is false for NaN, so a non-finite
+// value would otherwise slip through.
 func (o Options) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Tolerance", o.Tolerance},
+		{"LambdaT", o.LambdaT},
+		{"PVBWeight", o.PVBWeight},
+		{"CurvatureWeight", o.CurvatureWeight},
+		{"BandWidthPx", o.BandWidthPx},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case o.MaxIter < 1:
 		return fmt.Errorf("core: MaxIter must be ≥ 1, got %d", o.MaxIter)
@@ -270,6 +286,19 @@ type Optimizer struct {
 	groupTasks  []func()
 	costTasks   []func()
 	combineBody func(lo, hi int)
+
+	// The level-set tail (tail.go): engine bodies, the fixed chunking
+	// and its per-chunk partials, the staged operands, and the sums the
+	// velocity sweeps leave for StepSize and GradNorm.
+	gradBody, velocityBody         func(lo, hi int)
+	maskBody, evolveBody, saveBody func(lo, hi int)
+	tailChunks                     int
+	partials                       []float64
+	opWithPrev                     bool
+	opLambda, opDt                 float64
+	opPsi                          *grid.Field
+	gNorm2, maxV                   float64
+	edt                            *levelset.EDT // nil unless pixel-exact reinitialisation
 
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
@@ -396,7 +425,9 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	if opts.ReinitEvery > 0 && !opts.SubpixelReinit {
 		o.reinit = pool.Field(n, n)
 		o.reinitTmp = pool.Field(n, n)
+		o.edt = levelset.NewEDT(n, n, sim.Engine())
 	}
+	o.bindTail()
 	return o, nil
 }
 
@@ -419,6 +450,8 @@ func (o *Optimizer) Release() {
 		g.grad, g.corners = nil, nil
 	}
 	o.groups, o.groupTasks, o.costTasks, o.combineBody = nil, nil, nil, nil
+	o.gradBody, o.velocityBody, o.maskBody, o.evolveBody, o.saveBody = nil, nil, nil, nil, nil
+	o.partials, o.edt = nil, nil
 	o.corner = [3]*litho.GroupCorner{}
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
@@ -523,67 +556,14 @@ type levelStepper Optimizer
 
 // Eval runs lines 7–8 of Algorithm 1 for local iteration i: extract
 // mask, simulate the corners, accumulate the gradient, and form the
-// evolution velocity. All scratch lives on the optimizer and every
-// engine task is pre-bound, so a steady-state call allocates nothing.
+// evolution velocity (with the PRP momentum term of Eqs. 15–16 when CG
+// is enabled). All scratch lives on the optimizer and every engine task
+// is pre-bound, so a steady-state call allocates nothing.
 func (s *levelStepper) Eval(i int) solve.Stats {
 	o := (*Optimizer)(s)
-	levelset.MaskFromPsi(o.mask, o.psi)
+	o.maskFromPsi(o.psi)
 	costNom, costPVB := o.simulate()
-
-	// Velocity (Eq. 10 with our sign convention): v = +G·|∇ψ|.
-	// The paper writes v = −∂L/∂M·|∇ψ| for its ψ orientation; with
-	// ψ < 0 inside and M = H(−ψ) (Eqs. 5–6), dL/dt = −⟨G·δ(ψ), v⟩,
-	// so descent requires v = +G|∇ψ|: raising ψ where ∂L/∂M > 0
-	// retracts the contour there. The PRP momentum term (Eqs.
-	// 15–16) is added when CG is enabled.
-	if o.opts.UseUpwind {
-		// The upwind stencil selects one-sided differences by the
-		// sign of the advection speed, which is G here.
-		levelset.GradMagUpwind(o.gmag, o.psi, o.grad)
-	} else {
-		levelset.GradMag(o.gmag, o.psi)
-	}
-	o.gTerm.Mul(o.grad, o.gmag)
-
-	lambda := 0.0
-	if o.opts.UseCG && i > 0 {
-		lambda = prpCoefficient(o.gTerm, o.gPrev)
-	}
-	if lambda == 0 {
-		o.velocity.CopyFrom(o.gTerm)
-	} else {
-		// v_i = g_i + λ·v_{i−1}; velocity still holds v_{i−1}.
-		for j := range o.velocity.Data {
-			o.velocity.Data[j] = o.gTerm.Data[j] + lambda*o.velocity.Data[j]
-		}
-		// Restart safeguard: the conjugate direction must remain a
-		// descent direction (positively aligned with g, since the
-		// update applies +v). A contour that jumped pixels can
-		// decorrelate the gradients enough to violate this.
-		if o.velocity.Dot(o.gTerm) <= 0 {
-			lambda = 0
-			o.velocity.CopyFrom(o.gTerm)
-		}
-	}
-	if o.opts.CurvatureWeight > 0 {
-		// Mean-curvature smoothing: ψ_t += w·κ|∇ψ| erodes
-		// high-curvature protrusions (κ > 0 on convex contour
-		// segments for ψ < 0 inside).
-		levelset.Curvature(o.curv, o.psi)
-		o.curv.Mul(o.curv, o.gmag)
-		o.velocity.AddScaled(o.curv, o.opts.CurvatureWeight)
-	}
-	o.gPrev.CopyFrom(o.gTerm)
-
-	// Narrow-band restriction: freeze ψ away from the contour.
-	if band := o.opts.BandWidthPx; band > 0 {
-		for j, p := range o.psi.Data {
-			if p > band || p < -band {
-				o.velocity.Data[j] = 0
-			}
-		}
-	}
-
+	lambda := o.velocityFromGradient(o.opts.UseCG && i > 0)
 	return solve.Stats{
 		Cost:        costNom + o.opts.PVBWeight*costPVB,
 		CostNominal: costNom,
@@ -614,22 +594,21 @@ func (o *Optimizer) simulate() (costNom, costPVB float64) {
 // SaveBest copies the current iterate into the keep-best store.
 func (s *levelStepper) SaveBest() {
 	o := (*Optimizer)(s)
-	o.bestMask.CopyFrom(o.mask)
-	o.bestPsi.CopyFrom(o.psi)
+	o.sim.Engine().ForChunk(len(o.mask.Data), o.saveBody)
 }
 
 // StepSize returns the CFL time step under the driver's λ_t scale and
-// the velocity's max abs entry (the convergence statistic, line 12).
+// the velocity's max abs entry (the convergence statistic, line 12),
+// both from the max|v| Eval's velocity sweep left.
 func (s *levelStepper) StepSize(scale float64) (dt, maxV float64) {
 	o := (*Optimizer)(s)
-	maxV = o.velocity.MaxAbs()
-	dt = levelset.TimeStep(scale, o.velocity)
-	return dt, maxV
+	return levelset.TimeStep(scale, o.maxV), o.maxV
 }
 
-// GradNorm returns ‖g‖ for tracing and health verdicts.
+// GradNorm returns ‖g‖ for tracing and health verdicts, from the ‖g‖²
+// Eval's gradient sweep left.
 func (s *levelStepper) GradNorm() float64 {
-	return (*Optimizer)(s).gTerm.Norm()
+	return math.Sqrt((*Optimizer)(s).gNorm2)
 }
 
 // Advance applies lines 5–6 of Algorithm 1: optional exact line search
@@ -652,13 +631,13 @@ func (s *levelStepper) Advance(i int, dt float64) float64 {
 		dt = bestDt
 	}
 
-	levelset.Evolve(o.psi, o.velocity, dt)
+	o.evolve(dt)
 
 	if o.opts.ReinitEvery > 0 && (i+1)%o.opts.ReinitEvery == 0 {
 		if o.opts.SubpixelReinit {
 			o.psi = levelset.ReinitializeFMM(o.psi)
 		} else {
-			levelset.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
+			o.edt.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
 			o.psi.CopyFrom(o.reinit)
 		}
 	}
@@ -733,7 +712,7 @@ func (o *Optimizer) finish(out *solve.Outcome) *Result {
 		History:         historyFromSolve(out.History),
 		Snapshots:       snapshotsFromSolve(out.Snapshots),
 	}
-	levelset.MaskFromPsi(o.mask, o.psi)
+	o.maskFromPsi(o.psi)
 	if o.opts.KeepBest && !math.IsInf(out.BestCost, 1) {
 		res.Mask = o.bestMask.Clone()
 		res.Psi = o.bestPsi.Clone()
@@ -783,7 +762,7 @@ func snapshotsFromSolve(ss []solve.Snapshot) []Snapshot {
 // (it overwrites mask and maskSpec; the caller recomputes them next
 // iteration).
 func (o *Optimizer) costAtPsi(psi *grid.Field) float64 {
-	levelset.MaskFromPsi(o.mask, psi)
+	o.maskFromPsi(psi)
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
 	if o.groups != nil {
 		o.sim.Engine().Parallel(o.costTasks...)
@@ -797,15 +776,15 @@ func (o *Optimizer) costAtPsi(psi *grid.Field) float64 {
 //
 //	λ = (‖g_i‖² − g_i·g_{i−1}) / ‖g_{i−1}‖²
 //
+// from gg = ‖g_i‖², ggPrev = g_i·g_{i−1} and gPrevGPrev = ‖g_{i−1}‖²,
 // with the standard PRP+ safeguard: non-finite or negative values reset
 // the search direction to steepest descent (λ = 0), which is what
 // prevents the jamming the paper mentions.
-func prpCoefficient(g, gPrev *grid.Field) float64 {
-	den := gPrev.Norm2()
-	if den == 0 {
+func prpCoefficient(gg, ggPrev, gPrevGPrev float64) float64 {
+	if gPrevGPrev == 0 {
 		return 0
 	}
-	lambda := (g.Norm2() - g.Dot(gPrev)) / den
+	lambda := (gg - ggPrev) / gPrevGPrev
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda < 0 {
 		return 0
 	}

@@ -66,6 +66,16 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.ReinitEvery = -1 },
 		func(o *Options) { o.SnapshotEvery = -2 },
 		func(o *Options) { o.CurvatureWeight = -1 },
+		func(o *Options) { o.Tolerance = math.NaN() },
+		func(o *Options) { o.Tolerance = math.Inf(1) },
+		func(o *Options) { o.LambdaT = math.NaN() },
+		func(o *Options) { o.LambdaT = math.Inf(1) },
+		func(o *Options) { o.PVBWeight = math.NaN() },
+		func(o *Options) { o.PVBWeight = math.Inf(1) },
+		func(o *Options) { o.CurvatureWeight = math.NaN() },
+		func(o *Options) { o.CurvatureWeight = math.Inf(1) },
+		func(o *Options) { o.BandWidthPx = math.NaN() },
+		func(o *Options) { o.BandWidthPx = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		o := DefaultOptions()
@@ -307,6 +317,9 @@ func TestFinalCostEmptyHistory(t *testing.T) {
 }
 
 func TestPRPCoefficient(t *testing.T) {
+	prpCoefficient := func(g, gPrev *grid.Field) float64 {
+		return prpCoefficient(g.Norm2(), g.Dot(gPrev), gPrev.Norm2())
+	}
 	g := grid.FieldFromData(2, 1, []float64{3, 4})
 	same := g.Clone()
 	// Identical successive gradients: λ = (‖g‖²−‖g‖²)/‖g‖² = 0.

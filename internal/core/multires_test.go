@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
+	"lsopc/internal/grid"
 	"lsopc/internal/obs"
 )
 
@@ -135,9 +135,25 @@ func TestMultiResConvergesNearBaseline(t *testing.T) {
 	}
 }
 
-// TestMultiResWatchdogAbortsPoisonedCoarse: a NaN that poisons the cost
-// during a COARSE level must trip the watchdog there, and the abort must
-// surface at full resolution (the caller's grid), not the coarse one.
+// checkerTarget is a 2-px checkerboard: far below the resolution limit at
+// the coarse pitch, so its coarse PV-band cost is in the hundreds.
+func checkerTarget(n int) *grid.Field {
+	f := grid.NewField(n, n)
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			if (x/2+y/2)%2 == 0 {
+				f.Set(x, y, 1)
+			}
+		}
+	}
+	return f
+}
+
+// TestMultiResWatchdogAbortsPoisonedCoarse: a non-finite cost during a
+// COARSE level must trip the watchdog there, and the abort must surface
+// at full resolution (the caller's grid), not the coarse one. Options
+// must be finite, so the poison is an overflow: the largest finite PVB
+// weight times checkerTarget's PV-band cost is +Inf.
 func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	sim := newTestSim(t, 2)
 	sink := &obs.CollectorSink{}
@@ -145,13 +161,13 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	opts.MaxIter = 12
 	opts.MultiResFactor = 2
 	opts.MultiResIters = 4
-	opts.PVBWeight = math.NaN() // poisons cost from the first (coarse) iteration
+	opts.PVBWeight = math.MaxFloat64 // poisons cost from the first (coarse) iteration
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
 	opts.Sink = sink
 	opts.TraceID = "nan-coarse"
 
-	res, err := RunMultiResolution(context.Background(), sim, crossTarget(64), opts)
+	res, err := RunMultiResolution(context.Background(), sim, checkerTarget(64), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,6 +53,7 @@ type BatchPlan2D struct {
 	// Binding the closures once at construction keeps every batched pass
 	// free of per-call closure allocations (engine bodies escape).
 	opFields    []*grid.CField
+	opReal      *grid.Field // output of the real column pass
 	opInverse   bool
 	opBand      int // row/column band of the banded passes
 	opBlocks    int // column blocks per field (col passes)
@@ -62,6 +63,9 @@ type BatchPlan2D struct {
 	rowBandedBody func(lo, hi int)
 	colBody       func(worker, i int)
 	colColsBody   func(worker, i int)
+	colRealBody   func(worker, i int)
+
+	one [1]*grid.CField // singleton batch of the one-field passes
 }
 
 // NewBatchPlan2D creates a batched 2-D plan for w×h fields executed on
@@ -108,6 +112,7 @@ func NewBatchPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []compl
 		p.col[i] = scratch[i*colBlock*h : (i+1)*colBlock*h]
 	}
 	p.bindBodies()
+	p.bindRealBody()
 	return p
 }
 
@@ -242,6 +247,58 @@ func (p *BatchPlan2D) bindBodies() {
 	}
 }
 
+// bindRealBody creates the column body of InverseRealBanded. Work item
+// i covers the column pairs [i·colBlock, (i+1)·colBlock): each pair
+// (2c, 2c+1) is gathered as the one complex sequence Y₀ + i·Y₁ into
+// per-worker scratch, inverse-transformed once, and its real and
+// imaginary parts are scattered to the two real output columns.
+func (p *BatchPlan2D) bindRealBody() {
+	p.colRealBody = func(worker, i int) {
+		w, h, inBand := p.w, p.h, p.opBand
+		banded := inBand >= 0 && 2*inBand+1 < h
+		data, out := p.opFields[0].Data, p.opReal.Data
+		c0 := i * colBlock
+		np := min(colBlock, w/2-c0)
+		x0 := 2 * c0
+		s := p.col[worker]
+		gather := func(y int) {
+			row := data[y*w+x0 : y*w+x0+2*np]
+			for c := 0; c < np; c++ {
+				a, b := row[2*c], row[2*c+1]
+				s[c*h+y] = complex(real(a)-imag(b), imag(a)+real(b))
+			}
+		}
+		if banded {
+			for y := 0; y <= inBand; y++ {
+				gather(y)
+			}
+			for c := 0; c < np; c++ {
+				seg := s[c*h : (c+1)*h]
+				for y := inBand + 1; y < h-inBand; y++ {
+					seg[y] = 0
+				}
+			}
+			for y := h - inBand; y < h; y++ {
+				gather(y)
+			}
+		} else {
+			for y := 0; y < h; y++ {
+				gather(y)
+			}
+		}
+		for c := 0; c < np; c++ {
+			p.colPlan.Inverse(s[c*h : (c+1)*h])
+		}
+		for y := 0; y < h; y++ {
+			row := out[y*w+x0 : y*w+x0+2*np]
+			for c := 0; c < np; c++ {
+				z := s[c*h+y]
+				row[2*c], row[2*c+1] = real(z), imag(z)
+			}
+		}
+	}
+}
+
 // W returns the plan width.
 func (p *BatchPlan2D) W() int { return p.w }
 
@@ -297,6 +354,42 @@ func (p *BatchPlan2D) BatchInverseBanded(fields []*grid.CField, band int) {
 		p.rowPassBanded(fields, band, true)
 		p.colPass(fields, true, band)
 	}
+	mBatchInverseBandedNS.Observe(float64(time.Since(start)))
+}
+
+// InverseRealBanded computes the inverse 2-D DFT (with the 1/(w·h)
+// normalisation) of the Hermitian spectrum src, whose output is real,
+// into dst. src is confined to the wrapped row band |v| ≤ band exactly
+// as for BatchInverseBanded: rows outside it are never read and count
+// as zero. src is used as scratch and holds undefined data on return.
+//
+// After the banded row pass every column of a Hermitian spectrum has a
+// real inverse, so the column pass transforms columns 2c and 2c+1 as
+// one complex sequence Y₀ + i·Y₁ and takes column 2c from the real part
+// and column 2c+1 from the imaginary part: half the column transforms
+// of the complex path and no real-part sweep. The result equals
+// Re(BatchInverseBanded(src)) up to rounding; a non-Hermitian src
+// leaks its anti-Hermitian part into the neighbouring column. band < 0
+// or a band covering the whole grid runs the full row pass.
+func (p *BatchPlan2D) InverseRealBanded(dst *grid.Field, src *grid.CField, band int) {
+	p.one[0] = src
+	p.check(p.one[:])
+	if dst.W != p.w || dst.H != p.h {
+		panic(fmt.Sprintf("fft: field %dx%d does not match batch plan %dx%d", dst.W, dst.H, p.w, p.h))
+	}
+	if p.w < 2 {
+		panic("fft: InverseRealBanded needs a width of at least 2")
+	}
+	start := time.Now()
+	if band < 0 || 2*band+1 >= p.h {
+		p.rowPass(p.one[:], true)
+		band = -1
+	} else {
+		p.rowPassBanded(p.one[:], band, true)
+	}
+	p.opFields, p.opReal, p.opBand = p.one[:], dst, band
+	p.eng.Map((p.w/2+colBlock-1)/colBlock, p.colRealBody)
+	p.opFields, p.opReal, p.one[0] = nil, nil, nil
 	mBatchInverseBandedNS.Observe(float64(time.Since(start)))
 }
 

@@ -288,3 +288,113 @@ func BenchmarkPlan2DForward128x8(b *testing.B) {
 		}
 	}
 }
+
+// hermitianBand returns an n×n spectrum that is exactly Hermitian,
+// X(−k) = conj X(k), inside the box |u|, |v| ≤ band (the whole grid for
+// band < 0) and zero elsewhere in the row band; rows outside the row
+// band hold stale values the banded inverses must never read.
+func hermitianBand(n, band int, seed uint64) *grid.CField {
+	r := lcg(seed)
+	x := grid.NewCField(n, n)
+	in := func(f int) bool { return band < 0 || f <= band || f >= n-band }
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			i := v*n + u
+			switch {
+			case !in(v):
+				x.Data[i] = complex(r.next()*1e3, -r.next()*1e3)
+			case in(u):
+				x.Data[i] = complex(r.next()*2-1, r.next()*2-1)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			if !in(u) || !in(v) {
+				continue
+			}
+			i, j := v*n+u, ((n-v)%n)*n+(n-u)%n
+			if i <= j {
+				a := (x.Data[i] + complex(real(x.Data[j]), -imag(x.Data[j]))) / 2
+				x.Data[i], x.Data[j] = a, complex(real(a), -imag(a))
+			}
+		}
+	}
+	return x
+}
+
+// realBandedTol bounds max|InverseRealBanded − Re(BatchInverseBanded)|
+// relative to max|Re(BatchInverseBanded)|. Both are the same inverse in
+// exact arithmetic; they round differently because each real column is
+// taken from a packed pair. The measured worst case up to 512 px is
+// ~1e-15, so the bound leaves two decades.
+const realBandedTol = 1e-13
+
+// checkInverseRealBanded compares InverseRealBanded of src on every
+// engine with Re of the complex banded inverse: bit-identical across
+// engines, within realBandedTol of the complex path.
+func checkInverseRealBanded(t *testing.T, src *grid.CField, band int, engines []*engine.Engine) {
+	t.Helper()
+	n := src.W
+	ref := src.Clone()
+	NewBatchPlan2D(n, n, engine.CPU()).BatchInverseBanded([]*grid.CField{ref}, band)
+	var refMax float64
+	for _, v := range ref.Data {
+		refMax = math.Max(refMax, math.Abs(real(v)))
+	}
+	var first *grid.Field
+	for _, eng := range engines {
+		got := grid.NewField(n, n)
+		NewBatchPlan2D(n, n, eng).InverseRealBanded(got, src.Clone(), band)
+		var maxErr float64
+		for i, v := range got.Data {
+			maxErr = math.Max(maxErr, math.Abs(v-real(ref.Data[i])))
+		}
+		if maxErr > realBandedTol*refMax {
+			t.Fatalf("n=%d band=%d %s: max error %.3g of max %.3g exceeds %g relative",
+				n, band, eng.Name(), maxErr, refMax, realBandedTol)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for i, v := range got.Data {
+			if v != first.Data[i] {
+				t.Fatalf("n=%d band=%d %s: pixel %d = %v, %s gave %v (must be bit-identical)",
+					n, band, eng.Name(), i, v, engines[0].Name(), first.Data[i])
+			}
+		}
+	}
+}
+
+func TestInverseRealBandedMatchesComplex(t *testing.T) {
+	engines := []*engine.Engine{engine.CPU(), engine.New("gpu3", 3)}
+	for _, n := range []int{64, 128, 256, 512} {
+		r := n/16 + 1
+		for _, band := range []int{r, 2 * r, -1} {
+			checkInverseRealBanded(t, hermitianBand(n, band, uint64(n+band)), band, engines)
+		}
+	}
+}
+
+// FuzzInverseRealBandedMatchesComplex checks InverseRealBanded against
+// the complex banded inverse on exactly Hermitian 64 px spectra: the
+// first byte picks the band, the rest seed the values.
+func FuzzInverseRealBandedMatchesComplex(f *testing.F) {
+	engines := []*engine.Engine{engine.CPU(), engine.New("gpu3", 3)}
+	f.Add([]byte{5, 1, 2, 3})
+	f.Add([]byte{31, 0xff})
+	f.Add([]byte{255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const n = 64
+		band := int(data[0]) - 1 // −1 (full grid) up to beyond the grid
+		var seed uint64
+		for _, b := range data[1:] {
+			seed = seed*131 + uint64(b)
+		}
+		checkInverseRealBanded(t, hermitianBand(n, band, seed), band, engines)
+	})
+}

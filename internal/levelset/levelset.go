@@ -10,8 +10,10 @@
 package levelset
 
 import (
+	"fmt"
 	"math"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 )
 
@@ -54,36 +56,137 @@ func edtSq1D(f, out []float64, v []int, z []float64) {
 	}
 }
 
-// edtSq writes into out the exact Euclidean squared-distance transform
-// of the set {(x,y) : set(x,y) is true}: out(x,y) = min over set pixels
-// p of |(x,y)−p|². Pixels in the set get 0. If the set is empty, every
-// output is +inf. set must not read out.
-func edtSq(out *grid.Field, set func(x, y int) bool) {
-	w, h := out.W, out.H
-	// Column pass.
-	colIn := make([]float64, h)
-	colOut := make([]float64, h)
-	v := make([]int, max(w, h))
-	z := make([]float64, max(w, h)+1)
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			if set(x, y) {
-				colIn[y] = 0
+// The pixel sets the distance transforms measure to. Each is a plain
+// function of one pixel value, so handing one to an EDT allocates
+// nothing; the four spell out Eq. 6's split and its complement exactly,
+// NaN included (a NaN ψ is outside, a NaN mask value in neither set).
+func maskInside(v float64) bool  { return v > 0.5 }
+func maskOutside(v float64) bool { return v <= 0.5 }
+func psiInside(v float64) bool   { return v <= 0 }
+func psiOutside(v float64) bool  { return !(v <= 0) }
+
+// EDT computes exact Euclidean distance transforms on an engine. Its
+// column pass fans the columns across the workers and its row pass the
+// rows; every column and row is an independent 1-D transform with the
+// same arithmetic whichever worker runs it, so the result is
+// bit-identical on every engine. The per-worker scratch is allocated
+// once, at construction, so a reinitialisation allocates nothing.
+//
+// An EDT is NOT safe for concurrent use.
+type EDT struct {
+	w, h    int
+	eng     *engine.Engine
+	scratch []edtScratch // one per worker
+
+	// Operands staged for the pre-bound engine bodies.
+	opOut, opSrc, opTmp *grid.Field
+	opMember            func(float64) bool
+
+	colBody, rowBody func(worker, i int)
+	combineBody      func(lo, hi int)
+}
+
+// edtScratch is one worker's 1-D transform workspace.
+type edtScratch struct {
+	in, out []float64
+	v       []int
+	z       []float64
+}
+
+// NewEDT returns a distance transform for w×h fields on eng (nil means
+// engine.CPU()).
+func NewEDT(w, h int, eng *engine.Engine) *EDT {
+	if eng == nil {
+		eng = engine.CPU()
+	}
+	n := max(w, h)
+	e := &EDT{w: w, h: h, eng: eng, scratch: make([]edtScratch, eng.Workers())}
+	for i := range e.scratch {
+		e.scratch[i] = edtScratch{
+			in:  make([]float64, n),
+			out: make([]float64, n),
+			v:   make([]int, n),
+			z:   make([]float64, n+1),
+		}
+	}
+	e.colBody = func(worker, x int) {
+		s := &e.scratch[worker]
+		w, h, out, src, member := e.w, e.h, e.opOut.Data, e.opSrc.Data, e.opMember
+		in := s.in[:h]
+		for y := range in {
+			if member(src[y*w+x]) {
+				in[y] = 0
 			} else {
-				colIn[y] = inf
+				in[y] = inf
 			}
 		}
-		edtSq1D(colIn, colOut, v, z)
-		for y := 0; y < h; y++ {
-			out.Set(x, y, colOut[y])
+		edtSq1D(in, s.out[:h], s.v, s.z)
+		for y, d := range s.out[:h] {
+			out[y*w+x] = d
 		}
 	}
-	// Row pass.
-	rowOut := make([]float64, w)
-	for y := 0; y < h; y++ {
-		edtSq1D(out.Row(y), rowOut, v, z)
-		copy(out.Row(y), rowOut)
+	e.rowBody = func(worker, y int) {
+		s := &e.scratch[worker]
+		row := e.opOut.Row(y)
+		edtSq1D(row, s.out[:e.w], s.v, s.z)
+		copy(row, s.out[:e.w])
 	}
+	e.combineBody = func(lo, hi int) {
+		psi, tmp := e.opOut.Data[lo:hi], e.opTmp.Data[lo:hi]
+		far := float64(e.w + e.h)
+		for i, dIn := range psi {
+			dOut := tmp[i]
+			switch {
+			case dIn >= inf && dOut >= inf:
+				// Only a pixel in neither set (a NaN mask value) with
+				// both sets empty gets here.
+				psi[i] = 0
+			case dIn >= inf:
+				// No pattern anywhere: everything is far outside.
+				psi[i] = far
+			case dOut >= inf:
+				// No background anywhere: everything is far inside.
+				psi[i] = -far
+			default:
+				psi[i] = math.Sqrt(dIn) - math.Sqrt(dOut)
+			}
+		}
+	}
+	return e
+}
+
+// sq writes into out the exact Euclidean squared-distance transform of
+// the set {p : member(src(p))}: out(p) = min over set pixels q of
+// |p−q|². Pixels in the set get 0; with an empty set every output is
+// +inf. out and src must be distinct.
+func (e *EDT) sq(out, src *grid.Field, member func(float64) bool) {
+	if out.W != e.w || out.H != e.h || src.W != e.w || src.H != e.h {
+		panic(fmt.Sprintf("levelset: %dx%d EDT given fields %dx%d and %dx%d", e.w, e.h, out.W, out.H, src.W, src.H))
+	}
+	e.opOut, e.opSrc, e.opMember = out, src, member
+	e.eng.Map(e.w, e.colBody)
+	e.eng.Map(e.h, e.rowBody)
+	e.opOut, e.opSrc, e.opMember = nil, nil, nil
+}
+
+// signedDistance writes into psi the signed distance between the pixel
+// sets inside and outside of src (see SignedDistance), using tmp as
+// scratch of the same shape. psi, tmp and src must be distinct.
+func (e *EDT) signedDistance(psi, tmp, src *grid.Field, inside, outside func(float64) bool) {
+	e.sq(psi, src, inside)  // squared distance to the pattern, 0 on it
+	e.sq(tmp, src, outside) // squared distance to the background, 0 on it
+	e.opOut, e.opTmp = psi, tmp
+	e.eng.ForChunk(len(psi.Data), e.combineBody)
+	e.opOut, e.opTmp = nil, nil
+}
+
+// ReinitializeInto rebuilds ψ as the exact signed distance function of
+// its own zero sub-level set, writing the new ψ into dst with tmp as
+// scratch, so a caller holding both allocates nothing. dst, tmp and psi
+// must be distinct fields of one shape. The inside set is Eq. 6's
+// ψ ≤ 0, exactly what SignedDistance(MaskFromPsi(ψ)) would read.
+func (e *EDT) ReinitializeInto(dst, tmp, psi *grid.Field) {
+	e.signedDistance(dst, tmp, psi, psiInside, psiOutside)
 }
 
 // SignedDistance computes the signed distance function of the binary
@@ -94,35 +197,8 @@ func edtSq(out *grid.Field, set func(x, y int) bool) {
 // sentinel.
 func SignedDistance(mask *grid.Field) *grid.Field {
 	psi := grid.NewFieldLike(mask)
-	signedDistanceInto(psi, grid.NewFieldLike(mask),
-		func(x, y int) bool { return mask.At(x, y) > 0.5 },
-		func(x, y int) bool { return mask.At(x, y) <= 0.5 })
+	NewEDT(mask.W, mask.H, nil).signedDistance(psi, grid.NewFieldLike(mask), mask, maskInside, maskOutside)
 	return psi
-}
-
-// signedDistanceInto writes into psi the signed distance between the
-// pixel sets inside and outside (see SignedDistance), using tmp as
-// scratch of the same shape. The predicates must not read psi or tmp.
-func signedDistanceInto(psi, tmp *grid.Field, inside, outside func(x, y int) bool) {
-	edtSq(psi, inside)  // squared distance to the pattern, 0 on it
-	edtSq(tmp, outside) // squared distance to the background, 0 on it
-	far := float64(psi.W + psi.H)
-	for i, dIn := range psi.Data {
-		dOut := tmp.Data[i]
-		switch {
-		case dIn >= inf && dOut >= inf:
-			// Unreachable: every pixel is in exactly one set.
-			psi.Data[i] = 0
-		case dIn >= inf:
-			// No pattern anywhere: everything is far outside.
-			psi.Data[i] = far
-		case dOut >= inf:
-			// No background anywhere: everything is far inside.
-			psi.Data[i] = -far
-		default:
-			psi.Data[i] = math.Sqrt(dIn) - math.Sqrt(dOut)
-		}
-	}
 }
 
 // MaskFromPsi extracts the binary mask from the level-set function per
@@ -139,29 +215,28 @@ func MaskFromPsi(dst, psi *grid.Field) {
 
 // GradMag computes |∇ψ| with central differences in the interior and
 // one-sided differences at the borders, writing into dst.
-func GradMag(dst, psi *grid.Field) {
+func GradMag(dst, psi *grid.Field) { GradMagRows(dst, psi, 0, psi.H) }
+
+// GradMagRows is GradMag for the rows [y0, y1) of dst only. It reads ψ
+// one row beyond the range and writes nothing outside it, so disjoint
+// row ranges can run concurrently; the per-pixel arithmetic is the same
+// whatever the range.
+func GradMagRows(dst, psi *grid.Field, y0, y1 int) {
 	w, h := psi.W, psi.H
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var gx, gy float64
-			switch {
-			case x == 0:
-				gx = psi.At(1, y) - psi.At(0, y)
-			case x == w-1:
-				gx = psi.At(w-1, y) - psi.At(w-2, y)
-			default:
-				gx = 0.5 * (psi.At(x+1, y) - psi.At(x-1, y))
-			}
-			switch {
-			case y == 0:
-				gy = psi.At(x, 1) - psi.At(x, 0)
-			case y == h-1:
-				gy = psi.At(x, h-1) - psi.At(x, h-2)
-			default:
-				gy = 0.5 * (psi.At(x, y+1) - psi.At(x, y-1))
-			}
-			dst.Set(x, y, math.Hypot(gx, gy))
+	for y := y0; y < y1; y++ {
+		row, out := psi.Row(y), dst.Row(y)
+		// ∂ψ/∂y = k·(down − up): central inside, one-sided on the
+		// border rows, where k = 1 leaves the difference's bits as is.
+		up, down, k := psi.Row(max(y-1, 0)), psi.Row(min(y+1, h-1)), 0.5
+		if y == 0 || y == h-1 {
+			k = 1
 		}
+		gy := func(x int) float64 { return k * (down[x] - up[x]) }
+		out[0] = math.Hypot(row[1]-row[0], gy(0))
+		for x := 1; x < w-1; x++ {
+			out[x] = math.Hypot(0.5*(row[x+1]-row[x-1]), gy(x))
+		}
+		out[w-1] = math.Hypot(row[w-1]-row[w-2], gy(w-1))
 	}
 }
 
@@ -170,61 +245,60 @@ func GradMag(dst, psi *grid.Field) {
 // differences by the sign of the speed field v at each pixel. This is
 // the numerically stable stencil for strong velocities; the paper's
 // Eq. 10 uses the plain magnitude, which GradMag provides.
-func GradMagUpwind(dst, psi, v *grid.Field) {
+func GradMagUpwind(dst, psi, v *grid.Field) { GradMagUpwindRows(dst, psi, v, 0, psi.H) }
+
+// GradMagUpwindRows is GradMagUpwind for the rows [y0, y1) of dst only,
+// with GradMagRows' contract: ψ is read one row beyond the range and
+// nothing outside it is written.
+func GradMagUpwindRows(dst, psi, v *grid.Field, y0, y1 int) {
 	w, h := psi.W, psi.H
-	at := func(x, y int) float64 {
-		if x < 0 {
-			x = 0
-		}
-		if x >= w {
-			x = w - 1
-		}
-		if y < 0 {
-			y = 0
-		}
-		if y >= h {
-			y = h - 1
-		}
-		return psi.At(x, y)
-	}
-	for y := 0; y < h; y++ {
+	for y := y0; y < y1; y++ {
+		row, out, speed := psi.Row(y), dst.Row(y), v.Row(y)
+		// Borders replicate the edge pixel, so their outward one-sided
+		// difference is exactly zero.
+		up, down := psi.Row(max(y-1, 0)), psi.Row(min(y+1, h-1))
 		for x := 0; x < w; x++ {
-			c := psi.At(x, y)
-			dxm := c - at(x-1, y) // backward
-			dxp := at(x+1, y) - c // forward
-			dym := c - at(x, y-1)
-			dyp := at(x, y+1) - c
-			var gx2, gy2 float64
-			if v.At(x, y) > 0 {
-				// Front moves outward: use max(dxm,0), min(dxp,0).
-				a := math.Max(dxm, 0)
-				b := math.Min(dxp, 0)
-				gx2 = math.Max(a*a, b*b)
-				a = math.Max(dym, 0)
-				b = math.Min(dyp, 0)
-				gy2 = math.Max(a*a, b*b)
-			} else {
-				a := math.Min(dxm, 0)
-				b := math.Max(dxp, 0)
-				gx2 = math.Max(a*a, b*b)
-				a = math.Min(dym, 0)
-				b = math.Max(dyp, 0)
-				gy2 = math.Max(a*a, b*b)
-			}
-			dst.Set(x, y, math.Sqrt(gx2+gy2))
+			c := row[x]
+			dxm := c - row[max(x-1, 0)] // backward
+			dxp := row[min(x+1, w-1)] - c
+			dym := c - up[x]
+			dyp := down[x] - c
+			out[x] = upwindMag(dxm, dxp, dym, dyp, speed[x] > 0)
 		}
 	}
 }
 
+// upwindMag is the Godunov upwind |∇ψ| of one pixel from its backward
+// and forward differences along x and y.
+func upwindMag(dxm, dxp, dym, dyp float64, outward bool) float64 {
+	var gx2, gy2 float64
+	if outward {
+		// Front moves outward: use max(dxm,0), min(dxp,0).
+		a := math.Max(dxm, 0)
+		b := math.Min(dxp, 0)
+		gx2 = math.Max(a*a, b*b)
+		a = math.Max(dym, 0)
+		b = math.Min(dyp, 0)
+		gy2 = math.Max(a*a, b*b)
+	} else {
+		a := math.Min(dxm, 0)
+		b := math.Max(dxp, 0)
+		gx2 = math.Max(a*a, b*b)
+		a = math.Min(dym, 0)
+		b = math.Max(dyp, 0)
+		gy2 = math.Max(a*a, b*b)
+	}
+	return math.Sqrt(gx2 + gy2)
+}
+
 // TimeStep returns the CFL-limited step Δt = λ_t / max|v| (Algorithm 1,
-// line 5). It returns 0 when the velocity is identically zero, which
-// callers treat as convergence.
-func TimeStep(lambda float64, v *grid.Field) float64 {
-	m := v.MaxAbs()
-	if m == 0 {
+// line 5) given maxAbs = max|v|. It returns 0 when the velocity is
+// identically zero, which callers treat as convergence.
+func TimeStep(lambda, maxAbs float64) float64 {
+	if maxAbs == 0 {
 		return 0
 	}
-	return lambda / m
+	return lambda / maxAbs
 }
 
 // Evolve advances the level-set function in place: ψ ← ψ + v·Δt
@@ -235,39 +309,40 @@ func Evolve(psi, v *grid.Field, dt float64) {
 
 // Reinitialize rebuilds ψ as the exact signed distance function of its
 // own zero sub-level set, preserving the contour while restoring the
-// |∇ψ| ≈ 1 property that long evolutions erode. Returns the new ψ.
+// |∇ψ| ≈ 1 property that long evolutions erode. Returns the new ψ; see
+// EDT.ReinitializeInto for the allocation-free, engine-parallel form.
 func Reinitialize(psi *grid.Field) *grid.Field {
 	dst := grid.NewFieldLike(psi)
-	ReinitializeInto(dst, grid.NewFieldLike(psi), psi)
+	NewEDT(psi.W, psi.H, nil).ReinitializeInto(dst, grid.NewFieldLike(psi), psi)
 	return dst
-}
-
-// ReinitializeInto is Reinitialize writing the new ψ into dst, with tmp
-// as scratch, so a caller holding both allocates no field. dst, tmp and
-// psi must be distinct fields of one shape. The inside set is Eq. 6's
-// ψ ≤ 0, exactly what SignedDistance(MaskFromPsi(ψ)) would read.
-func ReinitializeInto(dst, tmp, psi *grid.Field) {
-	signedDistanceInto(dst, tmp,
-		func(x, y int) bool { return psi.At(x, y) <= 0 },
-		func(x, y int) bool { return !(psi.At(x, y) <= 0) })
 }
 
 // Curvature computes the mean curvature κ = div(∇ψ/|∇ψ|) with central
 // differences, used by the optional contour-smoothing regulariser.
 // Border pixels get 0.
-func Curvature(dst, psi *grid.Field) {
+func Curvature(dst, psi *grid.Field) { CurvatureRows(dst, psi, 0, psi.H) }
+
+// CurvatureRows is Curvature for the rows [y0, y1) of dst only, with
+// GradMagRows' contract.
+func CurvatureRows(dst, psi *grid.Field, y0, y1 int) {
 	w, h := psi.W, psi.H
-	dst.Zero()
 	const eps = 1e-12
-	for y := 1; y < h-1; y++ {
+	for y := y0; y < y1; y++ {
+		out := dst.Row(y)
+		if y == 0 || y == h-1 {
+			clear(out)
+			continue
+		}
+		up, row, down := psi.Row(y-1), psi.Row(y), psi.Row(y+1)
+		out[0], out[w-1] = 0, 0
 		for x := 1; x < w-1; x++ {
-			px := 0.5 * (psi.At(x+1, y) - psi.At(x-1, y))
-			py := 0.5 * (psi.At(x, y+1) - psi.At(x, y-1))
-			pxx := psi.At(x+1, y) - 2*psi.At(x, y) + psi.At(x-1, y)
-			pyy := psi.At(x, y+1) - 2*psi.At(x, y) + psi.At(x, y-1)
-			pxy := 0.25 * (psi.At(x+1, y+1) - psi.At(x+1, y-1) - psi.At(x-1, y+1) + psi.At(x-1, y-1))
+			px := 0.5 * (row[x+1] - row[x-1])
+			py := 0.5 * (down[x] - up[x])
+			pxx := row[x+1] - 2*row[x] + row[x-1]
+			pyy := down[x] - 2*row[x] + up[x]
+			pxy := 0.25 * (down[x+1] - up[x+1] - down[x-1] + up[x-1])
 			den := math.Pow(px*px+py*py+eps, 1.5)
-			dst.Set(x, y, (pxx*py*py-2*px*py*pxy+pyy*px*px)/den)
+			out[x] = (pxx*py*py - 2*px*py*pxy + pyy*px*px) / den
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 )
 
@@ -53,7 +54,7 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 		}
 		set := func(x, y int) bool { return m.At(x, y) > 0.5 }
 		got := grid.NewField(n, n)
-		edtSq(got, set)
+		NewEDT(n, n, engine.New("edt3", 3)).sq(got, m, maskInside)
 		want := bruteEDTSq(n, n, set)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("trial %d: EDT disagrees with brute force", trial)
@@ -63,9 +64,10 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 
 func TestEDTSinglePoint(t *testing.T) {
 	const n = 8
-	set := func(x, y int) bool { return x == 3 && y == 5 }
+	m := grid.NewField(n, n)
+	m.Set(3, 5, 1)
 	d := grid.NewField(n, n)
-	edtSq(d, set)
+	NewEDT(n, n, nil).sq(d, m, maskInside)
 	if d.At(3, 5) != 0 {
 		t.Fatal("distance at the set pixel must be 0")
 	}
@@ -76,7 +78,7 @@ func TestEDTSinglePoint(t *testing.T) {
 
 func TestEDTEmptySet(t *testing.T) {
 	d := grid.NewField(4, 4)
-	edtSq(d, func(int, int) bool { return false })
+	NewEDT(4, 4, nil).sq(d, grid.NewField(4, 4), maskInside)
 	for _, v := range d.Data {
 		if v < inf {
 			t.Fatal("empty set must give infinite distances")
@@ -267,11 +269,11 @@ func TestTimeStepCFL(t *testing.T) {
 	v := grid.NewField(4, 4)
 	v.Set(1, 1, -5)
 	v.Set(2, 2, 3)
-	if got := TimeStep(2, v); got != 0.4 {
+	if got := TimeStep(2, v.MaxAbs()); got != 0.4 {
 		t.Fatalf("dt = %g, want 0.4", got)
 	}
 	v.Zero()
-	if TimeStep(2, v) != 0 {
+	if TimeStep(2, v.MaxAbs()) != 0 {
 		t.Fatal("zero velocity must give dt = 0")
 	}
 }
@@ -320,7 +322,9 @@ func TestReinitializePreservesContour(t *testing.T) {
 
 // TestReinitializeIntoMatchesMaskPath pins the allocation-free reinit to
 // its definition, the signed distance of Eq. 6's mask of ψ, bit for bit,
-// with exact zeros and NaNs (both sides of ψ ≤ 0) in the input.
+// with exact zeros and NaNs (both sides of ψ ≤ 0) in the input, on a
+// serial and on parallel engines (the EDT fans its column and row
+// passes across the workers).
 func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(9))
@@ -332,11 +336,13 @@ func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 	mask := grid.NewField(n, n)
 	MaskFromPsi(mask, psi)
 	want := SignedDistance(mask)
-	got, tmp := grid.NewField(n, n), grid.NewField(n, n)
-	ReinitializeInto(got, tmp, psi)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", i, got.Data[i], want.Data[i])
+	for _, eng := range []*engine.Engine{engine.CPU(), engine.New("gpu3", 3), engine.New("gpu8", 8)} {
+		got, tmp := grid.NewField(n, n), grid.NewField(n, n)
+		NewEDT(n, n, eng).ReinitializeInto(got, tmp, psi)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", eng.Name(), i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }

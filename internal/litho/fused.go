@@ -149,7 +149,7 @@ func (s *Simulator) ForwardAndGradientGroup(grad *grid.Field, maskSpec *grid.CFi
 		s.sensitivityTerm(s.sens, c.Out.R, target, scale, i > 0)
 	}
 	s.blurInPlace(s.sens)
-	s.adjoint(bank, maskSpec, s.sens, true)
+	s.adjoint(bank, maskSpec, true)
 	s.applyGradient(grad, weight)
 	d := time.Since(start)
 	mFusedNS.Observe(float64(d))

@@ -11,7 +11,9 @@
 // The per-kernel fields and their adjoint products are computed on the
 // reduced grid, the smallest power-of-two grid that holds the pupil's
 // band exactly (reduced.go); only three band-pruned transforms per call
-// run on the full simulation grid.
+// run on the full simulation grid: two real-output inverses (the aerial
+// upsample and the gradient) and one real-input forward (the
+// sensitivity's low-pass).
 //
 // Corners that share a focus setting (nominal and outer) share their
 // coherent fields, so they can run as one focus group: one SOCS pass and
@@ -149,7 +151,7 @@ type Simulator struct {
 	accum  *grid.CField    // gradient accumulator; full-grid transform scratch
 	fields []*grid.CField  // per-kernel m×m fields E_k (see kernelFields)
 	single [1]*grid.CField // reusable singleton for banded one-field transforms
-	sens   *grid.Field     // resist sensitivity W (hoisted out of the hot path)
+	sens   *grid.Field     // resist sensitivity W, then the adjoint's real output
 	aerial *grid.Field     // aerial temp for PrintedBinary
 
 	// m×m scratch of the reduced path; nil when m == N.
@@ -346,7 +348,7 @@ func (s *Simulator) bindBodies() {
 	s.applyBody = func(lo, hi int) {
 		grad, weight := s.opGrad, s.opScale
 		for i := lo; i < hi; i++ {
-			grad.Data[i] += weight * 2 * real(s.accum.Data[i])
+			grad.Data[i] += weight * 2 * s.sens.Data[i]
 		}
 	}
 }
@@ -476,12 +478,6 @@ func (s *Simulator) MaskSpectrumInto(dst *grid.CField, mask *grid.Field) {
 	s.plan.ForwardReal(dst, mask, s.radius)
 }
 
-// inverseBanded runs the band-limited batched inverse on a single field.
-func (s *Simulator) inverseBanded(c *grid.CField, band int) {
-	s.single[0] = c
-	s.batch.BatchInverseBanded(s.single[:], band)
-}
-
 // materialize fills fields[k] with the per-kernel spectral products
 // spec_k ∘ M̂, fanning the kernels across the engine's workers. Each
 // field is written by exactly one worker, so the result is independent
@@ -569,7 +565,8 @@ func (s *Simulator) AerialAtFocus(dst *grid.Field, maskSpec *grid.CField, defocu
 func (s *Simulator) AerialFast(dst *grid.Field, maskSpec *grid.CField, cond Condition) {
 	bank := s.Bank(cond)
 	bank.Combined.MulIntoBand(s.accum, maskSpec)
-	s.inverseBanded(s.accum, bank.Combined.R)
+	s.single[0] = s.accum
+	s.batch.BatchInverseBanded(s.single[:], bank.Combined.R)
 	s.accum.AbsSqInto(dst)
 	s.blurInPlace(dst)
 	if dose := s.Dose(cond); dose != 1 {
@@ -644,7 +641,7 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 	start := time.Now()
 	bank := s.Bank(cond)
 	s.sensitivity(s.sens, r, target, s.Dose(cond))
-	s.adjoint(bank, maskSpec, s.sens, false)
+	s.adjoint(bank, maskSpec, false)
 	s.applyGradient(grad, weight)
 	d := time.Since(start)
 	mGradientNS.Observe(float64(d))
@@ -652,16 +649,19 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 	s.traceGroup("gradient", group[:], d)
 }
 
-// adjoint runs the adjoint half of Eq. 11 for the sensitivity w into
-// s.accum. fieldsReady says the kernel batch already holds this mask's
-// E_k for bank, as aerialInto leaves it. On a reduced grid w enters
-// through its band-2r samples there, the only part the bins the
+// adjoint runs the adjoint half of Eq. 11 for the sensitivity in
+// s.sens and overwrites s.sens with Re of its spatial result: the
+// sensitivity is fully read before the final inverse writes there.
+// fieldsReady says the kernel batch already holds this mask's E_k for
+// bank, as aerialInto leaves it. On a reduced grid the sensitivity
+// enters through its band-2r samples there, the only part the bins the
 // adjoint reads depend on.
-func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field, fieldsReady bool) {
+func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, fieldsReady bool) {
 	fields := s.kernelFields(len(bank.Kernels))
 	if !fieldsReady {
 		s.coherentFields(bank, maskSpec)
 	}
+	w := s.sens
 	if s.m < s.GridSize() {
 		s.lowPassSamples(s.smallReal, w, 2*bank.Radius())
 		w = s.smallReal
@@ -709,8 +709,11 @@ func (s *Simulator) zeroAccumBand(band int) {
 // fields E_k in fields (which it overwrites) and the sensitivity w on
 // the same grid: every field becomes W ⊙ conj(E_k), one batched
 // output-pruned forward FFT produces the amplitude spectra, and the
-// per-kernel flip-multiplies accumulate into the full-grid s.accum,
-// which is inverse-transformed back to the spatial domain.
+// per-kernel flip-multiplies accumulate into the full-grid s.accum.
+// Only Re of its inverse enters the gradient, and Re of an inverse is
+// the inverse of the spectrum's Hermitian part, so the box is
+// symmetrised and inverse-transformed by one real-output pass into
+// s.sens.
 func (s *Simulator) adjointFromFields(fields []*grid.CField, bank *optics.Bank, w *grid.Field) {
 	s.opFields, s.opW = fields, w
 	s.eng.ForChunk(len(fields)*len(w.Data), s.adjointBody)
@@ -720,10 +723,11 @@ func (s *Simulator) adjointFromFields(fields []*grid.CField, bank *optics.Bank, 
 	for ki, k := range bank.Kernels {
 		k.AccumFlipMul(s.accum, fields[ki], complex(k.Weight, 0))
 	}
-	s.inverseBanded(s.accum, bank.Radius())
+	hermitianPart(s.accum, bank.Radius())
+	s.batch.InverseRealBanded(s.sens, s.accum, bank.Radius())
 }
 
-// applyGradient adds weight·2·Re{accum} into grad.
+// applyGradient adds weight·2·(the adjoint's real output) into grad.
 func (s *Simulator) applyGradient(grad *grid.Field, weight float64) {
 	s.opGrad, s.opScale = grad, weight
 	s.eng.ForChunk(len(grad.Data), s.applyBody)

@@ -21,8 +21,7 @@ import (
 //
 // Every rescale between the grids is a power of two ((m/N)²), so none
 // adds rounding. At m = N the per-kernel batch is the full grid and the
-// three full-grid transforms are skipped: the path is the full-grid one,
-// bit for bit.
+// upsample and low-pass transforms are skipped.
 
 // reducedGrid returns the reduced SOCS grid edge for an n-pixel grid and
 // kernel box radius r: the smallest power of two ≥ 4r+1, capped at n.
@@ -52,26 +51,25 @@ func (s *Simulator) kernelFields(k int) []*grid.CField {
 // upsample sets dst (N×N) to the band-limited image whose m×m samples
 // are small, scaled by (m/N)⁴ to undo the reduced-grid field scale: the
 // small image's spectrum, output-pruned to |u| ≤ band, is copied into
-// the full-grid band and inverse-transformed by one banded pass.
+// the full-grid band and inverse-transformed by one real-output banded
+// pass (the spectrum of a real image is Hermitian).
 func (s *Simulator) upsample(dst, small *grid.Field, band int) {
 	s.smallSpec.SetReal(small)
 	s.single[0] = s.smallSpec
 	s.small.BatchForwardBandedCols(s.single[:], band)
 	copyBand(s.accum, s.smallSpec, band, s.rescale)
-	s.inverseBanded(s.accum, band)
-	s.accum.Real(dst)
+	s.batch.InverseRealBanded(dst, s.accum, band)
 }
 
 // lowPassSamples sets dst (m×m) to the samples of w low-passed to the
 // box |f| ≤ band on the reduced grid: Ŵ output-pruned to the band on the
 // full grid, copied into the small spectrum with the (m/N)² sample
-// scale, and inverse-transformed there. s.accum is its scratch.
+// scale, and inverse-transformed there by a real-output pass. s.accum
+// is its scratch.
 func (s *Simulator) lowPassSamples(dst, w *grid.Field, band int) {
 	s.plan.ForwardReal(s.accum, w, band)
 	copyBand(s.smallSpec, s.accum, band, s.rescale)
-	s.single[0] = s.smallSpec
-	s.small.BatchInverseBanded(s.single[:], band)
-	s.smallSpec.Real(dst)
+	s.small.InverseRealBanded(dst, s.smallSpec, band)
 }
 
 // copyBand zeroes the wrapped row band |v| ≤ band of dst and copies the
@@ -90,6 +88,35 @@ func copyBand(dst, src *grid.CField, band int, scale float64) {
 		srow := src.Data[sv*m : (sv+1)*m]
 		for u := -band; u <= band; u++ {
 			row[(u+n)%n] = srow[(u+m)%m] * c
+		}
+	}
+}
+
+// hermitianPart replaces the wrapped box |u|, |v| ≤ band of c by its
+// Hermitian part (c(k) + conj c(−k))/2, bin pairs set exactly conjugate,
+// so a real-output inverse of the box gives Re of the complex inverse.
+// A band covering the grid symmetrises every bin.
+func hermitianPart(c *grid.CField, band int) {
+	n := c.W
+	in := func(f int) bool { return 2*band+1 >= n || f <= band || f >= n-band }
+	for v := 0; v < n; v++ {
+		if !in(v) {
+			continue
+		}
+		row := c.Data[v*n : (v+1)*n]
+		mirror := c.Data[((n-v)%n)*n : ((n-v)%n+1)*n]
+		for u := range row {
+			if !in(u) {
+				continue
+			}
+			mu := (n - u) % n
+			i, j := v*n+u, ((n-v)%n)*n+mu
+			if i > j {
+				continue
+			}
+			a, b := row[u], mirror[mu]
+			h := complex((real(a)+real(b))/2, (imag(a)-imag(b))/2)
+			row[u], mirror[mu] = h, complex(real(h), -imag(h))
 		}
 	}
 }

@@ -133,6 +133,21 @@ func DefaultOptions(v Variant) Options {
 
 // Validate checks the options.
 func (o Options) Validate() error {
+	// NaN and ±Inf first: the ordered comparisons below are false for
+	// NaN, so a non-finite value would otherwise slip through.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"StepSize", o.StepSize},
+		{"MaskSteepness", o.MaskSteepness},
+		{"PVBWeight", o.PVBWeight},
+		{"NominalPhase", o.NominalPhase},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("pixelilt: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case o.MaxIter < 1:
 		return fmt.Errorf("pixelilt: MaxIter must be ≥ 1, got %d", o.MaxIter)

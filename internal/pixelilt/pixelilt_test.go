@@ -2,7 +2,7 @@ package pixelilt
 
 import (
 	"context"
-
+	"math"
 	"testing"
 
 	"lsopc/internal/engine"
@@ -68,6 +68,14 @@ func TestOptionsValidateRejects(t *testing.T) {
 		func(o *Options) { o.MaskSteepness = -1 },
 		func(o *Options) { o.PVBWeight = -1 },
 		func(o *Options) { o.NominalPhase = 1.5 },
+		func(o *Options) { o.StepSize = math.NaN() },
+		func(o *Options) { o.StepSize = math.Inf(1) },
+		func(o *Options) { o.MaskSteepness = math.NaN() },
+		func(o *Options) { o.MaskSteepness = math.Inf(1) },
+		func(o *Options) { o.PVBWeight = math.NaN() },
+		func(o *Options) { o.PVBWeight = math.Inf(1) },
+		func(o *Options) { o.NominalPhase = math.NaN() },
+		func(o *Options) { o.NominalPhase = math.Inf(-1) },
 	}
 	for i, mut := range bad {
 		o := DefaultOptions(MosaicExact)

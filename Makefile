@@ -21,11 +21,12 @@
 #   make benchsmoke - the repository benchmark's own smoke test; bench/
 #               is a nested module that the root go test never compiles
 #   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
-#               (GLP layouts, PGM masks, gob checkpoints), the 1-D
-#               FFT kernel against its reference loop, the real-output
-#               banded inverse against the complex one, and the reduced-
-#               grid SOCS aerial and gradient against the dense
-#               full-grid reference
+#               (GLP layouts, GDSII streams, PGM masks, gob checkpoints),
+#               the 1-D FFT kernel against its reference loop, the
+#               real-output banded inverse against the complex one, the
+#               reduced-grid SOCS aerial and gradient against the dense
+#               full-grid reference, and the inline resist sigmoid
+#               against the math.Exp form
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -130,11 +131,13 @@ benchsmoke:
 # testdata/fuzz directory, where the plain go test replays them.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGLP$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/geom
+	$(GO) test -run '^$$' -fuzz '^FuzzReadGDS$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/gds
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 
 vet:
 	$(GO) vet ./...

@@ -5,10 +5,11 @@
 //
 // Per iteration the optimizer:
 //  1. extracts the binary mask from the level-set function ψ (Eq. 6),
-//  2. simulates the three process corners as two focus groups —
-//     {nominal, outer} share one best-focus SOCS pass, {inner} runs the
-//     defocused bank — and accumulates the total cost gradient
-//     G = G_nom + w_pvb·(G_outer + G_inner) (Eqs. 11–14),
+//  2. simulates the three process corners in one pass on the session's
+//     engine — nominal and outer share one best-focus SOCS pass, inner
+//     runs the defocused bank — and accumulates the total cost gradient
+//     G = G_nom + w_pvb·(G_outer + G_inner) (Eqs. 11–14) through one
+//     adjoint,
 //  3. forms the evolution velocity v = −G·|∇ψ| + λ^PRP·v_prev
 //     (Eqs. 10, 15, 16),
 //  4. advances ψ by a CFL-limited step Δt = λ_t / max|v| (lines 5–6),
@@ -270,22 +271,11 @@ type Optimizer struct {
 	target *grid.Field
 	opts   Options
 	pool   *rt.Pool
-	// groups holds one focus group per kernel bank when the PV-band cost
-	// is active: nominal and outer share the best-focus bank, so one SOCS
-	// pass and one adjoint serve both, and inner runs the defocused bank.
-	// The groups simulate concurrently on sibling simulators scheduled
-	// on Split sub-engines, so the group fan-out and the per-kernel FFT
-	// fan-out compose without oversubscription. nil when PVBWeight == 0
-	// (nominal-only optimization).
-	groups []*focusGroup
-	// corner points at each condition's entry in its group, indexed by
-	// litho.Condition, so cost terms sum in the fixed
-	// nominal→outer→inner order whatever the grouping.
-	corner [3]*litho.GroupCorner
-	// Pre-bound engine tasks (created once; see Eval and costAtPsi).
-	groupTasks  []func()
-	costTasks   []func()
-	combineBody func(lo, hi int)
+	// corners are the simulated process corners, indexed by
+	// litho.Condition: nominal (weight 1), then outer and inner
+	// (weight w_pvb) when the PV-band cost is active. One litho call
+	// simulates all of them; they request no images, only costs.
+	corners []litho.Corner
 
 	// The level-set tail (tail.go): engine bodies, the fixed chunking
 	// and its per-chunk partials, the staged operands, and the sums the
@@ -303,7 +293,6 @@ type Optimizer struct {
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
 	maskSpec  *grid.CField
-	imgs      *litho.CornerImages
 	grad      *grid.Field // G_i (Eq. 14)
 	gmag      *grid.Field // |∇ψ_i|
 	gTerm     *grid.Field // g_i = G_i·|∇ψ_i|
@@ -324,17 +313,6 @@ type Optimizer struct {
 	released bool
 }
 
-// focusGroup bundles the corners that share one kernel bank with their
-// simulator session and gradient. Each group owns its gradient and image
-// scratch, so the groups can run concurrently; their gradients are
-// combined afterwards in group order, which keeps the total gradient
-// bit-identical for any engine.
-type focusGroup struct {
-	sim     *litho.Simulator
-	corners []litho.GroupCorner
-	grad    *grid.Field
-}
-
 // ErrShapeMismatch is returned when the target does not match the
 // simulator grid.
 var ErrShapeMismatch = errors.New("core: target shape does not match simulator grid")
@@ -353,60 +331,16 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	o := &Optimizer{sim: sim, target: target, opts: opts, pool: sim.Pool()}
 	pool := o.pool
 	if opts.Sink != nil {
-		// Attach before the corner siblings are created so they inherit
-		// the sink and emit per-corner simulate spans under one trace id.
 		sim.SetSink(opts.Sink, opts.TraceID)
 	}
+	o.corners = []litho.Corner{{Cond: litho.Nominal, Weight: 1}}
 	if opts.PVBWeight > 0 {
-		conds := sim.FocusGroups(litho.AllConditions)
-		subs := sim.Engine().Split(len(conds))
-		for i, cs := range conds {
-			gsim, err := sim.Sibling(subs[i])
-			if err != nil {
-				o.Release()
-				return nil, err
-			}
-			g := &focusGroup{sim: gsim, grad: pool.Field(n, n)}
-			for _, cond := range cs {
-				weight := 1.0
-				if cond != litho.Nominal {
-					weight = opts.PVBWeight
-				}
-				g.corners = append(g.corners, litho.GroupCorner{
-					Cond: cond, Weight: weight, Out: litho.LeaseCornerImages(pool, n),
-				})
-			}
-			for j := range g.corners {
-				o.corner[g.corners[j].Cond] = &g.corners[j]
-			}
-			o.groups = append(o.groups, g)
-		}
-		// Bind the per-group simulate and cost-probe tasks and the
-		// gradient combine once, so each iteration reuses them.
-		o.groupTasks = make([]func(), len(o.groups))
-		o.costTasks = make([]func(), len(o.groups))
-		for i, g := range o.groups {
-			o.groupTasks[i] = func() {
-				g.grad.Zero()
-				g.sim.ForwardAndGradientGroup(g.grad, o.maskSpec, o.target, g.corners)
-			}
-			o.costTasks[i] = func() {
-				g.sim.ForwardGroup(o.maskSpec, o.target, g.corners)
-			}
-		}
-		o.combineBody = func(lo, hi int) {
-			d := o.grad.Data[lo:hi]
-			copy(d, o.groups[0].grad.Data[lo:hi])
-			for _, g := range o.groups[1:] {
-				for j, v := range g.grad.Data[lo:hi] {
-					d[j] += v
-				}
-			}
-		}
+		o.corners = append(o.corners,
+			litho.Corner{Cond: litho.Outer, Weight: opts.PVBWeight},
+			litho.Corner{Cond: litho.Inner, Weight: opts.PVBWeight})
 	}
 	o.mask = pool.Field(n, n)
 	o.maskSpec = pool.CField(n, n)
-	o.imgs = litho.LeaseCornerImages(pool, n)
 	o.grad = pool.Field(n, n)
 	o.gmag = pool.Field(n, n)
 	o.gTerm = pool.Field(n, n)
@@ -431,42 +365,29 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	return o, nil
 }
 
-// Release returns the optimizer's leased scratch (including the sibling
-// corner sessions) to the pool. The simulator passed to New is caller-
-// owned and not touched. Results returned by Run remain valid: they own
-// their fields. Release is idempotent and nil-safe.
+// Release returns the optimizer's leased scratch to the pool. The
+// simulator passed to New is caller-owned and not touched. Results
+// returned by Run remain valid: they own their fields. Release is
+// idempotent and nil-safe.
 func (o *Optimizer) Release() {
 	if o == nil || o.released {
 		return
 	}
 	o.released = true
 	pool := o.pool
-	for _, g := range o.groups {
-		g.sim.Release()
-		pool.PutField(g.grad)
-		for _, c := range g.corners {
-			c.Out.ReleaseTo(pool)
-		}
-		g.grad, g.corners = nil, nil
-	}
-	o.groups, o.groupTasks, o.costTasks, o.combineBody = nil, nil, nil, nil
+	o.corners = nil
 	o.gradBody, o.velocityBody, o.maskBody, o.evolveBody, o.saveBody = nil, nil, nil, nil, nil
 	o.partials, o.edt = nil, nil
-	o.corner = [3]*litho.GroupCorner{}
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
-	o.imgs.ReleaseTo(pool)
 	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.curv, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
 		pool.PutField(f)
 	}
-	o.mask, o.maskSpec, o.imgs = nil, nil, nil
+	o.mask, o.maskSpec = nil, nil
 	o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil, nil
 	o.curv, o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil, nil
 	o.reinit, o.reinitTmp = nil, nil
 }
-
-// cost returns the latest cost of one process corner.
-func (o *Optimizer) cost(cond litho.Condition) float64 { return o.corner[cond].Cost }
 
 // Run executes Algorithm 1 and returns the optimized mask. The result
 // owns its fields, so it stays valid after Release.
@@ -579,16 +500,19 @@ func (s *levelStepper) Eval(i int) solve.Stats {
 // outer and inner costs.
 func (o *Optimizer) simulate() (costNom, costPVB float64) {
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-	if o.groups == nil {
-		o.grad.Zero()
-		return o.sim.ForwardAndGradient(o.grad, o.maskSpec, litho.Nominal, o.target, o.imgs, 1), 0
+	o.grad.Zero()
+	o.sim.ForwardAndGradientCorners(o.grad, o.maskSpec, o.target, o.corners)
+	return o.costs()
+}
+
+// costs returns the nominal cost and the summed outer and inner costs
+// of the latest corner simulation (0 without the PV-band cost).
+func (o *Optimizer) costs() (costNom, costPVB float64) {
+	c := o.corners
+	if len(c) == 1 {
+		return c[litho.Nominal].Cost, 0
 	}
-	// The focus groups run concurrently, each on its own sibling
-	// simulator and sub-engine; combine gradients in the fixed group
-	// order so the sum is bit-identical on any engine.
-	o.sim.Engine().Parallel(o.groupTasks...)
-	o.sim.Engine().ForChunk(len(o.grad.Data), o.combineBody)
-	return o.cost(litho.Nominal), o.cost(litho.Outer) + o.cost(litho.Inner)
+	return c[litho.Nominal].Cost, c[litho.Outer].Cost + c[litho.Inner].Cost
 }
 
 // SaveBest copies the current iterate into the keep-best store.
@@ -764,12 +688,9 @@ func snapshotsFromSolve(ss []solve.Snapshot) []Snapshot {
 func (o *Optimizer) costAtPsi(psi *grid.Field) float64 {
 	o.maskFromPsi(psi)
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-	if o.groups != nil {
-		o.sim.Engine().Parallel(o.costTasks...)
-		return o.cost(litho.Nominal) + o.opts.PVBWeight*o.cost(litho.Outer) + o.opts.PVBWeight*o.cost(litho.Inner)
-	}
-	o.sim.Forward(o.imgs, o.maskSpec, litho.Nominal)
-	return litho.CostAt(o.imgs.R, o.target)
+	o.sim.ForwardCorners(o.maskSpec, o.target, o.corners)
+	nom, pvb := o.costs()
+	return nom + o.opts.PVBWeight*pvb
 }
 
 // prpCoefficient computes the Polak–Ribière–Polyak coefficient (Eq. 16)

@@ -198,3 +198,60 @@ func mustBenchmark(t *testing.T, id string) *geom.Layout {
 	}
 	return s.MustBuild()
 }
+
+// FuzzReadGDS feeds the reader arbitrary streams, seeded from Write
+// output: a malformed stream must return an error, never panic or hang,
+// and a stream it accepts must hold only polygons of at least three
+// vertices that survive a Write/Read round trip unchanged.
+func FuzzReadGDS(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleLayout()); err != nil {
+		f.Fatal(err)
+	}
+	stream := buf.Bytes()
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
+	f.Add(stream[:len(stream)-4]) // no ENDLIB
+	buf.Reset()
+	if err := Write(&buf, &geom.Layout{Name: "empty", W: 64, H: 64}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte{0x00, 0x04, recEndLib, dtNone})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := Read(bytes.NewReader(data), 0, 0)
+		if err != nil {
+			return
+		}
+		if len(l.Rects) != 0 {
+			t.Fatalf("reader produced %d rectangles; boundaries read back as polygons", len(l.Rects))
+		}
+		for i, p := range l.Polys {
+			if len(p.Pts) < 3 {
+				t.Fatalf("polygon %d has %d vertices", i, len(p.Pts))
+			}
+		}
+		var out bytes.Buffer
+		if err := Write(&out, l); err != nil {
+			return // e.g. a polygon too long for one record once re-closed
+		}
+		again, err := Read(bytes.NewReader(out.Bytes()), l.W, l.H)
+		if err != nil {
+			t.Fatalf("re-reading the written layout: %v", err)
+		}
+		if len(again.Polys) != len(l.Polys) {
+			t.Fatalf("round trip: %d polygons, want %d", len(again.Polys), len(l.Polys))
+		}
+		for i, p := range l.Polys {
+			q := again.Polys[i].Pts
+			if len(q) != len(p.Pts) {
+				t.Fatalf("round trip: polygon %d has %d vertices, want %d", i, len(q), len(p.Pts))
+			}
+			for j := range q {
+				if q[j] != p.Pts[j] {
+					t.Fatalf("round trip: polygon %d vertex %d = %v, want %v", i, j, q[j], p.Pts[j])
+				}
+			}
+		}
+	})
+}

@@ -220,9 +220,7 @@ func (f *Field) Threshold(a *Field, t float64) {
 // (Eq. 8 of the paper) with steepness s and threshold t.
 func (f *Field) Sigmoid(a *Field, s, t float64) {
 	f.mustMatch(a, "Sigmoid")
-	for i, v := range a.Data {
-		f.Data[i] = 1 / (1 + math.Exp(-s*(v-t)))
-	}
+	SigmoidInto(f.Data, a.Data, s, t)
 }
 
 // XORCount returns the number of positions where exactly one of f, g is

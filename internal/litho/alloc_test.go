@@ -106,3 +106,13 @@ func BenchmarkForwardAndGradientWarm(b *testing.B) {
 		s.ForwardAndGradient(grad, spec, Nominal, target, imgs, 1)
 	}
 }
+
+func TestAerialZeroAllocWarm(t *testing.T) {
+	s, spec, imgs, _ := warmSim(t, 4)
+	if avg := testing.AllocsPerRun(20, func() {
+		s.Aerial(imgs.Aerial, spec, Inner)
+		s.PrintedBinary(imgs.R, spec, Outer)
+	}); avg != 0 {
+		t.Fatalf("warm Aerial/PrintedBinary allocate %.1f objects/op, want 0", avg)
+	}
+}

@@ -15,10 +15,12 @@
 // upsample and the gradient) and one real-input forward (the
 // sensitivity's low-pass).
 //
-// Corners that share a focus setting (nominal and outer) share their
-// coherent fields, so they can run as one focus group: one SOCS pass and
-// one adjoint serve every corner of the group (ForwardGroup,
-// ForwardAndGradientGroup).
+// Any set of corners runs as one pass on the session's engine
+// (ForwardCorners, ForwardAndGradientCorners, corners.go): all banks'
+// kernel fields in one reduced-grid batch, one resist sweep over every
+// corner, and one adjoint with one full-grid gradient inverse. Corners
+// that share a focus setting (nominal and outer) share their coherent
+// fields and their resist sensitivity.
 package litho
 
 import (
@@ -124,7 +126,7 @@ func (c Config) Validate() error {
 // batches, accumulators, plan workspaces) is leased from the bank's pool
 // and returned by Release. One session owns its scratch exclusively and
 // is NOT safe for concurrent use; create one per goroutine via
-// NewSession or Sibling.
+// NewSession.
 type Simulator struct {
 	cfg  Config
 	eng  *engine.Engine
@@ -148,15 +150,16 @@ type Simulator struct {
 	defocusBank *optics.Bank // focus = DefocusNM (aliases res.Defocus())
 
 	// Leased scratch, reused across calls and returned by Release.
-	accum  *grid.CField    // gradient accumulator; full-grid transform scratch
-	fields []*grid.CField  // per-kernel m×m fields E_k (see kernelFields)
-	single [1]*grid.CField // reusable singleton for banded one-field transforms
-	sens   *grid.Field     // resist sensitivity W, then the adjoint's real output
-	aerial *grid.Field     // aerial temp for PrintedBinary
+	accum     *grid.CField    // gradient accumulator; full-grid transform scratch
+	fields    []*grid.CField  // per-kernel m×m fields E_k (see kernelFields)
+	single    [1]*grid.CField // reusable singleton for banded one-field transforms
+	aerialOut CornerImages    // Aerial's output, held here so calls do not allocate
+	plane     []*grid.Field   // per bank: aerial, then W, then the gradient (see planes)
 
 	// m×m scratch of the reduced path; nil when m == N.
-	smallReal *grid.Field  // SOCS image Σ μ_k|E_k|², then the low-passed W
-	smallSpec *grid.CField // their spectra
+	smallReal *grid.Field   // SOCS image Σ μ_k|E_k|²
+	smallSpec *grid.CField  // its spectrum, and the low-passed W's
+	lowW      []*grid.Field // per bank: W's band-2r samples (see adjoint)
 
 	planScratch  *grid.CField // backs plan's transpose + real-pack workspace
 	batchScratch *grid.CField // backs batch's per-worker column buffers
@@ -167,6 +170,17 @@ type Simulator struct {
 	diffusion   *grid.Field
 	blurScratch *grid.CField
 
+	// The staged corner set of the current call (corners.go): its
+	// distinct banks, each corner's bank index, one batch slot per
+	// kernel, and the resist sweep's per-chunk cost partials and
+	// per-worker σ buffers.
+	staged     []Corner
+	banks      []*optics.Bank
+	cornerBank []int
+	slots      []kernelSlot
+	partials   []float64
+	sweepBuf   [][]float64
+
 	// Per-call operands staged for the pre-bound engine bodies below.
 	// Binding the closures once per session keeps the simulate/gradient
 	// hot paths free of closure allocations (engine bodies escape).
@@ -174,11 +188,10 @@ type Simulator struct {
 	opBank   *optics.Bank
 	opSpec   *grid.CField
 	opDst    *grid.Field
-	opW      *grid.Field
+	opWs     []*grid.Field // per bank: the W the adjoint multiplies
 	opR      *grid.Field
 	opTarget *grid.Field
 	opScale  float64
-	opAccum  bool
 	opGrad   *grid.Field
 
 	materializeBody func(lo, hi int)
@@ -186,6 +199,7 @@ type Simulator struct {
 	sensBody        func(lo, hi int)
 	adjointBody     func(lo, hi int)
 	applyBody       func(lo, hi int)
+	sweepBody       func(worker, chunk int)
 
 	// Optional trace sink for per-corner timing events. nil keeps the
 	// hot paths at a single nil check; set via SetSink.
@@ -257,9 +271,8 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 		nominalBank: res.Nominal(),
 		defocusBank: res.Defocus(),
 		accum:       pool.CField(n, n),
-		sens:        pool.Field(n, n),
-		aerial:      pool.Field(n, n),
 		radius:      res.Radius(),
+		sweepBuf:    make([][]float64, eng.Workers()),
 	}
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
@@ -295,9 +308,10 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 // methods stage their operands in the op* fields and reuse these.
 func (s *Simulator) bindBodies() {
 	s.materializeBody = func(lo, hi int) {
-		fields, kernels, spec := s.opFields, s.opBank.Kernels, s.opSpec
-		for k := lo; k < hi; k++ {
-			kernels[k].MulIntoBand(fields[k], spec)
+		fields, spec := s.opFields, s.opSpec
+		for i := lo; i < hi; i++ {
+			sl := s.slots[i]
+			s.banks[sl.bank].Kernels[sl.k].MulIntoBand(fields[i], spec)
 		}
 	}
 	s.reduceBody = func(lo, hi int) {
@@ -316,81 +330,45 @@ func (s *Simulator) bindBodies() {
 		}
 	}
 	s.sensBody = func(lo, hi int) {
-		w, r, target, c := s.opW, s.opR, s.opTarget, s.opScale
-		if s.opAccum {
-			for i := lo; i < hi; i++ {
-				rv := r.Data[i]
-				w.Data[i] += c * (rv - target.Data[i]) * rv * (1 - rv)
-			}
-			return
-		}
+		w, r, target, c := s.plane[0], s.opR, s.opTarget, s.opScale
 		for i := lo; i < hi; i++ {
 			rv := r.Data[i]
 			w.Data[i] = c * (rv - target.Data[i]) * rv * (1 - rv)
 		}
 	}
 	s.adjointBody = func(lo, hi int) {
-		fields, w := s.opFields, s.opW
-		nn := len(w.Data)
+		fields := s.opFields
+		nn := s.m * s.m
 		for i := lo; i < hi; {
 			ki, j := i/nn, i%nn
 			end := (ki + 1) * nn
 			if end > hi {
 				end = hi
 			}
-			data := fields[ki].Data
+			data, w := fields[ki].Data, s.opWs[s.slots[ki].bank].Data
 			for ; i < end; i, j = i+1, j+1 {
 				e := data[j]
-				data[j] = complex(w.Data[j], 0) * complex(real(e), -imag(e))
+				data[j] = complex(w[j], 0) * complex(real(e), -imag(e))
 			}
 		}
 	}
 	s.applyBody = func(lo, hi int) {
-		grad, weight := s.opGrad, s.opScale
+		grad, out := s.opGrad.Data, s.plane[0].Data
 		for i := lo; i < hi; i++ {
-			grad.Data[i] += weight * 2 * s.sens.Data[i]
+			grad[i] += out[i]
 		}
 	}
+	s.sweepBody = s.sweepChunk
 }
 
 // SetSink attaches a trace sink to the session: Forward, GradientInto,
-// ForwardAndGradient and the focus-group calls then emit one timing
+// ForwardAndGradient and the corner-set calls then emit one timing
 // event per call, tagged with traceID so traces from concurrent
 // sessions stay distinguishable. Pass nil to detach (the default); the
 // disabled path costs one nil check per call and never allocates.
 func (s *Simulator) SetSink(sink obs.Sink, traceID string) {
 	s.sink = sink
 	s.traceID = traceID
-}
-
-// traceGroup reports one simulate span over a focus group to the
-// attached sink; the event's Corner names the group ("inner",
-// "nominal+outer").
-func (s *Simulator) traceGroup(name string, group []GroupCorner, d time.Duration) {
-	if s.sink != nil {
-		s.sink.Emit(obs.Event{
-			Type:   obs.EventCorner,
-			Trace:  s.traceID,
-			Name:   name,
-			Engine: s.eng.Name(),
-			Corner: groupLabel(group),
-			N:      s.cfg.Optics.GridSize,
-			DurNS:  d.Nanoseconds(),
-		})
-	}
-}
-
-// Sibling builds a simulator session sharing this simulator's resource
-// bank but owning fresh leased scratch, scheduled on eng — the way to
-// fan process corners across Split sub-engines without data races. The
-// sibling inherits this session's trace sink and trace id.
-func (s *Simulator) Sibling(eng *engine.Engine) (*Simulator, error) {
-	sib, err := NewSession(s.res, s.cfg, eng)
-	if err != nil {
-		return nil, err
-	}
-	sib.SetSink(s.sink, s.traceID)
-	return sib, nil
 }
 
 // Release returns every leased scratch buffer to the bank's pool. The
@@ -406,8 +384,12 @@ func (s *Simulator) Release() {
 	for _, f := range s.fields {
 		p.PutCField(f)
 	}
-	p.PutField(s.sens)
-	p.PutField(s.aerial)
+	for _, f := range s.plane {
+		p.PutField(f)
+	}
+	for _, f := range s.lowW {
+		p.PutField(f)
+	}
 	p.PutField(s.smallReal)
 	p.PutCField(s.smallSpec)
 	p.PutCField(s.planScratch)
@@ -415,13 +397,13 @@ func (s *Simulator) Release() {
 	p.PutCField(s.smallScratch)
 	p.PutCField(s.blurScratch)
 	s.accum, s.blurScratch = nil, nil
-	s.fields = nil
+	s.fields, s.plane, s.lowW = nil, nil, nil
 	s.single[0] = nil
-	s.sens, s.aerial, s.diffusion = nil, nil, nil
+	s.diffusion = nil
 	s.smallReal, s.smallSpec = nil, nil
 	s.planScratch, s.batchScratch, s.smallScratch = nil, nil, nil
 	s.plan, s.batch, s.small = nil, nil, nil
-	s.opBank = nil
+	s.staged, s.banks, s.opBank = nil, nil, nil
 }
 
 // Resources returns the immutable resource bank backing this session.
@@ -478,16 +460,6 @@ func (s *Simulator) MaskSpectrumInto(dst *grid.CField, mask *grid.Field) {
 	s.plan.ForwardReal(dst, mask, s.radius)
 }
 
-// materialize fills fields[k] with the per-kernel spectral products
-// spec_k ∘ M̂, fanning the kernels across the engine's workers. Each
-// field is written by exactly one worker, so the result is independent
-// of scheduling.
-func (s *Simulator) materialize(fields []*grid.CField, bank *optics.Bank, maskSpec *grid.CField) {
-	s.opFields, s.opBank, s.opSpec = fields, bank, maskSpec
-	s.eng.ForChunk(len(bank.Kernels), s.materializeBody)
-	s.opFields, s.opSpec = nil, nil
-}
-
 // reduceAbsSq reduces the SOCS sum dst = Σ_k μ_k |E_k|² over the batch
 // of coherent fields. The reduction is partitioned over pixels; within
 // each pixel the kernels are summed in ascending k order, so the result
@@ -499,35 +471,32 @@ func (s *Simulator) reduceAbsSq(dst *grid.Field, fields []*grid.CField, bank *op
 	s.opDst, s.opFields = nil, nil
 }
 
-// aerialInto computes the undosed SOCS intensity Σ_k μ_k |h_k ⊗ M|²
-// into dst. All K coherent fields are materialised on the reduced grid
-// and inverse-transformed by one batched banded FFT sweep, left in the
-// batch for the adjoint; on a reduced grid the summed image is then
-// upsampled to the full grid (band 2r).
-func (s *Simulator) aerialInto(dst *grid.Field, bank *optics.Bank, maskSpec *grid.CField) {
-	fields := s.coherentFields(bank, maskSpec)
-	if s.m == s.GridSize() {
-		s.reduceAbsSq(dst, fields, bank)
+// zeroAccumBand clears the rows of the gradient accumulator the adjoint
+// multiply will write (|v| ≤ band); the banded inverse never reads the
+// rest.
+func (s *Simulator) zeroAccumBand(band int) {
+	n := s.GridSize()
+	if 2*band+1 >= n {
+		s.accum.Zero()
 		return
 	}
-	s.reduceAbsSq(s.smallReal, fields, bank)
-	s.upsample(dst, s.smallReal, 2*bank.Radius())
-}
-
-// coherentFields computes E_k = h_k ⊗ M for every kernel of bank into
-// the m×m field batch and returns it.
-func (s *Simulator) coherentFields(bank *optics.Bank, maskSpec *grid.CField) []*grid.CField {
-	fields := s.kernelFields(len(bank.Kernels))
-	s.materialize(fields, bank, maskSpec)
-	s.small.BatchInverseBanded(fields, bank.Radius())
-	return fields
+	clear := func(lo, hi int) {
+		d := s.accum.Data[lo*n : hi*n]
+		for i := range d {
+			d[i] = 0
+		}
+	}
+	clear(0, band+1)
+	clear(n-band, n)
 }
 
 // Aerial computes the dose-scaled aerial image (Eq. 1) for the given
 // corner into dst: dst = dose · Σ_k μ_k |h_k ⊗ M|².
 func (s *Simulator) Aerial(dst *grid.Field, maskSpec *grid.CField, cond Condition) {
-	group := [1]GroupCorner{{Cond: cond, Out: &CornerImages{Aerial: dst}}}
-	s.groupForward(s.Bank(cond), maskSpec, nil, group[:])
+	s.aerialOut.Aerial = dst
+	corners := [1]Corner{{Cond: cond, Out: &s.aerialOut}}
+	s.simulate(maskSpec, nil, corners[:])
+	s.aerialOut.Aerial = nil
 }
 
 // focusBank returns the kernel bank at the given defocus: the session's
@@ -553,8 +522,10 @@ func (s *Simulator) AerialAtFocus(dst *grid.Field, maskSpec *grid.CField, defocu
 	if err != nil {
 		return err
 	}
-	s.aerialInto(dst, bank, maskSpec)
-	s.blurInPlace(dst)
+	s.banks = append(s.banks[:0], bank)
+	s.stageSlots()
+	dsts := [1]*grid.Field{dst}
+	s.socs(dsts[:], maskSpec)
 	return nil
 }
 
@@ -587,12 +558,12 @@ func (s *Simulator) ResistBinary(dst, aerial *grid.Field) {
 // PrintedBinary runs the full forward model (exact aerial + threshold
 // resist) for the corner, the configuration used by the metric checkers.
 func (s *Simulator) PrintedBinary(dst *grid.Field, maskSpec *grid.CField, cond Condition) {
-	s.Aerial(s.aerial, maskSpec, cond)
-	s.ResistBinary(dst, s.aerial)
+	s.Aerial(dst, maskSpec, cond)
+	s.ResistBinary(dst, dst)
 }
 
-// CornerImages bundles the forward results the optimizer needs at one
-// process corner.
+// CornerImages bundles the forward results of one process corner. The
+// corner-set calls write only the non-nil fields.
 type CornerImages struct {
 	Aerial *grid.Field // dose-scaled intensity
 	R      *grid.Field // sigmoid resist image
@@ -603,28 +574,12 @@ func NewCornerImages(n int) *CornerImages {
 	return &CornerImages{Aerial: grid.NewField(n, n), R: grid.NewField(n, n)}
 }
 
-// LeaseCornerImages leases result storage for an n×n grid from a pool;
-// return it with ReleaseTo.
-func LeaseCornerImages(p *rt.Pool, n int) *CornerImages {
-	return &CornerImages{Aerial: p.Field(n, n), R: p.Field(n, n)}
-}
-
-// ReleaseTo returns the images' storage to the pool they were leased
-// from. The CornerImages must not be used afterwards. nil-safe.
-func (c *CornerImages) ReleaseTo(p *rt.Pool) {
-	if c == nil {
-		return
-	}
-	p.PutField(c.Aerial)
-	p.PutField(c.R)
-	c.Aerial, c.R = nil, nil
-}
-
-// Forward fills out with the exact aerial image and sigmoid resist image
-// at the given corner: the one-corner ForwardGroup.
+// Forward fills out with the exact aerial image and, when out.R is
+// non-nil, the sigmoid resist image at the given corner: the one-corner
+// ForwardCorners.
 func (s *Simulator) Forward(out *CornerImages, maskSpec *grid.CField, cond Condition) {
-	group := [1]GroupCorner{{Cond: cond, Out: out}}
-	s.ForwardGroup(maskSpec, nil, group[:])
+	corners := [1]Corner{{Cond: cond, Out: out}}
+	s.ForwardCorners(maskSpec, nil, corners[:])
 }
 
 // GradientInto accumulates the Jacobian of L = ‖R − R*‖² with respect to
@@ -636,110 +591,35 @@ func (s *Simulator) Forward(out *CornerImages, maskSpec *grid.CField, cond Condi
 // the same maskSpec and corner. With W = 2·s·dose·(R−R*)⊙R⊙(1−R) and
 // E_k = h_k ⊗ M, the Jacobian is Σ_k μ_k·2 Re{flip(h_k) ⊗ (W⊙conj(E_k))};
 // the per-kernel terms are accumulated as spectra so the final inverse
-// transform happens once.
+// transform happens once. It recomputes E_k, then runs the adjoint of
+// ForwardAndGradient, bit for bit.
 func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, r *grid.Field, weight float64) {
 	start := time.Now()
-	bank := s.Bank(cond)
-	s.sensitivity(s.sens, r, target, s.Dose(cond))
-	s.adjoint(bank, maskSpec, false)
-	s.applyGradient(grad, weight)
+	corners := [1]Corner{{Cond: cond, Weight: weight}}
+	s.stageBanks(corners[:])
+	s.socs(s.planes(), maskSpec)
+	s.opR, s.opTarget, s.opScale = r, target, s.sensScale(cond, weight)
+	s.eng.ForChunk(len(r.Data), s.sensBody)
+	s.opR, s.opTarget = nil, nil
+	s.adjoint(grad)
 	d := time.Since(start)
 	mGradientNS.Observe(float64(d))
-	group := [1]GroupCorner{{Cond: cond}}
-	s.traceGroup("gradient", group[:], d)
+	s.trace("gradient", corners[:], d)
 }
 
-// adjoint runs the adjoint half of Eq. 11 for the sensitivity in
-// s.sens and overwrites s.sens with Re of its spatial result: the
-// sensitivity is fully read before the final inverse writes there.
-// fieldsReady says the kernel batch already holds this mask's E_k for
-// bank, as aerialInto leaves it. On a reduced grid the sensitivity
-// enters through its band-2r samples there, the only part the bins the
-// adjoint reads depend on.
-func (s *Simulator) adjoint(bank *optics.Bank, maskSpec *grid.CField, fieldsReady bool) {
-	fields := s.kernelFields(len(bank.Kernels))
-	if !fieldsReady {
-		s.coherentFields(bank, maskSpec)
-	}
-	w := s.sens
-	if s.m < s.GridSize() {
-		s.lowPassSamples(s.smallReal, w, 2*bank.Radius())
-		w = s.smallReal
-	}
-	s.adjointFromFields(fields, bank, w)
-}
-
-// sensitivity computes the resist sensitivity field
-// W = 2·s·dose·(R−R*)⊙R⊙(1−R) into w. With resist diffusion enabled
-// the blur's adjoint (itself) maps the sensitivity back through the
-// latent-image convolution.
-func (s *Simulator) sensitivity(w *grid.Field, r, target *grid.Field, dose float64) {
-	s.sensitivityTerm(w, r, target, 2*s.cfg.Steepness*dose, false)
-	s.blurInPlace(w)
-}
-
-// sensitivityTerm sets (or, with accumulate, adds to) w the unblurred
-// sensitivity scale·(R−R*)⊙R⊙(1−R) of one resist image.
-func (s *Simulator) sensitivityTerm(w *grid.Field, r, target *grid.Field, scale float64, accumulate bool) {
-	s.opW, s.opR, s.opTarget, s.opScale, s.opAccum = w, r, target, scale, accumulate
-	s.eng.ForChunk(len(w.Data), s.sensBody)
-	s.opW, s.opR, s.opTarget = nil, nil, nil
-}
-
-// zeroAccumBand clears the rows of the gradient accumulator the adjoint
-// multiply will write (|v| ≤ band); the banded inverse never reads the
-// rest.
-func (s *Simulator) zeroAccumBand(band int) {
-	n := s.GridSize()
-	if 2*band+1 >= n {
-		s.accum.Zero()
-		return
-	}
-	clear := func(lo, hi int) {
-		d := s.accum.Data[lo*n : hi*n]
-		for i := range d {
-			d[i] = 0
-		}
-	}
-	clear(0, band+1)
-	clear(n-band, n)
-}
-
-// adjointFromFields runs the adjoint half of Eq. 11 given the coherent
-// fields E_k in fields (which it overwrites) and the sensitivity w on
-// the same grid: every field becomes W ⊙ conj(E_k), one batched
-// output-pruned forward FFT produces the amplitude spectra, and the
-// per-kernel flip-multiplies accumulate into the full-grid s.accum.
-// Only Re of its inverse enters the gradient, and Re of an inverse is
-// the inverse of the spectrum's Hermitian part, so the box is
-// symmetrised and inverse-transformed by one real-output pass into
-// s.sens.
-func (s *Simulator) adjointFromFields(fields []*grid.CField, bank *optics.Bank, w *grid.Field) {
-	s.opFields, s.opW = fields, w
-	s.eng.ForChunk(len(fields)*len(w.Data), s.adjointBody)
-	s.opFields, s.opW = nil, nil
-	s.small.BatchForwardBandedCols(fields, bank.Radius())
-	s.zeroAccumBand(bank.Radius())
-	for ki, k := range bank.Kernels {
-		k.AccumFlipMul(s.accum, fields[ki], complex(k.Weight, 0))
-	}
-	hermitianPart(s.accum, bank.Radius())
-	s.batch.InverseRealBanded(s.sens, s.accum, bank.Radius())
-}
-
-// applyGradient adds weight·2·(the adjoint's real output) into grad.
-func (s *Simulator) applyGradient(grad *grid.Field, weight float64) {
-	s.opGrad, s.opScale = grad, weight
-	s.eng.ForChunk(len(grad.Data), s.applyBody)
-	s.opGrad = nil
-}
-
-// CostAt returns ‖R − target‖² for the sigmoid resist image r.
+// CostAt returns ‖R − target‖² for the sigmoid resist image r, summed
+// per chunk of sweepRows rows and then over the chunks in order: the
+// value the corner-set calls report as a corner's Cost.
 func CostAt(r, target *grid.Field) float64 {
-	var sum float64
-	for i := range r.Data {
-		d := r.Data[i] - target.Data[i]
-		sum += d * d
+	var total float64
+	step := sweepRows * r.W
+	for lo := 0; lo < len(r.Data); lo += step {
+		var sum float64
+		for i := lo; i < min(lo+step, len(r.Data)); i++ {
+			d := r.Data[i] - target.Data[i]
+			sum += d * d
+		}
+		total += sum
 	}
-	return sum
+	return total
 }

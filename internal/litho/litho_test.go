@@ -365,9 +365,12 @@ func TestMaskSpectrumInto(t *testing.T) {
 	}
 }
 
+// TestSiblingSharesBanksNotScratch: a second session on one resource
+// bank shares the bank's immutable resources and its pool, never its
+// mutable scratch.
 func TestSiblingSharesBanksNotScratch(t *testing.T) {
 	s := testSim(t, 3)
-	s2, err := s.Sibling(engine.CPU())
+	s2, err := NewSession(s.Resources(), s.Config(), engine.CPU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +392,6 @@ func TestSiblingSharesBanksNotScratch(t *testing.T) {
 	if s2.accum == s.accum {
 		t.Fatal("sibling aliases complex scratch")
 	}
-	if s2.sens == s.sens || s2.aerial == s.aerial {
-		t.Fatal("sibling aliases real scratch")
-	}
 	if s2.planScratch == s.planScratch || s2.batchScratch == s.batchScratch {
 		t.Fatal("sibling aliases plan workspaces")
 	}
@@ -410,5 +410,8 @@ func TestSiblingSharesBanksNotScratch(t *testing.T) {
 		if a1.Data[i] != a2.Data[i] {
 			t.Fatalf("sibling aerial diverges at %d", i)
 		}
+	}
+	if s2.plane[0] == s.plane[0] || &s2.sweepBuf[0] == &s.sweepBuf[0] {
+		t.Fatal("sibling aliases real scratch")
 	}
 }

@@ -296,18 +296,17 @@ func runSingle(ctx context.Context, sim *litho.Simulator, target *grid.Field, op
 // applies the normalised gradient-descent update to θ. The driver owns
 // the loop bookkeeping (budget, history, watchdog, tracing).
 type stepper struct {
-	sim    *litho.Simulator
-	opts   Options
-	pool   *rt.Pool
-	target *grid.Field
-	a      float64 // MaskSteepness
-	theta  *grid.Field
-	mask   *grid.Field
-	spec   *grid.CField
-	gradM  *grid.Field
-	imgs   []*litho.CornerImages // one per corner of the largest focus group so far
-	group  []litho.GroupCorner   // reused focus-group scratch
-	maxG   float64               // ∞-norm of dL/dθ from the latest Eval
+	sim     *litho.Simulator
+	opts    Options
+	pool    *rt.Pool
+	target  *grid.Field
+	a       float64 // MaskSteepness
+	theta   *grid.Field
+	mask    *grid.Field
+	spec    *grid.CField
+	gradM   *grid.Field
+	corners []litho.Corner // reused corner-set scratch
+	maxG    float64        // ∞-norm of dL/dθ from the latest Eval
 }
 
 // newStepper leases scratch from the simulator's pool and seeds θ from
@@ -349,10 +348,6 @@ func (s *stepper) release() {
 	s.pool.PutField(s.mask)
 	s.pool.PutCField(s.spec)
 	s.pool.PutField(s.gradM)
-	for _, im := range s.imgs {
-		im.ReleaseTo(s.pool)
-	}
-	s.imgs = nil
 }
 
 // driver builds the solve driver for this level. The baselines use a
@@ -393,21 +388,16 @@ func (s *stepper) Eval(i int) solve.Stats {
 
 	corners, weights := s.opts.cornerPlan(i)
 	s.gradM.Zero()
+	// The whole plan runs as one litho call (one adjoint for every
+	// corner); costs still sum in plan order.
+	s.corners = s.corners[:0]
+	for k, cond := range corners {
+		s.corners = append(s.corners, litho.Corner{Cond: cond, Weight: weights[k]})
+	}
+	s.sim.ForwardAndGradientCorners(s.gradM, s.spec, s.target, s.corners)
 	cost := 0.0
-	// Corners on one kernel bank (nominal and outer) run as one focus
-	// group: one SOCS pass and one adjoint for both. Costs still sum in
-	// plan order.
-	w := weights
-	for _, conds := range s.sim.FocusGroups(corners) {
-		s.group = s.group[:0]
-		for k, cond := range conds {
-			s.group = append(s.group, litho.GroupCorner{Cond: cond, Weight: w[k], Out: s.cornerImages(k)})
-		}
-		w = w[len(conds):]
-		s.sim.ForwardAndGradientGroup(s.gradM, s.spec, s.target, s.group)
-		for _, c := range s.group {
-			cost += c.Cost
-		}
+	for _, c := range s.corners {
+		cost += c.Cost
 	}
 
 	// dL/dθ = dL/dM ⊙ a·M(1−M); the ∞-norm normalises the step, keeping
@@ -426,15 +416,6 @@ func (s *stepper) Eval(i int) solve.Stats {
 		Evals: len(corners),
 		Name:  s.opts.Variant.String(),
 	}
-}
-
-// cornerImages returns the k-th corner's image storage, leasing it from
-// the pool on first use (release returns it).
-func (s *stepper) cornerImages(k int) *litho.CornerImages {
-	for len(s.imgs) <= k {
-		s.imgs = append(s.imgs, litho.LeaseCornerImages(s.pool, s.sim.GridSize()))
-	}
-	return s.imgs[k]
 }
 
 // SaveBest is never called: the baselines report the final iterate.

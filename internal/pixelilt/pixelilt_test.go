@@ -243,10 +243,10 @@ func TestGrayMaskConsistentWithBinary(t *testing.T) {
 	}
 }
 
-// TestExactPlanRunsFocusGroups: MOSAIC_exact's nominal and outer corners
-// share one best-focus SOCS pass, so each iteration simulates two focus
-// groups while CornerSims still counts three conditions.
-func TestExactPlanRunsFocusGroups(t *testing.T) {
+// TestExactPlanRunsOneCornerPass: MOSAIC_exact simulates its three
+// corners in one litho call per iteration, while CornerSims still counts
+// three conditions.
+func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	sink := &obs.CollectorSink{}
 	opts := DefaultOptions(MosaicExact)
 	opts.MaxIter = 3
@@ -258,13 +258,13 @@ func TestExactPlanRunsFocusGroups(t *testing.T) {
 	if res.CornerSims != 9 {
 		t.Fatalf("corner sims = %d, want 9", res.CornerSims)
 	}
-	groups := map[string]int{}
+	calls := map[string]int{}
 	for _, e := range sink.Events() {
 		if e.Type == obs.EventCorner {
-			groups[e.Corner]++
+			calls[e.Corner]++
 		}
 	}
-	if len(groups) != 2 || groups["nominal+outer"] != 3 || groups["inner"] != 3 {
-		t.Fatalf("focus groups simulated = %v, want nominal+outer and inner once per iteration", groups)
+	if len(calls) != 1 || calls["nominal+outer+inner"] != 3 {
+		t.Fatalf("corner calls = %v, want nominal+outer+inner once per iteration", calls)
 	}
 }

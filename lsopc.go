@@ -967,21 +967,19 @@ func (s *Session) PrintedImages(mask *Field) (nominal, outer, inner *Field) {
 }
 
 // printCorners writes the binary printed images of mask at the three
-// corners. Nominal and outer share one best-focus SOCS pass (a focus
-// group); each image is bit-identical to a per-corner PrintedBinary.
+// corners from one forward call (nominal and outer share one best-focus
+// SOCS pass); each image is bit-identical to a per-corner PrintedBinary.
 func (s *Session) printCorners(nominal, outer, inner, mask *Field) {
 	s.sim.MaskSpectrumInto(s.spec, mask)
 	// The aerial images land in the output fields and are thresholded
 	// in place.
-	printed := [...]*Field{litho.Nominal: nominal, litho.Outer: outer, litho.Inner: inner}
-	for _, conds := range s.sim.FocusGroups(litho.AllConditions) {
-		group := make([]litho.GroupCorner, len(conds))
-		for i, cond := range conds {
-			group[i] = litho.GroupCorner{Cond: cond, Out: &litho.CornerImages{Aerial: printed[cond]}}
-		}
-		s.sim.ForwardGroup(s.spec, nil, group)
+	corners := [...]litho.Corner{
+		{Cond: litho.Nominal, Out: &litho.CornerImages{Aerial: nominal}},
+		{Cond: litho.Outer, Out: &litho.CornerImages{Aerial: outer}},
+		{Cond: litho.Inner, Out: &litho.CornerImages{Aerial: inner}},
 	}
-	for _, f := range printed {
+	s.sim.ForwardCorners(s.spec, nil, corners[:])
+	for _, f := range [...]*Field{nominal, outer, inner} {
 		s.sim.ResistBinary(f, f)
 	}
 }

@@ -25,8 +25,9 @@
 #               the 1-D FFT kernel against its reference loop, the
 #               real-output banded inverse against the complex one, the
 #               reduced-grid SOCS aerial and gradient against the dense
-#               full-grid reference, and the inline resist sigmoid
-#               against the math.Exp form
+#               full-grid reference, the inline resist sigmoid against
+#               the math.Exp form, and the offline trace fold
+#               (analyze.Parse) against the live run registry
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -138,6 +139,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
 
 vet:
 	$(GO) vet ./...

@@ -27,8 +27,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -110,36 +108,9 @@ func main() {
 	}
 }
 
-// knownTypes is the event taxonomy (DESIGN.md §9); anything else in a
-// trace is counted as unknown.
-var knownTypes = map[string]bool{
-	obs.EventIteration:   true,
-	obs.EventCorner:      true,
-	obs.EventPlanCache:   true,
-	obs.EventPool:        true,
-	obs.EventSpan:        true,
-	obs.EventProgress:    true,
-	obs.EventHealth:      true,
-	obs.EventLevelSwitch: true,
-	obs.EventTileStart:   true,
-	obs.EventTileDone:    true,
-	obs.EventStitchPass:  true,
-	obs.EventCancelled:   true,
-	obs.EventCheckpoint:  true,
-	obs.EventCapture:     true,
-}
-
-// runtimeScoped are the process-level kinds legitimately emitted with
-// no run id (plan-cache lookups and pool leases during bank/session
-// construction, free-form progress lines).
-var runtimeScoped = map[string]bool{
-	obs.EventPlanCache: true,
-	obs.EventPool:      true,
-	obs.EventProgress:  true,
-}
-
 // check validates every line of the stream and tallies events per type;
-// the second map tallies the subset whose kind is outside the taxonomy.
+// the second map tallies the subset whose kind is outside the taxonomy
+// (obs.KnownEvent).
 func check(in io.Reader) (counts, unknown map[string]int, err error) {
 	counts = map[string]int{}
 	unknown = map[string]int{}
@@ -147,81 +118,63 @@ func check(in io.Reader) (counts, unknown map[string]int, err error) {
 	// enforce per-run monotonicity (stitch re-runs and resumed runs use
 	// iteration offsets precisely to preserve it).
 	lastIter := map[string]int{}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
 	lastSeq := int64(0)
-	for sc.Scan() {
-		line++
-		text := sc.Bytes()
-		if len(text) == 0 {
-			return nil, nil, fmt.Errorf("line %d: empty line", line)
-		}
-		var e obs.Event
-		if err := json.Unmarshal(text, &e); err != nil {
-			return nil, nil, fmt.Errorf("line %d: invalid JSON: %v", line, err)
-		}
-		if e.Type == "" {
-			return nil, nil, fmt.Errorf("line %d: event has no type", line)
-		}
-		if !knownTypes[e.Type] {
+	err = obs.ReadEvents(in, func(e obs.Event) error {
+		if !obs.KnownEvent(e.Type) {
 			unknown[e.Type]++
-		} else if !runtimeScoped[e.Type] && e.Trace == "" {
-			return nil, nil, fmt.Errorf("line %d: %s event without a run id (trace)", line, e.Type)
+		} else if !obs.RuntimeScoped(e.Type) && e.Trace == "" {
+			return fmt.Errorf("%s event without a run id (trace)", e.Type)
 		}
 		if e.Seq != 0 {
 			if e.Seq <= lastSeq {
-				return nil, nil, fmt.Errorf("line %d: seq %d not strictly increasing after %d", line, e.Seq, lastSeq)
+				return fmt.Errorf("seq %d not strictly increasing after %d", e.Seq, lastSeq)
 			}
 			lastSeq = e.Seq
 		}
 		switch e.Type {
 		case obs.EventIteration:
 			if last, seen := lastIter[e.Trace]; seen && e.Iter <= last {
-				return nil, nil, fmt.Errorf("line %d: run %s iteration %d not increasing after %d",
-					line, e.Trace, e.Iter, last)
+				return fmt.Errorf("run %s iteration %d not increasing after %d", e.Trace, e.Iter, last)
 			}
 			lastIter[e.Trace] = e.Iter
 		case obs.EventTileStart, obs.EventTileDone:
 			if e.Tile < 1 {
-				return nil, nil, fmt.Errorf("line %d: %s without a tile ordinal (tile=%d)", line, e.Type, e.Tile)
+				return fmt.Errorf("%s without a tile ordinal (tile=%d)", e.Type, e.Tile)
 			}
 			if e.Pass < 0 {
-				return nil, nil, fmt.Errorf("line %d: %s with negative pass %d", line, e.Type, e.Pass)
+				return fmt.Errorf("%s with negative pass %d", e.Type, e.Pass)
 			}
 		case obs.EventStitchPass:
 			if e.Pass < 1 {
-				return nil, nil, fmt.Errorf("line %d: stitch_pass with pass %d, want ≥ 1", line, e.Pass)
+				return fmt.Errorf("stitch_pass with pass %d, want ≥ 1", e.Pass)
 			}
 			if e.N < 1 {
-				return nil, nil, fmt.Errorf("line %d: stitch_pass re-optimizing %d tiles, want ≥ 1", line, e.N)
+				return fmt.Errorf("stitch_pass re-optimizing %d tiles, want ≥ 1", e.N)
 			}
 		case obs.EventCancelled:
 			if e.Msg == "" {
-				return nil, nil, fmt.Errorf("line %d: cancelled event without a cause message", line)
+				return fmt.Errorf("cancelled event without a cause message")
 			}
 		case obs.EventCheckpoint:
 			if e.N < 1 {
-				return nil, nil, fmt.Errorf("line %d: checkpoint event capturing %d state fields, want ≥ 1", line, e.N)
+				return fmt.Errorf("checkpoint event capturing %d state fields, want ≥ 1", e.N)
 			}
 		case obs.EventCapture:
 			if e.Msg == "" {
-				return nil, nil, fmt.Errorf("line %d: capture event without a trigger reason", line)
+				return fmt.Errorf("capture event without a trigger reason")
 			}
 			if e.Name == "" {
-				return nil, nil, fmt.Errorf("line %d: capture event without a bundle directory", line)
+				return fmt.Errorf("capture event without a bundle directory")
 			}
 			if e.N < 1 {
-				return nil, nil, fmt.Errorf("line %d: capture event listing %d bundle files, want ≥ 1", line, e.N)
+				return fmt.Errorf("capture event listing %d bundle files, want ≥ 1", e.N)
 			}
 		}
 		counts[e.Type]++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
-	}
-	if line == 0 {
-		return nil, nil, fmt.Errorf("trace is empty")
 	}
 	return counts, unknown, nil
 }

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -175,15 +176,11 @@ func lastRuntimeSnapshot(path string) (obs.RuntimeStats, bool) {
 // exportChrome converts one JSONL trace (path or "-" for stdin) into a
 // Chrome Trace Event timeline file.
 func exportChrome(inPath, outPath string) error {
-	in := os.Stdin
-	if inPath != "-" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+	in, err := openTrace(inPath)
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
@@ -200,6 +197,14 @@ func exportChrome(inPath, outPath string) error {
 	return nil
 }
 
+// openTrace opens a trace file, or stdin for "-".
+func openTrace(path string) (io.ReadCloser, error) {
+	if path == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(path)
+}
+
 // parse reads one trace (path or "-" for stdin) with optional threshold
 // overrides.
 func parse(path string, stallWin int) (*analyze.Run, error) {
@@ -207,24 +212,20 @@ func parse(path string, stallWin int) (*analyze.Run, error) {
 	if stallWin > 0 {
 		th.StallWindow = stallWin
 	}
-	if path == "-" {
-		run, err := analyze.Parse(os.Stdin, th)
-		if err != nil {
-			return nil, fmt.Errorf("stdin: %w", err)
-		}
-		run.Label = "stdin"
-		return run, nil
-	}
-	f, err := os.Open(path)
+	in, err := openTrace(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	run, err := analyze.Parse(f, th)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	defer in.Close()
+	label := path
+	if path == "-" {
+		label = "stdin"
 	}
-	run.Label = path
+	run, err := analyze.Parse(in, th)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
+	}
+	run.Label = label
 	return run, nil
 }
 
@@ -286,16 +287,12 @@ func printRun(r *analyze.Run, topN int) {
 
 	for _, id := range r.SessionIDs() {
 		s := r.Sessions[id]
-		if len(s.Iterations) == 0 && len(s.Health) == 0 && !s.Cancelled {
+		if len(s.Iterations) == 0 && len(s.Health) == 0 && !s.Run.Cancelled {
 			continue
 		}
-		name := s.ID
-		if name == "" {
-			name = "(runtime)"
-		}
-		fmt.Printf("\nsession %s", name)
-		if s.Engine != "" {
-			fmt.Printf(" [%s]", s.Engine)
+		fmt.Printf("\nsession %s", id)
+		if s.Run.Engine != "" {
+			fmt.Printf(" [%s]", s.Run.Engine)
 		}
 		fmt.Println()
 		c := s.Convergence
@@ -337,9 +334,9 @@ func printRun(r *analyze.Run, topN int) {
 		for _, h := range s.Health {
 			fmt.Printf("  health: iter %d %s (cost %g)\n", h.Iter, h.Reason, h.Cost)
 		}
-		if s.Cancelled {
+		if s.Run.Cancelled {
 			fmt.Printf("  CANCELLED at iteration %d (%d checkpoint(s) captured)\n",
-				s.CancelledIter, s.Checkpoints)
+				s.Run.CancelledIter, s.Run.Checkpoints)
 		}
 	}
 }

@@ -1,24 +1,23 @@
 // Package analyze is the consumption half of the observability layer:
 // it parses the JSONL event traces that obs.JSONLSink writes (the
 // -tracefile output of cmd/lsopc and cmd/benchjson) back into typed
-// runs and computes the summaries a human (or CI) actually wants —
-// per-session convergence curves with slope/stall/divergence analysis,
+// runs — each session's state folded by obs.Folds, exactly as the live
+// /runs view folds it — and computes the summaries a human (or CI)
+// actually wants on top: per-session convergence curves with
+// slope/stall/divergence analysis,
 // per-phase latency aggregation with interpolated-free exact
 // p50/p95/p99 over the raw span durations, plan-cache and pool hit
 // rates, and run-vs-run diffs.
 //
-// The package depends only on internal/obs (for the Event schema) and
-// the standard library, so commands and tests can consume traces
+// The package depends only on internal/obs (for the Event schema, the
+// reader and the fold) and the standard library, so commands and tests can consume traces
 // without touching the simulation stack.
 package analyze
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -108,23 +107,17 @@ type LevelSegment struct {
 	P99IterNS   float64     `json:"p99_iter_ns,omitempty"`
 }
 
-// Session is the reconstructed view of one traced session (one trace
-// id): its iteration series, convergence summary and health verdicts.
-// Levels is populated when the session contains level_switch events
-// (coarse-to-fine runs), one segment per resolution in schedule order.
+// Session is the reconstructed view of one traced run (one trace id):
+// its folded obs.RunState — the same state the live /runs view reports —
+// plus the offline-only series: every iteration point, the convergence
+// summary over them, the health verdicts and, for coarse-to-fine runs
+// (level_switch events), one segment per resolution in schedule order.
 type Session struct {
-	ID          string         `json:"id"`
-	Engine      string         `json:"engine,omitempty"`
+	Run         obs.RunState   `json:"run"`
 	Iterations  []IterPoint    `json:"iterations,omitempty"`
 	Convergence Convergence    `json:"convergence"`
 	Levels      []LevelSegment `json:"levels,omitempty"`
 	Health      []HealthEvent  `json:"health,omitempty"`
-	// Cancelled: the session observed a context cancellation at
-	// CancelledIter (a cancelled event); Checkpoints counts the
-	// resumable checkpoints it captured.
-	Cancelled     bool `json:"cancelled,omitempty"`
-	CancelledIter int  `json:"cancelled_iter,omitempty"`
-	Checkpoints   int  `json:"checkpoints,omitempty"`
 
 	switches []obs.Event // level_switch events, in emission order
 }
@@ -217,8 +210,7 @@ type Run struct {
 	levelDurs map[string][]int64
 }
 
-// SessionIDs returns the session keys in sorted order (the runtime
-// pseudo-session "" sorts first when present).
+// SessionIDs returns the session keys in sorted order.
 func (r *Run) SessionIDs() []string {
 	ids := make([]string, 0, len(r.Sessions))
 	for id := range r.Sessions {
@@ -239,25 +231,10 @@ func (r *Run) Phase(name string) *PhaseStats {
 // Wall returns the trace's wall-clock extent.
 func (r *Run) Wall() time.Duration { return time.Duration(r.WallNS) }
 
-// ParseFile parses one JSONL trace file with the default thresholds.
-func ParseFile(path string) (*Run, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	run, err := Parse(f, DefaultThresholds())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	run.Label = path
-	return run, nil
-}
-
-// Parse reads a JSONL event stream and builds the typed run. Lines must
-// be valid JSON events with a type (the invariants cmd/tracecheck
-// enforces); an empty stream is an error — a trace with zero events
-// means the instrumentation never ran.
+// Parse reads a JSONL event stream (see obs.ReadEvents for the line
+// rules) and builds the typed run. Every run-scoped event folds through
+// obs.Folds, the reducer behind the live /runs view, into its session's
+// Run state.
 func Parse(in io.Reader, th Thresholds) (*Run, error) {
 	if th.StallWindow == 0 && th.StallEpsilon == 0 && th.DivergenceFactor == 0 {
 		th = DefaultThresholds()
@@ -268,42 +245,39 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 		phaseIdx:  map[string]int{},
 		levelDurs: map[string][]int64{},
 	}
+	var folds obs.Folds
 	var firstNS, lastNS int64
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		var e obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("line %d: invalid JSON: %v", line, err)
-		}
-		if e.Type == "" {
-			return nil, fmt.Errorf("line %d: event has no type", line)
-		}
+	err := obs.ReadEvents(in, func(e obs.Event) error {
 		run.Events++
 		run.ByType[e.Type]++
 		if e.TimeNS != 0 {
 			if firstNS == 0 || e.TimeNS < firstNS {
 				firstNS = e.TimeNS
 			}
-			if e.TimeNS > lastNS {
-				lastNS = e.TimeNS
+			lastNS = max(lastNS, e.TimeNS)
+		}
+		if folds.Apply(e) {
+			s := run.session(e.Trace)
+			switch e.Type {
+			case obs.EventIteration:
+				s.Iterations = append(s.Iterations, IterPoint{
+					Iter:        e.Iter,
+					Cost:        e.Cost,
+					CostNominal: e.CostNominal,
+					CostPVB:     e.CostPVB,
+					GradNorm:    e.GradNorm,
+					MaxVelocity: e.MaxVelocity,
+					TimeStep:    e.TimeStep,
+					DurNS:       e.DurNS,
+				})
+			case obs.EventLevelSwitch:
+				s.switches = append(s.switches, e)
+			case obs.EventHealth:
+				s.Health = append(s.Health, HealthEvent{Iter: e.Iter, Reason: e.Msg, Cost: e.Cost})
 			}
 		}
 		switch e.Type {
 		case obs.EventIteration:
-			s := run.session(e.Trace, e.Engine)
-			s.Iterations = append(s.Iterations, IterPoint{
-				Iter:        e.Iter,
-				Cost:        e.Cost,
-				CostNominal: e.CostNominal,
-				CostPVB:     e.CostPVB,
-				GradNorm:    e.GradNorm,
-				MaxVelocity: e.MaxVelocity,
-				TimeStep:    e.TimeStep,
-				DurNS:       e.DurNS,
-			})
 			run.observePhase("iteration", e.DurNS)
 		case obs.EventCorner:
 			run.observePhase("corner:"+e.Name+"/"+e.Corner, e.DurNS)
@@ -312,11 +286,8 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 				run.levelDurs[key] = append(run.levelDurs[key], e.DurNS)
 			}
 		case obs.EventLevelSwitch:
-			s := run.session(e.Trace, e.Engine)
-			s.switches = append(s.switches, e)
 			run.observePhase("level_switch", e.DurNS)
 		case obs.EventSpan:
-			run.session(e.Trace, e.Engine)
 			run.observePhase("span:"+e.Name, e.DurNS)
 		case obs.EventPlanCache:
 			if e.Hit {
@@ -334,21 +305,8 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 			}
 		case obs.EventHealth:
 			run.Health = append(run.Health, e)
-			s := run.session(e.Trace, "")
-			s.Health = append(s.Health, HealthEvent{Iter: e.Iter, Reason: e.Msg, Cost: e.Cost})
-		case obs.EventCancelled:
-			s := run.session(e.Trace, e.Engine)
-			s.Cancelled = true
-			s.CancelledIter = e.Iter
-		case obs.EventCheckpoint:
-			s := run.session(e.Trace, e.Engine)
-			s.Checkpoints++
 		case obs.EventTileDone:
-			if run.Tiled == nil {
-				run.Tiled = &TiledStats{}
-				run.tileSet = map[int]bool{}
-			}
-			run.Tiled.Runs++
+			run.tiled().Runs++
 			if e.Hit {
 				run.Tiled.Converged++
 			}
@@ -359,21 +317,19 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 			}
 			run.observePhase("tile", e.DurNS)
 		case obs.EventStitchPass:
-			if run.Tiled == nil {
-				run.Tiled = &TiledStats{}
-				run.tileSet = map[int]bool{}
-			}
-			run.Tiled.Stitch = append(run.Tiled.Stitch, StitchPassStat{
+			t := run.tiled()
+			t.Stitch = append(t.Stitch, StitchPassStat{
 				Pass: e.Pass, Tiles: e.N, Seam: e.Seam, Converged: e.Hit, DurNS: e.DurNS,
 			})
 			run.observePhase("stitch_pass", e.DurNS)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if run.Events == 0 {
-		return nil, fmt.Errorf("trace is empty")
+	for _, st := range folds.States() {
+		run.session(st.ID).Run = st
 	}
 	if lastNS > firstNS {
 		run.WallNS = lastNS - firstNS
@@ -382,17 +338,23 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 	return run, nil
 }
 
-// session returns (creating if needed) the session for a trace id.
-func (r *Run) session(id, engine string) *Session {
+// session returns (creating if needed) the session for a run id.
+func (r *Run) session(id string) *Session {
 	s, ok := r.Sessions[id]
 	if !ok {
-		s = &Session{ID: id}
+		s = &Session{}
 		r.Sessions[id] = s
 	}
-	if s.Engine == "" {
-		s.Engine = engine
-	}
 	return s
+}
+
+// tiled returns the run's tiled stats, creating them on first use.
+func (r *Run) tiled() *TiledStats {
+	if r.Tiled == nil {
+		r.Tiled = &TiledStats{}
+		r.tileSet = map[int]bool{}
+	}
+	return r.Tiled
 }
 
 // observePhase appends one duration sample to the named phase.
@@ -433,11 +395,7 @@ func (r *Run) finalize(th Thresholds) {
 	r.levelDurs = nil
 	for i := range r.Phases {
 		p := &r.Phases[i]
-		sort.Slice(p.durs, func(a, b int) bool { return p.durs[a] < p.durs[b] })
-		p.MeanNS = float64(p.TotalNS) / float64(p.Count)
-		p.P50NS = percentile(p.durs, 0.50)
-		p.P95NS = percentile(p.durs, 0.95)
-		p.P99NS = percentile(p.durs, 0.99)
+		p.MeanNS, p.P50NS, p.P95NS, p.P99NS = quantiles(p.durs)
 		p.durs = nil
 	}
 	sort.Slice(r.Phases, func(a, b int) bool { return r.Phases[a].TotalNS > r.Phases[b].TotalNS })
@@ -452,17 +410,7 @@ func (r *Run) finalize(th Thresholds) {
 	}
 	if r.Tiled != nil {
 		r.Tiled.Tiles = len(r.tileSet)
-		if n := len(r.tileDurs); n > 0 {
-			sort.Slice(r.tileDurs, func(a, b int) bool { return r.tileDurs[a] < r.tileDurs[b] })
-			var total int64
-			for _, d := range r.tileDurs {
-				total += d
-			}
-			r.Tiled.MeanTileNS = float64(total) / float64(n)
-			r.Tiled.P50TileNS = percentile(r.tileDurs, 0.50)
-			r.Tiled.P95TileNS = percentile(r.tileDurs, 0.95)
-			r.Tiled.P99TileNS = percentile(r.tileDurs, 0.99)
-		}
+		r.Tiled.MeanTileNS, r.Tiled.P50TileNS, r.Tiled.P95TileNS, r.Tiled.P99TileNS = quantiles(r.tileDurs)
 		sort.Slice(r.Tiled.Stitch, func(a, b int) bool { return r.Tiled.Stitch[a].Pass < r.Tiled.Stitch[b].Pass })
 	}
 	r.tileDurs, r.tileSet = nil, nil
@@ -500,25 +448,31 @@ func buildLevels(s *Session, th Thresholds) []LevelSegment {
 		if len(pts) > 0 {
 			seg.StartIter = pts[0].Iter
 			durs := make([]int64, 0, len(pts))
-			var totalNS int64
 			for _, p := range pts {
 				if p.DurNS > 0 {
 					durs = append(durs, p.DurNS)
-					totalNS += p.DurNS
 				}
 			}
-			if len(durs) > 0 {
-				sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-				seg.MeanIterNS = float64(totalNS) / float64(len(durs))
-				seg.P50IterNS = percentile(durs, 0.50)
-				seg.P95IterNS = percentile(durs, 0.95)
-				seg.P99IterNS = percentile(durs, 0.99)
-			}
+			seg.MeanIterNS, seg.P50IterNS, seg.P95IterNS, seg.P99IterNS = quantiles(durs)
 		}
 		segs = append(segs, seg)
 		start = end
 	}
 	return segs
+}
+
+// quantiles sorts durs in place and returns their mean, p50, p95 and
+// p99 (all 0 for no samples).
+func quantiles(durs []int64) (mean, p50, p95, p99 float64) {
+	if len(durs) == 0 {
+		return 0, 0, 0, 0
+	}
+	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
+	var total int64
+	for _, d := range durs {
+		total += d
+	}
+	return float64(total) / float64(len(durs)), percentile(durs, 0.50), percentile(durs, 0.95), percentile(durs, 0.99)
 }
 
 // percentile interpolates the q-quantile of ascending-sorted samples.
@@ -540,29 +494,27 @@ func percentile(sorted []int64, q float64) float64 {
 }
 
 // summarize computes the convergence summary of one iteration series.
+// First and best cost and the ln-cost slope come from folding the
+// series through obs.Fold, so they follow the live view's rules (the
+// best cost is the lowest finite one, reported at its iteration number).
 func summarize(iters []IterPoint, th Thresholds) Convergence {
 	c := Convergence{Iterations: len(iters), StallIter: -1, NonFiniteIter: -1}
 	if len(iters) == 0 {
 		return c
 	}
-	c.FirstCost = iters[0].Cost
-	c.FinalCost = iters[len(iters)-1].Cost
-	c.BestCost = math.Inf(1)
-	for i, p := range iters {
+	var f obs.Fold
+	for _, p := range iters {
+		f.Apply(obs.Event{Type: obs.EventIteration, Iter: p.Iter, Cost: p.Cost})
 		if !c.NonFinite && (math.IsNaN(p.Cost) || math.IsInf(p.Cost, 0)) {
 			c.NonFinite, c.NonFiniteIter = true, p.Iter
 		}
-		if p.Cost < c.BestCost {
-			c.BestCost, c.BestIter = p.Cost, i
-		}
 	}
-	if math.IsInf(c.BestCost, 1) { // every cost non-finite
-		c.BestCost = math.NaN()
-	}
+	st := f.State()
+	c.FirstCost, c.BestCost, c.BestIter, c.SlopeLogPerIter = st.FirstCost, st.BestCost, st.BestIter, st.Slope
+	c.FinalCost = iters[len(iters)-1].Cost
 	if c.FirstCost != 0 && !c.NonFinite {
 		c.ReductionFrac = (c.FirstCost - c.FinalCost) / c.FirstCost
 	}
-	c.SlopeLogPerIter = logSlope(iters)
 	// Stall: the trailing window's total relative improvement is below
 	// the epsilon.
 	if w := th.StallWindow; !c.NonFinite && w > 0 && len(iters) > w {
@@ -582,17 +534,4 @@ func summarize(iters []IterPoint, th Thresholds) Convergence {
 		c.Diverged = true
 	}
 	return c
-}
-
-// logSlope is the least-squares slope of ln(cost) against the sample
-// index, using only finite positive costs. It approximates the average
-// relative cost change per iteration. The math lives in obs.SlopeAccum
-// so the live RunRegistry computes the identical statistic
-// incrementally while a run is still in flight.
-func logSlope(iters []IterPoint) float64 {
-	var a obs.SlopeAccum
-	for _, p := range iters {
-		a.Observe(p.Cost)
-	}
-	return a.Slope()
 }

@@ -73,7 +73,7 @@ func TestParseTypedRun(t *testing.T) {
 	}
 
 	s := run.Sessions["s1"]
-	if s == nil || len(s.Iterations) != 12 || s.Engine != "gpu" {
+	if s == nil || len(s.Iterations) != 12 || s.Run.Engine != "gpu" {
 		t.Fatalf("session s1 = %+v", s)
 	}
 	c := s.Convergence
@@ -164,6 +164,62 @@ func TestParseDetectsDivergence(t *testing.T) {
 	}
 	if c.ReductionFrac >= 0 {
 		t.Fatalf("reduction = %g, want negative", c.ReductionFrac)
+	}
+}
+
+// TestParseBestIsFiniteAtIterationNumber pins the offline best-cost
+// rule to the live one (obs.Fold): the best cost is the lowest finite
+// cost, reported at its iteration number — not its index in the series
+// — for a resumed run, for a level segment after the first, and for a
+// series that opens with a non-finite cost.
+func TestParseBestIsFiniteAtIterationNumber(t *testing.T) {
+	var resumed []obs.Event
+	for i, c := range []float64{9, 8, 2, 3, 4, 5, 6} {
+		resumed = append(resumed, iterEvent("s1", 5+i, c))
+	}
+	run, err := Parse(traceBuf(t, resumed), DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := run.Sessions["s1"]
+	if c := s.Convergence; c.BestCost != 2 || c.BestIter != 7 {
+		t.Errorf("resumed: best %g @%d, want 2 @7", c.BestCost, c.BestIter)
+	}
+	if s.Run.BestCost != 2 || s.Run.BestIter != 7 {
+		t.Errorf("resumed: folded best %g @%d, want 2 @7", s.Run.BestCost, s.Run.BestIter)
+	}
+
+	var multires []obs.Event
+	for i, c := range []float64{40, 30, 20, 10, 5, 6, 7} {
+		if i == 3 {
+			multires = append(multires, obs.Event{Type: obs.EventLevelSwitch, Trace: "s1", Iter: 3, OldN: 64, N: 128})
+		}
+		multires = append(multires, iterEvent("s1", i, c))
+	}
+	run, err = Parse(traceBuf(t, multires), DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := run.Sessions["s1"].Levels
+	if len(lv) != 2 || lv[1].StartIter != 3 {
+		t.Fatalf("levels = %+v, want two with the second from iteration 3", lv)
+	}
+	if c := lv[1].Convergence; c.BestCost != 5 || c.BestIter != 4 {
+		t.Errorf("second level: best %g @%d, want 5 @4", c.BestCost, c.BestIter)
+	}
+
+	run, err = Parse(traceBuf(t, []obs.Event{
+		iterEvent("s1", 0, math.Inf(-1)), iterEvent("s1", 1, 3), iterEvent("s1", 2, 5),
+	}), DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = run.Sessions["s1"]
+	if c := s.Convergence; c.BestCost != 3 || c.BestIter != 1 || !c.NonFinite {
+		t.Errorf("-Inf first: best %g @%d non-finite=%v, want 3 @1, true", c.BestCost, c.BestIter, c.NonFinite)
+	}
+	if s.Run.BestCost != 3 || s.Run.BestIter != 1 {
+		t.Errorf("-Inf first: folded best %g @%d, want 3 @1", s.Run.BestCost, s.Run.BestIter)
 	}
 }
 

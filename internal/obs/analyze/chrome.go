@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -68,28 +67,15 @@ func safeArg(v float64) any {
 func WriteChromeTrace(w io.Writer, in io.Reader) (skipped int, err error) {
 	var events []obs.Event
 	var baseNS int64
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		var e obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return 0, fmt.Errorf("line %d: invalid JSON: %v", line, err)
-		}
-		if e.Type == "" {
-			return 0, fmt.Errorf("line %d: event has no type", line)
-		}
+	err = obs.ReadEvents(in, func(e obs.Event) error {
 		if e.TimeNS != 0 && (baseNS == 0 || e.TimeNS < baseNS) {
 			baseNS = e.TimeNS
 		}
 		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
-	}
-	if len(events) == 0 {
-		return 0, fmt.Errorf("empty trace: no events to export")
 	}
 
 	// Track (= Chrome thread) ids in first-appearance order, which is
@@ -192,10 +178,10 @@ func WriteChromeTrace(w io.Writer, in io.Reader) (skipped int, err error) {
 }
 
 // childTrack places a parent-emitted tile event on the tile sub-run's
-// "<job>.t<n>" track (the tiling layer's trace-id convention).
+// track.
 func childTrack(e obs.Event) string {
 	if e.Trace == "" {
 		return "runtime"
 	}
-	return fmt.Sprintf("%s.t%d", e.Trace, e.Tile)
+	return obs.TileRunID(e.Trace, e.Tile)
 }

@@ -111,11 +111,10 @@ type Subscription struct {
 	id    int64
 	types map[string]struct{} // nil = all event types
 
-	mu      sync.Mutex
-	ring    []Event
-	head, n int
-	closed  bool
-	notify  chan struct{}
+	mu     sync.Mutex
+	ring   *Ring[Event]
+	closed bool
+	notify chan struct{}
 
 	drops    atomic.Int64
 	dropCntr *Counter
@@ -137,7 +136,7 @@ func (b *Bus) Subscribe(buf int, types ...string) *Subscription {
 	s := &Subscription{
 		bus:    b,
 		id:     b.nextID.Add(1),
-		ring:   make([]Event, buf),
+		ring:   NewRing[Event](buf),
 		notify: make(chan struct{}, 1),
 	}
 	if len(types) > 0 {
@@ -183,15 +182,11 @@ func (s *Subscription) push(e Event) {
 		s.mu.Unlock()
 		return
 	}
-	if s.n == len(s.ring) {
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
+	if s.ring.Push(e) {
 		s.drops.Add(1)
 		s.dropCntr.Inc()
 		s.bus.dropped.Inc()
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = e
-	s.n++
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -208,7 +203,7 @@ func (s *Subscription) Next(ctx context.Context) (Event, bool) {
 			return e, true
 		}
 		s.mu.Lock()
-		closed := s.closed && s.n == 0
+		closed := s.closed && s.ring.Len() == 0
 		s.mu.Unlock()
 		if closed {
 			return Event{}, false
@@ -225,21 +220,14 @@ func (s *Subscription) Next(ctx context.Context) (Event, bool) {
 func (s *Subscription) TryNext() (Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Event{}, false
-	}
-	e := s.ring[s.head]
-	s.ring[s.head] = Event{}
-	s.head = (s.head + 1) % len(s.ring)
-	s.n--
-	return e, true
+	return s.ring.Pop()
 }
 
 // Len returns the number of buffered events awaiting the consumer.
 func (s *Subscription) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.n
+	return s.ring.Len()
 }
 
 // Close detaches the subscription from the bus. Buffered events remain

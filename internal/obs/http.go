@@ -202,12 +202,9 @@ func serveSSE(w http.ResponseWriter, req *http.Request, bus *Bus) {
 }
 
 // runMatches reports whether an event's trace id belongs to run id —
-// the run itself or one of its "<id>.t<n>" tile sub-runs.
+// the run itself or one of its tile sub-runs.
 func runMatches(id, trace string) bool {
-	if trace == id {
-		return true
-	}
-	return strings.HasPrefix(trace, id) && len(trace) > len(id) && trace[len(id)] == '.'
+	return trace == id || ParentRunID(trace) == id
 }
 
 // Server is a handle on a running observability endpoint. It owns the

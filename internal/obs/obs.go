@@ -26,9 +26,12 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,6 +92,51 @@ const (
 	// directory, and N the number of files it contains.
 	EventCapture = "capture"
 )
+
+// KnownEvent reports whether kind belongs to the event taxonomy above;
+// cmd/tracecheck counts anything else as schema drift.
+func KnownEvent(kind string) bool {
+	switch kind {
+	case EventIteration, EventCorner, EventPlanCache, EventPool, EventSpan,
+		EventProgress, EventHealth, EventLevelSwitch, EventTileStart,
+		EventTileDone, EventStitchPass, EventCancelled, EventCheckpoint,
+		EventCapture:
+		return true
+	}
+	return false
+}
+
+// RuntimeScoped reports whether kind is a process-level event that is
+// legitimately emitted with no run id (plan-cache lookups and pool
+// leases during bank/session construction, free-form progress lines).
+// Such events belong to no run and never fold into run state.
+func RuntimeScoped(kind string) bool {
+	switch kind {
+	case EventPlanCache, EventPool, EventProgress:
+		return true
+	}
+	return false
+}
+
+// TileRunID is the trace id of tile n's sub-run of a tiled job:
+// "<job>.t<n>". ParentRunID inverts it.
+func TileRunID(job string, n int) string { return job + ".t" + strconv.Itoa(n) }
+
+// ParentRunID returns the tiled job id of a tile sub-run id
+// ("<job>.t<n>" → "<job>"), or "" when id names no tile sub-run.
+// Allocation-free.
+func ParentRunID(id string) string {
+	i := strings.LastIndex(id, ".t")
+	if i <= 0 || i+2 == len(id) {
+		return ""
+	}
+	for _, c := range id[i+2:] {
+		if c < '0' || c > '9' {
+			return ""
+		}
+	}
+	return id[:i]
+}
 
 // Event is one structured trace record. It is a flat union of the
 // fields used by the event types above; unused fields marshal away
@@ -388,6 +436,41 @@ func (s *JSONLSink) Flush() error {
 	return s.err
 }
 
+// ReadEvents decodes a JSONL event stream (the JSONLSink format) and
+// calls fn for each event in order. A line that is empty, not valid
+// JSON or has no type stops the read with an error naming the line, as
+// does an error from fn; a stream with no lines is an error too — a
+// trace with zero events means the instrumentation never ran. Lines
+// may be up to 1 MiB long.
+func ReadEvents(in io.Reader, fn func(Event) error) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			return fmt.Errorf("line %d: empty line", line)
+		}
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return fmt.Errorf("line %d: invalid JSON: %v", line, err)
+		}
+		if e.Type == "" {
+			return fmt.Errorf("line %d: event has no type", line)
+		}
+		if err := fn(e); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if line == 0 {
+		return errors.New("trace is empty")
+	}
+	return nil
+}
+
 // CollectorSink retains every event in memory, for tests.
 type CollectorSink struct {
 	mu     sync.Mutex
@@ -419,11 +502,17 @@ func (s *CollectorSink) Len() int {
 
 // TeeSink fans every event out to several sinks in order. nil entries
 // are skipped; Flush flushes every buffering member and reports the
-// first error.
+// first error. An event without a timestamp is stamped once, before the
+// fan-out, so every member (the JSONL file, the bus, the run registry,
+// the flight recorder) sees the same time_ns; sequence numbers stay
+// each sink's own.
 type TeeSink []Sink
 
 // Emit implements Sink.
 func (t TeeSink) Emit(e Event) {
+	if e.TimeNS == 0 {
+		e.TimeNS = time.Now().UnixNano()
+	}
 	for _, s := range t {
 		if s != nil {
 			s.Emit(e)

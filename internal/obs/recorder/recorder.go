@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -68,31 +67,6 @@ type Config struct {
 	Sink obs.Sink
 }
 
-// ring is a bounded event buffer (oldest overwritten first).
-type ring struct {
-	ev      []obs.Event
-	head, n int
-}
-
-func (r *ring) push(e obs.Event) {
-	if r.n == len(r.ev) {
-		r.ev[r.head] = e
-		r.head = (r.head + 1) % len(r.ev)
-		return
-	}
-	r.ev[(r.head+r.n)%len(r.ev)] = e
-	r.n++
-}
-
-// tail returns the buffered events, oldest first.
-func (r *ring) tail() []obs.Event {
-	out := make([]obs.Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.ev[(r.head+i)%len(r.ev)])
-	}
-	return out
-}
-
 // Recorder is the flight recorder. Safe for concurrent use by any
 // number of emitters and capture triggers.
 type Recorder struct {
@@ -100,13 +74,11 @@ type Recorder struct {
 	reg *obs.Registry
 
 	mu    sync.Mutex
-	rings map[string]*ring
+	rings map[string]*obs.Ring[obs.Event]
 	order []string // ring insertion order, for MaxRuns eviction
 
 	snapMu   sync.Mutex
-	snaps    []obs.RuntimeStats
-	snapHead int
-	snapN    int
+	snaps    *obs.Ring[obs.RuntimeStats]
 	stopSnap chan struct{}
 	snapOnce sync.Once
 
@@ -146,8 +118,8 @@ func New(cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:       cfg,
 		reg:       reg,
-		rings:     make(map[string]*ring),
-		snaps:     make([]obs.RuntimeStats, cfg.SnapshotRing),
+		rings:     make(map[string]*obs.Ring[obs.Event]),
+		snaps:     obs.NewRing[obs.RuntimeStats](cfg.SnapshotRing),
 		captured:  make(map[string]string),
 		stopSnap:  make(chan struct{}),
 		mEvents:   reg.Counter("obs.recorder.events"),
@@ -184,13 +156,7 @@ func (r *Recorder) sampleLoop(every time.Duration) {
 
 func (r *Recorder) pushSnapshot(st obs.RuntimeStats) {
 	r.snapMu.Lock()
-	if r.snapN == len(r.snaps) {
-		r.snaps[r.snapHead] = st
-		r.snapHead = (r.snapHead + 1) % len(r.snaps)
-	} else {
-		r.snaps[(r.snapHead+r.snapN)%len(r.snaps)] = st
-		r.snapN++
-	}
+	r.snaps.Push(st)
 	r.snapMu.Unlock()
 }
 
@@ -198,30 +164,16 @@ func (r *Recorder) pushSnapshot(st obs.RuntimeStats) {
 func (r *Recorder) snapshots() []obs.RuntimeStats {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	out := make([]obs.RuntimeStats, 0, r.snapN)
-	for i := 0; i < r.snapN; i++ {
-		out = append(out, r.snaps[(r.snapHead+i)%len(r.snaps)])
-	}
-	return out
+	return r.snaps.Items()
 }
 
-// rootOf collapses a tile sub-run id ("<job>.t<n>") to its parent job,
-// mirroring the run registry's convention. Allocation-free.
+// rootOf collapses a tile sub-run id to its parent job, so a tiled
+// job's ring tells one story. Allocation-free.
 func rootOf(id string) string {
-	i := strings.LastIndex(id, ".t")
-	if i <= 0 {
-		return id
+	if p := obs.ParentRunID(id); p != "" {
+		return p
 	}
-	digits := id[i+2:]
-	if digits == "" {
-		return id
-	}
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return id
-		}
-	}
-	return id[:i]
+	return id
 }
 
 // Emit implements obs.Sink: the event joins its root run's bounded
@@ -236,7 +188,7 @@ func (r *Recorder) Emit(e obs.Event) {
 	r.mu.Lock()
 	rg := r.rings[root]
 	if rg == nil {
-		rg = &ring{ev: make([]obs.Event, r.cfg.RingSize)}
+		rg = obs.NewRing[obs.Event](r.cfg.RingSize)
 		r.rings[root] = rg
 		r.order = append(r.order, root)
 		r.gRuns.Set(int64(len(r.rings)))
@@ -247,7 +199,7 @@ func (r *Recorder) Emit(e obs.Event) {
 			r.gRuns.Set(int64(len(r.rings)))
 		}
 	}
-	rg.push(e)
+	rg.Push(e)
 	r.mu.Unlock()
 	r.mEvents.Inc()
 }
@@ -262,7 +214,7 @@ func (r *Recorder) Tail(id string) []obs.Event {
 	if rg == nil {
 		return nil
 	}
-	return rg.tail()
+	return rg.Items()
 }
 
 // Anomaly describes one capture trigger.

@@ -3,15 +3,14 @@ package obs
 import "math"
 
 // SlopeAccum incrementally computes the least-squares slope of ln(cost)
-// against the sample index — the convergence-rate statistic
-// obs/analyze reports post-mortem — one Observe per iteration, O(1)
-// memory. Non-positive or non-finite costs are skipped but still
-// advance the index, matching the batch computation exactly: feeding a
-// series point-by-point yields the same slope analyze computes over the
-// whole series.
+// against the sample index — the convergence-rate statistic of Fold —
+// one Observe per iteration, O(1) memory. Non-positive or non-finite
+// costs are skipped but still advance the index, so feeding a series
+// point by point yields the batch least-squares slope over the whole
+// series.
 //
-// The zero value is ready to use. Not concurrency-safe; callers
-// (RunRegistry) serialize access.
+// The zero value is ready to use. Not concurrency-safe; callers (Fold)
+// serialize access.
 type SlopeAccum struct {
 	i                        int // next sample index, advances on skips too
 	n                        float64
@@ -45,6 +44,3 @@ func (a *SlopeAccum) Slope() float64 {
 	}
 	return (a.n*a.sumXY - a.sumX*a.sumY) / den
 }
-
-// Reset clears the accumulator to its zero state.
-func (a *SlopeAccum) Reset() { *a = SlopeAccum{} }

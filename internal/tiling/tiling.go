@@ -507,7 +507,7 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 	topts := r.opts.Core
 	topts.Sink = r.opts.Sink
 	topts.Health = r.opts.Health
-	topts.TraceID = fmt.Sprintf("%s.t%d", r.opts.TraceID, ti+1)
+	topts.TraceID = obs.TileRunID(r.opts.TraceID, ti+1)
 	if pass > 0 {
 		topts.InitialPsi = chipPsi.SubRegion(t.Window.X0/r.pitch, t.Window.Y0/r.pitch, wpx, wpx)
 		topts.MaxIter = r.stitchIters

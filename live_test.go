@@ -2,14 +2,19 @@ package lsopc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"lsopc/internal/layouts"
+	"lsopc/internal/obs/analyze"
 )
 
 // liveRunState is the subset of the /runs JSON this test asserts on.
@@ -262,5 +267,145 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 	shut = true
 	if err := live.Err(); err != nil {
 		t.Fatalf("Err after shutdown: %v", err)
+	}
+}
+
+// TestLiveRunsMatchOfflineFold is the acceptance gate of the shared
+// trace fold: four real runs — one clip, a coarse-to-fine run, a 2×2
+// tiled chip and a tiled job aborted by a poisoned tile — are traced
+// through TeeTraceSink(JSONL, ServeLive().Sink()). For every run id the
+// state analyze.Parse folds from the JSONL file (what tracestats -json
+// reports) must equal the /runs/{id} snapshot byte for byte,
+// timestamps included. Every live run must also carry real
+// timestamps: StartNS > 0, UpdatedNS ≥ StartNS, and an iteration tail
+// whose time_ns are positive and non-decreasing.
+func TestLiveRunsMatchOfflineFold(t *testing.T) {
+	chip, err := layouts.Chip(2, 2, []string{"B1", "B4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimize := func(t *testing.T, p *Pipeline, err error, opts LevelSetOptions) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release()
+		if _, err := p.OptimizeLevelSet(Benchmark("B1"), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := DefaultLevelSetOptions()
+	opts.MaxIter = 4
+	multires := opts
+	multires.MultiResFactor = 2
+	cases := []struct {
+		name string
+		run  func(t *testing.T, sink TraceSink)
+	}{
+		{"single", func(t *testing.T, sink TraceSink) {
+			p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(sink))
+			optimize(t, p, err, opts)
+		}},
+		{"multires", func(t *testing.T, sink TraceSink) {
+			p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(sink))
+			optimize(t, p, err, multires)
+		}},
+		{"tiled", func(t *testing.T, sink TraceSink) {
+			p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Release()
+			if _, err := p.OptimizeTiled(chip, TileOptions{HaloNM: 256, Core: opts}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"poisoned", func(t *testing.T, sink TraceSink) {
+			// As in TestFlightRecorderTiledAbortBundle, except that the
+			// recorder's capture event goes to both views.
+			rec := NewFlightRecorder(FlightRecorderConfig{
+				Dir: t.TempDir(), CPUProfile: 10 * time.Millisecond, Sink: sink,
+			})
+			defer rec.Close()
+			p, err := NewCustomPipeline(64, 16, 4, GPUEngine(),
+				WithTraceSink(TeeTraceSink(sink, rec)),
+				WithHealthPolicy(DefaultHealthPolicy()),
+				WithFlightRecorder(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Release()
+			popts := DefaultLevelSetOptions()
+			popts.MaxIter = 20
+			_, err = p.OptimizeTiled(Benchmark("B1"), TileOptions{HaloNM: 256, Core: popts, PoisonTile: 3})
+			var terr *TileAbortError
+			if !errors.As(err, &terr) {
+				t.Fatalf("poisoned run returned %v, want a *TileAbortError", err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			live, err := ServeLive("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Shutdown(context.Background())
+			base := "http://" + live.Addr()
+			var file bytes.Buffer
+			jsonl := NewJSONLTraceSink(&file)
+			c.run(t, TeeTraceSink(jsonl, live.Sink()))
+			if err := FlushTrace(jsonl); err != nil {
+				t.Fatal(err)
+			}
+			offline, err := analyze.Parse(&file, analyze.DefaultThresholds())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var list struct {
+				Runs []struct {
+					ID string `json:"id"`
+				} `json:"runs"`
+			}
+			liveGetJSON(t, base+"/runs", &list)
+			if len(list.Runs) == 0 || len(list.Runs) != len(offline.Sessions) {
+				t.Fatalf("/runs lists %d runs, the trace file folds %d", len(list.Runs), len(offline.Sessions))
+			}
+			for _, r := range list.Runs {
+				var detail struct {
+					Run        json.RawMessage `json:"run"`
+					Iterations []struct {
+						TimeNS int64 `json:"time_ns"`
+					} `json:"iterations"`
+				}
+				liveGetJSON(t, base+"/runs/"+r.ID, &detail)
+				s := offline.Sessions[r.ID]
+				if s == nil {
+					t.Fatalf("run %s is live but missing from the trace file's fold", r.ID)
+				}
+				var want bytes.Buffer
+				if err := json.Compact(&want, detail.Run); err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(s.Run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("run %s:\noffline %s\nlive    %s", r.ID, got, want.Bytes())
+				}
+				if s.Run.StartNS <= 0 || s.Run.UpdatedNS < s.Run.StartNS {
+					t.Errorf("run %s: start_ns %d, updated_ns %d", r.ID, s.Run.StartNS, s.Run.UpdatedNS)
+				}
+				var last int64
+				for i, p := range detail.Iterations {
+					if p.TimeNS <= 0 || p.TimeNS < last {
+						t.Fatalf("run %s: tail point %d has time_ns %d after %d", r.ID, i, p.TimeNS, last)
+					}
+					last = p.TimeNS
+				}
+			}
+		})
 	}
 }

@@ -24,7 +24,8 @@
 #               (GLP layouts, GDSII streams, PGM masks, gob checkpoints),
 #               the 1-D FFT kernel against its reference loop, the
 #               real-output banded inverse against the complex one, the
-#               reduced-grid SOCS aerial and gradient against the dense
+#               real-input forward against the reference 2-D algorithm,
+#               the reduced-grid SOCS aerial and gradient against the dense
 #               full-grid reference, the inline resist sigmoid against
 #               the math.Exp form, and the offline trace fold
 #               (analyze.Parse) against the live run registry
@@ -137,6 +138,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
+	$(GO) test -run '^$$' -fuzz '^FuzzForwardRealMatchesTextbook$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze

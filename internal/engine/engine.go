@@ -129,50 +129,7 @@ func (e *Engine) For(n int, body func(i int)) {
 // ForChunk runs body(lo, hi) over a partition of [0, n) into contiguous
 // half-open chunks, one chunk per worker (fewer if n is small). Chunked
 // form lets callers hoist per-worker scratch out of the inner loop.
-func (e *Engine) ForChunk(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		if e.busy != nil {
-			t0 := time.Now()
-			body(0, n)
-			e.busy.Add(e.busyOff, time.Since(t0))
-			return
-		}
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	chunk := (n + w - 1) / w
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			wg.Done()
-			continue
-		}
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			if e.busy != nil {
-				t0 := time.Now()
-				body(lo, hi)
-				e.busy.Add(e.busyOff+worker, time.Since(t0))
-				return
-			}
-			body(lo, hi)
-		}(k, lo, hi)
-	}
-	wg.Wait()
-}
+func (e *Engine) ForChunk(n int, body func(lo, hi int)) { e.run(n, body, nil) }
 
 // Parallel runs the given tasks concurrently (bounded by the worker
 // count) and blocks until all complete. Used to overlap independent
@@ -205,55 +162,49 @@ func (e *Engine) Parallel(tasks ...func()) {
 // Map applies body to each index of [0, n) like For, but gives the body
 // its worker ordinal so it can use per-worker scratch buffers. Worker
 // ordinals are dense in [0, Workers()).
-func (e *Engine) Map(n int, body func(worker, i int)) {
+func (e *Engine) Map(n int, body func(worker, i int)) { e.run(n, nil, body) }
+
+// run executes ForChunk's chunk body or Map's index body (exactly one is
+// non-nil) over [0, n) split into ⌈n/w⌉-sized chunks, w = min(Workers,
+// n). Chunk k runs as worker k; chunk 0 runs on the calling goroutine,
+// so a call spawns w−1 goroutines and a serial engine none.
+func (e *Engine) run(n int, chunk func(lo, hi int), each func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
+	size := (n + w - 1) / w
 	if w == 1 {
-		if e.busy != nil {
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				body(0, i)
-			}
-			e.busy.Add(e.busyOff, time.Since(t0))
-			return
-		}
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
+		e.exec(0, 0, n, chunk, each)
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(w)
-	chunk := (n + w - 1) / w
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			wg.Done()
-			continue
-		}
-		go func(worker, lo, hi int) {
+	for k := 1; k < w && k*size < n; k++ {
+		wg.Add(1)
+		go func(k int) {
 			defer wg.Done()
-			if e.busy != nil {
-				t0 := time.Now()
-				for i := lo; i < hi; i++ {
-					body(worker, i)
-				}
-				e.busy.Add(e.busyOff+worker, time.Since(t0))
-				return
-			}
-			for i := lo; i < hi; i++ {
-				body(worker, i)
-			}
-		}(k, lo, hi)
+			e.exec(k, k*size, min((k+1)*size, n), chunk, each)
+		}(k)
 	}
+	e.exec(0, 0, size, chunk, each)
 	wg.Wait()
+}
+
+// exec runs worker's chunk [lo, hi) and adds its time to the worker's
+// busy slot when an accumulator is attached.
+func (e *Engine) exec(worker, lo, hi int, chunk func(lo, hi int), each func(worker, i int)) {
+	var t0 time.Time
+	if e.busy != nil {
+		t0 = time.Now()
+	}
+	if chunk != nil {
+		chunk(lo, hi)
+	} else {
+		for i := lo; i < hi; i++ {
+			each(worker, i)
+		}
+	}
+	if e.busy != nil {
+		e.busy.Add(e.busyOff+worker, time.Since(t0))
+	}
 }

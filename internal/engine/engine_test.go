@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"lsopc/internal/obs"
 )
 
 func TestNewClampsWorkers(t *testing.T) {
@@ -132,6 +135,55 @@ func TestMapSerialUsesWorkerZero(t *testing.T) {
 			t.Fatalf("serial engine used worker %d", worker)
 		}
 	})
+}
+
+// TestChunkOrdinalsAndBusySlots pins the partition of ForChunk and
+// Map: chunk k of ⌈n/w⌉ indices runs as worker k, every ordinal handles
+// exactly one chunk per call, and each chunk's time lands in its
+// worker's WorkerBusy slot (offset by the sub-engine's first slot after
+// Split) and in no other.
+func TestChunkOrdinalsAndBusySlots(t *testing.T) {
+	const pause = 200 * time.Microsecond
+	for _, workers := range []int{1, 2, 3, 5} {
+		for _, n := range []int{1, 4, 7, 37} {
+			for _, split := range []bool{false, true} {
+				busy := obs.NewWorkerBusy(2 * workers)
+				e, off := New("t", workers).InstrumentBusy(busy), 0
+				if split {
+					e, off = New("t", 2*workers).InstrumentBusy(busy).Split(2)[1], workers
+				}
+				w := min(workers, n)
+				size := (n + w - 1) / w
+				chunks := (n + size - 1) / size
+				owner := make([]int, n)
+				e.Map(n, func(worker, i int) { owner[i] = worker })
+				for i, k := range owner {
+					if k != i/size {
+						t.Fatalf("workers=%d n=%d: Map index %d ran as worker %d, want %d", workers, n, i, k, i/size)
+					}
+				}
+				busy.Reset()
+				var calls [8]atomic.Int32
+				e.ForChunk(n, func(lo, hi int) {
+					if lo%size != 0 || hi != min(lo+size, n) {
+						t.Errorf("workers=%d n=%d: chunk [%d,%d) is not one of the ⌈n/w⌉ partition", workers, n, lo, hi)
+					}
+					calls[lo/size].Add(1)
+					time.Sleep(pause)
+				})
+				for k, d := range busy.PerWorker() {
+					k -= off
+					inUse := k >= 0 && k < chunks
+					if inUse && (calls[k].Load() != 1 || d < pause) {
+						t.Fatalf("workers=%d n=%d split=%v: worker %d ran %d chunks, busy %v", workers, n, split, k, calls[k].Load(), d)
+					}
+					if !inUse && d != 0 {
+						t.Fatalf("workers=%d n=%d split=%v: idle slot %d has busy %v", workers, n, split, k+off, d)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestEnginesComputeSameResult(t *testing.T) {

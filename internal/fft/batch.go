@@ -19,18 +19,20 @@ var (
 	mBatchInverseNS       = obs.Default.Histogram("fft.batch.inverse_ns", obs.DurationBounds)
 	mBatchInverseBandedNS = obs.Default.Histogram("fft.batch.inverse_banded_ns", obs.DurationBounds)
 	mBatchForwardColsNS   = obs.Default.Histogram("fft.batch.forward_banded_cols_ns", obs.DurationBounds)
+	mBatchForwardRealNS   = obs.Default.Histogram("fft.batch.forward_real_ns", obs.DurationBounds)
 )
 
-// BatchPlan2D performs 2-D transforms on a stack of B same-shaped
-// complex fields with kernel-level parallelism: every pass schedules the
-// B×rows (or B×cols) independent 1-D transforms of the whole batch in a
-// single engine sweep, so one optimizer stage pays one fork/join barrier
-// per pass instead of one per field. This is the batched-FFT execution
-// model the paper obtains from cuFFT's plan-many interface.
+// BatchPlan2D is the package's 2-D transform. It runs on a stack of B
+// same-shaped complex fields with kernel-level parallelism: every pass
+// schedules the B×rows (or B×cols) independent 1-D transforms of the
+// whole batch in a single engine sweep, so one optimizer stage pays one
+// fork/join barrier per pass instead of one per field. This is the
+// batched-FFT execution model the paper obtains from cuFFT's plan-many
+// interface; a single field is a batch of one.
 //
-// Unlike Plan2D, the column pass does not transpose: each worker gathers
-// a column into per-worker scratch, transforms it, and scatters it back,
-// eliminating the two full-field transpose passes per transform.
+// The column pass does not transpose: each worker gathers a block of
+// columns into per-worker scratch, transforms them, and scatters them
+// back.
 //
 // The banded variants exploit the band-limited kernel spectra of the
 // lithography model (optics.Kernel stores a (2R+1)² box around DC):
@@ -53,7 +55,7 @@ type BatchPlan2D struct {
 	// Binding the closures once at construction keeps every batched pass
 	// free of per-call closure allocations (engine bodies escape).
 	opFields    []*grid.CField
-	opReal      *grid.Field // output of the real column pass
+	opReal      *grid.Field // InverseRealBanded's output, ForwardReal's input
 	opInverse   bool
 	opBand      int // row/column band of the banded passes
 	opBlocks    int // column blocks per field (col passes)
@@ -64,6 +66,9 @@ type BatchPlan2D struct {
 	colBody       func(worker, i int)
 	colColsBody   func(worker, i int)
 	colRealBody   func(worker, i int)
+	rowRealBody   func(lo, hi int)
+
+	scale float64 // 1/(w·h), the inverse passes' normalisation
 
 	one [1]*grid.CField // singleton batch of the one-field passes
 }
@@ -82,10 +87,11 @@ func NewBatchPlan2D(w, h int, eng *engine.Engine) *BatchPlan2D {
 func BatchScratchLen(h, workers int) int { return workers * colBlock * h }
 
 // NewBatchPlan2DFromPlans builds a batched 2-D plan around existing
-// (immutable, shared) 1-D plans, the session constructor mirroring
-// NewPlan2DFromPlans. scratch must be nil (allocate internally) or at
-// least BatchScratchLen(h, eng.Workers()) elements of caller-owned
-// memory, e.g. leased from an rt.Pool.
+// (immutable, shared) 1-D plans, the session constructor: a resource
+// bank owns the 1-D plans once per grid size, and every session wraps
+// them with its own scratch. scratch must be nil (allocate internally)
+// or at least BatchScratchLen(h, eng.Workers()) elements of
+// caller-owned memory, e.g. leased from an rt.Pool.
 func NewBatchPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []complex128) *BatchPlan2D {
 	w, h := row.N(), col.N()
 	if !grid.IsPow2(w) || !grid.IsPow2(h) {
@@ -107,6 +113,7 @@ func NewBatchPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []compl
 		colPlan: col,
 		eng:     eng,
 		col:     make([][]complex128, eng.Workers()),
+		scale:   1 / float64(w*h),
 	}
 	for i := range p.col {
 		p.col[i] = scratch[i*colBlock*h : (i+1)*colBlock*h]
@@ -121,182 +128,155 @@ func NewBatchPlan2DFromPlans(row, col *Plan, eng *engine.Engine, scratch []compl
 func (p *BatchPlan2D) bindBodies() {
 	p.rowBody = func(lo, hi int) {
 		w, h := p.w, p.h
-		fields, inverse := p.opFields, p.opInverse
+		fields, tw := p.opFields, p.rowPlan.twiddleTable(p.opInverse)
 		for i := lo; i < hi; i++ {
-			data := fields[i/h].Data
 			r := i % h
-			row := data[r*w : (r+1)*w]
-			if inverse {
-				p.rowPlan.Inverse(row)
-			} else {
-				p.rowPlan.Forward(row)
-			}
+			p.rowPlan.transform(fields[i/h].Data[r*w:(r+1)*w], tw)
 		}
 	}
 	p.rowBandedBody = func(lo, hi int) {
 		w, h := p.w, p.h
-		fields, band, inverse := p.opFields, p.opBand, p.opInverse
+		fields, band, tw := p.opFields, p.opBand, p.rowPlan.twiddleTable(p.opInverse)
 		rows := 2*band + 1
 		for i := lo; i < hi; i++ {
-			data := fields[i/rows].Data
-			j := i % rows
-			r := j
-			if j > band {
-				r = h - rows + j
+			r := i % rows
+			if r > band {
+				r += h - rows
 			}
-			row := data[r*w : (r+1)*w]
-			if inverse {
-				p.rowPlan.Inverse(row)
-			} else {
-				p.rowPlan.Forward(row)
-			}
+			p.rowPlan.transform(fields[i/rows].Data[r*w:(r+1)*w], tw)
 		}
 	}
 	p.colBody = func(worker, i int) {
-		w, h := p.w, p.h
-		inBand, blocks := p.opBand, p.opBlocks
-		banded := inBand >= 0 && 2*inBand+1 < h
+		h, band, blocks := p.h, p.opBand, p.opBlocks
 		data := p.opFields[i/blocks].Data
 		x0 := (i % blocks) * colBlock
-		x1 := x0 + colBlock
-		if x1 > w {
-			x1 = w
-		}
-		nb := x1 - x0
+		nb := min(colBlock, p.w-x0)
 		s := p.col[worker]
-		gather := func(y int) {
-			base := y*w + x0
-			for c := 0; c < nb; c++ {
-				s[c*h+y] = data[base+c]
-			}
-		}
-		if banded {
-			for y := 0; y <= inBand; y++ {
-				gather(y)
-			}
-			for c := 0; c < nb; c++ {
-				seg := s[c*h : (c+1)*h]
-				for y := inBand + 1; y < h-inBand; y++ {
-					seg[y] = 0
-				}
-			}
-			for y := h - inBand; y < h; y++ {
-				gather(y)
-			}
+		if band >= 0 && 2*band+1 < h {
+			p.gatherCols(s, data, x0, nb, 0, band+1)
+			p.zeroCols(s, nb, band+1, h-band)
+			p.gatherCols(s, data, x0, nb, h-band, h)
 		} else {
-			for y := 0; y < h; y++ {
-				gather(y)
-			}
+			p.gatherCols(s, data, x0, nb, 0, h)
 		}
-		for c := 0; c < nb; c++ {
-			seg := s[c*h : (c+1)*h]
-			if p.opInverse {
-				p.colPlan.Inverse(seg)
-			} else {
-				p.colPlan.Forward(seg)
-			}
-		}
-		for y := 0; y < h; y++ {
-			base := y*w + x0
-			for c := 0; c < nb; c++ {
-				data[base+c] = s[c*h+y]
-			}
-		}
+		p.transformCols(data, s, x0, nb)
 	}
 	p.colColsBody = func(worker, i int) {
-		w, h := p.w, p.h
-		band, blocks, lowBlocks := p.opBand, p.opBlocks, p.opLowBlocks
+		w, band, blocks, lowBlocks := p.w, p.opBand, p.opBlocks, p.opLowBlocks
 		data := p.opFields[i/blocks].Data
 		b := i % blocks
-		var x0, x1 int
-		if b < lowBlocks {
-			x0 = b * colBlock
-			x1 = x0 + colBlock
-			if x1 > band+1 {
-				x1 = band + 1
-			}
-		} else {
-			x0 = w - band + (b-lowBlocks)*colBlock
-			x1 = x0 + colBlock
-			if x1 > w {
-				x1 = w
-			}
+		x0, x1 := b*colBlock, band+1
+		if b >= lowBlocks {
+			x0, x1 = w-band+(b-lowBlocks)*colBlock, w
 		}
-		nb := x1 - x0
+		nb := min(colBlock, x1-x0)
 		s := p.col[worker]
-		for y := 0; y < h; y++ {
-			base := y*w + x0
-			for c := 0; c < nb; c++ {
-				s[c*h+y] = data[base+c]
-			}
-		}
-		for c := 0; c < nb; c++ {
-			seg := s[c*h : (c+1)*h]
-			if p.opInverse {
-				p.colPlan.Inverse(seg)
-			} else {
-				p.colPlan.Forward(seg)
-			}
-		}
-		for y := 0; y < h; y++ {
-			base := y*w + x0
-			for c := 0; c < nb; c++ {
-				data[base+c] = s[c*h+y]
-			}
+		p.gatherCols(s, data, x0, nb, 0, p.h)
+		p.transformCols(data, s, x0, nb)
+	}
+}
+
+// gatherCols copies rows [y0, y1) of the nb columns from x0 of the
+// row-major data into the column scratch s, column c at s[c·h:], each
+// row y at its bit-reversed slot so the column transform skips its swap
+// pass (a permutation only moves data, so this is exact).
+func (p *BatchPlan2D) gatherCols(s, data []complex128, x0, nb, y0, y1 int) {
+	w, h, rev := p.w, p.h, p.colPlan.rev
+	for y := y0; y < y1; y++ {
+		r := int(rev[y])
+		for c, v := range data[y*w+x0 : y*w+x0+nb] {
+			s[c*h+r] = v
 		}
 	}
 }
 
-// bindRealBody creates the column body of InverseRealBanded. Work item
-// i covers the column pairs [i·colBlock, (i+1)·colBlock): each pair
+// zeroCols writes exact zeros into the bit-reversed slots of rows
+// [y0, y1) of the nb scratch columns: the rows a banded pass never reads.
+func (p *BatchPlan2D) zeroCols(s []complex128, nb, y0, y1 int) {
+	h, rev := p.h, p.colPlan.rev
+	for y := y0; y < y1; y++ {
+		r := int(rev[y])
+		for c := 0; c < nb; c++ {
+			s[c*h+r] = 0
+		}
+	}
+}
+
+// transformCols runs the column transform of the pass on the nb
+// gathered scratch columns and scatters them back to the columns from
+// x0 of data. An inverse pass applies the whole 1/(w·h) normalisation
+// here, once, instead of 1/w and 1/h in the 1-D transforms (see
+// BatchInverse for why that is exact).
+func (p *BatchPlan2D) transformCols(data, s []complex128, x0, nb int) {
+	w, h := p.w, p.h
+	tw := p.colPlan.twiddleTable(p.opInverse)
+	for c := 0; c < nb; c++ {
+		p.colPlan.butterflies(s[c*h:(c+1)*h], tw)
+	}
+	if !p.opInverse {
+		for y := 0; y < h; y++ {
+			row := data[y*w+x0 : y*w+x0+nb]
+			for c := range row {
+				row[c] = s[c*h+y]
+			}
+		}
+		return
+	}
+	sc := p.scale
+	for y := 0; y < h; y++ {
+		row := data[y*w+x0 : y*w+x0+nb]
+		for c := range row {
+			z := s[c*h+y]
+			row[c] = complex(real(z)*sc, imag(z)*sc)
+		}
+	}
+}
+
+// bindRealBody creates the bodies of the real-sided passes: the row
+// body of ForwardReal (realRows) and the column body of
+// InverseRealBanded. Column work item i covers the column pairs [i·colBlock, (i+1)·colBlock): each pair
 // (2c, 2c+1) is gathered as the one complex sequence Y₀ + i·Y₁ into
-// per-worker scratch, inverse-transformed once, and its real and
-// imaginary parts are scattered to the two real output columns.
+// per-worker scratch, in bit-reversed row order, inverse-transformed
+// once, and its real and imaginary parts are scattered, scaled by
+// 1/(w·h), to the two real output columns.
 func (p *BatchPlan2D) bindRealBody() {
 	p.colRealBody = func(worker, i int) {
-		w, h, inBand := p.w, p.h, p.opBand
-		banded := inBand >= 0 && 2*inBand+1 < h
-		data, out := p.opFields[0].Data, p.opReal.Data
+		w, h, band := p.w, p.h, p.opBand
+		data, out, rev := p.opFields[0].Data, p.opReal.Data, p.colPlan.rev
 		c0 := i * colBlock
 		np := min(colBlock, w/2-c0)
 		x0 := 2 * c0
 		s := p.col[worker]
-		gather := func(y int) {
-			row := data[y*w+x0 : y*w+x0+2*np]
-			for c := 0; c < np; c++ {
-				a, b := row[2*c], row[2*c+1]
-				s[c*h+y] = complex(real(a)-imag(b), imag(a)+real(b))
-			}
-		}
-		if banded {
-			for y := 0; y <= inBand; y++ {
-				gather(y)
-			}
-			for c := 0; c < np; c++ {
-				seg := s[c*h : (c+1)*h]
-				for y := inBand + 1; y < h-inBand; y++ {
-					seg[y] = 0
+		gather := func(y0, y1 int) {
+			for y := y0; y < y1; y++ {
+				row := data[y*w+x0 : y*w+x0+2*np]
+				r := int(rev[y])
+				for c := 0; c < np; c++ {
+					a, b := row[2*c], row[2*c+1]
+					s[c*h+r] = complex(real(a)-imag(b), imag(a)+real(b))
 				}
 			}
-			for y := h - inBand; y < h; y++ {
-				gather(y)
-			}
+		}
+		if band >= 0 && 2*band+1 < h {
+			gather(0, band+1)
+			p.zeroCols(s, np, band+1, h-band)
+			gather(h-band, h)
 		} else {
-			for y := 0; y < h; y++ {
-				gather(y)
-			}
+			gather(0, h)
 		}
 		for c := 0; c < np; c++ {
-			p.colPlan.Inverse(s[c*h : (c+1)*h])
+			p.colPlan.butterflies(s[c*h:(c+1)*h], p.colPlan.twinv)
 		}
+		sc := p.scale
 		for y := 0; y < h; y++ {
 			row := out[y*w+x0 : y*w+x0+2*np]
 			for c := 0; c < np; c++ {
 				z := s[c*h+y]
-				row[2*c], row[2*c+1] = real(z), imag(z)
+				row[2*c], row[2*c+1] = real(z)*sc, imag(z)*sc
 			}
 		}
 	}
+	p.rowRealBody = p.realRows
 }
 
 // W returns the plan width.
@@ -328,6 +308,14 @@ func (p *BatchPlan2D) BatchForward(fields []*grid.CField) {
 
 // BatchInverse computes the in-place inverse 2-D DFT (including the
 // 1/(w·h) normalisation) of every field in the batch.
+//
+// The 1-D inverses run unnormalised and the column scatter applies
+// 1/(w·h) once. That is bit-identical to scaling every 1-D inverse by
+// its own 1/n: the scales are powers of two, and multiplying by a power
+// of two commutes with the rounding of every add and multiply of the
+// butterflies as long as no value leaves the normal range. Only
+// subnormal intermediates (|x| < 2⁻¹⁰²² after scaling) or overflow could
+// round differently, and the sign of an exact zero may differ.
 func (p *BatchPlan2D) BatchInverse(fields []*grid.CField) {
 	p.check(fields)
 	start := time.Now()

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -52,41 +53,61 @@ func batchEngines() []*engine.Engine {
 	}
 }
 
-func TestBatchForwardMatchesPlan2DBitwise(t *testing.T) {
-	const w, h, b = 32, 16, 5
-	ref := cloneBatch(randomBatch(b, w, h, 1))
-	p2 := NewPlan2D(w, h, engine.CPU())
-	for _, f := range ref {
-		p2.Forward(f)
+// refGrids are the shapes every batch pass is checked on bit for bit
+// against the reference algorithm (reference_test.go): square grids
+// from the test presets up to the fast preset's 512², and a
+// rectangular one.
+var refGrids = [][2]int{{64, 64}, {128, 128}, {512, 512}, {128, 32}}
+
+// refEngines are the engines of the bitwise reference checks: the
+// serial one and a multi-worker one with an odd worker count.
+func refEngines() []*engine.Engine {
+	return []*engine.Engine{engine.CPU(), engine.New("gpu3", 3)}
+}
+
+// requireSame fails unless got and want agree bin for bin (==, so the
+// sign of an exact zero is not compared).
+func requireSame(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	for j, v := range got {
+		if v != want[j] {
+			t.Fatalf("%s: bin %d = %v, want %v", what, j, v, want[j])
+		}
 	}
-	for _, eng := range batchEngines() {
-		got := randomBatch(b, w, h, 1)
-		NewBatchPlan2D(w, h, eng).BatchForward(got)
-		for fi := range got {
-			for j, v := range got[fi].Data {
-				if v != ref[fi].Data[j] {
-					t.Fatalf("%s: field %d bin %d = %v, want %v", eng.Name(), fi, j, v, ref[fi].Data[j])
-				}
+}
+
+// The *MatchesPlan2DBitwise tests compare against refTransform, the
+// row-then-column algorithm of the transpose-based 2-D plan the batch
+// plan replaced.
+func TestBatchForwardMatchesPlan2DBitwise(t *testing.T) {
+	for _, g := range refGrids {
+		w, h := g[0], g[1]
+		ref := randomBatch(2, w, h, 1)
+		for _, f := range ref {
+			refTransform(f, false)
+		}
+		for _, eng := range refEngines() {
+			got := randomBatch(2, w, h, 1)
+			NewBatchPlan2D(w, h, eng).BatchForward(got)
+			for fi := range got {
+				requireSame(t, fmt.Sprintf("%dx%d %s field %d", w, h, eng.Name(), fi), got[fi].Data, ref[fi].Data)
 			}
 		}
 	}
 }
 
 func TestBatchInverseMatchesPlan2DBitwise(t *testing.T) {
-	const w, h, b = 16, 32, 4
-	ref := cloneBatch(randomBatch(b, w, h, 2))
-	p2 := NewPlan2D(w, h, engine.CPU())
-	for _, f := range ref {
-		p2.Inverse(f)
-	}
-	for _, eng := range batchEngines() {
-		got := randomBatch(b, w, h, 2)
-		NewBatchPlan2D(w, h, eng).BatchInverse(got)
-		for fi := range got {
-			for j, v := range got[fi].Data {
-				if v != ref[fi].Data[j] {
-					t.Fatalf("%s: field %d bin %d = %v, want %v", eng.Name(), fi, j, v, ref[fi].Data[j])
-				}
+	for _, g := range refGrids {
+		w, h := g[0], g[1]
+		ref := randomBatch(2, w, h, 2)
+		for _, f := range ref {
+			refTransform(f, true)
+		}
+		for _, eng := range refEngines() {
+			got := randomBatch(2, w, h, 2)
+			NewBatchPlan2D(w, h, eng).BatchInverse(got)
+			for fi := range got {
+				requireSame(t, fmt.Sprintf("%dx%d %s field %d", w, h, eng.Name(), fi), got[fi].Data, ref[fi].Data)
 			}
 		}
 	}
@@ -136,21 +157,19 @@ func bandFill(b, w, h, band int, seed uint64) (dirty, clean []*grid.CField) {
 }
 
 func TestBatchInverseBandedIgnoresStaleRows(t *testing.T) {
-	const w, h, b, band = 32, 32, 3, 5
-	for _, eng := range batchEngines() {
-		dirty, clean := bandFill(b, w, h, band, 7)
-		p := NewBatchPlan2D(w, h, eng)
-		p.BatchInverseBanded(dirty, band)
-		// Reference: full inverse of the zero-padded field.
-		p2 := NewPlan2D(w, h, engine.CPU())
+	for _, g := range refGrids {
+		w, h := g[0], g[1]
+		band := h/16 + 1
+		_, clean := bandFill(2, w, h, band, 7)
+		// Reference: the full inverse of the zero-padded field.
 		for _, f := range clean {
-			p2.Inverse(f)
+			refTransform(f, true)
 		}
-		for fi := range dirty {
-			for j, v := range dirty[fi].Data {
-				if v != clean[fi].Data[j] {
-					t.Fatalf("%s: field %d bin %d = %v, want %v", eng.Name(), fi, j, v, clean[fi].Data[j])
-				}
+		for _, eng := range batchEngines() {
+			dirty, _ := bandFill(2, w, h, band, 7)
+			NewBatchPlan2D(w, h, eng).BatchInverseBanded(dirty, band)
+			for fi := range dirty {
+				requireSame(t, fmt.Sprintf("%dx%d %s field %d", w, h, eng.Name(), fi), dirty[fi].Data, clean[fi].Data)
 			}
 		}
 	}
@@ -177,22 +196,24 @@ func TestBatchInverseBandedFullBandFallback(t *testing.T) {
 }
 
 func TestBatchForwardBandedColsMatchesInBand(t *testing.T) {
-	const w, h, b, band = 32, 16, 4, 6
-	for _, eng := range batchEngines() {
-		got := randomBatch(b, w, h, 13)
-		ref := cloneBatch(got)
-		NewBatchPlan2D(w, h, eng).BatchForwardBandedCols(got, band)
-		p2 := NewPlan2D(w, h, engine.CPU())
+	for _, g := range refGrids {
+		w, h := g[0], g[1]
+		band := w/16 + 1
+		ref := randomBatch(2, w, h, 13)
 		for _, f := range ref {
-			p2.Forward(f)
+			refTransform(f, false)
 		}
-		// Only the wrapped band columns |u| ≤ band are defined output.
-		for fi := range got {
-			for y := 0; y < h; y++ {
-				for _, x := range bandCols(w, band) {
-					if got[fi].Data[y*w+x] != ref[fi].Data[y*w+x] {
-						t.Fatalf("%s: field %d bin (%d,%d) = %v, want %v",
-							eng.Name(), fi, x, y, got[fi].Data[y*w+x], ref[fi].Data[y*w+x])
+		for _, eng := range batchEngines() {
+			got := randomBatch(2, w, h, 13)
+			NewBatchPlan2D(w, h, eng).BatchForwardBandedCols(got, band)
+			// Only the wrapped band columns |u| ≤ band are defined output.
+			for fi := range got {
+				for y := 0; y < h; y++ {
+					for _, x := range bandCols(w, band) {
+						if got[fi].Data[y*w+x] != ref[fi].Data[y*w+x] {
+							t.Fatalf("%dx%d %s: field %d bin (%d,%d) = %v, want %v",
+								w, h, eng.Name(), fi, x, y, got[fi].Data[y*w+x], ref[fi].Data[y*w+x])
+						}
 					}
 				}
 			}
@@ -235,22 +256,35 @@ func TestBatchPlanEmptyBatch(t *testing.T) {
 	p.BatchForwardBandedCols(nil, 2)
 }
 
-func TestBatchPlanShapeMismatchPanics(t *testing.T) {
+// requirePanic fails unless f panics.
+func requirePanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched field shape must panic")
+			t.Errorf("%s did not panic", what)
 		}
 	}()
-	NewBatchPlan2D(8, 8, engine.CPU()).BatchForward([]*grid.CField{grid.NewCField(16, 8)})
+	f()
+}
+
+func TestBatchPlanShapeMismatchPanics(t *testing.T) {
+	p := NewBatchPlan2D(8, 8, engine.CPU())
+	for _, c := range []*grid.CField{grid.NewCField(16, 8), grid.NewCField(8, 4)} {
+		bad := []*grid.CField{grid.NewCField(8, 8), c}
+		what := fmt.Sprintf("a %dx%d field on an 8x8 plan", c.W, c.H)
+		requirePanic(t, "BatchForward of "+what, func() { p.BatchForward(bad) })
+		requirePanic(t, "BatchInverse of "+what, func() { p.BatchInverse(bad) })
+		requirePanic(t, "BatchInverseBanded of "+what, func() { p.BatchInverseBanded(bad, 2) })
+		requirePanic(t, "BatchForwardBandedCols of "+what, func() { p.BatchForwardBandedCols(bad, 2) })
+		requirePanic(t, "InverseRealBanded of "+what, func() { p.InverseRealBanded(grid.NewField(8, 8), c, 2) })
+		requirePanic(t, "ForwardReal into "+what, func() { p.ForwardReal(c, grid.NewField(8, 8), 2) })
+	}
 }
 
 func TestNewBatchPlanNonPow2Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two size must panic")
-		}
-	}()
-	NewBatchPlan2D(12, 8, nil)
+	for _, g := range [][2]int{{12, 8}, {6, 8}, {8, 6}} {
+		requirePanic(t, fmt.Sprintf("a %dx%d plan", g[0], g[1]), func() { NewBatchPlan2D(g[0], g[1], nil) })
+	}
 }
 
 func benchBatch(b *testing.B, size, batch int) []*grid.CField {
@@ -275,17 +309,6 @@ func BenchmarkBatchInverseBanded128x8(b *testing.B) {
 	// Band 28 matches the kernel box radius at PresetTest scale.
 	for i := 0; i < b.N; i++ {
 		p.BatchInverseBanded(fields, 28)
-	}
-}
-
-func BenchmarkPlan2DForward128x8(b *testing.B) {
-	// The unbatched baseline: eight sequential Plan2D transforms.
-	p := NewPlan2D(128, 128, engine.GPU())
-	fields := benchBatch(b, 128, 8)
-	for i := 0; i < b.N; i++ {
-		for _, f := range fields {
-			p.Forward(f)
-		}
 	}
 }
 
@@ -330,9 +353,10 @@ func hermitianBand(n, band int, seed uint64) *grid.CField {
 // ~1e-15, so the bound leaves two decades.
 const realBandedTol = 1e-13
 
-// checkInverseRealBanded compares InverseRealBanded of src on every
-// engine with Re of the complex banded inverse: bit-identical across
-// engines, within realBandedTol of the complex path.
+// checkInverseRealBanded checks InverseRealBanded of src on every
+// engine: bit-identical to the reference real-output inverse of src
+// with the rows outside the band zeroed, and within realBandedTol of Re
+// of the complex banded inverse.
 func checkInverseRealBanded(t *testing.T, src *grid.CField, band int, engines []*engine.Engine) {
 	t.Helper()
 	n := src.W
@@ -342,27 +366,25 @@ func checkInverseRealBanded(t *testing.T, src *grid.CField, band int, engines []
 	for _, v := range ref.Data {
 		refMax = math.Max(refMax, math.Abs(real(v)))
 	}
-	var first *grid.Field
+	clean := src.Clone()
+	if band >= 0 && 2*band+1 < n {
+		clear(clean.Data[(band+1)*n : (n-band)*n])
+	}
+	want := refInverseReal(clean)
 	for _, eng := range engines {
 		got := grid.NewField(n, n)
 		NewBatchPlan2D(n, n, eng).InverseRealBanded(got, src.Clone(), band)
 		var maxErr float64
 		for i, v := range got.Data {
 			maxErr = math.Max(maxErr, math.Abs(v-real(ref.Data[i])))
+			if v != want.Data[i] {
+				t.Fatalf("n=%d band=%d %s: pixel %d = %v, reference %v (must be bit-identical)",
+					n, band, eng.Name(), i, v, want.Data[i])
+			}
 		}
 		if maxErr > realBandedTol*refMax {
 			t.Fatalf("n=%d band=%d %s: max error %.3g of max %.3g exceeds %g relative",
 				n, band, eng.Name(), maxErr, refMax, realBandedTol)
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		for i, v := range got.Data {
-			if v != first.Data[i] {
-				t.Fatalf("n=%d band=%d %s: pixel %d = %v, %s gave %v (must be bit-identical)",
-					n, band, eng.Name(), i, v, engines[0].Name(), first.Data[i])
-			}
 		}
 	}
 }
@@ -373,6 +395,33 @@ func TestInverseRealBandedMatchesComplex(t *testing.T) {
 		r := n/16 + 1
 		for _, band := range []int{r, 2 * r, -1} {
 			checkInverseRealBanded(t, hermitianBand(n, band, uint64(n+band)), band, engines)
+		}
+	}
+}
+
+// TestInverseRealBandedMatchesReferenceBitwise runs InverseRealBanded
+// on arbitrary (not Hermitian) spectra of every reference grid, the
+// rectangular one included, where the real output is meaningless but
+// must still be the reference's bit for bit.
+func TestInverseRealBandedMatchesReferenceBitwise(t *testing.T) {
+	for _, g := range refGrids {
+		w, h := g[0], g[1]
+		for _, band := range []int{h/16 + 1, -1} {
+			src := randomBatch(1, w, h, uint64(w+band))[0]
+			clean := src.Clone()
+			if band >= 0 {
+				clear(clean.Data[(band+1)*w : (h-band)*w])
+			}
+			want := refInverseReal(clean)
+			for _, eng := range refEngines() {
+				got := grid.NewField(w, h)
+				NewBatchPlan2D(w, h, eng).InverseRealBanded(got, src.Clone(), band)
+				for i, v := range got.Data {
+					if v != want.Data[i] {
+						t.Fatalf("%dx%d band %d %s: pixel %d = %v, want %v", w, h, band, eng.Name(), i, v, want.Data[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package fft implements the fast Fourier transforms that replace cuFFT
 // in the paper's pipeline: an iterative radix-2 complex FFT with fused
-// stages and precomputed twiddle/bit-reversal plans, a 2-D transform
-// parallelised over an engine's workers, and frequency-domain
-// convolution helpers.
+// stages and precomputed twiddle/bit-reversal plans, and BatchPlan2D,
+// the one 2-D transform, which runs whole field stacks (and the
+// real-input and real-output passes) over an engine's workers.
 //
 // Sizes must be powers of two. The lithography pipeline always runs on
 // power-of-two grids (the ICCAD 2013 clips are 2048×2048 at 1 nm/px), so
@@ -38,6 +38,7 @@ func tracePlanCache(n int, hit bool) {
 type Plan struct {
 	n     int
 	swaps []int32      // bit-reversal swap pairs (i, j), i < j, flattened
+	rev   []int32      // rev[i] = i with its bits reversed
 	tw    []complex128 // forward twiddles, stage-major (see twiddles)
 	twinv []complex128 // inverse twiddles, same layout
 }
@@ -48,13 +49,15 @@ func NewPlan(n int) *Plan {
 	if !grid.IsPow2(n) {
 		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
 	}
-	p := &Plan{n: n}
+	p := &Plan{n: n, rev: make([]int32, n)}
 	shift := 0
 	for 1<<shift < n {
 		shift++
 	}
 	for i := 0; i < n; i++ {
-		if j := int(reverseBits(uint32(i), shift)); i < j {
+		j := int(reverseBits(uint32(i), shift))
+		p.rev[i] = int32(j)
+		if i < j {
 			p.swaps = append(p.swaps, int32(i), int32(j))
 		}
 	}
@@ -112,8 +115,35 @@ func (p *Plan) Inverse(x []complex128) {
 	}
 }
 
-// transform runs the iterative radix-2 Cooley–Tukey butterfly network
-// with the supplied stage-major twiddle table (forward or inverse).
+// twiddleTable returns the stage-major twiddles of the inverse or the
+// forward transform.
+func (p *Plan) twiddleTable(inverse bool) []complex128 {
+	if inverse {
+		return p.twinv
+	}
+	return p.tw
+}
+
+// transform runs the unnormalised transform selected by the twiddle
+// table (p.tw forward, p.twinv inverse): the bit-reversal permutation,
+// then the butterfly network.
+func (p *Plan) transform(x []complex128, tw []complex128) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), p.n))
+	}
+	sw := p.swaps
+	for k := 0; k+1 < len(sw); k += 2 {
+		i, j := sw[k], sw[k+1]
+		x[i], x[j] = x[j], x[i]
+	}
+	p.butterflies(x, tw)
+}
+
+// butterflies runs the iterative radix-2 Cooley–Tukey butterfly network
+// with the supplied stage-major twiddle table (forward or inverse) on x
+// already in bit-reversed order, so a caller that gathers its input in
+// that order (the 2-D column passes) skips the swap pass. len(x) must
+// be the plan length.
 //
 // Every butterfly is t := w·b; a, b = a+t, a−t with the textbook loop's
 // twiddle, so the result is bit-identical to one memory sweep per stage
@@ -122,16 +152,8 @@ func (p *Plan) Inverse(x []complex128) {
 // Only the sweeps are fused: stages 1 and 2 run as one pass over
 // 4-element blocks, each later pair of stages (h, 2h) as one pass over
 // the quarter-slices of every 4h block, and an odd last stage alone.
-func (p *Plan) transform(x []complex128, tw []complex128) {
+func (p *Plan) butterflies(x []complex128, tw []complex128) {
 	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), n))
-	}
-	sw := p.swaps
-	for k := 0; k+1 < len(sw); k += 2 {
-		i, j := sw[k], sw[k+1]
-		x[i], x[j] = x[j], x[i]
-	}
 	h := 1
 	if n >= 4 {
 		radix4First(x, tw[2])

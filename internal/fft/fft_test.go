@@ -339,9 +339,8 @@ func TestForward2DMatchesNaive(t *testing.T) {
 		w, h := dims[0], dims[1]
 		c := randCField(w, h, int64(w*100+h))
 		want := naiveDFT2D(c)
-		p := NewPlan2D(w, h, engine.CPU())
 		got := c.Clone()
-		p.Forward(got)
+		NewBatchPlan2D(w, h, engine.CPU()).BatchForward([]*grid.CField{got})
 		if !got.Equal(want, 1e-9*float64(w*h)) {
 			t.Errorf("%dx%d: 2-D FFT disagrees with naive DFT", w, h)
 		}
@@ -351,11 +350,11 @@ func TestForward2DMatchesNaive(t *testing.T) {
 func TestRoundTrip2D(t *testing.T) {
 	for _, dims := range [][2]int{{8, 8}, {32, 16}, {64, 64}} {
 		w, h := dims[0], dims[1]
-		p := NewPlan2D(w, h, engine.GPU())
+		p := NewBatchPlan2D(w, h, engine.GPU())
 		c := randCField(w, h, 5)
 		orig := c.Clone()
-		p.Forward(c)
-		p.Inverse(c)
+		p.BatchForward([]*grid.CField{c})
+		p.BatchInverse([]*grid.CField{c})
 		if !c.Equal(orig, 1e-10*float64(w*h)) {
 			t.Errorf("%dx%d round trip failed", w, h)
 		}
@@ -364,12 +363,28 @@ func TestRoundTrip2D(t *testing.T) {
 
 func TestEnginesAgreeOn2D(t *testing.T) {
 	const w, h = 64, 32
-	c1 := randCField(w, h, 11)
-	c2 := c1.Clone()
-	NewPlan2D(w, h, engine.CPU()).Forward(c1)
-	NewPlan2D(w, h, engine.GPU()).Forward(c2)
-	if !c1.Equal(c2, 0) {
-		t.Fatal("CPU and GPU engines must produce bit-identical transforms")
+	src := randCField(w, h, 11)
+	im := grid.NewField(w, h)
+	for i, v := range src.Data {
+		im.Data[i] = imag(v)
+	}
+	var first []*grid.CField
+	for _, eng := range []*engine.Engine{engine.CPU(), engine.GPU(), engine.New("gpu5", 5)} {
+		p := NewBatchPlan2D(w, h, eng)
+		fwd, inv, fr := src.Clone(), src.Clone(), grid.NewCField(w, h)
+		p.BatchForward([]*grid.CField{fwd})
+		p.BatchInverse([]*grid.CField{inv})
+		p.ForwardReal(fr, im, -1)
+		got := []*grid.CField{fwd, inv, fr}
+		if first == nil {
+			first = got
+			continue
+		}
+		for i, c := range got {
+			if !c.Equal(first[i], 0) {
+				t.Fatalf("%s: pass %d differs from the CPU engine; engines must produce bit-identical transforms", eng.Name(), i)
+			}
+		}
 	}
 }
 
@@ -396,13 +411,12 @@ func TestConvolutionTheorem(t *testing.T) {
 	k := randCField(w, h, 22)
 	want := directCircularConv(a, k)
 
-	p := NewPlan2D(w, h, engine.CPU())
-	aSpec := a.Clone()
-	p.Forward(aSpec)
-	kSpec := k.Clone()
-	p.Forward(kSpec)
+	p := NewBatchPlan2D(w, h, engine.CPU())
+	aSpec, kSpec := a.Clone(), k.Clone()
+	p.BatchForward([]*grid.CField{aSpec, kSpec})
 	got := grid.NewCField(w, h)
-	p.Convolve(got, aSpec, kSpec)
+	got.Mul(aSpec, kSpec)
+	p.BatchInverse([]*grid.CField{got})
 
 	if !got.Equal(want, 1e-9*float64(w*h)) {
 		t.Fatal("FFT convolution disagrees with direct circular convolution")
@@ -413,8 +427,8 @@ func TestSpectrumOfRealField(t *testing.T) {
 	const n = 16
 	f := grid.NewField(n, n)
 	f.Set(3, 5, 1)
-	p := NewPlan2D(n, n, engine.CPU())
-	spec := p.Spectrum(f)
+	spec := grid.NewCField(n, n)
+	NewBatchPlan2D(n, n, engine.CPU()).ForwardReal(spec, f, -1)
 	// A real field's spectrum is Hermitian: X(-k) = conj(X(k)).
 	for ky := 0; ky < n; ky++ {
 		for kx := 0; kx < n; kx++ {
@@ -428,13 +442,13 @@ func TestSpectrumOfRealField(t *testing.T) {
 }
 
 func TestPlan2DRejectsMismatchedField(t *testing.T) {
-	p := NewPlan2D(8, 8, engine.CPU())
+	p := NewBatchPlan2D(8, 8, engine.CPU())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched field did not panic")
 		}
 	}()
-	p.Forward(grid.NewCField(4, 8))
+	p.BatchForward([]*grid.CField{grid.NewCField(4, 8)})
 }
 
 func TestPlan2DRejectsBadDims(t *testing.T) {
@@ -443,24 +457,7 @@ func TestPlan2DRejectsBadDims(t *testing.T) {
 			t.Fatal("non-power-of-two dims did not panic")
 		}
 	}()
-	NewPlan2D(6, 8, engine.CPU())
-}
-
-func TestTransposeRectangular(t *testing.T) {
-	const w, h = 8, 4
-	src := make([]complex128, w*h)
-	for i := range src {
-		src[i] = complex(float64(i), 0)
-	}
-	dst := make([]complex128, w*h)
-	transpose(dst, src, w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if dst[x*h+y] != src[y*w+x] {
-				t.Fatalf("transpose wrong at (%d,%d)", x, y)
-			}
-		}
-	}
+	NewBatchPlan2D(6, 8, engine.CPU())
 }
 
 func BenchmarkFFT1D1024(b *testing.B) {
@@ -477,11 +474,11 @@ func BenchmarkFFT2D512Serial(b *testing.B)   { benchFFT2D(b, 512, engine.CPU()) 
 func BenchmarkFFT2D512Parallel(b *testing.B) { benchFFT2D(b, 512, engine.GPU()) }
 
 func benchFFT2D(b *testing.B, n int, eng *engine.Engine) {
-	p := NewPlan2D(n, n, eng)
-	c := randCField(n, n, 1)
+	p := NewBatchPlan2D(n, n, eng)
+	c := []*grid.CField{randCField(n, n, 1)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(c)
+		p.BatchForward(c)
 	}
 }

@@ -46,9 +46,10 @@ func TestCachedPlanConcurrent(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlan2DConstructionAndUse builds independent 2-D
-// pipelines on the shared cached 1-D plans from many goroutines and
-// round-trips data through each, verifying the shared plans are
+// TestConcurrentPlan2DConstructionAndUse builds independent 2-D batch
+// plans on the shared cached 1-D plans from many goroutines, each on a
+// two-worker engine, and round-trips data through each (the complex
+// passes and the real-input forward), verifying the shared plans are
 // read-only during transforms.
 func TestConcurrentPlan2DConstructionAndUse(t *testing.T) {
 	const n = 32
@@ -59,16 +60,26 @@ func TestConcurrentPlan2DConstructionAndUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := NewPlan2DFromPlans(CachedPlan(n), CachedPlan(n), engine.CPU(), nil)
+			p := NewBatchPlan2DFromPlans(CachedPlan(n), CachedPlan(n), engine.New("pair", 2), nil)
 			f := grid.NewCField(n, n)
+			r := grid.NewField(n, n)
 			for i := range f.Data {
 				f.Data[i] = complex(float64((i*7+w)%13), float64(i%5))
+				r.Data[i] = real(f.Data[i])
 			}
 			want := append([]complex128(nil), f.Data...)
-			p.Forward(f)
-			p.Inverse(f)
+			p.BatchForward([]*grid.CField{f})
+			p.BatchInverse([]*grid.CField{f})
 			for i := range f.Data {
 				if cmplx.Abs(f.Data[i]-want[i]) > 1e-9*math.Max(1, cmplx.Abs(want[i])) {
+					errs[w] = &roundTripError{worker: w, index: i}
+					return
+				}
+			}
+			p.ForwardReal(f, r, -1)
+			p.InverseRealBanded(r, f, -1)
+			for i, v := range r.Data {
+				if math.Abs(v-real(want[i])) > 1e-9*math.Max(1, math.Abs(real(want[i]))) {
 					errs[w] = &roundTripError{worker: w, index: i}
 					return
 				}

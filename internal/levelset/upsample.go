@@ -33,7 +33,7 @@ func UpsampleSpectral(psi *grid.Field, factor int) *grid.Field {
 
 	coarse := grid.NewCField(w, h)
 	coarse.SetReal(psi)
-	fft.NewPlan2D(w, h, nil).Forward(coarse)
+	fft.NewBatchPlan2D(w, h, nil).BatchForward([]*grid.CField{coarse})
 
 	// Per-axis bin spreading: ordinary bins map to one fine bin, the
 	// Nyquist bin (signed ±n/2 is ambiguous) splits evenly between both
@@ -63,7 +63,7 @@ func UpsampleSpectral(psi *grid.Field, factor int) *grid.Field {
 			}
 		}
 	}
-	fft.NewPlan2D(fw, fh, nil).Inverse(fine)
+	fft.NewBatchPlan2D(fw, fh, nil).BatchInverse([]*grid.CField{fine})
 
 	out := grid.NewField(fw, fh)
 	fine.Real(out)

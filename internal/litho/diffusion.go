@@ -51,16 +51,17 @@ func freqBin(i, n int) float64 {
 }
 
 // blurInPlace convolves f with the diffusion Gaussian via the
-// simulator's FFT plan. No-op when diffusion is disabled.
+// simulator's full-grid batch plan. No-op when diffusion is disabled.
 func (s *Simulator) blurInPlace(f *grid.Field) {
 	if s.diffusion == nil {
 		return
 	}
 	s.blurScratch.SetReal(f)
-	s.plan.Forward(s.blurScratch)
+	s.single[0] = s.blurScratch
+	s.batch.BatchForward(s.single[:])
 	for i := range s.blurScratch.Data {
 		s.blurScratch.Data[i] *= complex(s.diffusion.Data[i], 0)
 	}
-	s.plan.Inverse(s.blurScratch)
+	s.batch.BatchInverse(s.single[:])
 	s.blurScratch.Real(f)
 }

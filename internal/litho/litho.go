@@ -133,7 +133,6 @@ type Simulator struct {
 	res  *rt.Bank // shared immutable resources
 	pool *rt.Pool // == res.Pool(); where all scratch below is leased from
 
-	plan  *fft.Plan2D
 	batch *fft.BatchPlan2D
 
 	// The reduced SOCS grid (see reduced.go): the per-kernel fields are
@@ -161,7 +160,6 @@ type Simulator struct {
 	smallSpec *grid.CField  // its spectrum, and the low-passed W's
 	lowW      []*grid.Field // per bank: W's band-2r samples (see adjoint)
 
-	planScratch  *grid.CField // backs plan's transpose + real-pack workspace
 	batchScratch *grid.CField // backs batch's per-worker column buffers
 	smallScratch *grid.CField // backs small's column buffers; nil when m == N
 
@@ -276,8 +274,6 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 	}
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
-	s.planScratch = pool.CField(n, fft.Plan2DScratchLen(n, n)/n)
-	s.plan = fft.NewPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.planScratch.Data)
 	s.batchScratch = pool.CField(n, fft.BatchScratchLen(n, eng.Workers())/n)
 	s.batch = fft.NewBatchPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.batchScratch.Data)
 	s.m = reducedGrid(n, s.radius)
@@ -392,7 +388,6 @@ func (s *Simulator) Release() {
 	}
 	p.PutField(s.smallReal)
 	p.PutCField(s.smallSpec)
-	p.PutCField(s.planScratch)
 	p.PutCField(s.batchScratch)
 	p.PutCField(s.smallScratch)
 	p.PutCField(s.blurScratch)
@@ -401,8 +396,8 @@ func (s *Simulator) Release() {
 	s.single[0] = nil
 	s.diffusion = nil
 	s.smallReal, s.smallSpec = nil, nil
-	s.planScratch, s.batchScratch, s.smallScratch = nil, nil, nil
-	s.plan, s.batch, s.small = nil, nil, nil
+	s.batchScratch, s.smallScratch = nil, nil
+	s.batch, s.small = nil, nil
 	s.staged, s.banks, s.opBank = nil, nil, nil
 }
 
@@ -448,7 +443,12 @@ func (s *Simulator) Dose(c Condition) float64 {
 // per mask update and share the spectrum across corners and gradient
 // passes.
 func (s *Simulator) MaskSpectrum(mask *grid.Field) *grid.CField {
-	return s.plan.Spectrum(mask)
+	c := grid.NewCField(mask.W, mask.H)
+	c.SetReal(mask)
+	s.single[0] = c
+	s.batch.BatchForward(s.single[:])
+	s.single[0] = nil
+	return c
 }
 
 // MaskSpectrumInto computes FFT(mask) into dst using the real-input
@@ -457,7 +457,7 @@ func (s *Simulator) MaskSpectrum(mask *grid.Field) *grid.CField {
 // outside |u| ≤ r hold intermediates that must not be read. Use
 // MaskSpectrum for a full spectrum.
 func (s *Simulator) MaskSpectrumInto(dst *grid.CField, mask *grid.Field) {
-	s.plan.ForwardReal(dst, mask, s.radius)
+	s.batch.ForwardReal(dst, mask, s.radius)
 }
 
 // reduceAbsSq reduces the SOCS sum dst = Σ_k μ_k |E_k|² over the batch

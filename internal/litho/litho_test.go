@@ -7,6 +7,7 @@ import (
 	"lsopc/internal/engine"
 	"lsopc/internal/fft"
 	"lsopc/internal/grid"
+	"lsopc/internal/obs"
 )
 
 // testSim builds a small simulator: 64 px grid at 32 nm/px (2048 nm
@@ -348,7 +349,7 @@ func TestMaskSpectrumInto(t *testing.T) {
 		mask := centeredRectMask(n, 8, 8)
 		a := s.MaskSpectrum(mask)
 		full := grid.NewCField(n, n)
-		fft.NewPlan2D(n, n, engine.CPU()).ForwardReal(full, mask, -1)
+		fft.NewBatchPlan2D(n, n, engine.CPU()).ForwardReal(full, mask, -1)
 		b := grid.NewCField(n, n)
 		s.MaskSpectrumInto(b, mask)
 		for v := -r; v <= r; v++ {
@@ -361,6 +362,34 @@ func TestMaskSpectrumInto(t *testing.T) {
 					t.Fatalf("%d px: bin (%d,%d) = %v, complex path %v", n, u, v, b.Data[i], a.Data[i])
 				}
 			}
+		}
+	}
+}
+
+// TestMaskSpectrumIntoTimedOnce: every MaskSpectrumInto call is one
+// observation of its own histogram, fft.batch.forward_real_ns, and none
+// of the four fft.batch histograms the benchmark sums into the litho
+// FFT share.
+func TestMaskSpectrumIntoTimedOnce(t *testing.T) {
+	s := testSim(t, 2)
+	n := s.GridSize()
+	mask, dst := centeredRectMask(n, 8, 8), grid.NewCField(n, n)
+	const calls = 3
+	before := obs.Default.Snapshot()
+	for i := 0; i < calls; i++ {
+		s.MaskSpectrumInto(dst, mask)
+	}
+	after := obs.Default.Snapshot()
+	count := func(h string) float64 {
+		k := "fft.batch." + h + "_ns.count"
+		return after[k] - before[k]
+	}
+	if got := count("forward_real"); got != calls {
+		t.Fatalf("fft.batch.forward_real_ns counted %v calls, want %d", got, calls)
+	}
+	for _, h := range []string{"forward", "inverse", "inverse_banded", "forward_banded_cols"} {
+		if got := count(h); got != 0 {
+			t.Fatalf("MaskSpectrumInto counted %v calls in fft.batch.%s_ns", got, h)
 		}
 	}
 }
@@ -392,10 +421,10 @@ func TestSiblingSharesBanksNotScratch(t *testing.T) {
 	if s2.accum == s.accum {
 		t.Fatal("sibling aliases complex scratch")
 	}
-	if s2.planScratch == s.planScratch || s2.batchScratch == s.batchScratch {
+	if s2.batchScratch == s.batchScratch {
 		t.Fatal("sibling aliases plan workspaces")
 	}
-	if s2.plan == s.plan || s2.batch == s.batch {
+	if s2.batch == s.batch {
 		t.Fatal("sibling aliases 2-D plans (they wrap private scratch)")
 	}
 

@@ -67,7 +67,7 @@ func (s *Simulator) upsample(dst, small *grid.Field, band int) {
 // scale, and inverse-transformed there by a real-output pass. s.accum
 // is its scratch.
 func (s *Simulator) lowPassSamples(dst, w *grid.Field, band int) {
-	s.plan.ForwardReal(s.accum, w, band)
+	s.batch.ForwardReal(s.accum, w, band)
 	copyBand(s.smallSpec, s.accum, band, s.rescale)
 	s.small.InverseRealBanded(dst, s.smallSpec, band)
 }

@@ -14,8 +14,10 @@ import (
 
 // The dense full-grid per-kernel SOCS model, kept as the reference the
 // reduced-grid session path is checked against (the way the FFT keeps
-// referenceTransform): every kernel's dense spectrum product through an
-// unbatched full Plan2D, accumulated kernel by kernel.
+// referenceTransform): every kernel's dense spectrum product
+// through the batch plan's unbanded passes, one field at a time,
+// accumulated kernel by kernel. Those passes are anchored to the naive
+// DFT in the fft package's tests.
 
 // reducedTol bounds the relative error ‖got − ref‖/‖ref‖ of the reduced-
 // grid aerial image and gradient against the dense reference. The path
@@ -27,12 +29,12 @@ const reducedTol = 1e-12
 // Σ_k μ_k |IFFT(spec_k ⊙ M̂)|² on the full grid.
 func referenceAerial(bank *optics.Bank, maskSpec *grid.CField) *grid.Field {
 	n := maskSpec.W
-	plan := fft.NewPlan2D(n, n, engine.CPU())
+	plan := fft.NewBatchPlan2D(n, n, engine.CPU())
 	e := grid.NewCField(n, n)
 	aerial := grid.NewField(n, n)
 	for _, k := range bank.Kernels {
 		e.Mul(maskSpec, k.Dense(n))
-		plan.Inverse(e)
+		plan.BatchInverse([]*grid.CField{e})
 		e.AccumAbsSq(aerial, k.Weight)
 	}
 	return aerial
@@ -42,20 +44,20 @@ func referenceAerial(bank *optics.Bank, maskSpec *grid.CField) *grid.Field {
 // the full grid, 2·Re IFFT(Σ_k μ_k FFT(w ⊙ conj E_k) ⊙ spec(flip h_k)).
 func referenceGradient(bank *optics.Bank, maskSpec *grid.CField, w *grid.Field) *grid.Field {
 	n := maskSpec.W
-	plan := fft.NewPlan2D(n, n, engine.CPU())
+	plan := fft.NewBatchPlan2D(n, n, engine.CPU())
 	e := grid.NewCField(n, n)
 	accum := grid.NewCField(n, n)
 	for _, k := range bank.Kernels {
 		e.Mul(maskSpec, k.Dense(n))
-		plan.Inverse(e)
+		plan.BatchInverse([]*grid.CField{e})
 		for i, v := range e.Data {
 			e.Data[i] = complex(w.Data[i], 0) * cmplx.Conj(v)
 		}
-		plan.Forward(e)
+		plan.BatchForward([]*grid.CField{e})
 		e.Mul(e, k.DenseFlip(n))
 		accum.AddScaled(e, complex(k.Weight, 0))
 	}
-	plan.Inverse(accum)
+	plan.BatchInverse([]*grid.CField{accum})
 	grad := grid.NewField(n, n)
 	for i, v := range accum.Data {
 		grad.Data[i] = 2 * real(v)

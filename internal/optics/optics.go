@@ -233,7 +233,7 @@ func pupilBox(cfg Config, sx, sy float64, defocusNM float64, r int) *grid.CField
 // tests.
 func (b *Bank) SpatialKernel(k int, eng *engine.Engine) *grid.CField {
 	h := b.Kernels[k].Dense(b.Cfg.GridSize)
-	fft.NewPlan2D(h.W, h.H, eng).Inverse(h)
+	fft.NewBatchPlan2D(h.W, h.H, eng).BatchInverse([]*grid.CField{h})
 	return h
 }
 

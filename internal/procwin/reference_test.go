@@ -13,22 +13,24 @@ import (
 )
 
 // referenceSweep is the dense per-kernel sweep the session path replaced:
-// every kernel's full spectrum product (MulInto) through an unbatched
-// full Plan2D inverse, accumulated kernel by kernel. realSpec selects the
+// every kernel's full spectrum product (MulInto) through the batch
+// plan's unbanded inverse, one field at a time, accumulated kernel by
+// kernel. realSpec selects the
 // mask spectrum: the session's real-input transform, or (false) the
 // complex transform of the mask the dense sweep used to take.
 func referenceSweep(t *testing.T, a *Analyzer, mask *grid.Field, cut CutLine, realSpec bool) (*Result, []*grid.Field) {
 	t.Helper()
 	n := a.sim.GridSize()
-	plan := fft.NewPlan2D(n, n, engine.CPU())
+	plan := fft.NewBatchPlan2D(n, n, engine.CPU())
 	spec := grid.NewCField(n, n)
 	if realSpec {
 		a.sim.MaskSpectrumInto(spec, mask)
 	} else {
 		spec.SetReal(mask)
-		plan.Forward(spec)
+		plan.BatchForward([]*grid.CField{spec})
 	}
 	field := grid.NewCField(n, n)
+	one := []*grid.CField{field}
 	res := &Result{}
 	var aerials []*grid.Field
 	for fi, f := range a.cfg.FocusValues() {
@@ -39,7 +41,7 @@ func referenceSweep(t *testing.T, a *Analyzer, mask *grid.Field, cut CutLine, re
 		aerial := grid.NewField(n, n)
 		for _, k := range bank.Kernels {
 			k.MulInto(field, spec)
-			plan.Inverse(field)
+			plan.BatchInverse(one)
 			field.AccumAbsSq(aerial, k.Weight)
 		}
 		aerials = append(aerials, aerial)

@@ -235,7 +235,7 @@ func DefaultHaloNM(res *rt.Bank, eng *engine.Engine) int {
 // returns the integer pixel radius containing 99.9% of its spatial
 // energy (|h|², wraparound distances from the origin).
 func kernelEnergyRadius(spec *grid.CField, eng *engine.Engine) int {
-	fft.NewPlan2D(spec.W, spec.H, eng).Inverse(spec)
+	fft.NewBatchPlan2D(spec.W, spec.H, eng).BatchInverse([]*grid.CField{spec})
 	n := spec.W
 	byRadius := make([]float64, n)
 	total := 0.0

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 	"lsopc/internal/litho"
 	"lsopc/internal/solve"
@@ -40,17 +41,20 @@ func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, 
 
 // TestIterationZeroAllocWarm pins the steady-state iteration at zero
 // allocations, without reinitialisation and with a pixel-exact reinit
-// every second iteration (the EDT's scratch is allocated once, by New).
+// every second iteration (the EDT's scratch is allocated once, by New),
+// on engines of 1, 2 and 3 workers.
 func TestIterationZeroAllocWarm(t *testing.T) {
 	for _, reinitEvery := range []int{0, 2} {
-		sim := newTestSim(t, 4)
-		o, drv := warmDriver(t, sim, crossTarget(64), 1000, reinitEvery)
-		if avg := testing.AllocsPerRun(20, func() {
-			drv.Step()
-		}); avg != 0 {
-			t.Fatalf("ReinitEvery=%d: warm level-set iteration allocates %.1f objects/op, want 0", reinitEvery, avg)
+		for _, workers := range []int{1, 2, 3} {
+			sim := newTestSimOn(t, 4, engine.New("warm", workers))
+			o, drv := warmDriver(t, sim, crossTarget(64), 1000, reinitEvery)
+			if avg := testing.AllocsPerRun(20, func() {
+				drv.Step()
+			}); avg != 0 {
+				t.Fatalf("ReinitEvery=%d, %d workers: warm level-set iteration allocates %.1f objects/op, want 0", reinitEvery, workers, avg)
+			}
+			o.Release()
 		}
-		o.Release()
 	}
 }
 

@@ -280,15 +280,15 @@ type Optimizer struct {
 	// The level-set tail (tail.go): engine bodies, the fixed chunking
 	// and its per-chunk partials, the staged operands, and the sums the
 	// velocity sweeps leave for StepSize and GradNorm.
-	gradBody, velocityBody         func(lo, hi int)
-	maskBody, evolveBody, saveBody func(lo, hi int)
-	tailChunks                     int
-	partials                       []float64
-	opWithPrev                     bool
-	opLambda, opDt                 float64
-	opPsi                          *grid.Field
-	gNorm2, maxV                   float64
-	edt                            *levelset.EDT // nil unless pixel-exact reinitialisation
+	gradBody, velocityBody                   func(lo, hi int)
+	maskBody, evolveBody, saveBody, zeroBody func(lo, hi int)
+	tailChunks                               int
+	partials                                 []float64
+	opWithPrev                               bool
+	opLambda, opDt                           float64
+	opPsi                                    *grid.Field
+	gNorm2, maxV                             float64
+	edt                                      *levelset.EDT // nil unless pixel-exact reinitialisation
 
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
@@ -376,7 +376,8 @@ func (o *Optimizer) Release() {
 	o.released = true
 	pool := o.pool
 	o.corners = nil
-	o.gradBody, o.velocityBody, o.maskBody, o.evolveBody, o.saveBody = nil, nil, nil, nil, nil
+	o.gradBody, o.velocityBody = nil, nil
+	o.maskBody, o.evolveBody, o.saveBody, o.zeroBody = nil, nil, nil, nil
 	o.partials, o.edt = nil, nil
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
@@ -500,7 +501,7 @@ func (s *levelStepper) Eval(i int) solve.Stats {
 // outer and inner costs.
 func (o *Optimizer) simulate() (costNom, costPVB float64) {
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-	o.grad.Zero()
+	o.sim.Engine().ForChunk(len(o.grad.Data), o.zeroBody)
 	o.sim.ForwardAndGradientCorners(o.grad, o.maskSpec, o.target, o.corners)
 	return o.costs()
 }

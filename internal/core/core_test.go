@@ -14,9 +14,15 @@ import (
 // kernels so full optimization runs stay fast.
 func newTestSim(t *testing.T, kernels int) *litho.Simulator {
 	t.Helper()
+	return newTestSimOn(t, kernels, engine.CPU())
+}
+
+// newTestSimOn is newTestSim on the given engine.
+func newTestSimOn(t *testing.T, kernels int, eng *engine.Engine) *litho.Simulator {
+	t.Helper()
 	cfg := litho.DefaultConfig(64, 32)
 	cfg.Optics.Kernels = kernels
-	s, err := litho.NewSimulator(cfg, engine.CPU())
+	s, err := litho.NewSimulator(cfg, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,6 +125,7 @@ func (o *Optimizer) bindTail() {
 		p, v := span(o.psi, lo, hi), span(o.velocity, lo, hi)
 		levelset.Evolve(&p, &v, o.opDt)
 	}
+	o.zeroBody = func(lo, hi int) { clear(o.grad.Data[lo:hi]) }
 	o.saveBody = func(lo, hi int) {
 		copy(o.bestMask.Data[lo:hi], o.mask.Data[lo:hi])
 		copy(o.bestPsi.Data[lo:hi], o.psi.Data[lo:hi])

@@ -4,9 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"lsopc/internal/obs"
 )
 
 func TestNewClampsWorkers(t *testing.T) {
@@ -88,25 +85,6 @@ func TestForMoreWorkersThanWork(t *testing.T) {
 	}
 }
 
-func TestParallelRunsAllTasks(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := New("t", workers)
-		var n int32
-		tasks := make([]func(), 10)
-		for i := range tasks {
-			tasks[i] = func() { atomic.AddInt32(&n, 1) }
-		}
-		e.Parallel(tasks...)
-		if n != 10 {
-			t.Fatalf("workers=%d: ran %d tasks, want 10", workers, n)
-		}
-	}
-}
-
-func TestParallelEmpty(t *testing.T) {
-	CPU().Parallel() // must not hang or panic
-}
-
 func TestMapWorkerOrdinalsInRange(t *testing.T) {
 	e := New("t", 4)
 	const n = 128
@@ -135,55 +113,6 @@ func TestMapSerialUsesWorkerZero(t *testing.T) {
 			t.Fatalf("serial engine used worker %d", worker)
 		}
 	})
-}
-
-// TestChunkOrdinalsAndBusySlots pins the partition of ForChunk and
-// Map: chunk k of ⌈n/w⌉ indices runs as worker k, every ordinal handles
-// exactly one chunk per call, and each chunk's time lands in its
-// worker's WorkerBusy slot (offset by the sub-engine's first slot after
-// Split) and in no other.
-func TestChunkOrdinalsAndBusySlots(t *testing.T) {
-	const pause = 200 * time.Microsecond
-	for _, workers := range []int{1, 2, 3, 5} {
-		for _, n := range []int{1, 4, 7, 37} {
-			for _, split := range []bool{false, true} {
-				busy := obs.NewWorkerBusy(2 * workers)
-				e, off := New("t", workers).InstrumentBusy(busy), 0
-				if split {
-					e, off = New("t", 2*workers).InstrumentBusy(busy).Split(2)[1], workers
-				}
-				w := min(workers, n)
-				size := (n + w - 1) / w
-				chunks := (n + size - 1) / size
-				owner := make([]int, n)
-				e.Map(n, func(worker, i int) { owner[i] = worker })
-				for i, k := range owner {
-					if k != i/size {
-						t.Fatalf("workers=%d n=%d: Map index %d ran as worker %d, want %d", workers, n, i, k, i/size)
-					}
-				}
-				busy.Reset()
-				var calls [8]atomic.Int32
-				e.ForChunk(n, func(lo, hi int) {
-					if lo%size != 0 || hi != min(lo+size, n) {
-						t.Errorf("workers=%d n=%d: chunk [%d,%d) is not one of the ⌈n/w⌉ partition", workers, n, lo, hi)
-					}
-					calls[lo/size].Add(1)
-					time.Sleep(pause)
-				})
-				for k, d := range busy.PerWorker() {
-					k -= off
-					inUse := k >= 0 && k < chunks
-					if inUse && (calls[k].Load() != 1 || d < pause) {
-						t.Fatalf("workers=%d n=%d split=%v: worker %d ran %d chunks, busy %v", workers, n, split, k, calls[k].Load(), d)
-					}
-					if !inUse && d != 0 {
-						t.Fatalf("workers=%d n=%d split=%v: idle slot %d has busy %v", workers, n, split, k+off, d)
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestEnginesComputeSameResult(t *testing.T) {
@@ -238,61 +167,6 @@ func TestSplitClampsN(t *testing.T) {
 	subs := New("e", 4).Split(0)
 	if len(subs) != 1 || subs[0].Workers() != 4 {
 		t.Fatalf("Split(0) = %v", subs)
-	}
-}
-
-func TestNestedParallelForChunk(t *testing.T) {
-	// The corner fan-out pattern: an outer Parallel over sub-engines,
-	// each running its own inner ForChunk/Map sweeps. All indices of all
-	// tasks must be covered exactly once with no data races.
-	for _, workers := range []int{1, 3, 8} {
-		outer := New("outer", workers)
-		subs := outer.Split(3)
-		const n = 2048
-		results := make([][]int32, 3)
-		tasks := make([]func(), 3)
-		for ti := range tasks {
-			ti := ti
-			results[ti] = make([]int32, n)
-			tasks[ti] = func() {
-				sub := subs[ti]
-				sub.ForChunk(n, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&results[ti][i], 1)
-					}
-				})
-				sub.Map(n, func(worker, i int) {
-					if worker < 0 || worker >= sub.Workers() {
-						t.Errorf("task %d: worker ordinal %d out of range", ti, worker)
-					}
-					atomic.AddInt32(&results[ti][i], 1)
-				})
-			}
-		}
-		outer.Parallel(tasks...)
-		for ti := range results {
-			for i, c := range results[ti] {
-				if c != 2 {
-					t.Fatalf("workers=%d task=%d index=%d visited %d times, want 2", workers, ti, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestSerialParallelRunsInOrder(t *testing.T) {
-	// With one worker, Parallel degenerates to an in-order loop — the
-	// property the optimizer's fixed-order corner combination relies on
-	// for bit-identity with the serial reference.
-	e := CPU()
-	var order []int
-	e.Parallel(
-		func() { order = append(order, 0) },
-		func() { order = append(order, 1) },
-		func() { order = append(order, 2) },
-	)
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("serial Parallel order = %v", order)
 	}
 }
 
@@ -363,7 +237,6 @@ func TestZeroSizeWork(t *testing.T) {
 			}
 		})
 		e.Map(0, func(worker, i int) { t.Error("Map(0) invoked body") })
-		e.Parallel()
 		for _, sub := range e.Split(8) {
 			sub.For(0, func(i int) { t.Error("sub For(0) invoked body") })
 		}

@@ -231,10 +231,11 @@ func (s *Simulator) sensScale(cond Condition, weight float64) float64 {
 // depend on). One engine sweep then turns every field into
 // W ⊙ conj(E_k), one batched output-pruned forward FFT gives their
 // spectra, and every kernel flip-multiplies into the one full-grid
-// accumulator in bank-then-k order. Only Re of its inverse enters the
-// gradient, and Re of an inverse is the inverse of the spectrum's
-// Hermitian part, so the box is symmetrised and inverse-transformed by
-// one real-output pass.
+// accumulator in bank-then-k order, in an engine sweep over the
+// accumulator's band rows (each row cleared, then accumulated). Only Re
+// of its inverse enters the gradient, and Re of an inverse is the
+// inverse of the spectrum's Hermitian part, so the box is symmetrised
+// and inverse-transformed by one real-output pass.
 func (s *Simulator) adjoint(grad *grid.Field) {
 	planes := s.planes()
 	s.opWs = s.opWs[:0]
@@ -255,11 +256,9 @@ func (s *Simulator) adjoint(grad *grid.Field) {
 	s.eng.ForChunk(len(fields)*s.m*s.m, s.adjointBody)
 	s.opFields = nil
 	s.small.BatchForwardBandedCols(fields, s.radius)
-	s.zeroAccumBand(s.radius)
-	for i, sl := range s.slots {
-		k := s.banks[sl.bank].Kernels[sl.k]
-		k.AccumFlipMul(s.accum, fields[i], complex(k.Weight, 0))
-	}
+	s.opFields, s.opBand = fields, s.radius
+	s.eng.ForChunk(2*s.radius+1, s.accumBody)
+	s.opFields = nil
 	hermitianPart(s.accum, s.radius)
 	s.batch.InverseRealBanded(planes[0], s.accum, s.radius)
 	s.opGrad = grad
@@ -295,9 +294,9 @@ func (s *Simulator) ForwardAndGradientCorners(grad *grid.Field, maskSpec *grid.C
 // ForwardAndGradient runs the exact forward model at one corner and
 // accumulates weight·∂‖R−target‖²/∂M into grad (Eq. 11), filling out
 // with the aerial and sigmoid resist images. It returns the corner cost
-// ‖R−target‖². It is the one-corner ForwardAndGradientCorners: compared
-// with Forward followed by GradientInto it computes each kernel's
-// coherent field only once.
+// ‖R−target‖². It is the one-corner ForwardAndGradientCorners, so each
+// kernel's coherent field serves both the forward model and the
+// adjoint.
 func (s *Simulator) ForwardAndGradient(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, out *CornerImages, weight float64) float64 {
 	corners := [1]Corner{{Cond: cond, Weight: weight, Out: out}}
 	s.ForwardAndGradientCorners(grad, maskSpec, target, corners[:])

@@ -227,21 +227,23 @@ func TestMixedBankCornersRunInOneCall(t *testing.T) {
 
 func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
 	for _, g := range warmGrids {
-		s, spec, _, target := warmSimAt(t, g, 4)
-		n := s.GridSize()
-		grad := grid.NewField(n, n)
-		corners := []Corner{
-			{Cond: Nominal, Weight: 1},
-			{Cond: Outer, Weight: 0.6},
-			{Cond: Inner, Weight: 0.6},
-		}
-		s.ForwardAndGradientCorners(grad, spec, target, corners)
-		if avg := testing.AllocsPerRun(20, func() {
-			grad.Zero()
+		for _, w := range allocWorkers {
+			s, spec, _, target := warmSimAt(t, g, 4, w)
+			n := s.GridSize()
+			grad := grid.NewField(n, n)
+			corners := []Corner{
+				{Cond: Nominal, Weight: 1},
+				{Cond: Outer, Weight: 0.6},
+				{Cond: Inner, Weight: 0.6},
+			}
 			s.ForwardAndGradientCorners(grad, spec, target, corners)
-			s.ForwardCorners(spec, target, corners)
-		}); avg != 0 {
-			t.Fatalf("%d px: warm corner-set calls allocate %.1f objects/op, want 0", n, avg)
+			if avg := testing.AllocsPerRun(20, func() {
+				grad.Zero()
+				s.ForwardAndGradientCorners(grad, spec, target, corners)
+				s.ForwardCorners(spec, target, corners)
+			}); avg != 0 {
+				t.Fatalf("%d px, %d workers: warm corner-set calls allocate %.1f objects/op, want 0", n, w, avg)
+			}
 		}
 	}
 }

@@ -67,13 +67,15 @@ func TestFocusBank(t *testing.T) {
 
 func TestAerialAtFocusZeroAllocWarm(t *testing.T) {
 	for _, g := range warmGrids {
-		s, spec, imgs, _ := warmSimAt(t, g, 4)
-		defocus := s.Config().DefocusNM
-		if avg := testing.AllocsPerRun(20, func() {
-			_ = s.AerialAtFocus(imgs.Aerial, spec, 0)
-			_ = s.AerialAtFocus(imgs.Aerial, spec, defocus)
-		}); avg != 0 {
-			t.Fatalf("%d px: warm AerialAtFocus allocates %.1f objects/op, want 0", g.n, avg)
+		for _, w := range allocWorkers {
+			s, spec, imgs, _ := warmSimAt(t, g, 4, w)
+			defocus := s.Config().DefocusNM
+			if avg := testing.AllocsPerRun(20, func() {
+				_ = s.AerialAtFocus(imgs.Aerial, spec, 0)
+				_ = s.AerialAtFocus(imgs.Aerial, spec, defocus)
+			}); avg != 0 {
+				t.Fatalf("%d px, %d workers: warm AerialAtFocus allocates %.1f objects/op, want 0", g.n, w, avg)
+			}
 		}
 	}
 }

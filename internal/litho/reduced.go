@@ -57,7 +57,7 @@ func (s *Simulator) upsample(dst, small *grid.Field, band int) {
 	s.smallSpec.SetReal(small)
 	s.single[0] = s.smallSpec
 	s.small.BatchForwardBandedCols(s.single[:], band)
-	copyBand(s.accum, s.smallSpec, band, s.rescale)
+	s.copyBand(s.accum, s.smallSpec, band)
 	s.batch.InverseRealBanded(dst, s.accum, band)
 }
 
@@ -68,28 +68,41 @@ func (s *Simulator) upsample(dst, small *grid.Field, band int) {
 // is its scratch.
 func (s *Simulator) lowPassSamples(dst, w *grid.Field, band int) {
 	s.batch.ForwardReal(s.accum, w, band)
-	copyBand(s.smallSpec, s.accum, band, s.rescale)
+	s.copyBand(s.smallSpec, s.accum, band)
 	s.small.InverseRealBanded(dst, s.smallSpec, band)
 }
 
 // copyBand zeroes the wrapped row band |v| ≤ band of dst and copies the
-// box |u|, |v| ≤ band of src into it, times scale, with every bin read
-// and written at its wrapped index on its own grid. The banded inverse
-// transforms read nothing outside the row band.
-func copyBand(dst, src *grid.CField, band int, scale float64) {
+// box |u|, |v| ≤ band of src into it, times the grid rescale, with
+// every bin read and written at its wrapped index on its own grid. The
+// banded inverse transforms read nothing outside the row band. The rows
+// are independent, so the engine sweeps them one item per row.
+func (s *Simulator) copyBand(dst, src *grid.CField, band int) {
+	s.opCopy, s.opBand = [2]*grid.CField{dst, src}, band
+	s.eng.ForChunk(2*band+1, s.copyBody)
+	s.opCopy = [2]*grid.CField{}
+}
+
+// copyBandRow is copyBand's row v: zero dst's wrapped row v, then copy
+// the box bins of src's row v into it, times scale.
+func copyBandRow(dst, src *grid.CField, v, band int, scale float64) {
 	n, m := dst.W, src.W
 	c := complex(scale, 0)
-	for v := -band; v <= band; v++ {
-		dv, sv := (v+n)%n, (v+m)%m
-		row := dst.Data[dv*n : (dv+1)*n]
-		for i := range row {
-			row[i] = 0
-		}
-		srow := src.Data[sv*m : (sv+1)*m]
-		for u := -band; u <= band; u++ {
-			row[(u+n)%n] = srow[(u+m)%m] * c
-		}
+	row := dst.Data[((v+n)%n)*n : ((v+n)%n+1)*n]
+	clear(row)
+	srow := src.Data[((v+m)%m)*m : ((v+m)%m+1)*m]
+	for u := -band; u <= band; u++ {
+		row[(u+n)%n] = srow[(u+m)%m] * c
 	}
+}
+
+// bandRow returns the signed row of item r of a sweep over the 2·band+1
+// rows of the wrapped band |v| ≤ band: 0, 1, …, band, then −band, …, −1.
+func bandRow(r, band int) int {
+	if r <= band {
+		return r
+	}
+	return r - 2*band - 1
 }
 
 // hermitianPart replaces the wrapped box |u|, |v| ≤ band of c by its

@@ -105,19 +105,30 @@ func (k Kernel) MulIntoBand(dst, src *grid.CField) {
 // each bin is read at its wrapped src index and accumulated at its
 // wrapped dst index.
 func (k Kernel) AccumFlipMul(dst, src *grid.CField, w complex128) {
+	for v := -k.R; v <= k.R; v++ {
+		k.AccumFlipMulRow(dst, src, w, v)
+	}
+}
+
+// AccumFlipMulRow is AccumFlipMul restricted to the wrapped row v of
+// dst (a no-op for |v| > R). Every bin of dst receives one term per
+// kernel, so rows can be accumulated in any order, or concurrently, and
+// each bin still adds its kernels in the order the caller visits them.
+func (k Kernel) AccumFlipMulRow(dst, src *grid.CField, w complex128, v int) {
 	n, m := k.checkPair(src, dst, "AccumFlipMul")
+	if v < -k.R || v > k.R {
+		return
+	}
 	side := k.boxSide()
-	for bv := 0; bv < side; bv++ {
-		v := bv - k.R
-		for bu := 0; bu < side; bu++ {
-			c := k.Box.Data[bv*side+bu]
-			if c == 0 {
-				continue
-			}
-			// spectrum(flip(h))(−u,−v) = spectrum(h)(u,v).
-			u := bu - k.R
-			dst.Data[gridIndex(-u, -v, n)] += w * src.Data[gridIndex(-u, -v, m)] * c
+	// spectrum(flip(h))(u, v) = spectrum(h)(−u, −v): dst row v reads box
+	// row −v.
+	box := k.Box.Data[(k.R-v)*side : (k.R-v+1)*side]
+	for bu, c := range box {
+		if c == 0 {
+			continue
 		}
+		u := k.R - bu
+		dst.Data[gridIndex(u, v, n)] += w * src.Data[gridIndex(u, v, m)] * c
 	}
 }
 

@@ -163,3 +163,24 @@ func TestBandMultipliesAcrossGrids(t *testing.T) {
 		t.Fatal("AccumFlipMul from the small grid differs from the zero-padded field")
 	}
 }
+
+// TestAccumFlipMulRowsMatchWhole checks that accumulating the rows of
+// AccumFlipMul one at a time, in reverse and with rows outside the box
+// included as no-ops, is AccumFlipMul bit for bit, from a same-size and
+// a smaller source grid.
+func TestAccumFlipMulRowsMatchWhole(t *testing.T) {
+	const n, r = 32, 3
+	k := Kernel{Weight: 0.5, R: r, Box: randSpec(2*r+1, 7)}
+	for _, m := range []int{n, 8} {
+		src := randSpec(m, 8)
+		want := randSpec(n, 9)
+		got := want.Clone()
+		k.AccumFlipMul(want, src, 0.37i)
+		for v := n / 2; v >= -n/2; v-- {
+			k.AccumFlipMulRow(got, src, 0.37i, v)
+		}
+		if !got.Equal(want, 0) {
+			t.Fatalf("m=%d: row-by-row AccumFlipMulRow differs from AccumFlipMul", m)
+		}
+	}
+}

@@ -311,8 +311,8 @@ func (d *Driver) Step() (stop bool) {
 // The loop runs under pprof labels (run_id = Config.Trace, phase =
 // Config.Method) so CPU profiles — live /debug/pprof pulls and the
 // flight recorder's captured slices — attribute samples to the job.
-// Goroutine labels inherit into goroutines spawned inside the region,
-// which covers the engine's per-call corner/chunk workers. The labels
+// Engine helpers run each call under its caller's labels, so the
+// engine's parallel work is attributed too. The labels
 // are applied once per Run, not per Step, keeping the steady-state
 // iteration allocation-free.
 func (d *Driver) Run(ctx context.Context) (out *Outcome, err error) {

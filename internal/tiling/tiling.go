@@ -430,8 +430,8 @@ func (r *runner) runPass(ctx context.Context, pass int, tiles []int, chipPsi *gr
 			defer wg.Done()
 			// Label the worker goroutine with the owning job so CPU
 			// profiles attribute tile work to the tiled run; per-tile
-			// run_id/phase labels are layered on inside runTile. Labels
-			// inherit into the engine goroutines the tile optimizer spawns.
+			// run_id/phase labels are layered on inside runTile. Engine
+			// helpers run a call under its caller's labels.
 			pprof.Do(ctx, pprof.Labels("job", r.opts.TraceID), func(ctx context.Context) {
 				sim, err := litho.NewSession(r.res, r.cfg, sub)
 				if err != nil {

@@ -29,12 +29,16 @@
 #               full-grid reference, the inline resist sigmoid against
 #               the math.Exp form, and the offline trace fold
 #               (analyze.Parse) against the live run registry
+#   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
+#               the generic FFT kernel builds without the amd64
+#               assembly, GOARCH=386 go test ./internal/fft runs it as
+#               the selected kernel (natively on an amd64 host)
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck ci bench benchjson benchsessions trace benchgate benchsmoke fuzz check
+.PHONY: all build test race vet fmtcheck crossarch ci bench benchjson benchsessions trace benchgate benchsmoke fuzz check
 
 all: check
 
@@ -145,6 +149,15 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+
+# The butterfly sweeps of internal/fft have an AVX2 assembly kernel on
+# amd64 and Go loops everywhere else. amd64 vet (asmdecl) checks the
+# assembly's frames and argument names; this leg builds and vets every
+# package without the assembly, and runs the FFT tests with the Go
+# loops as the selected kernel.
+crossarch:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/fft
 
 # Source-hygiene gate: gofmt must have nothing to reformat. gofmt -l
 # exits 0 even when files need formatting, so the target fails on any

@@ -288,7 +288,8 @@ type Optimizer struct {
 	opLambda, opDt                           float64
 	opPsi                                    *grid.Field
 	gNorm2, maxV                             float64
-	edt                                      *levelset.EDT // nil unless pixel-exact reinitialisation
+	edt                                      *levelset.EDT // ψ₀ and the pixel-exact reinitialisation
+	fmm                                      *levelset.FMM // nil unless sub-pixel reinitialisation
 
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
@@ -308,7 +309,7 @@ type Optimizer struct {
 	// Per-run state reset by start; the iteration-loop bookkeeping
 	// (step scale, best cost, history, watchdog) lives in the
 	// solve.Driver built per run.
-	psi *grid.Field // level-set function (reallocated by sub-pixel reinit)
+	psi *grid.Field // level-set function
 
 	released bool
 }
@@ -339,6 +340,7 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 			litho.Corner{Cond: litho.Outer, Weight: opts.PVBWeight},
 			litho.Corner{Cond: litho.Inner, Weight: opts.PVBWeight})
 	}
+	o.psi = pool.Field(n, n)
 	o.mask = pool.Field(n, n)
 	o.maskSpec = pool.CField(n, n)
 	o.grad = pool.Field(n, n)
@@ -356,10 +358,13 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 		o.bestMask = pool.Field(n, n)
 		o.bestPsi = pool.Field(n, n)
 	}
-	if opts.ReinitEvery > 0 && !opts.SubpixelReinit {
+	o.edt = levelset.NewEDT(n, n, sim.Engine())
+	switch {
+	case opts.ReinitEvery > 0 && opts.SubpixelReinit:
+		o.fmm = levelset.NewFMM(n, n)
+	case opts.ReinitEvery > 0:
 		o.reinit = pool.Field(n, n)
 		o.reinitTmp = pool.Field(n, n)
-		o.edt = levelset.NewEDT(n, n, sim.Engine())
 	}
 	o.bindTail()
 	return o, nil
@@ -378,7 +383,8 @@ func (o *Optimizer) Release() {
 	o.corners = nil
 	o.gradBody, o.velocityBody = nil, nil
 	o.maskBody, o.evolveBody, o.saveBody, o.zeroBody = nil, nil, nil, nil
-	o.partials, o.edt = nil, nil
+	o.partials, o.edt, o.fmm = nil, nil, nil
+	pool.PutField(o.psi)
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
 	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.curv, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
@@ -443,25 +449,28 @@ func observeStep(d time.Duration) {
 }
 
 // start initialises the run state (Algorithm 1, line 1): M₀ = R* (or
-// the supplied warm start), ψ₀ = signed distance of M₀.
+// the supplied warm start), ψ₀ = signed distance of M₀, computed on the
+// optimizer's engine (the EDT gives the same bits on every engine).
 func (o *Optimizer) start() error {
 	n := o.sim.GridSize()
+	m0 := o.target
 	switch {
 	case o.opts.InitialPsi != nil:
 		if o.opts.InitialPsi.W != n || o.opts.InitialPsi.H != n {
 			return fmt.Errorf("%w: initial psi %dx%d, grid %d",
 				ErrShapeMismatch, o.opts.InitialPsi.W, o.opts.InitialPsi.H, n)
 		}
-		o.psi = o.opts.InitialPsi.Clone()
+		o.psi.CopyFrom(o.opts.InitialPsi)
+		return nil
 	case o.opts.InitialMask != nil:
 		if o.opts.InitialMask.W != n || o.opts.InitialMask.H != n {
 			return fmt.Errorf("%w: initial mask %dx%d, grid %d",
 				ErrShapeMismatch, o.opts.InitialMask.W, o.opts.InitialMask.H, n)
 		}
-		o.psi = levelset.SignedDistance(o.opts.InitialMask)
-	default:
-		o.psi = levelset.SignedDistance(o.target)
+		m0 = o.opts.InitialMask
 	}
+	// o.grad is free scratch here: simulate zeroes it before each use.
+	o.edt.SignedDistanceInto(o.psi, o.grad, m0)
 	return nil
 }
 
@@ -560,7 +569,7 @@ func (s *levelStepper) Advance(i int, dt float64) float64 {
 
 	if o.opts.ReinitEvery > 0 && (i+1)%o.opts.ReinitEvery == 0 {
 		if o.opts.SubpixelReinit {
-			o.psi = levelset.ReinitializeFMM(o.psi)
+			o.fmm.ReinitializeInto(o.psi, o.psi)
 		} else {
 			o.edt.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
 			o.psi.CopyFrom(o.reinit)

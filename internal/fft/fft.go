@@ -4,6 +4,11 @@
 // the one 2-D transform, which runs whole field stacks (and the
 // real-input and real-output passes) over an engine's workers.
 //
+// The butterfly sweeps have two kernels: Go loops, and on amd64 hosts
+// whose CPU and OS support AVX2 an assembly kernel (kernel_amd64.s)
+// that runs two complex128 per instruction. The choice is made once,
+// from CPUID, and both give the same bits.
+//
 // Sizes must be powers of two. The lithography pipeline always runs on
 // power-of-two grids (the ICCAD 2013 clips are 2048×2048 at 1 nm/px), so
 // no Bluestein fallback is needed; NewPlan rejects other sizes loudly.
@@ -25,6 +30,15 @@ var (
 	mPlanMisses = obs.Default.Counter("fft.plan_cache.misses")
 )
 
+// The fft.kernel_avx2 gauge says which butterfly kernel produced a
+// run's timings: 1 for the AVX2 assembly, 0 for the Go loops.
+func init() {
+	g := obs.Default.Gauge("fft.kernel_avx2")
+	if fastKernel != &goKernel {
+		g.Set(1)
+	}
+}
+
 // tracePlanCache reports one cache lookup to the runtime trace sink.
 func tracePlanCache(n int, hit bool) {
 	if s := obs.Runtime(); s != nil {
@@ -41,6 +55,7 @@ type Plan struct {
 	rev   []int32      // rev[i] = i with its bits reversed
 	tw    []complex128 // forward twiddles, stage-major (see twiddles)
 	twinv []complex128 // inverse twiddles, same layout
+	k     *kernel      // butterfly sweeps: fastKernel from length 8 up
 }
 
 // NewPlan creates a transform plan for length n. It panics unless n is a
@@ -49,7 +64,10 @@ func NewPlan(n int) *Plan {
 	if !grid.IsPow2(n) {
 		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
 	}
-	p := &Plan{n: n, rev: make([]int32, n)}
+	p := &Plan{n: n, rev: make([]int32, n), k: &goKernel}
+	if n >= 8 {
+		p.k = fastKernel
+	}
 	shift := 0
 	for 1<<shift < n {
 		shift++
@@ -144,6 +162,22 @@ func (p *Plan) transform(x []complex128, tw []complex128) {
 // already in bit-reversed order, so a caller that gathers its input in
 // that order (the 2-D column passes) skips the swap pass. len(x) must
 // be the plan length.
+func (p *Plan) butterflies(x []complex128, tw []complex128) { p.k.run(x, tw) }
+
+// kernel is one implementation of the butterfly network's three sweeps.
+type kernel struct {
+	radix4First func(x []complex128, w2 complex128)
+	stagePair   func(x []complex128, h int, t1, t2 []complex128)
+	stage       func(x []complex128, h int, tw []complex128)
+}
+
+// goKernel is the Go loops below. It runs plans shorter than 8 and,
+// on hosts without the AVX2 kernel, every plan; the tests hold the
+// selected kernel to it bit for bit.
+var goKernel = kernel{radix4First, stagePair, stage}
+
+// run is the network on x (length a power of two) in bit-reversed
+// order with the stage-major twiddles tw.
 //
 // Every butterfly is t := w·b; a, b = a+t, a−t with the textbook loop's
 // twiddle, so the result is bit-identical to one memory sweep per stage
@@ -152,18 +186,18 @@ func (p *Plan) transform(x []complex128, tw []complex128) {
 // Only the sweeps are fused: stages 1 and 2 run as one pass over
 // 4-element blocks, each later pair of stages (h, 2h) as one pass over
 // the quarter-slices of every 4h block, and an odd last stage alone.
-func (p *Plan) butterflies(x []complex128, tw []complex128) {
-	n := p.n
+func (k *kernel) run(x []complex128, tw []complex128) {
+	n := len(x)
 	h := 1
 	if n >= 4 {
-		radix4First(x, tw[2])
+		k.radix4First(x, tw[2])
 		h = 4
 	}
 	for ; 4*h <= n; h *= 4 {
-		stagePair(x, h, tw[h-1:2*h-1], tw[2*h-1:4*h-1])
+		k.stagePair(x, h, tw[h-1:2*h-1], tw[2*h-1:4*h-1])
 	}
 	if 2*h == n {
-		stage(x, h, tw[h-1:2*h-1])
+		k.stage(x, h, tw[h-1:2*h-1])
 	}
 }
 

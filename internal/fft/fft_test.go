@@ -10,6 +10,7 @@ import (
 
 	"lsopc/internal/engine"
 	"lsopc/internal/grid"
+	"lsopc/internal/obs"
 )
 
 // naiveDFT is the O(n²) reference transform.
@@ -234,24 +235,80 @@ func referenceTransform(x []complex128, inverse bool) {
 	}
 }
 
-// checkMatchesReference runs x through Forward and Inverse and through
-// referenceTransform and reports any element that differs under ==,
-// the repository's bit-identity convention (it ignores only the sign of
-// an exact zero).
+// genericPlan returns a copy of p that runs the Go loops at every
+// length, so a host whose plans select the AVX2 kernel still tests them.
+func genericPlan(p *Plan) *Plan {
+	g := *p
+	g.k = &goKernel
+	return &g
+}
+
+// transformed returns p.Forward or p.Inverse of a copy of x.
+func transformed(p *Plan, x []complex128, inverse bool) []complex128 {
+	y := append([]complex128(nil), x...)
+	if inverse {
+		p.Inverse(y)
+	} else {
+		p.Forward(y)
+	}
+	return y
+}
+
+// checkMatchesReference runs x through Forward and Inverse, with the
+// selected kernel and with the Go loops, and through referenceTransform,
+// and reports any element that differs under ==, the repository's
+// bit-identity convention (it ignores only the sign of an exact zero).
 func checkMatchesReference(t *testing.T, p *Plan, x []complex128, what string) {
 	t.Helper()
-	for _, inverse := range []bool{false, true} {
-		got := append([]complex128(nil), x...)
-		want := append([]complex128(nil), x...)
-		if inverse {
-			p.Inverse(got)
-		} else {
-			p.Forward(got)
+	for _, q := range []*Plan{p, genericPlan(p)} {
+		for _, inverse := range []bool{false, true} {
+			got := transformed(q, x, inverse)
+			want := append([]complex128(nil), x...)
+			referenceTransform(want, inverse)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d %s inverse=%v generic=%v: element %d = %v, reference %v",
+						p.N(), what, inverse, q.k == &goKernel, i, got[i], want[i])
+				}
+			}
 		}
-		referenceTransform(want, inverse)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d %s inverse=%v: element %d = %v, reference %v", p.N(), what, inverse, i, got[i], want[i])
+	}
+}
+
+// sameBits reports whether a and b have identical bits, any NaN
+// matching any NaN.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestKernelsAgreeOnEdgeInputs holds the selected kernel to the Go loops
+// bit for bit, exact-zero signs included, on inputs built from signed
+// zeros, subnormals, values near the overflow and underflow limits,
+// infinities and NaN, which the == rule against the reference cannot
+// see (it equates ±0 and fails every NaN).
+func TestKernelsAgreeOnEdgeInputs(t *testing.T) {
+	edge := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1e300, -1e300,
+		1e-300, -1e-300, math.Inf(1), math.Inf(-1), math.NaN(), 1, -0.75}
+	rng := rand.New(rand.NewSource(22))
+	for n := 1; n <= 4096; n <<= 1 {
+		p := NewPlan(n)
+		mixed, zeros, finite := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+		for i := range mixed {
+			mixed[i] = complex(edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))])
+			zeros[i] = complex(math.Copysign(0, -1), edge[rng.Intn(2)])
+			finite[i] = complex(edge[rng.Intn(8)], edge[rng.Intn(8)])
+		}
+		for what, x := range map[string][]complex128{"mixed": mixed, "signed zeros": zeros, "finite edge": finite} {
+			for _, inverse := range []bool{false, true} {
+				got, want := transformed(p, x, inverse), transformed(genericPlan(p), x, inverse)
+				for i := range got {
+					if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+						t.Fatalf("n=%d %s inverse=%v: element %d = %v, Go loops %v", n, what, inverse, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -295,6 +352,21 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		}
 		checkMatchesReference(t, NewPlan(n), x, "fuzz")
 	})
+}
+
+// TestKernelGauge: fft.kernel_avx2 in the default registry names the
+// kernel plans of length ≥ 8 run, and shorter plans run the Go loops.
+func TestKernelGauge(t *testing.T) {
+	want := 0.0
+	if NewPlan(8).k != &goKernel {
+		want = 1
+	}
+	if got := obs.Default.Snapshot()["fft.kernel_avx2"]; got != want {
+		t.Fatalf("fft.kernel_avx2 = %v, want %v", got, want)
+	}
+	if NewPlan(4).k != &goKernel {
+		t.Fatal("a length-4 plan must run the Go loops")
+	}
 }
 
 func TestPlanZeroAllocWarm(t *testing.T) {

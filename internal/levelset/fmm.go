@@ -1,6 +1,7 @@
 package levelset
 
 import (
+	"fmt"
 	"math"
 
 	"lsopc/internal/grid"
@@ -12,25 +13,53 @@ import (
 // and takes the exact pixel-grid EDT), FMM seeds the front from the
 // *sub-pixel* zero crossings interpolated along grid edges, so a contour
 // sitting between pixels stays between pixels across reinitialisations.
-// Cost is O(N log N).
+// Cost is O(N log N). Returns the new ψ; see FMM.ReinitializeInto for
+// the allocation-free form.
 func ReinitializeFMM(psi *grid.Field) *grid.Field {
-	w, h := psi.W, psi.H
-	out := grid.NewField(w, h)
+	out := grid.NewFieldLike(psi)
+	NewFMM(psi.W, psi.H).ReinitializeInto(out, psi)
+	return out
+}
 
-	dist := make([]float64, w*h) // unsigned distance to the interface
-	state := make([]byte, w*h)   // 0 far, 1 trial, 2 accepted
+// FMM is the fast marching method's workspace for w×h fields: the
+// unsigned distances, the marching states and the trial heap, allocated
+// once so a caller holding one reinitialises without allocating.
+//
+// An FMM is NOT safe for concurrent use.
+type FMM struct {
+	w, h  int
+	dist  []float64 // unsigned distance to the interface
+	state []byte    // 0 far, 1 trial, 2 accepted
+	pq    pixelHeap
+}
+
+// NewFMM returns the workspace for w×h fields. The trial heap holds at
+// most a few entries per front pixel; one grid's worth of capacity keeps
+// it from ever regrowing in practice.
+func NewFMM(w, h int) *FMM {
+	return &FMM{w: w, h: h, dist: make([]float64, w*h), state: make([]byte, w*h), pq: make(pixelHeap, 0, w*h)}
+}
+
+// ReinitializeInto writes ReinitializeFMM(psi) into dst, bit for bit.
+// dst may be psi itself: ψ is read only until the last pass, which
+// reads each pixel just before overwriting it.
+func (f *FMM) ReinitializeInto(dst, psi *grid.Field) {
+	w, h := f.w, f.h
+	if psi.W != w || psi.H != h || dst.W != w || dst.H != h {
+		panic(fmt.Sprintf("levelset: %dx%d FMM given fields %dx%d and %dx%d", w, h, dst.W, dst.H, psi.W, psi.H))
+	}
+	dist, state := f.dist, f.state
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
+	clear(state)
+	pq := f.pq[:0]
 
 	inside := func(i int) bool { return psi.Data[i] <= 0 }
 
 	// Seed: pixels with a sign change to a 4-neighbour get their
 	// distance from linear interpolation of ψ along each crossing axis:
 	// the zero crossing sits at frac = ψ(p)/(ψ(p)−ψ(n)) of the edge.
-	// The trial heap holds at most a few entries per front pixel; one
-	// grid's worth of capacity keeps it from ever regrowing in practice.
-	pq := make(pixelHeap, 0, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
@@ -113,19 +142,19 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 		}
 	}
 
-	for i := range out.Data {
-		d := dist[i]
+	f.pq = pq // keep any capacity the march grew
+
+	for i, d := range dist {
 		if math.IsInf(d, 1) {
 			// No interface anywhere: fall back to a far constant.
 			d = float64(w + h)
 		}
 		if inside(i) {
-			out.Data[i] = -d
+			dst.Data[i] = -d
 		} else {
-			out.Data[i] = d
+			dst.Data[i] = d
 		}
 	}
-	return out
 }
 
 // eikonalUpdate solves the first-order upwind discretisation of

@@ -3,6 +3,7 @@ package levelset
 import (
 	"container/heap"
 	"math"
+	"runtime"
 	"testing"
 
 	"lsopc/internal/grid"
@@ -152,13 +153,21 @@ func fmmFields(n int) map[string]*grid.Field {
 	}
 }
 
+// TestFMMTypedHeapMatchesContainerHeap holds ReinitializeFMM, and an
+// FMM workspace reused across the fields and run in place (dst = ψ), to
+// the container/heap reference bit for bit.
 func TestFMMTypedHeapMatchesContainerHeap(t *testing.T) {
 	for _, n := range []int{17, 48, 96} {
+		f := NewFMM(n, n)
 		for name, psi := range fmmFields(n) {
-			got, want := ReinitializeFMM(psi), reinitializeFMMBoxed(psi)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s n=%d pixel %d: %v vs container/heap %v", name, n, i, got.Data[i], want.Data[i])
+			want := reinitializeFMMBoxed(psi)
+			inPlace := psi.Clone()
+			f.ReinitializeInto(inPlace, inPlace)
+			for form, got := range map[string]*grid.Field{"ReinitializeFMM": ReinitializeFMM(psi), "in place": inPlace} {
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s %s n=%d pixel %d: %v vs container/heap %v", form, name, n, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
@@ -169,13 +178,20 @@ func TestFMMTypedHeapMatchesContainerHeap(t *testing.T) {
 // entries, so a call allocates a fixed handful of buffers at any size
 // (five, plus slack for the runtime's own bookkeeping on large
 // allocations); boxing made about 15k allocations at 64² and 870k at
-// 512².
+// 512². A held FMM workspace allocates nothing. The process's first
+// collection allocates its mark workers; runtime.GC runs it before any
+// window is measured.
 func TestFMMAllocationsIndependentOfGrid(t *testing.T) {
 	const bound = 10
+	runtime.GC()
 	for _, n := range []int{32, 128, 256} {
 		psi := blockPsi(n, 5)
 		if avg := testing.AllocsPerRun(3, func() { ReinitializeFMM(psi) }); avg > bound {
 			t.Fatalf("n=%d: ReinitializeFMM allocates %.0f objects/op, want ≤ %d", n, avg, bound)
+		}
+		f, dst := NewFMM(n, n), grid.NewField(n, n)
+		if avg := testing.AllocsPerRun(3, func() { f.ReinitializeInto(dst, psi) }); avg != 0 {
+			t.Fatalf("n=%d: FMM.ReinitializeInto allocates %.0f objects/op, want 0", n, avg)
 		}
 	}
 }

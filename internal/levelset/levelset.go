@@ -197,8 +197,16 @@ func (e *EDT) ReinitializeInto(dst, tmp, psi *grid.Field) {
 // sentinel.
 func SignedDistance(mask *grid.Field) *grid.Field {
 	psi := grid.NewFieldLike(mask)
-	NewEDT(mask.W, mask.H, nil).signedDistance(psi, grid.NewFieldLike(mask), mask, maskInside, maskOutside)
+	NewEDT(mask.W, mask.H, nil).SignedDistanceInto(psi, grid.NewFieldLike(mask), mask)
 	return psi
+}
+
+// SignedDistanceInto writes SignedDistance(mask) into dst with tmp as
+// scratch, bit for bit on any engine, so a caller holding both
+// allocates nothing. dst, tmp and mask must be distinct fields of one
+// shape.
+func (e *EDT) SignedDistanceInto(dst, tmp, mask *grid.Field) {
+	e.signedDistance(dst, tmp, mask, maskInside, maskOutside)
 }
 
 // MaskFromPsi extracts the binary mask from the level-set function per

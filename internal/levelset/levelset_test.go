@@ -324,7 +324,8 @@ func TestReinitializePreservesContour(t *testing.T) {
 // its definition, the signed distance of Eq. 6's mask of ψ, bit for bit,
 // with exact zeros and NaNs (both sides of ψ ≤ 0) in the input, on a
 // serial and on parallel engines (the EDT fans its column and row
-// passes across the workers).
+// passes across the workers). SignedDistanceInto, the optimizer's ψ₀ on
+// its own engine, must give the serial SignedDistance's bits too.
 func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(9))
@@ -338,10 +339,15 @@ func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 	want := SignedDistance(mask)
 	for _, eng := range []*engine.Engine{engine.CPU(), engine.New("gpu3", 3), engine.New("gpu8", 8)} {
 		got, tmp := grid.NewField(n, n), grid.NewField(n, n)
-		NewEDT(n, n, eng).ReinitializeInto(got, tmp, psi)
+		e, sd := NewEDT(n, n, eng), grid.NewField(n, n)
+		e.ReinitializeInto(got, tmp, psi)
+		e.SignedDistanceInto(sd, tmp, mask)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("%s pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", eng.Name(), i, got.Data[i], want.Data[i])
+			}
+			if math.Float64bits(sd.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s pixel %d: SignedDistanceInto %g, SignedDistance %g", eng.Name(), i, sd.Data[i], want.Data[i])
 			}
 		}
 	}

@@ -38,7 +38,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck crossarch ci bench benchjson benchsessions trace benchgate benchsmoke fuzz check
+.PHONY: all build test race vet fmtcheck crossarch ci bench benchjson trace benchgate benchsmoke fuzz check
 
 all: check
 
@@ -182,10 +182,5 @@ bench:
 
 benchjson:
 	$(GO) run ./cmd/benchjson -label after
-
-# Concurrent-session throughput (layouts/sec at 1, 2, NumCPU sessions)
-# versus the dedicated-pipeline-per-job architecture.
-benchsessions:
-	$(GO) run ./cmd/benchjson -sessions -label after
 
 check: build vet test race

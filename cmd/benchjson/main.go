@@ -5,7 +5,6 @@
 //
 //	go run ./cmd/benchjson -label after
 //	go run ./cmd/benchjson -label seed -o BENCH_batchfft.json
-//	go run ./cmd/benchjson -sessions -label after
 //	go run ./cmd/benchjson -tiled        # full-chip monolithic vs tiled
 //
 // Each benchmark is executed with the standard testing.Benchmark driver,
@@ -40,12 +39,8 @@ func main() {
 	label := flag.String("label", "", "run label, e.g. seed or after (required)")
 	note := flag.String("note", "", "free-form note stored with the run")
 	filter := flag.String("bench", "", "substring filter on benchmark names")
-	sessions := flag.Bool("sessions", false, "measure concurrent-session throughput instead (BENCH_sessions.json)")
 	multires := flag.Bool("multires", false, "measure Table II per-case runtime, full-res float64 vs coarse-to-fine factor 2, float64 (BENCH_multires.json)")
 	tiled := flag.Bool("tiled", false, "measure full-chip runtime, monolithic window vs tiled overlap-halo optimization (BENCH_tiled.json)")
-	tracePath := flag.String("tracefile", "", "write a structured JSONL event trace of the sessions sweep to this file")
-	metrics := flag.Bool("metrics", false, "store the full flat metrics snapshot with the run (sessions mode)")
-	recorder := flag.Bool("recorder", false, "tee a flight recorder into the sweep's trace path to measure its emit overhead (sessions mode)")
 	flag.Parse()
 	if *multires {
 		// Labels are fixed ("baseline"/"multires"): the artefact compares
@@ -67,13 +62,6 @@ func main() {
 	if *label == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -label is required")
 		os.Exit(2)
-	}
-	if *sessions {
-		if *out == "" {
-			*out = "BENCH_sessions.json"
-		}
-		sessionsMain(*out, *label, *note, *tracePath, *metrics, *recorder)
-		return
 	}
 	if *out == "" {
 		*out = "BENCH_batchfft.json"

@@ -282,6 +282,12 @@ func run(cfg cliConfig) error {
 		return runTiled(ctx, pipe, layout, cfg)
 	}
 
+	var from *lsopc.Checkpoint
+	if cfg.resume != "" {
+		if from, err = loadCheckpoint(cfg.resume); err != nil {
+			return err
+		}
+	}
 	var result *lsopc.RunResult
 	switch cfg.method {
 	case "level-set":
@@ -293,15 +299,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
-		if cfg.resume != "" {
-			var cp *lsopc.Checkpoint
-			if cp, err = loadCheckpoint(cfg.resume); err != nil {
-				return err
-			}
-			result, err = pipe.ResumeLevelSet(ctx, layout, opts, cp)
-		} else {
-			result, err = pipe.OptimizeLevelSetContext(ctx, layout, opts)
-		}
+		result, err = pipe.OptimizeLevelSetContext(ctx, layout, opts, from)
 	case "MOSAIC_fast", "MOSAIC_exact", "robust", "PVOPC":
 		opts := lsopc.DefaultBaselineOptions(parseVariant(cfg.method))
 		if cfg.iters > 0 {
@@ -311,15 +309,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
-		if cfg.resume != "" {
-			var cp *lsopc.Checkpoint
-			if cp, err = loadCheckpoint(cfg.resume); err != nil {
-				return err
-			}
-			result, err = pipe.ResumeBaseline(ctx, layout, opts, cp)
-		} else {
-			result, err = pipe.OptimizeBaselineContext(ctx, layout, opts)
-		}
+		result, err = pipe.OptimizeBaselineContext(ctx, layout, opts, from)
 	default:
 		return fmt.Errorf("unknown method %q", cfg.method)
 	}
@@ -346,7 +336,10 @@ func run(cfg cliConfig) error {
 		}
 	}
 	if cfg.ascii {
-		printed, _, _ := pipe.PrintedImages(result.Mask)
+		printed, _, _, err := pipe.PrintedImages(result.Mask)
+		if err != nil {
+			return err
+		}
 		target, err := pipe.Target(layout)
 		if err != nil {
 			return err

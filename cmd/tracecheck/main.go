@@ -1,5 +1,5 @@
 // Command tracecheck validates a structured JSONL event trace produced
-// by the -tracefile flag of lsopc/benchjson (or any obs.JSONLSink
+// by the -tracefile flag of cmd/lsopc and cmd/tables (or any obs.JSONLSink
 // stream). It fails with a non-zero exit when a line is not valid JSON,
 // an event carries no type, or the sink-assigned sequence numbers are
 // not strictly increasing — the integrity invariants concurrent

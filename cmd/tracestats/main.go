@@ -1,5 +1,5 @@
 // Command tracestats turns the structured JSONL event traces written by
-// the -tracefile flag of cmd/lsopc and cmd/benchjson into human-readable
+// the -tracefile flag of cmd/lsopc and cmd/tables into human-readable
 // analytics: event inventory, plan-cache and pool hit rates, a per-phase
 // latency table with exact p50/p95/p99 over the raw span durations, and
 // per-session convergence summaries (slope of ln(cost), stalls,

@@ -94,10 +94,9 @@ func TestConcurrentOptimizationMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSessionsPartitionMatchesSerial drives explicit sessions whose
-// engines partition the pipeline's workers (the recommended layout for
-// batch throughput) and checks results stay bit-identical to the
-// shared-handle path.
+// TestSessionsPartitionMatchesSerial runs one pipeline per sub-engine of
+// an Engine.Split partition of the workers, concurrently, and checks
+// results stay bit-identical to the shared-handle path.
 func TestSessionsPartitionMatchesSerial(t *testing.T) {
 	p, err := NewPipeline(PresetTest, GPUEngine())
 	if err != nil {
@@ -116,9 +115,13 @@ func TestSessionsPartitionMatchesSerial(t *testing.T) {
 		want[id] = run
 	}
 
-	sessions, err := p.Sessions(len(ids))
-	if err != nil {
-		t.Fatal(err)
+	subs := p.Engine().Split(len(ids))
+	pipes := make([]*Pipeline, len(subs))
+	for i, sub := range subs {
+		if pipes[i], err = NewPipeline(PresetTest, sub); err != nil {
+			t.Fatal(err)
+		}
+		defer pipes[i].Release()
 	}
 	got := make([]*RunResult, len(ids))
 	var wg sync.WaitGroup
@@ -126,10 +129,9 @@ func TestSessionsPartitionMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			defer sessions[i].Close()
-			run, err := sessions[i].OptimizeLevelSet(Benchmark(id), opts)
+			run, err := pipes[i].OptimizeLevelSet(Benchmark(id), opts)
 			if err != nil {
-				t.Errorf("%s on session %d: %v", id, i, err)
+				t.Errorf("%s on sub-engine %d: %v", id, i, err)
 				return
 			}
 			got[i] = run
@@ -154,12 +156,12 @@ func TestSessionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := p.Session()
+	s1, err := p.lease()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.Close()
-	s2, err := p.Session()
+	s1.done()
+	s2, err := p.lease()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +173,11 @@ func TestSessionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := s2.Evaluate(l, mask, 0)
+	r1, err := s2.evaluate(l, mask, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.Close()
+	s2.done()
 	r2, err := p.Evaluate(l, mask, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -23,39 +23,37 @@ func TestEvaluateMatchesSeparateCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	n := s.sim.GridSize()
+	sim := p.Simulator()
+	n := sim.GridSize()
 	spec := grid.NewCField(n, n)
-	s.sim.MaskSpectrumInto(spec, target)
+	sim.MaskSpectrumInto(spec, target)
 	ref := map[litho.Condition]*grid.Field{}
 	for _, cond := range litho.AllConditions {
 		ref[cond] = grid.NewField(n, n)
-		s.sim.PrintedBinary(ref[cond], spec, cond)
+		sim.PrintedBinary(ref[cond], spec, cond)
 	}
 	if ref[litho.Outer].XORCount(ref[litho.Inner]) == 0 {
 		t.Fatal("degenerate test: outer and inner print identically")
 	}
 
-	nom, outer, inner := s.PrintedImages(target)
+	nom, outer, inner, err := p.PrintedImages(target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cond, got := range map[litho.Condition]*grid.Field{litho.Nominal: nom, litho.Outer: outer, litho.Inner: inner} {
 		if !got.Equal(ref[cond], 0) {
 			t.Fatalf("PrintedImages %v differs from PrintedBinary", cond)
 		}
 	}
 
-	report, err := s.Evaluate(l, target, time.Second)
+	report, err := p.Evaluate(l, target, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	epe, _ := metrics.EPE(ref[litho.Nominal], metrics.Probes(l, p.metrics.EPESpacingNM), p.metrics)
 	want := Report{
 		EPEViolations:   epe,
-		PVBandNM2:       metrics.PVBand(ref[litho.Outer], ref[litho.Inner], s.sim.PixelNM()),
+		PVBandNM2:       metrics.PVBand(ref[litho.Outer], ref[litho.Inner], sim.PixelNM()),
 		ShapeViolations: metrics.ShapeViolations(ref[litho.Nominal], target),
 		RuntimeSec:      1,
 	}

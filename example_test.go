@@ -1,6 +1,8 @@
 package lsopc_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -37,6 +39,54 @@ func ExamplePipeline_OptimizeBaseline() {
 	}
 	fmt.Println(run.Method, "shape violations:", run.Report.ShapeViolations)
 	// Output: MOSAIC_fast shape violations: 0
+}
+
+// cancelAt cancels a run once its iteration event numbered at arrives.
+type cancelAt struct {
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) Emit(e lsopc.TraceEvent) {
+	if e.Type == lsopc.EventIteration && e.Iter == c.at {
+		c.cancel()
+	}
+}
+
+// ExamplePipeline_OptimizeLevelSetContext cancels a run and resumes it
+// from the checkpoint its error carries.
+func ExamplePipeline_OptimizeLevelSetContext() {
+	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
+	if err != nil {
+		log.Fatal(err)
+	}
+	layout := lsopc.Benchmark("B10")
+	opts := lsopc.DefaultLevelSetOptions()
+	opts.MaxIter = 6
+	opts.Tolerance = 0
+
+	// A stand-in for the user's Ctrl-C: cancel once iteration 2 is done.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.Sink = cancelAt{at: 2, cancel: cancel}
+	_, err = pipe.OptimizeLevelSetContext(ctx, layout, opts, nil)
+	var cerr *lsopc.CancelledError
+	if !errors.As(err, &cerr) {
+		log.Fatal(err)
+	}
+	fmt.Println("cancelled after", cerr.Checkpoint.Iter, "iterations")
+
+	// The same entry point with the same options continues the run; the
+	// result is bit-identical to an uninterrupted one.
+	opts.Sink = nil
+	run, err := pipe.OptimizeLevelSetContext(context.Background(), layout, opts, cerr.Checkpoint)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("resumed to", run.LevelSet.Iterations, "iterations")
+	// Output:
+	// cancelled after 3 iterations
+	// resumed to 6 iterations
 }
 
 // ExampleNewLayout builds a custom design and validates it.

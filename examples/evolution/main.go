@@ -42,7 +42,10 @@ func main() {
 
 	fmt.Printf("Fig.2-style evolution on %s (ψ contour per snapshot):\n\n", layout.Name)
 	for _, s := range run.LevelSet.Snapshots {
-		printed, _, _ := pipe.PrintedImages(s.Mask)
+		printed, _, _, err := pipe.PrintedImages(s.Mask)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("--- iteration %d: mask area %.0f px, printed vs target ---\n",
 			s.Iter, s.Mask.Sum())
 		fmt.Print(render.ContourOverlayASCII(target, printed, 72))

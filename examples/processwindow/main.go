@@ -27,7 +27,10 @@ func main() {
 	}
 
 	// --- Fig. 1(b): the PV band of the unoptimized design. ---
-	nominal, outer, inner := pipe.PrintedImages(target)
+	nominal, outer, inner, err := pipe.PrintedImages(target)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("unoptimized design printed at the three process corners:")
 	fmt.Printf("  nominal: %6.0f px   outer(+2%% dose): %6.0f px   inner(defocus,−2%%): %6.0f px\n",
 		nominal.Sum(), outer.Sum(), inner.Sum())

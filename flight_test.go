@@ -24,7 +24,7 @@ import (
 // a tiled run whose poisoned tile trips the watchdog must leave behind
 // a complete, manifest-valid bundle — event tail, goroutine dump, heap
 // and CPU profiles, resumable checkpoint — and the checkpoint must
-// actually resume through core.Resume against the reconstructed tile.
+// actually resume through core.Run against the reconstructed tile.
 func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	flightDir := t.TempDir()
 	rec := NewFlightRecorder(FlightRecorderConfig{
@@ -131,7 +131,7 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	ropts := opts
 	ropts.Health = nil
 	ropts.Sink = nil
-	res, err := core.Resume(context.Background(), pipe.Simulator(), target, ropts, cp)
+	res, err := core.Run(context.Background(), pipe.Simulator(), target, ropts, cp)
 	if err != nil {
 		t.Fatalf("resume from bundle checkpoint: %v", err)
 	}

@@ -34,7 +34,7 @@ func cancelRun(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Opti
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Sink = &cancelAtSink{at: at, cancel: cancel}
-	_, err := RunMultiResolution(ctx, sim, target, opts)
+	_, err := Run(ctx, sim, target, opts, nil)
 	var cerr *solve.Cancelled
 	if !errors.As(err, &cerr) {
 		t.Fatalf("cancelled run returned %v, want *solve.Cancelled", err)
@@ -77,7 +77,7 @@ func TestCancelMonolithicResumeBitIdentical(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 10
 
-	ref, err := RunMultiResolution(context.Background(), sim, target, opts)
+	ref, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCancelMonolithicResumeBitIdentical(t *testing.T) {
 	}
 
 	opts.Sink = nil
-	res, err := Resume(context.Background(), sim, target, opts, cp)
+	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCancelMultiResBetweenLevels(t *testing.T) {
 	opts.MultiResFactor = 4
 	opts.MultiResIters = 2 // levels: 64/4 ×2, 64/2 ×2, full ×8
 
-	ref, err := RunMultiResolution(context.Background(), sim, target, opts)
+	ref, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCancelMultiResBetweenLevels(t *testing.T) {
 	}
 
 	opts.Sink = nil
-	res, err := Resume(context.Background(), sim, target, opts, cp)
+	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCancelMultiResInsideFineLevel(t *testing.T) {
 	opts.MultiResFactor = 4
 	opts.MultiResIters = 2
 
-	ref, err := RunMultiResolution(context.Background(), sim, target, opts)
+	ref, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCancelMultiResInsideFineLevel(t *testing.T) {
 	}
 
 	opts.Sink = nil
-	res, err := Resume(context.Background(), sim, target, opts, cp)
+	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +169,21 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	cp := cancelRun(t, sim, target, opts, 2)
 
 	opts.Sink = nil
-	if _, err := Resume(context.Background(), sim, target, opts, nil); err == nil {
-		t.Fatal("nil checkpoint accepted")
-	}
 	bad := *cp
 	bad.Method = "something-else"
-	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
-		t.Fatal("foreign-method checkpoint accepted")
+	if _, err := Run(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("foreign-method checkpoint: %v, want ErrCheckpointMismatch", err)
 	}
 	bad = *cp
 	bad.Factor = 2
-	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
-		t.Fatal("coarse-level checkpoint accepted by a single-resolution run")
+	if _, err := Run(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("coarse-level checkpoint on a single-resolution run: %v, want ErrCheckpointMismatch", err)
+	}
+	// ψ of another grid size fails both typed checks.
+	bad = *cp
+	bad.State = map[string]*grid.Field{"psi": grid.NewField(32, 32)}
+	if _, err := Run(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) || !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("32-px checkpoint on a 64-px run: %v, want ErrCheckpointMismatch and ErrShapeMismatch", err)
 	}
 	// ψ with the run's W×H but only 10 of its 4096 values: CopyFrom
 	// would copy the 10 and resume from a partly restored ψ.
@@ -191,14 +194,14 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 	psi := cp.State["psi"]
 	bad.State["psi"] = &grid.Field{W: psi.W, H: psi.H, Data: psi.Data[:10]}
-	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+	if _, err := Run(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("checkpoint with a short psi accepted")
 	}
 	multi := opts
 	multi.MultiResFactor = 4
 	bad = *cp
 	bad.Factor = 8 // not a level of the factor-4 schedule
-	if _, err := Resume(context.Background(), sim, target, multi, &bad); err == nil {
-		t.Fatal("checkpoint at a factor outside the schedule accepted")
+	if _, err := Run(context.Background(), sim, target, multi, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("checkpoint at a factor outside the schedule: %v, want ErrCheckpointMismatch", err)
 	}
 }

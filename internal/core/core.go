@@ -110,11 +110,11 @@ type Options struct {
 	// precedence over InitialMask. The field is cloned; the caller keeps
 	// ownership.
 	InitialPsi *grid.Field
-	// MultiResFactor > 1 enables coarse-to-fine evolution (see
-	// RunMultiResolution): the run starts on a grid downsampled by this
-	// power-of-two factor, halving the factor each level until full
-	// resolution. 0 or 1 runs single-resolution. Plain Optimizer.Run
-	// ignores it — only RunMultiResolution consumes the schedule.
+	// MultiResFactor > 1 enables coarse-to-fine evolution (see Run):
+	// the run starts on a grid downsampled by this power-of-two factor,
+	// halving the factor each level until full resolution. 0 or 1 runs
+	// single-resolution. New ignores it — only Run consumes the
+	// schedule.
 	MultiResFactor int
 	// MultiResIters is the iteration budget per coarse level. Full
 	// resolution gets the remainder of MaxIter after all coarse levels;
@@ -231,7 +231,7 @@ type Result struct {
 	Aborted     bool
 	AbortReason string
 	// AbortCheckpoint is the solver state at the aborted iteration
-	// boundary (nil unless Aborted) — resumable via Resume, persisted by
+	// boundary (nil unless Aborted) — resumable through Run, persisted by
 	// the flight recorder's postmortem bundles.
 	AbortCheckpoint *solve.Checkpoint
 	History         []IterStats
@@ -372,7 +372,7 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 
 // Release returns the optimizer's leased scratch to the pool. The
 // simulator passed to New is caller-owned and not touched. Results
-// returned by Run remain valid: they own their fields. Release is
+// already returned remain valid: they own their fields. Release is
 // idempotent and nil-safe.
 func (o *Optimizer) Release() {
 	if o == nil || o.released {
@@ -396,20 +396,21 @@ func (o *Optimizer) Release() {
 	o.reinit, o.reinitTmp = nil, nil
 }
 
-// Run executes Algorithm 1 and returns the optimized mask. The result
-// owns its fields, so it stays valid after Release.
-func (o *Optimizer) Run() (*Result, error) {
-	return o.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation: the loop yields at
+// run executes Algorithm 1 and returns the optimized mask, restoring
+// the checkpoint from first when it is non-nil. The loop yields at
 // every iteration boundary, and a cancelled context surfaces as a
 // *solve.Cancelled error (unwrapping to the context's error) carrying a
-// checkpoint the run can resume from bit-identically.
-func (o *Optimizer) RunContext(ctx context.Context) (*Result, error) {
+// checkpoint the run can resume from bit-identically. The result owns
+// its fields, so it stays valid after Release.
+func (o *Optimizer) run(ctx context.Context, from *solve.Checkpoint) (*Result, error) {
 	drv, err := o.driver()
 	if err != nil {
 		return nil, err
+	}
+	if from != nil {
+		if err := drv.Restore(from); err != nil {
+			return nil, err
+		}
 	}
 	out, err := drv.Run(ctx)
 	if err != nil {
@@ -613,7 +614,7 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 		return fmt.Errorf("core: checkpoint state carries no psi field")
 	}
 	if psi.W != o.psi.W || psi.H != o.psi.H {
-		return fmt.Errorf("%w: checkpoint psi %dx%d, grid %d", ErrShapeMismatch, psi.W, psi.H, o.psi.W)
+		return fmt.Errorf("%w (%w): checkpoint psi %dx%d, grid %d", ErrShapeMismatch, solve.ErrCheckpointMismatch, psi.W, psi.H, o.psi.W)
 	}
 	o.psi.CopyFrom(psi)
 	for key, dst := range map[string]*grid.Field{
@@ -627,7 +628,7 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 			continue
 		}
 		if f.W != dst.W || f.H != dst.H {
-			return fmt.Errorf("%w: checkpoint %s %dx%d, grid %d", ErrShapeMismatch, key, f.W, f.H, dst.W)
+			return fmt.Errorf("%w (%w): checkpoint %s %dx%d, grid %d", ErrShapeMismatch, solve.ErrCheckpointMismatch, key, f.W, f.H, dst.W)
 		}
 		dst.CopyFrom(f)
 	}

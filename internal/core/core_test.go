@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func runOpts(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := o.Run()
+	res, err := o.run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func TestInitialMaskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Run(); err == nil {
+	if _, err := o.run(context.Background(), nil); err == nil {
 		t.Fatal("mismatched initial mask accepted")
 	}
 }

@@ -29,11 +29,11 @@ import (
 	"lsopc/internal/solve"
 )
 
-// RunMultiResolution executes the coarse-to-fine schedule: Algorithm 1
-// on a MultiResFactor-downsampled grid first, halving the factor each
-// level, finishing at full resolution on sim itself. With
-// MultiResFactor ≤ 1 it is exactly New + RunContext (single
-// resolution).
+// Run executes Algorithm 1 on sim for the target image and is the
+// package's one run entry point. With MultiResFactor > 1 it follows the
+// coarse-to-fine schedule: Algorithm 1 on a MultiResFactor-downsampled
+// grid first, halving the factor each level, finishing at full
+// resolution on sim itself.
 //
 // Budget: each coarse level runs MultiResIters iterations (default
 // MaxIter/2 split evenly across the coarse levels); full resolution
@@ -45,62 +45,31 @@ import (
 // The simulator passed in stays caller-owned; coarse sessions are
 // created on truncated kernel banks (sharing sim's resource pool) and
 // released before the function returns. Cancellation yields a
-// *solve.Cancelled error whose checkpoint Resume continues from.
-func RunMultiResolution(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options) (*Result, error) {
+// *solve.Cancelled error carrying a checkpoint. Passing that checkpoint
+// as from (nil starts a fresh run) with the original run's options
+// continues it, and the result matches the uninterrupted run
+// bit-for-bit (snapshots excepted — they restart at the resume point).
+// A checkpoint that does not fit the run fails with an error wrapping
+// solve.ErrCheckpointMismatch.
+func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MultiResFactor <= 1 {
-		o, err := New(sim, target, opts)
-		if err != nil {
+	if opts.MultiResFactor > 1 {
+		if err := checkShape(sim, target); err != nil {
 			return nil, err
 		}
-		defer o.Release()
-		return o.RunContext(ctx)
+		return runSchedule(ctx, sim, target, opts, from)
 	}
-	if err := checkShape(sim, target); err != nil {
+	if from != nil && from.Factor != 1 {
+		return nil, fmt.Errorf("%w: resolution factor %d, but the run is single-resolution", solve.ErrCheckpointMismatch, from.Factor)
+	}
+	o, err := New(sim, target, opts)
+	if err != nil {
 		return nil, err
 	}
-	return runSchedule(ctx, sim, target, opts, nil)
-}
-
-// Resume continues a run from a checkpoint captured at cancellation.
-// opts must be the options of the original run; the result then matches
-// the uninterrupted run bit-for-bit (snapshots excepted — they restart
-// at the resume point).
-func Resume(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, cp *solve.Checkpoint) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
-	}
-	if opts.MultiResFactor <= 1 {
-		if cp.Factor != 1 {
-			return nil, fmt.Errorf("core: checkpoint at resolution factor %d, but the run is single-resolution", cp.Factor)
-		}
-		o, err := New(sim, target, opts)
-		if err != nil {
-			return nil, err
-		}
-		defer o.Release()
-		drv, err := o.driver()
-		if err != nil {
-			return nil, err
-		}
-		if err := drv.Restore(cp); err != nil {
-			return nil, err
-		}
-		out, err := drv.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return o.finish(out), nil
-	}
-	if err := checkShape(sim, target); err != nil {
-		return nil, err
-	}
-	return runSchedule(ctx, sim, target, opts, cp)
+	defer o.Release()
+	return o.run(ctx, from)
 }
 
 // checkShape validates the target against the simulator grid.

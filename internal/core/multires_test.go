@@ -10,7 +10,7 @@ import (
 )
 
 // TestMultiResFactor1MatchesRun: with no coarse levels the schedule is
-// exactly New + Run — bit-identical masks and history.
+// exactly New + Optimizer.run — bit-identical masks and history.
 func TestMultiResFactor1MatchesRun(t *testing.T) {
 	target := crossTarget(64)
 	opts := DefaultOptions()
@@ -20,7 +20,7 @@ func TestMultiResFactor1MatchesRun(t *testing.T) {
 
 	for _, factor := range []int{0, 1} {
 		opts.MultiResFactor = factor
-		sched, err := RunMultiResolution(context.Background(), newTestSim(t, 3), target, opts)
+		sched, err := Run(context.Background(), newTestSim(t, 3), target, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestMultiResSchedule(t *testing.T) {
 	opts.Sink = sink
 	opts.TraceID = "sched"
 
-	res, err := RunMultiResolution(context.Background(), sim, target, opts)
+	res, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMultiResConvergesNearBaseline(t *testing.T) {
 	base := runOpts(t, newTestSim(t, 4), target, opts)
 
 	opts.MultiResFactor = 2
-	sched, err := RunMultiResolution(context.Background(), newTestSim(t, 4), target, opts)
+	sched, err := Run(context.Background(), newTestSim(t, 4), target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	opts.Sink = sink
 	opts.TraceID = "nan-coarse"
 
-	res, err := RunMultiResolution(context.Background(), sim, checkerTarget(64), opts)
+	res, err := Run(context.Background(), sim, checkerTarget(64), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMultiResWatchdogAbortsPoisonedFineLevel(t *testing.T) {
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
 
-	res, err := RunMultiResolution(context.Background(), sim, nanTarget(64), opts)
+	res, err := Run(context.Background(), sim, nanTarget(64), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,10 @@ func Fig1Measurement(preset lsopc.Preset, caseID string) (*Fig1Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	nominal, outer, inner := pipe.PrintedImages(target)
+	nominal, outer, inner, err := pipe.PrintedImages(target)
+	if err != nil {
+		return nil, err
+	}
 	band := grid.NewFieldLike(outer)
 	for i := range band.Data {
 		if (outer.Data[i] > 0.5) != (inner.Data[i] > 0.5) {

@@ -1,6 +1,6 @@
 // Package analyze is the consumption half of the observability layer:
 // it parses the JSONL event traces that obs.JSONLSink writes (the
-// -tracefile output of cmd/lsopc and cmd/benchjson) back into typed
+// -tracefile output of cmd/lsopc and cmd/tables) back into typed
 // runs — each session's state folded by obs.Folds, exactly as the live
 // /runs view folds it — and computes the summaries a human (or CI)
 // actually wants on top: per-session convergence curves with

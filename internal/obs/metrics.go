@@ -187,8 +187,8 @@ func (r *Registry) Remove(name string) {
 // Snapshot flattens every metric to name → value. Histograms expand to
 // `<name>.count`, `<name>.sum` and one `<name>.le<bound>` cumulative
 // count per bucket (plus `<name>.leInf`). The result is a stable,
-// JSON-friendly view used by the /metrics endpoint, the expvar export
-// and benchjson's recorded metrics.
+// JSON-friendly view used by the /metrics endpoint and the expvar
+// export.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -30,7 +30,7 @@ func cancelBaselineRun(t *testing.T, sim *litho.Simulator, target *grid.Field, o
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Sink = &cancelAtSink{at: at, cancel: cancel}
-	_, err := Optimize(ctx, sim, target, opts)
+	_, err := Optimize(ctx, sim, target, opts, nil)
 	var cerr *solve.Cancelled
 	if !errors.As(err, &cerr) {
 		t.Fatalf("cancelled run returned %v, want *solve.Cancelled", err)
@@ -70,7 +70,7 @@ func TestBaselineCancelResumeBitIdentical(t *testing.T) {
 	opts := DefaultOptions(MosaicExact)
 	opts.MaxIter = 10
 
-	ref, err := Optimize(context.Background(), sim, target, opts)
+	ref, err := Optimize(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBaselineCancelResumeBitIdentical(t *testing.T) {
 	}
 
 	opts.Sink = nil
-	res, err := Resume(context.Background(), sim, target, opts, cp)
+	res, err := Optimize(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBaselineCancelResumeMultiRes(t *testing.T) {
 	opts.MultiResFactor = 4
 	opts.MultiResIters = 2 // levels: 16px ×2, 32px ×2, 64px ×8
 
-	ref, err := Optimize(context.Background(), sim, target, opts)
+	ref, err := Optimize(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBaselineCancelResumeMultiRes(t *testing.T) {
 	}
 
 	opts.Sink = nil
-	res, err := Resume(context.Background(), sim, target, opts, cp)
+	res, err := Optimize(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +130,24 @@ func TestBaselineResumeRejectsForeignCheckpoint(t *testing.T) {
 	cp := cancelBaselineRun(t, sim, target, opts, 2)
 
 	opts.Sink = nil
-	if _, err := Resume(context.Background(), sim, target, opts, nil); err == nil {
-		t.Fatal("nil checkpoint accepted")
-	}
 	other := opts
 	other.Variant = PVOPC
-	if _, err := Resume(context.Background(), sim, target, other, cp); err == nil {
-		t.Fatal("checkpoint of a different variant accepted")
+	if _, err := Optimize(context.Background(), sim, target, other, cp); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("checkpoint of a different variant: %v, want ErrCheckpointMismatch", err)
 	}
 	bad := *cp
+	bad.Factor = 2
+	if _, err := Optimize(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("coarse-level checkpoint on a single-resolution run: %v, want ErrCheckpointMismatch", err)
+	}
+	bad = *cp
+	bad.State = map[string]*grid.Field{"theta": grid.NewField(32, 32)}
+	if _, err := Optimize(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("32-px checkpoint on a 64-px run: %v, want ErrCheckpointMismatch", err)
+	}
+	bad = *cp
 	bad.State = map[string]*grid.Field{}
-	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+	if _, err := Optimize(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("checkpoint without θ accepted")
 	}
 	// θ with the run's W×H but only 10 of its values.
@@ -150,7 +157,7 @@ func TestBaselineResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 	theta := cp.State["theta"]
 	bad.State["theta"] = &grid.Field{W: theta.W, H: theta.H, Data: theta.Data[:10]}
-	if _, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+	if _, err := Optimize(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("checkpoint with a short θ accepted")
 	}
 }

@@ -25,7 +25,7 @@ func TestWatchdogAbortsNaNBaseline(t *testing.T) {
 	opts.Sink = sink
 	opts.TraceID = "nan-baseline"
 
-	res, err := Optimize(context.Background(), sim, target, opts)
+	res, err := Optimize(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestWatchdogCleanBaseline(t *testing.T) {
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
 
-	res, err := Optimize(context.Background(), sim, rectTarget(64, 24, 12), opts)
+	res, err := Optimize(context.Background(), sim, rectTarget(64, 24, 12), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ type Result struct {
 	Aborted     bool
 	AbortReason string
 	// AbortCheckpoint is the solver state at the aborted iteration
-	// boundary (nil unless Aborted), resumable via Resume.
+	// boundary (nil unless Aborted), resumable through Optimize.
 	AbortCheckpoint *solve.Checkpoint
 	History         []IterStats
 	CornerSims      int // total forward+adjoint corner evaluations (runtime proxy)
@@ -238,36 +238,24 @@ func (o Options) constantCornerPlan() bool {
 }
 
 // Optimize runs the pixel-based baseline on the simulator for the given
-// target image. With MultiResFactor > 1 the schedule runs coarse-to-fine
-// (see multires.go). Cancellation through ctx yields a *solve.Cancelled
-// error whose checkpoint Resume continues from.
-func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options) (*Result, error) {
+// target image and is the package's one run entry point. With
+// MultiResFactor > 1 the schedule runs coarse-to-fine (see multires.go).
+// Cancellation through ctx yields a *solve.Cancelled error carrying a
+// checkpoint; passing it as from (nil starts a fresh run) with the
+// original run's options continues the run, and the result then matches
+// the uninterrupted run bit-for-bit. A checkpoint that does not fit the
+// run fails with an error wrapping solve.ErrCheckpointMismatch.
+func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.MultiResFactor > 1 {
-		return runSchedule(ctx, sim, target, opts, nil)
+		return runSchedule(ctx, sim, target, opts, from)
 	}
-	return runSingle(ctx, sim, target, opts, nil)
-}
-
-// Resume continues a run from a checkpoint captured at cancellation.
-// opts must be the options of the original run; the result then matches
-// the uninterrupted run bit-for-bit.
-func Resume(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, cp *solve.Checkpoint) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
+	if from != nil && from.Factor != 1 {
+		return nil, fmt.Errorf("%w: resolution factor %d, but the run is single-resolution", solve.ErrCheckpointMismatch, from.Factor)
 	}
-	if cp == nil {
-		return nil, fmt.Errorf("pixelilt: nil checkpoint")
-	}
-	if opts.MultiResFactor > 1 {
-		return runSchedule(ctx, sim, target, opts, cp)
-	}
-	if cp.Factor != 1 {
-		return nil, fmt.Errorf("pixelilt: checkpoint at resolution factor %d, but the run is single-resolution", cp.Factor)
-	}
-	return runSingle(ctx, sim, target, opts, cp)
+	return runSingle(ctx, sim, target, opts, from)
 }
 
 // runSingle runs one resolution level end to end, optionally restoring
@@ -454,7 +442,7 @@ func (s *stepper) RestoreState(st map[string]*grid.Field) error {
 		return fmt.Errorf("pixelilt: checkpoint state has no theta field")
 	}
 	if theta.W != s.theta.W || theta.H != s.theta.H {
-		return fmt.Errorf("pixelilt: checkpoint theta %dx%d does not match grid %d", theta.W, theta.H, s.theta.W)
+		return fmt.Errorf("%w: theta %dx%d, grid %d", solve.ErrCheckpointMismatch, theta.W, theta.H, s.theta.W)
 	}
 	s.theta.CopyFrom(theta)
 	return nil

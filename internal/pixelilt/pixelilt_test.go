@@ -141,7 +141,7 @@ func TestOptimizeReducesCostAllVariants(t *testing.T) {
 		sim := newTestSim(t, 3)
 		opts := DefaultOptions(v)
 		opts.MaxIter = 12
-		res, err := Optimize(context.Background(), sim, target, opts)
+		res, err := Optimize(context.Background(), sim, target, opts, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -182,7 +182,7 @@ func TestCornerSimAccounting(t *testing.T) {
 
 	fast := DefaultOptions(MosaicFast)
 	fast.MaxIter = 9
-	rf, err := Optimize(context.Background(), sim, target, fast)
+	rf, err := Optimize(context.Background(), sim, target, fast, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCornerSimAccounting(t *testing.T) {
 
 	exact := DefaultOptions(MosaicExact)
 	exact.MaxIter = 9
-	re, err := Optimize(context.Background(), sim, target, exact)
+	re, err := Optimize(context.Background(), sim, target, exact, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestCornerSimAccounting(t *testing.T) {
 
 func TestOptimizeRejectsBadInput(t *testing.T) {
 	sim := newTestSim(t, 2)
-	if _, err := Optimize(context.Background(), sim, grid.NewField(32, 32), DefaultOptions(MosaicFast)); err == nil {
+	if _, err := Optimize(context.Background(), sim, grid.NewField(32, 32), DefaultOptions(MosaicFast), nil); err == nil {
 		t.Fatal("mismatched target accepted")
 	}
 	o := DefaultOptions(MosaicFast)
 	o.MaxIter = 0
-	if _, err := Optimize(context.Background(), sim, rectTarget(64, 8, 8), o); err == nil {
+	if _, err := Optimize(context.Background(), sim, rectTarget(64, 8, 8), o, nil); err == nil {
 		t.Fatal("invalid options accepted")
 	}
 }
@@ -217,11 +217,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	target := rectTarget(64, 24, 12)
 	opts := DefaultOptions(PVOPC)
 	opts.MaxIter = 8
-	a, err := Optimize(context.Background(), newTestSim(t, 2), target, opts)
+	a, err := Optimize(context.Background(), newTestSim(t, 2), target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(context.Background(), newTestSim(t, 2), target, opts)
+	b, err := Optimize(context.Background(), newTestSim(t, 2), target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 
 func TestGrayMaskConsistentWithBinary(t *testing.T) {
 	target := rectTarget(64, 20, 14)
-	res, err := Optimize(context.Background(), newTestSim(t, 2), target, DefaultOptions(MosaicFast))
+	res, err := Optimize(context.Background(), newTestSim(t, 2), target, DefaultOptions(MosaicFast), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	opts := DefaultOptions(MosaicExact)
 	opts.MaxIter = 3
 	opts.Sink = sink
-	res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 20), opts)
+	res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 20), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

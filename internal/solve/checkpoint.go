@@ -2,6 +2,7 @@ package solve
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -57,6 +58,12 @@ type Checkpoint struct {
 func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return gob.NewEncoder(w).Encode(cp)
 }
+
+// ErrCheckpointMismatch is wrapped by every error that rejects a
+// well-formed checkpoint because it does not fit the run restoring it:
+// another method, iteration offset or budget, a resolution level the
+// run's schedule does not have, or a field of another grid size.
+var ErrCheckpointMismatch = errors.New("solve: checkpoint does not match the run")
 
 // ReadCheckpoint decodes a checkpoint written by WriteCheckpoint and
 // rejects one whose fields no run could have produced (see validate).

@@ -74,7 +74,7 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			}
 		}
 		if start < 0 {
-			return nil, fmt.Errorf("solve: checkpoint level factor %d is not in the schedule %v", resume.Factor, sched.Factors)
+			return nil, fmt.Errorf("%w: level factor %d is not in the schedule %v", ErrCheckpointMismatch, resume.Factor, sched.Factors)
 		}
 		total.History = append(total.History, resume.Done...)
 		total.Evals = resume.DoneEvals

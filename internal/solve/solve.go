@@ -403,11 +403,11 @@ func (d *Driver) Restore(cp *Checkpoint) error {
 	}
 	switch {
 	case cp.Method != d.cfg.Method:
-		return fmt.Errorf("solve: checkpoint method %q does not match run method %q", cp.Method, d.cfg.Method)
+		return fmt.Errorf("%w: method %q, run method %q", ErrCheckpointMismatch, cp.Method, d.cfg.Method)
 	case cp.Offset != d.cfg.Offset:
-		return fmt.Errorf("solve: checkpoint iteration offset %d does not match the run's %d", cp.Offset, d.cfg.Offset)
+		return fmt.Errorf("%w: iteration offset %d, the run's %d", ErrCheckpointMismatch, cp.Offset, d.cfg.Offset)
 	case cp.Iter > d.cfg.MaxIter || len(cp.History) > d.cfg.MaxIter:
-		return fmt.Errorf("solve: checkpoint at iteration %d exceeds the %d-iteration budget", cp.Iter, d.cfg.MaxIter)
+		return fmt.Errorf("%w: iteration %d exceeds the %d-iteration budget", ErrCheckpointMismatch, cp.Iter, d.cfg.MaxIter)
 	}
 	d.i = cp.Iter
 	d.scale = cp.Scale

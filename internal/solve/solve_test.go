@@ -333,18 +333,18 @@ func TestDriverRestoreValidation(t *testing.T) {
 	}
 	bad := *good
 	bad.Method = "other"
-	if err := mk().Restore(&bad); err == nil {
-		t.Fatal("method mismatch accepted")
+	if err := mk().Restore(&bad); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("method mismatch: %v, want ErrCheckpointMismatch", err)
 	}
 	bad = *good
 	bad.Offset = 99
-	if err := mk().Restore(&bad); err == nil {
-		t.Fatal("offset mismatch accepted")
+	if err := mk().Restore(&bad); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("offset mismatch: %v, want ErrCheckpointMismatch", err)
 	}
 	bad = *good
 	bad.Iter = 11
-	if err := mk().Restore(&bad); err == nil {
-		t.Fatal("over-budget checkpoint accepted")
+	if err := mk().Restore(&bad); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("over-budget checkpoint: %v, want ErrCheckpointMismatch", err)
 	}
 	bad = *good
 	bad.State = map[string]*grid.Field{}

@@ -523,7 +523,7 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 		})
 	}
 	start := time.Now()
-	res, err := core.RunMultiResolution(ctx, sim, target, topts)
+	res, err := core.Run(ctx, sim, target, topts, nil)
 	if err != nil {
 		return err
 	}

@@ -263,11 +263,12 @@ func (p Preset) params() (gridSize int, pixelNM float64, kernels int, err error)
 // Pipeline is a cheap, concurrency-safe handle over one immutable
 // resource bank: the SOCS kernel banks, FFT plans and rasterised-target
 // cache derived once for its preset. All per-job mutable state lives in
-// Sessions leased from the pipeline — OptimizeLevelSet, OptimizeBaseline,
-// Evaluate, PrintedImages and ProcessWindow each acquire a session
-// internally, so any number of goroutines may call them concurrently on
-// one Pipeline; memory stays bounded by the number of simultaneous jobs,
-// and idle session scratch is recycled through the shared pool.
+// sessions the pipeline leases internally: each of OptimizeLevelSet,
+// OptimizeBaseline, Evaluate, PrintedImages and ProcessWindow takes its
+// own for the length of the call (OptimizeTiled builds one per tile
+// worker), so any number of goroutines may call them concurrently on
+// one Pipeline; memory stays bounded by the number of simultaneous
+// jobs, and idle session scratch is reused by the next call.
 type Pipeline struct {
 	preset  Preset
 	eng     *engine.Engine
@@ -285,8 +286,8 @@ type Pipeline struct {
 	traceSeq atomic.Int64
 
 	mu   sync.Mutex
-	free []*Session // idle sessions on p.eng, reused by Session()
-	root *Session   // lazy never-closed session backing Simulator()
+	free []*session // idle sessions, reused by lease
+	root *session   // lazy never-returned session backing Simulator()
 }
 
 // PipelineOption configures optional pipeline behaviour.
@@ -333,12 +334,30 @@ func WithFlightRecorder(rec *FlightRecorder) PipelineOption {
 // NewPipeline builds a pipeline at the given preset on the given engine
 // (nil defaults to the serial CPU engine). Construction is cheap after
 // the first pipeline at a preset: the kernel banks, FFT plans and other
-// derived resources are shared process-wide.
+// derived resources are shared process-wide, as are the engine's helper
+// goroutines. To run jobs on a partition of the workers, build one
+// pipeline per sub-engine of Engine.Split.
 func NewPipeline(p Preset, eng *Engine, opts ...PipelineOption) (*Pipeline, error) {
 	gridSize, pixelNM, kernels, err := p.params()
 	if err != nil {
 		return nil, err
 	}
+	return newPipeline(p, gridSize, pixelNM, kernels, eng, opts)
+}
+
+// NewCustomPipeline builds a pipeline at an explicit simulation scale —
+// gridSize pixels at pixelNM nm pitch with the given SOCS kernel count —
+// instead of a named preset. This is how tiled runs pick a tile-window
+// size independent of the preset canvases, and how monolithic reference
+// runs cover chip-sized grids. The same process-wide bank sharing as
+// NewPipeline applies (banks are keyed by the optics configuration).
+func NewCustomPipeline(gridSize int, pixelNM float64, kernels int, eng *Engine, opts ...PipelineOption) (*Pipeline, error) {
+	return newPipeline(PresetCustom, gridSize, pixelNM, kernels, eng, opts)
+}
+
+// newPipeline is the constructor behind NewPipeline and
+// NewCustomPipeline.
+func newPipeline(preset Preset, gridSize int, pixelNM float64, kernels int, eng *Engine, opts []PipelineOption) (*Pipeline, error) {
 	if eng == nil {
 		eng = engine.CPU()
 	}
@@ -349,7 +368,7 @@ func NewPipeline(p Preset, eng *Engine, opts ...PipelineOption) (*Pipeline, erro
 		return nil, err
 	}
 	pipe := &Pipeline{
-		preset:  p,
+		preset:  preset,
 		eng:     eng,
 		cfg:     cfg,
 		res:     res,
@@ -361,34 +380,11 @@ func NewPipeline(p Preset, eng *Engine, opts ...PipelineOption) (*Pipeline, erro
 	return pipe, nil
 }
 
-// NewCustomPipeline builds a pipeline at an explicit simulation scale —
-// gridSize pixels at pixelNM nm pitch with the given SOCS kernel count —
-// instead of a named preset. This is how tiled runs pick a tile-window
-// size independent of the preset canvases, and how monolithic reference
-// runs cover chip-sized grids. The same process-wide bank sharing as
-// NewPipeline applies (banks are keyed by the optics configuration).
-func NewCustomPipeline(gridSize int, pixelNM float64, kernels int, eng *Engine, opts ...PipelineOption) (*Pipeline, error) {
-	if eng == nil {
-		eng = engine.CPU()
-	}
-	cfg := litho.DefaultConfig(gridSize, pixelNM)
-	cfg.Optics.Kernels = kernels
-	res, err := rt.BankFor(cfg.Optics, cfg.DefocusNM, eng)
-	if err != nil {
-		return nil, err
-	}
-	pipe := &Pipeline{
-		preset:  PresetCustom,
-		eng:     eng,
-		cfg:     cfg,
-		res:     res,
-		metrics: metrics.DefaultConfig(pixelNM),
-	}
-	for _, opt := range opts {
-		opt(pipe)
-	}
-	return pipe, nil
-}
+// ErrCheckpointMismatch is wrapped by the error of a run handed a
+// checkpoint that does not fit it: one taken by another method, at
+// another preset's grid, at a resolution level the run's schedule does
+// not have, or with another iteration offset or budget.
+var ErrCheckpointMismatch = solve.ErrCheckpointMismatch
 
 // TraceSink returns the sink attached with WithTraceSink, or nil.
 func (p *Pipeline) TraceSink() TraceSink { return p.sink }
@@ -425,12 +421,12 @@ func (p *Pipeline) Resources() *rt.Bank { return p.res }
 // Simulator exposes a forward-model simulator for advanced use. The
 // returned simulator is owned by the pipeline, lives until the process
 // exits, and is NOT safe for concurrent use — concurrent callers should
-// lease their own Session instead.
+// use the Pipeline methods, each of which leases its own simulator.
 func (p *Pipeline) Simulator() *litho.Simulator {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.root == nil {
-		s, err := newSession(p, p.eng)
+		s, err := p.newSession()
 		if err != nil {
 			// The bank validated this exact configuration at pipeline
 			// construction, so a session cannot fail to build.
@@ -479,33 +475,38 @@ func (p *Pipeline) Target(l *Layout) (*Field, error) {
 	return f.Clone(), nil
 }
 
-// Session is one leased unit of per-job mutable state: a simulator
-// session on the pipeline's bank plus evaluation scratch. A Session is
-// NOT safe for concurrent use — it is the thing you lease one of per
-// goroutine. Close returns it to the pipeline for reuse.
-type Session struct {
+// checkMask rejects a mask that is not on the pipeline's grid.
+func (p *Pipeline) checkMask(mask *Field) error {
+	if n := p.GridSize(); mask.W != n || mask.H != n {
+		return fmt.Errorf("lsopc: mask %dx%d does not match grid %d", mask.W, mask.H, n)
+	}
+	return nil
+}
+
+// session is one lease of per-job mutable state: a simulator session on
+// the pipeline's bank plus evaluation scratch. It is not safe for
+// concurrent use; each Pipeline call leases one and returns it when it
+// is done.
+type session struct {
 	p       *Pipeline
-	eng     *engine.Engine
 	sim     *litho.Simulator
 	trace   string // per-session trace id ("s1", "s2", …) when tracing
 	spec    *grid.CField
 	printed *grid.Field
 	outer   *grid.Field
 	inner   *grid.Field
-	closed  bool
 }
 
-// newSession builds a session on the given engine.
-func newSession(p *Pipeline, eng *engine.Engine) (*Session, error) {
-	sim, err := litho.NewSession(p.res, p.cfg, eng)
+// newSession builds a session on the pipeline's engine.
+func (p *Pipeline) newSession() (*session, error) {
+	sim, err := litho.NewSession(p.res, p.cfg, p.eng)
 	if err != nil {
 		return nil, err
 	}
 	n := p.GridSize()
 	pool := p.res.Pool()
-	s := &Session{
+	s := &session{
 		p:       p,
-		eng:     eng,
 		sim:     sim,
 		spec:    pool.CField(n, n),
 		printed: pool.Field(n, n),
@@ -519,89 +520,29 @@ func newSession(p *Pipeline, eng *engine.Engine) (*Session, error) {
 	return s, nil
 }
 
-// TraceID returns the session's trace id ("" when the pipeline has no
-// sink attached).
-func (s *Session) TraceID() string { return s.trace }
-
-// traceSpan emits one job-span event to the pipeline's sink.
-func (s *Session) traceSpan(name string, start time.Time) {
-	if s.p.sink != nil {
-		s.p.sink.Emit(obs.Event{
-			Type:   obs.EventSpan,
-			Trace:  s.trace,
-			Name:   name,
-			Engine: s.eng.Name(),
-			DurNS:  time.Since(start).Nanoseconds(),
-		})
-	}
-}
-
-// Session leases a session on the pipeline's engine, reusing an idle
-// one when available (its warm simulator scratch carries over). Close
-// the session when the job is done.
-func (p *Pipeline) Session() (*Session, error) {
+// lease hands out an idle session, its simulator scratch warm, or
+// builds a new one. Return it with done.
+func (p *Pipeline) lease() (*session, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		s.closed = false
 		return s, nil
 	}
 	p.mu.Unlock()
-	return newSession(p, p.eng)
+	return p.newSession()
 }
 
-// SessionOn leases a session scheduled on a specific engine (e.g. one
-// sub-engine of an Engine.Split partition). Sessions on engines other
-// than the pipeline's return their scratch to the pool on Close instead
-// of idling in the pipeline's free list.
-func (p *Pipeline) SessionOn(eng *Engine) (*Session, error) {
-	if eng == nil || eng == p.eng {
-		return p.Session()
-	}
-	return newSession(p, eng)
+// done returns the session to its pipeline's free list.
+func (s *session) done() {
+	s.p.mu.Lock()
+	s.p.free = append(s.p.free, s)
+	s.p.mu.Unlock()
 }
 
-// Sessions leases n sessions whose engines partition the pipeline's
-// workers (Engine.Split), the layout for running n jobs concurrently
-// without oversubscribing the machine. Close each session when done.
-func (p *Pipeline) Sessions(n int) ([]*Session, error) {
-	subs := p.eng.Split(n)
-	out := make([]*Session, len(subs))
-	for i, sub := range subs {
-		s, err := newSession(p, sub)
-		if err != nil {
-			for _, prev := range out[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Close returns the session to its pipeline. Sessions on the pipeline's
-// engine idle in the free list with their scratch warm; sessions on
-// other engines release their leases back to the pool. Idempotent.
-func (s *Session) Close() {
-	if s == nil || s.closed {
-		return
-	}
-	s.closed = true
-	if s.eng == s.p.eng {
-		s.p.mu.Lock()
-		s.p.free = append(s.p.free, s)
-		s.p.mu.Unlock()
-		return
-	}
-	s.release()
-}
-
-// release returns every lease to the pool (used for non-pooled sessions
-// and by Pipeline.Release).
-func (s *Session) release() {
+// release returns every lease to the pool (used by Pipeline.Release).
+func (s *session) release() {
 	pool := s.p.res.Pool()
 	s.sim.Release()
 	pool.PutCField(s.spec)
@@ -609,6 +550,19 @@ func (s *Session) release() {
 	pool.PutField(s.outer)
 	pool.PutField(s.inner)
 	s.spec, s.printed, s.outer, s.inner = nil, nil, nil, nil
+}
+
+// traceSpan emits one job-span event to the pipeline's sink.
+func (s *session) traceSpan(name string, start time.Time) {
+	if s.p.sink != nil {
+		s.p.sink.Emit(obs.Event{
+			Type:   obs.EventSpan,
+			Trace:  s.trace,
+			Name:   name,
+			Engine: s.p.eng.Name(),
+			DurNS:  time.Since(start).Nanoseconds(),
+		})
+	}
 }
 
 // Release drains the pipeline's idle sessions (including the Simulator()
@@ -627,17 +581,10 @@ func (p *Pipeline) Release() {
 		s.release()
 	}
 	if root != nil {
-		root.closed = true
 		root.release()
 	}
 	obs.Flush(p.sink)
 }
-
-// Engine returns the engine the session schedules on.
-func (s *Session) Engine() *Engine { return s.eng }
-
-// Simulator exposes the session's forward model.
-func (s *Session) Simulator() *litho.Simulator { return s.sim }
 
 // RunResult is a complete optimize-and-evaluate outcome.
 type RunResult struct {
@@ -652,123 +599,129 @@ type RunResult struct {
 	Baseline *pixelilt.Result
 }
 
-// OptimizeLevelSet runs the paper's optimizer on the layout and
-// evaluates the resulting mask. Safe to call concurrently (each call
-// leases its own session).
+// abort reports the watchdog abort of the method that ran, if any.
+func (r *RunResult) abort() (reason string, cp *Checkpoint, aborted bool) {
+	switch {
+	case r.LevelSet != nil:
+		return r.LevelSet.AbortReason, r.LevelSet.AbortCheckpoint, r.LevelSet.Aborted
+	case r.Baseline != nil:
+		return r.Baseline.AbortReason, r.Baseline.AbortCheckpoint, r.Baseline.Aborted
+	}
+	return "", nil, false
+}
+
+// OptimizeLevelSet is OptimizeLevelSetContext without a context or a
+// checkpoint: a fresh run that cannot be cancelled.
 func (p *Pipeline) OptimizeLevelSet(l *Layout, opts LevelSetOptions) (*RunResult, error) {
-	return p.OptimizeLevelSetContext(context.Background(), l, opts)
+	return p.OptimizeLevelSetContext(context.Background(), l, opts, nil)
 }
 
-// OptimizeLevelSetContext is OptimizeLevelSet under a context: cancel
-// it and the run stops at the next iteration boundary, returning a
-// *CancelledError whose Checkpoint ResumeLevelSet continues from.
-func (p *Pipeline) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions) (*RunResult, error) {
-	s, err := p.Session()
+// OptimizeLevelSetContext runs the paper's optimizer on the layout and
+// evaluates the resulting mask. With opts.MultiResFactor > 1 the run
+// follows the coarse-to-fine schedule on truncated kernel banks sharing
+// this pipeline's resources. Cancel ctx and the run stops at the next
+// iteration boundary, returning a *CancelledError; pass its Checkpoint
+// as from, with the same layout and options, to continue the run — the
+// result then matches the uninterrupted run bit-for-bit. A nil from
+// starts a fresh run; a checkpoint that does not fit the run fails with
+// an error wrapping ErrCheckpointMismatch. When the pipeline carries a
+// trace sink and opts.Sink is nil, the run inherits the sink under its
+// session's trace id. Safe to call concurrently.
+func (p *Pipeline) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions, from *Checkpoint) (*RunResult, error) {
+	return p.optimize(l, "optimize.levelset", &opts.Sink, &opts.TraceID, &opts.Health,
+		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
+			res, err := core.Run(ctx, sim, target, opts, from)
+			if err != nil {
+				return nil, err
+			}
+			return &RunResult{Method: "level-set", Mask: res.Mask, LevelSet: res}, nil
+		})
+}
+
+// OptimizeBaseline is OptimizeBaselineContext without a context or a
+// checkpoint: a fresh run that cannot be cancelled.
+func (p *Pipeline) OptimizeBaseline(l *Layout, opts pixelilt.Options) (*RunResult, error) {
+	return p.OptimizeBaselineContext(context.Background(), l, opts, nil)
+}
+
+// OptimizeBaselineContext runs one of the pixel-based comparison methods
+// and evaluates the resulting mask. Cancellation, resuming from a
+// checkpoint and trace-sink inheritance work as in
+// OptimizeLevelSetContext. Safe to call concurrently.
+func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts pixelilt.Options, from *Checkpoint) (*RunResult, error) {
+	return p.optimize(l, "optimize."+opts.Variant.String(), &opts.Sink, &opts.TraceID, &opts.Health,
+		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
+			res, err := pixelilt.Optimize(ctx, sim, target, opts, from)
+			if err != nil {
+				return nil, err
+			}
+			return &RunResult{Method: opts.Variant.String(), Mask: res.Mask, Baseline: res}, nil
+		})
+}
+
+// optimize is the run body both optimizers share. It leases a session
+// and looks up the target; where the run's options carry no sink or
+// health policy it fills in the pipeline's, writing through the sink,
+// trace and health pointers into the caller's options before run reads
+// them. It hands a cancellation or watchdog abort to the flight
+// recorder, emits the job span and evaluates the mask.
+func (p *Pipeline) optimize(l *Layout, span string, sink *obs.Sink, trace *string, health **obs.HealthPolicy,
+	run func(sim *litho.Simulator, target *Field) (*RunResult, error)) (*RunResult, error) {
+	s, err := p.lease()
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	return s.OptimizeLevelSetContext(ctx, l, opts)
-}
-
-// ResumeLevelSet continues a cancelled level-set run from its
-// checkpoint. opts must be the options of the original run; the result
-// then matches the uninterrupted run bit-for-bit.
-func (p *Pipeline) ResumeLevelSet(ctx context.Context, l *Layout, opts LevelSetOptions, cp *Checkpoint) (*RunResult, error) {
-	s, err := p.Session()
+	defer s.done()
+	target, err := p.targetShared(l)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	return s.optimizeLevelSet(ctx, l, opts, cp)
-}
-
-// OptimizeLevelSet runs the paper's optimizer on this session. When the
-// pipeline carries a trace sink and opts.Sink is nil, the run inherits
-// the pipeline's sink under this session's trace id. With
-// opts.MultiResFactor > 1 the run follows the coarse-to-fine schedule
-// (core.RunMultiResolution) on truncated kernel banks sharing this
-// pipeline's resources.
-func (s *Session) OptimizeLevelSet(l *Layout, opts LevelSetOptions) (*RunResult, error) {
-	return s.OptimizeLevelSetContext(context.Background(), l, opts)
-}
-
-// OptimizeLevelSetContext is OptimizeLevelSet under a context (see the
-// Pipeline method of the same name).
-func (s *Session) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions) (*RunResult, error) {
-	return s.optimizeLevelSet(ctx, l, opts, nil)
-}
-
-// optimizeLevelSet runs or resumes the level-set optimizer on this
-// session.
-func (s *Session) optimizeLevelSet(ctx context.Context, l *Layout, opts LevelSetOptions, cp *Checkpoint) (*RunResult, error) {
-	target, err := s.p.targetShared(l)
-	if err != nil {
-		return nil, err
+	if *sink == nil && p.sink != nil {
+		*sink, *trace = p.sink, s.trace
 	}
-	if opts.Sink == nil && s.p.sink != nil {
-		opts.Sink = s.p.sink
-		opts.TraceID = s.trace
-	}
-	if opts.Health == nil {
-		opts.Health = s.p.health
+	if *health == nil {
+		*health = p.health
 	}
 	start := time.Now()
-	var res *LevelSetResult
-	if cp != nil {
-		res, err = core.Resume(ctx, s.sim, target, opts, cp)
-	} else {
-		res, err = core.RunMultiResolution(ctx, s.sim, target, opts)
-	}
+	r, err := run(s.sim, target)
 	if err != nil {
 		var cerr *CancelledError
 		if errors.As(err, &cerr) {
-			s.p.captureAnomaly(BundleAnomaly{
-				RunID: opts.TraceID, Reason: "cancelled", Checkpoint: cerr.Checkpoint,
-			})
+			p.captureAnomaly(BundleAnomaly{RunID: *trace, Reason: "cancelled", Checkpoint: cerr.Checkpoint})
 		}
 		return nil, err
 	}
-	if res.Aborted {
-		s.p.captureAnomaly(BundleAnomaly{
-			RunID: opts.TraceID, Reason: res.AbortReason, Checkpoint: res.AbortCheckpoint,
-		})
+	if reason, cp, aborted := r.abort(); aborted {
+		p.captureAnomaly(BundleAnomaly{RunID: *trace, Reason: reason, Checkpoint: cp})
 	}
-	elapsed := time.Since(start)
-	s.traceSpan("optimize.levelset", start)
-	report, err := s.Evaluate(l, res.Mask, elapsed)
-	if err != nil {
+	r.Elapsed = time.Since(start)
+	s.traceSpan(span, start)
+	if r.Report, err = s.evaluate(l, r.Mask, r.Elapsed); err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Method:   "level-set",
-		Mask:     res.Mask,
-		Report:   report,
-		Elapsed:  elapsed,
-		LevelSet: res,
-	}, nil
+	return r, nil
 }
 
-// OptimizeTiled optimizes a full-chip layout larger than the pipeline's
-// simulation window by tile decomposition with overlap-halo stitching
-// (see internal/tiling and DESIGN.md §11): the chip is split into
-// core+halo tiles the size of this pipeline's grid, tiles run
-// concurrently on sessions sharing the pipeline's resource bank, and
-// stitch passes blend ψ across seams and re-optimize disagreeing tiles
-// until seams converge. The result's Mask/Psi are chip-resolution
-// (chip extent ÷ pipeline pitch). The run inherits the pipeline's trace
-// sink (events tagged with a fresh job id, per-tile runs as
-// "<job>.t<n>") and health policy; a watchdog-aborted tile fails the
-// whole run with a *TileAbortError. Safe to call concurrently.
+// OptimizeTiled is OptimizeTiledContext without a context.
 func (p *Pipeline) OptimizeTiled(l *Layout, opts TileOptions) (*TiledResult, error) {
 	return p.OptimizeTiledContext(context.Background(), l, opts)
 }
 
-// OptimizeTiledContext is OptimizeTiled under a context: cancel it and
-// in-flight tiles stop at their next iteration boundary, queued tiles
-// and pending stitch passes are skipped, and the error unwraps to the
-// context's error. Tiled runs are not checkpointable — a re-run repeats
-// the interrupted pass.
+// OptimizeTiledContext optimizes a full-chip layout larger than the
+// pipeline's simulation window by tile decomposition with overlap-halo
+// stitching (see internal/tiling and DESIGN.md §11): the chip is split
+// into core+halo tiles the size of this pipeline's grid, tiles run
+// concurrently on sessions sharing the pipeline's resource bank, and
+// stitch passes blend ψ across seams and re-optimize disagreeing tiles
+// until seams converge. The result's Mask/Psi are chip-resolution (chip
+// extent ÷ pipeline pitch). The run inherits the pipeline's trace sink
+// (events tagged with a fresh job id, per-tile runs as "<job>.t<n>")
+// and health policy; a watchdog-aborted tile fails the whole run with a
+// *TileAbortError. Cancel ctx and in-flight tiles stop at their next
+// iteration boundary, queued tiles and pending stitch passes are
+// skipped, and the error unwraps to the context's error. Tiled runs are
+// not checkpointable — a re-run repeats the interrupted pass. Safe to
+// call concurrently.
 func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts TileOptions) (*TiledResult, error) {
 	if opts.Sink == nil && p.sink != nil {
 		opts.Sink = p.sink
@@ -807,121 +760,23 @@ func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts Til
 	return res, nil
 }
 
-// DefaultTileHaloNM returns the halo width a tiled run on this pipeline
-// derives from its SOCS kernel energy support when TileOptions.HaloNM
-// is zero.
-func (p *Pipeline) DefaultTileHaloNM() int { return tiling.DefaultHaloNM(p.res, p.eng) }
-
-// OptimizeBaseline runs one of the pixel-based comparison methods.
-// Safe to call concurrently (each call leases its own session).
-func (p *Pipeline) OptimizeBaseline(l *Layout, opts pixelilt.Options) (*RunResult, error) {
-	return p.OptimizeBaselineContext(context.Background(), l, opts)
-}
-
-// OptimizeBaselineContext is OptimizeBaseline under a context: cancel
-// it and the run stops at the next iteration boundary, returning a
-// *CancelledError whose Checkpoint ResumeBaseline continues from.
-func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts pixelilt.Options) (*RunResult, error) {
-	s, err := p.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.OptimizeBaselineContext(ctx, l, opts)
-}
-
-// ResumeBaseline continues a cancelled baseline run from its
-// checkpoint. opts must be the options of the original run; the result
-// then matches the uninterrupted run bit-for-bit.
-func (p *Pipeline) ResumeBaseline(ctx context.Context, l *Layout, opts pixelilt.Options, cp *Checkpoint) (*RunResult, error) {
-	s, err := p.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.optimizeBaseline(ctx, l, opts, cp)
-}
-
-// OptimizeBaseline runs a pixel-based comparison method on this session.
-// When the pipeline carries a trace sink and opts.Sink is nil, the run
-// inherits the pipeline's sink under this session's trace id.
-func (s *Session) OptimizeBaseline(l *Layout, opts pixelilt.Options) (*RunResult, error) {
-	return s.OptimizeBaselineContext(context.Background(), l, opts)
-}
-
-// OptimizeBaselineContext is OptimizeBaseline under a context (see the
-// Pipeline method of the same name).
-func (s *Session) OptimizeBaselineContext(ctx context.Context, l *Layout, opts pixelilt.Options) (*RunResult, error) {
-	return s.optimizeBaseline(ctx, l, opts, nil)
-}
-
-// optimizeBaseline runs or resumes a pixel baseline on this session.
-func (s *Session) optimizeBaseline(ctx context.Context, l *Layout, opts pixelilt.Options, cp *Checkpoint) (*RunResult, error) {
-	target, err := s.p.targetShared(l)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Sink == nil && s.p.sink != nil {
-		opts.Sink = s.p.sink
-		opts.TraceID = s.trace
-	}
-	if opts.Health == nil {
-		opts.Health = s.p.health
-	}
-	start := time.Now()
-	var res *pixelilt.Result
-	if cp != nil {
-		res, err = pixelilt.Resume(ctx, s.sim, target, opts, cp)
-	} else {
-		res, err = pixelilt.Optimize(ctx, s.sim, target, opts)
-	}
-	if err != nil {
-		var cerr *CancelledError
-		if errors.As(err, &cerr) {
-			s.p.captureAnomaly(BundleAnomaly{
-				RunID: opts.TraceID, Reason: "cancelled", Checkpoint: cerr.Checkpoint,
-			})
-		}
-		return nil, err
-	}
-	if res.Aborted {
-		s.p.captureAnomaly(BundleAnomaly{
-			RunID: opts.TraceID, Reason: res.AbortReason, Checkpoint: res.AbortCheckpoint,
-		})
-	}
-	elapsed := time.Since(start)
-	s.traceSpan("optimize."+opts.Variant.String(), start)
-	report, err := s.Evaluate(l, res.Mask, elapsed)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Method:   opts.Variant.String(),
-		Mask:     res.Mask,
-		Report:   report,
-		Elapsed:  elapsed,
-		Baseline: res,
-	}, nil
-}
-
 // Evaluate measures a mask against a layout with the contest checkers:
 // EPE at the nominal corner, PV band across the outer/inner corners,
 // shape violations, and the Eq. 18 score with the given runtime. Safe to
-// call concurrently (each call leases its own session).
+// call concurrently.
 func (p *Pipeline) Evaluate(l *Layout, mask *Field, elapsed time.Duration) (Report, error) {
-	s, err := p.Session()
+	s, err := p.lease()
 	if err != nil {
 		return Report{}, err
 	}
-	defer s.Close()
-	return s.Evaluate(l, mask, elapsed)
+	defer s.done()
+	return s.evaluate(l, mask, elapsed)
 }
 
-// Evaluate measures a mask against a layout on this session.
-func (s *Session) Evaluate(l *Layout, mask *Field, elapsed time.Duration) (Report, error) {
-	n := s.sim.GridSize()
-	if mask.W != n || mask.H != n {
-		return Report{}, fmt.Errorf("lsopc: mask %dx%d does not match grid %d", mask.W, mask.H, n)
+// evaluate is Evaluate on a leased session.
+func (s *session) evaluate(l *Layout, mask *Field, elapsed time.Duration) (Report, error) {
+	if err := s.p.checkMask(mask); err != nil {
+		return Report{}, err
 	}
 	target, err := s.p.targetShared(l)
 	if err != nil {
@@ -941,35 +796,29 @@ func (s *Session) Evaluate(l *Layout, mask *Field, elapsed time.Duration) (Repor
 	}, nil
 }
 
-// PrintedImages returns the binary printed images at the three corners
-// (nominal, outer, inner) for visualisation. Safe to call concurrently
-// (each call leases its own session).
-func (p *Pipeline) PrintedImages(mask *Field) (nominal, outer, inner *Field) {
-	s, err := p.Session()
-	if err != nil {
-		// Session construction can only fail on an invalid configuration,
-		// which NewPipeline already validated.
-		panic(fmt.Sprintf("lsopc: session: %v", err))
+// PrintedImages returns freshly allocated binary printed images of the
+// mask at the three corners (nominal, outer, inner) for visualisation.
+// A mask off the pipeline's grid is an error, as in Evaluate. Safe to
+// call concurrently.
+func (p *Pipeline) PrintedImages(mask *Field) (nominal, outer, inner *Field, err error) {
+	if err := p.checkMask(mask); err != nil {
+		return nil, nil, nil, err
 	}
-	defer s.Close()
-	return s.PrintedImages(mask)
-}
-
-// PrintedImages returns freshly allocated binary printed images at the
-// three corners on this session.
-func (s *Session) PrintedImages(mask *Field) (nominal, outer, inner *Field) {
-	n := s.sim.GridSize()
-	nominal = grid.NewField(n, n)
-	outer = grid.NewField(n, n)
-	inner = grid.NewField(n, n)
+	s, err := p.lease()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer s.done()
+	n := p.GridSize()
+	nominal, outer, inner = grid.NewField(n, n), grid.NewField(n, n), grid.NewField(n, n)
 	s.printCorners(nominal, outer, inner, mask)
-	return nominal, outer, inner
+	return nominal, outer, inner, nil
 }
 
 // printCorners writes the binary printed images of mask at the three
 // corners from one forward call (nominal and outer share one best-focus
 // SOCS pass); each image is bit-identical to a per-corner PrintedBinary.
-func (s *Session) printCorners(nominal, outer, inner, mask *Field) {
+func (s *session) printCorners(nominal, outer, inner, mask *Field) {
 	s.sim.MaskSpectrumInto(s.spec, mask)
 	// The aerial images land in the output fields and are thresholded
 	// in place.
@@ -982,6 +831,36 @@ func (s *Session) printCorners(nominal, outer, inner, mask *Field) {
 	for _, f := range [...]*Field{nominal, outer, inner} {
 		s.sim.ResistBinary(f, f)
 	}
+}
+
+// Process-window analysis re-exports.
+type (
+	// ProcessWindowResult is a focus×dose CD sweep outcome.
+	ProcessWindowResult = procwin.Result
+	// CutLine selects where the critical dimension is measured.
+	CutLine = procwin.CutLine
+)
+
+// ProcessWindow sweeps the mask across the contest's focus/dose window
+// (±25 nm, ±2 %) on a 6×5 matrix and measures the printed CD at the cut
+// (Bossung-curve data): one SOCS pass per focus value on the same banded
+// batch path as Evaluate, so the best-focus, unit-dose sample
+// thresholds exactly the aerial image behind Evaluate's nominal print.
+// The per-focus kernel banks between best focus and the inner corner's
+// defocus come from the shared memoized cache. Safe to call
+// concurrently.
+func (p *Pipeline) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult, error) {
+	s, err := p.lease()
+	if err != nil {
+		return nil, err
+	}
+	defer s.done()
+	an, err := procwin.New(procwin.DefaultConfig(s.sim.Config()), s.sim)
+	if err != nil {
+		return nil, err
+	}
+	defer s.traceSpan("process_window", time.Now())
+	return an.Sweep(mask, cut)
 }
 
 // Benchmarks returns the ten ICCAD-2013-style benchmark specs (B1…B10).
@@ -1009,39 +888,3 @@ func BenchmarkByID(id string) (*Layout, error) {
 
 // NewField allocates a zero w×h image field.
 func NewField(w, h int) *Field { return grid.NewField(w, h) }
-
-// Process-window analysis re-exports.
-type (
-	// ProcessWindowResult is a focus×dose CD sweep outcome.
-	ProcessWindowResult = procwin.Result
-	// CutLine selects where the critical dimension is measured.
-	CutLine = procwin.CutLine
-)
-
-// ProcessWindow sweeps the mask across the contest's focus/dose window
-// (±25 nm, ±2 %) on a 6×5 matrix and measures the printed CD at the cut
-// (Bossung-curve data). Safe to call concurrently (each call leases its
-// own session).
-func (p *Pipeline) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult, error) {
-	s, err := p.Session()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.ProcessWindow(mask, cut)
-}
-
-// ProcessWindow runs the focus/dose sweep on this session's forward
-// model: one SOCS pass per focus value on the same banded batch path as
-// Evaluate, so the best-focus, unit-dose sample thresholds exactly the
-// aerial image behind Evaluate's nominal print. The per-focus kernel
-// banks between best focus and the inner corner's defocus come from the
-// shared memoized cache.
-func (s *Session) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult, error) {
-	an, err := procwin.New(procwin.DefaultConfig(s.sim.Config()), s.sim)
-	if err != nil {
-		return nil, err
-	}
-	defer s.traceSpan("process_window", time.Now())
-	return an.Sweep(mask, cut)
-}

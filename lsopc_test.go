@@ -160,6 +160,24 @@ func TestEvaluateRejectsWrongMaskShape(t *testing.T) {
 	}
 }
 
+// TestPrintedImagesRejectsWrongSizeMask: a mask off the pipeline's grid
+// is an error from PrintedImages, as from Evaluate, not a panic inside
+// the forward transform.
+func TestPrintedImagesRejectsWrongSizeMask(t *testing.T) {
+	p, err := NewPipeline(PresetTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mask := range []*Field{NewField(64, 64), NewField(128, 64)} {
+		if nom, outer, inner, err := p.PrintedImages(mask); err == nil || nom != nil || outer != nil || inner != nil {
+			t.Fatalf("%dx%d mask on the 128-px grid: images %v %v %v, err %v; want only an error", mask.W, mask.H, nom, outer, inner, err)
+		}
+		if _, err := p.Evaluate(Benchmark("B1"), mask, 0); err == nil {
+			t.Fatalf("%dx%d mask on the 128-px grid accepted by Evaluate", mask.W, mask.H)
+		}
+	}
+}
+
 func TestPrintedImagesOrdering(t *testing.T) {
 	p, err := NewPipeline(PresetTest, nil)
 	if err != nil {
@@ -169,7 +187,10 @@ func TestPrintedImagesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nom, outer, inner := p.PrintedImages(target)
+	nom, outer, inner, err := p.PrintedImages(target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Dose ordering: the +2% dose (outer) print is a superset of the
 	// nominal print at identical focus; the defocused −2% dose (inner)
 	// print is smaller than nominal for a well-behaved pattern.

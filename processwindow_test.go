@@ -62,7 +62,10 @@ func TestProcessWindowNominalMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nom, _, _ := p.PrintedImages(target)
+		nom, _, _, err := p.PrintedImages(target)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := runLength(nom, cut, p.PixelNM())
 		if res.TargetCD != want || res.Points[2].CDNM != want {
 			t.Fatalf("%s: sweep nominal CD %g (matrix %g), Evaluate's nominal print %g",
@@ -125,7 +128,7 @@ func TestProcessWindowConcurrent(t *testing.T) {
 }
 
 // TestProcessWindowTracesOneSpan: a sweep is one process_window span on
-// its session's trace.
+// its session's trace, the pipeline's first ("s1").
 func TestProcessWindowTracesOneSpan(t *testing.T) {
 	sink := NewCollectorTraceSink()
 	p, err := NewPipeline(PresetTest, CPUEngine(), WithTraceSink(sink))
@@ -136,12 +139,7 @@ func TestProcessWindowTracesOneSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.ProcessWindow(target, CutLine{X: 64, Y: 64, Horizontal: true}); err != nil {
+	if _, err := p.ProcessWindow(target, CutLine{X: 64, Y: 64, Horizontal: true}); err != nil {
 		t.Fatal(err)
 	}
 	var spans []obs.Event
@@ -150,8 +148,8 @@ func TestProcessWindowTracesOneSpan(t *testing.T) {
 			spans = append(spans, e)
 		}
 	}
-	if len(spans) != 1 || spans[0].Name != "process_window" || spans[0].Trace != s.TraceID() || spans[0].DurNS <= 0 {
-		t.Fatalf("spans = %+v, want one process_window span on %s", spans, s.TraceID())
+	if len(spans) != 1 || spans[0].Name != "process_window" || spans[0].Trace != "s1" || spans[0].DurNS <= 0 {
+		t.Fatalf("spans = %+v, want one process_window span on s1", spans)
 	}
 }
 
@@ -167,17 +165,12 @@ func TestProcessWindowWarmAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	cut := CutLine{X: 64, Y: 64, Horizontal: true}
-	if _, err := s.ProcessWindow(target, cut); err != nil {
+	if _, err := p.ProcessWindow(target, cut); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := s.ProcessWindow(target, cut); err != nil {
+		if _, err := p.ProcessWindow(target, cut); err != nil {
 			t.Fatal(err)
 		}
 	})

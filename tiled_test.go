@@ -114,15 +114,15 @@ func TestTiledConcurrentSessionsStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				s, err := p.Session()
+				s, err := p.lease()
 				if err != nil {
 					errs <- err
 					return
 				}
-				if _, err := s.Simulator().Resources().Target(chipLayoutKey(i), buildTinyTarget); err != nil {
+				if _, err := s.sim.Resources().Target(chipLayoutKey(i), buildTinyTarget); err != nil {
 					errs <- err
 				}
-				s.Close()
+				s.done()
 			}
 		}()
 	}

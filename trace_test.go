@@ -2,6 +2,7 @@ package lsopc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -12,14 +13,15 @@ import (
 )
 
 // TestConcurrentSessionTraceIntegrity is the observability acceptance
-// gate for the session runtime: several sessions optimizing concurrently
-// through ONE shared JSONL sink must produce a stream where every line
-// is valid JSON, the sink-assigned sequence numbers are strictly
-// increasing (no lost or interleaved writes), every session's iteration
-// events arrive in order 0..n-1 under its own trace id, and — because
-// results are scheduling-independent — the per-iteration cost sequences
-// are identical across sessions running the same layout. Run under
-// `go test -race .` this is also the data-race gate for the trace path.
+// gate for the session runtime: several concurrent Pipeline calls
+// optimizing through ONE shared JSONL sink must produce a stream where
+// every line is valid JSON, the sink-assigned sequence numbers are
+// strictly increasing (no lost or interleaved writes), every job's
+// iteration events arrive in order 0..n-1 under its own session's trace
+// id, and — because results are scheduling-independent — the
+// per-iteration cost sequences are identical across jobs running the
+// same layout. Run under `go test -race .` this is also the data-race
+// gate for the trace path.
 func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLTraceSink(&buf)
@@ -28,17 +30,18 @@ func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 	// wiring and exercises the shared-mutex serialization under -race.
 	SetRuntimeTrace(sink)
 	defer SetRuntimeTrace(nil)
-	p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(sink))
+	const jobs = 4
+	// Every job waits at its first iteration until all have reached
+	// theirs, so the jobs hold their sessions at once and no session,
+	// with its trace id, is handed from a finished job to a later one.
+	barrier := &firstIterBarrier{}
+	barrier.wg.Add(jobs)
+	p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(TeeTraceSink(sink, barrier)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release()
 
-	const jobs = 4
-	sessions, err := p.Sessions(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	layout := Benchmark("B1")
 	opts := DefaultLevelSetOptions()
 	opts.MaxIter = 5
@@ -46,21 +49,18 @@ func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, jobs)
-	for i := range sessions {
+	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = sessions[i].OptimizeLevelSet(layout, opts)
+			_, errs[i] = p.OptimizeLevelSet(layout, opts)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
+			t.Fatalf("job %d: %v", i, err)
 		}
-	}
-	for _, s := range sessions {
-		s.Close()
 	}
 	if err := FlushTrace(sink); err != nil {
 		t.Fatal(err)
@@ -121,6 +121,17 @@ func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 	}
 }
 
+// firstIterBarrier holds each job at its iteration-0 event until the
+// wait group's count of jobs has reached theirs.
+type firstIterBarrier struct{ wg sync.WaitGroup }
+
+func (b *firstIterBarrier) Emit(e TraceEvent) {
+	if e.Type == EventIteration && e.Iter == 0 {
+		b.wg.Done()
+		b.wg.Wait()
+	}
+}
+
 // TestTraceEventKinds drives one optimization with both the runtime sink
 // (plan-cache and pool events from bank construction) and a per-run sink
 // installed, and asserts every event family of the taxonomy shows up.
@@ -150,12 +161,7 @@ func TestTraceEventKinds(t *testing.T) {
 	opts.MaxIter = 2
 	opts.Sink = c
 	opts.TraceID = "t1"
-	opt, err := core.New(sim, target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opt.Release()
-	if _, err := opt.Run(); err != nil {
+	if _, err := core.Run(context.Background(), sim, target, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,19 +218,14 @@ func TestPipelineReleaseFlushesSinkOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
 	layout := Benchmark("B1")
 	mask, err := p.Target(layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Evaluate(layout, mask, 0); err != nil {
+	if _, err := p.Evaluate(layout, mask, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	p.Release()
 	if buf.Len() == 0 {
 		t.Fatal("Release did not flush the attached sink")

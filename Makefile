@@ -27,12 +27,15 @@
 #               real-input forward against the reference 2-D algorithm,
 #               the reduced-grid SOCS aerial and gradient against the dense
 #               full-grid reference, the inline resist sigmoid against
-#               the math.Exp form, and the offline trace fold
-#               (analyze.Parse) against the live run registry
+#               the math.Exp form, its AVX2 kernel against its Go loop,
+#               and the offline trace fold (analyze.Parse) against the
+#               live run registry
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
-#               the generic FFT kernel builds without the amd64
-#               assembly, GOARCH=386 go test ./internal/fft runs it as
-#               the selected kernel (natively on an amd64 host)
+#               every package builds without the amd64 assembly (FFT
+#               butterflies, resist sigmoid, CPU probe), GOARCH=386
+#               go test ./internal/fft ./internal/grid runs their Go
+#               loops as the selected kernels (natively on an amd64
+#               host)
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -145,19 +148,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRealMatchesTextbook$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
 
 vet:
 	$(GO) vet ./...
 
-# The butterfly sweeps of internal/fft have an AVX2 assembly kernel on
-# amd64 and Go loops everywhere else. amd64 vet (asmdecl) checks the
-# assembly's frames and argument names; this leg builds and vets every
-# package without the assembly, and runs the FFT tests with the Go
-# loops as the selected kernel.
+# The butterfly sweeps of internal/fft and the resist sigmoid of
+# internal/grid have AVX2 assembly kernels on amd64 (chosen by the CPU
+# probe in internal/grid) and Go loops everywhere else. amd64 vet
+# (asmdecl) checks the assembly's frames and argument names; this leg
+# builds and vets every package without the assembly, and runs the FFT
+# and grid tests with the Go loops as the selected kernels.
 crossarch:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/fft
+	GOARCH=386 $(GO) test ./internal/fft ./internal/grid
 
 # Source-hygiene gate: gofmt must have nothing to reformat. gofmt -l
 # exits 0 even when files need formatting, so the target fails on any

@@ -3,13 +3,15 @@ package grid
 import (
 	"math"
 	"math/big"
+
+	"lsopc/internal/obs"
 )
 
 // The resist sigmoid runs once per pixel and corner every iteration, so
 // its exp is written inline rather than called: a call to math.Exp in
-// the loop makes the compiler spill the loop's live values around it,
-// and the tight loop below runs about twice as fast as one that calls
-// it.
+// the loop would make the compiler spill the loop's live values around
+// it, and an inline exp is what the AVX2 kernel (sigmoid_amd64.s) runs
+// four lanes at a time.
 //
 // exp(z) = 2^(k/N) · exp(r) with N = 2^expBits, k = round(z·N/ln 2) and
 // r = z − k·ln2/N, |r| ≤ ln2/(2N). 2^(k/N) is a table entry times a
@@ -18,7 +20,8 @@ import (
 // reduction and the polynomial use math.FMA, which rounds exactly once
 // with or without a hardware FMA, and every other product is rounded by
 // an explicit conversion, so the results do not depend on the CPU or on
-// the compiler fusing operations.
+// the compiler fusing operations. The assembly runs the same operations
+// with one rounding each, so both kernels give the same bits.
 const (
 	expBits  = 7
 	expN     = 1 << expBits
@@ -52,15 +55,35 @@ var expTable = func() (t [expN]float64) {
 // the differentiable resist model (Eq. 8 of the paper). dst may alias a.
 // It agrees with the same expression through math.Exp to within 1e-15
 // relative, is exactly 1/2 at a[i] = t, and saturates to 0 and 1 (and
-// maps NaN to NaN) as math.Exp does.
+// maps NaN to NaN) as math.Exp does. On CPUs with AVX2 and FMA the
+// elements up to the last multiple of 4 run in the assembly kernel; the
+// result is the same bits either way.
 func SigmoidInto(dst, a []float64, s, t float64) {
 	a = a[:len(dst)]
-	slow := false
+	n, slow := sigmoidVec(dst, a, s, t)
+	if sigmoidGo(dst[n:], a[n:], s, t) || slow {
+		sigmoidExp(dst)
+	}
+}
+
+// The sigmoid_avx2 gauge says which kernel produced a run's timings: 1
+// for the AVX2 assembly, 0 for the Go loop.
+func init() {
+	g := obs.Default.Gauge("grid.sigmoid_avx2")
+	if sigmoidAVX2OK {
+		g.Set(1)
+	}
+}
+
+// sigmoidGo is the table form of σ over dst and a (a at least as long).
+// An element whose exponent −s·(a[i]−t) is outside ±expFast or NaN is
+// left as that exponent, a marker that is never in [0, 1], and the
+// result says whether there was one; sigmoidExp finishes those.
+func sigmoidGo(dst, a []float64, s, t float64) (slow bool) {
+	a = a[:len(dst)]
 	for i, v := range a {
 		z := -s * (v - t)
 		if !(z >= -expFast && z <= expFast) {
-			// Out of the table's range or NaN: keep z as a marker (it is
-			// never in [0, 1]) for the pass below.
 			dst[i] = z
 			slow = true
 			continue
@@ -79,9 +102,12 @@ func SigmoidInto(dst, a []float64, s, t float64) {
 		e := float64(math.FMA(tj, p, tj) * scale)
 		dst[i] = 1 / (1 + e)
 	}
-	if !slow {
-		return
-	}
+	return slow
+}
+
+// sigmoidExp replaces the markers sigmoidGo leaves with σ through
+// math.Exp, where it saturates to 0 or 1 or is NaN.
+func sigmoidExp(dst []float64) {
 	for i, z := range dst {
 		if !(z >= 0 && z <= 1) {
 			dst[i] = 1 / (1 + math.Exp(z))

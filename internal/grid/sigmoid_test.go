@@ -2,7 +2,10 @@ package grid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"lsopc/internal/obs"
 )
 
 // refSigmoid is the textbook σ through math.Exp.
@@ -108,6 +111,187 @@ func FuzzSigmoidMatchesExp(f *testing.F) {
 	})
 }
 
+// kernelCases are the steepness and threshold pairs the kernel tests
+// run: s = 1, t = 0 makes z = −v exactly, so the ±expFast boundaries
+// are hit exactly; the others are the resist model's.
+var kernelCases = [...]struct{ s, t float64 }{{1, 0}, {25, 0.225}, {50, 0.225}, {1000, 0.225}}
+
+// kernelSpecials are exponents z the kernel must hand on unchanged or
+// get exactly right: out of range, NaN, the range's edges (also the
+// neighbours of ±expFast), exponents whose σ is below the smallest
+// normal float64 (708.4 < z < 709.79, finished by math.Exp), zeros and
+// tiny z.
+var kernelSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300,
+	expFast, -expFast, math.Nextafter(expFast, 0), math.Nextafter(-expFast, 0),
+	math.Nextafter(expFast, 1000), math.Nextafter(-expFast, -1000),
+	709, 709.5, 709.8, -709.8, 744, -744, 0, math.Copysign(0, -1), 1e-300, -1e-300,
+	0.5 * math.Ln2 / expN, -0.5 * math.Ln2 / expN,
+}
+
+// kernelInput maps an exponent z to the input value with that exponent
+// under s and t (exactly z when s = 1, t = 0).
+func kernelInput(z, s, t float64) float64 { return t - z/s }
+
+// checkKernelMatchesGo runs a through the AVX2 kernel (with the Go loop
+// on the tail) and through the Go loop alone and requires the same bits:
+// the raw outputs with their markers, the slow flags, and the finished
+// σ, which SigmoidInto must also give, into a fresh slice or into a
+// itself when alias is set.
+func checkKernelMatchesGo(t *testing.T, a []float64, s, th float64, alias bool) {
+	t.Helper()
+	want := make([]float64, len(a))
+	wantSlow := sigmoidGo(want, a, s, th)
+
+	got := make([]float64, len(a))
+	src := a
+	if alias {
+		copy(got, a)
+		src = got
+	}
+	n, slow := sigmoidVec(got, src, s, th)
+	if n != len(a)&^3 {
+		t.Fatalf("len %d: kernel covered %d elements", len(a), n)
+	}
+	if sigmoidGo(got[n:], src[n:], s, th) {
+		slow = true
+	}
+	if slow != wantSlow {
+		t.Fatalf("s=%v t=%v: slow flag %v, Go loop %v", s, th, slow, wantSlow)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("s=%v t=%v alias=%v: element %d of %d (input %v): kernel %v, Go loop %v",
+				s, th, alias, i, len(a), a[i], got[i], want[i])
+		}
+	}
+
+	if wantSlow {
+		sigmoidExp(want)
+	}
+	out := make([]float64, len(a))
+	SigmoidInto(out, a, s, th)
+	inPlace := append([]float64(nil), a...)
+	SigmoidInto(inPlace, inPlace, s, th)
+	for i := range want {
+		if math.Float64bits(out[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("s=%v t=%v: σ element %d of %d (input %v): SigmoidInto %v, in place %v, Go loop %v",
+				s, th, i, len(a), a[i], out[i], inPlace[i], want[i])
+		}
+	}
+}
+
+// TestSigmoidKernelMatchesGo holds the AVX2 kernel to the Go loop bit
+// for bit: special lanes mixed with in-range ones in the same vector,
+// every length residue mod 4, dst aliasing a, and a dense random sweep
+// over the whole table range.
+func TestSigmoidKernelMatchesGo(t *testing.T) {
+	if !sigmoidAVX2OK {
+		t.Skip("the CPU lacks AVX2 or FMA; SigmoidInto runs the Go loop alone")
+	}
+	rng := rand.New(rand.NewSource(24))
+	subnormal := false
+	for _, c := range kernelCases {
+		// Every special value sits in every lane position, between
+		// in-range neighbours.
+		var mixed []float64
+		for _, z := range kernelSpecials {
+			for lane := 0; lane < 4; lane++ {
+				for j := 0; j < 4; j++ {
+					v := kernelInput(1400*rng.Float64()-700, c.s, c.t)
+					if j == lane {
+						v = kernelInput(z, c.s, c.t)
+					}
+					mixed = append(mixed, v)
+				}
+			}
+		}
+		for n := 0; n <= 13; n++ {
+			for _, alias := range []bool{false, true} {
+				checkKernelMatchesGo(t, mixed[:n], c.s, c.t, alias)
+				checkKernelMatchesGo(t, mixed[len(mixed)-n:], c.s, c.t, alias)
+			}
+		}
+		checkKernelMatchesGo(t, mixed, c.s, c.t, false)
+		checkKernelMatchesGo(t, mixed, c.s, c.t, true)
+
+		dense := make([]float64, 1<<18+3)
+		for i := range dense {
+			dense[i] = kernelInput(1420*rng.Float64()-710, c.s, c.t)
+		}
+		checkKernelMatchesGo(t, dense, c.s, c.t, false)
+
+		out := make([]float64, len(mixed))
+		SigmoidInto(out, mixed, c.s, c.t)
+		for _, v := range out {
+			subnormal = subnormal || v != 0 && math.Abs(v) < 0x1p-1022
+		}
+	}
+	if !subnormal {
+		t.Fatal("no result below the smallest normal float64 was checked")
+	}
+}
+
+// FuzzSigmoidKernelMatchesGo is TestSigmoidKernelMatchesGo on fuzzed
+// slices: each 3 data bytes make one element, an in-range or near-range
+// exponent, a tiny one, or one of kernelSpecials, so special and
+// ordinary lanes share vectors; the data's length sets the slice's.
+func FuzzSigmoidKernelMatchesGo(f *testing.F) {
+	f.Add(uint8(0), false, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint8(1), true, []byte("mixed special lanes and ordinary ones"))
+	f.Add(uint8(2), false, []byte{3, 0, 0, 3, 5, 0, 3, 11, 0, 0, 255, 127, 1, 0, 128})
+	f.Add(uint8(3), true, []byte{3, 12, 0, 3, 13, 0, 0, 0, 0, 3, 14, 0})
+	f.Fuzz(func(t *testing.T, which uint8, alias bool, data []byte) {
+		if !sigmoidAVX2OK {
+			t.Skip("the CPU lacks AVX2 or FMA; SigmoidInto runs the Go loop alone")
+		}
+		c := kernelCases[int(which)%len(kernelCases)]
+		a := make([]float64, len(data)/3)
+		for i := range a {
+			class, u := data[3*i], float64(int16(uint16(data[3*i+1])|uint16(data[3*i+2])<<8))/32768
+			var z float64
+			switch class % 4 {
+			case 0, 1:
+				z = 720 * u
+			case 2:
+				z = 1e-12 * u
+			default:
+				z = kernelSpecials[int(data[3*i+1])%len(kernelSpecials)]
+			}
+			a[i] = kernelInput(z, c.s, c.t)
+		}
+		checkKernelMatchesGo(t, a, c.s, c.t, alias)
+	})
+}
+
+// TestSigmoidGauge: grid.sigmoid_avx2 in the default registry names the
+// kernel SigmoidInto runs, and the kernel covers every whole vector.
+func TestSigmoidGauge(t *testing.T) {
+	want := 0.0
+	if sigmoidAVX2OK {
+		want = 1
+	}
+	if got := obs.Default.Snapshot()["grid.sigmoid_avx2"]; got != want {
+		t.Fatalf("grid.sigmoid_avx2 = %v, want %v", got, want)
+	}
+	d := make([]float64, 7)
+	if n, _ := sigmoidVec(d, d, 50, 0.225); n != 4*int(want) {
+		t.Fatalf("the kernel covered %d of 7 elements, want %d", n, 4*int(want))
+	}
+}
+
+func TestSigmoidIntoZeroAlloc(t *testing.T) {
+	a := make([]float64, 1027)
+	for i := range a {
+		a[i] = float64(i) / 1000
+	}
+	a[5] = math.NaN()
+	dst := make([]float64, len(a))
+	if n := testing.AllocsPerRun(10, func() { SigmoidInto(dst, a, 50, 0.225) }); n != 0 {
+		t.Fatalf("SigmoidInto allocated %v times per call", n)
+	}
+}
+
 func BenchmarkSigmoidInto(b *testing.B) {
 	a := NewField(512, 512)
 	for i := range a.Data {
@@ -117,6 +301,13 @@ func BenchmarkSigmoidInto(b *testing.B) {
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SigmoidInto(dst.Data, a.Data, 50, 0.225)
+		}
+	})
+	b.Run("go loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if sigmoidGo(dst.Data, a.Data, 50, 0.225) {
+				sigmoidExp(dst.Data)
+			}
 		}
 	})
 	b.Run("math.Exp", func(b *testing.B) {

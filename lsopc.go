@@ -534,8 +534,12 @@ func (p *Pipeline) lease() (*session, error) {
 	return p.newSession()
 }
 
-// done returns the session to its pipeline's free list.
+// done returns the session to its pipeline's free list, with the
+// pipeline's sink back on its simulator: a run whose options carried a
+// sink of their own installed it there (core.New, pixelilt), and the
+// next lease must not emit into it.
 func (s *session) done() {
+	s.sim.SetSink(s.p.sink, s.trace)
 	s.p.mu.Lock()
 	s.p.free = append(s.p.free, s)
 	s.p.mu.Unlock()

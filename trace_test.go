@@ -276,3 +276,51 @@ func TestPipelineHealthPolicyInheritance(t *testing.T) {
 		t.Fatal("no health event reached the pipeline sink")
 	}
 }
+
+// TestRunSinkDoesNotOutliveRun: a run whose options carry their own sink
+// installs it on the leased session's simulator; once the run returns,
+// a later call leasing that session emits into the pipeline's sink (or
+// none), never into the run's.
+func TestRunSinkDoesNotOutliveRun(t *testing.T) {
+	layout := Benchmark("B1")
+	opts := DefaultLevelSetOptions()
+	opts.MaxIter = 2
+	opts.Tolerance = 0
+	for _, traced := range []bool{false, true} {
+		var popts []PipelineOption
+		pipeSink := NewCollectorTraceSink()
+		if traced {
+			popts = append(popts, WithTraceSink(pipeSink))
+		}
+		p, err := NewPipeline(PresetTest, CPUEngine(), popts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := NewCollectorTraceSink()
+		o := opts
+		o.Sink = run
+		res, err := p.OptimizeLevelSet(layout, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, pipeBefore := run.Len(), pipeSink.Len()
+		if _, err := p.Evaluate(layout, res.Mask, 0); err != nil {
+			t.Fatal(err)
+		}
+		if after := run.Len(); after != before {
+			t.Errorf("traced=%v: the run's sink got %d events from a later Evaluate", traced, after-before)
+		}
+		if traced {
+			corners := 0
+			for _, e := range pipeSink.Events()[pipeBefore:] {
+				if e.Type == EventCorner {
+					corners++
+				}
+			}
+			if corners == 0 {
+				t.Error("the Evaluate after the run emitted no corner event to the pipeline's sink")
+			}
+		}
+		p.Release()
+	}
+}

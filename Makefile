@@ -75,31 +75,32 @@ race:
 # recorder drill: a -poison-tile run must abort, leave a postmortem
 # bundle with a resumable checkpoint under -flight-dir, emit a strict-
 # valid capture event in its trace, and the bundle must be readable by
-# tracestats -bundle.
+# tracestats -bundle. Every file goes into one mktemp -d directory
+# (under $TMPDIR when set), removed when the recipe exits.
 trace:
-	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -health -tracefile /tmp/lsopc-trace.jsonl
-	$(GO) run ./cmd/tracecheck -strict -require iteration,corner,plan_cache,pool,span /tmp/lsopc-trace.jsonl
-	$(GO) run ./cmd/tracestats /tmp/lsopc-trace.jsonl
-	$(GO) run ./cmd/benchgen -dir /tmp/lsopc-bench -chip 2x2 -cells B1,B4
-	$(GO) run ./cmd/lsopc -preset test -glp /tmp/lsopc-bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -serve 127.0.0.1:0 -tracefile /tmp/lsopc-trace-tiled.jsonl
-	$(GO) run ./cmd/tracecheck -strict -require tile_start,tile_done,iteration,span /tmp/lsopc-trace-tiled.jsonl
-	$(GO) run ./cmd/tracestats /tmp/lsopc-trace-tiled.jsonl
-	$(GO) run ./cmd/tracestats -chrome /tmp/lsopc-trace-tiled.chrome.json /tmp/lsopc-trace-tiled.jsonl
-	$(GO) test -count=1 -run 'TestLiveServerStreamsTiledRun' .
-	$(GO) test -count=1 -run 'TestWriteChromeTrace' ./internal/obs/analyze
-	rm -rf /tmp/lsopc-flight
-	@if $(GO) run ./cmd/lsopc -preset test -glp /tmp/lsopc-bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -poison-tile 1 -flight-dir /tmp/lsopc-flight -tracefile /tmp/lsopc-trace-poison.jsonl; then \
+	@set -ex; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -health -tracefile $$d/trace.jsonl; \
+	$(GO) run ./cmd/tracecheck -strict -require iteration,corner,plan_cache,pool,span $$d/trace.jsonl; \
+	$(GO) run ./cmd/tracestats $$d/trace.jsonl; \
+	$(GO) run ./cmd/benchgen -dir $$d/bench -chip 2x2 -cells B1,B4; \
+	$(GO) run ./cmd/lsopc -preset test -glp $$d/bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -serve 127.0.0.1:0 -tracefile $$d/trace-tiled.jsonl; \
+	$(GO) run ./cmd/tracecheck -strict -require tile_start,tile_done,iteration,span $$d/trace-tiled.jsonl; \
+	$(GO) run ./cmd/tracestats $$d/trace-tiled.jsonl; \
+	$(GO) run ./cmd/tracestats -chrome $$d/trace-tiled.chrome.json $$d/trace-tiled.jsonl; \
+	$(GO) test -count=1 -run 'TestLiveServerStreamsTiledRun' .; \
+	$(GO) test -count=1 -run 'TestWriteChromeTrace' ./internal/obs/analyze; \
+	if $(GO) run ./cmd/lsopc -preset test -glp $$d/bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -poison-tile 1 -flight-dir $$d/flight -tracefile $$d/trace-poison.jsonl; then \
 		echo "trace: poisoned tiled run did NOT abort"; exit 1; \
 	else \
 		echo "trace: poisoned tile correctly aborted the run"; \
-	fi
-	@for f in manifest.json events.jsonl goroutines.txt heap.pb.gz checkpoint.ckpt metrics.txt; do \
-		if ! test -s /tmp/lsopc-flight/*/$$f; then \
+	fi; \
+	for f in manifest.json events.jsonl goroutines.txt heap.pb.gz checkpoint.ckpt metrics.txt; do \
+		if ! test -s $$d/flight/*/$$f; then \
 			echo "trace: bundle is missing $$f"; exit 1; \
 		fi; \
-	done; echo "trace: postmortem bundle is complete"
-	$(GO) run ./cmd/tracecheck -strict -require tile_start,iteration,health,capture /tmp/lsopc-trace-poison.jsonl
-	$(GO) run ./cmd/tracestats -bundle /tmp/lsopc-flight/*
+	done; echo "trace: postmortem bundle is complete"; \
+	$(GO) run ./cmd/tracecheck -strict -require tile_start,iteration,health,capture $$d/trace-poison.jsonl; \
+	$(GO) run ./cmd/tracestats -bundle $$d/flight/*
 
 # Perf-regression smoke gate: two quick benchmark passes into one
 # artefact, benchdiff must pass the file against itself and must FAIL
@@ -110,21 +111,23 @@ trace:
 # not merely recorded. The tiled leg measures a 2x2 cell-array chip
 # monolithic vs tiled; the 0.67 threshold is the issue's >= 0.6·N
 # speedup bound at N=1 worker (tiled <= monolithic/0.6), so on any
-# N-worker host the gate only gets easier to clear.
+# N-worker host the gate only gets easier to clear. The artefacts go
+# into one mktemp -d directory, removed when the recipe exits.
 benchgate:
-	$(GO) run ./cmd/benchjson -bench BatchFFT -label r1 -o /tmp/lsopc-benchgate.json
-	$(GO) run ./cmd/benchjson -bench BatchFFT -label r2 -o /tmp/lsopc-benchgate.json
-	$(GO) run ./cmd/benchdiff /tmp/lsopc-benchgate.json /tmp/lsopc-benchgate.json
-	$(GO) run ./cmd/benchdiff -inflate 1.25 -o /tmp/lsopc-benchgate-slow.json /tmp/lsopc-benchgate.json
-	@if $(GO) run ./cmd/benchdiff -q /tmp/lsopc-benchgate.json /tmp/lsopc-benchgate-slow.json; then \
+	@set -ex; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/benchjson -bench BatchFFT -label r1 -o $$d/benchgate.json; \
+	$(GO) run ./cmd/benchjson -bench BatchFFT -label r2 -o $$d/benchgate.json; \
+	$(GO) run ./cmd/benchdiff $$d/benchgate.json $$d/benchgate.json; \
+	$(GO) run ./cmd/benchdiff -inflate 1.25 -o $$d/benchgate-slow.json $$d/benchgate.json; \
+	if $(GO) run ./cmd/benchdiff -q $$d/benchgate.json $$d/benchgate-slow.json; then \
 		echo "benchgate: inflated copy was NOT flagged as a regression"; exit 1; \
 	else \
 		echo "benchgate: regression correctly detected on the inflated copy"; \
-	fi
-	$(GO) run ./cmd/benchjson -multires -bench B4 -o /tmp/lsopc-benchgate-multires.json
-	$(GO) run ./cmd/benchdiff -old-labels baseline -new-labels multires /tmp/lsopc-benchgate-multires.json /tmp/lsopc-benchgate-multires.json
-	$(GO) run ./cmd/benchjson -tiled -o /tmp/lsopc-benchgate-tiled.json
-	$(GO) run ./cmd/benchdiff -old-labels monolithic -new-labels tiled -threshold 0.67 /tmp/lsopc-benchgate-tiled.json /tmp/lsopc-benchgate-tiled.json
+	fi; \
+	$(GO) run ./cmd/benchjson -multires -bench B4 -o $$d/benchgate-multires.json; \
+	$(GO) run ./cmd/benchdiff -old-labels baseline -new-labels multires $$d/benchgate-multires.json $$d/benchgate-multires.json; \
+	$(GO) run ./cmd/benchjson -tiled -o $$d/benchgate-tiled.json; \
+	$(GO) run ./cmd/benchdiff -old-labels monolithic -new-labels tiled -threshold 0.67 $$d/benchgate-tiled.json $$d/benchgate-tiled.json
 
 # The benchmark (bench/, run by bench/run.sh) is a module of its own, so
 # the root build and tests never see it; its smoke test runs miniature

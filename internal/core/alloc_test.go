@@ -13,12 +13,11 @@ import (
 // no allocating side channel: no snapshots (clones the mask), and an
 // iteration budget big enough that the pre-sized history slice never
 // regrows. reinitEvery sets the reinitialisation period (0 disables
-// it), subpixel picks the FMM reinit over the pixel-exact EDT.
-func allocOpts(budget, reinitEvery int, subpixel bool) Options {
+// it).
+func allocOpts(budget, reinitEvery int) Options {
 	opts := DefaultOptions()
 	opts.MaxIter = budget
 	opts.ReinitEvery = reinitEvery
-	opts.SubpixelReinit = subpixel
 	opts.SnapshotEvery = 0
 	opts.Tolerance = 0 // never converge inside the measured window
 	return opts
@@ -26,8 +25,8 @@ func allocOpts(budget, reinitEvery int, subpixel bool) Options {
 
 // warmDriver builds an optimizer mid-run: the solve driver constructed
 // and one step taken, so every lazily-reached path is already warm.
-func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, reinitEvery int, subpixel bool) (*Optimizer, *solve.Driver) {
-	o, err := New(sim, target, allocOpts(budget, reinitEvery, subpixel))
+func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, reinitEvery int) (*Optimizer, *solve.Driver) {
+	o, err := New(sim, target, allocOpts(budget, reinitEvery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,22 +39,19 @@ func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, 
 }
 
 // TestIterationZeroAllocWarm pins the steady-state iteration at zero
-// allocations, without reinitialisation and with a pixel-exact or a
-// sub-pixel reinit every second iteration (the EDT's and the FMM's
-// scratch are allocated once, by New), on engines of 1, 2 and 3 workers.
+// allocations, without reinitialisation and with a reinit every second
+// iteration (the EDT's scratch is allocated once, by New), on engines of
+// 1, 2 and 3 workers.
 func TestIterationZeroAllocWarm(t *testing.T) {
-	for _, reinit := range []struct {
-		every    int
-		subpixel bool
-	}{{0, false}, {2, false}, {2, true}} {
+	for _, every := range []int{0, 2} {
 		for _, workers := range []int{1, 2, 3} {
 			sim := newTestSimOn(t, 4, engine.New("warm", workers))
-			o, drv := warmDriver(t, sim, crossTarget(64), 1000, reinit.every, reinit.subpixel)
+			o, drv := warmDriver(t, sim, crossTarget(64), 1000, every)
 			if avg := testing.AllocsPerRun(20, func() {
 				drv.Step()
 			}); avg != 0 {
-				t.Fatalf("ReinitEvery=%d SubpixelReinit=%v, %d workers: warm level-set iteration allocates %.1f objects/op, want 0",
-					reinit.every, reinit.subpixel, workers, avg)
+				t.Fatalf("ReinitEvery=%d, %d workers: warm level-set iteration allocates %.1f objects/op, want 0",
+					every, workers, avg)
 			}
 			o.Release()
 		}
@@ -64,7 +60,7 @@ func TestIterationZeroAllocWarm(t *testing.T) {
 
 func BenchmarkLevelSetIteration(b *testing.B) {
 	sim := newTestSimB(b, 8)
-	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2, 0, false)
+	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2, 0)
 	defer o.Release()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -44,8 +44,7 @@ var (
 )
 
 // Options configures the optimizer. DefaultOptions gives the paper's
-// configuration; the switches expose the ablations (plain gradient
-// descent, upwind stencil, curvature smoothing, fused-kernel forward).
+// configuration; UseCG off is the plain gradient-descent ablation.
 type Options struct {
 	// MaxIter is the iteration budget N of Algorithm 1.
 	MaxIter int
@@ -61,15 +60,9 @@ type Options struct {
 	// disabled it degenerates to steepest descent, the ablation the
 	// paper's contribution (ii) is measured against.
 	UseCG bool
-	// UseUpwind selects the Godunov upwind stencil for |∇ψ| instead of
-	// central differences (a stability extension beyond the paper).
-	UseUpwind bool
 	// ReinitEvery reinitialises ψ to a signed distance function every
 	// that many iterations (0 disables).
 	ReinitEvery int
-	// CurvatureWeight adds κ·|∇ψ| contour smoothing to the velocity
-	// (optional regulariser; 0 reproduces the paper).
-	CurvatureWeight float64
 	// SnapshotEvery records a mask snapshot every that many iterations
 	// (0 disables), feeding the Fig. 2 evolution views.
 	SnapshotEvery int
@@ -90,15 +83,6 @@ type Options struct {
 	// Lv et al. (the paper's reference [9]). Each iteration costs two
 	// extra forward simulations per corner.
 	LineSearch bool
-	// BandWidthPx restricts the evolution to the narrow band
-	// |ψ| ≤ BandWidthPx around the contour (0 = global evolution).
-	// Classic Osher–Sethian narrow-banding: far-field velocity noise
-	// cannot nucleate spurious features away from the pattern.
-	BandWidthPx float64
-	// SubpixelReinit uses the fast-marching method for periodic
-	// reinitialisation, preserving the contour's sub-pixel position
-	// (the EDT default snaps it to the pixel lattice).
-	SubpixelReinit bool
 	// InitialMask seeds ψ₀ from this mask instead of the target —
 	// e.g. a rule-based OPC output (hybrid flow) or a previous node's
 	// solution. Must match the grid; nil uses the target (Algorithm 1,
@@ -167,8 +151,6 @@ func (o Options) Validate() error {
 		{"Tolerance", o.Tolerance},
 		{"LambdaT", o.LambdaT},
 		{"PVBWeight", o.PVBWeight},
-		{"CurvatureWeight", o.CurvatureWeight},
-		{"BandWidthPx", o.BandWidthPx},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: %s must be finite, got %g", f.name, f.v)
@@ -185,12 +167,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
 	case o.ReinitEvery < 0 || o.SnapshotEvery < 0:
 		return fmt.Errorf("core: periods must be ≥ 0")
-	case o.CurvatureWeight < 0:
-		return fmt.Errorf("core: CurvatureWeight must be ≥ 0, got %g", o.CurvatureWeight)
 	case o.CleanupTinyPx < 0:
 		return fmt.Errorf("core: CleanupTinyPx must be ≥ 0, got %d", o.CleanupTinyPx)
-	case o.BandWidthPx < 0:
-		return fmt.Errorf("core: BandWidthPx must be ≥ 0, got %g", o.BandWidthPx)
 	case o.MultiResFactor < 0:
 		return fmt.Errorf("core: MultiResFactor must be ≥ 0, got %d", o.MultiResFactor)
 	case o.MultiResFactor > 1 && !grid.IsPow2(o.MultiResFactor):
@@ -288,8 +266,7 @@ type Optimizer struct {
 	opLambda, opDt                           float64
 	opPsi                                    *grid.Field
 	gNorm2, maxV                             float64
-	edt                                      *levelset.EDT // ψ₀ and the pixel-exact reinitialisation
-	fmm                                      *levelset.FMM // nil unless sub-pixel reinitialisation
+	edt                                      *levelset.EDT // ψ₀ and the reinitialisation
 
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
@@ -299,11 +276,10 @@ type Optimizer struct {
 	gTerm     *grid.Field // g_i = G_i·|∇ψ_i|
 	gPrev     *grid.Field // g_{i-1}
 	velocity  *grid.Field // v_i
-	curv      *grid.Field // nil unless CurvatureWeight > 0
 	psiCand   *grid.Field // nil unless LineSearch
 	bestMask  *grid.Field // nil unless KeepBest
 	bestPsi   *grid.Field // nil unless KeepBest
-	reinit    *grid.Field // nil unless pixel-exact reinitialisation
+	reinit    *grid.Field // nil unless ReinitEvery > 0
 	reinitTmp *grid.Field // scratch of ReinitializeInto, same condition
 
 	// Per-run state reset by start; the iteration-loop bookkeeping
@@ -348,9 +324,6 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	o.gTerm = pool.Field(n, n)
 	o.gPrev = pool.Field(n, n)
 	o.velocity = pool.Field(n, n)
-	if opts.CurvatureWeight > 0 {
-		o.curv = pool.Field(n, n)
-	}
 	if opts.LineSearch {
 		o.psiCand = pool.Field(n, n)
 	}
@@ -359,10 +332,7 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 		o.bestPsi = pool.Field(n, n)
 	}
 	o.edt = levelset.NewEDT(n, n, sim.Engine())
-	switch {
-	case opts.ReinitEvery > 0 && opts.SubpixelReinit:
-		o.fmm = levelset.NewFMM(n, n)
-	case opts.ReinitEvery > 0:
+	if opts.ReinitEvery > 0 {
 		o.reinit = pool.Field(n, n)
 		o.reinitTmp = pool.Field(n, n)
 	}
@@ -383,16 +353,16 @@ func (o *Optimizer) Release() {
 	o.corners = nil
 	o.gradBody, o.velocityBody = nil, nil
 	o.maskBody, o.evolveBody, o.saveBody, o.zeroBody = nil, nil, nil, nil
-	o.partials, o.edt, o.fmm = nil, nil, nil
+	o.partials, o.edt = nil, nil
 	pool.PutField(o.psi)
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
-	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.curv, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
+	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
 		pool.PutField(f)
 	}
 	o.mask, o.maskSpec = nil, nil
 	o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil, nil
-	o.curv, o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil, nil
+	o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil
 	o.reinit, o.reinitTmp = nil, nil
 }
 
@@ -569,12 +539,8 @@ func (s *levelStepper) Advance(i int, dt float64) float64 {
 	o.evolve(dt)
 
 	if o.opts.ReinitEvery > 0 && (i+1)%o.opts.ReinitEvery == 0 {
-		if o.opts.SubpixelReinit {
-			o.fmm.ReinitializeInto(o.psi, o.psi)
-		} else {
-			o.edt.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
-			o.psi.CopyFrom(o.reinit)
-		}
+		o.edt.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
+		o.psi.CopyFrom(o.reinit)
 	}
 	return dt
 }

@@ -72,17 +72,12 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.PVBWeight = -0.5 },
 		func(o *Options) { o.ReinitEvery = -1 },
 		func(o *Options) { o.SnapshotEvery = -2 },
-		func(o *Options) { o.CurvatureWeight = -1 },
 		func(o *Options) { o.Tolerance = math.NaN() },
 		func(o *Options) { o.Tolerance = math.Inf(1) },
 		func(o *Options) { o.LambdaT = math.NaN() },
 		func(o *Options) { o.LambdaT = math.Inf(1) },
 		func(o *Options) { o.PVBWeight = math.NaN() },
 		func(o *Options) { o.PVBWeight = math.Inf(1) },
-		func(o *Options) { o.CurvatureWeight = math.NaN() },
-		func(o *Options) { o.CurvatureWeight = math.Inf(1) },
-		func(o *Options) { o.BandWidthPx = math.NaN() },
-		func(o *Options) { o.BandWidthPx = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		o := DefaultOptions()
@@ -240,18 +235,6 @@ func TestCGAndGDBothConverge(t *testing.T) {
 	}
 }
 
-func TestUpwindAndCurvatureExtensionsRun(t *testing.T) {
-	sim := newTestSim(t, 3)
-	opts := DefaultOptions()
-	opts.MaxIter = 6
-	opts.UseUpwind = true
-	opts.CurvatureWeight = 0.05
-	res := runOpts(t, sim, crossTarget(64), opts)
-	if res.BestCost() >= res.History[0].CostTotal {
-		t.Fatal("extensions run must still reduce cost")
-	}
-}
-
 func TestReinitDoesNotBreakOptimization(t *testing.T) {
 	sim := newTestSim(t, 3)
 	opts := DefaultOptions()
@@ -404,39 +387,6 @@ func TestLineSearchRecordsChosenStep(t *testing.T) {
 	}
 }
 
-func TestNarrowBandFreezesFarField(t *testing.T) {
-	sim := newTestSim(t, 3)
-	target := crossTarget(64)
-	opts := DefaultOptions()
-	opts.MaxIter = 8
-	opts.BandWidthPx = 4
-	opts.ReinitEvery = 0 // keep ψ comparable to its initial SDF
-	res := runOpts(t, sim, target, opts)
-
-	// Far-field ψ (deeper than the band in the initial SDF) must be
-	// untouched: the mask far from the pattern cannot change.
-	init := levelset.SignedDistance(target)
-	for i := range init.Data {
-		if init.Data[i] > 12 { // comfortably outside the 4-px band
-			if res.Psi.Data[i] != init.Data[i] {
-				t.Fatalf("far-field ψ changed at %d: %g → %g", i, init.Data[i], res.Psi.Data[i])
-			}
-		}
-	}
-	// And the optimization must still make progress at the contour.
-	if res.BestCost() >= res.History[0].CostTotal {
-		t.Fatal("narrow-band run did not reduce cost")
-	}
-}
-
-func TestBandWidthValidation(t *testing.T) {
-	o := DefaultOptions()
-	o.BandWidthPx = -1
-	if err := o.Validate(); err == nil {
-		t.Fatal("negative band accepted")
-	}
-}
-
 func TestInitialMaskWarmStart(t *testing.T) {
 	sim := newTestSim(t, 3)
 	target := crossTarget(64)
@@ -464,22 +414,5 @@ func TestInitialMaskWarmStart(t *testing.T) {
 	}
 	if _, err := o.run(context.Background(), nil); err == nil {
 		t.Fatal("mismatched initial mask accepted")
-	}
-}
-
-func TestSubpixelReinitRuns(t *testing.T) {
-	sim := newTestSim(t, 3)
-	opts := DefaultOptions()
-	opts.MaxIter = 10
-	opts.ReinitEvery = 3
-	opts.SubpixelReinit = true
-	res := runOpts(t, sim, crossTarget(64), opts)
-	if res.BestCost() >= res.History[0].CostTotal {
-		t.Fatal("FMM-reinit run did not reduce cost")
-	}
-	for _, v := range res.Mask.Data {
-		if v != 0 && v != 1 {
-			t.Fatal("mask not binary")
-		}
 	}
 }

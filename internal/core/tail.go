@@ -38,18 +38,12 @@ func (o *Optimizer) bindTail() {
 	o.partials = make([]float64, o.tailChunks*numSums)
 	rows := func(c int) (y0, y1 int) { return c * tailRows, min((c+1)*tailRows, n) }
 
-	// Sweep 1: |∇ψ| (central or upwind), g = G·|∇ψ| and the chunk's
+	// Sweep 1: the central-difference |∇ψ|, g = G·|∇ψ| and the chunk's
 	// partial sums.
 	o.gradBody = func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			y0, y1 := rows(c)
-			if o.opts.UseUpwind {
-				// The upwind stencil selects one-sided differences by
-				// the sign of the advection speed, which is G here.
-				levelset.GradMagUpwindRows(o.gmag, o.psi, o.grad, y0, y1)
-			} else {
-				levelset.GradMagRows(o.gmag, o.psi, y0, y1)
-			}
+			levelset.GradMagRows(o.gmag, o.psi, y0, y1)
 			i0, i1 := y0*n, y1*n
 			G, gm, g := o.grad.Data[i0:i1], o.gmag.Data[i0:i1], o.gTerm.Data[i0:i1]
 			var sums [numSums]float64
@@ -74,40 +68,21 @@ func (o *Optimizer) bindTail() {
 		}
 	}
 
-	// Sweep 2: v = g + λ·v_prev, the curvature term, the g_prev copy,
-	// the narrow band and the chunk's max|v|.
+	// Sweep 2: v = g + λ·v_prev, the g_prev copy and the chunk's
+	// max|v|.
 	o.velocityBody = func(lo, hi int) {
-		lambda, cw, band := o.opLambda, o.opts.CurvatureWeight, o.opts.BandWidthPx
+		lambda := o.opLambda
 		for c := lo; c < hi; c++ {
 			y0, y1 := rows(c)
-			if cw > 0 {
-				levelset.CurvatureRows(o.curv, o.psi, y0, y1)
-			}
 			i0, i1 := y0*n, y1*n
-			g, gm, gp := o.gTerm.Data[i0:i1], o.gmag.Data[i0:i1], o.gPrev.Data[i0:i1]
-			v, psi := o.velocity.Data[i0:i1], o.psi.Data[i0:i1]
-			var kappa []float64
-			if cw > 0 {
-				kappa = o.curv.Data[i0:i1]
-			}
+			g, gp, v := o.gTerm.Data[i0:i1], o.gPrev.Data[i0:i1], o.velocity.Data[i0:i1]
 			var maxV float64
 			for j, gj := range g {
 				vj := gj
 				if lambda != 0 {
 					vj = gj + lambda*v[j]
 				}
-				if cw > 0 {
-					// Mean-curvature smoothing: ψ_t += w·κ|∇ψ| erodes
-					// high-curvature protrusions (κ > 0 on convex
-					// contour segments for ψ < 0 inside).
-					vj += cw * (kappa[j] * gm[j])
-				}
 				gp[j] = gj
-				// Narrow-band restriction: freeze ψ away from the
-				// contour.
-				if band > 0 && (psi[j] > band || psi[j] < -band) {
-					vj = 0
-				}
 				v[j] = vj
 				if a := math.Abs(vj); a > maxV {
 					maxV = a

@@ -13,8 +13,8 @@ import (
 // The unfused level-set tail, kept as the reference the fused sweeps of
 // tail.go are checked against: the whole-field stencils, the Hadamard
 // product, the field-based PRP coefficient, the velocity update and its
-// restart dot, the curvature term, the narrow band and MaxAbs, each a
-// separate serial pass in the original order.
+// restart dot and MaxAbs, each a separate serial pass in the original
+// order.
 
 // refGradMag is the reference central-difference |∇ψ|.
 func refGradMag(dst, psi *grid.Field) {
@@ -43,60 +43,6 @@ func refGradMag(dst, psi *grid.Field) {
 	}
 }
 
-// refGradMagUpwind is the reference Godunov upwind |∇ψ|.
-func refGradMagUpwind(dst, psi, v *grid.Field) {
-	w, h := psi.W, psi.H
-	at := func(x, y int) float64 {
-		x = min(max(x, 0), w-1)
-		y = min(max(y, 0), h-1)
-		return psi.At(x, y)
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := psi.At(x, y)
-			dxm := c - at(x-1, y)
-			dxp := at(x+1, y) - c
-			dym := c - at(x, y-1)
-			dyp := at(x, y+1) - c
-			var gx2, gy2 float64
-			if v.At(x, y) > 0 {
-				a := math.Max(dxm, 0)
-				b := math.Min(dxp, 0)
-				gx2 = math.Max(a*a, b*b)
-				a = math.Max(dym, 0)
-				b = math.Min(dyp, 0)
-				gy2 = math.Max(a*a, b*b)
-			} else {
-				a := math.Min(dxm, 0)
-				b := math.Max(dxp, 0)
-				gx2 = math.Max(a*a, b*b)
-				a = math.Min(dym, 0)
-				b = math.Max(dyp, 0)
-				gy2 = math.Max(a*a, b*b)
-			}
-			dst.Set(x, y, math.Sqrt(gx2+gy2))
-		}
-	}
-}
-
-// refCurvature is the reference mean curvature, 0 on the border.
-func refCurvature(dst, psi *grid.Field) {
-	w, h := psi.W, psi.H
-	dst.Zero()
-	const eps = 1e-12
-	for y := 1; y < h-1; y++ {
-		for x := 1; x < w-1; x++ {
-			px := 0.5 * (psi.At(x+1, y) - psi.At(x-1, y))
-			py := 0.5 * (psi.At(x, y+1) - psi.At(x, y-1))
-			pxx := psi.At(x+1, y) - 2*psi.At(x, y) + psi.At(x-1, y)
-			pyy := psi.At(x, y+1) - 2*psi.At(x, y) + psi.At(x, y-1)
-			pxy := 0.25 * (psi.At(x+1, y+1) - psi.At(x+1, y-1) - psi.At(x-1, y+1) + psi.At(x-1, y-1))
-			den := math.Pow(px*px+py*py+eps, 1.5)
-			dst.Set(x, y, (pxx*py*py-2*px*py*pxy+pyy*px*px)/den)
-		}
-	}
-}
-
 // refPRP is the reference field-based PRP+ coefficient.
 func refPRP(g, gPrev *grid.Field) float64 {
 	den := gPrev.Norm2()
@@ -121,17 +67,13 @@ type refTail struct {
 // takes the λ under test instead (useLambda, before the restart test),
 // so the per-pixel fields must match the fused sweeps exactly while the
 // two λ are compared within a bound.
-func referenceTail(psi, G, gPrev, vPrev *grid.Field, opts Options, withPrev bool, useLambda float64) refTail {
+func referenceTail(psi, G, gPrev, vPrev *grid.Field, withPrev bool, useLambda float64) refTail {
 	n := psi.W
 	r := refTail{
 		gmag: grid.NewField(n, n), gTerm: grid.NewField(n, n),
 		gPrev: gPrev.Clone(), velocity: vPrev.Clone(),
 	}
-	if opts.UseUpwind {
-		refGradMagUpwind(r.gmag, psi, G)
-	} else {
-		refGradMag(r.gmag, psi)
-	}
+	refGradMag(r.gmag, psi)
 	r.gTerm.Mul(G, r.gmag)
 
 	restart := func(lambda float64) float64 {
@@ -159,20 +101,7 @@ func referenceTail(psi, G, gPrev, vPrev *grid.Field, opts Options, withPrev bool
 			r.velocity.Data[j] = r.gTerm.Data[j] + lambda*r.velocity.Data[j]
 		}
 	}
-	if opts.CurvatureWeight > 0 {
-		curv := grid.NewField(n, n)
-		refCurvature(curv, psi)
-		curv.Mul(curv, r.gmag)
-		r.velocity.AddScaled(curv, opts.CurvatureWeight)
-	}
 	r.gPrev.CopyFrom(r.gTerm)
-	if band := opts.BandWidthPx; band > 0 {
-		for j, p := range psi.Data {
-			if p > band || p < -band {
-				r.velocity.Data[j] = 0
-			}
-		}
-	}
 	r.maxV = r.velocity.MaxAbs()
 	r.gNorm = r.gTerm.Norm()
 	return r
@@ -226,13 +155,7 @@ func TestFusedTailMatchesReference(t *testing.T) {
 	}{
 		{"cg off", func(o *Options) { o.UseCG = false }, false, false},
 		{"cg on", func(*Options) {}, true, false},
-		{"upwind", func(o *Options) { o.UseUpwind = true }, true, false},
-		{"curvature", func(o *Options) { o.CurvatureWeight = 0.05 }, true, false},
-		{"band", func(o *Options) { o.BandWidthPx = 4 }, true, false},
 		{"forced restart", func(*Options) {}, true, true},
-		{"all", func(o *Options) {
-			o.UseUpwind, o.CurvatureWeight, o.BandWidthPx = true, 0.05, 4
-		}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
@@ -262,7 +185,7 @@ func TestFusedTailMatchesReference(t *testing.T) {
 				o.velocity.CopyFrom(vPrev)
 				lambda := o.velocityFromGradient(tc.withPrev)
 
-				ref := referenceTail(psi, G, gPrev, vPrev, opts, tc.withPrev, lambda)
+				ref := referenceTail(psi, G, gPrev, vPrev, tc.withPrev, lambda)
 				label := tc.name + "/" + eng.Name()
 				fieldsIdentical(t, label+" |∇ψ|", o.gmag, ref.gmag)
 				fieldsIdentical(t, label+" g", o.gTerm, ref.gTerm)
@@ -300,9 +223,6 @@ func TestEngineEquivalentRunsReducedGrid(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 6
 	opts.ReinitEvery = 2
-	opts.UseUpwind = true
-	opts.CurvatureWeight = 0.05
-	opts.BandWidthPx = 6
 	target := crossTarget(n)
 	run := func(workers int) *Result {
 		cfg := litho.DefaultConfig(n, 8)

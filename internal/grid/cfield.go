@@ -24,15 +24,6 @@ func NewCField(w, h int) *CField {
 // NewCFieldLike allocates a zero complex field shaped like c.
 func NewCFieldLike(c *CField) *CField { return NewCField(c.W, c.H) }
 
-// Reshape reinterprets the field's backing storage as w×h. The element
-// count must match the current storage exactly (see Field.Reshape).
-func (c *CField) Reshape(w, h int) {
-	if w <= 0 || h <= 0 || w*h != len(c.Data) {
-		panic(fmt.Sprintf("grid: Reshape %dx%d does not match storage %d", w, h, len(c.Data)))
-	}
-	c.W, c.H = w, h
-}
-
 // Clone returns a deep copy of c.
 func (c *CField) Clone() *CField {
 	g := NewCField(c.W, c.H)

@@ -44,17 +44,6 @@ func FieldFromData(w, h int, data []float64) *Field {
 	return &Field{W: w, H: h, Data: data}
 }
 
-// Reshape reinterprets the field's backing storage as w×h. The element
-// count must match the current storage exactly — this is the pool hook
-// that lets area-keyed free lists serve any same-area shape without
-// reallocating.
-func (f *Field) Reshape(w, h int) {
-	if w <= 0 || h <= 0 || w*h != len(f.Data) {
-		panic(fmt.Sprintf("grid: Reshape %dx%d does not match storage %d", w, h, len(f.Data)))
-	}
-	f.W, f.H = w, h
-}
-
 // Clone returns a deep copy of f.
 func (f *Field) Clone() *Field {
 	g := NewField(f.W, f.H)

@@ -13,37 +13,36 @@ import (
 // and takes the exact pixel-grid EDT), FMM seeds the front from the
 // *sub-pixel* zero crossings interpolated along grid edges, so a contour
 // sitting between pixels stays between pixels across reinitialisations.
-// Cost is O(N log N). Returns the new ψ; see FMM.ReinitializeInto for
-// the allocation-free form.
+// Cost is O(N log N). Returns the new ψ.
 func ReinitializeFMM(psi *grid.Field) *grid.Field {
 	out := grid.NewFieldLike(psi)
-	NewFMM(psi.W, psi.H).ReinitializeInto(out, psi)
+	newFMM(psi.W, psi.H).reinitializeInto(out, psi)
 	return out
 }
 
-// FMM is the fast marching method's workspace for w×h fields: the
+// fmm is the fast marching method's workspace for w×h fields: the
 // unsigned distances, the marching states and the trial heap, allocated
 // once so a caller holding one reinitialises without allocating.
 //
-// An FMM is NOT safe for concurrent use.
-type FMM struct {
+// An fmm is NOT safe for concurrent use.
+type fmm struct {
 	w, h  int
 	dist  []float64 // unsigned distance to the interface
 	state []byte    // 0 far, 1 trial, 2 accepted
 	pq    pixelHeap
 }
 
-// NewFMM returns the workspace for w×h fields. The trial heap holds at
+// newFMM returns the workspace for w×h fields. The trial heap holds at
 // most a few entries per front pixel; one grid's worth of capacity keeps
 // it from ever regrowing in practice.
-func NewFMM(w, h int) *FMM {
-	return &FMM{w: w, h: h, dist: make([]float64, w*h), state: make([]byte, w*h), pq: make(pixelHeap, 0, w*h)}
+func newFMM(w, h int) *fmm {
+	return &fmm{w: w, h: h, dist: make([]float64, w*h), state: make([]byte, w*h), pq: make(pixelHeap, 0, w*h)}
 }
 
-// ReinitializeInto writes ReinitializeFMM(psi) into dst, bit for bit.
+// reinitializeInto writes ReinitializeFMM(psi) into dst, bit for bit.
 // dst may be psi itself: ψ is read only until the last pass, which
 // reads each pixel just before overwriting it.
-func (f *FMM) ReinitializeInto(dst, psi *grid.Field) {
+func (f *fmm) reinitializeInto(dst, psi *grid.Field) {
 	w, h := f.w, f.h
 	if psi.W != w || psi.H != h || dst.W != w || dst.H != h {
 		panic(fmt.Sprintf("levelset: %dx%d FMM given fields %dx%d and %dx%d", w, h, dst.W, dst.H, psi.W, psi.H))

@@ -158,11 +158,11 @@ func fmmFields(n int) map[string]*grid.Field {
 // the container/heap reference bit for bit.
 func TestFMMTypedHeapMatchesContainerHeap(t *testing.T) {
 	for _, n := range []int{17, 48, 96} {
-		f := NewFMM(n, n)
+		f := newFMM(n, n)
 		for name, psi := range fmmFields(n) {
 			want := reinitializeFMMBoxed(psi)
 			inPlace := psi.Clone()
-			f.ReinitializeInto(inPlace, inPlace)
+			f.reinitializeInto(inPlace, inPlace)
 			for form, got := range map[string]*grid.Field{"ReinitializeFMM": ReinitializeFMM(psi), "in place": inPlace} {
 				for i := range want.Data {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
@@ -189,9 +189,9 @@ func TestFMMAllocationsIndependentOfGrid(t *testing.T) {
 		if avg := testing.AllocsPerRun(3, func() { ReinitializeFMM(psi) }); avg > bound {
 			t.Fatalf("n=%d: ReinitializeFMM allocates %.0f objects/op, want ≤ %d", n, avg, bound)
 		}
-		f, dst := NewFMM(n, n), grid.NewField(n, n)
-		if avg := testing.AllocsPerRun(3, func() { f.ReinitializeInto(dst, psi) }); avg != 0 {
-			t.Fatalf("n=%d: FMM.ReinitializeInto allocates %.0f objects/op, want 0", n, avg)
+		f, dst := newFMM(n, n), grid.NewField(n, n)
+		if avg := testing.AllocsPerRun(3, func() { f.reinitializeInto(dst, psi) }); avg != 0 {
+			t.Fatalf("n=%d: fmm.reinitializeInto allocates %.0f objects/op, want 0", n, avg)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package levelset provides the level-set machinery of the paper's §III:
 // the signed-distance representation of the mask contour (Eq. 5), the
-// mask extraction rule (Eq. 6), gradient-magnitude stencils for the
-// evolution velocity (Eq. 10), the CFL-limited time step of Algorithm 1,
-// and periodic reinitialisation back to a signed distance function.
+// mask extraction rule (Eq. 6), the central-difference gradient
+// magnitude of the evolution velocity (Eq. 10), the CFL-limited time
+// step of Algorithm 1, and periodic reinitialisation back to a signed
+// distance function.
 //
 // Distances are measured in pixels (the simulation grid's natural unit);
 // a proper SDF then has |∇ψ| ≈ 1, which keeps the velocity scaling of
@@ -248,57 +249,6 @@ func GradMagRows(dst, psi *grid.Field, y0, y1 int) {
 	}
 }
 
-// GradMagUpwind computes the Godunov upwind gradient magnitude for the
-// Hamilton–Jacobi advection ψ_t + v|∇ψ| = 0, selecting one-sided
-// differences by the sign of the speed field v at each pixel. This is
-// the numerically stable stencil for strong velocities; the paper's
-// Eq. 10 uses the plain magnitude, which GradMag provides.
-func GradMagUpwind(dst, psi, v *grid.Field) { GradMagUpwindRows(dst, psi, v, 0, psi.H) }
-
-// GradMagUpwindRows is GradMagUpwind for the rows [y0, y1) of dst only,
-// with GradMagRows' contract: ψ is read one row beyond the range and
-// nothing outside it is written.
-func GradMagUpwindRows(dst, psi, v *grid.Field, y0, y1 int) {
-	w, h := psi.W, psi.H
-	for y := y0; y < y1; y++ {
-		row, out, speed := psi.Row(y), dst.Row(y), v.Row(y)
-		// Borders replicate the edge pixel, so their outward one-sided
-		// difference is exactly zero.
-		up, down := psi.Row(max(y-1, 0)), psi.Row(min(y+1, h-1))
-		for x := 0; x < w; x++ {
-			c := row[x]
-			dxm := c - row[max(x-1, 0)] // backward
-			dxp := row[min(x+1, w-1)] - c
-			dym := c - up[x]
-			dyp := down[x] - c
-			out[x] = upwindMag(dxm, dxp, dym, dyp, speed[x] > 0)
-		}
-	}
-}
-
-// upwindMag is the Godunov upwind |∇ψ| of one pixel from its backward
-// and forward differences along x and y.
-func upwindMag(dxm, dxp, dym, dyp float64, outward bool) float64 {
-	var gx2, gy2 float64
-	if outward {
-		// Front moves outward: use max(dxm,0), min(dxp,0).
-		a := math.Max(dxm, 0)
-		b := math.Min(dxp, 0)
-		gx2 = math.Max(a*a, b*b)
-		a = math.Max(dym, 0)
-		b = math.Min(dyp, 0)
-		gy2 = math.Max(a*a, b*b)
-	} else {
-		a := math.Min(dxm, 0)
-		b := math.Max(dxp, 0)
-		gx2 = math.Max(a*a, b*b)
-		a = math.Min(dym, 0)
-		b = math.Max(dyp, 0)
-		gy2 = math.Max(a*a, b*b)
-	}
-	return math.Sqrt(gx2 + gy2)
-}
-
 // TimeStep returns the CFL-limited step Δt = λ_t / max|v| (Algorithm 1,
 // line 5) given maxAbs = max|v|. It returns 0 when the velocity is
 // identically zero, which callers treat as convergence.
@@ -323,34 +273,4 @@ func Reinitialize(psi *grid.Field) *grid.Field {
 	dst := grid.NewFieldLike(psi)
 	NewEDT(psi.W, psi.H, nil).ReinitializeInto(dst, grid.NewFieldLike(psi), psi)
 	return dst
-}
-
-// Curvature computes the mean curvature κ = div(∇ψ/|∇ψ|) with central
-// differences, used by the optional contour-smoothing regulariser.
-// Border pixels get 0.
-func Curvature(dst, psi *grid.Field) { CurvatureRows(dst, psi, 0, psi.H) }
-
-// CurvatureRows is Curvature for the rows [y0, y1) of dst only, with
-// GradMagRows' contract.
-func CurvatureRows(dst, psi *grid.Field, y0, y1 int) {
-	w, h := psi.W, psi.H
-	const eps = 1e-12
-	for y := y0; y < y1; y++ {
-		out := dst.Row(y)
-		if y == 0 || y == h-1 {
-			clear(out)
-			continue
-		}
-		up, row, down := psi.Row(y-1), psi.Row(y), psi.Row(y+1)
-		out[0], out[w-1] = 0, 0
-		for x := 1; x < w-1; x++ {
-			px := 0.5 * (row[x+1] - row[x-1])
-			py := 0.5 * (down[x] - up[x])
-			pxx := row[x+1] - 2*row[x] + row[x-1]
-			pyy := down[x] - 2*row[x] + up[x]
-			pxy := 0.25 * (down[x+1] - up[x+1] - down[x-1] + up[x-1])
-			den := math.Pow(px*px+py*py+eps, 1.5)
-			out[x] = (pxx*py*py - 2*px*py*pxy + pyy*px*px) / den
-		}
-	}
 }

@@ -216,55 +216,6 @@ func TestGradMagLinearRamp(t *testing.T) {
 	}
 }
 
-func TestGradMagUpwindRamp(t *testing.T) {
-	const n = 16
-	psi := grid.NewField(n, n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			psi.Set(x, y, float64(x))
-		}
-	}
-	v := grid.NewField(n, n)
-	g := grid.NewField(n, n)
-	// For a smooth ramp both upwind directions see slope 1 in the
-	// interior regardless of velocity sign.
-	v.Fill(1)
-	GradMagUpwind(g, psi, v)
-	if math.Abs(g.At(8, 8)-1) > 1e-12 {
-		t.Fatalf("upwind(+) interior = %g", g.At(8, 8))
-	}
-	v.Fill(-1)
-	GradMagUpwind(g, psi, v)
-	if math.Abs(g.At(8, 8)-1) > 1e-12 {
-		t.Fatalf("upwind(-) interior = %g", g.At(8, 8))
-	}
-}
-
-func TestGradMagUpwindSelectsStableSide(t *testing.T) {
-	// At a kink (|x - 8| shape), the Godunov scheme with positive
-	// velocity (expanding front) picks the larger one-sided slope at the
-	// ridge; with negative velocity it sees the rarefaction (zero).
-	const n = 17
-	psi := grid.NewField(n, n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			psi.Set(x, y, math.Abs(float64(x-8)))
-		}
-	}
-	v := grid.NewField(n, n)
-	g := grid.NewField(n, n)
-	v.Fill(1)
-	GradMagUpwind(g, psi, v)
-	if g.At(8, 8) > 1e-12 {
-		t.Fatalf("expanding front at valley = %g, want 0 (rarefaction)", g.At(8, 8))
-	}
-	v.Fill(-1)
-	GradMagUpwind(g, psi, v)
-	if math.Abs(g.At(8, 8)-1) > 1e-12 {
-		t.Fatalf("contracting front at valley = %g, want 1", g.At(8, 8))
-	}
-}
-
 func TestTimeStepCFL(t *testing.T) {
 	v := grid.NewField(4, 4)
 	v.Set(1, 1, -5)
@@ -350,35 +301,5 @@ func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 				t.Fatalf("%s pixel %d: SignedDistanceInto %g, SignedDistance %g", eng.Name(), i, sd.Data[i], want.Data[i])
 			}
 		}
-	}
-}
-
-func TestCurvatureSigns(t *testing.T) {
-	const n = 64
-	// SDF of a disc: curvature of level sets is positive (1/r) for the
-	// convention ψ<0 inside.
-	psi := grid.NewField(n, n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			r := math.Hypot(float64(x-32), float64(y-32))
-			psi.Set(x, y, r-12)
-		}
-	}
-	k := grid.NewField(n, n)
-	Curvature(k, psi)
-	// On the contour (r = 12), κ ≈ 1/12.
-	if got := k.At(32+12, 32); math.Abs(got-1.0/12) > 0.02 {
-		t.Fatalf("disc curvature = %g, want ≈ %g", got, 1.0/12)
-	}
-	// A straight edge has zero curvature.
-	flat := grid.NewField(n, n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			flat.Set(x, y, float64(x-20))
-		}
-	}
-	Curvature(k, flat)
-	if math.Abs(k.At(20, 32)) > 1e-9 {
-		t.Fatalf("straight-edge curvature = %g", k.At(20, 32))
 	}
 }

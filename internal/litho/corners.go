@@ -69,7 +69,7 @@ func (s *Simulator) stageSlots() {
 
 // planes returns one full-grid real field per staged bank, leased from
 // the session's pool on first use (Release returns them). A plane holds
-// the bank's blurred unit-dose aerial image, then its resist
+// the bank's unit-dose aerial image, then its resist
 // sensitivity W, then (plane 0) the gradient's real output.
 func (s *Simulator) planes() []*grid.Field {
 	n := s.GridSize()
@@ -80,8 +80,7 @@ func (s *Simulator) planes() []*grid.Field {
 }
 
 // socs computes every staged bank's unit-dose aerial image
-// Σ_k μ_k |h_k ⊗ M|² into dsts, blurred by the resist diffusion: all
-// banks' kernel products are materialised and inverse-transformed by one
+// Σ_k μ_k |h_k ⊗ M|² into dsts: all banks' kernel products are materialised and inverse-transformed by one
 // batched banded FFT on the reduced grid, then per bank the SOCS sum is
 // reduced and, on a reduced grid, upsampled to the full grid (band 2r).
 // The fields E_k stay in the batch for the adjoint.
@@ -101,7 +100,6 @@ func (s *Simulator) socs(dsts []*grid.Field, maskSpec *grid.CField) {
 			s.reduceAbsSq(s.smallReal, bf, bank)
 			s.upsample(dsts[b], s.smallReal, 2*s.radius)
 		}
-		s.blurInPlace(dsts[b])
 	}
 }
 
@@ -226,8 +224,8 @@ func (s *Simulator) sensScale(cond Condition, weight float64) float64 {
 // adjoint runs the adjoint half of Eq. 11 for every staged bank and adds
 // the result into grad. It needs the bank's E_k in the kernel batch, as
 // socs leaves them, and each bank's resist sensitivity W in its plane.
-// Per bank W is blurred and, on a reduced grid, enters through its
-// band-2r samples there (the only part the bins the adjoint reads
+// Per bank W, on a reduced grid, enters through its band-2r samples
+// there (the only part the bins the adjoint reads
 // depend on). One engine sweep then turns every field into
 // W ⊙ conj(E_k), one batched output-pruned forward FFT gives their
 // spectra, and every kernel flip-multiplies into the one full-grid
@@ -240,7 +238,6 @@ func (s *Simulator) adjoint(grad *grid.Field) {
 	planes := s.planes()
 	s.opWs = s.opWs[:0]
 	for b := range s.banks {
-		s.blurInPlace(planes[b])
 		w := planes[b]
 		if s.m < s.GridSize() {
 			for len(s.lowW) <= b {

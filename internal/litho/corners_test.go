@@ -13,21 +13,17 @@ import (
 // groupPath is one execution path of the forward+adjoint model: the
 // per-kernel fields on the full grid (a 64 px / 32 nm grid, whose 2048 nm
 // field puts the kernel band beyond any smaller grid) or on a reduced
-// grid (128 px / 8 nm: a 1024 nm field, r = 15, m = 64), with or without
-// resist diffusion.
+// grid (128 px / 8 nm: a 1024 nm field, r = 15, m = 64).
 type groupPath struct {
-	name      string
-	n         int
-	pixelNM   float64
-	reduced   bool
-	diffusion float64
+	name    string
+	n       int
+	pixelNM float64
+	reduced bool
 }
 
 var groupPaths = []groupPath{
 	{name: "f64-full", n: 64, pixelNM: 32},
-	{name: "f64-full-diffusion", n: 64, pixelNM: 32, diffusion: 40},
 	{name: "f64-reduced", n: 128, pixelNM: 8, reduced: true},
-	{name: "f64-reduced-diffusion", n: 128, pixelNM: 8, reduced: true, diffusion: 40},
 }
 
 // relErr returns ‖a−b‖ / ‖a‖ (0 when both are zero).
@@ -50,7 +46,6 @@ func groupSim(t *testing.T, p groupPath) *Simulator {
 	t.Helper()
 	cfg := DefaultConfig(p.n, p.pixelNM)
 	cfg.Optics.Kernels = 4
-	cfg.DiffusionNM = p.diffusion
 	s, err := NewSimulator(cfg, engine.New("group-test", 3))
 	if err != nil {
 		t.Fatal(err)

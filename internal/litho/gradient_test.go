@@ -7,9 +7,9 @@ import (
 )
 
 // GradientInto is the unfused reference gradient the equivalence,
-// fused, diffusion and linearity tests compare the corner-set calls
-// with. It accumulates the Jacobian of L = ‖R − R*‖² with respect to
-// the mask at one corner (Eq. 11) into grad, scaled by weight:
+// fused and linearity tests compare the corner-set calls with. It
+// accumulates the Jacobian of L = ‖R − R*‖² with respect to the mask at
+// one corner (Eq. 11) into grad, scaled by weight:
 //
 //	grad += weight · ∂‖R(cond) − target‖²/∂M.
 //

@@ -81,11 +81,6 @@ type Config struct {
 	Steepness float64 // sigmoid steepness s (Eq. 8)
 	DefocusNM float64 // focus excursion for the inner corner (contest: 25)
 	DoseVar   float64 // fractional dose excursion (contest: 0.02)
-	// DiffusionNM is the resist acid-diffusion length (Gaussian blur σ
-	// applied to the aerial image before the resist threshold). 0
-	// disables it and reproduces the paper's pure constant-threshold
-	// model.
-	DiffusionNM float64
 }
 
 // DefaultConfig returns the ICCAD 2013 contest parameters at the given
@@ -114,8 +109,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("litho: defocus must be non-negative, got %g", c.DefocusNM)
 	case c.DoseVar < 0 || c.DoseVar >= 1:
 		return fmt.Errorf("litho: dose variation must be in [0,1), got %g", c.DoseVar)
-	case c.DiffusionNM < 0:
-		return fmt.Errorf("litho: diffusion length must be ≥ 0, got %g", c.DiffusionNM)
 	}
 	return nil
 }
@@ -163,11 +156,6 @@ type Simulator struct {
 
 	batchScratch *grid.CField // backs batch's per-worker column buffers
 	smallScratch *grid.CField // backs small's column buffers; nil when m == N
-
-	// Resist diffusion (see diffusion.go); nil when disabled. The
-	// spectrum is shared read-only through the bank's target cache.
-	diffusion   *grid.Field
-	blurScratch *grid.CField
 
 	// The staged corner set of the current call (corners.go): its
 	// distinct banks, each corner's bank index, one batch slot per
@@ -287,17 +275,6 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 		s.smallReal = pool.Field(m, m)
 		s.smallSpec = pool.CField(m, m)
 	}
-	if cfg.DiffusionNM > 0 {
-		d, err := res.Target(diffusionKey{pixelNM: cfg.Optics.PixelNM, sigmaNM: cfg.DiffusionNM},
-			func() (*grid.Field, error) {
-				return diffusionSpectrum(n, cfg.Optics.PixelNM, cfg.DiffusionNM), nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		s.diffusion = d
-		s.blurScratch = pool.CField(n, n)
-	}
 	s.bindBodies()
 	return s, nil
 }
@@ -402,11 +379,9 @@ func (s *Simulator) Release() {
 	p.PutCField(s.smallSpec)
 	p.PutCField(s.batchScratch)
 	p.PutCField(s.smallScratch)
-	p.PutCField(s.blurScratch)
-	s.accum, s.blurScratch = nil, nil
+	s.accum = nil
 	s.fields, s.plane, s.lowW = nil, nil, nil
 	s.single[0] = nil
-	s.diffusion = nil
 	s.smallReal, s.smallSpec = nil, nil
 	s.batchScratch, s.smallScratch = nil, nil
 	s.batch, s.small = nil, nil
@@ -532,7 +507,6 @@ func (s *Simulator) AerialFast(dst *grid.Field, maskSpec *grid.CField, cond Cond
 	s.single[0] = s.accum
 	s.batch.BatchInverseBanded(s.single[:], bank.Combined.R)
 	s.accum.AbsSqInto(dst)
-	s.blurInPlace(dst)
 	if dose := s.Dose(cond); dose != 1 {
 		dst.Scale(dst, dose)
 	}

@@ -25,7 +25,7 @@ import (
 // the bound leaves three decades for rounding.
 const reducedTol = 1e-12
 
-// referenceAerial returns the undosed, unblurred SOCS intensity
+// referenceAerial returns the undosed SOCS intensity
 // Σ_k μ_k |IFFT(spec_k ⊙ M̂)|² on the full grid.
 func referenceAerial(bank *optics.Bank, maskSpec *grid.CField) *grid.Field {
 	n := maskSpec.W
@@ -90,7 +90,6 @@ func checkAgainstReference(t testing.TB, label string, s *Simulator, mask, targe
 		t.Fatal(err)
 	}
 	ref := referenceAerial(bank, refSpec)
-	s.blurInPlace(ref)
 	check("aerial at 10 nm defocus", ref, got)
 
 	for _, cond := range AllConditions {
@@ -99,7 +98,6 @@ func checkAgainstReference(t testing.TB, label string, s *Simulator, mask, targe
 		s.ForwardAndGradient(grad, spec, cond, target, out, 0.7)
 
 		ref := referenceAerial(s.Bank(cond), refSpec)
-		s.blurInPlace(ref)
 		ref.Scale(ref, s.Dose(cond))
 		check(cond.String()+" aerial", ref, out.Aerial)
 
@@ -112,7 +110,6 @@ func checkAgainstReference(t testing.TB, label string, s *Simulator, mask, targe
 		for i, rv := range r.Data {
 			w.Data[i] = c * (rv - target.Data[i]) * rv * (1 - rv)
 		}
-		s.blurInPlace(w)
 		refGrad := referenceGradient(s.Bank(cond), refSpec, w)
 		refGrad.Scale(refGrad, 0.7)
 		check(cond.String()+" gradient", refGrad, grad)
@@ -121,8 +118,8 @@ func checkAgainstReference(t testing.TB, label string, s *Simulator, mask, targe
 
 // TestReducedMatchesDenseReference runs the reduced per-kernel grid at
 // the fast preset's scale — B4 at 512 px / 4 nm, K = 8, m = 128 — and on
-// the 128 px / 8 nm test grid (m = 64, with and without resist
-// diffusion) against the dense full-grid reference.
+// the 128 px / 8 nm test grid (m = 64) against the dense full-grid
+// reference.
 func TestReducedMatchesDenseReference(t *testing.T) {
 	layout, err := layouts.ByID("B4")
 	if err != nil {
@@ -137,20 +134,17 @@ func TestReducedMatchesDenseReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name      string
-		n         int
-		pixelNM   float64
-		kernels   int
-		diffusion float64
-		mask      *grid.Field
+		name    string
+		n       int
+		pixelNM float64
+		kernels int
+		mask    *grid.Field
 	}{
-		{"B4 512px", 512, 4, 8, 0, b4},
-		{"128px", 128, 8, 4, 0, randomMask(128, 5)},
-		{"128px diffusion", 128, 8, 4, 40, randomMask(128, 6)},
+		{"B4 512px", 512, 4, 8, b4},
+		{"128px", 128, 8, 4, randomMask(128, 5)},
 	} {
 		cfg := DefaultConfig(tc.n, tc.pixelNM)
 		cfg.Optics.Kernels = tc.kernels
-		cfg.DiffusionNM = tc.diffusion
 		s, err := NewSimulator(cfg, engine.New("reference-test", 2))
 		if err != nil {
 			t.Fatal(err)

@@ -68,6 +68,10 @@ func (v Variant) String() string {
 // Variants lists all baselines in Table I column order.
 var Variants = []Variant{MosaicFast, MosaicExact, RobustOPC, PVOPC}
 
+// nominalPhase is the fraction of iterations PVOPC spends in its
+// nominal-only first phase.
+const nominalPhase = 0.6
+
 // Options configures a baseline run. DefaultOptions(v) reproduces each
 // paper's schedule shape.
 type Options struct {
@@ -76,9 +80,6 @@ type Options struct {
 	StepSize      float64 // θ move per iteration (pixels of sigmoid input)
 	MaskSteepness float64 // a in M = σ(a·θ)
 	PVBWeight     float64 // weight of the outer/inner corner terms
-	// NominalPhase is the fraction of iterations PVOPC spends in its
-	// nominal-only first phase.
-	NominalPhase float64
 	// CleanupTinyPx removes stains/pinholes smaller than this many
 	// pixels from the final binary mask (0 disables). Pixel-based ILT
 	// is the method family that needs it (paper §I).
@@ -116,7 +117,6 @@ func DefaultOptions(v Variant) Options {
 		StepSize:      0.4,
 		MaskSteepness: 4,
 		PVBWeight:     0.6,
-		NominalPhase:  0.6,
 	}
 	switch v {
 	case MosaicFast:
@@ -142,7 +142,6 @@ func (o Options) Validate() error {
 		{"StepSize", o.StepSize},
 		{"MaskSteepness", o.MaskSteepness},
 		{"PVBWeight", o.PVBWeight},
-		{"NominalPhase", o.NominalPhase},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("pixelilt: %s must be finite, got %g", f.name, f.v)
@@ -157,8 +156,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pixelilt: MaskSteepness must be positive, got %g", o.MaskSteepness)
 	case o.PVBWeight < 0:
 		return fmt.Errorf("pixelilt: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
-	case o.NominalPhase < 0 || o.NominalPhase > 1:
-		return fmt.Errorf("pixelilt: NominalPhase must be in [0,1], got %g", o.NominalPhase)
 	case o.CleanupTinyPx < 0:
 		return fmt.Errorf("pixelilt: CleanupTinyPx must be ≥ 0, got %d", o.CleanupTinyPx)
 	case o.MultiResFactor < 0:
@@ -220,7 +217,7 @@ func (o Options) cornerPlan(i int) ([]litho.Condition, []float64) {
 		w := (1 + o.PVBWeight) / 2
 		return []litho.Condition{litho.Outer, litho.Inner}, []float64{w, w}
 	case PVOPC:
-		if float64(i) < o.NominalPhase*float64(o.MaxIter) {
+		if float64(i) < nominalPhase*float64(o.MaxIter) {
 			return []litho.Condition{litho.Nominal}, []float64{1}
 		}
 		return []litho.Condition{litho.Nominal, litho.Outer, litho.Inner},

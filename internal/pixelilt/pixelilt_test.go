@@ -67,15 +67,12 @@ func TestOptionsValidateRejects(t *testing.T) {
 		func(o *Options) { o.StepSize = 0 },
 		func(o *Options) { o.MaskSteepness = -1 },
 		func(o *Options) { o.PVBWeight = -1 },
-		func(o *Options) { o.NominalPhase = 1.5 },
 		func(o *Options) { o.StepSize = math.NaN() },
 		func(o *Options) { o.StepSize = math.Inf(1) },
 		func(o *Options) { o.MaskSteepness = math.NaN() },
 		func(o *Options) { o.MaskSteepness = math.Inf(1) },
 		func(o *Options) { o.PVBWeight = math.NaN() },
 		func(o *Options) { o.PVBWeight = math.Inf(1) },
-		func(o *Options) { o.NominalPhase = math.NaN() },
-		func(o *Options) { o.NominalPhase = math.Inf(-1) },
 	}
 	for i, mut := range bad {
 		o := DefaultOptions(MosaicExact)

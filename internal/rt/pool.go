@@ -59,16 +59,19 @@ type dims struct{ w, h int }
 // multi-resolution sessions interleave leases at several grid sizes, and
 // a shape-exact key guarantees a released coarse-grid buffer serves the
 // next coarse-grid lease directly instead of being found (or missed)
-// through an area collision. Backing storage is held through sync.Pool,
-// so memory pressure can reclaim idle buffers between jobs.
+// through an area collision. A returned buffer stays on its list until
+// the next lease of its shape; the garbage collector never drops it, so
+// a warm session leases without allocating however often the collector
+// runs between its release and the next lease.
 //
 // A Pool is safe for concurrent use. The zero value is ready to use.
 type Pool struct {
-	fields  sync.Map // dims -> *sync.Pool of *grid.Field
-	cfields sync.Map // dims -> *sync.Pool of *grid.CField
+	mu      sync.Mutex
+	fields  map[dims][]*grid.Field
+	cfields map[dims][]*grid.CField
 
-	leases int64 // total leases served
-	reuses int64 // leases served from the free list
+	leases atomic.Int64 // total leases served
+	reuses atomic.Int64 // leases served from the free list
 }
 
 // NewPool returns an empty pool.
@@ -79,30 +82,49 @@ func NewPool() *Pool { return &Pool{} }
 // same preset recycle each other's scratch.
 var Shared = NewPool()
 
-func list(m *sync.Map, d dims) *sync.Pool {
-	if sp, ok := m.Load(d); ok {
-		return sp.(*sync.Pool)
+// take pops the most recently returned item of shape d from the free
+// lists *m, or returns nil when there is none. It counts the lease
+// either way.
+func take[T any](p *Pool, m *map[dims][]*T, d dims) *T {
+	p.leases.Add(1)
+	mLeases.Inc()
+	p.mu.Lock()
+	l := (*m)[d]
+	var v *T
+	if n := len(l); n > 0 {
+		v, l[n-1] = l[n-1], nil
+		(*m)[d] = l[:n-1]
 	}
-	sp, _ := m.LoadOrStore(d, &sync.Pool{})
-	return sp.(*sync.Pool)
+	p.mu.Unlock()
+	if v == nil {
+		mMisses.Inc()
+		return nil
+	}
+	p.reuses.Add(1)
+	mReuses.Inc()
+	return v
+}
+
+// give pushes v onto the free list of shape d in *m.
+func give[T any](p *Pool, m *map[dims][]*T, d dims, v *T) {
+	mReleases.Inc()
+	p.mu.Lock()
+	if *m == nil {
+		*m = make(map[dims][]*T)
+	}
+	(*m)[d] = append((*m)[d], v)
+	p.mu.Unlock()
 }
 
 // Field leases a zeroed w×h field.
 func (p *Pool) Field(w, h int) *grid.Field {
-	atomic.AddInt64(&p.leases, 1)
-	mLeases.Inc()
-	if v := list(&p.fields, dims{w, h}).Get(); v != nil {
-		atomic.AddInt64(&p.reuses, 1)
-		mReuses.Inc()
-		traceLease("field", w*h, true)
-		f := v.(*grid.Field)
-		f.Reshape(w, h)
-		f.Zero()
-		return f
+	f := take(p, &p.fields, dims{w, h})
+	traceLease("field", w*h, f != nil)
+	if f == nil {
+		return grid.NewField(w, h)
 	}
-	mMisses.Inc()
-	traceLease("field", w*h, false)
-	return grid.NewField(w, h)
+	f.Zero()
+	return f
 }
 
 // PutField returns a field to the free list. nil is ignored. The caller
@@ -111,27 +133,19 @@ func (p *Pool) PutField(f *grid.Field) {
 	if f == nil {
 		return
 	}
-	mReleases.Inc()
 	traceRelease("field", len(f.Data))
-	list(&p.fields, dims{f.W, f.H}).Put(f)
+	give(p, &p.fields, dims{f.W, f.H}, f)
 }
 
 // CField leases a zeroed w×h complex field.
 func (p *Pool) CField(w, h int) *grid.CField {
-	atomic.AddInt64(&p.leases, 1)
-	mLeases.Inc()
-	if v := list(&p.cfields, dims{w, h}).Get(); v != nil {
-		atomic.AddInt64(&p.reuses, 1)
-		mReuses.Inc()
-		traceLease("cfield", w*h, true)
-		c := v.(*grid.CField)
-		c.Reshape(w, h)
-		c.Zero()
-		return c
+	c := take(p, &p.cfields, dims{w, h})
+	traceLease("cfield", w*h, c != nil)
+	if c == nil {
+		return grid.NewCField(w, h)
 	}
-	mMisses.Inc()
-	traceLease("cfield", w*h, false)
-	return grid.NewCField(w, h)
+	c.Zero()
+	return c
 }
 
 // PutCField returns a complex field to the free list. nil is ignored.
@@ -140,13 +154,12 @@ func (p *Pool) PutCField(c *grid.CField) {
 	if c == nil {
 		return
 	}
-	mReleases.Inc()
 	traceRelease("cfield", len(c.Data))
-	list(&p.cfields, dims{c.W, c.H}).Put(c)
+	give(p, &p.cfields, dims{c.W, c.H}, c)
 }
 
 // Stats reports total leases and how many were served from the free
 // list (for tests and capacity diagnostics).
 func (p *Pool) Stats() (leases, reuses int64) {
-	return atomic.LoadInt64(&p.leases), atomic.LoadInt64(&p.reuses)
+	return p.leases.Load(), p.reuses.Load()
 }

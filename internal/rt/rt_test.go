@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,67 +12,70 @@ import (
 )
 
 func TestPoolFieldReuseAndZeroing(t *testing.T) {
-	// sync.Pool may drop any individual Put (it deliberately does so
-	// under the race detector), so reuse is asserted over many rounds
-	// rather than on one lease.
 	p := NewPool()
-	recycled := false
-	for round := 0; round < 100 && !recycled; round++ {
-		f := p.Field(8, 4)
-		if f.W != 8 || f.H != 4 {
-			t.Fatalf("leased shape %dx%d", f.W, f.H)
-		}
-		f.Fill(3.5)
-		p.PutField(f)
+	f := p.Field(8, 4)
+	if f.W != 8 || f.H != 4 {
+		t.Fatalf("leased shape %dx%d", f.W, f.H)
+	}
+	f.Fill(3.5)
+	p.PutField(f)
 
-		// Same dimensions: a recycled buffer must come back zeroed.
-		g := p.Field(8, 4)
-		if g.W != 8 || g.H != 4 {
-			t.Fatalf("lease %dx%d", g.W, g.H)
-		}
-		if &g.Data[0] == &f.Data[0] {
-			recycled = true
-			for i, v := range g.Data {
-				if v != 0 {
-					t.Fatalf("recycled field not zeroed at %d: %g", i, v)
-				}
-			}
-		}
-		p.PutField(g)
+	// Same dimensions: the recycled buffer must come back zeroed.
+	g := p.Field(8, 4)
+	if g.W != 8 || g.H != 4 {
+		t.Fatalf("lease %dx%d", g.W, g.H)
 	}
-	if !recycled {
-		t.Fatal("free list never recycled a buffer")
+	if &g.Data[0] != &f.Data[0] {
+		t.Fatal("free list did not recycle the returned buffer")
 	}
-	leases, reuses := p.Stats()
-	if reuses < 1 || reuses >= leases {
-		t.Fatalf("stats = %d leases / %d reuses", leases, reuses)
+	for i, v := range g.Data {
+		if v != 0 {
+			t.Fatalf("recycled field not zeroed at %d: %g", i, v)
+		}
+	}
+	if leases, reuses := p.Stats(); leases != 2 || reuses != 1 {
+		t.Fatalf("stats = %d leases / %d reuses, want 2 / 1", leases, reuses)
 	}
 }
 
 func TestPoolCFieldReuseAndZeroing(t *testing.T) {
 	p := NewPool()
-	recycled := false
-	for round := 0; round < 100 && !recycled; round++ {
-		c := p.CField(4, 4)
-		c.Data[5] = complex(1, 2)
-		p.PutCField(c)
+	c := p.CField(4, 4)
+	c.Data[5] = complex(1, 2)
+	p.PutCField(c)
 
-		d := p.CField(4, 4)
-		if d.W != 4 || d.H != 4 {
-			t.Fatalf("lease %dx%d", d.W, d.H)
-		}
-		if &d.Data[0] == &c.Data[0] {
-			recycled = true
-			for i, v := range d.Data {
-				if v != 0 {
-					t.Fatalf("recycled cfield not zeroed at %d: %v", i, v)
-				}
-			}
-		}
-		p.PutCField(d)
+	d := p.CField(4, 4)
+	if d.W != 4 || d.H != 4 {
+		t.Fatalf("lease %dx%d", d.W, d.H)
 	}
-	if !recycled {
-		t.Fatal("free list never recycled a buffer")
+	if &d.Data[0] != &c.Data[0] {
+		t.Fatal("free list did not recycle the returned buffer")
+	}
+	for i, v := range d.Data {
+		if v != 0 {
+			t.Fatalf("recycled cfield not zeroed at %d: %v", i, v)
+		}
+	}
+}
+
+// TestPoolKeepsBuffersAcrossGC: a returned buffer survives garbage
+// collections, so the next lease of its shape is a reuse, not a fresh
+// allocation.
+func TestPoolKeepsBuffersAcrossGC(t *testing.T) {
+	p := NewPool()
+	f, c := p.Field(32, 32), p.CField(32, 32)
+	p.PutField(f)
+	p.PutCField(c)
+	runtime.GC()
+	runtime.GC()
+	if g := p.Field(32, 32); &g.Data[0] != &f.Data[0] {
+		t.Fatal("field lease after GC allocated instead of reusing the returned buffer")
+	}
+	if d := p.CField(32, 32); &d.Data[0] != &c.Data[0] {
+		t.Fatal("cfield lease after GC allocated instead of reusing the returned buffer")
+	}
+	if leases, reuses := p.Stats(); leases != 4 || reuses != 2 {
+		t.Fatalf("stats = %d leases / %d reuses, want 4 / 2", leases, reuses)
 	}
 }
 

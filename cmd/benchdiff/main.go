@@ -1,17 +1,15 @@
-// Command benchdiff is the statistical perf-regression gate over the
-// BENCH_*.json artefacts cmd/benchjson writes. It aggregates each
-// benchmark's metric across the selected runs of two files (min-of-N by
-// default, median with -stat median), applies a noise-aware
-// relative-epsilon rule, and exits non-zero when any benchmark
-// regressed — so CI enforces the perf trajectory instead of archiving
-// it.
+// Command benchdiff is the perf-regression gate over the BENCH_*.json
+// artefacts cmd/benchjson writes. It takes each benchmark's minimum
+// ns_per_op across the selected runs of two files (min-of-N), applies a
+// relative-epsilon noise allowance, and exits non-zero when any
+// benchmark regressed — so CI enforces the perf trajectory instead of
+// archiving it.
 //
 // Usage:
 //
 //	benchdiff old.json new.json
-//	benchdiff -threshold 0.15 -stat median old.json new.json
-//	benchdiff -old-labels seed -new-labels after BENCH_batchfft.json BENCH_batchfft.json
-//	benchdiff -json old.json new.json
+//	benchdiff -old-labels baseline -new-labels multires BENCH_multires.json BENCH_multires.json
+//	benchdiff -old-labels monolithic -new-labels tiled -threshold 0.67 BENCH_tiled.json BENCH_tiled.json
 //	benchdiff -inflate 1.25 -o slow.json base.json   # CI fixture: synthetic slowdown
 //
 // Exit status: 0 = no regressions, 1 = at least one regression,
@@ -19,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,13 +27,9 @@ import (
 
 func main() {
 	var (
-		metric    = flag.String("metric", benchfmt.MetricNsPerOp, "measurement to compare: ns_per_op|bytes_per_op|allocs_per_op")
-		stat      = flag.String("stat", benchfmt.StatMin, "aggregate across runs: min|median")
 		oldLabels = flag.String("old-labels", "", "comma-separated run labels to use from the old file (default: all)")
 		newLabels = flag.String("new-labels", "", "comma-separated run labels to use from the new file (default: all)")
 		threshold = flag.Float64("threshold", 0.10, "relative noise allowance: regression when new > old*(1+threshold)")
-		minDelta  = flag.Float64("min-delta", 0, "absolute metric-unit floor below which a difference never regresses")
-		jsonOut   = flag.Bool("json", false, "emit the comparison as JSON")
 		quiet     = flag.Bool("q", false, "suppress the per-benchmark table (verdict line only)")
 		inflate   = flag.Float64("inflate", 0, "fixture mode: scale every metric of the input file by this factor and write it to -o")
 		inflOut   = flag.String("o", "", "output path for -inflate")
@@ -73,41 +66,29 @@ func main() {
 		fatal(err)
 	}
 	res, err := benchfmt.Compare(oldF, newF, benchfmt.CompareOptions{
-		Metric:    *metric,
-		Stat:      *stat,
 		OldLabels: splitLabels(*oldLabels),
 		NewLabels: splitLabels(*newLabels),
 		Threshold: *threshold,
-		MinDelta:  *minDelta,
 	})
 	if err != nil {
 		fatal(err)
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-	} else {
-		if !*quiet {
-			printTable(res)
-		}
-		verdict := "ok"
-		if res.Regressions > 0 {
-			verdict = fmt.Sprintf("%d regression(s)", res.Regressions)
-		}
-		fmt.Printf("benchdiff: %s (%s of %s, threshold +%.1f%%)\n",
-			verdict, res.Stat, res.Metric, 100*res.Threshold)
+	if !*quiet {
+		printTable(res)
 	}
+	verdict := "ok"
+	if res.Regressions > 0 {
+		verdict = fmt.Sprintf("%d regression(s)", res.Regressions)
+	}
+	fmt.Printf("benchdiff: %s (min of ns_per_op, threshold +%.1f%%)\n", verdict, 100*res.Threshold)
 	if res.Regressions > 0 {
 		os.Exit(1)
 	}
 }
 
 func printTable(res *benchfmt.Result) {
-	fmt.Printf("%-32s %14s %14s %8s\n", "benchmark", "old "+res.Metric, "new "+res.Metric, "ratio")
+	fmt.Printf("%-32s %14s %14s %8s\n", "benchmark", "old ns_per_op", "new ns_per_op", "ratio")
 	for _, d := range res.Deltas {
 		switch {
 		case d.OnlyOld:

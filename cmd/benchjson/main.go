@@ -1,14 +1,11 @@
-// Command benchjson runs the performance benchmarks behind the batched
-// FFT / concurrent-corner work and merges the results into a JSON
-// artefact (BENCH_batchfft.json by default), keyed by a run label so
-// before/after measurements live side by side:
+// Command benchjson measures the two A/B comparisons that cmd/benchdiff
+// gates and writes each into a JSON artefact under two fixed run labels:
 //
-//	go run ./cmd/benchjson -label after
-//	go run ./cmd/benchjson -label seed -o BENCH_batchfft.json
-//	go run ./cmd/benchjson -tiled        # full-chip monolithic vs tiled
+//	go run ./cmd/benchjson -multires   # BENCH_multires.json: baseline vs multires
+//	go run ./cmd/benchjson -tiled      # BENCH_tiled.json: monolithic vs tiled
 //
-// Each benchmark is executed with the standard testing.Benchmark driver,
-// so ns/op, B/op, and allocs/op match `go test -bench` output.
+// Each case is timed by testing.Benchmark, so ns/op, B/op, and
+// allocs/op match `go test -bench` output.
 package main
 
 import (
@@ -21,228 +18,121 @@ import (
 	"testing"
 	"time"
 
-	"lsopc"
 	"lsopc/internal/benchfmt"
-	"lsopc/internal/engine"
-	"lsopc/internal/experiments"
-	"lsopc/internal/fft"
-	"lsopc/internal/grid"
-	"lsopc/internal/litho"
 )
 
-// The artefact schema (File/Run/Measurement) lives in internal/benchfmt,
-// shared with cmd/benchdiff so the regression gate reads exactly what
-// this command writes.
-
 func main() {
-	out := flag.String("o", "", "output JSON file (merged in place)")
-	label := flag.String("label", "", "run label, e.g. seed or after (required)")
-	note := flag.String("note", "", "free-form note stored with the run")
+	out := flag.String("o", "", "output JSON file (merged in place; default BENCH_multires.json or BENCH_tiled.json)")
 	filter := flag.String("bench", "", "substring filter on benchmark names")
 	multires := flag.Bool("multires", false, "measure Table II per-case runtime, full-res float64 vs coarse-to-fine factor 2, float64 (BENCH_multires.json)")
 	tiled := flag.Bool("tiled", false, "measure full-chip runtime, monolithic window vs tiled overlap-halo optimization (BENCH_tiled.json)")
 	flag.Parse()
-	if *multires {
-		// Labels are fixed ("baseline"/"multires"): the artefact compares
-		// the two variants against each other, not runs over time.
+	var err error
+	switch {
+	case *multires == *tiled:
+		fmt.Fprintln(os.Stderr, "benchjson: exactly one of -multires and -tiled is required")
+		os.Exit(2)
+	case *multires:
 		if *out == "" {
 			*out = "BENCH_multires.json"
 		}
-		multiresMain(*out, *note, *filter)
-		return
-	}
-	if *tiled {
-		// Labels are fixed ("monolithic"/"tiled") for the same reason.
+		err = multiresMain(*out, *filter)
+	default:
 		if *out == "" {
 			*out = "BENCH_tiled.json"
 		}
-		tiledMain(*out, *note, *filter)
-		return
+		err = tiledMain(*out, *filter)
 	}
-	if *label == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -label is required")
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
-	if *out == "" {
-		*out = "BENCH_batchfft.json"
-	}
+}
 
-	benches := benchmarks()
-	run := benchfmt.Run{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note:       *note,
-		Benchmarks: map[string]benchfmt.Measurement{},
-	}
-	for _, b := range benches {
-		if *filter != "" && !strings.Contains(b.name, *filter) {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "running %-28s ", b.name)
-		r := testing.Benchmark(b.fn)
-		m := benchfmt.Measurement{
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-		run.Benchmarks[b.name] = m
-		fmt.Fprintf(os.Stderr, "%12d ns/op %8d B/op %5d allocs/op (n=%d)\n",
-			m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.Iterations)
-	}
+// prepareFunc readies one case for timing: it returns the timed job
+// and a release func (nil for none) that runs once the case's
+// measurement is done.
+type prepareFunc func(name string) (job func() error, release func(), err error)
 
-	file := benchfmt.File{
-		Description: "Benchmarks for the batched kernel-parallel FFT execution and concurrent process-corner simulation. Labels: seed = before the change, after = with batched/banded FFT paths.",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
-	}
-	if data, err := os.ReadFile(*out); err == nil {
+// variant is one side of an A/B artefact.
+type variant struct {
+	label, note string
+	prepare     prepareFunc
+}
+
+// runAB times every case that matches filter under both variants and
+// merges the two labelled runs into the artefact at out, replacing any
+// earlier runs under the same labels. Variants interleave per case (A
+// then B back to back) so slow thermal/host drift across the sweep
+// cannot masquerade as a variant difference.
+func runAB(out, description, filter string, cases []string, variants [2]variant) error {
+	file := benchfmt.File{}
+	if data, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", *out, err)
-			os.Exit(1)
+			return fmt.Errorf("%s exists but is not valid JSON: %w", out, err)
 		}
 	}
 	if file.Runs == nil {
 		file.Runs = map[string]benchfmt.Run{}
 	}
-	file.Runs[*label] = run
+	// Both labels are re-measured below, so the description always
+	// names this code's variants, even when merging into an old file.
+	file.Description = description
+	file.GOOS, file.GOARCH = runtime.GOOS, runtime.GOARCH
 
-	if err := file.Save(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	var runs [2]benchfmt.Run
+	for i, v := range variants {
+		runs[i] = benchfmt.Run{
+			GoMaxProcs: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
+			Note:       v.note,
+			Benchmarks: map[string]benchfmt.Measurement{},
+		}
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (label %q, %d benchmarks)\n", *out, *label, len(run.Benchmarks))
-}
-
-type namedBench struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// benchmarks mirrors the top-level bench_test.go definitions that the
-// acceptance numbers are quoted from, plus FFT micro-benchmarks for the
-// 1-D kernel and the batched plan.
-func benchmarks() []namedBench {
-	return []namedBench{
-		{"Table2PerCase/cpu", benchTable2(lsopc.CPUEngine())},
-		{"Table2PerCase/gpu", benchTable2(lsopc.GPUEngine())},
-		{"AerialExact", benchAerial(false)},
-		{"AerialFused", benchAerial(true)},
-		{"Gradient", benchGradient},
-		{"FFT1D/128", benchFFT1D(128)},
-		{"FFT1D/512", benchFFT1D(512)},
-		{"BatchFFT/forward8x128", benchBatchForward},
-		{"BatchFFT/inverseBanded8x128", benchBatchInverseBanded},
-	}
-}
-
-func benchTable2(eng *lsopc.Engine) func(b *testing.B) {
-	return func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.EngineRuntime(lsopc.PresetTest, "B4", eng, 10); err != nil {
-				b.Fatal(err)
+	measured := 0
+	for _, name := range cases {
+		if filter != "" && !strings.Contains(name, filter) {
+			continue
+		}
+		measured++
+		for i, v := range variants {
+			fmt.Fprintf(os.Stderr, "running %-12s %-22s ", v.label, name)
+			job, release, err := v.prepare(name)
+			if err != nil {
+				return err
 			}
-		}
-	}
-}
-
-func benchPipeline(b *testing.B) (*lsopc.Pipeline, *lsopc.Field, *grid.CField) {
-	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, err := pipe.Target(lsopc.Benchmark("B4"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return pipe, target, pipe.Simulator().MaskSpectrum(target)
-}
-
-func benchAerial(fused bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		pipe, target, spec := benchPipeline(b)
-		sim := pipe.Simulator()
-		out := grid.NewField(target.W, target.H)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if fused {
-				sim.AerialFast(out, spec, litho.Nominal)
-			} else {
-				sim.Aerial(out, spec, litho.Nominal)
+			runs[i].Timestamp = time.Now().UTC().Format(time.RFC3339)
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for j := 0; j < b.N; j++ {
+					if err := job(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if release != nil {
+				release()
 			}
+			m := benchfmt.Measurement{
+				NsPerOp:     r.NsPerOp(),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+				AllocsPerOp: r.AllocsPerOp(),
+				Iterations:  r.N,
+			}
+			runs[i].Benchmarks[name] = m
+			fmt.Fprintf(os.Stderr, "%12d ns/op (n=%d)\n", m.NsPerOp, m.Iterations)
 		}
 	}
-}
-
-func benchGradient(b *testing.B) {
-	pipe, target, spec := benchPipeline(b)
-	sim := pipe.Simulator()
-	n := sim.GridSize()
-	grad := grid.NewField(n, n)
-	imgs := litho.NewCornerImages(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grad.Zero()
-		sim.ForwardAndGradient(grad, spec, litho.Nominal, target, imgs, 1)
+	if measured == 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: filter %q excludes every case, nothing to do\n", filter)
+		return nil
 	}
-}
-
-const (
-	fftBatch = 8
-	fftSize  = 128
-	fftBand  = 28 // matches the kernel box radius at PresetTest scale
-)
-
-func newFFTBatch() []*grid.CField {
-	fields := make([]*grid.CField, fftBatch)
-	for i := range fields {
-		f := grid.NewCField(fftSize, fftSize)
-		for j := range f.Data {
-			f.Data[j] = complex(float64(j%17)*0.25, float64(j%13)*-0.5)
-		}
-		fields[i] = f
+	for i, v := range variants {
+		file.Runs[v.label] = runs[i]
 	}
-	return fields
-}
-
-// benchFFT1D times one forward plus one inverse 1-D transform of length
-// n, the kernel under every row and column pass.
-func benchFFT1D(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := fft.NewPlan(n)
-		x := make([]complex128, n)
-		for j := range x {
-			x[j] = complex(float64(j%17)*0.25, float64(j%13)*-0.5)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Forward(x)
-			p.Inverse(x)
-		}
+	if err := file.Save(out); err != nil {
+		return err
 	}
-}
-
-func benchBatchForward(b *testing.B) {
-	p := fft.NewBatchPlan2D(fftSize, fftSize, engine.New("bench", runtime.NumCPU()))
-	fields := newFFTBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.BatchForward(fields)
-	}
-}
-
-func benchBatchInverseBanded(b *testing.B) {
-	p := fft.NewBatchPlan2D(fftSize, fftSize, engine.New("bench", runtime.NumCPU()))
-	fields := newFFTBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.BatchInverseBanded(fields, fftBand)
-	}
+	fmt.Fprintf(os.Stderr, "wrote %s (labels %s+%s)\n", out, variants[0].label, variants[1].label)
+	return nil
 }

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
-	"testing"
-	"time"
 
 	"lsopc"
-	"lsopc/internal/benchfmt"
 	"lsopc/internal/layouts"
 )
 
@@ -32,9 +27,9 @@ import (
 //
 // Quality parity between the two paths is enforced separately by
 // TestTiledMatchesMonolithic (EPE/PVB on B1).
-func tiledMain(out, note, filter string) {
+func tiledMain(out, filter string) error {
 	const (
-		maxIter = 10 // matches the Table2PerCase measurements
+		maxIter = 10 // matches the root BenchmarkTable2PerCase
 		pitchNM = 16
 		kernels = 4 // PresetTest optics
 	)
@@ -44,8 +39,7 @@ func tiledMain(out, note, filter string) {
 	// places B1/B4 at (0,0), (1,1), (0,2) and (1,3)).
 	chip, err := layouts.Chip(4, 4, []string{"B1", "-", "-", "-", "-", "B4", "-", "-"})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
 
 	opts := lsopc.DefaultLevelSetOptions()
@@ -59,122 +53,60 @@ func tiledMain(out, note, filter string) {
 
 	// One un-timed tiled run up front: verifies the decomposition is a
 	// real multi-tile problem and captures its shape for the run notes.
-	// The probe pipeline is released again so each timed variant below
-	// runs with only its own pipeline resident (a chip-spanning bank
-	// plus a tile bank at once would distort both via GC pressure).
-	shape := ""
-	{
-		probePipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		probe, err := probePipe.OptimizeTiled(chip, topts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		probePipe.Release()
-		if len(probe.Grid.Tiles) < 4 {
-			fmt.Fprintf(os.Stderr, "benchjson: chip decomposes into %d tiles, want >= 4\n", len(probe.Grid.Tiles))
-			os.Exit(1)
-		}
-		occupied := 0
-		for _, st := range probe.Tiles {
-			if !st.Empty {
-				occupied++
-			}
-		}
-		shape = fmt.Sprintf("%s: %dx%d nm, %dx%d tiles / %d non-empty (window %d nm, halo %d nm), %d workers",
-			chip.Name, chip.W, chip.H, probe.Grid.NX, probe.Grid.NY, occupied,
-			probe.Grid.WindowNM, probe.Grid.HaloNM, probe.Workers)
-		fmt.Fprintln(os.Stderr, shape)
+	// Every pipeline, the probe's included, is released (and the heap
+	// collected) before the next is built, so each timed variant runs
+	// with only its own pipeline resident (a chip-spanning bank plus a
+	// tile bank at once would distort both via GC pressure).
+	probePipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
+	if err != nil {
+		return err
 	}
+	probe, err := probePipe.OptimizeTiled(chip, topts)
+	probePipe.Release()
+	if err != nil {
+		return err
+	}
+	if len(probe.Grid.Tiles) < 4 {
+		return fmt.Errorf("chip decomposes into %d tiles, want >= 4", len(probe.Grid.Tiles))
+	}
+	occupied := 0
+	for _, st := range probe.Tiles {
+		if !st.Empty {
+			occupied++
+		}
+	}
+	shape := fmt.Sprintf("%s: %dx%d nm, %dx%d tiles / %d non-empty (window %d nm, halo %d nm), %d workers",
+		chip.Name, chip.W, chip.H, probe.Grid.NX, probe.Grid.NY, occupied,
+		probe.Grid.WindowNM, probe.Grid.HaloNM, probe.Workers)
+	fmt.Fprintln(os.Stderr, shape)
 
-	variants := []struct {
-		label string
-		note  string
-		run   func() (func() error, func())
-	}{
-		{"monolithic", "one chip-spanning window; " + shape, func() (func() error, func()) {
-			// Monolithic: one window spanning the whole chip.
-			mono, err := lsopc.NewCustomPipeline(chip.W/pitchNM, pitchNM, kernels, eng)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			return func() error {
-				_, err := mono.OptimizeLevelSet(chip, opts)
-				return err
-			}, mono.Release
-		}},
-		{"tiled", "OptimizeTiled with overlap-halo stitching; " + shape + "; " + note, func() (func() error, func()) {
-			// Tiled: PresetTest windows (128 px = 2048 nm) over the chip.
-			tiledPipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			return func() error {
-				_, err := tiledPipe.OptimizeTiled(chip, topts)
-				return err
-			}, tiledPipe.Release
-		}},
-	}
-
-	file := benchfmt.File{
-		Description: "Full-chip optimization wall time (10 iterations) on a sparse 4x4 cell-array chip (4 occupied slots, like real designs): one monolithic chip-spanning simulation window vs parallel tiled optimization with overlap-halo stitching (window = PresetTest grid, empty tiles skipped). Seam quality parity is enforced by TestTiledMatchesMonolithic; this artefact locks in the tiled scaling via cmd/benchdiff (-old-labels monolithic -new-labels tiled).",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
-	}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", out, err)
-			os.Exit(1)
-		}
-	}
-	if file.Runs == nil {
-		file.Runs = map[string]benchfmt.Run{}
-	}
-
-	name := "FullChip/" + chip.Name
-	if filter != "" && !strings.Contains(name, filter) {
-		fmt.Fprintf(os.Stderr, "benchjson: filter %q excludes %s, nothing to do\n", filter, name)
-		return
-	}
-	for _, v := range variants {
-		fmt.Fprintf(os.Stderr, "running %-12s %-22s ", v.label, name)
-		iter, release := v.run()
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := iter(); err != nil {
-					b.Fatal(err)
+	// Each variant builds its own pipeline for the case and releases it
+	// (then collects the heap) once the case is timed.
+	release := func(p *lsopc.Pipeline) func() { return func() { p.Release(); runtime.GC() } }
+	return runAB(out,
+		"Full-chip optimization wall time (10 iterations) on a sparse 4x4 cell-array chip (4 occupied slots, like real designs): one monolithic chip-spanning simulation window vs parallel tiled optimization with overlap-halo stitching (window = PresetTest grid, empty tiles skipped). Seam quality parity is enforced by TestTiledMatchesMonolithic; this artefact locks in the tiled scaling via cmd/benchdiff (-old-labels monolithic -new-labels tiled).",
+		filter, []string{"FullChip/" + chip.Name}, [2]variant{
+			{"monolithic", "one chip-spanning window; " + shape, func(string) (func() error, func(), error) {
+				// One window spanning the whole chip.
+				mono, err := lsopc.NewCustomPipeline(chip.W/pitchNM, pitchNM, kernels, eng)
+				if err != nil {
+					return nil, nil, err
 				}
-			}
+				return func() error {
+					_, err := mono.OptimizeLevelSet(chip, opts)
+					return err
+				}, release(mono), nil
+			}},
+			{"tiled", "OptimizeTiled with overlap-halo stitching; " + shape, func(string) (func() error, func(), error) {
+				// PresetTest windows (128 px = 2048 nm) over the chip.
+				tiledPipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
+				if err != nil {
+					return nil, nil, err
+				}
+				return func() error {
+					_, err := tiledPipe.OptimizeTiled(chip, topts)
+					return err
+				}, release(tiledPipe), nil
+			}},
 		})
-		release()
-		runtime.GC()
-		m := benchfmt.Measurement{
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-		file.Runs[v.label] = benchfmt.Run{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			Note:       v.note,
-			Benchmarks: map[string]benchfmt.Measurement{name: m},
-		}
-		fmt.Fprintf(os.Stderr, "%12d ns/op (n=%d)\n", m.NsPerOp, m.Iterations)
-	}
-
-	if err := file.Save(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (labels monolithic+tiled)\n", out)
 }

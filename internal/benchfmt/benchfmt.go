@@ -20,26 +20,6 @@ type Measurement struct {
 	Note        string `json:"note,omitempty"`
 }
 
-// Metric names selectable for comparison.
-const (
-	MetricNsPerOp     = "ns_per_op"
-	MetricBytesPerOp  = "bytes_per_op"
-	MetricAllocsPerOp = "allocs_per_op"
-)
-
-// Value returns the named metric of the measurement.
-func (m Measurement) Value(metric string) (float64, error) {
-	switch metric {
-	case MetricNsPerOp:
-		return float64(m.NsPerOp), nil
-	case MetricBytesPerOp:
-		return float64(m.BytesPerOp), nil
-	case MetricAllocsPerOp:
-		return float64(m.AllocsPerOp), nil
-	}
-	return 0, fmt.Errorf("benchfmt: unknown metric %q", metric)
-}
-
 // Run is one labelled benchmark sweep.
 type Run struct {
 	Timestamp  string                 `json:"timestamp"`

@@ -29,9 +29,6 @@ func TestCompareIdenticalPasses(t *testing.T) {
 	if res.Regressions != 0 {
 		t.Fatalf("identical files: %d regressions: %+v", res.Regressions, res.Deltas)
 	}
-	if res.Metric != MetricNsPerOp || res.Stat != StatMin || res.Threshold != 0.10 {
-		t.Fatalf("defaults not applied: %+v", res)
-	}
 	// min-of-N: A aggregates to 1000, B to 1900.
 	for _, d := range res.Deltas {
 		want := map[string]float64{"A": 1000, "B": 1900}[d.Name]
@@ -61,35 +58,29 @@ func TestCompareFlagsRegression(t *testing.T) {
 	}
 }
 
-func TestCompareMinDeltaFloor(t *testing.T) {
-	oldF := mkFile(map[string]map[string]int64{"r": {"tiny": 100}})
-	newF := mkFile(map[string]map[string]int64{"r": {"tiny": 150}})
-	// +50% but only 50 ns — below the absolute floor.
-	res, err := Compare(oldF, newF, CompareOptions{MinDelta: 1000})
+// TestCompareZeroThreshold pins that an explicit zero threshold is
+// zero allowance: any slowdown, however small, regresses.
+func TestCompareZeroThreshold(t *testing.T) {
+	oldF := mkFile(map[string]map[string]int64{"r": {"A": 1000}})
+	newF := mkFile(map[string]map[string]int64{"r": {"A": 1010}})
+	res, err := Compare(oldF, newF, CompareOptions{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Regressions != 0 {
-		t.Fatalf("sub-floor delta flagged: %+v", res.Deltas)
+	if res.Regressions != 1 || !res.Deltas[0].Regression {
+		t.Fatalf("+1%% at threshold 0 not flagged: %+v", res.Deltas)
 	}
 }
 
-func TestCompareMedianAndLabels(t *testing.T) {
+func TestCompareLabels(t *testing.T) {
 	oldF := mkFile(map[string]map[string]int64{
 		"r1": {"A": 1000},
 		"r2": {"A": 1200},
-		"r3": {"A": 5000}, // outlier the median ignores
+		"r3": {"A": 5000},
 	})
 	newF := mkFile(map[string]map[string]int64{"s1": {"A": 1210}})
-	res, err := Compare(oldF, newF, CompareOptions{Stat: StatMedian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := res.Deltas[0]; d.Old != 1200 || d.Regression {
-		t.Fatalf("median delta = %+v, want old 1200, no regression", d)
-	}
-	// Selecting only the outlier run makes the new side look fast.
-	res, err = Compare(oldF, newF, CompareOptions{OldLabels: []string{"r3"}})
+	// Selecting only the slowest run makes the new side look fast.
+	res, err := Compare(oldF, newF, CompareOptions{OldLabels: []string{"r3"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +141,5 @@ func TestInflateAndRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestMeasurementValue(t *testing.T) {
-	m := Measurement{NsPerOp: 10, BytesPerOp: 20, AllocsPerOp: 30}
-	for metric, want := range map[string]float64{
-		MetricNsPerOp: 10, MetricBytesPerOp: 20, MetricAllocsPerOp: 30,
-	} {
-		v, err := m.Value(metric)
-		if err != nil || v != want {
-			t.Fatalf("Value(%s) = %g, %v", metric, v, err)
-		}
-	}
-	if _, err := m.Value("walrus"); err == nil {
-		t.Fatal("unknown metric accepted")
 	}
 }

@@ -6,88 +6,50 @@ import (
 	"strings"
 )
 
-// Stat names for aggregating a benchmark's metric across several runs.
-const (
-	// StatMin takes the minimum across runs — the classic min-of-N rule:
-	// the fastest observation is the least noise-contaminated one.
-	StatMin = "min"
-	// StatMedian takes the median across runs.
-	StatMedian = "median"
-)
-
 // CompareOptions tunes the regression gate.
 type CompareOptions struct {
-	// Metric selects which measurement column to compare
-	// (default ns_per_op).
-	Metric string
-	// Stat aggregates the metric across the selected runs
-	// (default min).
-	Stat string
 	// OldLabels / NewLabels select which runs of each file participate;
 	// empty selects every run in the file.
 	OldLabels []string
 	NewLabels []string
 	// Threshold is the relative-epsilon noise allowance: a benchmark
-	// regresses only when new > old × (1 + Threshold). Default 0.10.
+	// regresses only when new > old × (1 + Threshold).
 	Threshold float64
-	// MinDelta is an absolute floor (in metric units) under which a
-	// difference is never a regression, so microsecond-scale noise on
-	// tiny benchmarks cannot trip the gate.
-	MinDelta float64
-}
-
-// withDefaults fills zero fields.
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.Metric == "" {
-		o.Metric = MetricNsPerOp
-	}
-	if o.Stat == "" {
-		o.Stat = StatMin
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 0.10
-	}
-	return o
 }
 
 // Delta compares one benchmark across the two files.
 type Delta struct {
-	Name string  `json:"name"`
-	Old  float64 `json:"old"`
-	New  float64 `json:"new"`
+	Name string
+	Old  float64
+	New  float64
 	// Ratio is New/Old (0 when Old is 0 or the benchmark is one-sided).
-	Ratio      float64 `json:"ratio,omitempty"`
-	Regression bool    `json:"regression,omitempty"`
+	Ratio      float64
+	Regression bool
 	// OnlyOld/OnlyNew mark benchmarks present on a single side; they are
 	// reported but never count as regressions.
-	OnlyOld bool `json:"only_old,omitempty"`
-	OnlyNew bool `json:"only_new,omitempty"`
+	OnlyOld bool
+	OnlyNew bool
 }
 
 // Result is the full gate outcome.
 type Result struct {
-	Metric      string  `json:"metric"`
-	Stat        string  `json:"stat"`
-	Threshold   float64 `json:"threshold"`
-	Deltas      []Delta `json:"deltas"`
-	Regressions int     `json:"regressions"`
+	Threshold   float64
+	Deltas      []Delta
+	Regressions int
 }
 
-// Compare aggregates each benchmark's metric over the selected runs of
-// both files (min-of-N or median) and flags regressions with the
+// Compare takes each benchmark's minimum ns_per_op over the selected
+// runs of both files (min-of-N: the fastest observation is the least
+// noise-contaminated one) and flags regressions with the
 // relative-epsilon rule. Benchmarks present on only one side are
 // reported informationally. An error is returned when a requested label
 // does not exist or the selection matches no benchmarks at all.
 func Compare(oldF, newF *File, opts CompareOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	if opts.Stat != StatMin && opts.Stat != StatMedian {
-		return nil, fmt.Errorf("benchfmt: unknown stat %q (want %s|%s)", opts.Stat, StatMin, StatMedian)
-	}
-	oldVals, err := aggregate(oldF, opts.OldLabels, opts.Metric, opts.Stat)
+	oldVals, err := minNsPerOp(oldF, opts.OldLabels)
 	if err != nil {
 		return nil, fmt.Errorf("old file: %w", err)
 	}
-	newVals, err := aggregate(newF, opts.NewLabels, opts.Metric, opts.Stat)
+	newVals, err := minNsPerOp(newF, opts.NewLabels)
 	if err != nil {
 		return nil, fmt.Errorf("new file: %w", err)
 	}
@@ -108,7 +70,7 @@ func Compare(oldF, newF *File, opts CompareOptions) (*Result, error) {
 	}
 	sort.Strings(ordered)
 
-	res := &Result{Metric: opts.Metric, Stat: opts.Stat, Threshold: opts.Threshold}
+	res := &Result{Threshold: opts.Threshold}
 	for _, n := range ordered {
 		ov, inOld := oldVals[n]
 		nv, inNew := newVals[n]
@@ -117,7 +79,7 @@ func Compare(oldF, newF *File, opts CompareOptions) (*Result, error) {
 			if ov != 0 {
 				d.Ratio = nv / ov
 			}
-			if nv > ov*(1+opts.Threshold) && nv-ov > opts.MinDelta {
+			if nv > ov*(1+opts.Threshold) {
 				d.Regression = true
 				res.Regressions++
 			}
@@ -127,38 +89,22 @@ func Compare(oldF, newF *File, opts CompareOptions) (*Result, error) {
 	return res, nil
 }
 
-// aggregate collapses each benchmark's metric across the selected runs.
-func aggregate(f *File, labels []string, metric, stat string) (map[string]float64, error) {
+// minNsPerOp takes each benchmark's minimum ns_per_op across the
+// selected runs.
+func minNsPerOp(f *File, labels []string) (map[string]float64, error) {
 	selected := labels
 	if len(selected) == 0 {
 		selected = f.Labels()
 	}
-	samples := map[string][]float64{}
+	out := map[string]float64{}
 	for _, label := range selected {
 		run, ok := f.Runs[label]
 		if !ok {
 			return nil, fmt.Errorf("no run labelled %q (have %s)", label, strings.Join(f.Labels(), ", "))
 		}
 		for name, m := range run.Benchmarks {
-			v, err := m.Value(metric)
-			if err != nil {
-				return nil, err
-			}
-			samples[name] = append(samples[name], v)
-		}
-	}
-	out := make(map[string]float64, len(samples))
-	for name, vals := range samples {
-		sort.Float64s(vals)
-		switch stat {
-		case StatMin:
-			out[name] = vals[0]
-		case StatMedian:
-			mid := len(vals) / 2
-			if len(vals)%2 == 1 {
-				out[name] = vals[mid]
-			} else {
-				out[name] = (vals[mid-1] + vals[mid]) / 2
+			if v, seen := out[name]; !seen || float64(m.NsPerOp) < v {
+				out[name] = float64(m.NsPerOp)
 			}
 		}
 	}

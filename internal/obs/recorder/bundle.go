@@ -179,7 +179,9 @@ func Open(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("recorder: %s: missing run_id or trigger", ManifestFile)
 	}
 	for _, f := range man.Files {
-		if filepath.Base(f) != f {
+		// filepath.Base keeps "." and "..", which would name the bundle
+		// directory itself or its parent.
+		if f == "." || f == ".." || filepath.Base(f) != f {
 			return nil, fmt.Errorf("recorder: %s: invalid file entry %q", ManifestFile, f)
 		}
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // quiet returns a recorder with the background sampler and the CPU
 // profile slice disabled, so tests stay fast and deterministic.
-func quiet(t *testing.T, cfg Config) *Recorder {
+func quiet(t testing.TB, cfg Config) *Recorder {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -307,4 +307,52 @@ func BenchmarkRecorderEmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Emit(e)
 	}
+}
+
+// FuzzOpenBundle feeds arbitrary bytes to Open as a bundle's
+// manifest.json. Open must either reject the bundle or return a manifest
+// with its identity fields set whose every file entry names a file that
+// is in the bundle directory.
+func FuzzOpenBundle(f *testing.F) {
+	r := quiet(f, Config{Dir: f.TempDir(), RingSize: 4})
+	r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 1, Cost: 0.5})
+	bdir, err := r.Capture("s1", "dump")
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(bdir, ManifestFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(manifest)
+	f.Add([]byte(`{"schema":1,"run_id":"s1","trigger":"dump","files":["manifest.json"]}`))
+	f.Add([]byte(`{"schema":1,"run_id":"s1","trigger":"dump","files":["manifest.json",".."]}`))
+	f.Add([]byte(`{"schema":1,"run_id":"s1","trigger":"dump","files":["."]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man, err := Open(dir)
+		if err != nil {
+			return
+		}
+		if man.RunID == "" || man.Trigger == "" {
+			t.Fatalf("accepted manifest without identity: %+v", man)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		present := map[string]bool{}
+		for _, e := range entries {
+			present[e.Name()] = true
+		}
+		for _, name := range man.Files {
+			if filepath.Base(name) != name || !present[name] {
+				t.Fatalf("accepted file entry %q, not a file in the bundle directory", name)
+			}
+		}
+	})
 }

@@ -175,7 +175,19 @@ func testOptics(kernels int) optics.Config {
 	return cfg
 }
 
+// targetRuns numbers TestBankTargetMemoization's runs. The bank and its
+// target memo are process-wide, so each run (go test -count=N) keys its
+// targets by its own number to find them unbuilt.
+var targetRuns atomic.Int32
+
+// targetKey is a Bank.Target key unique to one test run.
+type targetKey struct {
+	name string
+	run  int32
+}
+
 func TestBankTargetMemoization(t *testing.T) {
+	run := targetRuns.Add(1)
 	b, err := BankFor(testOptics(2), 25, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +205,7 @@ func TestBankTargetMemoization(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, err := b.Target("layout-A", build)
+			f, err := b.Target(targetKey{"layout-A", run}, build)
 			if err != nil {
 				t.Error(err)
 			}
@@ -213,7 +225,7 @@ func TestBankTargetMemoization(t *testing.T) {
 	// Errors are memoized too: the failed build is not retried.
 	wantErr := errors.New("bad layout")
 	for i := 0; i < 2; i++ {
-		_, err := b.Target("layout-bad", func() (*grid.Field, error) { return nil, wantErr })
+		_, err := b.Target(targetKey{"layout-bad", run}, func() (*grid.Field, error) { return nil, wantErr })
 		if !errors.Is(err, wantErr) {
 			t.Fatalf("call %d: err = %v", i, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lsopc/internal/core"
@@ -132,17 +133,28 @@ func (b *firstIterBarrier) Emit(e TraceEvent) {
 	}
 }
 
+// traceKindsRuns numbers TestTraceEventKinds's runs (go test -count=N).
+var traceKindsRuns atomic.Int32
+
 // TestTraceEventKinds drives one optimization with both the runtime sink
 // (plan-cache and pool events from bank construction) and a per-run sink
 // installed, and asserts every event family of the taxonomy shows up.
-// The simulator uses a grid size no other test in this binary touches,
-// so the process-wide FFT plan cache genuinely misses.
+// The FFT plan cache and the kernel banks are process-wide and never
+// evict, so each run halves the grid of the one before (32, 16, 8 and
+// 4 px, the 1536 nm window kept by doubling the pixel): a length no
+// other test in this binary and no earlier run has planned, so the cache
+// genuinely misses on each of up to four runs.
 func TestTraceEventKinds(t *testing.T) {
 	c := NewCollectorTraceSink()
 	SetRuntimeTrace(c)
 	defer SetRuntimeTrace(nil)
 
-	cfg := litho.DefaultConfig(32, 48)
+	run := int(traceKindsRuns.Add(1))
+	n := 32 >> (run - 1)
+	if n < 4 {
+		t.Fatalf("run %d: grid of %d px; the simulator needs at least 4", run, n)
+	}
+	cfg := litho.DefaultConfig(n, float64(48*32/n))
 	cfg.Optics.Kernels = 2
 	sim, err := litho.NewSimulator(cfg, CPUEngine())
 	if err != nil {
@@ -151,9 +163,9 @@ func TestTraceEventKinds(t *testing.T) {
 	defer sim.Release()
 	sim.SetSink(c, "t1")
 
-	target := NewField(32, 32)
-	for y := 12; y < 20; y++ {
-		for x := 6; x < 26; x++ {
+	target := NewField(n, n)
+	for y := 12 * n / 32; y < 20*n/32; y++ {
+		for x := 6 * n / 32; x < 26*n/32; x++ {
 			target.Set(x, y, 1)
 		}
 	}

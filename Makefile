@@ -2,7 +2,9 @@
 #
 #   make build   - compile every package and command
 #   make test    - full test suite, run twice in one process so a test
-#               that only passes on a cold process-wide cache fails
+#               that only passes on a cold process-wide cache fails,
+#               then five runs of the two tests that once held only on
+#               a cold cache
 #   make race    - race-detector run over the parallel execution layers
 #   make vet     - static analysis
 #   make bench   - the headline benchmarks behind the Table II claims,
@@ -53,6 +55,7 @@ build:
 
 test:
 	$(GO) test -count=2 ./...
+	$(GO) test -count=5 -run 'TestTraceEventKinds$$|TestBankTargetMemoization$$' . ./internal/rt
 
 # The packages whose correctness depends on goroutine scheduling: the
 # engine worker pool, the batched FFT passes, the litho paths that fan

@@ -106,6 +106,16 @@ func main() {
 	}
 }
 
+// healthPolicy is the watchdog policy -health sets on every run (the
+// level-set, baseline and tiled ones alike); nil without the flag.
+func (cfg cliConfig) healthPolicy() *lsopc.HealthPolicy {
+	if !cfg.health {
+		return nil
+	}
+	hp := lsopc.DefaultHealthPolicy()
+	return &hp
+}
+
 // validateFlags rejects flag combinations before any resources are
 // built: negative counts, and -tiled paired with options the tiled
 // path ignores or cannot honour.
@@ -262,9 +272,6 @@ func run(cfg cliConfig) error {
 		defer lsopc.SetRuntimeTrace(nil)
 		popts = append(popts, lsopc.WithTraceSink(tee))
 	}
-	if cfg.health {
-		popts = append(popts, lsopc.WithHealthPolicy(lsopc.DefaultHealthPolicy()))
-	}
 	pipe, err := lsopc.NewPipeline(preset, eng, popts...)
 	if err != nil {
 		return err
@@ -299,6 +306,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
+		opts.Health = cfg.healthPolicy()
 		result, err = pipe.OptimizeLevelSetContext(ctx, layout, opts, from)
 	case "MOSAIC_fast", "MOSAIC_exact", "robust", "PVOPC":
 		opts := lsopc.DefaultBaselineOptions(parseVariant(cfg.method))
@@ -309,6 +317,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
+		opts.Health = cfg.healthPolicy()
 		result, err = pipe.OptimizeBaselineContext(ctx, layout, opts, from)
 	default:
 		return fmt.Errorf("unknown method %q", cfg.method)
@@ -407,6 +416,7 @@ func runTiled(ctx context.Context, pipe *lsopc.Pipeline, layout *lsopc.Layout, c
 		opts.PVBWeight = cfg.pvbWeight
 	}
 	opts.MultiResFactor = cfg.multires
+	opts.Health = cfg.healthPolicy()
 
 	result, err := pipe.OptimizeTiledContext(ctx, layout, lsopc.TileOptions{
 		HaloNM:       cfg.halo,

@@ -56,7 +56,11 @@ func (c cancelAt) Emit(e lsopc.TraceEvent) {
 // ExamplePipeline_OptimizeLevelSetContext cancels a run and resumes it
 // from the checkpoint its error carries.
 func ExamplePipeline_OptimizeLevelSetContext() {
-	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
+	// A stand-in for the user's Ctrl-C: cancel once iteration 2 is done.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine(),
+		lsopc.WithTraceSink(cancelAt{at: 2, cancel: cancel}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,10 +69,6 @@ func ExamplePipeline_OptimizeLevelSetContext() {
 	opts.MaxIter = 6
 	opts.Tolerance = 0
 
-	// A stand-in for the user's Ctrl-C: cancel once iteration 2 is done.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts.Sink = cancelAt{at: 2, cancel: cancel}
 	_, err = pipe.OptimizeLevelSetContext(ctx, layout, opts, nil)
 	var cerr *lsopc.CancelledError
 	if !errors.As(err, &cerr) {
@@ -78,7 +78,6 @@ func ExamplePipeline_OptimizeLevelSetContext() {
 
 	// The same entry point with the same options continues the run; the
 	// result is bit-identical to an uninterrupted one.
-	opts.Sink = nil
 	run, err := pipe.OptimizeLevelSetContext(context.Background(), layout, opts, cerr.Checkpoint)
 	if err != nil {
 		log.Fatal(err)

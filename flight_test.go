@@ -33,10 +33,8 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	})
 	defer rec.Close()
 
-	hp := DefaultHealthPolicy()
 	pipe, err := NewCustomPipeline(64, 16, 4, GPUEngine(),
 		WithTraceSink(rec),
-		WithHealthPolicy(hp),
 		WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +44,8 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	layout := Benchmark("B1")
 	opts := DefaultLevelSetOptions()
 	opts.MaxIter = 20
+	hp := DefaultHealthPolicy()
+	opts.Health = &hp
 
 	_, err = pipe.OptimizeTiled(layout, TileOptions{
 		HaloNM:     256,
@@ -130,7 +130,6 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	}
 	ropts := opts
 	ropts.Health = nil
-	ropts.Sink = nil
 	res, err := core.Run(context.Background(), pipe.Simulator(), target, ropts, cp)
 	if err != nil {
 		t.Fatalf("resume from bundle checkpoint: %v", err)

@@ -33,7 +33,8 @@ func cancelRun(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Opti
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts.Sink = &cancelAtSink{at: at, cancel: cancel}
+	sim.SetSink(&cancelAtSink{at: at, cancel: cancel}, "")
+	defer sim.SetSink(nil, "")
 	_, err := Run(ctx, sim, target, opts, nil)
 	var cerr *solve.Cancelled
 	if !errors.As(err, &cerr) {
@@ -90,7 +91,6 @@ func TestCancelMonolithicResumeBitIdentical(t *testing.T) {
 		t.Fatalf("checkpoint history %d rows, want 4", len(cp.History))
 	}
 
-	opts.Sink = nil
 	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,6 @@ func TestCancelMultiResBetweenLevels(t *testing.T) {
 		t.Fatalf("checkpoint carries %d done iterations (%d rows), want 2", cp.DoneIters, len(cp.Done))
 	}
 
-	opts.Sink = nil
 	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,6 @@ func TestCancelMultiResInsideFineLevel(t *testing.T) {
 		t.Fatalf("checkpoint at factor %d iter %d offset %d, want 1/2/4", cp.Factor, cp.Iter, cp.Offset)
 	}
 
-	opts.Sink = nil
 	res, err := Run(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +166,6 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 
 	cp := cancelRun(t, sim, target, opts, 2)
 
-	opts.Sink = nil
 	bad := *cp
 	bad.Method = "something-else"
 	if _, err := Run(context.Background(), sim, target, opts, &bad); !errors.Is(err, solve.ErrCheckpointMismatch) {

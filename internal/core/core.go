@@ -109,18 +109,10 @@ type Options struct {
 	// driver uses it to keep one globally contiguous iteration axis
 	// across levels. Plain runs leave it 0.
 	IterOffset int
-	// Sink receives one structured iteration event per optimizer step
-	// (cost terms, gradient norm, step size) plus per-corner simulate
-	// spans from the underlying simulator sessions. nil (the default)
-	// disables tracing; the disabled path is a nil check and performs no
-	// allocations, so the steady-state iteration stays allocation-free.
-	Sink obs.Sink
-	// TraceID tags this run's events so traces from concurrent
-	// optimizations through a shared sink stay distinguishable.
-	TraceID string
 	// Health enables the numerical-health watchdog: each iteration's
 	// cost, gradient norm and time step are judged against the policy,
-	// unhealthy iterations emit a typed health event to Sink, and with
+	// unhealthy iterations emit a typed health event to the simulator's
+	// trace sink (litho.Simulator.SetSink), and with
 	// AbortOnUnhealthy the run stops early (Result.Aborted/AbortReason).
 	// nil disables the watchdog entirely.
 	Health *obs.HealthPolicy
@@ -307,9 +299,6 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	}
 	o := &Optimizer{sim: sim, target: target, opts: opts, pool: sim.Pool()}
 	pool := o.pool
-	if opts.Sink != nil {
-		sim.SetSink(opts.Sink, opts.TraceID)
-	}
 	o.corners = []litho.Corner{{Cond: litho.Nominal, Weight: 1}}
 	if opts.PVBWeight > 0 {
 		o.corners = append(o.corners,
@@ -395,6 +384,7 @@ func (o *Optimizer) driver() (*solve.Driver, error) {
 	if err := o.start(); err != nil {
 		return nil, err
 	}
+	sink, trace := o.sim.TraceSink()
 	return solve.NewDriver((*levelStepper)(o), solve.Config{
 		Method:        methodName,
 		MaxIter:       o.opts.MaxIter,
@@ -404,8 +394,8 @@ func (o *Optimizer) driver() (*solve.Driver, error) {
 		BaseScale:     o.opts.LambdaT,
 		KeepBest:      o.opts.KeepBest,
 		SnapshotEvery: o.opts.SnapshotEvery,
-		Sink:          o.opts.Sink,
-		Trace:         o.opts.TraceID,
+		Sink:          sink,
+		Trace:         trace,
 		Engine:        o.sim.Engine().Name(),
 		Health:        o.opts.Health,
 		Observe:       observeStep,

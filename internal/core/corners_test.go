@@ -21,7 +21,7 @@ func TestIterationEmitsOneCornerEvent(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 4
 	opts.Tolerance = 0
-	opts.Sink = sink
+	sim.SetSink(sink, "")
 	res := runOpts(t, sim, crossTarget(64), opts)
 
 	seen := map[string]int{}
@@ -90,7 +90,7 @@ func TestZeroDefocusIsOneFocusGroup(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 2
 	opts.Tolerance = 0
-	opts.Sink = sink
+	sim.SetSink(sink, "")
 	runOpts(t, sim, crossTarget(64), opts)
 	groups := 0
 	for _, e := range sink.Events() {

@@ -30,8 +30,7 @@ func TestWatchdogAbortsNaNRun(t *testing.T) {
 	opts.PVBWeight = 0 // nominal-only: the NaN comes from the target
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
-	opts.Sink = sink
-	opts.TraceID = "nan-run"
+	sim.SetSink(sink, "nan-run")
 
 	res := runOpts(t, sim, nanTarget(64), opts)
 	if !res.Aborted {
@@ -71,7 +70,7 @@ func TestWatchdogNonAbortingPolicy(t *testing.T) {
 	hp := obs.DefaultHealthPolicy()
 	hp.AbortOnUnhealthy = false
 	opts.Health = &hp
-	opts.Sink = sink
+	sim.SetSink(sink, "")
 
 	res := runOpts(t, sim, nanTarget(64), opts)
 	if res.Aborted || res.AbortReason != "" {

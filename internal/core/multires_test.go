@@ -53,8 +53,7 @@ func TestMultiResSchedule(t *testing.T) {
 	opts.MultiResFactor = 4
 	opts.MultiResIters = 2
 	opts.Tolerance = 0 // no early convergence exit: budgets must be exact
-	opts.Sink = sink
-	opts.TraceID = "sched"
+	sim.SetSink(sink, "sched")
 
 	res, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
@@ -164,8 +163,7 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	opts.PVBWeight = math.MaxFloat64 // poisons cost from the first (coarse) iteration
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
-	opts.Sink = sink
-	opts.TraceID = "nan-coarse"
+	sim.SetSink(sink, "nan-coarse")
 
 	res, err := Run(context.Background(), sim, checkerTarget(64), opts, nil)
 	if err != nil {

@@ -263,35 +263,45 @@ func stage(x []complex128, h int, tw []complex128) {
 	}
 }
 
-// planCache is the shared plan cache, keyed by length. Plans are tiny
-// relative to field data, so the cache never evicts.
-var planCache = struct {
-	sync.RWMutex
-	m map[int]*Plan
-}{m: make(map[int]*Plan)}
+// planCache caches plans by length; its zero value is an empty cache.
+// Plans are tiny relative to field data, so a cache never evicts. Safe
+// for concurrent use: sessions and pipelines are constructed from many
+// goroutines, so first-time creation takes a write lock while the
+// steady state pays only a read lock.
+type planCache struct {
+	mu sync.RWMutex
+	m  map[int]*Plan
+}
 
-// CachedPlan returns a shared plan for length n, creating it on first
-// use. Safe for concurrent use: sessions and pipelines are constructed
-// from many goroutines, so first-time creation takes a write lock while
-// the steady state pays only a read lock.
-func CachedPlan(n int) *Plan {
-	planCache.RLock()
-	p := planCache.m[n]
-	planCache.RUnlock()
+// plans is the process-wide cache behind CachedPlan.
+var plans planCache
+
+// CachedPlan returns the process-wide shared plan for length n,
+// creating it on first use.
+func CachedPlan(n int) *Plan { return plans.get(n) }
+
+// get returns the cached plan for length n, creating it on a miss.
+func (c *planCache) get(n int) *Plan {
+	c.mu.RLock()
+	p := c.m[n]
+	c.mu.RUnlock()
 	if p != nil {
 		mPlanHits.Inc()
 		tracePlanCache(n, true)
 		return p
 	}
-	planCache.Lock()
-	defer planCache.Unlock()
-	if p, ok := planCache.m[n]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, ok := c.m[n]; ok {
 		mPlanHits.Inc()
 		tracePlanCache(n, true)
 		return p
 	}
+	if c.m == nil {
+		c.m = make(map[int]*Plan)
+	}
 	p = NewPlan(n)
-	planCache.m[n] = p
+	c.m[n] = p
 	mPlanMisses.Inc()
 	tracePlanCache(n, false)
 	return p

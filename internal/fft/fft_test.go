@@ -189,6 +189,39 @@ func TestCachedPlanReuse(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEvents: on a fresh cache the first lookup of a length
+// misses and the second hits, each traced to the runtime sink and
+// counted in the fft.plan_cache counters.
+func TestPlanCacheEvents(t *testing.T) {
+	sink := &obs.CollectorSink{}
+	obs.SetRuntime(sink)
+	defer obs.SetRuntime(nil)
+	misses, hits := mPlanMisses.Value(), mPlanHits.Value()
+
+	var c planCache
+	a := c.get(32)
+	b := c.get(32)
+	if a != b || a.N() != 32 {
+		t.Fatalf("cache returned plans %p (n=%d) and %p, want one length-32 plan", a, a.N(), b)
+	}
+	var got []bool
+	for _, e := range sink.Events() {
+		if e.Type != obs.EventPlanCache || e.N != 32 {
+			t.Fatalf("unexpected event %+v", e)
+		}
+		got = append(got, e.Hit)
+	}
+	if len(got) != 2 || got[0] || !got[1] {
+		t.Fatalf("plan-cache events hit=%v, want a miss then a hit", got)
+	}
+	if d := mPlanMisses.Value() - misses; d != 1 {
+		t.Errorf("fft.plan_cache.misses moved by %d, want 1", d)
+	}
+	if d := mPlanHits.Value() - hits; d != 1 {
+		t.Errorf("fft.plan_cache.hits moved by %d, want 1", d)
+	}
+}
+
 // referenceTransform is the textbook radix-2 loop the stage-fused
 // kernel replaced: bit reversal by a permutation walk, then one memory
 // sweep per stage reading the length-n twiddle table at stride n/size.

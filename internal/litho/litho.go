@@ -356,6 +356,10 @@ func (s *Simulator) SetSink(sink obs.Sink, traceID string) {
 	s.traceID = traceID
 }
 
+// TraceSink returns the sink and trace id set with SetSink: the trace
+// context every optimizer run on this session emits under.
+func (s *Simulator) TraceSink() (obs.Sink, string) { return s.sink, s.traceID }
+
 // Release returns every leased scratch buffer to the bank's pool. The
 // simulator must not be used afterwards. Release is idempotent and
 // nil-safe; shared bank resources are untouched.

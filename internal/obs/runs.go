@@ -30,47 +30,34 @@ func (p RunIterPoint) MarshalJSON() ([]byte, error) {
 // snapshots.
 //
 // Runs finish when their optimize span arrives (or a cancelled event);
-// finished runs are retained up to MaxFinished and then evicted oldest
-// first — in-flight runs are never evicted.
+// finished runs are retained up to MaxFinishedRuns and then evicted
+// oldest first — in-flight runs are never evicted.
 type RunRegistry struct {
 	mu    sync.Mutex
 	folds Folds
 	tails map[string]*Ring[RunIterPoint]
 
-	maxFinished int
-	tailCap     int
-
 	runsGauge *Gauge   // obs.runs.active
 	folded    *Counter // obs.runs.events
 }
 
+// A RunRegistry retains up to MaxFinishedRuns finished runs and the last
+// runTailPoints iteration points of each run.
+const (
+	MaxFinishedRuns = 64
+	runTailPoints   = 512
+)
+
 // NewRunRegistry returns a registry publishing its gauges to reg (nil
-// means the Default registry), retaining up to 64 finished runs and a
-// 512-point iteration tail per run.
+// means the Default registry).
 func NewRunRegistry(reg *Registry) *RunRegistry {
 	if reg == nil {
 		reg = Default
 	}
 	return &RunRegistry{
-		tails:       make(map[string]*Ring[RunIterPoint]),
-		maxFinished: 64,
-		tailCap:     512,
-		runsGauge:   reg.Gauge("obs.runs.active"),
-		folded:      reg.Counter("obs.runs.events"),
-	}
-}
-
-// SetRetention overrides how many finished runs and how many tail
-// points per run are kept (values ≤ 0 keep the current setting).
-// Call before serving traffic; it does not shrink existing tails.
-func (rr *RunRegistry) SetRetention(maxFinished, tailPoints int) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if maxFinished > 0 {
-		rr.maxFinished = maxFinished
-	}
-	if tailPoints > 0 {
-		rr.tailCap = tailPoints
+		tails:     make(map[string]*Ring[RunIterPoint]),
+		runsGauge: reg.Gauge("obs.runs.active"),
+		folded:    reg.Counter("obs.runs.events"),
 	}
 }
 
@@ -87,13 +74,13 @@ func (rr *RunRegistry) Emit(e Event) {
 	if e.Type == EventIteration {
 		t := rr.tails[e.Trace]
 		if t == nil {
-			t = NewRing[RunIterPoint](rr.tailCap)
+			t = NewRing[RunIterPoint](runTailPoints)
 			rr.tails[e.Trace] = t
 		}
 		t.Push(RunIterPoint{Iter: e.Iter, Cost: e.Cost, TimeNS: e.TimeNS})
 	}
 	rr.runsGauge.Set(int64(rr.folds.active))
-	for len(rr.folds.finished) > rr.maxFinished {
+	for len(rr.folds.finished) > MaxFinishedRuns {
 		old := rr.folds.finished[0]
 		rr.folds.finished = rr.folds.finished[1:]
 		delete(rr.folds.runs, old)

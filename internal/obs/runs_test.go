@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -150,26 +151,28 @@ func TestRunRegistryTiledFolding(t *testing.T) {
 
 func TestRunRegistryFinishedRetention(t *testing.T) {
 	rr := NewRunRegistry(NewRegistry())
-	rr.SetRetention(2, 4)
-	for _, id := range []string{"s1", "s2", "s3"} {
+	// One finished run past the limit evicts the oldest, s1.
+	for i := 1; i <= MaxFinishedRuns+1; i++ {
+		id := fmt.Sprintf("s%d", i)
 		rr.Emit(Event{Type: EventIteration, Trace: id, Iter: 0, Cost: 1})
 		rr.Emit(Event{Type: EventSpan, Trace: id, Name: "optimize.levelset", DurNS: 1})
 	}
 	if _, _, ok := rr.Run("s1"); ok {
 		t.Fatal("oldest finished run s1 not evicted")
 	}
-	for _, id := range []string{"s2", "s3"} {
+	for _, id := range []string{"s2", fmt.Sprintf("s%d", MaxFinishedRuns+1)} {
 		if _, _, ok := rr.Run(id); !ok {
 			t.Fatalf("recent finished run %s evicted", id)
 		}
 	}
-	// Tail ring bounded at 4 points: iterations 6..9 survive.
-	for i := 0; i < 10; i++ {
-		rr.Emit(Event{Type: EventIteration, Trace: "s4", Iter: i, Cost: 1})
+	// The tail ring keeps the last runTailPoints iterations.
+	for i := 0; i < runTailPoints+6; i++ {
+		rr.Emit(Event{Type: EventIteration, Trace: "live", Iter: i, Cost: 1})
 	}
-	_, tail, _ := rr.Run("s4")
-	if len(tail) != 4 || tail[0].Iter != 6 || tail[3].Iter != 9 {
-		t.Fatalf("tail = %+v, want iters 6..9", tail)
+	_, tail, _ := rr.Run("live")
+	if len(tail) != runTailPoints || tail[0].Iter != 6 || tail[len(tail)-1].Iter != runTailPoints+5 {
+		t.Fatalf("tail holds %d points, iters %d..%d; want %d points, iters 6..%d",
+			len(tail), tail[0].Iter, tail[len(tail)-1].Iter, runTailPoints, runTailPoints+5)
 	}
 }
 

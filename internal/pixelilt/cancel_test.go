@@ -29,7 +29,8 @@ func cancelBaselineRun(t *testing.T, sim *litho.Simulator, target *grid.Field, o
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts.Sink = &cancelAtSink{at: at, cancel: cancel}
+	sim.SetSink(&cancelAtSink{at: at, cancel: cancel}, "")
+	defer sim.SetSink(nil, "")
 	_, err := Optimize(ctx, sim, target, opts, nil)
 	var cerr *solve.Cancelled
 	if !errors.As(err, &cerr) {
@@ -83,7 +84,6 @@ func TestBaselineCancelResumeBitIdentical(t *testing.T) {
 		t.Fatalf("checkpoint method %q, want %q", cp.Method, MosaicExact.String())
 	}
 
-	opts.Sink = nil
 	res, err := Optimize(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,6 @@ func TestBaselineCancelResumeMultiRes(t *testing.T) {
 		t.Fatalf("checkpoint carries %d done iterations, want 4", cp.DoneIters)
 	}
 
-	opts.Sink = nil
 	res, err := Optimize(context.Background(), sim, target, opts, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +128,6 @@ func TestBaselineResumeRejectsForeignCheckpoint(t *testing.T) {
 
 	cp := cancelBaselineRun(t, sim, target, opts, 2)
 
-	opts.Sink = nil
 	other := opts
 	other.Variant = PVOPC
 	if _, err := Optimize(context.Background(), sim, target, other, cp); !errors.Is(err, solve.ErrCheckpointMismatch) {

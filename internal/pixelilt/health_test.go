@@ -22,8 +22,7 @@ func TestWatchdogAbortsNaNBaseline(t *testing.T) {
 	opts.MaxIter = 20
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
-	opts.Sink = sink
-	opts.TraceID = "nan-baseline"
+	sim.SetSink(sink, "nan-baseline")
 
 	res, err := Optimize(context.Background(), sim, target, opts, nil)
 	if err != nil {

@@ -28,7 +28,7 @@ func runSchedule(ctx context.Context, sim *litho.Simulator, target *grid.Field, 
 	}
 	prog := &levelProgram{opts: opts}
 	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor, opts.MultiResIters)
-	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.Sink, opts.TraceID, opts.IterOffset, resume)
+	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, resume)
 	if err != nil {
 		return nil, err
 	}

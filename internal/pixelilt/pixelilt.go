@@ -97,11 +97,6 @@ type Options struct {
 	// events and watchdog verdicts — the coarse-to-fine driver uses it to
 	// keep one globally contiguous iteration axis across levels.
 	IterOffset int
-	// Sink receives one structured iteration event per baseline step.
-	// nil disables tracing.
-	Sink obs.Sink
-	// TraceID tags this run's events in a shared sink.
-	TraceID string
 	// Health enables the numerical-health watchdog over the iteration
 	// cost; unhealthy iterations emit a health event and, with
 	// AbortOnUnhealthy, stop the run (Result.Aborted/AbortReason).
@@ -321,9 +316,6 @@ func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaIni
 			s.theta.Data[i] = 2*v - 1
 		}
 	}
-	if opts.Sink != nil {
-		sim.SetSink(opts.Sink, opts.TraceID)
-	}
 	return s, nil
 }
 
@@ -350,13 +342,14 @@ func (s *stepper) driver() *solve.Driver {
 		hp.DivergenceWindow = 0
 		health = &hp
 	}
+	sink, trace := s.sim.TraceSink()
 	return solve.NewDriver(s, solve.Config{
 		Method:    s.opts.Variant.String(),
 		MaxIter:   s.opts.MaxIter,
 		Offset:    s.opts.IterOffset,
 		BaseScale: s.opts.StepSize,
-		Sink:      s.opts.Sink,
-		Trace:     s.opts.TraceID,
+		Sink:      sink,
+		Trace:     trace,
 		Engine:    s.sim.Engine().Name(),
 		Health:    health,
 	})

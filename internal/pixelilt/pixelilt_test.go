@@ -247,8 +247,9 @@ func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	sink := &obs.CollectorSink{}
 	opts := DefaultOptions(MosaicExact)
 	opts.MaxIter = 3
-	opts.Sink = sink
-	res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 20), opts, nil)
+	sim := newTestSim(t, 2)
+	sim.SetSink(sink, "")
+	res, err := Optimize(context.Background(), sim, rectTarget(64, 20, 20), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

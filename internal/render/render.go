@@ -49,27 +49,6 @@ func SavePGM(path string, f *grid.Field, lo, hi float64) error {
 	return file.Close()
 }
 
-// Overlay encodes a comparison image: target contour, printed pattern
-// and their disagreement, returned as a field with the conventional
-// values 0 (background), 0.35 (missing: target only), 0.7 (extra:
-// printed only), 1 (match). Render it with WritePGM(…, 0, 1).
-func Overlay(target, printed *grid.Field) *grid.Field {
-	out := grid.NewFieldLike(target)
-	for i := range out.Data {
-		t := target.Data[i] > 0.5
-		p := printed.Data[i] > 0.5
-		switch {
-		case t && p:
-			out.Data[i] = 1
-		case t && !p:
-			out.Data[i] = 0.35
-		case !t && p:
-			out.Data[i] = 0.7
-		}
-	}
-	return out
-}
-
 // ASCII renders f as terminal art, downsampling to at most maxCols
 // columns. Values map to the ramp " .:-=+*#%@" over [lo, hi].
 func ASCII(f *grid.Field, maxCols int, lo, hi float64) string {

@@ -73,18 +73,6 @@ func TestSavePGM(t *testing.T) {
 	}
 }
 
-func TestOverlayClasses(t *testing.T) {
-	target := grid.FieldFromData(2, 2, []float64{1, 1, 0, 0})
-	printed := grid.FieldFromData(2, 2, []float64{1, 0, 1, 0})
-	o := Overlay(target, printed)
-	want := []float64{1, 0.35, 0.7, 0}
-	for i := range want {
-		if o.Data[i] != want[i] {
-			t.Fatalf("overlay[%d] = %g, want %g", i, o.Data[i], want[i])
-		}
-	}
-}
-
 func TestASCIIShapeAndRamp(t *testing.T) {
 	f := grid.NewField(32, 32)
 	for y := 0; y < 32; y++ {

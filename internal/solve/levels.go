@@ -51,9 +51,10 @@ type Program interface {
 // Algorithm 1 on a downsampled grid first, halving the factor each
 // level, finishing at full resolution on sim itself. Coarse sessions
 // are created on exactly-truncated kernel banks (sharing sim's resource
-// pool) and released before the next level starts; histories
-// concatenate with globally renumbered iterations and each hand-off
-// emits a level_switch trace event.
+// pool), inherit sim's trace sink and id, and are released before the
+// next level starts; histories concatenate with globally renumbered
+// iterations and each hand-off emits a level_switch trace event to
+// sim's sink.
 //
 // offset seeds the global iteration numbering. A non-nil resume
 // checkpoint fast-forwards the schedule to the checkpointed level and
@@ -61,7 +62,7 @@ type Program interface {
 // returned *Cancelled checkpoint is annotated with the schedule
 // position (factor, completed levels' history) so resume can rebuild
 // the whole run.
-func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sched Schedule, prog Program, sink obs.Sink, trace string, offset int, resume *Checkpoint) (*Outcome, error) {
+func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sched Schedule, prog Program, offset int, resume *Checkpoint) (*Outcome, error) {
 	total := &Outcome{}
 	globalIter := offset
 	start := 0
@@ -98,6 +99,7 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			if err != nil {
 				return nil, err
 			}
+			csim.SetSink(sim.TraceSink())
 			lsim = csim
 		}
 		ltarget := target
@@ -194,7 +196,7 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 		// Hand-off: interpolate onto the next level's grid.
 		interpStart := time.Now()
 		state = prog.Upsample(out.State)
-		if sink != nil {
+		if sink, trace := sim.TraceSink(); sink != nil {
 			sink.Emit(obs.Event{
 				Type:   obs.EventLevelSwitch,
 				Trace:  trace,

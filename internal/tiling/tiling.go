@@ -124,7 +124,10 @@ type Options struct {
 	// worker per engine worker, capped at the tile count.
 	Workers int
 	// Core is the per-tile optimizer schedule for the initial
-	// independent sweep (iteration budget, multi-res schedule, …).
+	// independent sweep (iteration budget, multi-res schedule, …). Its
+	// Health is the per-tile watchdog policy: a tile whose optimizer
+	// aborts fails the whole tiled run with a *TileAbortError and
+	// cancels the remaining tiles.
 	Core core.Options
 	// StitchPasses bounds the halo-stitching consistency passes after
 	// the initial sweep; 0 defaults to 2, negative disables stitching.
@@ -136,16 +139,6 @@ type Options struct {
 	// disagreement fraction over all tile-pair overlap regions must
 	// fall to or below this; 0 defaults to 0.01.
 	SeamTolerance float64
-	// Sink receives tile_start/tile_done/stitch_pass events plus each
-	// tile optimizer's iteration stream (tile runs are tagged
-	// "<TraceID>.t<index>").
-	Sink obs.Sink
-	// TraceID tags the run's events.
-	TraceID string
-	// Health is the per-tile numerical-health watchdog policy. A tile
-	// whose optimizer aborts fails the whole tiled run with a
-	// *TileAbortError and cancels the remaining tiles.
-	Health *obs.HealthPolicy
 	// PoisonTile, when > 0, NaN-poisons one pixel of that tile's
 	// rasterised target (1-based ordinal) before optimization — fault
 	// injection for exercising the watchdog-abort and postmortem-capture
@@ -199,11 +192,6 @@ type TileAbortError struct {
 func (e *TileAbortError) Error() string {
 	return fmt.Sprintf("tiling: tile %d aborted: %s", e.Tile, e.Reason)
 }
-
-// poisonTile, when non-nil, mutates a tile's rasterised target before
-// optimization — the test hook behind the NaN-poisoned-tile watchdog
-// test.
-var poisonTile func(tile int, target *grid.Field)
 
 // DefaultHaloNM derives the halo from the bank's SOCS kernel support:
 // the radius containing 99.9% of the combined spatial kernel's energy
@@ -274,7 +262,9 @@ func kernelEnergyRadius(spec *grid.CField, eng *engine.Engine) int {
 
 // Optimize runs the full tiled optimization of chip on the given
 // resource bank (whose grid defines the tile window), engine and
-// configuration. See the package comment for the algorithm.
+// configuration. See the package comment for the algorithm. A non-nil
+// sink receives the run's tile_start/tile_done/stitch_pass events under
+// trace, and each tile run's optimizer stream under "<trace>.t<n>".
 //
 // Cancelling ctx stops the run promptly: in-flight tiles observe the
 // cancellation at their next iteration boundary, queued tiles and
@@ -282,7 +272,7 @@ func kernelEnergyRadius(spec *grid.CField, eng *engine.Engine) int {
 // context's error. A cancelled tiled run is not checkpointable — tiles
 // restart from the blended consensus anyway, so a resume re-runs the
 // interrupted pass.
-func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.Engine, chip *geom.Layout, opts Options) (*Result, error) {
+func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.Engine, chip *geom.Layout, opts Options, sink obs.Sink, trace string) (*Result, error) {
 	start := time.Now()
 	if err := chip.Validate(); err != nil {
 		return nil, err
@@ -331,7 +321,7 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 	r := &runner{
 		res: res, cfg: cfg, pitch: pitch,
 		chip: chip, grid: g,
-		opts: opts, stitchIters: stitchIters,
+		opts: opts, sink: sink, trace: trace, stitchIters: stitchIters,
 		subs:  eng.Split(workers),
 		psis:  make([]*grid.Field, len(g.Tiles)),
 		stats: make([]TileStat, len(g.Tiles)),
@@ -365,9 +355,9 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 		}
 		seam, dirty = r.seamDisagreement(seamTol)
 		passes = p
-		if opts.Sink != nil {
-			opts.Sink.Emit(obs.Event{
-				Type: obs.EventStitchPass, Trace: opts.TraceID,
+		if sink != nil {
+			sink.Emit(obs.Event{
+				Type: obs.EventStitchPass, Trace: trace,
 				Pass: p, N: len(r.lastRun), Seam: seam, Hit: seam <= seamTol,
 				DurNS: time.Since(passStart).Nanoseconds(),
 			})
@@ -394,6 +384,8 @@ type runner struct {
 	chip  *geom.Layout
 	grid  *Grid
 	opts  Options
+	sink  obs.Sink
+	trace string
 	subs  []*engine.Engine
 
 	stitchIters int
@@ -432,7 +424,7 @@ func (r *runner) runPass(ctx context.Context, pass int, tiles []int, chipPsi *gr
 			// profiles attribute tile work to the tiled run; per-tile
 			// run_id/phase labels are layered on inside runTile. Engine
 			// helpers run a call under its caller's labels.
-			pprof.Do(ctx, pprof.Labels("job", r.opts.TraceID), func(ctx context.Context) {
+			pprof.Do(ctx, pprof.Labels("job", r.trace), func(ctx context.Context) {
 				sim, err := litho.NewSession(r.res, r.cfg, sub)
 				if err != nil {
 					r.fail(err)
@@ -497,27 +489,22 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 	if err != nil {
 		return err
 	}
-	if poisonTile != nil {
-		poisonTile(ti, target)
-	}
 	if r.opts.PoisonTile == ti+1 {
 		target.Data[len(target.Data)/2] = math.NaN()
 	}
 
 	topts := r.opts.Core
-	topts.Sink = r.opts.Sink
-	topts.Health = r.opts.Health
-	topts.TraceID = obs.TileRunID(r.opts.TraceID, ti+1)
+	tileTrace := obs.TileRunID(r.trace, ti+1)
 	if pass > 0 {
 		topts.InitialPsi = chipPsi.SubRegion(t.Window.X0/r.pitch, t.Window.Y0/r.pitch, wpx, wpx)
 		topts.MaxIter = r.stitchIters
 		topts.MultiResFactor = 0
 		topts.IterOffset = r.opts.Core.MaxIter + (pass-1)*r.stitchIters
 	}
-	if r.opts.Sink != nil {
-		sim.SetSink(r.opts.Sink, topts.TraceID)
-		r.opts.Sink.Emit(obs.Event{
-			Type: obs.EventTileStart, Trace: r.opts.TraceID,
+	sim.SetSink(r.sink, tileTrace)
+	if r.sink != nil {
+		r.sink.Emit(obs.Event{
+			Type: obs.EventTileStart, Trace: r.trace,
 			Tile: ti + 1, Pass: pass,
 			Name: fmt.Sprintf("core[%d,%d)x[%d,%d)", t.Core.X0, t.Core.X1, t.Core.Y0, t.Core.Y1),
 		})
@@ -528,9 +515,9 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 		return err
 	}
 	dur := time.Since(start)
-	if r.opts.Sink != nil {
-		r.opts.Sink.Emit(obs.Event{
-			Type: obs.EventTileDone, Trace: r.opts.TraceID,
+	if r.sink != nil {
+		r.sink.Emit(obs.Event{
+			Type: obs.EventTileDone, Trace: r.trace,
 			Tile: ti + 1, Pass: pass,
 			Iter: res.Iterations, Hit: res.Converged,
 			DurNS: dur.Nanoseconds(),
@@ -545,7 +532,7 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 	if res.Aborted {
 		return &TileAbortError{
 			Tile: ti, Reason: res.AbortReason,
-			Trace:      topts.TraceID,
+			Trace:      tileTrace,
 			Window:     t.Window,
 			Checkpoint: res.AbortCheckpoint,
 		}

@@ -11,7 +11,6 @@ import (
 	"lsopc/internal/core"
 	"lsopc/internal/engine"
 	"lsopc/internal/geom"
-	"lsopc/internal/grid"
 	"lsopc/internal/litho"
 	"lsopc/internal/obs"
 	"lsopc/internal/rt"
@@ -128,10 +127,8 @@ func TestTiledOptimizeEndToEnd(t *testing.T) {
 	chip := testChip()
 	sink := &obs.CollectorSink{}
 	opts := tileOpts(4)
-	opts.Sink = sink
-	opts.TraceID = "job1"
 	opts.Workers = 2
-	result, err := Optimize(context.Background(), res, cfg, eng, chip, opts)
+	result, err := Optimize(context.Background(), res, cfg, eng, chip, opts, sink, "job1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,7 @@ func TestTiledEmptyTileSkipped(t *testing.T) {
 	}
 	opts := tileOpts(2)
 	opts.StitchPasses = -1 // no stitching
-	result, err := Optimize(context.Background(), res, cfg, eng, chip, opts)
+	result, err := Optimize(context.Background(), res, cfg, eng, chip, opts, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,18 +249,12 @@ func TestTiledNaNPoisonedTileAborts(t *testing.T) {
 	eng := engine.CPU()
 	res, cfg := testBank(t, eng)
 	chip := testChip()
-	t.Cleanup(func() { poisonTile = nil })
 	poisoned := 1
-	poisonTile = func(tile int, target *grid.Field) {
-		if tile == poisoned {
-			target.Data[target.W*3+5] = math.NaN()
-		}
-	}
 	hp := obs.DefaultHealthPolicy()
 	opts := tileOpts(3)
-	opts.Health = &hp
-	opts.TraceID = "poison"
-	_, err := Optimize(context.Background(), res, cfg, eng, chip, opts)
+	opts.Core.Health = &hp
+	opts.PoisonTile = poisoned + 1 // 1-based
+	_, err := Optimize(context.Background(), res, cfg, eng, chip, opts, nil, "")
 	if err == nil {
 		t.Fatal("poisoned run succeeded")
 	}
@@ -317,10 +308,8 @@ func TestTiledCancelStopsWorkersPromptly(t *testing.T) {
 		Core:         co,
 		StitchPasses: 2,
 		Workers:      2,
-		Sink:         sink,
-		TraceID:      "cancel-me",
 	}
-	result, err := Optimize(ctx, res, cfg, eng, chip, opts)
+	result, err := Optimize(ctx, res, cfg, eng, chip, opts, sink, "cancel-me")
 	if err == nil {
 		t.Fatal("cancelled tiled run succeeded")
 	}
@@ -344,7 +333,7 @@ func TestTiledCancelStopsWorkersPromptly(t *testing.T) {
 	// The bank and engine must come out clean: a fresh run on the same
 	// resources succeeds (workers drained, no leaked or poisoned
 	// sessions).
-	res2, err := Optimize(context.Background(), res, cfg, eng, chip, tileOpts(2))
+	res2, err := Optimize(context.Background(), res, cfg, eng, chip, tileOpts(2), nil, "")
 	if err != nil {
 		t.Fatalf("follow-up run on the same bank failed: %v", err)
 	}

@@ -96,7 +96,8 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 	}()
 	base := "http://" + live.Addr()
 
-	p, err := NewCustomPipeline(64, 16, 4, GPUEngine())
+	// The tiled run is the fresh pipeline's first traced job: "s1".
+	p, err := NewCustomPipeline(64, 16, 4, GPUEngine(), WithTraceSink(live.Sink()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +110,6 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 		Core:         opts,
 		StitchPasses: 1,
 		StitchIters:  2,
-		Sink:         live.Sink(),
-		TraceID:      "job1",
 	}
 
 	// Attach the SSE client before the run starts so the hello frame
@@ -118,7 +117,7 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 	sseCtx, sseCancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer sseCancel()
 	req, err := http.NewRequestWithContext(sseCtx, http.MethodGet,
-		base+"/runs/job1/events?types=tile_start,tile_done,stitch_pass", nil)
+		base+"/runs/s1/events?types=tile_start,tile_done,stitch_pass", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +155,13 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 	if first.event != "tile_start" {
 		t.Fatalf("first run event = %q, want tile_start", first.event)
 	}
-	if first.data["trace"] != "job1" {
-		t.Fatalf("tile_start trace = %v, want job1", first.data["trace"])
+	if first.data["trace"] != "s1" {
+		t.Fatalf("tile_start trace = %v, want s1", first.data["trace"])
 	}
 	var mid struct {
 		Run liveRunState `json:"run"`
 	}
-	liveGetJSON(t, base+"/runs/job1", &mid)
+	liveGetJSON(t, base+"/runs/s1", &mid)
 	if mid.Run.Phase != "running" {
 		t.Errorf("mid-run phase = %q, want running", mid.Run.Phase)
 	}
@@ -213,7 +212,7 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 			Iter int `json:"iter"`
 		} `json:"iterations"`
 	}
-	liveGetJSON(t, base+"/runs/job1", &fin)
+	liveGetJSON(t, base+"/runs/s1", &fin)
 	if fin.Run.Phase != "done" {
 		t.Errorf("final phase = %q, want done", fin.Run.Phase)
 	}
@@ -229,9 +228,9 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 			Iter int `json:"iter"`
 		} `json:"iterations"`
 	}
-	liveGetJSON(t, base+"/runs/job1.t1", &child)
-	if child.Run.Parent != "job1" || child.Run.Phase != "done" {
-		t.Errorf("child = %+v, want parent job1, phase done", child.Run)
+	liveGetJSON(t, base+"/runs/s1.t1", &child)
+	if child.Run.Parent != "s1" || child.Run.Phase != "done" {
+		t.Errorf("child = %+v, want parent s1, phase done", child.Run)
 	}
 	if len(child.Iterations) == 0 {
 		t.Errorf("child iteration series is empty")
@@ -242,12 +241,12 @@ func TestLiveServerStreamsTiledRun(t *testing.T) {
 	liveGetJSON(t, base+"/runs", &list)
 	found := false
 	for _, r := range list.Runs {
-		if r.ID == "job1" {
+		if r.ID == "s1" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("/runs does not list job1 (got %d runs)", len(list.Runs))
+		t.Errorf("/runs does not list s1 (got %d runs)", len(list.Runs))
 	}
 	var hz struct {
 		Status string `json:"status"`
@@ -329,7 +328,6 @@ func TestLiveRunsMatchOfflineFold(t *testing.T) {
 			defer rec.Close()
 			p, err := NewCustomPipeline(64, 16, 4, GPUEngine(),
 				WithTraceSink(TeeTraceSink(sink, rec)),
-				WithHealthPolicy(DefaultHealthPolicy()),
 				WithFlightRecorder(rec))
 			if err != nil {
 				t.Fatal(err)
@@ -337,6 +335,8 @@ func TestLiveRunsMatchOfflineFold(t *testing.T) {
 			defer p.Release()
 			popts := DefaultLevelSetOptions()
 			popts.MaxIter = 20
+			hp := DefaultHealthPolicy()
+			popts.Health = &hp
 			_, err = p.OptimizeTiled(Benchmark("B1"), TileOptions{HaloNM: 256, Core: popts, PoisonTile: 3})
 			var terr *TileAbortError
 			if !errors.As(err, &terr) {

@@ -281,7 +281,6 @@ type Pipeline struct {
 	// trace id ("s1", "s2", …) so events from concurrent jobs through
 	// the shared sink stay distinguishable.
 	sink     obs.Sink
-	health   *obs.HealthPolicy
 	flight   *recorder.Recorder
 	traceSeq atomic.Int64
 
@@ -299,16 +298,6 @@ type PipelineOption func(*Pipeline)
 // (JSONL and line sinks are). Pipeline.Release flushes it.
 func WithTraceSink(s TraceSink) PipelineOption {
 	return func(p *Pipeline) { p.sink = s }
-}
-
-// WithHealthPolicy attaches a numerical-health watchdog policy to the
-// pipeline: every optimization it runs (level-set and pixel baselines)
-// inherits the policy unless the per-run options carry their own.
-// Unhealthy iterations emit typed health events to the pipeline's trace
-// sink, and with AbortOnUnhealthy the run stops early, reporting
-// Aborted/AbortReason in its result.
-func WithHealthPolicy(hp HealthPolicy) PipelineOption {
-	return func(p *Pipeline) { p.health = &hp }
 }
 
 // WithFlightRecorder attaches a flight recorder to the pipeline: every
@@ -534,12 +523,8 @@ func (p *Pipeline) lease() (*session, error) {
 	return p.newSession()
 }
 
-// done returns the session to its pipeline's free list, with the
-// pipeline's sink back on its simulator: a run whose options carried a
-// sink of their own installed it there (core.New, pixelilt), and the
-// next lease must not emit into it.
+// done returns the session to its pipeline's free list.
 func (s *session) done() {
-	s.sim.SetSink(s.p.sink, s.trace)
 	s.p.mu.Lock()
 	s.p.free = append(s.p.free, s)
 	s.p.mu.Unlock()
@@ -629,10 +614,10 @@ func (p *Pipeline) OptimizeLevelSet(l *Layout, opts LevelSetOptions) (*RunResult
 // result then matches the uninterrupted run bit-for-bit. A nil from
 // starts a fresh run; a checkpoint that does not fit the run fails with
 // an error wrapping ErrCheckpointMismatch. When the pipeline carries a
-// trace sink and opts.Sink is nil, the run inherits the sink under its
-// session's trace id. Safe to call concurrently.
+// trace sink, the run's events go to it under its session's trace id.
+// Safe to call concurrently.
 func (p *Pipeline) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions, from *Checkpoint) (*RunResult, error) {
-	return p.optimize(l, "optimize.levelset", &opts.Sink, &opts.TraceID, &opts.Health,
+	return p.optimize(l, "optimize.levelset",
 		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
 			res, err := core.Run(ctx, sim, target, opts, from)
 			if err != nil {
@@ -650,10 +635,10 @@ func (p *Pipeline) OptimizeBaseline(l *Layout, opts pixelilt.Options) (*RunResul
 
 // OptimizeBaselineContext runs one of the pixel-based comparison methods
 // and evaluates the resulting mask. Cancellation, resuming from a
-// checkpoint and trace-sink inheritance work as in
+// checkpoint and tracing work as in
 // OptimizeLevelSetContext. Safe to call concurrently.
 func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts pixelilt.Options, from *Checkpoint) (*RunResult, error) {
-	return p.optimize(l, "optimize."+opts.Variant.String(), &opts.Sink, &opts.TraceID, &opts.Health,
+	return p.optimize(l, "optimize."+opts.Variant.String(),
 		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
 			res, err := pixelilt.Optimize(ctx, sim, target, opts, from)
 			if err != nil {
@@ -663,13 +648,11 @@ func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts 
 		})
 }
 
-// optimize is the run body both optimizers share. It leases a session
-// and looks up the target; where the run's options carry no sink or
-// health policy it fills in the pipeline's, writing through the sink,
-// trace and health pointers into the caller's options before run reads
-// them. It hands a cancellation or watchdog abort to the flight
+// optimize is the run body both optimizers share. It leases a session,
+// whose simulator carries the run's trace context, and looks up the
+// target. It hands a cancellation or watchdog abort to the flight
 // recorder, emits the job span and evaluates the mask.
-func (p *Pipeline) optimize(l *Layout, span string, sink *obs.Sink, trace *string, health **obs.HealthPolicy,
+func (p *Pipeline) optimize(l *Layout, span string,
 	run func(sim *litho.Simulator, target *Field) (*RunResult, error)) (*RunResult, error) {
 	s, err := p.lease()
 	if err != nil {
@@ -680,23 +663,17 @@ func (p *Pipeline) optimize(l *Layout, span string, sink *obs.Sink, trace *strin
 	if err != nil {
 		return nil, err
 	}
-	if *sink == nil && p.sink != nil {
-		*sink, *trace = p.sink, s.trace
-	}
-	if *health == nil {
-		*health = p.health
-	}
 	start := time.Now()
 	r, err := run(s.sim, target)
 	if err != nil {
 		var cerr *CancelledError
 		if errors.As(err, &cerr) {
-			p.captureAnomaly(BundleAnomaly{RunID: *trace, Reason: "cancelled", Checkpoint: cerr.Checkpoint})
+			p.captureAnomaly(BundleAnomaly{RunID: s.trace, Reason: "cancelled", Checkpoint: cerr.Checkpoint})
 		}
 		return nil, err
 	}
 	if reason, cp, aborted := r.abort(); aborted {
-		p.captureAnomaly(BundleAnomaly{RunID: *trace, Reason: reason, Checkpoint: cp})
+		p.captureAnomaly(BundleAnomaly{RunID: s.trace, Reason: reason, Checkpoint: cp})
 	}
 	r.Elapsed = time.Since(start)
 	s.traceSpan(span, start)
@@ -718,24 +695,21 @@ func (p *Pipeline) OptimizeTiled(l *Layout, opts TileOptions) (*TiledResult, err
 // concurrently on sessions sharing the pipeline's resource bank, and
 // stitch passes blend ψ across seams and re-optimize disagreeing tiles
 // until seams converge. The result's Mask/Psi are chip-resolution (chip
-// extent ÷ pipeline pitch). The run inherits the pipeline's trace sink
-// (events tagged with a fresh job id, per-tile runs as "<job>.t<n>")
-// and health policy; a watchdog-aborted tile fails the whole run with a
-// *TileAbortError. Cancel ctx and in-flight tiles stop at their next
+// extent ÷ pipeline pitch). The run's events go to the pipeline's trace
+// sink, tagged with a fresh job id (per-tile runs as "<job>.t<n>");
+// opts.Core.Health is the per-tile watchdog policy, and a
+// watchdog-aborted tile fails the whole run with a *TileAbortError. Cancel ctx and in-flight tiles stop at their next
 // iteration boundary, queued tiles and pending stitch passes are
 // skipped, and the error unwraps to the context's error. Tiled runs are
 // not checkpointable — a re-run repeats the interrupted pass. Safe to
 // call concurrently.
 func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts TileOptions) (*TiledResult, error) {
-	if opts.Sink == nil && p.sink != nil {
-		opts.Sink = p.sink
-		opts.TraceID = fmt.Sprintf("s%d", p.traceSeq.Add(1))
-	}
-	if opts.Health == nil {
-		opts.Health = p.health
+	var trace string
+	if p.sink != nil {
+		trace = fmt.Sprintf("s%d", p.traceSeq.Add(1))
 	}
 	start := time.Now()
-	res, err := tiling.Optimize(ctx, p.res, p.cfg, p.eng, l, opts)
+	res, err := tiling.Optimize(ctx, p.res, p.cfg, p.eng, l, opts, p.sink, trace)
 	if err != nil {
 		var terr *TileAbortError
 		var cerr *CancelledError
@@ -750,14 +724,14 @@ func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts Til
 			})
 		case errors.As(err, &cerr):
 			p.captureAnomaly(BundleAnomaly{
-				RunID: opts.TraceID, Reason: "cancelled", Checkpoint: cerr.Checkpoint,
+				RunID: trace, Reason: "cancelled", Checkpoint: cerr.Checkpoint,
 			})
 		}
 		return nil, err
 	}
-	if opts.Sink != nil {
-		opts.Sink.Emit(obs.Event{
-			Type: obs.EventSpan, Trace: opts.TraceID, Name: "optimize.tiled",
+	if p.sink != nil {
+		p.sink.Emit(obs.Event{
+			Type: obs.EventSpan, Trace: trace, Name: "optimize.tiled",
 			Engine: p.eng.Name(), DurNS: time.Since(start).Nanoseconds(),
 		})
 	}

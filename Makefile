@@ -27,17 +27,22 @@
 #   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
 #               (GLP layouts, GDSII streams, PGM masks, gob checkpoints),
 #               the 1-D FFT kernel against its reference loop, the
+#               FFT column passes' AVX2 movement kernels (gathers,
+#               scatters, real-row pack) against their Go loops, the
 #               real-output banded inverse against the complex one, the
 #               real-input forward against the reference 2-D algorithm,
 #               the reduced-grid SOCS aerial and gradient against the dense
 #               full-grid reference, the inline resist sigmoid against
 #               the math.Exp form, its AVX2 kernel against its Go loop,
-#               the offline trace fold (analyze.Parse) against the
+#               the exact distance transform (SignedDistance,
+#               Reinitialize) against a brute-force reference, the
+#               offline trace fold (analyze.Parse) against the
 #               live run registry, and the postmortem bundle reader
 #               (recorder.Open)
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
 #               every package builds without the amd64 assembly (FFT
-#               butterflies, resist sigmoid, CPU probe), GOARCH=386
+#               butterflies and column-pass movement kernels, resist
+#               sigmoid, CPU probe), GOARCH=386
 #               go test ./internal/fft ./internal/grid runs their Go
 #               loops as the selected kernels (natively on an amd64
 #               host)
@@ -150,18 +155,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnMovesMatchGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRealMatchesTextbook$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzSignedDistanceMatchesBruteForce$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/recorder
 
 vet:
 	$(GO) vet ./...
 
-# The butterfly sweeps of internal/fft and the resist sigmoid of
+# The butterfly sweeps and the column passes' data movement (gathers,
+# scatters, real-row pack) of internal/fft and the resist sigmoid of
 # internal/grid have AVX2 assembly kernels on amd64 (chosen by the CPU
 # probe in internal/grid) and Go loops everywhere else. amd64 vet
 # (asmdecl) checks the assembly's frames and argument names; this leg

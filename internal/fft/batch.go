@@ -58,6 +58,7 @@ type BatchPlan2D struct {
 	opReal      *grid.Field // InverseRealBanded's output, ForwardReal's input
 	opInverse   bool
 	opBand      int // row/column band of the banded passes
+	opLo, opHi  int // rows the column gathers zero instead of reading
 	opBlocks    int // column blocks per field (col passes)
 	opLowBlocks int // blocks in the low column run (colPassCols)
 
@@ -147,19 +148,10 @@ func (p *BatchPlan2D) bindBodies() {
 		}
 	}
 	p.colBody = func(worker, i int) {
-		h, band, blocks := p.h, p.opBand, p.opBlocks
+		blocks := p.opBlocks
 		data := p.opFields[i/blocks].Data
 		x0 := (i % blocks) * colBlock
-		nb := min(colBlock, p.w-x0)
-		s := p.col[worker]
-		if band >= 0 && 2*band+1 < h {
-			p.gatherCols(s, data, x0, nb, 0, band+1)
-			p.zeroCols(s, nb, band+1, h-band)
-			p.gatherCols(s, data, x0, nb, h-band, h)
-		} else {
-			p.gatherCols(s, data, x0, nb, 0, h)
-		}
-		p.transformCols(data, s, x0, nb)
+		p.transformCols(data[x0:], p.col[worker], min(colBlock, p.w-x0), p.opLo, p.opHi)
 	}
 	p.colColsBody = func(worker, i int) {
 		w, band, blocks, lowBlocks := p.w, p.opBand, p.opBlocks, p.opLowBlocks
@@ -169,111 +161,82 @@ func (p *BatchPlan2D) bindBodies() {
 		if b >= lowBlocks {
 			x0, x1 = w-band+(b-lowBlocks)*colBlock, w
 		}
-		nb := min(colBlock, x1-x0)
-		s := p.col[worker]
-		p.gatherCols(s, data, x0, nb, 0, p.h)
-		p.transformCols(data, s, x0, nb)
-	}
-}
-
-// gatherCols copies rows [y0, y1) of the nb columns from x0 of the
-// row-major data into the column scratch s, column c at s[c·h:], each
-// row y at its bit-reversed slot so the column transform skips its swap
-// pass (a permutation only moves data, so this is exact).
-func (p *BatchPlan2D) gatherCols(s, data []complex128, x0, nb, y0, y1 int) {
-	w, h, rev := p.w, p.h, p.colPlan.rev
-	for y := y0; y < y1; y++ {
-		r := int(rev[y])
-		for c, v := range data[y*w+x0 : y*w+x0+nb] {
-			s[c*h+r] = v
-		}
-	}
-}
-
-// zeroCols writes exact zeros into the bit-reversed slots of rows
-// [y0, y1) of the nb scratch columns: the rows a banded pass never reads.
-func (p *BatchPlan2D) zeroCols(s []complex128, nb, y0, y1 int) {
-	h, rev := p.h, p.colPlan.rev
-	for y := y0; y < y1; y++ {
-		r := int(rev[y])
-		for c := 0; c < nb; c++ {
-			s[c*h+r] = 0
-		}
+		p.transformCols(data[x0:], p.col[worker], min(colBlock, x1-x0), p.h, p.h)
 	}
 }
 
 // transformCols runs the column transform of the pass on the nb
-// gathered scratch columns and scatters them back to the columns from
-// x0 of data. An inverse pass applies the whole 1/(w·h) normalisation
-// here, once, instead of 1/w and 1/h in the 1-D transforms (see
-// BatchInverse for why that is exact).
-func (p *BatchPlan2D) transformCols(data, s []complex128, x0, nb int) {
-	w, h := p.w, p.h
+// columns at the start of data (row y at data[y·w:]): it gathers them
+// into the scratch s with the rows [lo, hi) as exact zeros, transforms
+// them and scatters them back. An inverse pass applies the whole
+// 1/(w·h) normalisation in the scatter, once, instead of 1/w and 1/h
+// in the 1-D transforms (see BatchInverse for why that is exact). A
+// full block moves through the column plan's kernel, a narrower tail
+// through the Go loops.
+func (p *BatchPlan2D) transformCols(data, s []complex128, nb, lo, hi int) {
+	w, h, k, rev := p.w, p.h, p.colPlan.k, p.colPlan.rev
+	_ = data[(h-1)*w+nb-1] // the kernels trust their lengths
+	if nb == colBlock {
+		k.gather(s, data, rev, w, lo, hi)
+	} else {
+		gatherCols(s, data, rev, w, nb, lo, hi)
+	}
 	tw := p.colPlan.twiddleTable(p.opInverse)
 	for c := 0; c < nb; c++ {
 		p.colPlan.butterflies(s[c*h:(c+1)*h], tw)
 	}
-	if !p.opInverse {
-		for y := 0; y < h; y++ {
-			row := data[y*w+x0 : y*w+x0+nb]
-			for c := range row {
-				row[c] = s[c*h+y]
-			}
-		}
-		return
+	switch {
+	case !p.opInverse && nb == colBlock:
+		k.scatter(data, s, w, h)
+	case !p.opInverse:
+		scatterCols(data, s, w, h, nb)
+	case nb == colBlock:
+		k.scatterScaled(data, s, w, h, p.scale)
+	default:
+		scatterColsScaled(data, s, w, h, nb, p.scale)
 	}
-	sc := p.scale
-	for y := 0; y < h; y++ {
-		row := data[y*w+x0 : y*w+x0+nb]
-		for c := range row {
-			z := s[c*h+y]
-			row[c] = complex(real(z)*sc, imag(z)*sc)
-		}
+}
+
+// bandGap returns the rows [lo, hi) outside the wrapped row band
+// |v| ≤ band, which the banded column passes gather as exact zeros
+// instead of reading; band < 0 or a band covering all h rows gives
+// the empty range [h, h).
+func bandGap(band, h int) (lo, hi int) {
+	if band < 0 || 2*band+1 >= h {
+		return h, h
 	}
+	return band + 1, h - band
 }
 
 // bindRealBody creates the bodies of the real-sided passes: the row
 // body of ForwardReal (realRows) and the column body of
-// InverseRealBanded. Column work item i covers the column pairs [i·colBlock, (i+1)·colBlock): each pair
-// (2c, 2c+1) is gathered as the one complex sequence Y₀ + i·Y₁ into
-// per-worker scratch, in bit-reversed row order, inverse-transformed
-// once, and its real and imaginary parts are scattered, scaled by
-// 1/(w·h), to the two real output columns.
+// InverseRealBanded. Column work item i covers the column pairs
+// [i·colBlock, (i+1)·colBlock): each pair (2c, 2c+1) is gathered as the
+// one complex sequence Y₀ + i·Y₁ into per-worker scratch, in
+// bit-reversed row order, inverse-transformed once, and its real and
+// imaginary parts are scattered, scaled by 1/(w·h), to the two real
+// output columns. Like transformCols, a full block moves through the
+// column plan's kernel and a narrower tail through the Go loops.
 func (p *BatchPlan2D) bindRealBody() {
 	p.colRealBody = func(worker, i int) {
-		w, h, band := p.w, p.h, p.opBand
-		data, out, rev := p.opFields[0].Data, p.opReal.Data, p.colPlan.rev
+		w, h, k, rev := p.w, p.h, p.colPlan.k, p.colPlan.rev
 		c0 := i * colBlock
 		np := min(colBlock, w/2-c0)
-		x0 := 2 * c0
+		data, out := p.opFields[0].Data[2*c0:], p.opReal.Data[2*c0:]
+		_, _ = data[(h-1)*w+2*np-1], out[(h-1)*w+2*np-1] // the kernels trust their lengths
 		s := p.col[worker]
-		gather := func(y0, y1 int) {
-			for y := y0; y < y1; y++ {
-				row := data[y*w+x0 : y*w+x0+2*np]
-				r := int(rev[y])
-				for c := 0; c < np; c++ {
-					a, b := row[2*c], row[2*c+1]
-					s[c*h+r] = complex(real(a)-imag(b), imag(a)+real(b))
-				}
-			}
-		}
-		if band >= 0 && 2*band+1 < h {
-			gather(0, band+1)
-			p.zeroCols(s, np, band+1, h-band)
-			gather(h-band, h)
+		if np == colBlock {
+			k.gatherPairs(s, data, rev, w, p.opLo, p.opHi)
 		} else {
-			gather(0, h)
+			gatherPairs(s, data, rev, w, np, p.opLo, p.opHi)
 		}
 		for c := 0; c < np; c++ {
 			p.colPlan.butterflies(s[c*h:(c+1)*h], p.colPlan.twinv)
 		}
-		sc := p.scale
-		for y := 0; y < h; y++ {
-			row := out[y*w+x0 : y*w+x0+2*np]
-			for c := 0; c < np; c++ {
-				z := s[c*h+y]
-				row[2*c], row[2*c+1] = real(z)*sc, imag(z)*sc
-			}
+		if np == colBlock {
+			k.scatterReal(out, s, w, h, p.scale)
+		} else {
+			scatterReal(out, s, w, h, np, p.scale)
 		}
 	}
 	p.rowRealBody = p.realRows
@@ -371,11 +334,11 @@ func (p *BatchPlan2D) InverseRealBanded(dst *grid.Field, src *grid.CField, band 
 	start := time.Now()
 	if band < 0 || 2*band+1 >= p.h {
 		p.rowPass(p.one[:], true)
-		band = -1
 	} else {
 		p.rowPassBanded(p.one[:], band, true)
 	}
-	p.opFields, p.opReal, p.opBand = p.one[:], dst, band
+	p.opFields, p.opReal = p.one[:], dst
+	p.opLo, p.opHi = bandGap(band, p.h)
 	p.eng.Map((p.w/2+colBlock-1)/colBlock, p.colRealBody)
 	p.opFields, p.opReal, p.one[0] = nil, nil, nil
 	mBatchInverseBandedNS.Observe(float64(time.Since(start)))
@@ -419,6 +382,10 @@ func (p *BatchPlan2D) rowPassBanded(fields []*grid.CField, band int, inverse boo
 // colBlock is the number of columns gathered per work item. Gathering a
 // few adjacent columns together turns the strided column walk into
 // full-cache-line reads, which dominates the pass cost on large grids.
+// Wider blocks measured slower: with the Go loops the serial 512² 2-D
+// FFT took 3.8–4.4 ms at 4 and 5.4, 5.4–5.7 and 5.6–6.3 ms at 8, 16
+// and 32 (three runs each, 2 vCPU, go1.24). The AVX2 movement kernels
+// are written for a block of 4.
 const colBlock = 4
 
 // colPass transforms every column of every field by blocked gather/
@@ -427,7 +394,8 @@ const colBlock = 4
 // gathered as exact zeros instead of being read.
 func (p *BatchPlan2D) colPass(fields []*grid.CField, inverse bool, inBand int) {
 	blocks := (p.w + colBlock - 1) / colBlock
-	p.opFields, p.opInverse, p.opBand, p.opBlocks = fields, inverse, inBand, blocks
+	p.opFields, p.opInverse, p.opBlocks = fields, inverse, blocks
+	p.opLo, p.opHi = bandGap(inBand, p.h)
 	p.eng.Map(len(fields)*blocks, p.colBody)
 	p.opFields = nil
 }

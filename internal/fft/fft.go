@@ -4,9 +4,11 @@
 // the one 2-D transform, which runs whole field stacks (and the
 // real-input and real-output passes) over an engine's workers.
 //
-// The butterfly sweeps have two kernels: Go loops, and on amd64 hosts
-// whose CPU and OS support AVX2 an assembly kernel (kernel_amd64.s)
-// that runs two complex128 per instruction. The choice is made once,
+// The butterfly sweeps and the column passes' data movement (the
+// gathers into and scatters out of the column scratch, and the real
+// rows' pack) have two kernels: Go loops, and on amd64 hosts whose CPU
+// and OS support AVX2 an assembly kernel (kernel_amd64.s) that moves or
+// transforms two complex128 per instruction. The choice is made once,
 // from CPUID, and both give the same bits.
 //
 // Sizes must be powers of two. The lithography pipeline always runs on
@@ -30,8 +32,9 @@ var (
 	mPlanMisses = obs.Default.Counter("fft.plan_cache.misses")
 )
 
-// The fft.kernel_avx2 gauge says which butterfly kernel produced a
-// run's timings: 1 for the AVX2 assembly, 0 for the Go loops.
+// The fft.kernel_avx2 gauge says which kernel, butterflies and column
+// movement, produced a run's timings: 1 for the AVX2 assembly, 0 for
+// the Go loops.
 func init() {
 	g := obs.Default.Gauge("fft.kernel_avx2")
 	if fastKernel != &goKernel {
@@ -164,17 +167,39 @@ func (p *Plan) transform(x []complex128, tw []complex128) {
 // be the plan length.
 func (p *Plan) butterflies(x []complex128, tw []complex128) { p.k.run(x, tw) }
 
-// kernel is one implementation of the butterfly network's three sweeps.
+// kernel is one implementation of the butterfly network's three sweeps
+// and of the 2-D column passes' data movement (batch.go): gathers into
+// and scatters out of the bit-reversed column scratch of one full
+// colBlock-wide block, and realRows' pack of two real rows into one
+// complex row. The column passes use their column plan's kernel, the
+// pack its row plan's.
 type kernel struct {
 	radix4First func(x []complex128, w2 complex128)
 	stagePair   func(x []complex128, h int, t1, t2 []complex128)
 	stage       func(x []complex128, h int, tw []complex128)
+
+	gather        func(s, src []complex128, rev []int32, w, lo, hi int)
+	gatherPairs   func(s, src []complex128, rev []int32, w, lo, hi int)
+	scatter       func(dst, s []complex128, w, h int)
+	scatterScaled func(dst, s []complex128, w, h int, sc float64)
+	scatterReal   func(dst []float64, s []complex128, w, h int, sc float64)
+	pack          func(d []complex128, r0, r1 []float64)
 }
 
-// goKernel is the Go loops below. It runs plans shorter than 8 and,
-// on hosts without the AVX2 kernel, every plan; the tests hold the
-// selected kernel to it bit for bit.
-var goKernel = kernel{radix4First, stagePair, stage}
+// goKernel is the Go loops below and in batch.go. It runs plans
+// shorter than 8 and, on hosts without the AVX2 kernel, every plan; the
+// tests hold the selected kernel to it bit for bit.
+var goKernel = kernel{
+	radix4First:   radix4First,
+	stagePair:     stagePair,
+	stage:         stage,
+	gather:        gatherBlock,
+	gatherPairs:   gatherPairsBlock,
+	scatter:       scatterBlock,
+	scatterScaled: scatterScaledBlock,
+	scatterReal:   scatterRealBlock,
+	pack:          packRows,
+}
 
 // run is the network on x (length a power of two) in bit-reversed
 // order with the stage-major twiddles tw.

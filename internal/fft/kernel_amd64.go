@@ -2,9 +2,20 @@ package fft
 
 import "lsopc/internal/grid"
 
-// avx2Kernel runs the sweeps in kernel_amd64.s, two complex128 per YMM
-// register, bit-identical to goKernel (see the assembly's header).
-var avx2Kernel = kernel{radix4FirstAVX2, stagePairAVX2, stageAVX2}
+// avx2Kernel runs the sweeps and the column passes' data movement in
+// kernel_amd64.s, bit-identical to goKernel (see the assembly's
+// comments).
+var avx2Kernel = kernel{
+	radix4First:   radix4FirstAVX2,
+	stagePair:     stagePairAVX2,
+	stage:         stageAVX2,
+	gather:        gatherAVX2,
+	gatherPairs:   gatherPairsAVX2,
+	scatter:       scatterAVX2,
+	scatterScaled: scatterScaledAVX2,
+	scatterReal:   scatterRealAVX2,
+	pack:          packAVX2,
+}
 
 // fastKernel is the kernel of plans of length ≥ 8: avx2Kernel when the
 // CPU has AVX2 and the OS saves the YMM registers (grid.HasAVX2),
@@ -25,3 +36,28 @@ func pickKernel() *kernel {
 func radix4FirstAVX2(x []complex128, w2 complex128)
 func stagePairAVX2(x []complex128, h int, t1, t2 []complex128)
 func stageAVX2(x []complex128, h int, tw []complex128)
+
+// The movement kernels move one full colBlock-wide block and trust
+// their lengths too: s at least colBlock·h long, every source or
+// destination row y reaching [y·w, y·w+colBlock) (twice that for
+// gatherPairsAVX2 and in float64 for scatterRealAVX2), h = len(rev)
+// ≥ 1, 0 ≤ lo ≤ hi ≤ h, and len(d) a multiple of 4 with r0 and r1 at
+// least as long. transformCols, colRealBody and realRows check them.
+//
+//go:noescape
+func gatherAVX2(s, src []complex128, rev []int32, w, lo, hi int)
+
+//go:noescape
+func gatherPairsAVX2(s, src []complex128, rev []int32, w, lo, hi int)
+
+//go:noescape
+func scatterAVX2(dst, s []complex128, w, h int)
+
+//go:noescape
+func scatterScaledAVX2(dst, s []complex128, w, h int, sc float64)
+
+//go:noescape
+func scatterRealAVX2(dst []float64, s []complex128, w, h int, sc float64)
+
+//go:noescape
+func packAVX2(d []complex128, r0, r1 []float64)

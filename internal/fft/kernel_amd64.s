@@ -201,3 +201,265 @@ stnext:
 stdone:
 	VZEROUPPER
 	RET
+
+// The column passes' data movement (batch.go, moves.go) for one full
+// block of four complex128 columns. The column scratch holds column c
+// at c·h·16 bytes, row y of the strided source or destination starts
+// at y·w elements. Every kernel only copies bits, or does exactly what
+// its Go loop does per part: one multiply by the same scale, or the
+// packed gather's one subtraction and one addition, so each is
+// bit-identical to its loop. They touch only the 128-bit halves (VEX
+// encoded) except where they load or store two complex128 at once.
+
+// The four column pointers of the scratch at R9: R10, R11, R12 are
+// columns 1, 2, 3, with AX the column length in bytes.
+#define COLUMNS \
+	LEAQ (R9)(AX*1), R10;  \
+	LEAQ (R10)(AX*1), R11; \
+	LEAQ (R11)(AX*1), R12
+
+// R8 = the byte offset of row DX's bit-reversed slot rev[DX] (rev at DI).
+#define SLOT \
+	MOVLQSX (DI)(DX*4), R8; \
+	SHLQ    $4, R8
+
+// Zeros (X7) into the slot of the current row of all four columns.
+#define ZERO_ROW \
+	SLOT;                     \
+	VMOVUPD X7, (R9)(R8*1);   \
+	VMOVUPD X7, (R10)(R8*1);  \
+	VMOVUPD X7, (R11)(R8*1);  \
+	VMOVUPD X7, (R12)(R8*1)
+
+// The four elements of the source row at SI into their slots.
+#define GATHER_ROW \
+	SLOT;                     \
+	VMOVUPD (SI), X0;         \
+	VMOVUPD 16(SI), X1;       \
+	VMOVUPD 32(SI), X2;       \
+	VMOVUPD 48(SI), X3;       \
+	VMOVUPD X0, (R9)(R8*1);   \
+	VMOVUPD X1, (R10)(R8*1);  \
+	VMOVUPD X2, (R11)(R8*1);  \
+	VMOVUPD X3, (R12)(R8*1)
+
+// The four column pairs (a, b) of the source row at SI, packed as
+// complex(re a − im b, im a + re b) into their slots: VPERMILPD $1
+// swaps b to [im b, re b] and VADDSUBPD subtracts in the real slot and
+// adds in the imaginary one, the Go loop's two rounded operations.
+#define PAIR(off, col) \
+	VMOVUPD   off(SI), X0;      \
+	VPERMILPD $1, off+16(SI), X1; \
+	VADDSUBPD X1, X0, X0;       \
+	VMOVUPD   X0, (col)(R8*1)
+
+#define PAIRS_ROW \
+	SLOT;           \
+	PAIR(0, R9);    \
+	PAIR(32, R10);  \
+	PAIR(64, R11);  \
+	PAIR(96, R12)
+
+// The rest of the gathers' set-up, given s at R9, src at SI, rev at
+// DI, h in CX and w in BX: the column pointers, the row stride w·16 in
+// BX, zeros in X7 and the row index DX = 0.
+#define GATHER_SETUP \
+	MOVQ   CX, AX;     \
+	SHLQ   $4, AX;     \
+	COLUMNS;           \
+	SHLQ   $4, BX;     \
+	VXORPD X7, X7, X7; \
+	XORQ   DX, DX
+
+// func gatherAVX2(s, src []complex128, rev []int32, w, lo, hi int)
+TEXT ·gatherAVX2(SB), NOSPLIT, $0-96
+	MOVQ s_base+0(FP), R9
+	MOVQ src_base+24(FP), SI
+	MOVQ rev_base+48(FP), DI
+	MOVQ rev_len+56(FP), CX
+	MOVQ w+72(FP), BX
+	GATHER_SETUP
+
+gcopy:
+	CMPQ DX, lo+80(FP)
+	JAE  gzero
+	GATHER_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  gcopy
+
+gzero:
+	CMPQ DX, hi+88(FP)
+	JAE  gtail
+	ZERO_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  gzero
+
+gtail:
+	CMPQ DX, CX
+	JAE  gdone
+	GATHER_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  gtail
+
+gdone:
+	RET
+
+// func gatherPairsAVX2(s, src []complex128, rev []int32, w, lo, hi int)
+TEXT ·gatherPairsAVX2(SB), NOSPLIT, $0-96
+	MOVQ s_base+0(FP), R9
+	MOVQ src_base+24(FP), SI
+	MOVQ rev_base+48(FP), DI
+	MOVQ rev_len+56(FP), CX
+	MOVQ w+72(FP), BX
+	GATHER_SETUP
+
+pcopy:
+	CMPQ DX, lo+80(FP)
+	JAE  pzero
+	PAIRS_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  pcopy
+
+pzero:
+	CMPQ DX, hi+88(FP)
+	JAE  ptail
+	ZERO_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  pzero
+
+ptail:
+	CMPQ DX, CX
+	JAE  pdone
+	PAIRS_ROW
+	ADDQ BX, SI
+	INCQ DX
+	JMP  ptail
+
+pdone:
+	RET
+
+// The scatters: row DX (a byte offset, 16 per row) of the four scratch
+// columns at R9..R12 into Y0 = [c0, c1] and Y1 = [c2, c3].
+#define SCATTER_LOAD \
+	VMOVUPD     (R9)(DX*1), X0;          \
+	VINSERTF128 $1, (R10)(DX*1), Y0, Y0; \
+	VMOVUPD     (R11)(DX*1), X1;         \
+	VINSERTF128 $1, (R12)(DX*1), Y1, Y1
+
+#define SCATTER_STORE \
+	VMOVUPD Y0, (DI);   \
+	VMOVUPD Y1, 32(DI); \
+	ADDQ    BX, DI;     \
+	ADDQ    $16, DX
+
+// The rest of the scatters' set-up, given dst at DI, s at R9 and h in
+// CX: the column pointers, h·16 in CX (= AX, the column length in
+// bytes) and the row offset DX = 0.
+#define SCATTER_SETUP \
+	SHLQ $4, CX;             \
+	MOVQ CX, AX;             \
+	COLUMNS;                 \
+	XORQ DX, DX
+
+// func scatterAVX2(dst, s []complex128, w, h int)
+TEXT ·scatterAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ s_base+24(FP), R9
+	MOVQ w+48(FP), BX
+	MOVQ h+56(FP), CX
+	SCATTER_SETUP
+	SHLQ $4, BX
+
+sloop:
+	CMPQ DX, CX
+	JAE  sdone
+	SCATTER_LOAD
+	SCATTER_STORE
+	JMP  sloop
+
+sdone:
+	VZEROUPPER
+	RET
+
+// func scatterScaledAVX2(dst, s []complex128, w, h int, sc float64)
+TEXT ·scatterScaledAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ s_base+24(FP), R9
+	MOVQ w+48(FP), BX
+	MOVQ h+56(FP), CX
+	SCATTER_SETUP
+	SHLQ         $4, BX
+	VBROADCASTSD sc+64(FP), Y15
+
+ssloop:
+	CMPQ   DX, CX
+	JAE    ssdone
+	SCATTER_LOAD
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	SCATTER_STORE
+	JMP    ssloop
+
+ssdone:
+	VZEROUPPER
+	RET
+
+// The real scatter is the scaled one with a float64 destination: row y
+// of the four column pairs is the same 64 bytes, real and imaginary
+// parts interleaved, at a row stride of w·8 bytes.
+//
+// func scatterRealAVX2(dst []float64, s []complex128, w, h int, sc float64)
+TEXT ·scatterRealAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ s_base+24(FP), R9
+	MOVQ w+48(FP), BX
+	MOVQ h+56(FP), CX
+	SCATTER_SETUP
+	SHLQ         $3, BX
+	VBROADCASTSD sc+64(FP), Y15
+
+srloop:
+	CMPQ   DX, CX
+	JAE    srdone
+	SCATTER_LOAD
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	SCATTER_STORE
+	JMP    srloop
+
+srdone:
+	VZEROUPPER
+	RET
+
+// func packAVX2(d []complex128, r0, r1 []float64)
+TEXT ·packAVX2(SB), NOSPLIT, $0-72
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), R8
+	SHRQ $2, CX
+	JZ   pkdone
+
+pkloop:
+	VMOVUPD    (SI), Y0          // [a0, a1, a2, a3]
+	VMOVUPD    (R8), Y1          // [b0, b1, b2, b3]
+	VUNPCKLPD  Y1, Y0, Y2        // [a0, b0, a2, b2]
+	VUNPCKHPD  Y1, Y0, Y3        // [a1, b1, a3, b3]
+	VPERM2F128 $0x20, Y3, Y2, Y4 // [a0, b0, a1, b1]
+	VPERM2F128 $0x31, Y3, Y2, Y5 // [a2, b2, a3, b3]
+	VMOVUPD    Y4, (DI)
+	VMOVUPD    Y5, 32(DI)
+	ADDQ       $32, SI
+	ADDQ       $32, R8
+	ADDQ       $64, DI
+	DECQ       CX
+	JNZ        pkloop
+
+pkdone:
+	VZEROUPPER
+	RET

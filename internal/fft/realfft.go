@@ -63,9 +63,7 @@ func (p *BatchPlan2D) realRows(lo, hi int) {
 	for y := 2 * lo; y < 2*hi; y += 2 {
 		r0, r1 := src.Row(y), src.Row(y+1)
 		d0, d1 := dst.Row(y), dst.Row(y+1)
-		for x := 0; x < w; x++ {
-			d0[x] = complex(r0[x], r1[x])
-		}
+		p.rowPlan.k.pack(d0, r0, r1)
 		p.rowPlan.Forward(d0)
 		// Unpack: R0[k] = (Z[k]+conj(Z[-k]))/2, R1[k] = (Z[k]−conj(Z[-k]))/2i.
 		// Bins k and w−k read each other, so both are read before

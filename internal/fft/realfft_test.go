@@ -2,6 +2,7 @@ package fft
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -150,5 +151,40 @@ func BenchmarkSpectrumReal512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ForwardReal(dst, src, -1)
+	}
+}
+
+// The passes the mask spectrum and the gradient's real-output inverse
+// run at PresetFast scale (512² grid, kernel box radius r = 28) on the
+// multi-worker engine: ForwardReal pruned to the column band r and 2r,
+// and InverseRealBanded on the row band 2r.
+const benchR = 28
+
+func BenchmarkForwardReal512(b *testing.B) {
+	p := NewBatchPlan2D(512, 512, engine.GPU())
+	src := randField(512, 512, 1)
+	dst := grid.NewCField(512, 512)
+	for _, band := range []int{benchR, 2 * benchR} {
+		b.Run(fmt.Sprintf("band=%d", band), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ForwardReal(dst, src, band)
+			}
+		})
+	}
+}
+
+func BenchmarkInverseRealBanded512(b *testing.B) {
+	p := NewBatchPlan2D(512, 512, engine.GPU())
+	spec := hermitianBand(512, 2*benchR, 1)
+	src, dst := grid.NewCField(512, 512), grid.NewField(512, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	// The pass reads only the band rows, and uses them as scratch.
+	lo, hi := bandGap(2*benchR, 512)
+	for i := 0; i < b.N; i++ {
+		copy(src.Data[:lo*512], spec.Data[:lo*512])
+		copy(src.Data[hi*512:], spec.Data[hi*512:])
+		p.InverseRealBanded(dst, src, 2*benchR)
 	}
 }

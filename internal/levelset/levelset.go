@@ -67,31 +67,48 @@ func psiInside(v float64) bool   { return v <= 0 }
 func psiOutside(v float64) bool  { return !(v <= 0) }
 
 // EDT computes exact Euclidean distance transforms on an engine. Its
-// column pass fans the columns across the workers and its row pass the
-// rows; every column and row is an independent 1-D transform with the
-// same arithmetic whichever worker runs it, so the result is
-// bit-identical on every engine. The per-worker scratch is allocated
-// once, at construction, so a reinitialisation allocates nothing.
+// column pass fans blocks of edtBlock adjacent columns across the
+// workers and its row pass the rows; every column and row is an
+// independent 1-D transform with the same arithmetic whichever worker
+// runs it, so the result is bit-identical on every engine. The
+// per-worker scratch is allocated once, at construction, so a
+// reinitialisation allocates nothing.
 //
 // An EDT is NOT safe for concurrent use.
 type EDT struct {
 	w, h    int
 	eng     *engine.Engine
-	scratch []edtScratch // one per worker
+	scratch []edtScratch // one per worker, for the row pass
 
 	// Operands staged for the pre-bound engine bodies.
-	opOut, opSrc, opTmp *grid.Field
-	opMember            func(float64) bool
+	opIn, opOut, opSrc  *grid.Field
+	opInside, opOutside func(float64) bool
 
 	colBody, rowBody func(worker, i int)
 	combineBody      func(lo, hi int)
 }
 
-// edtScratch is one worker's 1-D transform workspace.
+// edtScratch is one worker's row transform workspace.
 type edtScratch struct {
-	in, out []float64
-	v       []int
-	z       []float64
+	out []float64
+	v   []int
+	z   []float64
+}
+
+// edtBlock is the number of adjacent columns one column work item
+// sweeps: 8 float64 fill a 64-byte cache line, so each row of a block
+// is read and written a line at a time.
+const edtBlock = 8
+
+// colSq is the squared distance from row y to the member row last of
+// its column, or inf when the column has none (last < 0). Every
+// distance on a grid below 2²⁶ rows squares exactly.
+func colSq(y, last int) float64 {
+	if last < 0 {
+		return inf
+	}
+	d := float64(y - last)
+	return d * d
 }
 
 // NewEDT returns a distance transform for w×h fields on eng (nil means
@@ -100,40 +117,27 @@ func NewEDT(w, h int, eng *engine.Engine) *EDT {
 	if eng == nil {
 		eng = engine.CPU()
 	}
-	n := max(w, h)
 	e := &EDT{w: w, h: h, eng: eng, scratch: make([]edtScratch, eng.Workers())}
 	for i := range e.scratch {
 		e.scratch[i] = edtScratch{
-			in:  make([]float64, n),
-			out: make([]float64, n),
-			v:   make([]int, n),
-			z:   make([]float64, n+1),
+			out: make([]float64, w),
+			v:   make([]int, w),
+			z:   make([]float64, w+1),
 		}
 	}
-	e.colBody = func(worker, x int) {
+	e.colBody = e.colSweep
+	e.rowBody = func(worker, i int) {
 		s := &e.scratch[worker]
-		w, h, out, src, member := e.w, e.h, e.opOut.Data, e.opSrc.Data, e.opMember
-		in := s.in[:h]
-		for y := range in {
-			if member(src[y*w+x]) {
-				in[y] = 0
-			} else {
-				in[y] = inf
-			}
+		f, y := e.opIn, i
+		if i >= e.h {
+			f, y = e.opOut, i-e.h
 		}
-		edtSq1D(in, s.out[:h], s.v, s.z)
-		for y, d := range s.out[:h] {
-			out[y*w+x] = d
-		}
-	}
-	e.rowBody = func(worker, y int) {
-		s := &e.scratch[worker]
-		row := e.opOut.Row(y)
+		row := f.Row(y)
 		edtSq1D(row, s.out[:e.w], s.v, s.z)
 		copy(row, s.out[:e.w])
 	}
 	e.combineBody = func(lo, hi int) {
-		psi, tmp := e.opOut.Data[lo:hi], e.opTmp.Data[lo:hi]
+		psi, tmp := e.opIn.Data[lo:hi], e.opOut.Data[lo:hi]
 		far := float64(e.w + e.h)
 		for i, dIn := range psi {
 			dOut := tmp[i]
@@ -156,29 +160,82 @@ func NewEDT(w, h int, eng *engine.Engine) *EDT {
 	return e
 }
 
-// sq writes into out the exact Euclidean squared-distance transform of
-// the set {p : member(src(p))}: out(p) = min over set pixels q of
-// |p−q|². Pixels in the set get 0; with an empty set every output is
-// +inf. out and src must be distinct.
-func (e *EDT) sq(out, src *grid.Field, member func(float64) bool) {
-	if out.W != e.w || out.H != e.h || src.W != e.w || src.H != e.h {
-		panic(fmt.Sprintf("levelset: %dx%d EDT given fields %dx%d and %dx%d", e.w, e.h, out.W, out.H, src.W, src.H))
+// colSweep is the column pass of both sets over the columns
+// [b·edtBlock, (b+1)·edtBlock). Its input is binary, every pixel a
+// member (0) or not (inf), so the exact output is the squared distance
+// to the nearest member row of the column: a forward sweep down the
+// rows writes the distance to the member above, reading each source
+// pixel once for both sets, and a backward sweep lowers it to the
+// distance to the member below where that is nearer, recognising the
+// members by their 0. Every value written is an exact integer square
+// or inf, so any exact pass writes the same bits: the parabola
+// envelope edtSq1D wrote the same ones, d² + inf rounding to inf.
+func (e *EDT) colSweep(_, b int) {
+	w, h := e.w, e.h
+	src, in, out := e.opSrc.Data, e.opIn.Data, e.opOut.Data
+	inside, outside := e.opInside, e.opOutside
+	x0 := b * edtBlock
+	nb := min(edtBlock, w-x0)
+	var lastIn, lastOut [edtBlock]int
+	for c := range lastIn {
+		lastIn[c], lastOut[c] = -1, -1
 	}
-	e.opOut, e.opSrc, e.opMember = out, src, member
-	e.eng.Map(e.w, e.colBody)
-	e.eng.Map(e.h, e.rowBody)
-	e.opOut, e.opSrc, e.opMember = nil, nil, nil
+	for y := 0; y < h; y++ {
+		i := y*w + x0
+		dIn, dOut := in[i:i+nb], out[i:i+nb]
+		for c, v := range src[i : i+nb] {
+			if inside(v) {
+				lastIn[c] = y
+			}
+			if outside(v) {
+				lastOut[c] = y
+			}
+			dIn[c], dOut[c] = colSq(y, lastIn[c]), colSq(y, lastOut[c])
+		}
+	}
+	for y := h - 1; y >= 0; y-- {
+		i := y*w + x0
+		dOut := out[i : i+nb]
+		for c, d := range in[i : i+nb] {
+			if d == 0 {
+				lastIn[c] = y // the nearest member below, from here up
+			} else if lastIn[c] > y {
+				in[i+c] = min(d, colSq(lastIn[c], y))
+			}
+			if d := dOut[c]; d == 0 {
+				lastOut[c] = y
+			} else if lastOut[c] > y {
+				dOut[c] = min(d, colSq(lastOut[c], y))
+			}
+		}
+	}
+}
+
+// sq writes into in and out the exact Euclidean squared-distance
+// transforms of the sets {p : inside(src(p))} and {p : outside(src(p))}:
+// in(p) = min over inside pixels q of |p−q|², out(p) the same over
+// outside pixels. Pixels in a set get 0 in its transform; an empty set
+// gives +inf everywhere. in, out and src must be distinct.
+func (e *EDT) sq(in, out, src *grid.Field, inside, outside func(float64) bool) {
+	if in.W != e.w || in.H != e.h || out.W != e.w || out.H != e.h || src.W != e.w || src.H != e.h {
+		panic(fmt.Sprintf("levelset: %dx%d EDT given fields %dx%d, %dx%d and %dx%d", e.w, e.h, in.W, in.H, out.W, out.H, src.W, src.H))
+	}
+	e.opIn, e.opOut, e.opSrc, e.opInside, e.opOutside = in, out, src, inside, outside
+	e.eng.Map((e.w+edtBlock-1)/edtBlock, e.colBody)
+	e.eng.Map(2*e.h, e.rowBody)
+	e.opIn, e.opOut, e.opSrc, e.opInside, e.opOutside = nil, nil, nil, nil, nil
 }
 
 // signedDistance writes into psi the signed distance between the pixel
 // sets inside and outside of src (see SignedDistance), using tmp as
 // scratch of the same shape. psi, tmp and src must be distinct.
 func (e *EDT) signedDistance(psi, tmp, src *grid.Field, inside, outside func(float64) bool) {
-	e.sq(psi, src, inside)  // squared distance to the pattern, 0 on it
-	e.sq(tmp, src, outside) // squared distance to the background, 0 on it
-	e.opOut, e.opTmp = psi, tmp
+	// psi: squared distance to the pattern, 0 on it; tmp: to the
+	// background, 0 on it.
+	e.sq(psi, tmp, src, inside, outside)
+	e.opIn, e.opOut = psi, tmp
 	e.eng.ForChunk(len(psi.Data), e.combineBody)
-	e.opOut, e.opTmp = nil, nil
+	e.opIn, e.opOut = nil, nil
 }
 
 // ReinitializeInto rebuilds ψ as the exact signed distance function of

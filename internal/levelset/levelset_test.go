@@ -54,7 +54,7 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 		}
 		set := func(x, y int) bool { return m.At(x, y) > 0.5 }
 		got := grid.NewField(n, n)
-		NewEDT(n, n, engine.New("edt3", 3)).sq(got, m, maskInside)
+		NewEDT(n, n, engine.New("edt3", 3)).sq(got, grid.NewField(n, n), m, maskInside, maskOutside)
 		want := bruteEDTSq(n, n, set)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("trial %d: EDT disagrees with brute force", trial)
@@ -67,7 +67,7 @@ func TestEDTSinglePoint(t *testing.T) {
 	m := grid.NewField(n, n)
 	m.Set(3, 5, 1)
 	d := grid.NewField(n, n)
-	NewEDT(n, n, nil).sq(d, m, maskInside)
+	NewEDT(n, n, nil).sq(d, grid.NewField(n, n), m, maskInside, maskOutside)
 	if d.At(3, 5) != 0 {
 		t.Fatal("distance at the set pixel must be 0")
 	}
@@ -78,7 +78,7 @@ func TestEDTSinglePoint(t *testing.T) {
 
 func TestEDTEmptySet(t *testing.T) {
 	d := grid.NewField(4, 4)
-	NewEDT(4, 4, nil).sq(d, grid.NewField(4, 4), maskInside)
+	NewEDT(4, 4, nil).sq(d, grid.NewField(4, 4), grid.NewField(4, 4), maskInside, maskOutside)
 	for _, v := range d.Data {
 		if v < inf {
 			t.Fatal("empty set must give infinite distances")
@@ -277,29 +277,132 @@ func TestReinitializePreservesContour(t *testing.T) {
 // serial and on parallel engines (the EDT fans its column and row
 // passes across the workers). SignedDistanceInto, the optimizer's ψ₀ on
 // its own engine, must give the serial SignedDistance's bits too.
+//
+// The widths 13 and 100 are not multiples of the column pass's block,
+// so its last block is a narrower tail.
 func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
-	const n = 32
 	rng := rand.New(rand.NewSource(9))
-	psi := grid.NewField(n, n)
-	for i := range psi.Data {
-		psi.Data[i] = rng.NormFloat64()
-	}
-	psi.Data[5], psi.Data[77] = 0, math.NaN()
-	mask := grid.NewField(n, n)
-	MaskFromPsi(mask, psi)
-	want := SignedDistance(mask)
-	for _, eng := range []*engine.Engine{engine.CPU(), engine.New("gpu3", 3), engine.New("gpu8", 8)} {
-		got, tmp := grid.NewField(n, n), grid.NewField(n, n)
-		e, sd := NewEDT(n, n, eng), grid.NewField(n, n)
-		e.ReinitializeInto(got, tmp, psi)
-		e.SignedDistanceInto(sd, tmp, mask)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%s pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", eng.Name(), i, got.Data[i], want.Data[i])
-			}
-			if math.Float64bits(sd.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%s pixel %d: SignedDistanceInto %g, SignedDistance %g", eng.Name(), i, sd.Data[i], want.Data[i])
+	for _, g := range [][2]int{{32, 32}, {13, 40}, {100, 24}} {
+		w, h := g[0], g[1]
+		psi := grid.NewField(w, h)
+		for i := range psi.Data {
+			psi.Data[i] = rng.NormFloat64()
+		}
+		psi.Data[5], psi.Data[77] = 0, math.NaN()
+		mask := grid.NewField(w, h)
+		MaskFromPsi(mask, psi)
+		want := SignedDistance(mask)
+		for _, eng := range []*engine.Engine{engine.CPU(), engine.New("gpu3", 3), engine.New("gpu8", 8)} {
+			got, tmp := grid.NewField(w, h), grid.NewField(w, h)
+			e, sd := NewEDT(w, h, eng), grid.NewField(w, h)
+			e.ReinitializeInto(got, tmp, psi)
+			e.SignedDistanceInto(sd, tmp, mask)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%dx%d %s pixel %d: ReinitializeInto %g, SignedDistance(MaskFromPsi) %g", w, h, eng.Name(), i, got.Data[i], want.Data[i])
+				}
+				if math.Float64bits(sd.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%dx%d %s pixel %d: SignedDistanceInto %g, SignedDistance %g", w, h, eng.Name(), i, sd.Data[i], want.Data[i])
+				}
 			}
 		}
+	}
+}
+
+// bruteSignedDistance is the O(n⁴) reference of the signed distance
+// between the pixel sets inside and outside of src, with
+// signedDistance's conventions for an empty set.
+func bruteSignedDistance(src *grid.Field, inside, outside func(float64) bool) *grid.Field {
+	w, h := src.W, src.H
+	dIn := bruteEDTSq(w, h, func(x, y int) bool { return inside(src.At(x, y)) })
+	dOut := bruteEDTSq(w, h, func(x, y int) bool { return outside(src.At(x, y)) })
+	far := float64(w + h)
+	out := grid.NewField(w, h)
+	for i, a := range dIn.Data {
+		b := dOut.Data[i]
+		switch {
+		case a >= inf && b >= inf:
+			out.Data[i] = 0
+		case a >= inf:
+			out.Data[i] = far
+		case b >= inf:
+			out.Data[i] = -far
+		default:
+			out.Data[i] = math.Sqrt(a) - math.Sqrt(b)
+		}
+	}
+	return out
+}
+
+// FuzzSignedDistanceMatchesBruteForce holds SignedDistance and
+// Reinitialize, and both on a multi-worker EDT, to the brute-force
+// reference bit for bit on grids up to 24×24: the first two bytes pick
+// the width and height, each later byte one pixel (cycled over the
+// grid), as 0, 1, NaN, −0 or a small signed value.
+func FuzzSignedDistanceMatchesBruteForce(f *testing.F) {
+	f.Add(uint8(15), uint8(15), []byte{0})                         // no pattern (ψ: all inside)
+	f.Add(uint8(15), uint8(15), []byte{1})                         // all pattern
+	f.Add(uint8(12), uint8(9), append(make([]byte, 60), 1))        // one pixel
+	f.Add(uint8(0), uint8(23), []byte{0, 1, 2, 0, 0, 4, 1})        // 1 px wide
+	f.Add(uint8(23), uint8(0), []byte{1, 0, 0, 2, 3, 0, 0, 0, 1})  // 1 px tall
+	f.Add(uint8(12), uint8(20), []byte{0, 1, 1, 0, 2, 9, 14, 200}) // width 13
+	f.Add(uint8(23), uint8(23), []byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, wb, hb uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		w, h := 1+int(wb)%24, 1+int(hb)%24
+		src := grid.NewField(w, h)
+		for i := range src.Data {
+			switch b := data[i%len(data)]; b % 5 {
+			case 0:
+			case 1:
+				src.Data[i] = 1
+			case 2:
+				src.Data[i] = math.NaN()
+			case 3:
+				src.Data[i] = math.Copysign(0, -1)
+			default:
+				src.Data[i] = float64(int8(b)) / 32
+			}
+		}
+		check := func(what string, got, want *grid.Field) {
+			t.Helper()
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%dx%d %s pixel %d: %v, brute force %v", w, h, what, i, got.Data[i], v)
+				}
+			}
+		}
+		sd, re := bruteSignedDistance(src, maskInside, maskOutside), bruteSignedDistance(src, psiInside, psiOutside)
+		check("SignedDistance", SignedDistance(src), sd)
+		check("Reinitialize", Reinitialize(src), re)
+		e, got, tmp := NewEDT(w, h, engine.New("edt3", 3)), grid.NewField(w, h), grid.NewField(w, h)
+		e.SignedDistanceInto(got, tmp, src)
+		check("SignedDistanceInto on 3 workers", got, sd)
+		e.ReinitializeInto(got, tmp, src)
+		check("ReinitializeInto on 3 workers", got, re)
+	})
+}
+
+// BenchmarkReinitialize512 is one reinitialisation at PresetFast scale
+// (512²) on the multi-worker engine, of the SDF of a few rectangles.
+func BenchmarkReinitialize512(b *testing.B) {
+	const n = 512
+	m := grid.NewField(n, n)
+	for _, r := range [][4]int{{40, 60, 200, 120}, {260, 40, 300, 400}, {80, 300, 480, 340}, {350, 150, 470, 260}} {
+		for y := r[1]; y < r[3]; y++ {
+			for x := r[0]; x < r[2]; x++ {
+				m.Set(x, y, 1)
+			}
+		}
+	}
+	psi := SignedDistance(m)
+	dst, tmp := grid.NewField(n, n), grid.NewField(n, n)
+	e := NewEDT(n, n, engine.GPU())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ReinitializeInto(dst, tmp, psi)
 	}
 }

@@ -341,7 +341,7 @@ func run(cfg cliConfig) error {
 		fmt.Println("iter  cost_total  cost_nominal  cost_pvb  max|v|  dt  lambda")
 		for _, h := range result.LevelSet.History {
 			fmt.Printf("%4d  %10.4f  %12.4f  %8.4f  %6.3g  %.3g  %.3f\n",
-				h.Iter, h.CostTotal, h.CostNominal, h.CostPVB, h.MaxVelocity, h.TimeStep, h.LambdaPRP)
+				h.Iter, h.Cost, h.CostNominal, h.CostPVB, h.MaxVelocity, h.TimeStep, h.LambdaPRP)
 		}
 	}
 	if cfg.ascii {
@@ -378,7 +378,7 @@ func loadCheckpoint(path string) (*lsopc.Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
-	fmt.Printf("resuming %s from iteration %d (checkpoint %s)\n", cp.Method, cp.DoneIters+cp.Iter, path)
+	fmt.Printf("resuming %s from iteration %d (checkpoint %s)\n", cp.Method, cp.Offset+cp.Iter, path)
 	return cp, nil
 }
 

@@ -61,9 +61,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\ncost trace: %.2f", run.LevelSet.History[0].CostTotal)
+	fmt.Printf("\ncost trace: %.2f", run.LevelSet.History[0].Cost)
 	for _, h := range run.LevelSet.History[1:] {
-		fmt.Printf(" → %.2f", h.CostTotal)
+		fmt.Printf(" → %.2f", h.Cost)
 	}
 	fmt.Printf("\n%s\nsnapshots written to %s/\n", run.Report, outDir)
 }

@@ -235,3 +235,86 @@ func TestCPUProfileAttributesRunLabels(t *testing.T) {
 	}
 	t.Fatal("CPU profile never attributed samples to the run_id label")
 }
+
+// TestPipelineCallsGetTheirOwnRunIDs: two calls on one pipeline are two
+// runs, even when the second reuses the first's leased session. Each
+// cancelled call's events carry an id of their own, and the flight
+// recorder, which captures once per run id, writes a bundle for each.
+func TestPipelineCallsGetTheirOwnRunIDs(t *testing.T) {
+	events := NewCollectorTraceSink()
+	rec := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), CPUProfile: -1, SnapshotEvery: -1, Sink: events})
+	defer rec.Close()
+	p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(TeeTraceSink(events, rec)), WithFlightRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	opts := DefaultLevelSetOptions()
+	opts.MaxIter = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 2; i++ {
+		if _, err := p.OptimizeLevelSetContext(ctx, Benchmark("B4"), opts, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d on a cancelled context returned %v", i+1, err)
+		}
+	}
+	var cancelled, bundles []string
+	for _, e := range events.Events() {
+		switch e.Type {
+		case EventCancelled:
+			cancelled = append(cancelled, e.Trace)
+		case EventCapture:
+			bundles = append(bundles, e.Trace)
+		}
+	}
+	if len(cancelled) != 2 || cancelled[0] != "s1" || cancelled[1] != "s2" {
+		t.Fatalf("cancelled events under run ids %v, want [s1 s2]", cancelled)
+	}
+	if len(bundles) != 2 || bundles[0] == bundles[1] {
+		t.Fatalf("bundles captured for %v, want one per call", bundles)
+	}
+}
+
+// TestFlightManifestCheckpointIterIsGlobal: a run whose iteration axis
+// starts at IterOffset is cancelled; the bundle manifest's
+// CheckpointIter is the global iteration of the cancelled event, not
+// the iterations the run took.
+func TestFlightManifestCheckpointIterIsGlobal(t *testing.T) {
+	events := NewCollectorTraceSink()
+	rec := NewFlightRecorder(FlightRecorderConfig{Dir: t.TempDir(), CPUProfile: -1, SnapshotEvery: -1, Sink: events})
+	defer rec.Close()
+	stop := &cancelAtIter{at: 23}
+	p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(TeeTraceSink(stop, events, rec)), WithFlightRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	opts := DefaultLevelSetOptions()
+	opts.MaxIter = 10
+	opts.IterOffset = 20
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop.cancel = cancel
+	if _, err := p.OptimizeLevelSetContext(ctx, Benchmark("B4"), opts, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	cancelledAt, bundle := -1, ""
+	for _, e := range events.Events() {
+		switch e.Type {
+		case EventCancelled:
+			cancelledAt = e.Iter
+		case EventCapture:
+			bundle = e.Name
+		}
+	}
+	if cancelledAt != 24 || bundle == "" {
+		t.Fatalf("cancelled at %d, bundle %q; want a bundle for a cancellation at 24", cancelledAt, bundle)
+	}
+	man, err := OpenBundle(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.CheckpointIter != cancelledAt {
+		t.Fatalf("manifest checkpoint_iter %d, want the cancelled event's global %d", man.CheckpointIter, cancelledAt)
+	}
+}

@@ -98,14 +98,60 @@ func TestCancelMonolithicResumeBitIdentical(t *testing.T) {
 	expectIdentical(t, res, ref)
 }
 
+// TestCancelResumeWithIterOffset: a run whose iteration axis starts at
+// IterOffset (as a tiling stitch pass's does) cancels and resumes like a
+// fresh one, its checkpoint names the global iteration of the
+// cancellation, and Iterations still excludes the offset.
+func TestCancelResumeWithIterOffset(t *testing.T) {
+	sim := newTestSim(t, 3)
+	target := crossTarget(64)
+	opts := DefaultOptions()
+	opts.MaxIter = 10
+	opts.IterOffset = 20
+
+	ref, err := Run(context.Background(), sim, target, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Iterations != 10 || ref.History[0].Iter != 20 {
+		t.Fatalf("offset run: %d iterations from global %d, want 10 from 20", ref.Iterations, ref.History[0].Iter)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := &obs.CollectorSink{}
+	sim.SetSink(obs.TeeSink{&cancelAtSink{at: 23, cancel: cancel}, events}, "")
+	_, err = Run(ctx, sim, target, opts, nil)
+	sim.SetSink(nil, "")
+	var cerr *solve.Cancelled
+	if !errors.As(err, &cerr) {
+		t.Fatalf("cancelled run returned %v, want *solve.Cancelled", err)
+	}
+	cp := cerr.Checkpoint
+	cancelledAt := -1
+	for _, e := range events.Events() {
+		if e.Type == obs.EventCancelled {
+			cancelledAt = e.Iter
+		}
+	}
+	if cancelledAt != 24 || cp.Offset+cp.Iter != cancelledAt {
+		t.Fatalf("checkpoint at %d+%d, cancelled event at %d, want both at global 24", cp.Offset, cp.Iter, cancelledAt)
+	}
+
+	res, err := Run(context.Background(), sim, target, opts, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectIdentical(t, res, ref)
+}
+
 func TestCancelMultiResBetweenLevels(t *testing.T) {
 	sim := newTestSim(t, 3)
 	target := crossTarget(64)
 	opts := DefaultOptions()
-	opts.MaxIter = 12
-	opts.Tolerance = 0 // use the full budget: keeps the level offsets pinned
-	opts.MultiResFactor = 4
-	opts.MultiResIters = 2 // levels: 64/4 ×2, 64/2 ×2, full ×8
+	opts.MaxIter = 8
+	opts.Tolerance = 0      // use the full budget: keeps the level offsets pinned
+	opts.MultiResFactor = 4 // levels: 64/4 ×2, 64/2 ×2, full ×4
 
 	ref, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
@@ -119,8 +165,8 @@ func TestCancelMultiResBetweenLevels(t *testing.T) {
 	if cp.Factor != 2 || cp.Iter != 0 {
 		t.Fatalf("checkpoint at factor %d iter %d, want 2/0", cp.Factor, cp.Iter)
 	}
-	if cp.DoneIters != 2 || len(cp.Done) != 2 {
-		t.Fatalf("checkpoint carries %d done iterations (%d rows), want 2", cp.DoneIters, len(cp.Done))
+	if cp.Offset != 2 || len(cp.Done) != 2 {
+		t.Fatalf("checkpoint at offset %d with %d done rows, want 2", cp.Offset, len(cp.Done))
 	}
 
 	res, err := Run(context.Background(), sim, target, opts, cp)
@@ -134,10 +180,9 @@ func TestCancelMultiResInsideFineLevel(t *testing.T) {
 	sim := newTestSim(t, 3)
 	target := crossTarget(64)
 	opts := DefaultOptions()
-	opts.MaxIter = 12
+	opts.MaxIter = 8
 	opts.Tolerance = 0 // use the full budget: keeps the level offsets pinned
 	opts.MultiResFactor = 4
-	opts.MultiResIters = 2
 
 	ref, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
@@ -193,6 +238,11 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	bad.State["psi"] = &grid.Field{W: psi.W, H: psi.H, Data: psi.Data[:10]}
 	if _, err := Run(context.Background(), sim, target, opts, &bad); err == nil {
 		t.Fatal("checkpoint with a short psi accepted")
+	}
+	shifted := opts
+	shifted.IterOffset = 5 // the checkpoint's run started at 0
+	if _, err := Run(context.Background(), sim, target, shifted, cp); !errors.Is(err, solve.ErrCheckpointMismatch) {
+		t.Fatalf("checkpoint on a run with another IterOffset: %v, want ErrCheckpointMismatch", err)
 	}
 	multi := opts
 	multi.MultiResFactor = 4

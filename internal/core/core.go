@@ -19,8 +19,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -28,7 +26,6 @@ import (
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
-	"lsopc/internal/metrics"
 	"lsopc/internal/obs"
 	"lsopc/internal/rt"
 	"lsopc/internal/solve"
@@ -74,10 +71,6 @@ type Options struct {
 	// KeepBest returns the lowest-cost iterate instead of the last one,
 	// which de-noises the pixel-quantised contour updates.
 	KeepBest bool
-	// CleanupTinyPx removes mask islands and fills enclosed holes
-	// smaller than this many pixels from the final mask (0 disables) —
-	// the manufacturability cleanup of §I.
-	CleanupTinyPx int
 	// LineSearch evaluates the true cost at {½, 1, 2}× the CFL step and
 	// advances with the best candidate — the "optimal time step" idea of
 	// Lv et al. (the paper's reference [9]). Each iteration costs two
@@ -96,14 +89,10 @@ type Options struct {
 	InitialPsi *grid.Field
 	// MultiResFactor > 1 enables coarse-to-fine evolution (see Run):
 	// the run starts on a grid downsampled by this power-of-two factor,
-	// halving the factor each level until full resolution. 0 or 1 runs
-	// single-resolution. New ignores it — only Run consumes the
-	// schedule.
+	// halving the factor each level until full resolution, the coarse
+	// levels sharing MaxIter/2 evenly. 0 or 1 runs single-resolution.
+	// New ignores it — only Run consumes the schedule.
 	MultiResFactor int
-	// MultiResIters is the iteration budget per coarse level. Full
-	// resolution gets the remainder of MaxIter after all coarse levels;
-	// 0 defaults to MaxIter/2 split evenly across the coarse levels.
-	MultiResIters int
 	// IterOffset shifts the iteration numbers reported in History,
 	// snapshots, trace events and watchdog verdicts — the coarse-to-fine
 	// driver uses it to keep one globally contiguous iteration axis
@@ -159,35 +148,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
 	case o.ReinitEvery < 0 || o.SnapshotEvery < 0:
 		return fmt.Errorf("core: periods must be ≥ 0")
-	case o.CleanupTinyPx < 0:
-		return fmt.Errorf("core: CleanupTinyPx must be ≥ 0, got %d", o.CleanupTinyPx)
 	case o.MultiResFactor < 0:
 		return fmt.Errorf("core: MultiResFactor must be ≥ 0, got %d", o.MultiResFactor)
 	case o.MultiResFactor > 1 && !grid.IsPow2(o.MultiResFactor):
 		return fmt.Errorf("core: MultiResFactor must be a power of two, got %d", o.MultiResFactor)
-	case o.MultiResIters < 0:
-		return fmt.Errorf("core: MultiResIters must be ≥ 0, got %d", o.MultiResIters)
 	case o.IterOffset < 0:
 		return fmt.Errorf("core: IterOffset must be ≥ 0, got %d", o.IterOffset)
 	}
 	return nil
-}
-
-// IterStats records one iteration of the optimization trace.
-type IterStats struct {
-	Iter        int
-	CostNominal float64 // ‖R_nom − R*‖² (Eq. 7)
-	CostPVB     float64 // ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12)
-	CostTotal   float64 // Eq. 13
-	MaxVelocity float64
-	TimeStep    float64
-	LambdaPRP   float64
-}
-
-// Snapshot is a mask state captured mid-evolution (Fig. 2).
-type Snapshot struct {
-	Iter int
-	Mask *grid.Field
 }
 
 // Result is the outcome of one optimization run.
@@ -204,8 +172,13 @@ type Result struct {
 	// boundary (nil unless Aborted) — resumable through Run, persisted by
 	// the flight recorder's postmortem bundles.
 	AbortCheckpoint *solve.Checkpoint
-	History         []IterStats
-	Snapshots       []Snapshot
+	// History holds one record per iteration: Cost is the total cost
+	// (Eq. 13), CostNominal ‖R_nom − R*‖² (Eq. 7) and CostPVB
+	// ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12).
+	History []solve.IterStats
+	// Snapshots are the mask states captured every SnapshotEvery
+	// iterations at full resolution (Fig. 2).
+	Snapshots []solve.Snapshot
 }
 
 // FinalCost returns the total cost at the last iteration.
@@ -213,7 +186,7 @@ func (r *Result) FinalCost() float64 {
 	if len(r.History) == 0 {
 		return math.NaN()
 	}
-	return r.History[len(r.History)-1].CostTotal
+	return r.History[len(r.History)-1].Cost
 }
 
 // BestCost returns the lowest total cost seen during the run; with
@@ -222,10 +195,10 @@ func (r *Result) BestCost() float64 {
 	if len(r.History) == 0 {
 		return math.NaN()
 	}
-	best := r.History[0].CostTotal
+	best := r.History[0].Cost
 	for _, h := range r.History[1:] {
-		if h.CostTotal < best {
-			best = h.CostTotal
+		if h.Cost < best {
+			best = h.Cost
 		}
 	}
 	return best
@@ -282,9 +255,9 @@ type Optimizer struct {
 	released bool
 }
 
-// ErrShapeMismatch is returned when the target does not match the
-// simulator grid.
-var ErrShapeMismatch = errors.New("core: target shape does not match simulator grid")
+// ErrShapeMismatch is returned when the target, an initial mask or ψ,
+// or a checkpoint field does not match the simulator grid.
+var ErrShapeMismatch = solve.ErrShapeMismatch
 
 // New builds an optimizer for the given simulator and target image
 // (the rasterised design, 1 inside pattern). The target must match the
@@ -353,29 +326,6 @@ func (o *Optimizer) Release() {
 	o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil, nil
 	o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil
 	o.reinit, o.reinitTmp = nil, nil
-}
-
-// run executes Algorithm 1 and returns the optimized mask, restoring
-// the checkpoint from first when it is non-nil. The loop yields at
-// every iteration boundary, and a cancelled context surfaces as a
-// *solve.Cancelled error (unwrapping to the context's error) carrying a
-// checkpoint the run can resume from bit-identically. The result owns
-// its fields, so it stays valid after Release.
-func (o *Optimizer) run(ctx context.Context, from *solve.Checkpoint) (*Result, error) {
-	drv, err := o.driver()
-	if err != nil {
-		return nil, err
-	}
-	if from != nil {
-		if err := drv.Restore(from); err != nil {
-			return nil, err
-		}
-	}
-	out, err := drv.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return o.finish(out), nil
 }
 
 // driver starts a fresh run (ψ initialisation) and wraps the optimizer
@@ -591,61 +541,15 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 	return nil
 }
 
-// finish assembles the result from the driver's outcome. Mask and ψ are
-// cloned out of the leased scratch so the result survives Release.
-func (o *Optimizer) finish(out *solve.Outcome) *Result {
-	res := &Result{
-		Iterations:      out.Iterations,
-		Converged:       out.Converged,
-		Aborted:         out.Aborted,
-		AbortReason:     out.AbortReason,
-		AbortCheckpoint: out.AbortCheckpoint,
-		History:         historyFromSolve(out.History),
-		Snapshots:       snapshotsFromSolve(out.Snapshots),
+// finish returns the run's mask and ψ from the level's outcome: the
+// keep-best iterate when one was tracked, else the last. Both are
+// cloned out of the leased scratch so they survive Release.
+func (o *Optimizer) finish(out *solve.Outcome) (mask, psi *grid.Field) {
+	if o.opts.KeepBest && !math.IsInf(out.BestCost, 1) {
+		return o.bestMask.Clone(), o.bestPsi.Clone()
 	}
 	o.maskFromPsi(o.psi)
-	if o.opts.KeepBest && !math.IsInf(out.BestCost, 1) {
-		res.Mask = o.bestMask.Clone()
-		res.Psi = o.bestPsi.Clone()
-	} else {
-		res.Mask = o.mask.Clone()
-		res.Psi = o.psi.Clone()
-	}
-	if o.opts.CleanupTinyPx > 0 {
-		metrics.RemoveTinyFeatures(res.Mask, o.opts.CleanupTinyPx, o.opts.CleanupTinyPx)
-	}
-	return res
-}
-
-// historyFromSolve converts the driver's history records to this
-// package's schema (CostTotal carries the driver's Cost).
-func historyFromSolve(hs []solve.IterStats) []IterStats {
-	out := make([]IterStats, len(hs))
-	for i, h := range hs {
-		out[i] = IterStats{
-			Iter:        h.Iter,
-			CostNominal: h.CostNominal,
-			CostPVB:     h.CostPVB,
-			CostTotal:   h.Cost,
-			MaxVelocity: h.MaxVelocity,
-			TimeStep:    h.TimeStep,
-			LambdaPRP:   h.LambdaPRP,
-		}
-	}
-	return out
-}
-
-// snapshotsFromSolve converts the driver's snapshot series (identical
-// field layout; nil stays nil).
-func snapshotsFromSolve(ss []solve.Snapshot) []Snapshot {
-	if len(ss) == 0 {
-		return nil
-	}
-	out := make([]Snapshot, len(ss))
-	for i, s := range ss {
-		out[i] = Snapshot(s)
-	}
-	return out
+	return o.mask.Clone(), o.psi.Clone()
 }
 
 // costAtPsi evaluates the total cost (Eq. 13) of the mask induced by the

@@ -50,11 +50,7 @@ func crossTarget(n int) *grid.Field {
 
 func runOpts(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Options) *Result {
 	t.Helper()
-	o, err := New(sim, target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := o.run(context.Background(), nil)
+	res, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestOptimizationReducesCost(t *testing.T) {
 	if len(res.History) == 0 {
 		t.Fatal("no history recorded")
 	}
-	first := res.History[0].CostTotal
+	first := res.History[0].Cost
 	best := res.BestCost()
 	if !(best < first) {
 		t.Fatalf("cost did not decrease: %g → %g", first, best)
@@ -145,8 +141,8 @@ func TestHistoryTraceConsistency(t *testing.T) {
 			t.Fatalf("history iter %d labelled %d", i, h.Iter)
 		}
 		want := h.CostNominal + 0.5*h.CostPVB
-		if math.Abs(h.CostTotal-want) > 1e-9*(1+want) {
-			t.Fatalf("iter %d: total %g ≠ nom + w·pvb %g", i, h.CostTotal, want)
+		if math.Abs(h.Cost-want) > 1e-9*(1+want) {
+			t.Fatalf("iter %d: total %g ≠ nom + w·pvb %g", i, h.Cost, want)
 		}
 		if h.CostPVB <= 0 {
 			t.Fatalf("iter %d: PVB cost %g, want > 0 with w_pvb > 0", i, h.CostPVB)
@@ -220,7 +216,7 @@ func TestCGAndGDBothConverge(t *testing.T) {
 		opts.MaxIter = 15
 		opts.UseCG = useCG
 		res := runOpts(t, sim, target, opts)
-		return res.History[0].CostTotal, res.BestCost()
+		return res.History[0].Cost, res.BestCost()
 	}
 	cgFirst, cg := run(true)
 	gdFirst, gd := run(false)
@@ -241,7 +237,7 @@ func TestReinitDoesNotBreakOptimization(t *testing.T) {
 	opts.MaxIter = 12
 	opts.ReinitEvery = 3
 	res := runOpts(t, sim, crossTarget(64), opts)
-	if res.BestCost() >= res.History[0].CostTotal {
+	if res.BestCost() >= res.History[0].Cost {
 		t.Fatal("cost increased despite reinitialisation")
 	}
 }
@@ -290,10 +286,10 @@ func TestEngineEquivalentRuns(t *testing.T) {
 		}
 		for i := range got.History {
 			g, r := got.History[i], ref.History[i]
-			if g.CostNominal != r.CostNominal || g.CostPVB != r.CostPVB || g.CostTotal != r.CostTotal {
+			if g.CostNominal != r.CostNominal || g.CostPVB != r.CostPVB || g.Cost != r.Cost {
 				t.Fatalf("workers=%d iter %d: cost trace (%v,%v,%v) vs (%v,%v,%v)",
-					workers, i, g.CostNominal, g.CostPVB, g.CostTotal,
-					r.CostNominal, r.CostPVB, r.CostTotal)
+					workers, i, g.CostNominal, g.CostPVB, g.Cost,
+					r.CostNominal, r.CostPVB, r.Cost)
 			}
 		}
 	}
@@ -333,25 +329,6 @@ func TestPRPCoefficient(t *testing.T) {
 	// λ_raw = (1 − 10)/100 < 0 → 0.
 	if got := prpCoefficient(small, gOpp); got != 0 {
 		t.Fatalf("negative λ not clamped: %g", got)
-	}
-}
-
-func TestCleanupTinyRemovesStains(t *testing.T) {
-	sim := newTestSim(t, 3)
-	opts := DefaultOptions()
-	opts.MaxIter = 8
-	opts.CleanupTinyPx = 6
-	res := runOpts(t, sim, crossTarget(64), opts)
-	// No island in the final mask may be smaller than the threshold.
-	if res.Mask.Sum() == 0 {
-		t.Fatal("cleanup emptied the mask")
-	}
-	// Re-running cleanup must be a no-op (idempotent).
-	before := res.Mask.Clone()
-	opts2 := res.Mask
-	_ = opts2
-	if !res.Mask.Equal(before, 0) {
-		t.Fatal("unexpected mutation")
 	}
 }
 
@@ -408,11 +385,7 @@ func TestInitialMaskWarmStart(t *testing.T) {
 	}
 	// Wrong-shape warm start must be rejected at Run time.
 	opts.InitialMask = grid.NewField(32, 32)
-	o, err := New(sim, target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.run(context.Background(), nil); err == nil {
+	if _, err := Run(context.Background(), sim, target, opts, nil); err == nil {
 		t.Fatal("mismatched initial mask accepted")
 	}
 }

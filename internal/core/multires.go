@@ -16,12 +16,13 @@
 //
 // The schedule itself — budget split, coarse sessions, hand-offs,
 // level_switch events, checkpoint/resume — is solve.RunLevels; this
-// file only adapts the level-set method to its Program contract.
+// file adapts the level-set method to its Program contract, and Run
+// sends every run through it, a single-resolution one as a one-level
+// schedule.
 package core
 
 import (
 	"context"
-	"fmt"
 
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
@@ -30,17 +31,17 @@ import (
 )
 
 // Run executes Algorithm 1 on sim for the target image and is the
-// package's one run entry point. With MultiResFactor > 1 it follows the
-// coarse-to-fine schedule: Algorithm 1 on a MultiResFactor-downsampled
+// package's one run entry point. Every run is a solve.RunLevels
+// schedule from solve.Plan: a single full-resolution level when
+// MultiResFactor ≤ 1, else Algorithm 1 on a MultiResFactor-downsampled
 // grid first, halving the factor each level, finishing at full
 // resolution on sim itself.
 //
-// Budget: each coarse level runs MultiResIters iterations (default
-// MaxIter/2 split evenly across the coarse levels); full resolution
-// gets the remainder of MaxIter (see solve.Plan). Histories are
-// concatenated with globally renumbered iterations, and each resolution
-// hand-off emits a typed level_switch trace event carrying the grid
-// transition and the interpolation + redistancing time.
+// Budget: the coarse levels share MaxIter/2 evenly and full resolution
+// gets the remainder (see solve.Plan). Histories are concatenated with
+// globally renumbered iterations, and each resolution hand-off emits a
+// typed level_switch trace event carrying the grid transition and the
+// interpolation + redistancing time.
 //
 // The simulator passed in stays caller-owned; coarse sessions are
 // created on truncated kernel banks (sharing sim's resource pool) and
@@ -55,69 +56,38 @@ func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Opt
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MultiResFactor > 1 {
-		if err := checkShape(sim, target); err != nil {
-			return nil, err
-		}
-		return runSchedule(ctx, sim, target, opts, from)
-	}
-	if from != nil && from.Factor != 1 {
-		return nil, fmt.Errorf("%w: resolution factor %d, but the run is single-resolution", solve.ErrCheckpointMismatch, from.Factor)
-	}
-	o, err := New(sim, target, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer o.Release()
-	return o.run(ctx, from)
-}
-
-// checkShape validates the target against the simulator grid.
-func checkShape(sim *litho.Simulator, target *grid.Field) error {
-	if n := sim.GridSize(); target.W != n || target.H != n {
-		return fmt.Errorf("%w: target %dx%d, grid %d", ErrShapeMismatch, target.W, target.H, n)
-	}
-	return nil
-}
-
-// runSchedule drives solve.RunLevels over the level-set program and
-// assembles this package's Result from the merged outcome.
-func runSchedule(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, resume *solve.Checkpoint) (*Result, error) {
 	prog := &levelProgram{opts: opts}
-	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor, opts.MultiResIters)
-	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, resume)
+	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor)
+	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, from)
 	if err != nil {
 		return nil, err
 	}
-	total := &Result{
+	res := &Result{
+		Mask:            prog.mask,
+		Psi:             prog.psi,
 		Iterations:      out.Iterations,
 		Converged:       out.Converged,
 		Aborted:         out.Aborted,
 		AbortReason:     out.AbortReason,
 		AbortCheckpoint: out.AbortCheckpoint,
-		History:         historyFromSolve(out.History),
-		Snapshots:       snapshotsFromSolve(out.Snapshots),
+		History:         out.History,
+		Snapshots:       out.Snapshots,
 	}
-	if prog.res != nil {
-		// The full-resolution level ran: its assembly (keep-best
-		// selection, manufacturability cleanup) is the run's mask.
-		total.Mask = prog.res.Mask
-		total.Psi = prog.res.Psi
-	} else {
+	if res.Psi == nil {
 		// A poisoned coarse run aborted the schedule: the state arrives
 		// lifted to full resolution so the result shape matches the
 		// caller's grid.
-		total.Psi = out.State
-		total.Mask = grid.NewField(total.Psi.W, total.Psi.H)
-		levelset.MaskFromPsi(total.Mask, total.Psi)
+		res.Psi = out.State
+		res.Mask = grid.NewField(res.Psi.W, res.Psi.H)
+		levelset.MaskFromPsi(res.Mask, res.Psi)
 	}
-	return total, nil
+	return res, nil
 }
 
 // levelProgram adapts the level-set optimizer to solve.RunLevels.
 type levelProgram struct {
-	opts Options
-	res  *Result // full-resolution level's assembled result
+	opts      Options
+	mask, psi *grid.Field // the full-resolution level's final iterate
 }
 
 // Level builds the optimizer and driver for one resolution level.
@@ -135,7 +105,6 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 		// best-so-far bookkeeping restarts at full resolution anyway.
 		lopts.KeepBest = false
 		lopts.SnapshotEvery = 0 // snapshots mix grid sizes; full-res only
-		lopts.CleanupTinyPx = 0 // manufacturability cleanup is final-mask-only
 	}
 	o, err := New(sim, target, lopts)
 	if err != nil {
@@ -148,7 +117,7 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 	}
 	finish := func(out *solve.Outcome) {
 		if !cfg.Coarse {
-			p.res = o.finish(out)
+			p.mask, p.psi = o.finish(out)
 		}
 	}
 	return drv, finish, o.Release, nil

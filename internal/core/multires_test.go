@@ -49,9 +49,8 @@ func TestMultiResSchedule(t *testing.T) {
 	target := crossTarget(64)
 	sink := &obs.CollectorSink{}
 	opts := DefaultOptions()
-	opts.MaxIter = 12
+	opts.MaxIter = 8
 	opts.MultiResFactor = 4
-	opts.MultiResIters = 2
 	opts.Tolerance = 0 // no early convergence exit: budgets must be exact
 	sim.SetSink(sink, "sched")
 
@@ -60,9 +59,9 @@ func TestMultiResSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2 coarse levels × 2 iters + 8 fine iters = 12 total.
-	if res.Iterations != 12 || len(res.History) != 12 {
-		t.Fatalf("iterations = %d (history %d), want 12", res.Iterations, len(res.History))
+	// 2 coarse levels × 2 iters + 4 fine iters = 8 total.
+	if res.Iterations != 8 || len(res.History) != 8 {
+		t.Fatalf("iterations = %d (history %d), want 8", res.Iterations, len(res.History))
 	}
 	for i, st := range res.History {
 		if st.Iter != i {
@@ -157,9 +156,8 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	sim := newTestSim(t, 2)
 	sink := &obs.CollectorSink{}
 	opts := DefaultOptions()
-	opts.MaxIter = 12
+	opts.MaxIter = 8
 	opts.MultiResFactor = 2
-	opts.MultiResIters = 4
 	opts.PVBWeight = math.MaxFloat64 // poisons cost from the first (coarse) iteration
 	hp := obs.DefaultHealthPolicy()
 	opts.Health = &hp
@@ -193,9 +191,8 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 func TestMultiResWatchdogAbortsPoisonedFineLevel(t *testing.T) {
 	sim := newTestSim(t, 2)
 	opts := DefaultOptions()
-	opts.MaxIter = 12
+	opts.MaxIter = 6
 	opts.MultiResFactor = 2
-	opts.MultiResIters = 3
 	opts.PVBWeight = 0 // nominal-only: the NaN comes from the target
 	opts.Tolerance = 0
 	hp := obs.DefaultHealthPolicy()

@@ -42,7 +42,7 @@ func CGvsGD(preset lsopc.Preset, caseID string, maxIter int) ([]ConvergenceTrace
 		}
 		tr := ConvergenceTrace{Label: label}
 		for _, h := range run.LevelSet.History {
-			tr.Cost = append(tr.Cost, h.CostTotal)
+			tr.Cost = append(tr.Cost, h.Cost)
 		}
 		out = append(out, tr)
 	}
@@ -189,7 +189,7 @@ func TimeStepStudy(preset lsopc.Preset, caseID string, maxIter int) ([]Convergen
 		}
 		tr := ConvergenceTrace{Label: v.label}
 		for _, h := range run.LevelSet.History {
-			tr.Cost = append(tr.Cost, h.CostTotal)
+			tr.Cost = append(tr.Cost, h.Cost)
 		}
 		out = append(out, tr)
 	}

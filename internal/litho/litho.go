@@ -215,23 +215,6 @@ func NewSimulator(cfg Config, eng *engine.Engine) (*Simulator, error) {
 	return NewSession(res, cfg, eng)
 }
 
-// NewWithBanks builds a simulator around existing kernel banks, letting
-// several simulators (e.g. one per worker) share the immutable banks.
-func NewWithBanks(cfg Config, eng *engine.Engine, nominal, defocus *optics.Bank) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.Optics.GridSize
-	if nominal.Cfg.GridSize != n || defocus.Cfg.GridSize != n {
-		return nil, fmt.Errorf("litho: bank grid does not match config grid %d", n)
-	}
-	res, err := rt.WrapBanks(nominal, defocus, nil)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(res, cfg, eng)
-}
-
 // NewSession builds a simulator session over an existing resource bank:
 // the immutable kernel banks and FFT plans come from res, every piece of
 // mutable scratch is leased from res.Pool(). Call Release when the

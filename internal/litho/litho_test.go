@@ -322,15 +322,6 @@ func TestCostAtZeroForPerfectMatch(t *testing.T) {
 	}
 }
 
-func TestNewWithBanksRejectsMismatchedGrid(t *testing.T) {
-	s := testSim(t, 2)
-	cfg := DefaultConfig(128, 16)
-	cfg.Optics.Kernels = 2
-	if _, err := NewWithBanks(cfg, engine.CPU(), s.nominalBank, s.defocusBank); err == nil {
-		t.Fatal("mismatched bank grid accepted")
-	}
-}
-
 // TestMaskSpectrumInto checks the band-pruned mask spectrum on the bins
 // it defines, |u|, |v| ≤ r: they equal the full real-input transform bit
 // for bit and the complex path (MaskSpectrum) up to rounding.

@@ -138,7 +138,7 @@ func (r *Recorder) writeBundle(dir, root string, a Anomaly, now time.Time) (*Man
 			return nil, err
 		}
 		man.Files = append(man.Files, CheckpointFile)
-		man.CheckpointIter = a.Checkpoint.DoneIters + a.Checkpoint.Iter
+		man.CheckpointIter = a.Checkpoint.Offset + a.Checkpoint.Iter
 	}
 
 	// Metrics registry text dump.

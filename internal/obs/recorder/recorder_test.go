@@ -213,7 +213,7 @@ func TestBundleContents(t *testing.T) {
 	psi := grid.NewField(4, 4)
 	psi.Data[5] = 2.5
 	cp := &solve.Checkpoint{
-		Method: "levelset", Factor: 1, Iter: 7, DoneIters: 3,
+		Method: "levelset", Factor: 1, Iter: 7, Offset: 3,
 		State: map[string]*grid.Field{"psi": psi},
 	}
 	bdir, err := r.CaptureAnomaly(Anomaly{

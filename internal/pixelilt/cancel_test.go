@@ -95,9 +95,8 @@ func TestBaselineCancelResumeMultiRes(t *testing.T) {
 	sim := newTestSim(t, 3)
 	target := rectTarget(64, 28, 12)
 	opts := DefaultOptions(PVOPC)
-	opts.MaxIter = 12
-	opts.MultiResFactor = 4
-	opts.MultiResIters = 2 // levels: 16px ×2, 32px ×2, 64px ×8
+	opts.MaxIter = 8
+	opts.MultiResFactor = 4 // levels: 16px ×2, 32px ×2, 64px ×4
 
 	ref, err := Optimize(context.Background(), sim, target, opts, nil)
 	if err != nil {
@@ -109,8 +108,8 @@ func TestBaselineCancelResumeMultiRes(t *testing.T) {
 	if cp.Factor != 1 || cp.Iter != 2 || cp.Offset != 4 {
 		t.Fatalf("checkpoint at factor %d iter %d offset %d, want 1/2/4", cp.Factor, cp.Iter, cp.Offset)
 	}
-	if cp.DoneIters != 4 {
-		t.Fatalf("checkpoint carries %d done iterations, want 4", cp.DoneIters)
+	if len(cp.Done) != 4 {
+		t.Fatalf("checkpoint carries %d done iterations, want 4", len(cp.Done))
 	}
 
 	res, err := Optimize(context.Background(), sim, target, opts, cp)

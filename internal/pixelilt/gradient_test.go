@@ -49,10 +49,7 @@ func TestVariantGradientsMatchFiniteDifference(t *testing.T) {
 		}
 		for _, i := range iters {
 			label := fmt.Sprintf("%v iteration %d", v, i)
-			s, err := newStepper(sim, target, opts, theta)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newStepper(sim, target, opts, theta)
 			s.Eval(i)
 			grad := s.gradM.Clone()
 			s.release()

@@ -1,8 +1,6 @@
 package pixelilt
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"lsopc/internal/grid"
@@ -20,43 +18,10 @@ import (
 // concatenate with globally renumbered iterations; each hand-off emits
 // a level_switch trace event named after the variant.
 
-// runSchedule drives solve.RunLevels over the baseline program and
-// assembles this package's Result from the merged outcome.
-func runSchedule(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, resume *solve.Checkpoint) (*Result, error) {
-	if n := sim.GridSize(); target.W != n || target.H != n {
-		return nil, fmt.Errorf("pixelilt: target %dx%d does not match grid %d", target.W, target.H, n)
-	}
-	prog := &levelProgram{opts: opts}
-	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor, opts.MultiResIters)
-	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, resume)
-	if err != nil {
-		return nil, err
-	}
-	total := &Result{
-		Iterations:      out.Iterations,
-		Aborted:         out.Aborted,
-		AbortReason:     out.AbortReason,
-		AbortCheckpoint: out.AbortCheckpoint,
-		History:         historyFromSolve(out.History),
-		CornerSims:      out.Evals,
-	}
-	if prog.res != nil {
-		// The full-resolution level ran: its assembly (binarisation,
-		// manufacturability cleanup) is the run's mask pair.
-		total.Mask = prog.res.Mask
-		total.Gray = prog.res.Gray
-	} else {
-		// A poisoned coarse run aborted the schedule: θ arrives lifted to
-		// full resolution so the result masks match the caller's grid.
-		total.Gray, total.Mask = masksFromTheta(out.State, opts.MaskSteepness)
-	}
-	return total, nil
-}
-
 // levelProgram adapts the pixel baselines to solve.RunLevels.
 type levelProgram struct {
-	opts Options
-	res  *Result // full-resolution level's assembled result
+	opts       Options
+	mask, gray *grid.Field // the full-resolution level's final masks
 }
 
 // Level builds the stepper and driver for one resolution level.
@@ -64,16 +29,10 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 	lopts := p.opts
 	lopts.MaxIter = cfg.MaxIter
 	lopts.IterOffset = cfg.Offset
-	if cfg.Coarse {
-		lopts.CleanupTinyPx = 0 // manufacturability cleanup is final-mask-only
-	}
-	s, err := newStepper(sim, target, lopts, cfg.State)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	finish := func(out *solve.Outcome) {
+	s := newStepper(sim, target, lopts, cfg.State)
+	finish := func(*solve.Outcome) {
 		if !cfg.Coarse {
-			p.res = s.finish(out)
+			p.gray, p.mask = masksFromTheta(s.theta, s.a)
 		}
 	}
 	return s.driver(), finish, s.release, nil

@@ -28,7 +28,6 @@ import (
 
 	"lsopc/internal/grid"
 	"lsopc/internal/litho"
-	"lsopc/internal/metrics"
 	"lsopc/internal/obs"
 	"lsopc/internal/rt"
 	"lsopc/internal/solve"
@@ -80,19 +79,12 @@ type Options struct {
 	StepSize      float64 // θ move per iteration (pixels of sigmoid input)
 	MaskSteepness float64 // a in M = σ(a·θ)
 	PVBWeight     float64 // weight of the outer/inner corner terms
-	// CleanupTinyPx removes stains/pinholes smaller than this many
-	// pixels from the final binary mask (0 disables). Pixel-based ILT
-	// is the method family that needs it (paper §I).
-	CleanupTinyPx int
 	// MultiResFactor > 1 runs the coarse-to-fine schedule: the first
 	// iterations evolve θ on a grid downsampled by this power-of-two
 	// factor, halving the factor each level, with θ interpolated
-	// spectrally onto each finer grid. 0 or 1 is single-resolution.
+	// spectrally onto each finer grid; the coarse levels share MaxIter/2
+	// evenly. 0 or 1 is single-resolution.
 	MultiResFactor int
-	// MultiResIters is the iteration budget per coarse level (0 defaults
-	// to MaxIter/2 split evenly across the coarse levels); full
-	// resolution gets the remainder of MaxIter.
-	MultiResIters int
 	// IterOffset shifts the iteration numbers reported in History, trace
 	// events and watchdog verdicts — the coarse-to-fine driver uses it to
 	// keep one globally contiguous iteration axis across levels.
@@ -151,25 +143,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pixelilt: MaskSteepness must be positive, got %g", o.MaskSteepness)
 	case o.PVBWeight < 0:
 		return fmt.Errorf("pixelilt: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
-	case o.CleanupTinyPx < 0:
-		return fmt.Errorf("pixelilt: CleanupTinyPx must be ≥ 0, got %d", o.CleanupTinyPx)
 	case o.MultiResFactor < 0:
 		return fmt.Errorf("pixelilt: MultiResFactor must be ≥ 0, got %d", o.MultiResFactor)
 	case o.MultiResFactor > 1 && !grid.IsPow2(o.MultiResFactor):
 		return fmt.Errorf("pixelilt: MultiResFactor must be a power of two, got %d", o.MultiResFactor)
-	case o.MultiResIters < 0:
-		return fmt.Errorf("pixelilt: MultiResIters must be ≥ 0, got %d", o.MultiResIters)
 	case o.IterOffset < 0:
 		return fmt.Errorf("pixelilt: IterOffset must be ≥ 0, got %d", o.IterOffset)
 	}
 	return nil
-}
-
-// IterStats traces one iteration.
-type IterStats struct {
-	Iter      int
-	Cost      float64 // sum of the corner costs simulated this iteration
-	CornerSim int     // number of corner simulations this iteration
 }
 
 // Result is the outcome of a baseline run.
@@ -184,8 +165,11 @@ type Result struct {
 	// AbortCheckpoint is the solver state at the aborted iteration
 	// boundary (nil unless Aborted), resumable through Optimize.
 	AbortCheckpoint *solve.Checkpoint
-	History         []IterStats
-	CornerSims      int // total forward+adjoint corner evaluations (runtime proxy)
+	// History holds one record per iteration: Cost sums the corner
+	// costs simulated that iteration, Evals counts those corners, and
+	// MaxVelocity is the ∞-norm of dL/dθ.
+	History    []solve.IterStats
+	CornerSims int // total forward+adjoint corner evaluations (runtime proxy)
 }
 
 // cornerPlan returns the corners to simulate at iteration i and their
@@ -230,8 +214,9 @@ func (o Options) constantCornerPlan() bool {
 }
 
 // Optimize runs the pixel-based baseline on the simulator for the given
-// target image and is the package's one run entry point. With
-// MultiResFactor > 1 the schedule runs coarse-to-fine (see multires.go).
+// target image and is the package's one run entry point. Every run is a
+// solve.RunLevels schedule from solve.Plan: one full-resolution level
+// when MultiResFactor ≤ 1, else coarse-to-fine (see multires.go).
 // Cancellation through ctx yields a *solve.Cancelled error carrying a
 // checkpoint; passing it as from (nil starts a fresh run) with the
 // original run's options continues the run, and the result then matches
@@ -241,34 +226,28 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MultiResFactor > 1 {
-		return runSchedule(ctx, sim, target, opts, from)
-	}
-	if from != nil && from.Factor != 1 {
-		return nil, fmt.Errorf("%w: resolution factor %d, but the run is single-resolution", solve.ErrCheckpointMismatch, from.Factor)
-	}
-	return runSingle(ctx, sim, target, opts, from)
-}
-
-// runSingle runs one resolution level end to end, optionally restoring
-// a checkpoint first.
-func runSingle(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, cp *solve.Checkpoint) (*Result, error) {
-	s, err := newStepper(sim, target, opts, nil)
+	prog := &levelProgram{opts: opts}
+	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor)
+	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, from)
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
-	drv := s.driver()
-	if cp != nil {
-		if err := drv.Restore(cp); err != nil {
-			return nil, err
-		}
+	res := &Result{
+		Mask:            prog.mask,
+		Gray:            prog.gray,
+		Iterations:      out.Iterations,
+		Aborted:         out.Aborted,
+		AbortReason:     out.AbortReason,
+		AbortCheckpoint: out.AbortCheckpoint,
+		History:         out.History,
+		CornerSims:      out.Evals,
 	}
-	out, err := drv.Run(ctx)
-	if err != nil {
-		return nil, err
+	if res.Mask == nil {
+		// A poisoned coarse run aborted the schedule: θ arrives lifted to
+		// full resolution so the result masks match the caller's grid.
+		res.Gray, res.Mask = masksFromTheta(out.State, opts.MaskSteepness)
 	}
-	return s.finish(out), nil
+	return res, nil
 }
 
 // stepper adapts one baseline level to the solve.Stepper contract: Eval
@@ -292,11 +271,8 @@ type stepper struct {
 // newStepper leases scratch from the simulator's pool and seeds θ from
 // the design (+1 inside, −1 outside; M≈σ(±a)) unless a coarser level
 // handed one over via thetaInit (caller keeps ownership).
-func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaInit *grid.Field) (*stepper, error) {
+func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaInit *grid.Field) *stepper {
 	n := sim.GridSize()
-	if target.W != n || target.H != n {
-		return nil, fmt.Errorf("pixelilt: target %dx%d does not match grid %d", target.W, target.H, n)
-	}
 	pool := sim.Pool()
 	s := &stepper{
 		sim:    sim,
@@ -316,7 +292,7 @@ func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaIni
 			s.theta.Data[i] = 2*v - 1
 		}
 	}
-	return s, nil
+	return s
 }
 
 // release returns the leased scratch to the pool.
@@ -436,34 +412,4 @@ func (s *stepper) RestoreState(st map[string]*grid.Field) error {
 	}
 	s.theta.CopyFrom(theta)
 	return nil
-}
-
-// finish assembles this package's Result from a level outcome while the
-// stepper's θ is still live: σ(a·θ) binarised at ½ (θ = 0), with the
-// manufacturability cleanup on the binary mask.
-func (s *stepper) finish(out *solve.Outcome) *Result {
-	gray, bin := masksFromTheta(s.theta, s.a)
-	if s.opts.CleanupTinyPx > 0 {
-		metrics.RemoveTinyFeatures(bin, s.opts.CleanupTinyPx, s.opts.CleanupTinyPx)
-	}
-	return &Result{
-		Mask:            bin,
-		Gray:            gray,
-		Iterations:      out.Iterations,
-		Aborted:         out.Aborted,
-		AbortReason:     out.AbortReason,
-		AbortCheckpoint: out.AbortCheckpoint,
-		History:         historyFromSolve(out.History),
-		CornerSims:      out.Evals,
-	}
-}
-
-// historyFromSolve converts driver history rows to this package's
-// schema.
-func historyFromSolve(hist []solve.IterStats) []IterStats {
-	out := make([]IterStats, len(hist))
-	for i, h := range hist {
-		out[i] = IterStats{Iter: h.Iter, Cost: h.Cost, CornerSim: h.Evals}
-	}
-	return out
 }

@@ -24,22 +24,32 @@ type Bank struct {
 	defocus   *optics.Bank
 	row, col  *fft.Plan
 	pool      *Pool
-	targets   sync.Map // any -> *targetEntry
-	coarse    sync.Map // int (factor) -> *coarseEntry
+	targets   memo[any, *grid.Field]
+	coarse    memo[int, *Bank] // keyed by factor
 }
 
-// coarseEntry memoizes one coarse-level bank derivation.
-type coarseEntry struct {
+// memo caches one build per key, including a failed build: the first
+// caller runs it, concurrent first callers wait for that one run, and
+// every later call returns its result.
+type memo[K comparable, V any] struct {
+	m sync.Map // K -> *memoEntry[V]
+}
+
+type memoEntry[V any] struct {
 	once sync.Once
-	bank *Bank
+	v    V
 	err  error
 }
 
-// targetEntry memoizes one rasterised target, including a failed build.
-type targetEntry struct {
-	once  sync.Once
-	field *grid.Field
-	err   error
+// get returns the memoized build for key, running build on first use.
+func (m *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	e, ok := m.m.Load(key)
+	if !ok {
+		e, _ = m.m.LoadOrStore(key, &memoEntry[V]{})
+	}
+	me := e.(*memoEntry[V])
+	me.once.Do(func() { me.v, me.err = build() })
+	return me.v, me.err
 }
 
 // NewBank derives the full resource bank for the given optics
@@ -55,13 +65,12 @@ func NewBank(cfg optics.Config, defocusNM float64, eng *engine.Engine, pool *Poo
 	if err != nil {
 		return nil, err
 	}
-	return WrapBanks(nom, def, pool)
+	return wrapBanks(nom, def, pool)
 }
 
-// WrapBanks builds a resource bank around existing kernel banks (the
-// compatibility path for callers that synthesised their own). Both
+// wrapBanks builds a resource bank around existing kernel banks. Both
 // banks must share one grid size.
-func WrapBanks(nominal, defocus *optics.Bank, pool *Pool) (*Bank, error) {
+func wrapBanks(nominal, defocus *optics.Bank, pool *Pool) (*Bank, error) {
 	if nominal == nil || defocus == nil {
 		return nil, fmt.Errorf("rt: bank requires nominal and defocus kernel banks")
 	}
@@ -127,25 +136,17 @@ func (b *Bank) Coarse(factor int) (*Bank, error) {
 	if factor == 1 {
 		return b, nil
 	}
-	v, ok := b.coarse.Load(factor)
-	if !ok {
-		v, _ = b.coarse.LoadOrStore(factor, &coarseEntry{})
-	}
-	e := v.(*coarseEntry)
-	e.once.Do(func() {
+	return b.coarse.get(factor, func() (*Bank, error) {
 		nom, err := b.nominal.Coarse(factor)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		def, err := b.defocus.Coarse(factor)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.bank, e.err = WrapBanks(nom, def, b.pool)
+		return wrapBanks(nom, def, b.pool)
 	})
-	return e.bank, e.err
 }
 
 // Target memoizes a derived read-only field (typically a rasterised
@@ -154,13 +155,7 @@ func (b *Bank) Coarse(factor int) (*Bank, error) {
 // build again, with concurrent first calls collapsed to one build. The
 // returned field is shared and must not be modified.
 func (b *Bank) Target(key any, build func() (*grid.Field, error)) (*grid.Field, error) {
-	v, ok := b.targets.Load(key)
-	if !ok {
-		v, _ = b.targets.LoadOrStore(key, &targetEntry{})
-	}
-	e := v.(*targetEntry)
-	e.once.Do(func() { e.field, e.err = build() })
-	return e.field, e.err
+	return b.targets.get(key, build)
 }
 
 // opticsKey identifies one memoized kernel bank. optics.Config is a
@@ -170,14 +165,7 @@ type opticsKey struct {
 	defocusNM float64
 }
 
-// opticsEntry memoizes one kernel-bank synthesis.
-type opticsEntry struct {
-	once sync.Once
-	bank *optics.Bank
-	err  error
-}
-
-var opticsCache sync.Map // opticsKey -> *opticsEntry
+var opticsCache memo[opticsKey, *optics.Bank]
 
 // OpticsBankFor returns the process-wide shared kernel bank for the
 // given configuration and defocus, synthesising it on first use.
@@ -188,24 +176,12 @@ func OpticsBankFor(cfg optics.Config, defocusNM float64, eng *engine.Engine) (*o
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := opticsKey{cfg: cfg, defocusNM: defocusNM}
-	v, ok := opticsCache.Load(key)
-	if !ok {
-		v, _ = opticsCache.LoadOrStore(key, &opticsEntry{})
-	}
-	e := v.(*opticsEntry)
-	e.once.Do(func() { e.bank, e.err = optics.NewBank(cfg, defocusNM, eng) })
-	return e.bank, e.err
+	return opticsCache.get(opticsKey{cfg: cfg, defocusNM: defocusNM}, func() (*optics.Bank, error) {
+		return optics.NewBank(cfg, defocusNM, eng)
+	})
 }
 
-// bankEntry memoizes one resource-bank construction.
-type bankEntry struct {
-	once sync.Once
-	bank *Bank
-	err  error
-}
-
-var bankCache sync.Map // opticsKey -> *bankEntry
+var bankCache memo[opticsKey, *Bank]
 
 // BankFor returns the process-wide shared resource bank (on the Shared
 // pool) for the given optics configuration and defocus excursion,
@@ -215,12 +191,7 @@ func BankFor(cfg optics.Config, defocusNM float64, eng *engine.Engine) (*Bank, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := opticsKey{cfg: cfg, defocusNM: defocusNM}
-	v, ok := bankCache.Load(key)
-	if !ok {
-		v, _ = bankCache.LoadOrStore(key, &bankEntry{})
-	}
-	e := v.(*bankEntry)
-	e.once.Do(func() { e.bank, e.err = NewBank(cfg, defocusNM, eng, Shared) })
-	return e.bank, e.err
+	return bankCache.get(opticsKey{cfg: cfg, defocusNM: defocusNM}, func() (*Bank, error) {
+		return NewBank(cfg, defocusNM, eng, Shared)
+	})
 }

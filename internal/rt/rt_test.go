@@ -287,7 +287,7 @@ func TestBankForMemoizationAndAccessors(t *testing.T) {
 }
 
 func TestWrapBanksValidation(t *testing.T) {
-	if _, err := WrapBanks(nil, nil, nil); err == nil {
+	if _, err := wrapBanks(nil, nil, nil); err == nil {
 		t.Fatal("nil banks accepted")
 	}
 	nom, err := OpticsBankFor(testOptics(2), 0, nil)
@@ -298,10 +298,10 @@ func TestWrapBanksValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WrapBanks(nom, other, nil); err == nil {
+	if _, err := wrapBanks(nom, other, nil); err == nil {
 		t.Fatal("mismatched grids accepted")
 	}
-	bk, err := WrapBanks(nom, nom, nil)
+	bk, err := wrapBanks(nom, nom, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

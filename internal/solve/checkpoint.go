@@ -32,7 +32,9 @@ type Checkpoint struct {
 	Factor int
 	// Iter is the next level-local iteration index.
 	Iter int
-	// Offset is the level's global iteration offset.
+	// Offset is the level's global iteration offset: the global
+	// iteration number of its first step, so Offset + Iter is the
+	// global iteration the run stopped at.
 	Offset int
 	// Scale is the adaptive step scale (λ_t for the level set).
 	Scale    float64
@@ -45,7 +47,6 @@ type Checkpoint struct {
 	History []IterStats
 	// Done holds the completed coarser levels' merged history.
 	Done      []IterStats
-	DoneIters int
 	DoneEvals int
 	Watchdog  *obs.WatchdogState
 	// State maps the method's field names ("psi", "theta", …) to
@@ -64,6 +65,11 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 // another method, iteration offset or budget, a resolution level the
 // run's schedule does not have, or a field of another grid size.
 var ErrCheckpointMismatch = errors.New("solve: checkpoint does not match the run")
+
+// ErrShapeMismatch is wrapped by every error that rejects a target,
+// initial state or checkpoint field because it does not match the
+// simulator grid.
+var ErrShapeMismatch = errors.New("solve: target shape does not match simulator grid")
 
 // ReadCheckpoint decodes a checkpoint written by WriteCheckpoint and
 // rejects one whose fields no run could have produced (see validate).

@@ -49,20 +49,27 @@ type Program interface {
 
 // RunLevels executes a coarse-to-fine schedule over the program:
 // Algorithm 1 on a downsampled grid first, halving the factor each
-// level, finishing at full resolution on sim itself. Coarse sessions
-// are created on exactly-truncated kernel banks (sharing sim's resource
-// pool), inherit sim's trace sink and id, and are released before the
-// next level starts; histories concatenate with globally renumbered
-// iterations and each hand-off emits a level_switch trace event to
-// sim's sink.
+// level, finishing at full resolution on sim itself. A one-level
+// schedule (Plan with factor ≤ 1) is a plain run on sim. Coarse
+// sessions are created on exactly-truncated kernel banks (sharing sim's
+// resource pool), inherit sim's trace sink and id, and are released
+// before the next level starts; histories concatenate with globally
+// renumbered iterations and each hand-off emits a level_switch trace
+// event to sim's sink.
 //
-// offset seeds the global iteration numbering. A non-nil resume
-// checkpoint fast-forwards the schedule to the checkpointed level and
-// restores its driver, continuing bit-identically. On cancellation the
-// returned *Cancelled checkpoint is annotated with the schedule
-// position (factor, completed levels' history) so resume can rebuild
-// the whole run.
+// offset seeds the global iteration numbering; Outcome.Iterations
+// counts the iterations run from there, a resumed checkpoint's
+// included. A non-nil resume checkpoint fast-forwards the schedule to
+// the checkpointed level and restores its driver at the checkpoint's
+// Offset, continuing bit-identically. On cancellation the returned
+// *Cancelled checkpoint is annotated with the schedule position
+// (factor, completed levels' history) so resume can rebuild the whole
+// run. A checkpoint whose level or position does not fit the schedule
+// fails with ErrCheckpointMismatch.
 func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sched Schedule, prog Program, offset int, resume *Checkpoint) (*Outcome, error) {
+	if n := sim.GridSize(); target.W != n || target.H != n {
+		return nil, fmt.Errorf("%w: target %dx%d, grid %d", ErrShapeMismatch, target.W, target.H, n)
+	}
 	total := &Outcome{}
 	globalIter := offset
 	start := 0
@@ -77,10 +84,14 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 		if start < 0 {
 			return nil, fmt.Errorf("%w: level factor %d is not in the schedule %v", ErrCheckpointMismatch, resume.Factor, sched.Factors)
 		}
+		// Every completed level left one history row per iteration, so
+		// the level's offset is the run's offset plus those rows.
+		if resume.Offset != offset+len(resume.Done) {
+			return nil, fmt.Errorf("%w: iteration offset %d, the run's %d after %d completed iterations", ErrCheckpointMismatch, resume.Offset, offset, len(resume.Done))
+		}
 		total.History = append(total.History, resume.Done...)
 		total.Evals = resume.DoneEvals
-		globalIter = resume.DoneIters
-		total.Iterations = globalIter
+		globalIter = resume.Offset
 	}
 
 	var state *grid.Field // hand-off, already at the next level's resolution
@@ -139,7 +150,6 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			if errors.As(err, &c) {
 				c.Checkpoint.Factor = f
 				c.Checkpoint.Done = append([]IterStats(nil), total.History...)
-				c.Checkpoint.DoneIters = globalIter
 				c.Checkpoint.DoneEvals = total.Evals
 			}
 			cleanup()
@@ -153,7 +163,6 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			// the postmortem checkpoint resumes through RunLevels too.
 			out.AbortCheckpoint.Factor = f
 			out.AbortCheckpoint.Done = append([]IterStats(nil), total.History...)
-			out.AbortCheckpoint.DoneIters = globalIter
 			out.AbortCheckpoint.DoneEvals = total.Evals
 		}
 		finish(out)
@@ -164,7 +173,7 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 
 		total.History = append(total.History, out.History...)
 		globalIter += out.Iterations
-		total.Iterations = globalIter
+		total.Iterations = globalIter - offset
 		total.Evals += out.Evals
 
 		if f == 1 {

@@ -24,13 +24,12 @@ func (s Schedule) Total() int {
 // Plan splits an iteration budget across the coarse-to-fine schedule —
 // the arithmetic core and pixelilt used to duplicate. With factor ≤ 1
 // it degenerates to a single full-resolution level holding the whole
-// budget. Otherwise each coarse level (factor, factor/2, …, 2) runs
-// perLevel iterations — defaulting to maxIter/2 split evenly across the
-// coarse levels — and full resolution gets the remainder. Every level
+// budget. Otherwise each coarse level (factor, factor/2, …, 2) runs an
+// even share of maxIter/2 and full resolution gets the remainder. Every level
 // is clamped to at least one iteration, so a budget smaller than the
 // level count still visits every resolution (and then overruns maxIter
 // by the padding).
-func Plan(maxIter, factor, perLevel int) Schedule {
+func Plan(maxIter, factor int) Schedule {
 	if factor <= 1 {
 		return Schedule{Factors: []int{1}, Iters: []int{maxIter}}
 	}
@@ -38,10 +37,7 @@ func Plan(maxIter, factor, perLevel int) Schedule {
 	for f := factor; f > 1; f /= 2 {
 		numCoarse++
 	}
-	perCoarse := perLevel
-	if perCoarse == 0 {
-		perCoarse = maxIter / (2 * numCoarse)
-	}
+	perCoarse := maxIter / (2 * numCoarse)
 	if perCoarse < 1 {
 		perCoarse = 1
 	}

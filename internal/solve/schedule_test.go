@@ -11,26 +11,23 @@ func TestPlanSchedules(t *testing.T) {
 	cases := []struct {
 		name            string
 		maxIter, factor int
-		perLevel        int
 		factors, iters  []int
 		totalOverBudget bool
 	}{
-		{"single level", 10, 1, 0, []int{1}, []int{10}, false},
-		{"factor zero degenerates", 10, 0, 5, []int{1}, []int{10}, false},
-		{"default split factor 2", 100, 2, 0, []int{2, 1}, []int{50, 50}, false},
-		{"default split factor 4", 100, 4, 0, []int{4, 2, 1}, []int{25, 25, 50}, false},
-		{"explicit per-level", 9, 2, 5, []int{2, 1}, []int{5, 4}, false},
-		{"per-level eats the budget", 6, 2, 10, []int{2, 1}, []int{10, 1}, true},
-		{"budget below level count", 2, 8, 0, []int{8, 4, 2, 1}, []int{1, 1, 1, 1}, true},
-		{"budget one", 1, 2, 0, []int{2, 1}, []int{1, 1}, true},
-		{"tiny default per-coarse clamps", 3, 4, 0, []int{4, 2, 1}, []int{1, 1, 1}, false},
+		{"single level", 10, 1, []int{1}, []int{10}, false},
+		{"factor zero degenerates", 10, 0, []int{1}, []int{10}, false},
+		{"default split factor 2", 100, 2, []int{2, 1}, []int{50, 50}, false},
+		{"default split factor 4", 100, 4, []int{4, 2, 1}, []int{25, 25, 50}, false},
+		{"budget below level count", 2, 8, []int{8, 4, 2, 1}, []int{1, 1, 1, 1}, true},
+		{"budget one", 1, 2, []int{2, 1}, []int{1, 1}, true},
+		{"tiny default per-coarse clamps", 3, 4, []int{4, 2, 1}, []int{1, 1, 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := Plan(tc.maxIter, tc.factor, tc.perLevel)
+			s := Plan(tc.maxIter, tc.factor)
 			if !reflect.DeepEqual(s.Factors, tc.factors) || !reflect.DeepEqual(s.Iters, tc.iters) {
-				t.Fatalf("Plan(%d, %d, %d) = %v/%v, want %v/%v",
-					tc.maxIter, tc.factor, tc.perLevel, s.Factors, s.Iters, tc.factors, tc.iters)
+				t.Fatalf("Plan(%d, %d) = %v/%v, want %v/%v",
+					tc.maxIter, tc.factor, s.Factors, s.Iters, tc.factors, tc.iters)
 			}
 			if s.Levels() != len(tc.factors) {
 				t.Fatalf("Levels() = %d, want %d", s.Levels(), len(tc.factors))

@@ -27,9 +27,10 @@ import (
 	"lsopc/internal/obs"
 )
 
-// IterStats records one driver iteration — the superset of the
-// method-specific history schemas (core keeps the nominal/PV-band cost
-// split, pixelilt the per-iteration corner-simulation count).
+// IterStats records one driver iteration. It is the one history record
+// of every method: core fills the nominal/PV-band cost split and the
+// PRP coefficient, pixelilt the per-iteration corner-simulation count
+// (Evals).
 type IterStats struct {
 	Iter        int
 	Cost        float64

@@ -277,9 +277,9 @@ type Pipeline struct {
 	metrics metrics.Config
 
 	// Observability: an optional trace sink shared by every session the
-	// pipeline leases, and a counter assigning each session a stable
-	// trace id ("s1", "s2", …) so events from concurrent jobs through
-	// the shared sink stay distinguishable.
+	// pipeline leases, and a counter assigning each call its own trace
+	// id ("s1", "s2", …) so events from concurrent jobs through the
+	// shared sink stay distinguishable.
 	sink     obs.Sink
 	flight   *recorder.Recorder
 	traceSeq atomic.Int64
@@ -292,10 +292,10 @@ type Pipeline struct {
 // PipelineOption configures optional pipeline behaviour.
 type PipelineOption func(*Pipeline)
 
-// WithTraceSink attaches a trace sink to the pipeline: every session it
-// leases emits iteration, per-corner timing and job-span events tagged
-// with a per-session trace id. The sink must be safe for concurrent use
-// (JSONL and line sinks are). Pipeline.Release flushes it.
+// WithTraceSink attaches a trace sink to the pipeline: every call emits
+// iteration, per-corner timing and job-span events tagged with a trace
+// id of its own. The sink must be safe for concurrent use (JSONL and
+// line sinks are). Pipeline.Release flushes it.
 func WithTraceSink(s TraceSink) PipelineOption {
 	return func(p *Pipeline) { p.sink = s }
 }
@@ -479,7 +479,7 @@ func (p *Pipeline) checkMask(mask *Field) error {
 type session struct {
 	p       *Pipeline
 	sim     *litho.Simulator
-	trace   string // per-session trace id ("s1", "s2", …) when tracing
+	trace   string // the current call's trace id ("s1", "s2", …) when tracing
 	spec    *grid.CField
 	printed *grid.Field
 	outer   *grid.Field
@@ -502,21 +502,29 @@ func (p *Pipeline) newSession() (*session, error) {
 		outer:   pool.Field(n, n),
 		inner:   pool.Field(n, n),
 	}
-	if p.sink != nil {
-		s.trace = fmt.Sprintf("s%d", p.traceSeq.Add(1))
-		sim.SetSink(p.sink, s.trace)
-	}
+	s.newRun()
 	return s, nil
 }
 
+// newRun gives the session a fresh trace id ("s<n>") and installs it
+// with the pipeline's sink on the simulator, so every call's events
+// form a run of their own. Without a sink it does nothing.
+func (s *session) newRun() {
+	if s.p.sink != nil {
+		s.trace = fmt.Sprintf("s%d", s.p.traceSeq.Add(1))
+		s.sim.SetSink(s.p.sink, s.trace)
+	}
+}
+
 // lease hands out an idle session, its simulator scratch warm, or
-// builds a new one. Return it with done.
+// builds a new one, under a fresh trace id. Return it with done.
 func (p *Pipeline) lease() (*session, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
+		s.newRun()
 		return s, nil
 	}
 	p.mu.Unlock()
@@ -614,7 +622,7 @@ func (p *Pipeline) OptimizeLevelSet(l *Layout, opts LevelSetOptions) (*RunResult
 // result then matches the uninterrupted run bit-for-bit. A nil from
 // starts a fresh run; a checkpoint that does not fit the run fails with
 // an error wrapping ErrCheckpointMismatch. When the pipeline carries a
-// trace sink, the run's events go to it under its session's trace id.
+// trace sink, the run's events go to it under a trace id of their own.
 // Safe to call concurrently.
 func (p *Pipeline) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions, from *Checkpoint) (*RunResult, error) {
 	return p.optimize(l, "optimize.levelset",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsopc/internal/obs/recorder"
+	"lsopc/internal/solve"
 )
 
 // cancelAtIter cancels the current run's context when the iteration
@@ -79,32 +80,29 @@ func runsIdentical(t *testing.T, got, want *RunResult) {
 	if !reportsMatch(got.Report, want.Report) {
 		t.Fatalf("report %+v, want %+v", got.Report, want.Report)
 	}
-	var a, b [][]float64
-	switch {
-	case want.LevelSet != nil:
-		for _, h := range got.LevelSet.History {
-			a = append(a, []float64{float64(h.Iter), h.CostNominal, h.CostPVB, h.CostTotal, h.MaxVelocity, h.TimeStep, h.LambdaPRP})
+	hist := func(r *RunResult) []solve.IterStats {
+		if r.LevelSet != nil {
+			return r.LevelSet.History
 		}
-		for _, h := range want.LevelSet.History {
-			b = append(b, []float64{float64(h.Iter), h.CostNominal, h.CostPVB, h.CostTotal, h.MaxVelocity, h.TimeStep, h.LambdaPRP})
-		}
-	default:
-		for _, h := range got.Baseline.History {
-			a = append(a, []float64{float64(h.Iter), h.Cost, float64(h.CornerSim)})
-		}
-		for _, h := range want.Baseline.History {
-			b = append(b, []float64{float64(h.Iter), h.Cost, float64(h.CornerSim)})
+		return r.Baseline.History
+	}
+	ha, hb := hist(got), hist(want)
+	if len(ha) != len(hb) {
+		t.Fatalf("history has %d rows, want %d", len(ha), len(hb))
+	}
+	for i := range hb {
+		if g, w := iterBits(ha[i]), iterBits(hb[i]); g != w {
+			t.Fatalf("history row %d: %+v, want %+v", i, ha[i], hb[i])
 		}
 	}
-	if len(a) != len(b) {
-		t.Fatalf("history has %d rows, want %d", len(a), len(b))
-	}
-	for i := range b {
-		for j := range b[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				t.Fatalf("history row %d field %d: %v, want %v", i, j, a[i][j], b[i][j])
-			}
-		}
+}
+
+// iterBits is a history row at full precision: every float by its bit
+// pattern, so NaN and signed-zero costs compare exactly.
+func iterBits(h solve.IterStats) [8]uint64 {
+	return [8]uint64{
+		uint64(h.Iter), math.Float64bits(h.Cost), math.Float64bits(h.CostNominal), math.Float64bits(h.CostPVB),
+		math.Float64bits(h.MaxVelocity), math.Float64bits(h.TimeStep), math.Float64bits(h.LambdaPRP), uint64(h.Evals),
 	}
 }
 
@@ -150,7 +148,7 @@ func TestCancelResumeThroughPipeline(t *testing.T) {
 				t.Fatalf("cancelled run returned %v, want a *CancelledError unwrapping to context.Canceled", err)
 			}
 			cp := cerr.Checkpoint
-			if got := cp.DoneIters + cp.Iter; got != tc.at+1 {
+			if got := cp.Offset + cp.Iter; got != tc.at+1 {
 				t.Fatalf("checkpoint after %d iterations, want %d", got, tc.at+1)
 			}
 
@@ -179,9 +177,9 @@ func TestCancelResumeThroughPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if saved.Method != cp.Method || saved.Factor != cp.Factor || saved.Iter != cp.Iter || saved.DoneIters != cp.DoneIters {
+			if saved.Method != cp.Method || saved.Factor != cp.Factor || saved.Iter != cp.Iter || saved.Offset != cp.Offset {
 				t.Fatalf("bundle checkpoint %s f%d at %d+%d, cancelled at %s f%d %d+%d",
-					saved.Method, saved.Factor, saved.DoneIters, saved.Iter, cp.Method, cp.Factor, cp.DoneIters, cp.Iter)
+					saved.Method, saved.Factor, saved.Offset, saved.Iter, cp.Method, cp.Factor, cp.Offset, cp.Iter)
 			}
 		})
 	}

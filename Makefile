@@ -14,7 +14,7 @@
 #               gated by benchdiff
 #   make trace   - instrumented runs (single-window and tiled, the tiled
 #               one with the -serve live endpoint attached) + JSONL
-#               trace validation (tracecheck) + analytics (tracestats)
+#               trace validation (tracestats -check) + analytics (tracestats)
 #               + Chrome/Perfetto timeline export + the live-telemetry
 #               end-to-end smoke (SSE + /runs during a tiled run) and
 #               the chrome-export golden test
@@ -36,7 +36,8 @@
 #               the math.Exp form, its AVX2 kernel against its Go loop,
 #               the exact distance transform (SignedDistance,
 #               Reinitialize) against a brute-force reference, the
-#               offline trace fold (analyze.Parse) against the
+#               fast-sweeping redistancing (ReinitializeFMM) against
+#               the fast march it replaced, the offline trace fold (analyze.Parse) against the
 #               live run registry, and the postmortem bundle reader
 #               (recorder.Open)
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
@@ -91,11 +92,11 @@ race:
 trace:
 	@set -ex; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -health -tracefile $$d/trace.jsonl; \
-	$(GO) run ./cmd/tracecheck -strict -require iteration,corner,plan_cache,pool,span $$d/trace.jsonl; \
+	$(GO) run ./cmd/tracestats -check -strict -require iteration,corner,plan_cache,pool,span $$d/trace.jsonl; \
 	$(GO) run ./cmd/tracestats $$d/trace.jsonl; \
 	$(GO) run ./cmd/benchgen -dir $$d/bench -chip 2x2 -cells B1,B4; \
 	$(GO) run ./cmd/lsopc -preset test -glp $$d/bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -serve 127.0.0.1:0 -tracefile $$d/trace-tiled.jsonl; \
-	$(GO) run ./cmd/tracecheck -strict -require tile_start,tile_done,iteration,span $$d/trace-tiled.jsonl; \
+	$(GO) run ./cmd/tracestats -check -strict -require tile_start,tile_done,iteration,span $$d/trace-tiled.jsonl; \
 	$(GO) run ./cmd/tracestats $$d/trace-tiled.jsonl; \
 	$(GO) run ./cmd/tracestats -chrome $$d/trace-tiled.chrome.json $$d/trace-tiled.jsonl; \
 	$(GO) test -count=1 -run 'TestLiveServerStreamsTiledRun' .; \
@@ -110,7 +111,7 @@ trace:
 			echo "trace: bundle is missing $$f"; exit 1; \
 		fi; \
 	done; echo "trace: postmortem bundle is complete"; \
-	$(GO) run ./cmd/tracecheck -strict -require tile_start,iteration,health,capture $$d/trace-poison.jsonl; \
+	$(GO) run ./cmd/tracestats -check -strict -require tile_start,iteration,health,capture $$d/trace-poison.jsonl; \
 	$(GO) run ./cmd/tracestats -bundle $$d/flight/*
 
 # Perf-regression smoke gate. The multires leg measures one Table II
@@ -162,6 +163,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSignedDistanceMatchesBruteForce$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesMarch$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/recorder
 

@@ -8,6 +8,25 @@
 // per-grid-size corner phases ("corner:…@64"). Tiled runs (lsopc -tiled)
 // get per-tile latency percentiles and a stitch-pass convergence table.
 //
+// With -check it validates a trace instead of reporting on it. It fails
+// with a non-zero exit when a line is not valid JSON, an event carries
+// no type, or the sink-assigned sequence numbers are not strictly
+// increasing — the integrity invariants concurrent sessions rely on.
+// Session-scoped events (iterations, corners, spans, health,
+// level/tile/stitch, cancelled, checkpoint) must carry their run id —
+// the trace field live consumers key on — and each run's iteration
+// numbers must be strictly increasing, the invariant the SSE stream and
+// run registry rely on. Tiled-run events carry structural invariants of
+// their own: tile_start/tile_done must name a tile ordinal ≥ 1, and
+// stitch_pass must name a pass ≥ 1 over ≥ 1 re-optimized tiles.
+// Cancellation events must carry their cause message, checkpoint events
+// must report ≥ 1 captured state fields, and capture events their
+// reason, bundle directory and ≥ 1 bundle files. Event kinds outside the
+// taxonomy are counted and reported (a schema drift signal) instead of
+// silently passing; -strict turns them into a failure. -require
+// additionally asserts that the given event types are present, so CI
+// can prove a run actually exercised the instrumented layers.
+//
 // Usage:
 //
 //	tracestats run.jsonl
@@ -16,10 +35,11 @@
 //	tracestats -json run.jsonl                 # machine-readable
 //	tracestats -chrome timeline.json run.jsonl # Perfetto-loadable timeline
 //	tracestats -bundle flight/s1-non_finite... # inspect a postmortem bundle
+//	tracestats -check -strict -require iteration,corner run.jsonl
 //	lsopc -case B1 -tracefile /dev/stdout ... | tracestats -
 //
 // Exit status: 0 on success, 1 on a parse failure (empty trace, invalid
-// JSON, type-less events), 2 on usage errors.
+// JSON, type-less events) or a failed -check, 2 on usage errors.
 package main
 
 import (
@@ -39,20 +59,41 @@ import (
 
 func main() {
 	var (
-		jsonOut  = flag.Bool("json", false, "emit the parsed run(s) / diff as JSON")
-		diff     = flag.Bool("diff", false, "compare exactly two traces (A then B)")
-		topN     = flag.Int("top", 0, "show only the top N phases by total time (0 = all)")
-		stallWin = flag.Int("stall-window", 0, "stall-detection trailing window (0 = default)")
-		chrome   = flag.String("chrome", "", "write a Chrome Trace Event timeline (Perfetto / chrome://tracing) of the trace to this file instead of reporting")
-		bundle   = flag.Bool("bundle", false, "treat each argument as a flight-recorder postmortem bundle directory: validate its manifest and report its event tail")
+		jsonOut   = flag.Bool("json", false, "emit the parsed run(s) / diff as JSON")
+		diff      = flag.Bool("diff", false, "compare exactly two traces (A then B)")
+		topN      = flag.Int("top", 0, "show only the top N phases by total time (0 = all)")
+		stallWin  = flag.Int("stall-window", 0, "stall-detection trailing window (0 = default)")
+		chrome    = flag.String("chrome", "", "write a Chrome Trace Event timeline (Perfetto / chrome://tracing) of the trace to this file instead of reporting")
+		bundle    = flag.Bool("bundle", false, "treat each argument as a flight-recorder postmortem bundle directory: validate its manifest and report its event tail")
+		checkOnly = flag.Bool("check", false, "validate each trace's invariants and print its per-type event counts instead of reporting")
+		strict    = flag.Bool("strict", false, "with -check: fail when the trace contains event kinds outside the known taxonomy")
+		require   = flag.String("require", "", "with -check: comma-separated event types that must appear at least once")
 	)
 	flag.Parse()
-	if flag.NArg() < 1 || (*diff && flag.NArg() != 2) || (*chrome != "" && (flag.NArg() != 1 || *diff)) || (*bundle && (*diff || *chrome != "")) {
+	modes := 0
+	for _, on := range []bool{*diff, *chrome != "", *bundle, *checkOnly} {
+		if on {
+			modes++
+		}
+	}
+	if flag.NArg() < 1 || modes > 1 || (*diff && flag.NArg() != 2) || (*chrome != "" && flag.NArg() != 1) ||
+		(!*checkOnly && (*strict || *require != "")) {
 		fmt.Fprintln(os.Stderr, "usage: tracestats [-json] [-top N] <trace.jsonl | -> ...")
 		fmt.Fprintln(os.Stderr, "       tracestats -diff [-json] before.jsonl after.jsonl")
 		fmt.Fprintln(os.Stderr, "       tracestats -chrome timeline.json <trace.jsonl | ->")
 		fmt.Fprintln(os.Stderr, "       tracestats -bundle <bundle-dir> ...")
+		fmt.Fprintln(os.Stderr, "       tracestats -check [-strict] [-require types] <trace.jsonl | -> ...")
 		os.Exit(2)
+	}
+
+	if *checkOnly {
+		for _, path := range flag.Args() {
+			if err := checkTrace(path, *strict, *require); err != nil {
+				fmt.Fprintln(os.Stderr, "tracestats:", err)
+				os.Exit(1)
+			}
+		}
+		return
 	}
 
 	if *bundle {

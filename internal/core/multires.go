@@ -9,10 +9,10 @@
 // invariant under the (N/k, pitch·k) exchange, see optics.Bank.Coarse),
 // so the coarse forward model is the genuine physical model at coarser
 // sampling, not an approximation of the fine one. Between levels ψ is
-// interpolated spectrally (levelset.UpsampleSpectral) and redistanced
-// with the fast-marching method, so the contour arrives at the next
-// level with its sub-pixel position intact and a clean signed-distance
-// profile around it.
+// interpolated spectrally (levelset.UpsampleSpectral) and then given
+// fast-sweeping (sub-pixel) redistancing, so the contour arrives at the
+// next level with its sub-pixel position intact and a clean
+// signed-distance profile around it.
 //
 // The schedule itself — budget split, coarse sessions, hand-offs,
 // level_switch events, checkpoint/resume — is solve.RunLevels; this
@@ -124,7 +124,8 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 }
 
 // Upsample is the hand-off: spectral interpolation onto the 2× finer
-// grid, then FMM redistancing so the next level starts from a signed
+// grid, then fast-sweeping (sub-pixel) redistancing
+// (levelset.ReinitializeFMM) so the next level starts from a signed
 // distance function at its own pixel pitch.
 func (p *levelProgram) Upsample(psi *grid.Field) *grid.Field {
 	return levelset.ReinitializeFMM(levelset.UpsampleSpectral(psi, 2))

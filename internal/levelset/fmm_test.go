@@ -19,7 +19,7 @@ func TestFMMDiscDistance(t *testing.T) {
 	}
 	re := ReinitializeFMM(psi)
 	// Compare against the analytic disc SDF away from the centre
-	// (the inward march loses accuracy at the skeleton point).
+	// (the upwind scheme loses accuracy at the skeleton point).
 	for y := 4; y < n-4; y++ {
 		for x := 4; x < n-4; x++ {
 			want := math.Hypot(float64(x-32), float64(y-32)) - r

@@ -9,13 +9,17 @@ import (
 	"lsopc/internal/grid"
 )
 
-// reinitializeFMMBoxed is the container/heap formulation of
-// ReinitializeFMM, kept as the reference the typed heap must reproduce.
-func reinitializeFMMBoxed(psi *grid.Field) *grid.Field {
+// reinitializeFMMBoxed is the fast-marching formulation of
+// ReinitializeFMM on a container/heap, kept as the reference the sweep
+// must reproduce: the same sub-pixel seeds, then every other pixel
+// accepted in increasing distance order from its accepted neighbours.
+// It also returns which pixels are seeds.
+func reinitializeFMMBoxed(psi *grid.Field) (*grid.Field, []bool) {
 	w, h := psi.W, psi.H
 	out := grid.NewField(w, h)
 	dist := make([]float64, w*h)
-	state := make([]byte, w*h)
+	state := make([]byte, w*h) // 0 far, 1 trial, 2 accepted
+	seed := make([]bool, w*h)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -43,6 +47,7 @@ func reinitializeFMMBoxed(psi *grid.Field) *grid.Field {
 			if !math.IsInf(best, 1) {
 				dist[i] = best
 				state[i] = 2
+				seed[i] = true
 			}
 		}
 	}
@@ -56,10 +61,10 @@ func reinitializeFMMBoxed(psi *grid.Field) *grid.Field {
 			if state[j] == 2 || (skip == 1 && state[j] != 0) {
 				continue
 			}
-			if t := eikonalUpdate(dist, state, w, h, nx, ny); t < dist[j] {
+			if t := acceptedUpdate(dist, state, w, h, nx, ny); t < dist[j] {
 				dist[j] = t
 				state[j] = 1
-				heap.Push(&pq, pixelItem{idx: j, t: t})
+				heap.Push(&pq, boxedItem{idx: j, t: t})
 			}
 		}
 	}
@@ -71,7 +76,7 @@ func reinitializeFMMBoxed(psi *grid.Field) *grid.Field {
 		}
 	}
 	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(pixelItem)
+		it := heap.Pop(&pq).(boxedItem)
 		i := it.idx
 		if state[i] == 2 || it.t > dist[i] {
 			continue
@@ -89,20 +94,106 @@ func reinitializeFMMBoxed(psi *grid.Field) *grid.Field {
 		}
 		out.Data[i] = d
 	}
-	return out
+	return out, seed
 }
 
-type boxedHeap []pixelItem
+// acceptedUpdate is eikonalUpdate restricted to the accepted neighbours,
+// the march's form of the Godunov update.
+func acceptedUpdate(dist []float64, state []byte, w, h, x, y int) float64 {
+	masked := func(j int) float64 {
+		if state[j] == 2 {
+			return dist[j]
+		}
+		return math.Inf(1)
+	}
+	i := y*w + x
+	a, b := math.Inf(1), math.Inf(1)
+	if x > 0 {
+		a = math.Min(a, masked(i-1))
+	}
+	if x < w-1 {
+		a = math.Min(a, masked(i+1))
+	}
+	if y > 0 {
+		b = math.Min(b, masked(i-w))
+	}
+	if y < h-1 {
+		b = math.Min(b, masked(i+w))
+	}
+	if a > b {
+		a, b = b, a
+	}
+	if math.IsInf(a, 1) {
+		return math.Inf(1)
+	}
+	if math.IsInf(b, 1) || b-a >= 1 {
+		return a + 1
+	}
+	sum := a + b
+	disc := sum*sum - 2*(a*a+b*b-1)
+	return (sum + math.Sqrt(disc)) / 2
+}
+
+type boxedItem struct {
+	idx int
+	t   float64
+}
+
+type boxedHeap []boxedItem
 
 func (p boxedHeap) Len() int            { return len(p) }
 func (p boxedHeap) Less(i, j int) bool  { return p[i].t < p[j].t }
 func (p boxedHeap) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *boxedHeap) Push(x interface{}) { *p = append(*p, x.(pixelItem)) }
+func (p *boxedHeap) Push(x interface{}) { *p = append(*p, x.(boxedItem)) }
 func (p *boxedHeap) Pop() interface{} {
 	old := *p
 	it := old[len(old)-1]
 	*p = old[:len(old)-1]
 	return it
+}
+
+// marchTolerance bounds |sweep − march| off the seeds. It is not zero
+// only because the algorithm changed: both solve the same upwind scheme,
+// but the march keeps each pixel's first accepted value, which its
+// visiting order can leave above the fixed point the sweep reaches
+// (rounding differences a pixel inherits from its neighbours
+// accumulate with distance). The largest gap measured was 1.6e-13 on the
+// fields of TestSweepMatchesMarch and 1.9e-10 on the 30 coarse-to-fine
+// hand-offs of Table II's B1–B10 at 512² (factors 2 and 4).
+const marchTolerance = 1e-9
+
+// checkSweepMatchesMarch holds ReinitializeFMM(ψ) to the march: every
+// pixel keeps the march's sign bit and ψ's side of the contour, every
+// seed is the march's bit for bit, every other pixel is within
+// marchTolerance of it, and one more round of sweeps lowers no pixel.
+// It returns the largest difference off the seeds.
+func checkSweepMatchesMarch(t *testing.T, name string, psi *grid.Field) float64 {
+	t.Helper()
+	got := ReinitializeFMM(psi)
+	want, seed := reinitializeFMMBoxed(psi)
+	worst := 0.0
+	for i, g := range got.Data {
+		v := want.Data[i]
+		switch {
+		case math.Signbit(g) != math.Signbit(v) || (g <= 0) != (psi.Data[i] <= 0):
+			t.Fatalf("%s pixel %d: %v, march %v, ψ %v: sign differs", name, i, g, v, psi.Data[i])
+		case seed[i] && math.Float64bits(g) != math.Float64bits(v):
+			t.Fatalf("%s seed pixel %d: %v, march %v", name, i, g, v)
+		case math.Abs(g-v) > marchTolerance:
+			t.Fatalf("%s pixel %d: %v, march %v (|Δ| %.3g > %g)", name, i, g, v, math.Abs(g-v), marchTolerance)
+		}
+		worst = math.Max(worst, math.Abs(g-v))
+	}
+	dist := make([]float64, len(got.Data))
+	for i, g := range got.Data {
+		dist[i] = math.Abs(g)
+	}
+	for _, d := range [4][2]int{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}} {
+		if sweep(dist, seed, psi.W, psi.H, d[0], d[1]) {
+			t.Fatalf("%s: a further sweep (%d, %d) lowered a pixel; not a fixed point", name, d[0], d[1])
+		}
+	}
+	return worst
 }
 
 // blockPsi is a redistanced field of pseudo-random 6-px blocks with its
@@ -131,7 +222,7 @@ func blockPsi(n int, seed uint64) *grid.Field {
 	return psi
 }
 
-// fmmFields are the ψ inputs of the typed-heap tests.
+// fmmFields are the ψ inputs of the sweep-vs-march tests.
 func fmmFields(n int) map[string]*grid.Field {
 	disc := grid.NewField(n, n)
 	c, r := float64(n)/2, float64(n)/4.3
@@ -153,34 +244,52 @@ func fmmFields(n int) map[string]*grid.Field {
 	}
 }
 
-// TestFMMTypedHeapMatchesContainerHeap holds ReinitializeFMM, and an
-// FMM workspace reused across the fields and run in place (dst = ψ), to
-// the container/heap reference bit for bit.
-func TestFMMTypedHeapMatchesContainerHeap(t *testing.T) {
+// TestSweepMatchesMarch holds ReinitializeFMM to the fast-marching
+// reference (checkSweepMatchesMarch) on the fmmFields and on spectrally
+// upsampled block fields, the coarse-to-fine hand-off's own input.
+func TestSweepMatchesMarch(t *testing.T) {
+	worst := 0.0
 	for _, n := range []int{17, 48, 96} {
-		f := newFMM(n, n)
 		for name, psi := range fmmFields(n) {
-			want := reinitializeFMMBoxed(psi)
-			inPlace := psi.Clone()
-			f.reinitializeInto(inPlace, inPlace)
-			for form, got := range map[string]*grid.Field{"ReinitializeFMM": ReinitializeFMM(psi), "in place": inPlace} {
-				for i := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("%s %s n=%d pixel %d: %v vs container/heap %v", form, name, n, i, got.Data[i], want.Data[i])
-					}
-				}
-			}
+			worst = math.Max(worst, checkSweepMatchesMarch(t, name, psi))
 		}
 	}
+	for _, n := range []int{32, 64} {
+		worst = math.Max(worst, checkSweepMatchesMarch(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2)))
+	}
+	t.Logf("largest |sweep − march| off the seeds: %.3g", worst)
 }
 
-// TestFMMAllocationsIndependentOfGrid: the typed heap does not box its
-// entries, so a call allocates a fixed handful of buffers at any size
-// (five, plus slack for the runtime's own bookkeeping on large
-// allocations); boxing made about 15k allocations at 64² and 870k at
-// 512². A held FMM workspace allocates nothing. The process's first
-// collection allocates its mark workers; runtime.GC runs it before any
-// window is measured.
+// FuzzSweepMatchesMarch holds ReinitializeFMM to the fast-marching
+// reference (checkSweepMatchesMarch) on grids up to 24×24: the first two
+// bytes pick the width and height, each later byte one pixel (cycled
+// over the grid) as a multiple of 1/8 in [−2, 2], so exact zeros and
+// equal values are common.
+func FuzzSweepMatchesMarch(f *testing.F) {
+	f.Add(uint8(15), uint8(15), []byte{0})                         // uniform inside, no interface
+	f.Add(uint8(15), uint8(15), []byte{16})                        // all exact zeros
+	f.Add(uint8(12), uint8(9), append(make([]byte, 60), 30))       // one outside pixel
+	f.Add(uint8(0), uint8(23), []byte{0, 30, 16, 0, 0, 20, 1})     // 1 px wide
+	f.Add(uint8(23), uint8(0), []byte{30, 0, 0, 16, 25, 0, 0, 32}) // 1 px tall
+	f.Add(uint8(23), uint8(23), []byte{3, 29, 16, 8, 24, 16, 5, 27, 11, 21})
+	f.Fuzz(func(t *testing.T, wb, hb uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		w, h := 1+int(wb)%24, 1+int(hb)%24
+		psi := grid.NewField(w, h)
+		for i := range psi.Data {
+			psi.Data[i] = float64(int(data[i%len(data)]%33)-16) / 8
+		}
+		checkSweepMatchesMarch(t, "fuzz", psi)
+	})
+}
+
+// TestFMMAllocationsIndependentOfGrid: a call allocates a fixed handful
+// of buffers at any size (the field, its data and the seed mask, plus
+// slack for the runtime's own bookkeeping on large allocations). The
+// process's first collection allocates its mark workers; runtime.GC runs
+// it before any window is measured.
 func TestFMMAllocationsIndependentOfGrid(t *testing.T) {
 	const bound = 10
 	runtime.GC()
@@ -188,10 +297,6 @@ func TestFMMAllocationsIndependentOfGrid(t *testing.T) {
 		psi := blockPsi(n, 5)
 		if avg := testing.AllocsPerRun(3, func() { ReinitializeFMM(psi) }); avg > bound {
 			t.Fatalf("n=%d: ReinitializeFMM allocates %.0f objects/op, want ≤ %d", n, avg, bound)
-		}
-		f, dst := newFMM(n, n), grid.NewField(n, n)
-		if avg := testing.AllocsPerRun(3, func() { f.reinitializeInto(dst, psi) }); avg != 0 {
-			t.Fatalf("n=%d: fmm.reinitializeInto allocates %.0f objects/op, want 0", n, avg)
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // keep the fine spectrum Hermitian, and the inverse transform yields
 // the band-limited (sinc) interpolant — the smoothest function through
 // the coarse samples, which is exactly what a smooth level-set function
-// wants at a resolution hand-off. The caller redistances afterwards
-// (ReinitializeFMM); the interpolation preserves the zero contour's
-// sub-pixel position, the redistancing restores the unit-gradient
-// property at the new pixel pitch.
+// wants at a resolution hand-off. The caller then applies fast-sweeping
+// (sub-pixel) redistancing (ReinitializeFMM); the interpolation
+// preserves the zero contour's sub-pixel position, the redistancing
+// restores the unit-gradient property at the new pixel pitch.
 //
 // factor must be a power of two ≥ 1; dimensions must be powers of two.
 // factor 1 returns a clone.

@@ -94,7 +94,7 @@ const (
 )
 
 // KnownEvent reports whether kind belongs to the event taxonomy above;
-// cmd/tracecheck counts anything else as schema drift.
+// tracestats -check counts anything else as schema drift.
 func KnownEvent(kind string) bool {
 	switch kind {
 	case EventIteration, EventCorner, EventPlanCache, EventPool, EventSpan,

@@ -264,7 +264,14 @@ func (r *Recorder) CaptureAnomaly(a Anomaly) (string, error) {
 		return dir, nil
 	}
 	now := time.Now()
-	dir := filepath.Join(r.cfg.Dir, fmt.Sprintf("%s-%s-%d", sanitize(root), sanitize(a.Reason), now.UnixNano()))
+	// The reason's share of the directory name is bounded, so a long
+	// operator reason cannot push the name past the file system's limit;
+	// the manifest keeps it whole.
+	tag := sanitize(a.Reason)
+	if len(tag) > maxReasonTag {
+		tag = tag[:maxReasonTag]
+	}
+	dir := filepath.Join(r.cfg.Dir, fmt.Sprintf("%s-%s-%d", sanitize(root), tag, now.UnixNano()))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -298,6 +305,10 @@ func (r *Recorder) Captured(id string) (string, bool) {
 	dir, ok := r.captured[rootOf(id)]
 	return dir, ok
 }
+
+// maxReasonTag is the most bytes of the trigger reason a bundle
+// directory name carries.
+const maxReasonTag = 64
 
 // sanitize keeps bundle directory names to a portable charset.
 func sanitize(s string) string {

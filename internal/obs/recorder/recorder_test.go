@@ -1,8 +1,13 @@
 package recorder
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -274,6 +279,42 @@ func TestCaptureRequiresDir(t *testing.T) {
 	}
 	if _, err := quiet(t, Config{Dir: t.TempDir()}).Capture("", "dump"); err == nil {
 		t.Fatal("capture without a run id succeeded")
+	}
+}
+
+// TestDumpLongReason posts a dump with a 300-byte reason through the
+// HTTP handler: the bundle directory name must stay under the file
+// system's name limit, and the manifest keeps the full reason.
+func TestDumpLongReason(t *testing.T) {
+	dir := t.TempDir()
+	r := quiet(t, Config{Dir: dir})
+	r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 0, Cost: 1})
+	srv := httptest.NewServer(obs.Handler(obs.NewRegistry(), nil, nil, r))
+	defer srv.Close()
+
+	reason := strings.Repeat("operator poke ", 22)[:300]
+	resp, err := http.Post(srv.URL+"/runs/s1/dump?reason="+url.QueryEscape(reason), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dump: status %d body %s", resp.StatusCode, body)
+	}
+	bdir, ok := r.Captured("s1")
+	if !ok {
+		t.Fatal("no bundle captured")
+	}
+	if n := len(filepath.Base(bdir)); n > 255 {
+		t.Fatalf("bundle directory name is %d bytes", n)
+	}
+	man, err := Open(bdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Trigger != reason {
+		t.Fatalf("manifest trigger %q, want the full reason", man.Trigger)
 	}
 }
 

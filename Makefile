@@ -34,19 +34,25 @@
 #               the reduced-grid SOCS aerial and gradient against the dense
 #               full-grid reference, the inline resist sigmoid against
 #               the math.Exp form, its AVX2 kernel against its Go loop,
+#               the per-pixel AVX2 kernels (|∇ψ| through the Hypot
+#               replica, the SOCS reduce, the adjoint product, the
+#               gradient apply, the resist sweep's cost and sensitivity
+#               pass) against their Go loops,
 #               the exact distance transform (SignedDistance,
 #               Reinitialize) against a brute-force reference, the
 #               fast-sweeping redistancing (ReinitializeFMM) against
 #               the fast march it replaced, the offline trace fold (analyze.Parse) against the
-#               live run registry, and the postmortem bundle reader
-#               (recorder.Open)
+#               live run registry, the postmortem bundle reader
+#               (recorder.Open), the live HTTP handlers' query, type
+#               filter and dump reason parsing, and resuming from a
+#               checkpoint whose iteration offset does not fit the run
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
 #               every package builds without the amd64 assembly (FFT
 #               butterflies and column-pass movement kernels, resist
-#               sigmoid, CPU probe), GOARCH=386
-#               go test ./internal/fft ./internal/grid runs their Go
-#               loops as the selected kernels (natively on an amd64
-#               host)
+#               sigmoid, |∇ψ|, the litho per-pixel loops, CPU probe),
+#               GOARCH=386 go test of the four packages with kernels
+#               (fft, grid, levelset, litho) runs their Go loops as the
+#               selected kernels (natively on an amd64 host)
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -162,24 +168,34 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzGradMagKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
+	$(GO) test -run '^$$' -fuzz '^FuzzReduceKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzAdjointKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzAddKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzCostSensKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzSignedDistanceMatchesBruteForce$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesMarch$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/recorder
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandlers$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeAtOffset$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
 
 vet:
 	$(GO) vet ./...
 
 # The butterfly sweeps and the column passes' data movement (gathers,
-# scatters, real-row pack) of internal/fft and the resist sigmoid of
-# internal/grid have AVX2 assembly kernels on amd64 (chosen by the CPU
-# probe in internal/grid) and Go loops everywhere else. amd64 vet
-# (asmdecl) checks the assembly's frames and argument names; this leg
-# builds and vets every package without the assembly, and runs the FFT
-# and grid tests with the Go loops as the selected kernels.
+# scatters, real-row pack) of internal/fft, the resist sigmoid of
+# internal/grid, |∇ψ| of internal/levelset and the per-pixel loops of
+# internal/litho (SOCS reduce, adjoint product, gradient apply, the
+# resist sweep's cost and sensitivity pass) have AVX2 assembly kernels
+# on amd64 (chosen by the CPU probe in internal/grid) and Go loops
+# everywhere else. amd64 vet (asmdecl) checks the assembly's frames and
+# argument names; this leg builds and vets every package without the
+# assembly, and runs those four packages' tests with the Go loops as the
+# selected kernels.
 crossarch:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/fft ./internal/grid
+	GOARCH=386 $(GO) test ./internal/fft ./internal/grid ./internal/levelset ./internal/litho
 
 # Source-hygiene gate: gofmt must have nothing to reformat. gofmt -l
 # exits 0 even when files need formatting, so the target fails on any

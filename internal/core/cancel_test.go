@@ -252,3 +252,67 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		t.Fatalf("checkpoint at a factor outside the schedule: %v, want ErrCheckpointMismatch", err)
 	}
 }
+
+// FuzzResumeAtOffset resumes a cancelled coarse-to-fine run from a
+// checkpoint whose Offset, Done rows, level factor and the resuming
+// run's IterOffset are fuzzed. Whenever the checkpoint does not fit the
+// run (its Offset is not IterOffset + len(Done), or its factor is not in
+// the schedule), solve.RunLevels must refuse it with
+// ErrCheckpointMismatch before any work, and nothing may panic. The grid
+// is 32 px, so every input is cheap.
+func FuzzResumeAtOffset(f *testing.F) {
+	f.Add(uint8(0), int64(2), uint8(2), uint8(1))     // the checkpoint's own position: fits
+	f.Add(uint8(0), int64(3), uint8(2), uint8(1))     // one past it
+	f.Add(uint8(20), int64(2), uint8(2), uint8(1))    // the resuming run starts at 20
+	f.Add(uint8(0), int64(-1), uint8(0), uint8(1))    // a negative offset
+	f.Add(uint8(5), int64(1<<62), uint8(9), uint8(1)) // far off, more Done rows than the run has
+	f.Add(uint8(0), int64(2), uint8(2), uint8(3))     // a factor the schedule lacks
+
+	cfg := litho.DefaultConfig(32, 32)
+	cfg.Optics.Kernels = 2
+	sim, err := litho.NewSimulator(cfg, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	target := grid.NewField(32, 32)
+	for y := 12; y < 20; y++ {
+		for x := 8; x < 24; x++ {
+			target.Set(x, y, 1)
+		}
+	}
+	opts := DefaultOptions()
+	opts.MaxIter = 4
+	opts.Tolerance = 0
+	opts.MultiResFactor = 2 // levels: 16 px ×2, full ×2
+	ctx, cancel := context.WithCancel(context.Background())
+	sim.SetSink(&cancelAtSink{at: 2, cancel: cancel}, "")
+	_, err = Run(ctx, sim, target, opts, nil)
+	sim.SetSink(nil, "")
+	cancel()
+	var cerr *solve.Cancelled
+	if !errors.As(err, &cerr) {
+		f.Fatalf("cancelled run returned %v, want *solve.Cancelled", err)
+	}
+	base := cerr.Checkpoint
+
+	f.Fuzz(func(t *testing.T, iterOffset uint8, offset int64, done, factor uint8) {
+		cp := *base
+		cp.Offset = int(offset)
+		cp.Factor = int(factor % 5)
+		cp.Done = nil
+		for i := 0; i < int(done%16); i++ {
+			cp.Done = append(cp.Done, solve.IterStats{Iter: i, Cost: 1})
+		}
+		o := opts
+		o.IterOffset = int(iterOffset)
+		fits := cp.Offset == o.IterOffset+len(cp.Done) && (cp.Factor == 1 || cp.Factor == 2)
+		if fits {
+			return // a resumable position: TestCancelResume* hold those runs
+		}
+		_, err := Run(context.Background(), sim, target, o, &cp)
+		if !errors.Is(err, solve.ErrCheckpointMismatch) {
+			t.Fatalf("offset %d, %d done rows, factor %d, IterOffset %d: %v, want ErrCheckpointMismatch",
+				cp.Offset, len(cp.Done), cp.Factor, o.IterOffset, err)
+		}
+	})
+}

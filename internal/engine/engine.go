@@ -162,7 +162,9 @@ func (e *Engine) Map(n int, body func(worker, i int)) { e.run(n, nil, body) }
 
 // run executes ForChunk's chunk body or Map's index body (exactly one
 // is non-nil) over [0, n). On a serial
-// engine, or for a single item, the caller runs a local task alone;
+// engine, or for a single item, the caller runs the items alone, in
+// order, with no task descriptor (a local one would be heap-allocated
+// on 32-bit platforms, whose 64-bit atomics must be 8-byte aligned);
 // otherwise the call publishes the engine's descriptor to the helper
 // set and runs as its participant 0.
 func (e *Engine) run(n int, chunk func(lo, hi int), each func(worker, i int)) {
@@ -177,8 +179,20 @@ func (e *Engine) run(n int, chunk func(lo, hi int), each func(worker, i int)) {
 		}
 	}
 	if e.workers == 1 || items == 1 {
-		t := task{e: e, n: n, items: items, chunk: chunk, each: each}
-		t.work(0)
+		var t0 time.Time
+		if e.busy != nil {
+			t0 = time.Now()
+		}
+		for k := 0; k < items; k++ {
+			if chunk != nil {
+				chunk(k*n/items, (k+1)*n/items)
+			} else {
+				each(0, k)
+			}
+		}
+		if e.busy != nil {
+			e.busy.Add(e.busyOff, time.Since(t0))
+		}
 		return
 	}
 	t := &e.call

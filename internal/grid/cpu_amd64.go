@@ -1,9 +1,11 @@
 package grid
 
 // The one CPU-feature probe of the repository: the assembly kernels here
-// (the resist sigmoid) and in internal/fft (the butterflies and the
-// column passes' gathers, scatters and real-row pack) are chosen from it
-// once, at package init, and never change afterwards.
+// (the resist sigmoid), in internal/fft (the butterflies and the column
+// passes' gathers, scatters and real-row pack), in internal/levelset
+// (|∇ψ|) and in internal/litho (the SOCS reduce, the adjoint product,
+// the gradient apply and the resist sweep's cost and sensitivity pass)
+// are chosen from it once, at package init, and never change afterwards.
 var cpuAVX2, cpuFMA = probeCPU()
 
 // HasAVX2 reports whether the CPU supports AVX2 and the OS saves the

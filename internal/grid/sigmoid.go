@@ -58,10 +58,17 @@ var expTable = func() (t [expN]float64) {
 // maps NaN to NaN) as math.Exp does. On CPUs with AVX2 and FMA the
 // elements up to the last multiple of 4 run in the assembly kernel; the
 // result is the same bits either way.
-func SigmoidInto(dst, a []float64, s, t float64) {
+func SigmoidInto(dst, a []float64, s, t float64) { SigmoidDoseInto(dst, a, 1, s, t) }
+
+// SigmoidDoseInto is SigmoidInto of the dose-scaled image: dst[i] =
+// 1/(1+exp(−s·(dose·a[i]−t))), with dose·a[i] rounded once, so it gives
+// the bits of SigmoidInto over a copy scaled by dose. At dose 1, 1·v is
+// v (and v−t quiets a signalling NaN either way), so the multiply leaves
+// SigmoidInto's bits as they were without it.
+func SigmoidDoseInto(dst, a []float64, dose, s, t float64) {
 	a = a[:len(dst)]
-	n, slow := sigmoidVec(dst, a, s, t)
-	if sigmoidGo(dst[n:], a[n:], s, t) || slow {
+	n, slow := sigmoidVec(dst, a, dose, s, t)
+	if sigmoidGo(dst[n:], a[n:], dose, s, t) || slow {
 		sigmoidExp(dst)
 	}
 }
@@ -75,14 +82,15 @@ func init() {
 	}
 }
 
-// sigmoidGo is the table form of σ over dst and a (a at least as long).
-// An element whose exponent −s·(a[i]−t) is outside ±expFast or NaN is
+// sigmoidGo is the table form of σ over dst and dose·a (a at least as
+// long).
+// An element whose exponent −s·(dose·a[i]−t) is outside ±expFast or NaN is
 // left as that exponent, a marker that is never in [0, 1], and the
 // result says whether there was one; sigmoidExp finishes those.
-func sigmoidGo(dst, a []float64, s, t float64) (slow bool) {
+func sigmoidGo(dst, a []float64, dose, s, t float64) (slow bool) {
 	a = a[:len(dst)]
 	for i, v := range a {
-		z := -s * (v - t)
+		z := -s * (v*dose - t)
 		if !(z >= -expFast && z <= expFast) {
 			dst[i] = z
 			slow = true

@@ -35,16 +35,16 @@ var sigmoidLanes = func() (c [13][4]uint64) {
 // sigmoidVec runs sigmoidAVX2 over the longest prefix of dst whose
 // length is a multiple of 4, when the CPU has it, and returns that
 // length and the kernel's slow flag.
-func sigmoidVec(dst, a []float64, s, t float64) (n int, slow bool) {
+func sigmoidVec(dst, a []float64, dose, s, t float64) (n int, slow bool) {
 	if !sigmoidAVX2OK {
 		return 0, false
 	}
 	n = len(dst) &^ 3
-	return n, sigmoidAVX2(dst[:n], a[:n], -s, t)
+	return n, sigmoidAVX2(dst[:n], a[:n], dose, -s, t)
 }
 
 // sigmoidAVX2 is sigmoidGo for len(dst) a multiple of 4 (a at least as
 // long), with ns = −s, bit for bit. Implemented in sigmoid_amd64.s.
 //
 //go:noescape
-func sigmoidAVX2(dst, a []float64, ns, t float64) (slow bool)
+func sigmoidAVX2(dst, a []float64, dose, ns, t float64) (slow bool)

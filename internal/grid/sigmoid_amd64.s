@@ -5,7 +5,8 @@
 // the same constants (sigmoidLanes), so every lane matches the Go loop
 // bit for bit:
 //
-//	z = (−s)·(v−t)                     VSUBPD, VMULPD (−s comes negated)
+//	z = (−s)·(v·dose−t)                VMULPD, VSUBPD, VMULPD (−s comes
+//	                                   negated)
 //	kd = (z·N/ln2 + shift) − shift     VMULPD, VADDPD, VSUBPD
 //	k = bits(kd + shift) − bits(shift) VPSUBQ: kd + shift is an integer
 //	                                   in [2^52, 2^53), where ulp = 1
@@ -20,11 +21,12 @@
 //	e = FMA(tj, p, tj)·scale           VFMADD213PD, VMULPD
 //	1/(1+e)                            VADDPD, VDIVPD
 //
-// IEEE products and sums are commutative, so operand order cannot
-// change a bit. Lanes whose z is outside ±expFast or NaN get z, as in
-// the Go loop (VCMPPD with the ordered predicates, VBLENDVPD), and the
-// result flag says whether any lane did. Their gather index stays in
-// the table (j = k & (N−1)) whatever k is.
+// IEEE products and sums are commutative, so operand order changes no
+// bit but the payload of a two-NaN result, which is the first source's;
+// z takes Go's order, (v·dose − t) first. Lanes whose z is outside
+// ±expFast or NaN get z, as in the Go loop (VCMPPD with the ordered
+// predicates, VBLENDVPD), and the result flag says whether any lane did.
+// Their gather index stays in the table (j = k & (N−1)) whatever k is.
 
 // Offsets into sigmoidLanes, one 32-byte vector each.
 #define INVLN2N 0
@@ -41,21 +43,21 @@
 #define JMASK 352
 #define BIAS 384
 
-// func sigmoidAVX2(dst, a []float64, ns, t float64) (slow bool)
-TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-65
+// func sigmoidAVX2(dst, a []float64, dose, ns, t float64) (slow bool)
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-73
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         a_base+24(FP), SI
 	SHRQ         $2, CX
 	LEAQ         ·sigmoidLanes(SB), R8
 	LEAQ         ·expTable(SB), R9
-	VBROADCASTSD ns+48(FP), Y15
-	VBROADCASTSD t+56(FP), Y14
+	VBROADCASTSD dose+48(FP), Y9
+	VBROADCASTSD ns+56(FP), Y15
+	VBROADCASTSD t+64(FP), Y14
 	VMOVUPD      INVLN2N(R8), Y13
 	VMOVUPD      SHIFT(R8), Y12
 	VMOVUPD      LN2HI(R8), Y11
 	VMOVUPD      LN2LO(R8), Y10
-	VMOVUPD      ZMIN(R8), Y9
 	VMOVUPD      ZMAX(R8), Y8
 	VPCMPEQQ     Y7, Y7, Y7            // AND of every lane's in-range mask
 	TESTQ        CX, CX
@@ -63,9 +65,10 @@ TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-65
 
 loop:
 	VMOVUPD      (SI), Y0
-	VSUBPD       Y14, Y0, Y0           // v − t
-	VMULPD       Y0, Y15, Y0           // z
-	VCMPPD       $0x1d, Y9, Y0, Y1     // z ≥ −expFast (GE_OQ)
+	VMULPD       Y9, Y0, Y0            // v·dose
+	VSUBPD       Y14, Y0, Y0           // v·dose − t
+	VMULPD       Y15, Y0, Y0           // z = (v·dose − t)·(−s), Go's order
+	VCMPPD       $0x1d, ZMIN(R8), Y0, Y1 // z ≥ −expFast (GE_OQ)
 	VCMPPD       $0x12, Y8, Y0, Y2     // z ≤ expFast (LE_OQ)
 	VANDPD       Y2, Y1, Y1            // in range
 	VANDPD       Y1, Y7, Y7
@@ -103,6 +106,6 @@ loop:
 done:
 	VMOVMSKPD    Y7, AX
 	CMPL         AX, $15
-	SETNE        slow+64(FP)
+	SETNE        slow+72(FP)
 	VZEROUPPER
 	RET

@@ -93,6 +93,34 @@ func TestSigmoidIntoMatchesField(t *testing.T) {
 	}
 }
 
+// TestSigmoidDoseMatchesScaledCopy: the dose folded into the sigmoid
+// gives the bits of the sigmoid over a copy scaled by the dose, which is
+// what the resist sweep wrote before the fold, and at dose 1 the bits of
+// SigmoidInto, signalling NaNs, −0 and subnormals included.
+func TestSigmoidDoseMatchesScaledCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := []float64{math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff4000000000abc),
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, 0.225, 1e300}
+	for len(a) < 1027 {
+		a = append(a, 1.2*rng.Float64()-0.1)
+	}
+	for _, dose := range []float64{1, 1.02, 0.98, 1e-300, -1} {
+		scaled := make([]float64, len(a))
+		for i, v := range a {
+			scaled[i] = dose * v
+		}
+		want := make([]float64, len(a))
+		SigmoidInto(want, scaled, 50, 0.225)
+		got := make([]float64, len(a))
+		SigmoidDoseInto(got, a, dose, 50, 0.225)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("dose %v, element %d (input %v): folded %v, over the scaled copy %v", dose, i, a[i], got[i], want[i])
+			}
+		}
+	}
+}
+
 func FuzzSigmoidMatchesExp(f *testing.F) {
 	for _, x := range []float64{0, 1, -1, 0.5 * math.Ln2 / expN, 37, -37, 708, -708, 709.8, -709.8, 800} {
 		f.Add(x)
@@ -111,10 +139,12 @@ func FuzzSigmoidMatchesExp(f *testing.F) {
 	})
 }
 
-// kernelCases are the steepness and threshold pairs the kernel tests
+// kernelCases are the dose, steepness and threshold triples the kernel
 // run: s = 1, t = 0 makes z = −v exactly, so the ±expFast boundaries
 // are hit exactly; the others are the resist model's.
-var kernelCases = [...]struct{ s, t float64 }{{1, 0}, {25, 0.225}, {50, 0.225}, {1000, 0.225}}
+var kernelCases = [...]struct{ dose, s, t float64 }{
+	{1, 1, 0}, {1, 25, 0.225}, {1, 50, 0.225}, {1, 1000, 0.225}, {1.02, 50, 0.225}, {0.98, 25, 0.225},
+}
 
 // kernelSpecials are exponents z the kernel must hand on unchanged or
 // get exactly right: out of range, NaN, the range's edges (also the
@@ -129,19 +159,19 @@ var kernelSpecials = []float64{
 	0.5 * math.Ln2 / expN, -0.5 * math.Ln2 / expN,
 }
 
-// kernelInput maps an exponent z to the input value with that exponent
+// kernelInput maps an exponent z to the input value with about that
 // under s and t (exactly z when s = 1, t = 0).
-func kernelInput(z, s, t float64) float64 { return t - z/s }
+func kernelInput(z, dose, s, t float64) float64 { return (t - z/s) / dose }
 
 // checkKernelMatchesGo runs a through the AVX2 kernel (with the Go loop
 // on the tail) and through the Go loop alone and requires the same bits:
 // the raw outputs with their markers, the slow flags, and the finished
-// σ, which SigmoidInto must also give, into a fresh slice or into a
+// σ, which SigmoidDoseInto must also give, into a fresh slice or into a
 // itself when alias is set.
-func checkKernelMatchesGo(t *testing.T, a []float64, s, th float64, alias bool) {
+func checkKernelMatchesGo(t *testing.T, a []float64, dose, s, th float64, alias bool) {
 	t.Helper()
 	want := make([]float64, len(a))
-	wantSlow := sigmoidGo(want, a, s, th)
+	wantSlow := sigmoidGo(want, a, dose, s, th)
 
 	got := make([]float64, len(a))
 	src := a
@@ -149,20 +179,20 @@ func checkKernelMatchesGo(t *testing.T, a []float64, s, th float64, alias bool) 
 		copy(got, a)
 		src = got
 	}
-	n, slow := sigmoidVec(got, src, s, th)
+	n, slow := sigmoidVec(got, src, dose, s, th)
 	if n != len(a)&^3 {
 		t.Fatalf("len %d: kernel covered %d elements", len(a), n)
 	}
-	if sigmoidGo(got[n:], src[n:], s, th) {
+	if sigmoidGo(got[n:], src[n:], dose, s, th) {
 		slow = true
 	}
 	if slow != wantSlow {
-		t.Fatalf("s=%v t=%v: slow flag %v, Go loop %v", s, th, slow, wantSlow)
+		t.Fatalf("dose=%v s=%v t=%v: slow flag %v, Go loop %v", dose, s, th, slow, wantSlow)
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("s=%v t=%v alias=%v: element %d of %d (input %v): kernel %v, Go loop %v",
-				s, th, alias, i, len(a), a[i], got[i], want[i])
+			t.Fatalf("dose=%v s=%v t=%v alias=%v: element %d of %d (input %v): kernel %v, Go loop %v",
+				dose, s, th, alias, i, len(a), a[i], got[i], want[i])
 		}
 	}
 
@@ -170,13 +200,13 @@ func checkKernelMatchesGo(t *testing.T, a []float64, s, th float64, alias bool) 
 		sigmoidExp(want)
 	}
 	out := make([]float64, len(a))
-	SigmoidInto(out, a, s, th)
+	SigmoidDoseInto(out, a, dose, s, th)
 	inPlace := append([]float64(nil), a...)
-	SigmoidInto(inPlace, inPlace, s, th)
+	SigmoidDoseInto(inPlace, inPlace, dose, s, th)
 	for i := range want {
 		if math.Float64bits(out[i]) != math.Float64bits(want[i]) || math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("s=%v t=%v: σ element %d of %d (input %v): SigmoidInto %v, in place %v, Go loop %v",
-				s, th, i, len(a), a[i], out[i], inPlace[i], want[i])
+			t.Fatalf("dose=%v s=%v t=%v: σ element %d of %d (input %v): SigmoidDoseInto %v, in place %v, Go loop %v",
+				dose, s, th, i, len(a), a[i], out[i], inPlace[i], want[i])
 		}
 	}
 }
@@ -198,9 +228,9 @@ func TestSigmoidKernelMatchesGo(t *testing.T) {
 		for _, z := range kernelSpecials {
 			for lane := 0; lane < 4; lane++ {
 				for j := 0; j < 4; j++ {
-					v := kernelInput(1400*rng.Float64()-700, c.s, c.t)
+					v := kernelInput(1400*rng.Float64()-700, c.dose, c.s, c.t)
 					if j == lane {
-						v = kernelInput(z, c.s, c.t)
+						v = kernelInput(z, c.dose, c.s, c.t)
 					}
 					mixed = append(mixed, v)
 				}
@@ -208,27 +238,34 @@ func TestSigmoidKernelMatchesGo(t *testing.T) {
 		}
 		for n := 0; n <= 13; n++ {
 			for _, alias := range []bool{false, true} {
-				checkKernelMatchesGo(t, mixed[:n], c.s, c.t, alias)
-				checkKernelMatchesGo(t, mixed[len(mixed)-n:], c.s, c.t, alias)
+				checkKernelMatchesGo(t, mixed[:n], c.dose, c.s, c.t, alias)
+				checkKernelMatchesGo(t, mixed[len(mixed)-n:], c.dose, c.s, c.t, alias)
 			}
 		}
-		checkKernelMatchesGo(t, mixed, c.s, c.t, false)
-		checkKernelMatchesGo(t, mixed, c.s, c.t, true)
+		checkKernelMatchesGo(t, mixed, c.dose, c.s, c.t, false)
+		checkKernelMatchesGo(t, mixed, c.dose, c.s, c.t, true)
 
 		dense := make([]float64, 1<<18+3)
 		for i := range dense {
-			dense[i] = kernelInput(1420*rng.Float64()-710, c.s, c.t)
+			dense[i] = kernelInput(1420*rng.Float64()-710, c.dose, c.s, c.t)
 		}
-		checkKernelMatchesGo(t, dense, c.s, c.t, false)
+		checkKernelMatchesGo(t, dense, c.dose, c.s, c.t, false)
 
 		out := make([]float64, len(mixed))
-		SigmoidInto(out, mixed, c.s, c.t)
+		SigmoidDoseInto(out, mixed, c.dose, c.s, c.t)
 		for _, v := range out {
 			subnormal = subnormal || v != 0 && math.Abs(v) < 0x1p-1022
 		}
 	}
 	if !subnormal {
 		t.Fatal("no result below the smallest normal float64 was checked")
+	}
+	// A NaN steepness against NaN inputs of other payloads: z's two-NaN
+	// product keeps Go's operand order.
+	nanS := math.Float64frombits(0x7ff8000000000bad)
+	in := []float64{math.Float64frombits(0x7ff8000000000123), 0.3, math.Float64frombits(0xfff4000000000456), -0.2, 0.225}
+	for n := range in {
+		checkKernelMatchesGo(t, in[:n+1], 1, nanS, 0.225, false)
 	}
 }
 
@@ -258,9 +295,9 @@ func FuzzSigmoidKernelMatchesGo(f *testing.F) {
 			default:
 				z = kernelSpecials[int(data[3*i+1])%len(kernelSpecials)]
 			}
-			a[i] = kernelInput(z, c.s, c.t)
+			a[i] = kernelInput(z, c.dose, c.s, c.t)
 		}
-		checkKernelMatchesGo(t, a, c.s, c.t, alias)
+		checkKernelMatchesGo(t, a, c.dose, c.s, c.t, alias)
 	})
 }
 
@@ -275,7 +312,7 @@ func TestSigmoidGauge(t *testing.T) {
 		t.Fatalf("grid.sigmoid_avx2 = %v, want %v", got, want)
 	}
 	d := make([]float64, 7)
-	if n, _ := sigmoidVec(d, d, 50, 0.225); n != 4*int(want) {
+	if n, _ := sigmoidVec(d, d, 1, 50, 0.225); n != 4*int(want) {
 		t.Fatalf("the kernel covered %d of 7 elements, want %d", n, 4*int(want))
 	}
 }
@@ -305,7 +342,7 @@ func BenchmarkSigmoidInto(b *testing.B) {
 	})
 	b.Run("go loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if sigmoidGo(dst.Data, a.Data, 50, 0.225) {
+			if sigmoidGo(dst.Data, a.Data, 1, 50, 0.225) {
 				sigmoidExp(dst.Data)
 			}
 		}

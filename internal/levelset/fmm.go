@@ -14,22 +14,32 @@ import (
 // sitting between pixels stays between pixels across
 // reinitialisations. Every other pixel takes the first-order Godunov
 // upwind update from its four neighbours in Gauss–Seidel sweeps over the
-// four diagonal orders, repeated until a round of four lowers no pixel.
+// four diagonal orders, repeated until a round of four lowers no pixel
+// (skipping the rows that cannot change).
 // The result is the fixed point of the upwind scheme a fast march
 // (Sethian) solves, and the name is the one the method had as a march.
 // Returns the new ψ.
 func ReinitializeFMM(psi *grid.Field) *grid.Field {
-	w, h := psi.W, psi.H
 	out := grid.NewFieldLike(psi)
 	dist := out.Data // unsigned distance to the interface until the end
-	seed := make([]bool, w*h)
-	inside := func(i int) bool { return psi.Data[i] <= 0 }
+	seed, found := seedCrossings(dist, psi)
+	if found {
+		sweepToFixedPoint(dist, seed, psi.W, psi.H)
+	}
+	signDistances(dist, psi, found)
+	return out
+}
 
-	// Seed: pixels with a sign change to a 4-neighbour get their
-	// distance from linear interpolation of ψ along each crossing axis:
-	// the zero crossing sits at frac = ψ(p)/(ψ(p)−ψ(n)) of the edge.
-	// Seeds are held fixed by the sweeps.
-	found := false
+// seedCrossings sets dist to the seeds' distances and +Inf elsewhere,
+// and reports which pixels are seeds and whether there is any. Pixels
+// with a sign change to a 4-neighbour get their distance from linear
+// interpolation of ψ along each crossing axis: the zero crossing sits
+// at frac = ψ(p)/(ψ(p)−ψ(n)) of the edge. Seeds are held fixed by the
+// sweeps.
+func seedCrossings(dist []float64, psi *grid.Field) (seed []bool, found bool) {
+	w, h := psi.W, psi.H
+	seed = make([]bool, w*h)
+	inside := func(i int) bool { return psi.Data[i] <= 0 }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
@@ -54,32 +64,77 @@ func ReinitializeFMM(psi *grid.Field) *grid.Field {
 			}
 		}
 	}
+	return seed, found
+}
 
-	for lowered := found; lowered; {
+// sweepToFixedPoint runs rounds of the four diagonal sweeps until a
+// round lowers no pixel, and returns the number of rounds. A row is
+// visited only when it, or a row next to it, lowered a pixel at or
+// after the start of the row's last visit (rowClock): otherwise every
+// value its update reads is what its last visit read, and that visit
+// lowered nothing, so the row is a fixed point in any order and
+// skipping it leaves the sequence of states, and the round count, as
+// the plain sweep has them.
+func sweepToFixedPoint(dist []float64, seed []bool, w, h int) (rounds int) {
+	clk := newRowClock(h)
+	for lowered := true; lowered; rounds++ {
 		lowered = false
 		for _, d := range [4][2]int{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}} {
-			if sweep(dist, seed, w, h, d[0], d[1]) {
+			if sweep(dist, seed, w, h, d[0], d[1], clk) {
 				lowered = true
 			}
 		}
 	}
+	return rounds
+}
 
+// rowClock stamps the row visits of the sweeps: now counts visits,
+// visit[y] is the stamp of row y's last visit and lowered[y] that of the
+// last visit in which row y lowered a pixel (0 before any, so every row
+// is visited first).
+type rowClock struct {
+	visit, lowered []int
+	now            int
+}
+
+// newRowClock is the clock of h rows none of which has been visited.
+func newRowClock(h int) *rowClock {
+	return &rowClock{visit: make([]int, h), lowered: make([]int, h)}
+}
+
+// stale reports whether row y can change: whether it or a neighbouring
+// row lowered a pixel at or after the start of y's last visit.
+func (c *rowClock) stale(y int) bool {
+	last := c.lowered[y]
+	if y > 0 {
+		last = max(last, c.lowered[y-1])
+	}
+	if y < len(c.lowered)-1 {
+		last = max(last, c.lowered[y+1])
+	}
+	return last >= c.visit[y]
+}
+
+// signDistances turns the unsigned distances into ψ's signed ones:
+// negative inside (ψ ≤ 0); with no interface anywhere every pixel gets
+// the far constant w+h.
+func signDistances(dist []float64, psi *grid.Field, found bool) {
 	for i, d := range dist {
 		if !found {
-			d = float64(w + h) // no interface anywhere: a far constant
+			d = float64(psi.W + psi.H)
 		}
-		if inside(i) {
+		if psi.Data[i] <= 0 {
 			d = -d
 		}
 		dist[i] = d
 	}
-	return out
 }
 
 // sweep is one Gauss–Seidel pass of the upwind update over every
 // non-seed pixel, rows in y order dy (±1) and each row in x order dx
-// (±1). It reports whether it lowered any pixel.
-func sweep(dist []float64, seed []bool, w, h, dx, dy int) bool {
+// (±1), visiting only the rows the clock finds stale. It reports whether
+// it lowered any pixel.
+func sweep(dist []float64, seed []bool, w, h, dx, dy int, clk *rowClock) bool {
 	lowered := false
 	y, x0 := 0, 0
 	if dy < 0 {
@@ -89,6 +144,11 @@ func sweep(dist []float64, seed []bool, w, h, dx, dy int) bool {
 		x0 = w - 1
 	}
 	for ; y >= 0 && y < h; y += dy {
+		if !clk.stale(y) {
+			continue
+		}
+		clk.now++
+		clk.visit[y] = clk.now
 		row, fixed := dist[y*w:(y+1)*w], seed[y*w:(y+1)*w]
 		for x := x0; x >= 0 && x < w; x += dx {
 			if fixed[x] {
@@ -123,6 +183,7 @@ func sweep(dist []float64, seed []bool, w, h, dx, dy int) bool {
 			if t < row[x] {
 				row[x] = t
 				lowered = true
+				clk.lowered[y] = clk.now
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package levelset
 import (
 	"container/heap"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -166,10 +167,12 @@ const marchTolerance = 1e-9
 // pixel keeps the march's sign bit and ψ's side of the contour, every
 // seed is the march's bit for bit, every other pixel is within
 // marchTolerance of it, and one more round of sweeps lowers no pixel.
-// It returns the largest difference off the seeds.
+// It also holds it to the plain sweep (checkSweepMatchesPlain). It
+// returns the largest difference off the seeds.
 func checkSweepMatchesMarch(t *testing.T, name string, psi *grid.Field) float64 {
 	t.Helper()
 	got := ReinitializeFMM(psi)
+	checkSweepMatchesPlain(t, name, psi)
 	want, seed := reinitializeFMMBoxed(psi)
 	worst := 0.0
 	for i, g := range got.Data {
@@ -189,7 +192,7 @@ func checkSweepMatchesMarch(t *testing.T, name string, psi *grid.Field) float64 
 		dist[i] = math.Abs(g)
 	}
 	for _, d := range [4][2]int{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}} {
-		if sweep(dist, seed, psi.W, psi.H, d[0], d[1]) {
+		if sweep(dist, seed, psi.W, psi.H, d[0], d[1], newRowClock(psi.H)) {
 			t.Fatalf("%s: a further sweep (%d, %d) lowered a pixel; not a fixed point", name, d[0], d[1])
 		}
 	}
@@ -298,5 +301,118 @@ func TestFMMAllocationsIndependentOfGrid(t *testing.T) {
 		if avg := testing.AllocsPerRun(3, func() { ReinitializeFMM(psi) }); avg > bound {
 			t.Fatalf("n=%d: ReinitializeFMM allocates %.0f objects/op, want ≤ %d", n, avg, bound)
 		}
+	}
+}
+
+// plainSweep is sweep visiting every row, as it did before the row
+// clock: the reference the clocked sweep must reproduce.
+func plainSweep(dist []float64, seed []bool, w, h, dx, dy int) bool {
+	lowered := false
+	y, x0 := 0, 0
+	if dy < 0 {
+		y = h - 1
+	}
+	if dx < 0 {
+		x0 = w - 1
+	}
+	for ; y >= 0 && y < h; y += dy {
+		row, fixed := dist[y*w:(y+1)*w], seed[y*w:(y+1)*w]
+		for x := x0; x >= 0 && x < w; x += dx {
+			if fixed[x] {
+				continue
+			}
+			a, b := math.Inf(1), math.Inf(1)
+			if x > 0 {
+				a = row[x-1]
+			}
+			if x < w-1 && row[x+1] < a {
+				a = row[x+1]
+			}
+			if y > 0 {
+				b = dist[(y-1)*w+x]
+			}
+			if y < h-1 && dist[(y+1)*w+x] < b {
+				b = dist[(y+1)*w+x]
+			}
+			if a > b {
+				a, b = b, a
+			}
+			if !(a < row[x]) {
+				continue
+			}
+			t := a + 1
+			if b-a < 1 {
+				sum := a + b
+				t = (sum + math.Sqrt(sum*sum-2*(a*a+b*b-1))) / 2
+			}
+			if t < row[x] {
+				row[x] = t
+				lowered = true
+			}
+		}
+	}
+	return lowered
+}
+
+// checkSweepMatchesPlain holds the clocked sweeps to plainSweep bit for
+// bit: the same distances after the same number of rounds, and the same
+// ReinitializeFMM result.
+func checkSweepMatchesPlain(t *testing.T, name string, psi *grid.Field) {
+	t.Helper()
+	w, h := psi.W, psi.H
+	got, want := make([]float64, w*h), make([]float64, w*h)
+	seed, found := seedCrossings(got, psi)
+	seedCrossings(want, psi)
+	if !found {
+		return
+	}
+	rounds := sweepToFixedPoint(got, seed, w, h)
+	plainRounds := 0
+	for lowered := true; lowered; plainRounds++ {
+		lowered = false
+		for _, d := range [4][2]int{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}} {
+			if plainSweep(want, seed, w, h, d[0], d[1]) {
+				lowered = true
+			}
+		}
+	}
+	if rounds != plainRounds {
+		t.Fatalf("%s: %d rounds, the plain sweep %d", name, rounds, plainRounds)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s pixel %d: %v, the plain sweep %v", name, i, got[i], want[i])
+		}
+	}
+	signDistances(want, psi, found)
+	for i, v := range ReinitializeFMM(psi).Data {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("%s pixel %d: ReinitializeFMM %v, the plain sweep %v", name, i, v, want[i])
+		}
+	}
+}
+
+// TestSweepMatchesPlain holds the row-clocked sweeps to the plain sweep
+// bit for bit, rounds included, on the fmmFields, on upsampled block
+// fields (the coarse-to-fine hand-off's own input), and on 300 random
+// grids of random shape whose values are multiples of 1/8, so ties and
+// exact zeros are common.
+func TestSweepMatchesPlain(t *testing.T) {
+	for _, n := range []int{17, 48, 96} {
+		for name, psi := range fmmFields(n) {
+			checkSweepMatchesPlain(t, name, psi)
+		}
+	}
+	for _, n := range []int{32, 64} {
+		checkSweepMatchesPlain(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2))
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 300; i++ {
+		w, h := 1+rng.Intn(40), 1+rng.Intn(40)
+		psi := grid.NewField(w, h)
+		for j := range psi.Data {
+			psi.Data[j] = float64(rng.Intn(33)-16) / 8
+		}
+		checkSweepMatchesPlain(t, "random", psi)
 	}
 }

@@ -299,10 +299,23 @@ func GradMagRows(dst, psi *grid.Field, y0, y1 int) {
 		}
 		gy := func(x int) float64 { return k * (down[x] - up[x]) }
 		out[0] = math.Hypot(row[1]-row[0], gy(0))
-		for x := 1; x < w-1; x++ {
-			out[x] = math.Hypot(0.5*(row[x+1]-row[x-1]), gy(x))
-		}
+		// The interior, x in [1, w−1): in, u and d start at x = 1 and
+		// row at x−1 = 0, so interior pixel i reads row[i] and row[i+2].
+		in, u, d := out[1:w-1], up[1:w-1], down[1:w-1]
+		n := gradMagVec(in, row, u, d, k)
+		gradMagGo(in[n:], row[n:], u[n:], d[n:], k)
 		out[w-1] = math.Hypot(row[w-1]-row[w-2], gy(w-1))
+	}
+}
+
+// gradMagGo sets out[i] = Hypot(0.5·(row[i+2]−row[i]), k·(down[i]−up[i]))
+// for every i of out: the central differences of the interior pixels.
+// It is the reference of the AVX2 kernel, which gives the same bits,
+// and runs the elements the kernel leaves.
+func gradMagGo(out, row, up, down []float64, k float64) {
+	row, up, down = row[:len(out)+2], up[:len(out)], down[:len(out)]
+	for i := range out {
+		out[i] = math.Hypot(0.5*(row[i+2]-row[i]), k*(down[i]-up[i]))
 	}
 }
 

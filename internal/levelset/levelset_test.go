@@ -385,11 +385,9 @@ func FuzzSignedDistanceMatchesBruteForce(f *testing.F) {
 	})
 }
 
-// BenchmarkReinitialize512 is one reinitialisation at PresetFast scale
-// (512²) on the multi-worker engine, of the SDF of a few rectangles.
-func BenchmarkReinitialize512(b *testing.B) {
-	const n = 512
-	m := grid.NewField(n, n)
+// rectsPsi512 is the SDF of a few rectangles at PresetFast scale (512²).
+func rectsPsi512() *grid.Field {
+	m := grid.NewField(512, 512)
 	for _, r := range [][4]int{{40, 60, 200, 120}, {260, 40, 300, 400}, {80, 300, 480, 340}, {350, 150, 470, 260}} {
 		for y := r[1]; y < r[3]; y++ {
 			for x := r[0]; x < r[2]; x++ {
@@ -397,12 +395,30 @@ func BenchmarkReinitialize512(b *testing.B) {
 			}
 		}
 	}
-	psi := SignedDistance(m)
+	return SignedDistance(m)
+}
+
+// BenchmarkReinitialize512 is one reinitialisation at PresetFast scale
+// (512²) on the multi-worker engine, of the SDF of a few rectangles.
+func BenchmarkReinitialize512(b *testing.B) {
+	const n = 512
+	psi := rectsPsi512()
 	dst, tmp := grid.NewField(n, n), grid.NewField(n, n)
 	e := NewEDT(n, n, engine.GPU())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ReinitializeInto(dst, tmp, psi)
+	}
+}
+
+// BenchmarkReinitializeFMM512 is one fast-sweeping redistancing of the
+// same field, the coarse-to-fine hand-off's operation.
+func BenchmarkReinitializeFMM512(b *testing.B) {
+	psi := rectsPsi512()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ReinitializeFMM(psi)
 	}
 }

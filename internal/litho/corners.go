@@ -169,48 +169,44 @@ func (s *Simulator) sweepChunk(worker, chunk int) {
 	}
 	for ci, c := range corners {
 		a := plane[s.cornerBank[ci]].Data[i0:i1]
-		var aerial []float64
+		dose := s.Dose(c.Cond)
 		if c.Out != nil && c.Out.Aerial != nil {
-			aerial = c.Out.Aerial.Data[i0:i1]
-		}
-		switch dose := s.Dose(c.Cond); {
-		case dose != 1:
-			dst := aerial
-			if dst == nil {
-				dst = buf[ci*size : (ci+1)*size]
+			aerial := c.Out.Aerial.Data[i0:i1]
+			if dose != 1 {
+				for j, v := range a {
+					aerial[j] = dose * v
+				}
+			} else {
+				copy(aerial, a)
 			}
-			for j, v := range a {
-				dst[j] = dose * v
-			}
-			a = dst
-		case aerial != nil:
-			copy(aerial, a)
 		}
+		// σ of the dose-scaled aerial, the dose folded in: the bits of
+		// σ over the scaled copy.
 		if needR || c.Out != nil && c.Out.R != nil {
-			grid.SigmoidInto(rOf(ci), a, s.cfg.Steepness, s.cfg.Threshold)
+			grid.SigmoidDoseInto(rOf(ci), a, dose, s.cfg.Steepness, s.cfg.Threshold)
 		}
 	}
 	if target == nil {
 		return
 	}
-	tg := target.Data[i0:i1]
+	// Every corner's cost and sensitivity in one pass over the chunk,
+	// over the banks' aerials, which every σ above has already read.
+	cs := s.sweepCorners[worker][:0]
 	for ci, c := range corners {
-		// The bank's first corner starts its W from zero (0 + x is x
-		// exactly); later ones accumulate.
 		b := s.cornerBank[ci]
-		w := plane[b].Data[i0:i1]
-		if slices.Index(s.cornerBank, b) == ci {
-			clear(w)
-		}
-		scale := s.sensScale(c.Cond, c.Weight)
-		var sum float64
-		for j, rv := range rOf(ci) {
-			d := rv - tg[j]
-			sum += d * d
-			w[j] += scale * d * rv * (1 - rv)
-		}
-		s.partials[chunk*len(corners)+ci] = sum
+		cs = append(cs, costCorner{
+			r:     rOf(ci),
+			w:     plane[b].Data[i0:i1],
+			scale: s.sensScale(c.Cond, c.Weight),
+			first: slices.Index(s.cornerBank, b) == ci,
+		})
 	}
+	costSens(cs, target.Data[i0:i1])
+	for ci := range cs {
+		s.partials[chunk*len(corners)+ci] = cs[ci].sum
+	}
+	clear(cs) // drop the references to the caller's images
+	s.sweepCorners[worker] = cs
 }
 
 // sensScale is the factor of a corner's resist sensitivity

@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package litho
+
+// Without the amd64 assembly the Go loops are the only per-pixel
+// kernels.
+const kernelsAVX2OK = false
+
+func reduceVec(d []float64, f []complex128, w float64) int { return 0 }
+func adjointVec(e []complex128, w []float64) int           { return 0 }
+func addVec(dst, src []float64) int                        { return 0 }
+func costSensVec(cs []costCorner, tg []float64) int        { return 0 }

@@ -160,13 +160,14 @@ type Simulator struct {
 	// The staged corner set of the current call (corners.go): its
 	// distinct banks, each corner's bank index, one batch slot per
 	// kernel, and the resist sweep's per-chunk cost partials and
-	// per-worker σ buffers.
-	staged     []Corner
-	banks      []*optics.Bank
-	cornerBank []int
-	slots      []kernelSlot
-	partials   []float64
-	sweepBuf   [][]float64
+	// per-worker σ buffers and cost-pass operands.
+	staged       []Corner
+	banks        []*optics.Bank
+	cornerBank   []int
+	slots        []kernelSlot
+	partials     []float64
+	sweepBuf     [][]float64
+	sweepCorners [][]costCorner
 
 	// Per-call operands staged for the pre-bound engine bodies below.
 	// Binding the closures once per session keeps the simulate/gradient
@@ -235,15 +236,16 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 	}
 	pool := res.Pool()
 	s := &Simulator{
-		cfg:         cfg,
-		eng:         eng,
-		res:         res,
-		pool:        pool,
-		nominalBank: res.Nominal(),
-		defocusBank: res.Defocus(),
-		accum:       pool.CField(n, n),
-		radius:      res.Radius(),
-		sweepBuf:    make([][]float64, eng.Workers()),
+		cfg:          cfg,
+		eng:          eng,
+		res:          res,
+		pool:         pool,
+		nominalBank:  res.Nominal(),
+		defocusBank:  res.Defocus(),
+		accum:        pool.CField(n, n),
+		radius:       res.Radius(),
+		sweepBuf:     make([][]float64, eng.Workers()),
+		sweepCorners: make([][]costCorner, eng.Workers()),
 	}
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
@@ -275,16 +277,9 @@ func (s *Simulator) bindBodies() {
 	s.reduceBody = func(lo, hi int) {
 		fields, kernels := s.opFields, s.opBank.Kernels
 		d := s.opDst.Data[lo:hi]
-		for i := range d {
-			d[i] = 0
-		}
+		clear(d)
 		for ki := range fields {
-			w := kernels[ki].Weight
-			f := fields[ki].Data[lo:hi]
-			for i, v := range f {
-				re, im := real(v), imag(v)
-				d[i] += w * (re*re + im*im)
-			}
+			reduce(d, fields[ki].Data[lo:hi], kernels[ki].Weight)
 		}
 	}
 	s.adjointBody = func(lo, hi int) {
@@ -292,22 +287,13 @@ func (s *Simulator) bindBodies() {
 		nn := s.m * s.m
 		for i := lo; i < hi; {
 			ki, j := i/nn, i%nn
-			end := (ki + 1) * nn
-			if end > hi {
-				end = hi
-			}
-			data, w := fields[ki].Data, s.opWs[s.slots[ki].bank].Data
-			for ; i < end; i, j = i+1, j+1 {
-				e := data[j]
-				data[j] = complex(w[j], 0) * complex(real(e), -imag(e))
-			}
+			n := min(nn-j, hi-i)
+			adjointProduct(fields[ki].Data[j:j+n], s.opWs[s.slots[ki].bank].Data[j:j+n])
+			i += n
 		}
 	}
 	s.applyBody = func(lo, hi int) {
-		grad, out := s.opGrad.Data, s.plane[0].Data
-		for i := lo; i < hi; i++ {
-			grad[i] += out[i]
-		}
+		addInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
 	}
 	s.accumBody = func(lo, hi int) {
 		n, fields := s.GridSize(), s.opFields

@@ -1,6 +1,7 @@
 package lsopc
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -173,7 +174,7 @@ func TestSessionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := s2.evaluate(l, mask, 0)
+	r1, err := s2.evaluate(l, mask, mask, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +190,8 @@ func TestSessionReuse(t *testing.T) {
 }
 
 // TestTargetIsPrivateCopy guards the ownership contract: Target hands
-// each caller a private mutable copy while the bank's master stays
-// pristine, so one caller scribbling on its target cannot corrupt
-// concurrent jobs on the same layout.
+// each caller its own mutable raster, so one caller scribbling on its
+// target cannot corrupt concurrent jobs on the same layout.
 func TestTargetIsPrivateCopy(t *testing.T) {
 	p, err := NewPipeline(PresetTest, nil)
 	if err != nil {
@@ -209,6 +209,42 @@ func TestTargetIsPrivateCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.Sum() != sum {
-		t.Fatal("mutating a returned target corrupted the shared master")
+		t.Fatal("mutating a returned target corrupted a later call's target")
+	}
+}
+
+// TestTargetRetainsNoLayouts holds Target and Evaluate to a per-call
+// raster: a long-lived pipeline that rasterises and scores many freshly
+// built layouts keeps neither them nor their rasters alive.
+func TestTargetRetainsNoLayouts(t *testing.T) {
+	p, err := NewPipeline(PresetTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	score := func() {
+		l := Benchmark("B4")
+		target, err := p.Target(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Evaluate(l, target, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const layouts = 64
+	for i := 0; i < layouts; i++ {
+		score()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	raster := int64(8 * p.GridSize() * p.GridSize())
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 16*raster {
+		t.Fatalf("live heap grew %d KiB over %d fresh layouts (a raster is %d KiB)",
+			grew>>10, layouts, raster>>10)
 	}
 }

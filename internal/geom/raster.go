@@ -18,15 +18,22 @@ func Rasterize(l *Layout, pitchNM int) (*grid.Field, error) {
 	if l.W%pitchNM != 0 || l.H%pitchNM != 0 {
 		return nil, fmt.Errorf("geom: pitch %d does not divide canvas %dx%d", pitchNM, l.W, l.H)
 	}
-	w, h := l.W/pitchNM, l.H/pitchNM
-	f := grid.NewField(w, h)
+	f := grid.NewField(l.W/pitchNM, l.H/pitchNM)
+	RasterizeInto(f, l, pitchNM)
+	return f, nil
+}
+
+// RasterizeInto renders the layout onto f, a zeroed field, at the given
+// positive pitch, as Rasterize does; shapes beyond f's edges are
+// clipped. A caller with a field of the canvas size at that pitch gets
+// Rasterize's pixels without its allocation.
+func RasterizeInto(f *grid.Field, l *Layout, pitchNM int) {
 	for _, r := range l.Rects {
 		rasterRect(f, r, pitchNM)
 	}
 	for _, p := range l.Polys {
 		rasterPolygon(f, p, pitchNM)
 	}
-	return f, nil
 }
 
 // rasterRect fills all pixels whose centres lie inside the half-open

@@ -6,17 +6,15 @@ import (
 
 	"lsopc/internal/engine"
 	"lsopc/internal/fft"
-	"lsopc/internal/grid"
 	"lsopc/internal/optics"
 )
 
 // Bank is the immutable resource bank of one optical preset: the
 // nominal and defocused SOCS kernel banks, the shared 1-D FFT plans for
-// the preset's grid, a rasterised-target cache, and the pool sessions
-// lease their scratch from. Everything reachable from a Bank is
-// immutable after construction (the pool and target cache are
-// internally synchronised), so one Bank safely backs any number of
-// concurrent sessions.
+// the preset's grid, and the pool sessions lease their scratch from.
+// Everything reachable from a Bank is immutable after construction (the
+// pool and the coarse-bank memo are internally synchronised), so one
+// Bank safely backs any number of concurrent sessions.
 type Bank struct {
 	cfg       optics.Config
 	defocusNM float64
@@ -24,7 +22,6 @@ type Bank struct {
 	defocus   *optics.Bank
 	row, col  *fft.Plan
 	pool      *Pool
-	targets   memo[any, *grid.Field]
 	coarse    memo[int, *Bank] // keyed by factor
 }
 
@@ -147,15 +144,6 @@ func (b *Bank) Coarse(factor int) (*Bank, error) {
 		}
 		return wrapBanks(nom, def, b.pool)
 	})
-}
-
-// Target memoizes a derived read-only field (typically a rasterised
-// layout) under the given key. The first caller's build result — value
-// or error — is cached; every later call returns it without invoking
-// build again, with concurrent first calls collapsed to one build. The
-// returned field is shared and must not be modified.
-func (b *Bank) Target(key any, build func() (*grid.Field, error)) (*grid.Field, error) {
-	return b.targets.get(key, build)
 }
 
 // opticsKey identifies one memoized kernel bank. optics.Config is a

@@ -4,7 +4,7 @@
 //
 // The split mirrors how the paper's GPU implementation manages device
 // memory. Everything derivable once per optical preset — SOCS kernel
-// banks, FFT plans, rasterised targets — lives in a Bank shared by every
+// banks, FFT plans — lives in a Bank shared by every
 // concurrent job, while the mutable per-job state (coherent-field
 // batches, gradient accumulators, level-set scratch) is leased from a
 // Pool and returned when the job's session ends. N concurrent

@@ -1,13 +1,10 @@
 package rt
 
 import (
-	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"lsopc/internal/grid"
 	"lsopc/internal/optics"
 )
 
@@ -173,63 +170,6 @@ func testOptics(kernels int) optics.Config {
 	cfg := optics.Default(64, 32)
 	cfg.Kernels = kernels
 	return cfg
-}
-
-// targetRuns numbers TestBankTargetMemoization's runs. The bank and its
-// target memo are process-wide, so each run (go test -count=N) keys its
-// targets by its own number to find them unbuilt.
-var targetRuns atomic.Int32
-
-// targetKey is a Bank.Target key unique to one test run.
-type targetKey struct {
-	name string
-	run  int32
-}
-
-func TestBankTargetMemoization(t *testing.T) {
-	run := targetRuns.Add(1)
-	b, err := BankFor(testOptics(2), 25, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds int32
-	build := func() (*grid.Field, error) {
-		atomic.AddInt32(&builds, 1)
-		return grid.NewField(b.GridSize(), b.GridSize()), nil
-	}
-
-	const workers = 8
-	got := make([]*grid.Field, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f, err := b.Target(targetKey{"layout-A", run}, build)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = f
-		}(i)
-	}
-	wg.Wait()
-	if n := atomic.LoadInt32(&builds); n != 1 {
-		t.Fatalf("build ran %d times, want 1", n)
-	}
-	for _, f := range got[1:] {
-		if f != got[0] {
-			t.Fatal("concurrent callers saw different targets")
-		}
-	}
-
-	// Errors are memoized too: the failed build is not retried.
-	wantErr := errors.New("bad layout")
-	for i := 0; i < 2; i++ {
-		_, err := b.Target(targetKey{"layout-bad", run}, func() (*grid.Field, error) { return nil, wantErr })
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("call %d: err = %v", i, err)
-		}
-	}
 }
 
 func TestOpticsBankMemoization(t *testing.T) {

@@ -432,36 +432,32 @@ func (p *Pipeline) GridSize() int { return p.cfg.Optics.GridSize }
 // PixelNM returns the simulation pixel pitch in nm.
 func (p *Pipeline) PixelNM() float64 { return p.cfg.Optics.PixelNM }
 
-// targetShared rasterises a layout onto the simulation grid through the
-// bank's memoized target cache: one rasterization per layout pointer per
-// bank, shared by every concurrent job. The returned field is read-only.
-func (p *Pipeline) targetShared(l *Layout) (*Field, error) {
-	return p.res.Target(l, func() (*grid.Field, error) {
-		pitch := int(p.PixelNM())
-		if float64(pitch) != p.PixelNM() {
-			return nil, fmt.Errorf("lsopc: non-integer pixel pitch %g", p.PixelNM())
-		}
-		f, err := geom.Rasterize(l, pitch)
-		if err != nil {
-			return nil, err
-		}
-		if f.W != p.GridSize() {
-			return nil, fmt.Errorf("lsopc: layout canvas %d nm does not match the %d-px grid at %d nm/px",
-				l.W, p.GridSize(), pitch)
-		}
-		return f, nil
-	})
-}
-
-// Target rasterises a layout onto the pipeline's simulation grid. The
-// rasterization is served from the bank's cache; the returned field is a
-// private copy the caller may modify.
+// Target rasterises a layout onto the pipeline's simulation grid into a
+// fresh field the caller owns.
 func (p *Pipeline) Target(l *Layout) (*Field, error) {
-	f, err := p.targetShared(l)
-	if err != nil {
+	n := p.GridSize()
+	f := grid.NewField(n, n)
+	if err := p.rasterize(f, l); err != nil {
 		return nil, err
 	}
-	return f.Clone(), nil
+	return f, nil
+}
+
+// rasterize renders l into f, a zeroed field on the pipeline's grid. The
+// layout's canvas must be the grid at an integer pitch. Optimize and
+// Evaluate rasterise into a field leased from the bank's pool, so a job
+// allocates no raster.
+func (p *Pipeline) rasterize(f *Field, l *Layout) error {
+	pitch := int(p.PixelNM())
+	if float64(pitch) != p.PixelNM() {
+		return fmt.Errorf("lsopc: non-integer pixel pitch %g", p.PixelNM())
+	}
+	if n := p.GridSize(); l.W != n*pitch || l.H != n*pitch {
+		return fmt.Errorf("lsopc: layout canvas %dx%d nm does not match the %d-px grid at %d nm/px",
+			l.W, l.H, n, pitch)
+	}
+	geom.RasterizeInto(f, l, pitch)
+	return nil
 }
 
 // checkMask rejects a mask that is not on the pipeline's grid.
@@ -657,7 +653,7 @@ func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts 
 }
 
 // optimize is the run body both optimizers share. It leases a session,
-// whose simulator carries the run's trace context, and looks up the
+// whose simulator carries the run's trace context, and rasterises the
 // target. It hands a cancellation or watchdog abort to the flight
 // recorder, emits the job span and evaluates the mask.
 func (p *Pipeline) optimize(l *Layout, span string,
@@ -667,8 +663,9 @@ func (p *Pipeline) optimize(l *Layout, span string,
 		return nil, err
 	}
 	defer s.done()
-	target, err := p.targetShared(l)
-	if err != nil {
+	target := p.res.Pool().Field(p.GridSize(), p.GridSize())
+	defer p.res.Pool().PutField(target)
+	if err := p.rasterize(target, l); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -685,7 +682,7 @@ func (p *Pipeline) optimize(l *Layout, span string,
 	}
 	r.Elapsed = time.Since(start)
 	s.traceSpan(span, start)
-	if r.Report, err = s.evaluate(l, r.Mask, r.Elapsed); err != nil {
+	if r.Report, err = s.evaluate(l, target, r.Mask, r.Elapsed); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -751,23 +748,25 @@ func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts Til
 // shape violations, and the Eq. 18 score with the given runtime. Safe to
 // call concurrently.
 func (p *Pipeline) Evaluate(l *Layout, mask *Field, elapsed time.Duration) (Report, error) {
+	if err := p.checkMask(mask); err != nil {
+		return Report{}, err
+	}
+	target := p.res.Pool().Field(p.GridSize(), p.GridSize())
+	defer p.res.Pool().PutField(target)
+	if err := p.rasterize(target, l); err != nil {
+		return Report{}, err
+	}
 	s, err := p.lease()
 	if err != nil {
 		return Report{}, err
 	}
 	defer s.done()
-	return s.evaluate(l, mask, elapsed)
+	return s.evaluate(l, target, mask, elapsed)
 }
 
-// evaluate is Evaluate on a leased session.
-func (s *session) evaluate(l *Layout, mask *Field, elapsed time.Duration) (Report, error) {
-	if err := s.p.checkMask(mask); err != nil {
-		return Report{}, err
-	}
-	target, err := s.p.targetShared(l)
-	if err != nil {
-		return Report{}, err
-	}
+// evaluate is Evaluate on a leased session, given the layout's target
+// and a mask on the pipeline's grid.
+func (s *session) evaluate(l *Layout, target, mask *Field, elapsed time.Duration) (Report, error) {
 	evalStart := time.Now()
 	defer s.traceSpan("evaluate", evalStart)
 	s.printCorners(s.printed, s.outer, s.inner, mask)

@@ -50,7 +50,7 @@ func TestEvaluateMatchesSeparateCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epe, _ := metrics.EPE(ref[litho.Nominal], metrics.Probes(l, p.metrics.EPESpacingNM), p.metrics)
+	epe, _ := metrics.EPE(ref[litho.Nominal], metrics.Probes(l), sim.PixelNM())
 	want := Report{
 		EPEViolations:   epe,
 		PVBandNM2:       metrics.PVBand(ref[litho.Outer], ref[litho.Inner], sim.PixelNM()),

@@ -12,12 +12,10 @@ import (
 // allocOpts returns an option set whose steady-state iteration touches
 // no allocating side channel: no snapshots (clones the mask), and an
 // iteration budget big enough that the pre-sized history slice never
-// regrows. reinitEvery sets the reinitialisation period (0 disables
-// it).
-func allocOpts(budget, reinitEvery int) Options {
+// regrows.
+func allocOpts(budget int) Options {
 	opts := DefaultOptions()
 	opts.MaxIter = budget
-	opts.ReinitEvery = reinitEvery
 	opts.SnapshotEvery = 0
 	opts.Tolerance = 0 // never converge inside the measured window
 	return opts
@@ -25,8 +23,8 @@ func allocOpts(budget, reinitEvery int) Options {
 
 // warmDriver builds an optimizer mid-run: the solve driver constructed
 // and one step taken, so every lazily-reached path is already warm.
-func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, reinitEvery int) (*Optimizer, *solve.Driver) {
-	o, err := New(sim, target, allocOpts(budget, reinitEvery))
+func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget int) (*Optimizer, *solve.Driver) {
+	o, err := newOptimizer(sim, target, allocOpts(budget), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,28 +37,33 @@ func warmDriver(t testing.TB, sim *litho.Simulator, target *grid.Field, budget, 
 }
 
 // TestIterationZeroAllocWarm pins the steady-state iteration at zero
-// allocations, without reinitialisation and with a reinit every second
-// iteration (the EDT's scratch is allocated once, by New), on engines of
-// 1, 2 and 3 workers.
+// allocations on engines of 1, 2 and 3 workers. The measured steps are
+// iterations 1–21, so they include the reinitialisations after
+// iterations 9 and 19 (the EDT's scratch is allocated once, by
+// newOptimizer).
 func TestIterationZeroAllocWarm(t *testing.T) {
-	for _, every := range []int{0, 2} {
-		for _, workers := range []int{1, 2, 3} {
-			sim := newTestSimOn(t, 4, engine.New("warm", workers))
-			o, drv := warmDriver(t, sim, crossTarget(64), 1000, every)
-			if avg := testing.AllocsPerRun(20, func() {
-				drv.Step()
-			}); avg != 0 {
-				t.Fatalf("ReinitEvery=%d, %d workers: warm level-set iteration allocates %.1f objects/op, want 0",
-					every, workers, avg)
+	for _, workers := range []int{1, 2, 3} {
+		sim := newTestSimOn(t, 4, engine.New("warm", workers))
+		o, drv := warmDriver(t, sim, crossTarget(64), 1000)
+		steps, reinits := 1, 0 // warmDriver took the first step
+		if avg := testing.AllocsPerRun(20, func() {
+			drv.Step()
+			if steps++; steps%reinitEvery == 0 {
+				reinits++
 			}
-			o.Release()
+		}); avg != 0 {
+			t.Fatalf("%d workers: warm level-set iteration allocates %.1f objects/op, want 0", workers, avg)
 		}
+		if reinits < 2 {
+			t.Fatalf("%d workers: the measured steps reached %d reinitialisations, want 2", workers, reinits)
+		}
+		o.Release()
 	}
 }
 
 func BenchmarkLevelSetIteration(b *testing.B) {
 	sim := newTestSimB(b, 8)
-	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2, 0)
+	o, drv := warmDriver(b, sim, crossTarget(64), b.N+2)
 	defer o.Release()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -34,6 +34,16 @@ import (
 // methodName tags this optimizer's checkpoints and cancellation events.
 const methodName = "level-set"
 
+// Algorithm 1's fixed constants.
+const (
+	// lambdaT scales the CFL time step: Δt = λ_t / max|v|, i.e. the
+	// contour moves at most λ_t pixels per iteration.
+	lambdaT = 2
+	// reinitEvery is the reinitialisation period: ψ is reset to a
+	// signed distance function every reinitEvery iterations.
+	reinitEvery = 10
+)
+
 // Optimizer-loop metrics in the default registry.
 var (
 	mIterations = obs.Default.Counter("core.iterations")
@@ -47,9 +57,6 @@ type Options struct {
 	MaxIter int
 	// Tolerance is the velocity stopping threshold ε.
 	Tolerance float64
-	// LambdaT scales the CFL time step: Δt = LambdaT / max|v|, i.e. the
-	// contour moves at most LambdaT pixels per iteration.
-	LambdaT float64
 	// PVBWeight is w_pvb, the weight of the process-variation cost
 	// (Eq. 13). Zero optimizes nominal fidelity only.
 	PVBWeight float64
@@ -57,9 +64,6 @@ type Options struct {
 	// disabled it degenerates to steepest descent, the ablation the
 	// paper's contribution (ii) is measured against.
 	UseCG bool
-	// ReinitEvery reinitialises ψ to a signed distance function every
-	// that many iterations (0 disables).
-	ReinitEvery int
 	// SnapshotEvery records a mask snapshot every that many iterations
 	// (0 disables), feeding the Fig. 2 evolution views.
 	SnapshotEvery int
@@ -68,9 +72,6 @@ type Options struct {
 	// scale λ_t is halved, and it recovers slowly on success. Disabled,
 	// λ_t stays fixed.
 	AdaptiveStep bool
-	// KeepBest returns the lowest-cost iterate instead of the last one,
-	// which de-noises the pixel-quantised contour updates.
-	KeepBest bool
 	// LineSearch evaluates the true cost at {½, 1, 2}× the CFL step and
 	// advances with the best candidate — the "optimal time step" idea of
 	// Lv et al. (the paper's reference [9]). Each iteration costs two
@@ -112,12 +113,9 @@ func DefaultOptions() Options {
 	return Options{
 		MaxIter:      50,
 		Tolerance:    1e-6,
-		LambdaT:      2,
 		PVBWeight:    0.6,
 		UseCG:        true,
-		ReinitEvery:  10,
 		AdaptiveStep: true,
-		KeepBest:     true,
 	}
 }
 
@@ -130,7 +128,6 @@ func (o Options) Validate() error {
 		v    float64
 	}{
 		{"Tolerance", o.Tolerance},
-		{"LambdaT", o.LambdaT},
 		{"PVBWeight", o.PVBWeight},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -142,12 +139,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: MaxIter must be ≥ 1, got %d", o.MaxIter)
 	case o.Tolerance < 0:
 		return fmt.Errorf("core: Tolerance must be ≥ 0, got %g", o.Tolerance)
-	case o.LambdaT <= 0:
-		return fmt.Errorf("core: LambdaT must be positive, got %g", o.LambdaT)
 	case o.PVBWeight < 0:
 		return fmt.Errorf("core: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
-	case o.ReinitEvery < 0 || o.SnapshotEvery < 0:
-		return fmt.Errorf("core: periods must be ≥ 0")
+	case o.SnapshotEvery < 0:
+		return fmt.Errorf("core: SnapshotEvery must be ≥ 0, got %d", o.SnapshotEvery)
 	case o.MultiResFactor < 0:
 		return fmt.Errorf("core: MultiResFactor must be ≥ 0, got %d", o.MultiResFactor)
 	case o.MultiResFactor > 1 && !grid.IsPow2(o.MultiResFactor):
@@ -189,8 +184,9 @@ func (r *Result) FinalCost() float64 {
 	return r.History[len(r.History)-1].Cost
 }
 
-// BestCost returns the lowest total cost seen during the run; with
-// Options.KeepBest this is the cost of the returned mask.
+// BestCost returns the lowest total cost seen during the run; for a
+// single-resolution run it is the cost of the returned (keep-best)
+// mask.
 func (r *Result) BestCost() float64 {
 	if len(r.History) == 0 {
 		return math.NaN()
@@ -214,6 +210,9 @@ type Optimizer struct {
 	target *grid.Field
 	opts   Options
 	pool   *rt.Pool
+	// keepBest tracks the lowest-cost iterate and returns it instead of
+	// the last one, which de-noises the pixel-quantised contour updates.
+	keepBest bool
 	// corners are the simulated process corners, indexed by
 	// litho.Condition: nominal (weight 1), then outer and inner
 	// (weight w_pvb) when the PV-band cost is active. One litho call
@@ -242,10 +241,10 @@ type Optimizer struct {
 	gPrev     *grid.Field // g_{i-1}
 	velocity  *grid.Field // v_i
 	psiCand   *grid.Field // nil unless LineSearch
-	bestMask  *grid.Field // nil unless KeepBest
-	bestPsi   *grid.Field // nil unless KeepBest
-	reinit    *grid.Field // nil unless ReinitEvery > 0
-	reinitTmp *grid.Field // scratch of ReinitializeInto, same condition
+	bestMask  *grid.Field // nil unless keepBest
+	bestPsi   *grid.Field // nil unless keepBest
+	reinit    *grid.Field
+	reinitTmp *grid.Field // scratch of ReinitializeInto
 
 	// Per-run state reset by start; the iteration-loop bookkeeping
 	// (step scale, best cost, history, watchdog) lives in the
@@ -259,10 +258,11 @@ type Optimizer struct {
 // or a checkpoint field does not match the simulator grid.
 var ErrShapeMismatch = solve.ErrShapeMismatch
 
-// New builds an optimizer for the given simulator and target image
-// (the rasterised design, 1 inside pattern). The target must match the
-// simulator grid.
-func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, error) {
+// newOptimizer builds an optimizer for the given simulator and target
+// image (the rasterised design, 1 inside pattern). The target must match
+// the simulator grid. keepBest returns the lowest-cost iterate instead
+// of the last one.
+func newOptimizer(sim *litho.Simulator, target *grid.Field, opts Options, keepBest bool) (*Optimizer, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -270,7 +270,7 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	if target.W != n || target.H != n {
 		return nil, fmt.Errorf("%w: target %dx%d, grid %d", ErrShapeMismatch, target.W, target.H, n)
 	}
-	o := &Optimizer{sim: sim, target: target, opts: opts, pool: sim.Pool()}
+	o := &Optimizer{sim: sim, target: target, opts: opts, pool: sim.Pool(), keepBest: keepBest}
 	pool := o.pool
 	o.corners = []litho.Corner{{Cond: litho.Nominal, Weight: 1}}
 	if opts.PVBWeight > 0 {
@@ -289,23 +289,21 @@ func New(sim *litho.Simulator, target *grid.Field, opts Options) (*Optimizer, er
 	if opts.LineSearch {
 		o.psiCand = pool.Field(n, n)
 	}
-	if opts.KeepBest {
+	if keepBest {
 		o.bestMask = pool.Field(n, n)
 		o.bestPsi = pool.Field(n, n)
 	}
 	o.edt = levelset.NewEDT(n, n, sim.Engine())
-	if opts.ReinitEvery > 0 {
-		o.reinit = pool.Field(n, n)
-		o.reinitTmp = pool.Field(n, n)
-	}
+	o.reinit = pool.Field(n, n)
+	o.reinitTmp = pool.Field(n, n)
 	o.bindTail()
 	return o, nil
 }
 
 // Release returns the optimizer's leased scratch to the pool. The
-// simulator passed to New is caller-owned and not touched. Results
-// already returned remain valid: they own their fields. Release is
-// idempotent and nil-safe.
+// simulator passed to newOptimizer is caller-owned and not touched.
+// Results already returned remain valid: they own their fields. Release
+// is idempotent and nil-safe.
 func (o *Optimizer) Release() {
 	if o == nil || o.released {
 		return
@@ -341,8 +339,8 @@ func (o *Optimizer) driver() (*solve.Driver, error) {
 		Offset:        o.opts.IterOffset,
 		Tolerance:     o.opts.Tolerance,
 		AdaptiveStep:  o.opts.AdaptiveStep,
-		BaseScale:     o.opts.LambdaT,
-		KeepBest:      o.opts.KeepBest,
+		BaseScale:     lambdaT,
+		KeepBest:      o.keepBest,
 		SnapshotEvery: o.opts.SnapshotEvery,
 		Sink:          sink,
 		Trace:         trace,
@@ -478,7 +476,7 @@ func (s *levelStepper) Advance(i int, dt float64) float64 {
 
 	o.evolve(dt)
 
-	if o.opts.ReinitEvery > 0 && (i+1)%o.opts.ReinitEvery == 0 {
+	if (i+1)%reinitEvery == 0 {
 		o.edt.ReinitializeInto(o.reinit, o.reinitTmp, o.psi)
 		o.psi.CopyFrom(o.reinit)
 	}
@@ -505,7 +503,7 @@ func (s *levelStepper) SaveState() map[string]*grid.Field {
 		"gprev":    o.gPrev.Clone(),
 		"velocity": o.velocity.Clone(),
 	}
-	if o.opts.KeepBest {
+	if o.keepBest {
 		st["bestmask"] = o.bestMask.Clone()
 		st["bestpsi"] = o.bestPsi.Clone()
 	}
@@ -545,7 +543,7 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 // keep-best iterate when one was tracked, else the last. Both are
 // cloned out of the leased scratch so they survive Release.
 func (o *Optimizer) finish(out *solve.Outcome) (mask, psi *grid.Field) {
-	if o.opts.KeepBest && !math.IsInf(out.BestCost, 1) {
+	if o.keepBest && !math.IsInf(out.BestCost, 1) {
 		return o.bestMask.Clone(), o.bestPsi.Clone()
 	}
 	o.maskFromPsi(o.psi)

@@ -64,14 +64,10 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.MaxIter = 0 },
 		func(o *Options) { o.Tolerance = -1 },
-		func(o *Options) { o.LambdaT = 0 },
 		func(o *Options) { o.PVBWeight = -0.5 },
-		func(o *Options) { o.ReinitEvery = -1 },
 		func(o *Options) { o.SnapshotEvery = -2 },
 		func(o *Options) { o.Tolerance = math.NaN() },
 		func(o *Options) { o.Tolerance = math.Inf(1) },
-		func(o *Options) { o.LambdaT = math.NaN() },
-		func(o *Options) { o.LambdaT = math.Inf(1) },
 		func(o *Options) { o.PVBWeight = math.NaN() },
 		func(o *Options) { o.PVBWeight = math.Inf(1) },
 	}
@@ -86,7 +82,7 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestNewRejectsShapeMismatch(t *testing.T) {
 	sim := newTestSim(t, 2)
-	if _, err := New(sim, grid.NewField(32, 32), DefaultOptions()); err == nil {
+	if _, err := newOptimizer(sim, grid.NewField(32, 32), DefaultOptions(), true); err == nil {
 		t.Fatal("mismatched target accepted")
 	}
 }
@@ -234,8 +230,7 @@ func TestCGAndGDBothConverge(t *testing.T) {
 func TestReinitDoesNotBreakOptimization(t *testing.T) {
 	sim := newTestSim(t, 3)
 	opts := DefaultOptions()
-	opts.MaxIter = 12
-	opts.ReinitEvery = 3
+	opts.MaxIter = 25 // reinitialises after iterations 9 and 19
 	res := runOpts(t, sim, crossTarget(64), opts)
 	if res.BestCost() >= res.History[0].Cost {
 		t.Fatal("cost increased despite reinitialisation")

@@ -125,7 +125,7 @@ func TestComposedGradientMatchesFiniteDifference(t *testing.T) {
 	}
 	target := crossTarget(n)
 	opts := DefaultOptions()
-	o, err := New(sim, target, opts)
+	o, err := newOptimizer(sim, target, opts, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestPixelFlipDescent(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 100
 	opts.Tolerance = 0
-	o, err := New(sim, crossTarget(n), opts)
+	o, err := newOptimizer(sim, crossTarget(n), opts, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,13 +100,12 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 		lopts.InitialMask = nil
 	}
 	if cfg.Coarse {
-		// Hand the *last* ψ to the next level, not the best iterate:
-		// the schedule wants continuity of the evolving contour, and the
-		// best-so-far bookkeeping restarts at full resolution anyway.
-		lopts.KeepBest = false
 		lopts.SnapshotEvery = 0 // snapshots mix grid sizes; full-res only
 	}
-	o, err := New(sim, target, lopts)
+	// A coarse level hands the *last* ψ to the next level, not the best
+	// iterate: the schedule wants continuity of the evolving contour, and
+	// the best-so-far bookkeeping restarts at full resolution anyway.
+	o, err := newOptimizer(sim, target, lopts, !cfg.Coarse)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -167,7 +167,7 @@ func TestFusedTailMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o, err := New(sim, crossTarget(n), opts)
+				o, err := newOptimizer(sim, crossTarget(n), opts, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,8 +221,7 @@ func TestFusedTailMatchesReference(t *testing.T) {
 func TestEngineEquivalentRunsReducedGrid(t *testing.T) {
 	const n = 128
 	opts := DefaultOptions()
-	opts.MaxIter = 6
-	opts.ReinitEvery = 2
+	opts.MaxIter = 12 // reaches the reinitialisation after iteration 9
 	target := crossTarget(n)
 	run := func(workers int) *Result {
 		cfg := litho.DefaultConfig(n, 8)

@@ -99,9 +99,6 @@ func (e *Engine) InstrumentBusy(wb *obs.WorkerBusy) *Engine {
 	return e
 }
 
-// Busy returns the attached busy-time accumulator, or nil.
-func (e *Engine) Busy() *obs.WorkerBusy { return e.busy }
-
 // Split partitions the engine's workers into n sub-engines for
 // concurrent work — jobs of a session pool, chip tiles — so that their
 // ForChunk/Map calls together do not oversubscribe the machine. Workers

@@ -246,9 +246,8 @@ func Fig1Measurement(preset lsopc.Preset, caseID string) (*Fig1Data, error) {
 			band.Data[i] = 1
 		}
 	}
-	cfg := metrics.DefaultConfig(pipe.PixelNM())
-	probes := metrics.Probes(layout, cfg.EPESpacingNM)
-	viol, dists := metrics.EPE(nominal, probes, cfg)
+	probes := metrics.Probes(layout)
+	viol, dists := metrics.EPE(nominal, probes, pipe.PixelNM())
 	return &Fig1Data{
 		Target:       target,
 		Nominal:      nominal,
@@ -257,7 +256,7 @@ func Fig1Measurement(preset lsopc.Preset, caseID string) (*Fig1Data, error) {
 		PVBand:       band,
 		PVBandNM2:    metrics.PVBand(outer, inner, pipe.PixelNM()),
 		ProbeDists:   dists,
-		EPEThreshold: cfg.EPEThresholdNM,
+		EPEThreshold: metrics.EPEThresholdNM,
 		Violations:   viol,
 	}, nil
 }

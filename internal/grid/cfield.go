@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -20,9 +19,6 @@ func NewCField(w, h int) *CField {
 	}
 	return &CField{W: w, H: h, Data: make([]complex128, w*h)}
 }
-
-// NewCFieldLike allocates a zero complex field shaped like c.
-func NewCFieldLike(c *CField) *CField { return NewCField(c.W, c.H) }
 
 // Clone returns a deep copy of c.
 func (c *CField) Clone() *CField {
@@ -231,9 +227,3 @@ func NextPow2(n int) int {
 	}
 	return p
 }
-
-// Lerp linearly interpolates between a and b by t∈[0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 { return math.Min(math.Max(v, lo), hi) }

@@ -167,15 +167,6 @@ func TestPow2Helpers(t *testing.T) {
 	}
 }
 
-func TestClampLerp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp wrong")
-	}
-	if Lerp(0, 10, 0.25) != 2.5 {
-		t.Fatal("Lerp wrong")
-	}
-}
-
 // Property: MulConj then Norm2 equals product of norms for aligned inputs
 // (Cauchy-Schwarz equality case), and flip preserves energy.
 func TestFlipPreservesEnergy(t *testing.T) {

@@ -355,9 +355,4 @@ func TestNewFieldLike(t *testing.T) {
 	if g.W != 3 || g.H != 5 || g.Sum() != 0 {
 		t.Fatalf("NewFieldLike shape %dx%d", g.W, g.H)
 	}
-	c := NewCField(4, 2)
-	d := NewCFieldLike(c)
-	if d.W != 4 || d.H != 2 {
-		t.Fatal("NewCFieldLike shape wrong")
-	}
 }

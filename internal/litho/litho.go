@@ -250,7 +250,7 @@ func NewSession(res *rt.Bank, cfg Config, eng *engine.Engine) (*Simulator, error
 	// Plan workspaces are leased as complex fields of exactly the
 	// required element count so they recycle like any other buffer.
 	s.batchScratch = pool.CField(n, fft.BatchScratchLen(n, eng.Workers())/n)
-	s.batch = fft.NewBatchPlan2DFromPlans(res.RowPlan(), res.ColPlan(), eng, s.batchScratch.Data)
+	s.batch = fft.NewBatchPlan2DFromPlans(res.Plan(), res.Plan(), eng, s.batchScratch.Data)
 	s.m = reducedGrid(n, s.radius)
 	s.rescale = float64(s.m*s.m) / float64(n*n)
 	s.small = s.batch

@@ -18,40 +18,15 @@ import (
 	"lsopc/internal/grid"
 )
 
-// Config holds the checker parameters; the contest values are the
-// defaults (probes every 40 nm, 15 nm EPE tolerance).
-type Config struct {
-	EPESpacingNM   float64 // probe spacing along edges
-	EPEThresholdNM float64 // violation threshold th_EPE
-	MaxSearchNM    float64 // how far to search for the printed contour
-	PixelNM        float64 // simulation pixel pitch
-}
-
-// DefaultConfig returns the contest checker parameters at the given
-// simulation pixel pitch.
-func DefaultConfig(pixelNM float64) Config {
-	return Config{
-		EPESpacingNM:   40,
-		EPEThresholdNM: 15,
-		MaxSearchNM:    80,
-		PixelNM:        pixelNM,
-	}
-}
-
-// Validate checks the checker configuration.
-func (c Config) Validate() error {
-	switch {
-	case c.EPESpacingNM <= 0:
-		return fmt.Errorf("metrics: EPE spacing must be positive, got %g", c.EPESpacingNM)
-	case c.EPEThresholdNM <= 0:
-		return fmt.Errorf("metrics: EPE threshold must be positive, got %g", c.EPEThresholdNM)
-	case c.MaxSearchNM < c.EPEThresholdNM:
-		return fmt.Errorf("metrics: search range %g below threshold %g", c.MaxSearchNM, c.EPEThresholdNM)
-	case c.PixelNM <= 0:
-		return fmt.Errorf("metrics: pixel pitch must be positive, got %g", c.PixelNM)
-	}
-	return nil
-}
+// The contest checker's probe rules.
+const (
+	// epeSpacingNM is the probe spacing along edges.
+	epeSpacingNM = 40
+	// EPEThresholdNM is the violation threshold th_EPE.
+	EPEThresholdNM = 15
+	// maxSearchNM is how far to search for the printed contour.
+	maxSearchNM = 80
+)
 
 // Probe is one EPE measurement site: a point on a target edge with the
 // outward normal direction.
@@ -61,15 +36,15 @@ type Probe struct {
 }
 
 // Probes places measurement sites on every edge of the layout: one at
-// the midpoint of short edges, otherwise every EPESpacingNM starting
-// half a spacing from the corner (matching the contest's 40 nm grid).
-func Probes(l *geom.Layout, spacingNM float64) []Probe {
+// the midpoint of short edges, otherwise every 40 nm starting half a
+// spacing from the corner (the contest's probe grid).
+func Probes(l *geom.Layout) []Probe {
 	var out []Probe
 	for _, e := range l.Edges() {
 		length := float64(e.Len())
 		dirX := float64(e.B.X-e.A.X) / length
 		dirY := float64(e.B.Y-e.A.Y) / length
-		n := int(length / spacingNM)
+		n := int(length / epeSpacingNM)
 		if n == 0 {
 			// Short edge: single probe at the midpoint.
 			out = append(out, Probe{
@@ -80,7 +55,7 @@ func Probes(l *geom.Layout, spacingNM float64) []Probe {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			s := (float64(i) + 0.5) * spacingNM
+			s := (float64(i) + 0.5) * epeSpacingNM
 			out = append(out, Probe{
 				X:  float64(e.A.X) + dirX*s,
 				Y:  float64(e.A.Y) + dirY*s,
@@ -113,12 +88,13 @@ func sampleAt(printed *grid.Field, x, y, pitch float64) bool {
 
 // ContourDistance measures the unsigned distance (nm) from the probe's
 // target edge to the printed contour along the probe normal, the D of
-// Eq. 4 / Fig. 1(a). If no contour is found within maxSearch, maxSearch
-// is returned (always a violation).
-func ContourDistance(printed *grid.Field, p Probe, cfg Config) float64 {
-	step := cfg.PixelNM
+// Eq. 4 / Fig. 1(a), on an image of pixelNM pitch. If no contour is
+// found within maxSearchNM, maxSearchNM is returned (always a
+// violation).
+func ContourDistance(printed *grid.Field, p Probe, pixelNM float64) float64 {
+	step := pixelNM
 	at := func(t float64) bool {
-		return sampleAt(printed, p.X+t*p.Nx, p.Y+t*p.Ny, cfg.PixelNM)
+		return sampleAt(printed, p.X+t*p.Nx, p.Y+t*p.Ny, pixelNM)
 	}
 	// Half a pixel to each side of the edge.
 	innerOK := at(-step / 2) // should print
@@ -130,31 +106,31 @@ func ContourDistance(printed *grid.Field, p Probe, cfg Config) float64 {
 	case innerOK && !outerOK:
 		// Overprint: printed contour is outside the edge; march outward
 		// until the image turns off.
-		for t := step / 2; t <= cfg.MaxSearchNM; t += step {
+		for t := step / 2; t <= maxSearchNM; t += step {
 			if !at(t + step) {
 				return t + step/2
 			}
 		}
 	default:
 		// Underprint: contour is inside; march inward until printed.
-		for t := step / 2; t <= cfg.MaxSearchNM; t += step {
+		for t := step / 2; t <= maxSearchNM; t += step {
 			if at(-t - step) {
 				return t + step/2
 			}
 		}
 	}
-	return cfg.MaxSearchNM
+	return maxSearchNM
 }
 
-// EPE evaluates all probes against the printed image and returns the
-// violation count (distance ≥ threshold, Eq. 4) and the individual
-// distances (parallel to the probes slice).
-func EPE(printed *grid.Field, probes []Probe, cfg Config) (violations int, distances []float64) {
+// EPE evaluates all probes against the printed image of pixelNM pitch
+// and returns the violation count (distance ≥ EPEThresholdNM, Eq. 4)
+// and the individual distances (parallel to the probes slice).
+func EPE(printed *grid.Field, probes []Probe, pixelNM float64) (violations int, distances []float64) {
 	distances = make([]float64, len(probes))
 	for i, p := range probes {
-		d := ContourDistance(printed, p, cfg)
+		d := ContourDistance(printed, p, pixelNM)
 		distances[i] = d
-		if d >= cfg.EPEThresholdNM {
+		if d >= EPEThresholdNM {
 			violations++
 		}
 	}

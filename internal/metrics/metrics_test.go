@@ -26,28 +26,11 @@ func squareLayout(canvas, x0, y0, x1, y1 int) *geom.Layout {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(1).Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []Config{
-		{EPESpacingNM: 0, EPEThresholdNM: 15, MaxSearchNM: 80, PixelNM: 1},
-		{EPESpacingNM: 40, EPEThresholdNM: 0, MaxSearchNM: 80, PixelNM: 1},
-		{EPESpacingNM: 40, EPEThresholdNM: 15, MaxSearchNM: 5, PixelNM: 1},
-		{EPESpacingNM: 40, EPEThresholdNM: 15, MaxSearchNM: 80, PixelNM: 0},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestProbesSpacingAndCount(t *testing.T) {
 	// 160-wide, 80-tall rectangle: horizontal edges get 4 probes each
 	// (160/40), vertical edges 2 each → 12 total.
 	l := squareLayout(512, 100, 100, 260, 180)
-	probes := Probes(l, 40)
+	probes := Probes(l)
 	if len(probes) != 12 {
 		t.Fatalf("probe count = %d, want 12", len(probes))
 	}
@@ -68,7 +51,7 @@ func TestProbesShortEdgeGetsMidpoint(t *testing.T) {
 	// A 30 nm edge is shorter than the 40 nm spacing: one probe at its
 	// midpoint.
 	l := squareLayout(256, 100, 100, 130, 200)
-	probes := Probes(l, 40)
+	probes := Probes(l)
 	foundTop := false
 	for _, p := range probes {
 		if p.Y == 100 && p.X == 115 {
@@ -83,13 +66,13 @@ func TestProbesShortEdgeGetsMidpoint(t *testing.T) {
 func TestContourDistancePerfectPrint(t *testing.T) {
 	l := squareLayout(256, 64, 64, 192, 192)
 	printed := rasterLayout(t, l, 1)
-	cfg := DefaultConfig(1)
-	for _, p := range Probes(l, 40) {
-		if d := ContourDistance(printed, p, cfg); d != 0 {
+	const pixelNM = 1
+	for _, p := range Probes(l) {
+		if d := ContourDistance(printed, p, pixelNM); d != 0 {
 			t.Fatalf("perfect print: probe (%g,%g) distance %g", p.X, p.Y, d)
 		}
 	}
-	v, dists := EPE(printed, Probes(l, 40), cfg)
+	v, dists := EPE(printed, Probes(l), pixelNM)
 	if v != 0 {
 		t.Fatalf("perfect print: %d violations", v)
 	}
@@ -105,16 +88,16 @@ func TestContourDistanceUniformShrink(t *testing.T) {
 	// Printed image is shrunk by 10 nm on every side.
 	shrunk := squareLayout(256, 74, 74, 182, 182)
 	printed := rasterLayout(t, shrunk, 1)
-	cfg := DefaultConfig(1)
-	probes := Probes(target, 40)
+	const pixelNM = 1
+	probes := Probes(target)
 	for _, p := range probes {
-		d := ContourDistance(printed, p, cfg)
+		d := ContourDistance(printed, p, pixelNM)
 		if math.Abs(d-10) > 1.5 {
 			t.Fatalf("probe (%g,%g): distance %g, want ≈10", p.X, p.Y, d)
 		}
 	}
 	// 10 nm < 15 nm threshold: no violations.
-	if v, _ := EPE(printed, probes, cfg); v != 0 {
+	if v, _ := EPE(printed, probes, pixelNM); v != 0 {
 		t.Fatalf("10 nm shrink flagged %d violations", v)
 	}
 }
@@ -124,9 +107,9 @@ func TestContourDistanceLargeShiftViolates(t *testing.T) {
 	// 20 nm overgrowth on every side: all probes violate (20 ≥ 15).
 	grown := squareLayout(256, 44, 44, 212, 212)
 	printed := rasterLayout(t, grown, 1)
-	cfg := DefaultConfig(1)
-	probes := Probes(target, 40)
-	v, dists := EPE(printed, probes, cfg)
+	const pixelNM = 1
+	probes := Probes(target)
+	v, dists := EPE(printed, probes, pixelNM)
 	if v != len(probes) {
 		t.Fatalf("%d/%d probes violated, want all", v, len(probes))
 	}
@@ -140,15 +123,15 @@ func TestContourDistanceLargeShiftViolates(t *testing.T) {
 func TestContourDistanceMissingPattern(t *testing.T) {
 	target := squareLayout(256, 64, 64, 192, 192)
 	printed := grid.NewField(256, 256) // nothing printed
-	cfg := DefaultConfig(1)
-	probes := Probes(target, 40)
-	v, dists := EPE(printed, probes, cfg)
+	const pixelNM = 1
+	probes := Probes(target)
+	v, dists := EPE(printed, probes, pixelNM)
 	if v != len(probes) {
 		t.Fatal("missing pattern must violate every probe")
 	}
 	for _, d := range dists {
-		if d != cfg.MaxSearchNM {
-			t.Fatalf("distance %g, want max search %g", d, cfg.MaxSearchNM)
+		if d != maxSearchNM {
+			t.Fatalf("distance %g, want max search %d", d, maxSearchNM)
 		}
 	}
 }
@@ -158,9 +141,9 @@ func TestContourDistanceCoarsePixels(t *testing.T) {
 	target := squareLayout(512, 128, 128, 384, 384)
 	shifted := squareLayout(512, 116, 116, 396, 396) // +12 nm growth
 	printed := rasterLayout(t, shifted, 4)
-	cfg := DefaultConfig(4)
-	for _, p := range Probes(target, 40) {
-		d := ContourDistance(printed, p, cfg)
+	const pixelNM = 4
+	for _, p := range Probes(target) {
+		d := ContourDistance(printed, p, pixelNM)
 		if math.Abs(d-12) > 4 {
 			t.Fatalf("coarse-grid distance %g, want ≈12±4", d)
 		}

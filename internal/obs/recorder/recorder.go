@@ -35,22 +35,26 @@ import (
 	"lsopc/internal/solve"
 )
 
+// Retention bounds.
+const (
+	// ringSize is the per-run event ring capacity.
+	ringSize = 512
+	// maxRuns bounds how many run rings are retained, evicting the
+	// oldest-started first.
+	maxRuns = 64
+	// snapshotRing is the runtime-snapshot ring capacity.
+	snapshotRing = 64
+)
+
 // Config parameterises a Recorder.
 type Config struct {
 	// Dir is the directory bundles are written under (created on first
 	// capture). Required for Capture; a recorder with Dir == "" still
 	// records rings but refuses to capture.
 	Dir string
-	// RingSize is the per-run event ring capacity (≤ 0 selects 512).
-	RingSize int
-	// MaxRuns bounds how many run rings are retained, evicting the
-	// oldest-started first (≤ 0 selects 64).
-	MaxRuns int
 	// SnapshotEvery is the runtime-snapshot sampling period (0 selects
 	// 5s, negative disables sampling).
 	SnapshotEvery time.Duration
-	// SnapshotRing is the runtime-snapshot ring capacity (≤ 0 selects 64).
-	SnapshotRing int
 	// CPUProfile is the duration of the CPU profile slice captured into
 	// a bundle (0 selects 250ms, negative disables it). Capture blocks
 	// for this long while the profiler runs.
@@ -75,7 +79,7 @@ type Recorder struct {
 
 	mu    sync.Mutex
 	rings map[string]*obs.Ring[obs.Event]
-	order []string // ring insertion order, for MaxRuns eviction
+	order []string // ring insertion order, for maxRuns eviction
 
 	snapMu   sync.Mutex
 	snaps    *obs.Ring[obs.RuntimeStats]
@@ -96,15 +100,6 @@ type Recorder struct {
 // New builds a recorder and starts its runtime-snapshot sampler (unless
 // disabled). Call Close when done with it.
 func New(cfg Config) *Recorder {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 512
-	}
-	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = 64
-	}
-	if cfg.SnapshotRing <= 0 {
-		cfg.SnapshotRing = 64
-	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 5 * time.Second
 	}
@@ -119,7 +114,7 @@ func New(cfg Config) *Recorder {
 		cfg:       cfg,
 		reg:       reg,
 		rings:     make(map[string]*obs.Ring[obs.Event]),
-		snaps:     obs.NewRing[obs.RuntimeStats](cfg.SnapshotRing),
+		snaps:     obs.NewRing[obs.RuntimeStats](snapshotRing),
 		captured:  make(map[string]string),
 		stopSnap:  make(chan struct{}),
 		mEvents:   reg.Counter("obs.recorder.events"),
@@ -188,11 +183,11 @@ func (r *Recorder) Emit(e obs.Event) {
 	r.mu.Lock()
 	rg := r.rings[root]
 	if rg == nil {
-		rg = obs.NewRing[obs.Event](r.cfg.RingSize)
+		rg = obs.NewRing[obs.Event](ringSize)
 		r.rings[root] = rg
 		r.order = append(r.order, root)
 		r.gRuns.Set(int64(len(r.rings)))
-		for len(r.rings) > r.cfg.MaxRuns {
+		for len(r.rings) > maxRuns {
 			old := r.order[0]
 			r.order = r.order[1:]
 			delete(r.rings, old)

@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -53,10 +54,10 @@ func TestRootOf(t *testing.T) {
 // exactly its capacity's worth of the newest events.
 func TestRingConservation(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := quiet(t, Config{RingSize: 64, Registry: reg})
+	r := quiet(t, Config{Registry: reg})
 	const (
 		emitters = 4
-		perEmit  = 100
+		perEmit  = 200 // 800 events per run overflow the 512-slot ring
 	)
 	runs := []string{"a", "b", "b.t1", "b.t2", "c"}
 	var wg sync.WaitGroup
@@ -82,11 +83,12 @@ func TestRingConservation(t *testing.T) {
 	if got := reg.Snapshot()["obs.recorder.runs"]; got != 3 {
 		t.Fatalf("runs gauge %v, want 3 (b.t* fold into b)", got)
 	}
-	// Ring "a" saw emitters*perEmit events through a 64-slot ring: the
-	// tail is full and every retained event belongs to the run.
+	// Ring "a" saw emitters*perEmit events through a ringSize-slot
+	// ring: the tail is full and every retained event belongs to the
+	// run.
 	tail := r.Tail("a")
-	if len(tail) != 64 {
-		t.Fatalf("tail of a holds %d events, want ring capacity 64", len(tail))
+	if len(tail) != ringSize {
+		t.Fatalf("tail of a holds %d events, want ring capacity %d", len(tail), ringSize)
 	}
 	for _, e := range tail {
 		if e.Trace != "a" {
@@ -99,45 +101,46 @@ func TestRingConservation(t *testing.T) {
 			t.Fatalf("ring b retained an event for %q", e.Trace)
 		}
 	}
-	if got := r.Tail("b.t1"); len(got) != 64 {
-		t.Fatalf("tile id lookup returned %d events, want the parent ring's 64", len(got))
+	if got := r.Tail("b.t1"); len(got) != ringSize {
+		t.Fatalf("tile id lookup returned %d events, want the parent ring's %d", len(got), ringSize)
 	}
 }
 
 // TestRingOrder pins FIFO eviction: a single emitter's ring tail must
 // be the newest events, oldest first.
 func TestRingOrder(t *testing.T) {
-	r := quiet(t, Config{RingSize: 8})
-	for i := 0; i < 20; i++ {
+	r := quiet(t, Config{})
+	const extra = 12 // events beyond the ring's capacity
+	for i := 0; i < ringSize+extra; i++ {
 		r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: i})
 	}
 	tail := r.Tail("s1")
-	if len(tail) != 8 {
-		t.Fatalf("tail holds %d, want 8", len(tail))
+	if len(tail) != ringSize {
+		t.Fatalf("tail holds %d, want %d", len(tail), ringSize)
 	}
 	for i, e := range tail {
-		if want := 12 + i; e.Iter != want {
+		if want := extra + i; e.Iter != want {
 			t.Fatalf("tail[%d].Iter = %d, want %d", i, e.Iter, want)
 		}
 	}
 }
 
-// TestMaxRunsEviction pins the retention bound: beyond MaxRuns rings,
+// TestMaxRunsEviction pins the retention bound: beyond maxRuns rings,
 // the oldest-started run is forgotten.
 func TestMaxRunsEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := quiet(t, Config{RingSize: 4, MaxRuns: 2, Registry: reg})
-	for _, id := range []string{"r1", "r2", "r3"} {
-		r.Emit(obs.Event{Type: obs.EventIteration, Trace: id})
+	r := quiet(t, Config{Registry: reg})
+	for i := 1; i <= maxRuns+1; i++ {
+		r.Emit(obs.Event{Type: obs.EventIteration, Trace: fmt.Sprintf("r%d", i)})
 	}
 	if got := r.Tail("r1"); got != nil {
 		t.Fatalf("oldest run still has %d ring events, want eviction", len(got))
 	}
-	if r.Tail("r2") == nil || r.Tail("r3") == nil {
+	if r.Tail("r2") == nil || r.Tail(fmt.Sprintf("r%d", maxRuns+1)) == nil {
 		t.Fatal("newest runs were evicted")
 	}
-	if got := reg.Snapshot()["obs.recorder.runs"]; got != 2 {
-		t.Fatalf("runs gauge %v, want 2", got)
+	if got := reg.Snapshot()["obs.recorder.runs"]; got != maxRuns {
+		t.Fatalf("runs gauge %v, want %d", got, maxRuns)
 	}
 }
 
@@ -211,8 +214,8 @@ func TestCaptureOnce(t *testing.T) {
 // round-tripping through the solve codec.
 func TestBundleContents(t *testing.T) {
 	dir := t.TempDir()
-	r := quiet(t, Config{Dir: dir, RingSize: 16})
-	for i := 0; i < 30; i++ {
+	r := quiet(t, Config{Dir: dir})
+	for i := 0; i < ringSize+14; i++ {
 		r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s9", Iter: i, Cost: 1.0 / float64(i+1)})
 	}
 	psi := grid.NewField(4, 4)
@@ -234,8 +237,8 @@ func TestBundleContents(t *testing.T) {
 	if man.RunID != "s9" || man.Trigger != "stall" || man.Tile != 2 {
 		t.Fatalf("manifest identity = %+v", man)
 	}
-	if man.Events != 16 {
-		t.Fatalf("manifest events %d, want the ring's 16", man.Events)
+	if man.Events != ringSize {
+		t.Fatalf("manifest events %d, want the ring's %d", man.Events, ringSize)
 	}
 	if man.CheckpointIter != 10 {
 		t.Fatalf("manifest checkpoint iter %d, want 10", man.CheckpointIter)
@@ -322,7 +325,7 @@ func TestDumpLongReason(t *testing.T) {
 // once a run's ring exists, recording an event must not touch the heap
 // (the same budget as the disabled-sink and zero-subscriber bus paths).
 func TestEmitSteadyStateDoesNotAllocate(t *testing.T) {
-	r := quiet(t, Config{RingSize: 128})
+	r := quiet(t, Config{})
 	e := obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 1, Cost: 0.5}
 	r.Emit(e) // first event allocates the ring
 	if allocs := testing.AllocsPerRun(1000, func() { r.Emit(e) }); allocs != 0 {
@@ -339,7 +342,7 @@ func TestEmitSteadyStateDoesNotAllocate(t *testing.T) {
 // BenchmarkRecorderEmit gates the idle-recorder hot path: run with
 // -benchmem, allocs/op must stay 0.
 func BenchmarkRecorderEmit(b *testing.B) {
-	r := New(Config{RingSize: 512, SnapshotEvery: -1, Registry: obs.NewRegistry()})
+	r := New(Config{SnapshotEvery: -1, Registry: obs.NewRegistry()})
 	defer r.Close()
 	e := obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 1, Cost: 0.5}
 	r.Emit(e)
@@ -355,7 +358,7 @@ func BenchmarkRecorderEmit(b *testing.B) {
 // with its identity fields set whose every file entry names a file that
 // is in the bundle directory.
 func FuzzOpenBundle(f *testing.F) {
-	r := quiet(f, Config{Dir: f.TempDir(), RingSize: 4})
+	r := quiet(f, Config{Dir: f.TempDir()})
 	r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 1, Cost: 0.5})
 	bdir, err := r.Capture("s1", "dump")
 	if err != nil {

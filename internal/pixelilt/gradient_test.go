@@ -49,7 +49,7 @@ func TestVariantGradientsMatchFiniteDifference(t *testing.T) {
 		}
 		for _, i := range iters {
 			label := fmt.Sprintf("%v iteration %d", v, i)
-			s := newStepper(sim, target, opts, theta)
+			s := newStepper(sim, target, opts, 0, theta)
 			s.Eval(i)
 			grad := s.gradM.Clone()
 			s.release()
@@ -60,7 +60,7 @@ func TestVariantGradientsMatchFiniteDifference(t *testing.T) {
 			corners, weights := opts.cornerPlan(i)
 			objective := func(th *grid.Field) float64 {
 				for j, x := range th.Data {
-					mask.Data[j] = 1 / (1 + math.Exp(-opts.MaskSteepness*x))
+					mask.Data[j] = 1 / (1 + math.Exp(-maskSteepness*x))
 				}
 				sim.MaskSpectrumInto(spec, mask)
 				l := 0.0

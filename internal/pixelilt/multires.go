@@ -28,11 +28,10 @@ type levelProgram struct {
 func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve.LevelConfig) (*solve.Driver, func(*solve.Outcome), func(), error) {
 	lopts := p.opts
 	lopts.MaxIter = cfg.MaxIter
-	lopts.IterOffset = cfg.Offset
-	s := newStepper(sim, target, lopts, cfg.State)
+	s := newStepper(sim, target, lopts, cfg.Offset, cfg.State)
 	finish := func(*solve.Outcome) {
 		if !cfg.Coarse {
-			p.gray, p.mask = masksFromTheta(s.theta, s.a)
+			p.gray, p.mask = masksFromTheta(s.theta)
 		}
 	}
 	return s.driver(), finish, s.release, nil
@@ -48,7 +47,8 @@ func (p *levelProgram) Upsample(theta *grid.Field) *grid.Field {
 func (p *levelProgram) TraceName() string { return p.opts.Variant.String() }
 
 // masksFromTheta builds the continuous and binarised masks of θ.
-func masksFromTheta(theta *grid.Field, a float64) (gray, bin *grid.Field) {
+func masksFromTheta(theta *grid.Field) (gray, bin *grid.Field) {
+	const a = maskSteepness
 	gray = grid.NewField(theta.W, theta.H)
 	for j, v := range theta.Data {
 		gray.Data[j] = 1 / (1 + math.Exp(-a*v))

@@ -71,24 +71,26 @@ var Variants = []Variant{MosaicFast, MosaicExact, RobustOPC, PVOPC}
 // nominal-only first phase.
 const nominalPhase = 0.6
 
+// The shared machinery's fixed constants.
+const (
+	// stepSize is θ's move per iteration (pixels of sigmoid input).
+	stepSize = 0.4
+	// maskSteepness is a in M = σ(a·θ).
+	maskSteepness = 4
+)
+
 // Options configures a baseline run. DefaultOptions(v) reproduces each
 // paper's schedule shape.
 type Options struct {
-	Variant       Variant
-	MaxIter       int
-	StepSize      float64 // θ move per iteration (pixels of sigmoid input)
-	MaskSteepness float64 // a in M = σ(a·θ)
-	PVBWeight     float64 // weight of the outer/inner corner terms
+	Variant   Variant
+	MaxIter   int
+	PVBWeight float64 // weight of the outer/inner corner terms
 	// MultiResFactor > 1 runs the coarse-to-fine schedule: the first
 	// iterations evolve θ on a grid downsampled by this power-of-two
 	// factor, halving the factor each level, with θ interpolated
 	// spectrally onto each finer grid; the coarse levels share MaxIter/2
 	// evenly. 0 or 1 is single-resolution.
 	MultiResFactor int
-	// IterOffset shifts the iteration numbers reported in History, trace
-	// events and watchdog verdicts — the coarse-to-fine driver uses it to
-	// keep one globally contiguous iteration axis across levels.
-	IterOffset int
 	// Health enables the numerical-health watchdog over the iteration
 	// cost; unhealthy iterations emit a health event and, with
 	// AbortOnUnhealthy, stop the run (Result.Aborted/AbortReason).
@@ -99,12 +101,7 @@ type Options struct {
 // Iteration budgets are set so the *relative* runtimes mirror Table II
 // (exact ≫ fast ≈ ours > robust > PVOPC).
 func DefaultOptions(v Variant) Options {
-	o := Options{
-		Variant:       v,
-		StepSize:      0.4,
-		MaskSteepness: 4,
-		PVBWeight:     0.6,
-	}
+	o := Options{Variant: v, PVBWeight: 0.6}
 	switch v {
 	case MosaicFast:
 		o.MaxIter = 30
@@ -120,35 +117,20 @@ func DefaultOptions(v Variant) Options {
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	// NaN and ±Inf first: the ordered comparisons below are false for
-	// NaN, so a non-finite value would otherwise slip through.
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"StepSize", o.StepSize},
-		{"MaskSteepness", o.MaskSteepness},
-		{"PVBWeight", o.PVBWeight},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("pixelilt: %s must be finite, got %g", f.name, f.v)
-		}
+	// NaN and ±Inf first: the ordered comparison below is false for NaN,
+	// so a non-finite value would otherwise slip through.
+	if math.IsNaN(o.PVBWeight) || math.IsInf(o.PVBWeight, 0) {
+		return fmt.Errorf("pixelilt: PVBWeight must be finite, got %g", o.PVBWeight)
 	}
 	switch {
 	case o.MaxIter < 1:
 		return fmt.Errorf("pixelilt: MaxIter must be ≥ 1, got %d", o.MaxIter)
-	case o.StepSize <= 0:
-		return fmt.Errorf("pixelilt: StepSize must be positive, got %g", o.StepSize)
-	case o.MaskSteepness <= 0:
-		return fmt.Errorf("pixelilt: MaskSteepness must be positive, got %g", o.MaskSteepness)
 	case o.PVBWeight < 0:
 		return fmt.Errorf("pixelilt: PVBWeight must be ≥ 0, got %g", o.PVBWeight)
 	case o.MultiResFactor < 0:
 		return fmt.Errorf("pixelilt: MultiResFactor must be ≥ 0, got %d", o.MultiResFactor)
 	case o.MultiResFactor > 1 && !grid.IsPow2(o.MultiResFactor):
 		return fmt.Errorf("pixelilt: MultiResFactor must be a power of two, got %d", o.MultiResFactor)
-	case o.IterOffset < 0:
-		return fmt.Errorf("pixelilt: IterOffset must be ≥ 0, got %d", o.IterOffset)
 	}
 	return nil
 }
@@ -228,7 +210,7 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	}
 	prog := &levelProgram{opts: opts}
 	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor)
-	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, from)
+	out, err := solve.RunLevels(ctx, sim, target, sched, prog, 0, from)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +227,7 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	if res.Mask == nil {
 		// A poisoned coarse run aborted the schedule: θ arrives lifted to
 		// full resolution so the result masks match the caller's grid.
-		res.Gray, res.Mask = masksFromTheta(out.State, opts.MaskSteepness)
+		res.Gray, res.Mask = masksFromTheta(out.State)
 	}
 	return res, nil
 }
@@ -259,7 +241,7 @@ type stepper struct {
 	opts    Options
 	pool    *rt.Pool
 	target  *grid.Field
-	a       float64 // MaskSteepness
+	offset  int // global iteration number of the level's first step
 	theta   *grid.Field
 	mask    *grid.Field
 	spec    *grid.CField
@@ -270,8 +252,9 @@ type stepper struct {
 
 // newStepper leases scratch from the simulator's pool and seeds θ from
 // the design (+1 inside, −1 outside; M≈σ(±a)) unless a coarser level
-// handed one over via thetaInit (caller keeps ownership).
-func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaInit *grid.Field) *stepper {
+// handed one over via thetaInit (caller keeps ownership). offset is the
+// global iteration number of the level's first step.
+func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, offset int, thetaInit *grid.Field) *stepper {
 	n := sim.GridSize()
 	pool := sim.Pool()
 	s := &stepper{
@@ -279,7 +262,7 @@ func newStepper(sim *litho.Simulator, target *grid.Field, opts Options, thetaIni
 		opts:   opts,
 		pool:   pool,
 		target: target,
-		a:      opts.MaskSteepness,
+		offset: offset,
 		theta:  pool.Field(n, n),
 		mask:   pool.Field(n, n),
 		spec:   pool.CField(n, n),
@@ -322,8 +305,8 @@ func (s *stepper) driver() *solve.Driver {
 	return solve.NewDriver(s, solve.Config{
 		Method:    s.opts.Variant.String(),
 		MaxIter:   s.opts.MaxIter,
-		Offset:    s.opts.IterOffset,
-		BaseScale: s.opts.StepSize,
+		Offset:    s.offset,
+		BaseScale: stepSize,
 		Sink:      sink,
 		Trace:     trace,
 		Engine:    s.sim.Engine().Name(),
@@ -333,7 +316,7 @@ func (s *stepper) driver() *solve.Driver {
 
 // Eval simulates local iteration i's corner plan and computes dL/dθ.
 func (s *stepper) Eval(i int) solve.Stats {
-	a := s.a
+	const a = maskSteepness
 	// M = σ(a·θ).
 	for j, v := range s.theta.Data {
 		s.mask.Data[j] = 1 / (1 + math.Exp(-a*v))

@@ -64,13 +64,7 @@ func TestDefaultOptionsValid(t *testing.T) {
 func TestOptionsValidateRejects(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.MaxIter = 0 },
-		func(o *Options) { o.StepSize = 0 },
-		func(o *Options) { o.MaskSteepness = -1 },
 		func(o *Options) { o.PVBWeight = -1 },
-		func(o *Options) { o.StepSize = math.NaN() },
-		func(o *Options) { o.StepSize = math.Inf(1) },
-		func(o *Options) { o.MaskSteepness = math.NaN() },
-		func(o *Options) { o.MaskSteepness = math.Inf(1) },
 		func(o *Options) { o.PVBWeight = math.NaN() },
 		func(o *Options) { o.PVBWeight = math.Inf(1) },
 	}

@@ -19,68 +19,13 @@ import (
 	"lsopc/internal/litho"
 )
 
-// Config parameterises the sweep matrix.
-type Config struct {
-	// FocusMaxNM sweeps defocus over [0, +FocusMaxNM] in FocusSteps
-	// steps (defocus is symmetric in this scalar model, so negative
-	// focus repeats the positive branch).
-	FocusMaxNM float64
-	FocusSteps int
-	// DoseDelta sweeps dose over [1−DoseDelta, 1+DoseDelta] in
-	// DoseSteps steps.
-	DoseDelta float64
-	DoseSteps int
-}
-
-// DefaultConfig covers the process window of the simulator's PV-band
+// The sweep matrix covers the process window of the simulator's PV-band
 // corners — focus up to the inner corner's defocus, dose ±DoseVar (the
-// contest's ±25 nm, ±2 %) — with a 6×5 matrix.
-func DefaultConfig(l litho.Config) Config {
-	return Config{
-		FocusMaxNM: l.DefocusNM,
-		FocusSteps: 6,
-		DoseDelta:  l.DoseVar,
-		DoseSteps:  5,
-	}
-}
-
-// Validate checks the sweep configuration.
-func (c Config) Validate() error {
-	switch {
-	case c.FocusMaxNM < 0:
-		return fmt.Errorf("procwin: focus range must be ≥ 0, got %g", c.FocusMaxNM)
-	case c.FocusSteps < 1 || c.DoseSteps < 1:
-		return fmt.Errorf("procwin: need at least one focus and dose step")
-	case c.DoseDelta < 0 || c.DoseDelta >= 1:
-		return fmt.Errorf("procwin: dose delta must be in [0,1), got %g", c.DoseDelta)
-	}
-	return nil
-}
-
-// FocusValues returns the swept defocus values in nm.
-func (c Config) FocusValues() []float64 {
-	out := make([]float64, c.FocusSteps)
-	for i := range out {
-		if c.FocusSteps > 1 {
-			out[i] = c.FocusMaxNM * float64(i) / float64(c.FocusSteps-1)
-		}
-	}
-	return out
-}
-
-// DoseValues returns the swept dose factors.
-func (c Config) DoseValues() []float64 {
-	out := make([]float64, c.DoseSteps)
-	for i := range out {
-		if c.DoseSteps == 1 {
-			out[i] = 1
-			continue
-		}
-		t := float64(i) / float64(c.DoseSteps-1)
-		out[i] = 1 - c.DoseDelta + 2*c.DoseDelta*t
-	}
-	return out
-}
+// contest's ±25 nm, ±2 %) — in focusSteps × doseSteps samples.
+const (
+	focusSteps = 6
+	doseSteps  = 5
+)
 
 // CutLine selects where CD is measured: the printed run length through
 // pixel (X, Y) along the given axis.
@@ -107,19 +52,40 @@ type Result struct {
 // FFT plan and pooled scratch — so, like the session, it is not safe for
 // concurrent use.
 type Analyzer struct {
-	cfg Config
 	sim *litho.Simulator
 }
 
-// New builds an analyzer on the simulator session sim.
-func New(cfg Config, sim *litho.Simulator) (*Analyzer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// New builds an analyzer on the simulator session sim; the matrix spans
+// the session's litho.Config DefocusNM and DoseVar.
+func New(sim *litho.Simulator) (*Analyzer, error) {
 	if sim == nil {
 		return nil, fmt.Errorf("procwin: analyzer requires a simulator session")
 	}
-	return &Analyzer{cfg: cfg, sim: sim}, nil
+	return &Analyzer{sim: sim}, nil
+}
+
+// focusValues returns the swept defocus values in nm, evenly over
+// [0, DefocusNM] (defocus is symmetric in this scalar model, so
+// negative focus repeats the positive branch).
+func (a *Analyzer) focusValues() []float64 {
+	maxNM := a.sim.Config().DefocusNM
+	out := make([]float64, focusSteps)
+	for i := range out {
+		out[i] = maxNM * float64(i) / (focusSteps - 1)
+	}
+	return out
+}
+
+// doseValues returns the swept dose factors, evenly over
+// [1−DoseVar, 1+DoseVar].
+func (a *Analyzer) doseValues() []float64 {
+	delta := a.sim.Config().DoseVar
+	out := make([]float64, doseSteps)
+	for i := range out {
+		t := float64(i) / (doseSteps - 1)
+		out[i] = 1 - delta + 2*delta*t
+	}
+	return out
 }
 
 // measureCD returns the printed run length (nm) through the cut on the
@@ -167,9 +133,9 @@ func (a *Analyzer) Sweep(mask *grid.Field, cut CutLine) (*Result, error) {
 	defer pool.PutField(aerial)
 	a.sim.MaskSpectrumInto(spec, mask)
 
-	doses := a.cfg.DoseValues()
-	res := &Result{Points: make([]Point, 0, a.cfg.FocusSteps*len(doses))}
-	for fi, f := range a.cfg.FocusValues() {
+	doses := a.doseValues()
+	res := &Result{Points: make([]Point, 0, focusSteps*doseSteps)}
+	for fi, f := range a.focusValues() {
 		if err := a.sim.AerialAtFocus(aerial, spec, f); err != nil {
 			return nil, err
 		}

@@ -15,14 +15,6 @@ func testLitho() litho.Config {
 	return l
 }
 
-func testConfig(t *testing.T) Config {
-	t.Helper()
-	c := DefaultConfig(testLitho())
-	c.FocusSteps = 3
-	c.DoseSteps = 3
-	return c
-}
-
 // testSim builds a 64-px, 4-kernel simulator session on eng.
 func testSim(t *testing.T, eng *engine.Engine) *litho.Simulator {
 	t.Helper()
@@ -34,10 +26,10 @@ func testSim(t *testing.T, eng *engine.Engine) *litho.Simulator {
 	return sim
 }
 
-// testAnalyzer builds the 3×3 test sweep on a serial session.
+// testAnalyzer builds the 6×5 sweep on a serial session.
 func testAnalyzer(t *testing.T) *Analyzer {
 	t.Helper()
-	a, err := New(testConfig(t), testSim(t, engine.CPU()))
+	a, err := New(testSim(t, engine.CPU()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,26 +48,6 @@ func lineMask(n, halfWidth int) *grid.Field {
 	return m
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := testConfig(t).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.FocusMaxNM = -1 },
-		func(c *Config) { c.FocusSteps = 0 },
-		func(c *Config) { c.DoseSteps = 0 },
-		func(c *Config) { c.DoseDelta = 1.5 },
-		func(c *Config) { c.DoseDelta = -0.1 },
-	}
-	for i, mut := range bad {
-		c := testConfig(t)
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-}
-
 func TestSweepMatrixShape(t *testing.T) {
 	a := testAnalyzer(t)
 	mask := lineMask(64, 4) // 8 px = 256 nm line
@@ -83,20 +55,25 @@ func TestSweepMatrixShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3*3 {
-		t.Fatalf("matrix points %d, want 9", len(res.Points))
+	if len(res.Points) != 6*5 {
+		t.Fatalf("matrix points %d, want 30", len(res.Points))
 	}
 	if res.TargetCD <= 0 {
 		t.Fatal("nominal CD missing")
 	}
-	// Focus and dose axes as configured.
-	fv := a.cfg.FocusValues()
-	if len(fv) != 3 || fv[0] != 0 || fv[2] != 25 {
+	// Focus over [0, DefocusNM] and dose over 1 ± DoseVar, evenly.
+	fv := a.focusValues()
+	if len(fv) != 6 || fv[0] != 0 || fv[1] != 5 || fv[5] != 25 {
 		t.Fatalf("focus values %v", fv)
 	}
-	dv := a.cfg.DoseValues()
-	if len(dv) != 3 || math.Abs(dv[0]-0.98) > 1e-12 || dv[1] != 1 || math.Abs(dv[2]-1.02) > 1e-12 {
+	dv := a.doseValues()
+	if len(dv) != 5 || math.Abs(dv[0]-0.98) > 1e-12 || math.Abs(dv[1]-0.99) > 1e-12 || dv[2] != 1 || math.Abs(dv[4]-1.02) > 1e-12 {
 		t.Fatalf("dose values %v", dv)
+	}
+	for i, p := range res.Points {
+		if p.DefocusNM != fv[i/5] || p.Dose != dv[i%5] {
+			t.Fatalf("point %d at focus %g, dose %g; want focus-major order", i, p.DefocusNM, p.Dose)
+		}
 	}
 }
 
@@ -108,12 +85,12 @@ func TestBossungPhysics(t *testing.T) {
 		t.Fatal(err)
 	}
 	byDose := res.Bossung()
-	if len(byDose) != 3 {
+	if len(byDose) != 5 {
 		t.Fatalf("Bossung dose groups %d", len(byDose))
 	}
 	// Higher dose ⇒ wider printed line at every focus (bright-field
 	// clear mask: more dose prints more).
-	for fi := 0; fi < 3; fi++ {
+	for fi := 0; fi < 6; fi++ {
 		low := byDose[0.98][fi].CDNM
 		high := byDose[1.02][fi].CDNM
 		if high < low {
@@ -122,7 +99,7 @@ func TestBossungPhysics(t *testing.T) {
 	}
 	// Defocus must not grow the line for a clear-field feature.
 	nominal := byDose[1.0][0].CDNM
-	defocused := byDose[1.0][2].CDNM
+	defocused := byDose[1.0][5].CDNM
 	if defocused > nominal+2*a.sim.PixelNM() {
 		t.Fatalf("defocus grew CD: %g → %g", nominal, defocused)
 	}
@@ -183,12 +160,7 @@ func TestSweepRejectsWrongMask(t *testing.T) {
 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {
-	c := testConfig(t)
-	c.FocusSteps = 0
-	if _, err := New(c, testSim(t, nil)); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := New(testConfig(t), nil); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("missing session accepted")
 	}
 }

@@ -33,7 +33,7 @@ func referenceSweep(t *testing.T, a *Analyzer, mask *grid.Field, cut CutLine, re
 	one := []*grid.CField{field}
 	res := &Result{}
 	var aerials []*grid.Field
-	for fi, f := range a.cfg.FocusValues() {
+	for fi, f := range a.focusValues() {
 		bank, err := rt.OpticsBankFor(a.sim.Config().Optics, f, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +45,7 @@ func referenceSweep(t *testing.T, a *Analyzer, mask *grid.Field, cut CutLine, re
 			field.AccumAbsSq(aerial, k.Weight)
 		}
 		aerials = append(aerials, aerial)
-		for _, d := range a.cfg.DoseValues() {
+		for _, d := range a.doseValues() {
 			res.Points = append(res.Points, Point{DefocusNM: f, Dose: d, CDNM: a.measureCD(aerial, d, cut)})
 		}
 		if fi == 0 {
@@ -113,7 +113,7 @@ func TestSweepMatchesDensePerKernelSweep(t *testing.T) {
 			if m := sim.ReducedGrid(); (m < n) != g.reduced {
 				t.Fatalf("%d px: per-kernel grid %d, want reduced = %v", n, m, g.reduced)
 			}
-			a, err := New(DefaultConfig(lc), sim)
+			a, err := New(sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestSweepMatchesDensePerKernelSweep(t *testing.T) {
 					spec := grid.NewCField(n, n)
 					a.sim.MaskSpectrumInto(spec, mask)
 					aerial := grid.NewField(n, n)
-					for fi, f := range a.cfg.FocusValues() {
+					for fi, f := range a.focusValues() {
 						if err := a.sim.AerialAtFocus(aerial, spec, f); err != nil {
 							t.Fatal(err)
 						}

@@ -10,8 +10,8 @@ import (
 )
 
 // Bank is the immutable resource bank of one optical preset: the
-// nominal and defocused SOCS kernel banks, the shared 1-D FFT plans for
-// the preset's grid, and the pool sessions lease their scratch from.
+// nominal and defocused SOCS kernel banks, the shared 1-D FFT plan for
+// the preset's square grid (rows and columns alike), and the pool sessions lease their scratch from.
 // Everything reachable from a Bank is immutable after construction (the
 // pool and the coarse-bank memo are internally synchronised), so one
 // Bank safely backs any number of concurrent sessions.
@@ -20,7 +20,7 @@ type Bank struct {
 	defocusNM float64
 	nominal   *optics.Bank
 	defocus   *optics.Bank
-	row, col  *fft.Plan
+	plan      *fft.Plan
 	pool      *Pool
 	coarse    memo[int, *Bank] // keyed by factor
 }
@@ -83,8 +83,7 @@ func wrapBanks(nominal, defocus *optics.Bank, pool *Pool) (*Bank, error) {
 		defocusNM: defocus.DefocusNM,
 		nominal:   nominal,
 		defocus:   defocus,
-		row:       fft.CachedPlan(n),
-		col:       fft.CachedPlan(n),
+		plan:      fft.CachedPlan(n),
 		pool:      pool,
 	}, nil
 }
@@ -104,11 +103,8 @@ func (b *Bank) Nominal() *optics.Bank { return b.nominal }
 // Defocus returns the defocused kernel bank.
 func (b *Bank) Defocus() *optics.Bank { return b.defocus }
 
-// RowPlan returns the shared 1-D FFT plan for the grid's rows.
-func (b *Bank) RowPlan() *fft.Plan { return b.row }
-
-// ColPlan returns the shared 1-D FFT plan for the grid's columns.
-func (b *Bank) ColPlan() *fft.Plan { return b.col }
+// Plan returns the shared 1-D FFT plan for the grid's rows and columns.
+func (b *Bank) Plan() *fft.Plan { return b.plan }
 
 // Pool returns the field pool sessions on this bank lease from.
 func (b *Bank) Pool() *Pool { return b.pool }

@@ -218,7 +218,7 @@ func TestBankForMemoizationAndAccessors(t *testing.T) {
 	if a.Pool() != Shared {
 		t.Fatal("BankFor must use the shared pool")
 	}
-	if a.Nominal() == nil || a.Defocus() == nil || a.RowPlan() == nil || a.ColPlan() == nil {
+	if a.Nominal() == nil || a.Defocus() == nil || a.Plan() == nil {
 		t.Fatal("bank resources missing")
 	}
 	if r := a.Radius(); r < a.Nominal().Radius() || r < a.Defocus().Radius() {

@@ -144,12 +144,6 @@ type Cancelled struct {
 	cause      error
 }
 
-// NewCancelled wraps a cause and checkpoint — exposed for layers (like
-// the tiled runner) that surface their own cancellation boundary.
-func NewCancelled(cp *Checkpoint, cause error) *Cancelled {
-	return &Cancelled{Checkpoint: cp, cause: cause}
-}
-
 func (c *Cancelled) Error() string {
 	return fmt.Sprintf("solve: %s run cancelled at iteration %d: %v",
 		c.Checkpoint.Method, c.Checkpoint.Offset+c.Checkpoint.Iter, c.cause)

@@ -97,52 +97,16 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 	var state *grid.Field // hand-off, already at the next level's resolution
 	for li := start; li < len(sched.Factors); li++ {
 		f := sched.Factors[li]
-		lsim := sim
-		var csim *litho.Simulator
-		if f > 1 {
-			cres, err := sim.Resources().Coarse(f)
-			if err != nil {
-				return nil, err
-			}
-			ccfg := sim.Config()
-			ccfg.Optics = cres.Optics()
-			csim, err = litho.NewSession(cres, ccfg, sim.Engine())
-			if err != nil {
-				return nil, err
-			}
-			csim.SetSink(sim.TraceSink())
-			lsim = csim
+		var from *Checkpoint
+		if li == start {
+			from = resume
 		}
-		ltarget := target
-		if f > 1 {
-			// The coarse target is the box-averaged design re-binarised
-			// at half coverage — the same pattern at the coarse pitch.
-			ltarget = target.Downsample(f)
-			ltarget.Binarize(ltarget)
-		}
-
-		drv, finish, cleanup, err := prog.Level(lsim, ltarget, LevelConfig{
+		out, err := runOneLevel(ctx, sim, target, f, prog, LevelConfig{
 			MaxIter: sched.Iters[li],
 			Offset:  globalIter,
 			State:   state,
 			Coarse:  f > 1,
-		})
-		if err != nil {
-			if csim != nil {
-				csim.Release()
-			}
-			return nil, err
-		}
-		if resume != nil && li == start {
-			if err := drv.Restore(resume); err != nil {
-				cleanup()
-				if csim != nil {
-					csim.Release()
-				}
-				return nil, err
-			}
-		}
-		out, err := runLevel(ctx, drv, lsim.GridSize())
+		}, from)
 		if err != nil {
 			// Annotate the level checkpoint with the schedule position
 			// so resume can rebuild the surrounding levels.
@@ -152,10 +116,6 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 				c.Checkpoint.Done = append([]IterStats(nil), total.History...)
 				c.Checkpoint.DoneEvals = total.Evals
 			}
-			cleanup()
-			if csim != nil {
-				csim.Release()
-			}
 			return nil, err
 		}
 		if out.AbortCheckpoint != nil {
@@ -164,11 +124,6 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			out.AbortCheckpoint.Factor = f
 			out.AbortCheckpoint.Done = append([]IterStats(nil), total.History...)
 			out.AbortCheckpoint.DoneEvals = total.Evals
-		}
-		finish(out)
-		cleanup()
-		if csim != nil {
-			csim.Release()
 		}
 
 		total.History = append(total.History, out.History...)
@@ -221,12 +176,53 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 	return total, nil
 }
 
-// runLevel executes one level's driver under a `level` pprof label (the
-// level's grid edge), composing with the run_id/phase labels Driver.Run
-// applies, so CPU profiles of a coarse-to-fine run slice per level.
-func runLevel(ctx context.Context, drv *Driver, gridN int) (out *Outcome, err error) {
-	pprof.Do(ctx, pprof.Labels("level", strconv.Itoa(gridN)), func(ctx context.Context) {
+// runOneLevel runs the schedule level of factor f: it builds the level's
+// simulator (a coarse session on sim's truncated banks when f > 1) and
+// target, the program's driver, restores from when it is non-nil, runs
+// the driver and hands the outcome to the program's finish. On every
+// path the level's cleanup runs first, then the coarse session is
+// released.
+func runOneLevel(ctx context.Context, sim *litho.Simulator, target *grid.Field, f int, prog Program, cfg LevelConfig, from *Checkpoint) (*Outcome, error) {
+	lsim, ltarget := sim, target
+	if f > 1 {
+		cres, err := sim.Resources().Coarse(f)
+		if err != nil {
+			return nil, err
+		}
+		ccfg := sim.Config()
+		ccfg.Optics = cres.Optics()
+		csim, err := litho.NewSession(cres, ccfg, sim.Engine())
+		if err != nil {
+			return nil, err
+		}
+		defer csim.Release()
+		csim.SetSink(sim.TraceSink())
+		lsim = csim
+		// The coarse target is the box-averaged design re-binarised at
+		// half coverage — the same pattern at the coarse pitch.
+		ltarget = target.Downsample(f)
+		ltarget.Binarize(ltarget)
+	}
+	drv, finish, cleanup, err := prog.Level(lsim, ltarget, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	if from != nil {
+		if err := drv.Restore(from); err != nil {
+			return nil, err
+		}
+	}
+	// The `level` pprof label (the level's grid edge) composes with the
+	// run_id/phase labels Driver.Run applies, so CPU profiles of a
+	// coarse-to-fine run slice per level.
+	var out *Outcome
+	pprof.Do(ctx, pprof.Labels("level", strconv.Itoa(lsim.GridSize())), func(ctx context.Context) {
 		out, err = drv.Run(ctx)
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	finish(out)
+	return out, nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -101,8 +102,8 @@ func Decompose(chipW, chipH, windowNM, haloNM int) (*Grid, error) {
 			if ny == 1 {
 				core.Y0, core.Y1 = 0, chipH
 			}
-			wx := clamp(core.X0-haloNM, 0, chipW-windowNM)
-			wy := clamp(core.Y0-haloNM, 0, chipH-windowNM)
+			wx := min(max(core.X0-haloNM, 0), chipW-windowNM)
+			wy := min(max(core.Y0-haloNM, 0), chipH-windowNM)
 			g.Tiles = append(g.Tiles, Tile{
 				Index: len(g.Tiles), IX: ix, IY: iy,
 				Window: geom.Rect{X0: wx, Y0: wy, X1: wx + windowNM, Y1: wy + windowNM},
@@ -112,6 +113,11 @@ func Decompose(chipW, chipH, windowNM, haloNM int) (*Grid, error) {
 	}
 	return g, nil
 }
+
+// seamTolerance is the stitching convergence criterion: the worst mask
+// disagreement fraction over all tile-pair overlap regions must fall to
+// or below it.
+const seamTolerance = 0.01
 
 // Options configures a tiled optimization.
 type Options struct {
@@ -135,10 +141,6 @@ type Options struct {
 	// StitchIters is the per-tile iteration budget inside a stitch
 	// pass; 0 defaults to max(4, Core.MaxIter/4).
 	StitchIters int
-	// SeamTolerance is the convergence criterion: the worst mask
-	// disagreement fraction over all tile-pair overlap regions must
-	// fall to or below this; 0 defaults to 0.01.
-	SeamTolerance float64
 	// PoisonTile, when > 0, NaN-poisons one pixel of that tile's
 	// rasterised target (1-based ordinal) before optimization — fault
 	// injection for exercising the watchdog-abort and postmortem-capture
@@ -313,10 +315,6 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 	if stitchIters == 0 {
 		stitchIters = max(4, opts.Core.MaxIter/4)
 	}
-	seamTol := opts.SeamTolerance
-	if seamTol == 0 {
-		seamTol = 0.01
-	}
 
 	r := &runner{
 		res: res, cfg: cfg, pitch: pitch,
@@ -342,9 +340,9 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 	// Halo-stitching consistency passes: blend ψ across seams, re-run
 	// tiles that still disagree with a neighbour from the blended
 	// consensus, until the worst seam disagreement converges.
-	seam, dirty := r.seamDisagreement(seamTol)
+	seam, dirty := r.seamDisagreement()
 	passes := 0
-	for p := 1; p <= stitchPasses && seam > seamTol && len(dirty) > 0; p++ {
+	for p := 1; p <= stitchPasses && seam > seamTolerance && len(dirty) > 0; p++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -353,12 +351,12 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 		if err := r.runPass(ctx, p, dirty, chipPsi); err != nil {
 			return nil, err
 		}
-		seam, dirty = r.seamDisagreement(seamTol)
+		seam, dirty = r.seamDisagreement()
 		passes = p
 		if sink != nil {
 			sink.Emit(obs.Event{
 				Type: obs.EventStitchPass, Trace: trace,
-				Pass: p, N: len(r.lastRun), Seam: seam, Hit: seam <= seamTol,
+				Pass: p, N: len(r.lastRun), Seam: seam, Hit: seam <= seamTolerance,
 				DurNS: time.Since(passStart).Nanoseconds(),
 			})
 		}
@@ -370,7 +368,7 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 	return &Result{
 		Mask: mask, Psi: chipPsi, Grid: g,
 		Tiles:  r.stats,
-		Passes: passes, Seam: seam, SeamConverged: seam <= seamTol,
+		Passes: passes, Seam: seam, SeamConverged: seam <= seamTolerance,
 		Workers: workers,
 		Elapsed: time.Since(start),
 	}, nil
@@ -590,9 +588,9 @@ func (r *runner) blend() *grid.Field {
 
 // seamDisagreement returns the worst mask disagreement fraction over
 // every overlapping tile pair's shared window region, plus the indices
-// of non-empty tiles involved in a pair above the tolerance (the tiles
+// of non-empty tiles involved in a pair above seamTolerance (the tiles
 // a stitch pass re-optimizes).
-func (r *runner) seamDisagreement(tol float64) (float64, []int) {
+func (r *runner) seamDisagreement() (float64, []int) {
 	worst := 0.0
 	dirtySet := map[int]bool{}
 	inside := func(ti, cx, cy int) bool {
@@ -627,7 +625,7 @@ func (r *runner) seamDisagreement(tol float64) (float64, []int) {
 			if frac > worst {
 				worst = frac
 			}
-			if frac > tol {
+			if frac > seamTolerance {
 				if !r.stats[i].Empty {
 					dirtySet[i] = true
 				}
@@ -641,30 +639,8 @@ func (r *runner) seamDisagreement(tol float64) (float64, []int) {
 	for ti := range dirtySet {
 		dirty = append(dirty, ti)
 	}
-	sortInts(dirty)
+	slices.Sort(dirty)
 	return worst, dirty
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}

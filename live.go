@@ -27,7 +27,10 @@ type (
 	// FlightRecorder keeps per-run event tails and writes postmortem
 	// bundles on anomalies (see DESIGN.md §14).
 	FlightRecorder = recorder.Recorder
-	// FlightRecorderConfig parameterises a FlightRecorder.
+	// FlightRecorderConfig parameterises a FlightRecorder: the bundle
+	// directory, the runtime sampling period, the CPU-profile slice, the
+	// metrics and run registries and the capture-event sink. Retention
+	// is fixed: 512 events per run, 64 runs, 64 runtime samples.
 	FlightRecorderConfig = recorder.Config
 	// BundleManifest indexes one postmortem bundle directory.
 	BundleManifest = recorder.Manifest
@@ -36,8 +39,8 @@ type (
 )
 
 // NewFlightRecorder builds a standalone flight recorder writing bundles
-// under dir (see recorder.Config for the knobs; zero values pick sane
-// defaults). Attach it to pipelines with WithFlightRecorder, or let
+// under cfg.Dir (zero values of the other fields pick the defaults
+// recorder.Config documents). Attach it to pipelines with WithFlightRecorder, or let
 // ServeLive own one via WithFlightDir.
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	return recorder.New(cfg)

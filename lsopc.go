@@ -270,11 +270,10 @@ func (p Preset) params() (gridSize int, pixelNM float64, kernels int, err error)
 // one Pipeline; memory stays bounded by the number of simultaneous
 // jobs, and idle session scratch is reused by the next call.
 type Pipeline struct {
-	preset  Preset
-	eng     *engine.Engine
-	cfg     litho.Config
-	res     *rt.Bank
-	metrics metrics.Config
+	preset Preset
+	eng    *engine.Engine
+	cfg    litho.Config
+	res    *rt.Bank
 
 	// Observability: an optional trace sink shared by every session the
 	// pipeline leases, and a counter assigning each call its own trace
@@ -356,13 +355,7 @@ func newPipeline(preset Preset, gridSize int, pixelNM float64, kernels int, eng 
 	if err != nil {
 		return nil, err
 	}
-	pipe := &Pipeline{
-		preset:  preset,
-		eng:     eng,
-		cfg:     cfg,
-		res:     res,
-		metrics: metrics.DefaultConfig(pixelNM),
-	}
+	pipe := &Pipeline{preset: preset, eng: eng, cfg: cfg, res: res}
 	for _, opt := range opts {
 		opt(pipe)
 	}
@@ -502,12 +495,15 @@ func (p *Pipeline) newSession() (*session, error) {
 	return s, nil
 }
 
-// newRun gives the session a fresh trace id ("s<n>") and installs it
-// with the pipeline's sink on the simulator, so every call's events
-// form a run of their own. Without a sink it does nothing.
+// nextTrace returns a fresh trace id, "s<n>", for one call's run.
+func (p *Pipeline) nextTrace() string { return fmt.Sprintf("s%d", p.traceSeq.Add(1)) }
+
+// newRun gives the session a fresh trace id and installs it with the
+// pipeline's sink on the simulator, so every call's events form a run of
+// their own. Without a sink it does nothing.
 func (s *session) newRun() {
 	if s.p.sink != nil {
-		s.trace = fmt.Sprintf("s%d", s.p.traceSeq.Add(1))
+		s.trace = s.p.nextTrace()
 		s.sim.SetSink(s.p.sink, s.trace)
 	}
 }
@@ -711,7 +707,7 @@ func (p *Pipeline) OptimizeTiled(l *Layout, opts TileOptions) (*TiledResult, err
 func (p *Pipeline) OptimizeTiledContext(ctx context.Context, l *Layout, opts TileOptions) (*TiledResult, error) {
 	var trace string
 	if p.sink != nil {
-		trace = fmt.Sprintf("s%d", p.traceSeq.Add(1))
+		trace = p.nextTrace()
 	}
 	start := time.Now()
 	res, err := tiling.Optimize(ctx, p.res, p.cfg, p.eng, l, opts, p.sink, trace)
@@ -771,8 +767,7 @@ func (s *session) evaluate(l *Layout, target, mask *Field, elapsed time.Duration
 	defer s.traceSpan("evaluate", evalStart)
 	s.printCorners(s.printed, s.outer, s.inner, mask)
 
-	probes := metrics.Probes(l, s.p.metrics.EPESpacingNM)
-	epe, _ := metrics.EPE(s.printed, probes, s.p.metrics)
+	epe, _ := metrics.EPE(s.printed, metrics.Probes(l), s.sim.PixelNM())
 	return Report{
 		EPEViolations:   epe,
 		PVBandNM2:       metrics.PVBand(s.outer, s.inner, s.sim.PixelNM()),
@@ -840,7 +835,7 @@ func (p *Pipeline) ProcessWindow(mask *Field, cut CutLine) (*ProcessWindowResult
 		return nil, err
 	}
 	defer s.done()
-	an, err := procwin.New(procwin.DefaultConfig(s.sim.Config()), s.sim)
+	an, err := procwin.New(s.sim)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,13 @@
 #               the math.Exp form, its AVX2 kernel against its Go loop,
 #               the per-pixel AVX2 kernels (|∇ψ| through the Hypot
 #               replica, the SOCS reduce, the adjoint product, the
-#               gradient apply, the resist sweep's cost and sensitivity
-#               pass) against their Go loops,
+#               gradient apply and set, the resist sweep's cost and
+#               sensitivity pass, the band rescale and Hermitian
+#               pairing in litho; the tail's gradient sums and velocity
+#               in core; the axpy in grid; the mask in levelset)
+#               against their Go loops, the band-box AVX2 kernels (the
+#               band multiply and flipped accumulate in optics, the
+#               real-row unpack in fft) against their Go loops,
 #               the exact distance transform (SignedDistance,
 #               Reinitialize) against a brute-force reference, the
 #               fast-sweeping redistancing (ReinitializeFMM) against
@@ -44,11 +49,13 @@
 #               checkpoint whose iteration offset does not fit the run
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
 #               every package builds without the amd64 assembly (FFT
-#               butterflies and column-pass movement kernels, resist
-#               sigmoid, |∇ψ|, the litho per-pixel loops, CPU probe),
-#               GOARCH=386 go test of the four packages with kernels
-#               (fft, grid, levelset, litho) runs their Go loops as the
-#               selected kernels (natively on an amd64 host)
+#               butterflies, column-pass movement kernels and real-row
+#               unpack, resist sigmoid and axpy, |∇ψ| and the mask, the
+#               litho per-pixel and band loops, the optics band-box
+#               loops, the core tail sweeps, CPU probe), GOARCH=386 go
+#               test of the six packages with kernels (fft, grid,
+#               levelset, litho, core, optics) runs their Go loops as
+#               the selected kernels (natively on an amd64 host)
 #   make ci      - build + vet + gofmt hygiene + test, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
@@ -157,6 +164,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjointKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzAddKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
 	$(GO) test -run '^$$' -fuzz '^FuzzCostSensKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzSetKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzScaleBinsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzHermitianKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
+	$(GO) test -run '^$$' -fuzz '^FuzzGradSumsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzVelocityKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzAddScaledKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzMaskKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
+	$(GO) test -run '^$$' -fuzz '^FuzzMulBinsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/optics
+	$(GO) test -run '^$$' -fuzz '^FuzzAccumFlipKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/optics
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
 	$(GO) test -run '^$$' -fuzz '^FuzzSignedDistanceMatchesBruteForce$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesMarch$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
@@ -167,19 +184,21 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# The butterfly sweeps and the column passes' data movement (gathers,
-# scatters, real-row pack) of internal/fft, the resist sigmoid of
-# internal/grid, |∇ψ| of internal/levelset and the per-pixel loops of
-# internal/litho (SOCS reduce, adjoint product, gradient apply, the
-# resist sweep's cost and sensitivity pass) have AVX2 assembly kernels
-# on amd64 (chosen by the CPU probe in internal/grid) and Go loops
-# everywhere else. amd64 vet (asmdecl) checks the assembly's frames and
-# argument names; this leg builds and vets every package without the
-# assembly, and runs those four packages' tests with the Go loops as the
-# selected kernels.
+# The butterfly sweeps, the column passes' data movement (gathers,
+# scatters, real-row pack) and the real-row unpack of internal/fft, the
+# resist sigmoid and the axpy of internal/grid, |∇ψ| and the mask of
+# internal/levelset, the per-pixel and band loops of internal/litho
+# (SOCS reduce, adjoint product, gradient apply and set, the resist
+# sweep's cost and sensitivity pass, band rescale, Hermitian pairing),
+# the band-box loops of internal/optics and the tail sweeps of
+# internal/core have AVX2 assembly kernels on amd64 (chosen by the CPU
+# probe in internal/grid) and Go loops everywhere else. amd64 vet
+# (asmdecl) checks the assembly's frames and argument names; this leg
+# builds and vets every package without the assembly, and runs those six
+# packages' tests with the Go loops as the selected kernels.
 crossarch:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/fft ./internal/grid ./internal/levelset ./internal/litho
+	GOARCH=386 $(GO) test ./internal/fft ./internal/grid ./internal/levelset ./internal/litho ./internal/core ./internal/optics
 
 # Source-hygiene gate: gofmt must have nothing to reformat. gofmt -l
 # exits 0 even when files need formatting, so the target fails on any

@@ -222,27 +222,25 @@ type Optimizer struct {
 	// The level-set tail (tail.go): engine bodies, the fixed chunking
 	// and its per-chunk partials, the staged operands, and the sums the
 	// velocity sweeps leave for StepSize and GradNorm.
-	gradBody, velocityBody                   func(lo, hi int)
-	maskBody, evolveBody, saveBody, zeroBody func(lo, hi int)
-	tailChunks                               int
-	partials                                 []float64
-	opWithPrev                               bool
-	opLambda, opDt                           float64
-	opPsi                                    *grid.Field
-	gNorm2, maxV                             float64
-	edt                                      *levelset.EDT // ψ₀ and the reinitialisation
+	gradBody, velocityBody         func(lo, hi int)
+	maskBody, evolveBody, saveBody func(lo, hi int)
+	tailChunks                     int
+	partials                       []float64
+	opWithPrev                     bool
+	opLambda, opDt                 float64
+	opPsi                          *grid.Field
+	gNorm2, maxV                   float64
+	edt                            *levelset.EDT // ψ₀ and the reinitialisation
 
 	// Leased run scratch, returned by Release.
 	mask      *grid.Field
 	maskSpec  *grid.CField
 	grad      *grid.Field // G_i (Eq. 14)
-	gmag      *grid.Field // |∇ψ_i|
-	gTerm     *grid.Field // g_i = G_i·|∇ψ_i|
-	gPrev     *grid.Field // g_{i-1}
+	gTerm     *grid.Field // g_i = G_i·|∇ψ_i|, |∇ψ_i| before the product
+	gPrev     *grid.Field // g_{i-1}; swapped with gTerm each iteration
 	velocity  *grid.Field // v_i
 	psiCand   *grid.Field // nil unless LineSearch
-	bestMask  *grid.Field // nil unless keepBest
-	bestPsi   *grid.Field // nil unless keepBest
+	bestPsi   *grid.Field // nil unless keepBest; its mask is MaskFromPsi's
 	reinit    *grid.Field
 	reinitTmp *grid.Field // scratch of ReinitializeInto
 
@@ -282,7 +280,6 @@ func newOptimizer(sim *litho.Simulator, target *grid.Field, opts Options, keepBe
 	o.mask = pool.Field(n, n)
 	o.maskSpec = pool.CField(n, n)
 	o.grad = pool.Field(n, n)
-	o.gmag = pool.Field(n, n)
 	o.gTerm = pool.Field(n, n)
 	o.gPrev = pool.Field(n, n)
 	o.velocity = pool.Field(n, n)
@@ -290,7 +287,6 @@ func newOptimizer(sim *litho.Simulator, target *grid.Field, opts Options, keepBe
 		o.psiCand = pool.Field(n, n)
 	}
 	if keepBest {
-		o.bestMask = pool.Field(n, n)
 		o.bestPsi = pool.Field(n, n)
 	}
 	o.edt = levelset.NewEDT(n, n, sim.Engine())
@@ -312,17 +308,17 @@ func (o *Optimizer) Release() {
 	pool := o.pool
 	o.corners = nil
 	o.gradBody, o.velocityBody = nil, nil
-	o.maskBody, o.evolveBody, o.saveBody, o.zeroBody = nil, nil, nil, nil
+	o.maskBody, o.evolveBody, o.saveBody = nil, nil, nil
 	o.partials, o.edt = nil, nil
 	pool.PutField(o.psi)
 	pool.PutField(o.mask)
 	pool.PutCField(o.maskSpec)
-	for _, f := range []*grid.Field{o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity, o.psiCand, o.bestMask, o.bestPsi, o.reinit, o.reinitTmp} {
+	for _, f := range []*grid.Field{o.grad, o.gTerm, o.gPrev, o.velocity, o.psiCand, o.bestPsi, o.reinit, o.reinitTmp} {
 		pool.PutField(f)
 	}
 	o.mask, o.maskSpec = nil, nil
-	o.grad, o.gmag, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil, nil
-	o.psiCand, o.bestMask, o.bestPsi, o.psi = nil, nil, nil, nil
+	o.grad, o.gTerm, o.gPrev, o.velocity = nil, nil, nil, nil
+	o.psiCand, o.bestPsi, o.psi = nil, nil, nil
 	o.reinit, o.reinitTmp = nil, nil
 }
 
@@ -378,7 +374,7 @@ func (o *Optimizer) start() error {
 		}
 		m0 = o.opts.InitialMask
 	}
-	// o.grad is free scratch here: simulate zeroes it before each use.
+	// o.grad is free scratch here: simulate overwrites it.
 	o.edt.SignedDistanceInto(o.psi, o.grad, m0)
 	return nil
 }
@@ -419,7 +415,6 @@ func (s *levelStepper) Eval(i int) solve.Stats {
 // outer and inner costs.
 func (o *Optimizer) simulate() (costNom, costPVB float64) {
 	o.sim.MaskSpectrumInto(o.maskSpec, o.mask)
-	o.sim.Engine().ForChunk(len(o.grad.Data), o.zeroBody)
 	o.sim.ForwardAndGradientCorners(o.grad, o.maskSpec, o.target, o.corners)
 	return o.costs()
 }
@@ -434,10 +429,12 @@ func (o *Optimizer) costs() (costNom, costPVB float64) {
 	return c[litho.Nominal].Cost, c[litho.Outer].Cost + c[litho.Inner].Cost
 }
 
-// SaveBest copies the current iterate into the keep-best store.
+// SaveBest copies the current ψ into the keep-best store. solve's Step
+// calls it between Eval and Advance, so the iterate's mask is
+// MaskFromPsi of the stored ψ, and finish and SaveState form it there.
 func (s *levelStepper) SaveBest() {
 	o := (*Optimizer)(s)
-	o.sim.Engine().ForChunk(len(o.mask.Data), o.saveBody)
+	o.sim.Engine().ForChunk(len(o.psi.Data), o.saveBody)
 }
 
 // StepSize returns the CFL time step under the driver's λ_t scale and
@@ -495,7 +492,7 @@ func (s *levelStepper) State() *grid.Field {
 
 // SaveState clones the fields a bit-exact resume needs: ψ, the CG
 // memory (previous gradient term and velocity), and the keep-best
-// iterate when tracked.
+// iterate when tracked, its mask formed from its ψ.
 func (s *levelStepper) SaveState() map[string]*grid.Field {
 	o := (*Optimizer)(s)
 	st := map[string]*grid.Field{
@@ -504,13 +501,15 @@ func (s *levelStepper) SaveState() map[string]*grid.Field {
 		"velocity": o.velocity.Clone(),
 	}
 	if o.keepBest {
-		st["bestmask"] = o.bestMask.Clone()
+		st["bestmask"] = grid.NewFieldLike(o.bestPsi)
+		levelset.MaskFromPsi(st["bestmask"], o.bestPsi)
 		st["bestpsi"] = o.bestPsi.Clone()
 	}
 	return st
 }
 
 // RestoreState loads a SaveState map back into the optimizer's scratch.
+// The keep-best mask is not read: it is MaskFromPsi of the keep-best ψ.
 func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 	o := (*Optimizer)(s)
 	psi := st["psi"]
@@ -524,7 +523,6 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 	for key, dst := range map[string]*grid.Field{
 		"gprev":    o.gPrev,
 		"velocity": o.velocity,
-		"bestmask": o.bestMask,
 		"bestpsi":  o.bestPsi,
 	} {
 		f := st[key]
@@ -543,11 +541,12 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 // keep-best iterate when one was tracked, else the last. Both are
 // cloned out of the leased scratch so they survive Release.
 func (o *Optimizer) finish(out *solve.Outcome) (mask, psi *grid.Field) {
+	psi = o.psi
 	if o.keepBest && !math.IsInf(out.BestCost, 1) {
-		return o.bestMask.Clone(), o.bestPsi.Clone()
+		psi = o.bestPsi
 	}
-	o.maskFromPsi(o.psi)
-	return o.mask.Clone(), o.psi.Clone()
+	o.maskFromPsi(psi)
+	return o.mask.Clone(), psi.Clone()
 }
 
 // costAtPsi evaluates the total cost (Eq. 13) of the mask induced by the

@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
@@ -56,7 +57,7 @@ func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Opt
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	prog := &levelProgram{opts: opts}
+	prog := &levelProgram{opts: opts, eng: sim.Engine()}
 	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor)
 	out, err := solve.RunLevels(ctx, sim, target, sched, prog, opts.IterOffset, from)
 	if err != nil {
@@ -87,7 +88,8 @@ func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Opt
 // levelProgram adapts the level-set optimizer to solve.RunLevels.
 type levelProgram struct {
 	opts      Options
-	mask, psi *grid.Field // the full-resolution level's final iterate
+	eng       *engine.Engine // the run's engine: every level's, and the hand-off's
+	mask, psi *grid.Field    // the full-resolution level's final iterate
 }
 
 // Level builds the optimizer and driver for one resolution level.
@@ -123,11 +125,11 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 }
 
 // Upsample is the hand-off: spectral interpolation onto the 2× finer
-// grid, then fast-sweeping (sub-pixel) redistancing
-// (levelset.ReinitializeFMM) so the next level starts from a signed
-// distance function at its own pixel pitch.
+// grid on the run's engine, then fast-sweeping (sub-pixel)
+// redistancing (levelset.ReinitializeFMM) so the next level starts from
+// a signed distance function at its own pixel pitch.
 func (p *levelProgram) Upsample(psi *grid.Field) *grid.Field {
-	return levelset.ReinitializeFMM(levelset.UpsampleSpectral(psi, 2))
+	return levelset.ReinitializeFMM(levelset.UpsampleSpectral(psi, 2, p.eng))
 }
 
 // TraceName is empty: level-set level_switch events carry no name.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -144,9 +145,12 @@ func fieldsIdentical(t *testing.T, what string, got, want *grid.Field) {
 // TestFusedTailMatchesReference runs the fused velocity sweeps and the
 // unfused reference on the same ψ, G, g_prev and v_prev: every
 // per-pixel field must be bit-identical, max|v| too (a max does not
-// depend on the order), and λ and ‖g‖ within tailTol.
+// depend on the order), and λ and ‖g‖ within tailTol. It runs on a
+// 64 px grid and on a 512 px one whose kernels live on a reduced grid,
+// with keep-best on, on engines of 1, 2 and 3 workers: 512 px gives 64
+// chunks, so the gradient sweep's vector kernel runs four chunks per
+// lane group, with groups cut short where a worker's chunk range ends.
 func TestFusedTailMatchesReference(t *testing.T) {
-	const n = 64
 	for _, tc := range []struct {
 		name     string
 		mut      func(*Options)
@@ -160,54 +164,68 @@ func TestFusedTailMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			tc.mut(&opts)
-			for _, eng := range []*engine.Engine{engine.CPU(), engine.New("gpu3", 3)} {
-				cfg := litho.DefaultConfig(n, 32)
-				cfg.Optics.Kernels = 2
-				sim, err := litho.NewSimulator(cfg, eng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o, err := newOptimizer(sim, crossTarget(n), opts, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				psi, G, gPrev, vPrev := tailInputs(n)
-				if tc.restart {
-					g := grid.NewField(n, n)
-					refGradMag(g, psi)
-					g.Mul(G, g)
-					vPrev.Scale(g, -1)
-					gPrev.Scale(g, -0.5)
-				}
-				o.psi = psi
-				o.grad.CopyFrom(G)
-				o.gPrev.CopyFrom(gPrev)
-				o.velocity.CopyFrom(vPrev)
-				lambda := o.velocityFromGradient(tc.withPrev)
+			for _, g := range []struct {
+				n       int
+				pixelNM float64
+			}{{64, 32}, {512, 4}} {
+				n := g.n
+				for _, workers := range []int{1, 2, 3} {
+					eng := engine.New(fmt.Sprintf("tail%d", workers), workers)
+					cfg := litho.DefaultConfig(n, g.pixelNM)
+					cfg.Optics.Kernels = 2
+					sim, err := litho.NewSimulator(cfg, eng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 512 && sim.ReducedGrid() >= n {
+						t.Fatalf("%d px: reduced grid %d, want < %d", n, sim.ReducedGrid(), n)
+					}
+					o, err := newOptimizer(sim, crossTarget(n), opts, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					psi, G, gPrev, vPrev := tailInputs(n)
+					if tc.restart {
+						g := grid.NewField(n, n)
+						refGradMag(g, psi)
+						g.Mul(G, g)
+						vPrev.Scale(g, -1)
+						gPrev.Scale(g, -0.5)
+					}
+					o.psi.CopyFrom(psi)
+					o.grad.CopyFrom(G)
+					o.gPrev.CopyFrom(gPrev)
+					o.velocity.CopyFrom(vPrev)
+					lambda := o.velocityFromGradient(tc.withPrev)
 
-				ref := referenceTail(psi, G, gPrev, vPrev, tc.withPrev, lambda)
-				label := tc.name + "/" + eng.Name()
-				fieldsIdentical(t, label+" |∇ψ|", o.gmag, ref.gmag)
-				fieldsIdentical(t, label+" g", o.gTerm, ref.gTerm)
-				fieldsIdentical(t, label+" g_prev", o.gPrev, ref.gPrev)
-				fieldsIdentical(t, label+" v", o.velocity, ref.velocity)
-				if math.Abs(lambda-ref.lambda) > tailTol {
-					t.Fatalf("%s: λ = %v, reference %v", label, lambda, ref.lambda)
+					ref := referenceTail(psi, G, gPrev, vPrev, tc.withPrev, lambda)
+					label := fmt.Sprintf("%s/%dpx/%d workers", tc.name, n, workers)
+					gm := grid.NewField(n, n)
+					levelset.GradMag(gm, psi)
+					fieldsIdentical(t, label+" |∇ψ|", gm, ref.gmag)
+					// The sweeps leave g in gPrev: the next iteration's
+					// g_prev is this one's g, swapped in, not copied.
+					fieldsIdentical(t, label+" g", o.gPrev, ref.gTerm)
+					fieldsIdentical(t, label+" g_prev", o.gPrev, ref.gPrev)
+					fieldsIdentical(t, label+" v", o.velocity, ref.velocity)
+					if math.Abs(lambda-ref.lambda) > tailTol {
+						t.Fatalf("%s: λ = %v, reference %v", label, lambda, ref.lambda)
+					}
+					switch {
+					case tc.restart && lambda != 0:
+						t.Fatalf("%s: forced restart kept λ = %v", label, lambda)
+					case tc.withPrev && !tc.restart && !(lambda > 0 && lambda < 1):
+						t.Fatalf("%s: λ = %v, want a conjugate step in (0, 1)", label, lambda)
+					}
+					if _, maxV := (*levelStepper)(o).StepSize(1); maxV != ref.maxV {
+						t.Fatalf("%s: max|v| = %v, reference %v", label, maxV, ref.maxV)
+					}
+					if g := (*levelStepper)(o).GradNorm(); math.Abs(g-ref.gNorm) > tailTol*ref.gNorm {
+						t.Fatalf("%s: ‖g‖ = %v, reference %v", label, g, ref.gNorm)
+					}
+					o.Release()
+					sim.Release()
 				}
-				switch {
-				case tc.restart && lambda != 0:
-					t.Fatalf("%s: forced restart kept λ = %v", label, lambda)
-				case tc.withPrev && !tc.restart && !(lambda > 0 && lambda < 1):
-					t.Fatalf("%s: λ = %v, want a conjugate step in (0, 1)", label, lambda)
-				}
-				if _, maxV := (*levelStepper)(o).StepSize(1); maxV != ref.maxV {
-					t.Fatalf("%s: max|v| = %v, reference %v", label, maxV, ref.maxV)
-				}
-				if g := (*levelStepper)(o).GradNorm(); math.Abs(g-ref.gNorm) > tailTol*ref.gNorm {
-					t.Fatalf("%s: ‖g‖ = %v, reference %v", label, g, ref.gNorm)
-				}
-				o.Release()
-				sim.Release()
 			}
 		})
 	}

@@ -61,3 +61,38 @@ func scatterRealAVX2(dst []float64, s []complex128, w, h int, sc float64)
 
 //go:noescape
 func packAVX2(d []complex128, r0, r1 []float64)
+
+// unpackAVX2OK says whether realRows' unpack runs unpackAVX2 (the CPU
+// has AVX2 and the OS saves the YMM registers). Unlike the sweeps it
+// does not depend on the plan length. Chosen once, never changed.
+var unpackAVX2OK = grid.HasAVX2()
+
+// unpackLanes holds unpackAVX2's constants, in the order
+// kernel_amd64.s reads them (32 bytes apart): 0.5, −0.5 and the sign of
+// the imaginary lanes of two complex128, the conj.
+var unpackLanes = [3][4]uint64{
+	{0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000, 0x3fe0000000000000},
+	{0xbfe0000000000000, 0xbfe0000000000000, 0xbfe0000000000000, 0xbfe0000000000000},
+	{0, 1 << 63, 0, 1 << 63},
+}
+
+// unpackVec runs unpackAVX2 over the longest prefix of z0 whose length
+// is a multiple of 2 (and the matching suffixes of e0 and e1), when the
+// CPU has it, and returns that length.
+func unpackVec(z0, z1, e0, e1 []complex128) int {
+	if !unpackAVX2OK {
+		return 0
+	}
+	n := len(z0) &^ 1
+	if n > 0 {
+		unpackAVX2(z0[:n], z1[:n], e0[len(e0)-n:], e1[len(e1)-n:])
+	}
+	return n
+}
+
+// unpackAVX2 is unpackGo for len(z0) a multiple of 2, every slice as
+// long and the z slices disjoint from the e slices, bit for bit.
+// Implemented in kernel_amd64.s.
+//
+//go:noescape
+func unpackAVX2(z0, z1, e0, e1 []complex128)

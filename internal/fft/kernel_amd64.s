@@ -463,3 +463,81 @@ pkloop:
 pkdone:
 	VZEROUPPER
 	RET
+
+// func unpackAVX2(z0, z1, e0, e1 []complex128)
+//
+// unpackGo, two bin pairs per iteration: Z[k] from z0 and Z[m] from e0
+// read backwards (VPERMPD swaps its two complexes). The Go code
+// generator compiles the loop to (first sources first):
+//
+//	a = Z[k] + conj Z[m]             b = Z[k] − conj Z[m]
+//	c = [a.re, Z[m].im + conj Z[k].im]  (c.re is a.re: Go computes the
+//	                                 sum zk.re + zm.re once for both)
+//	d = Z[m] − conj Z[k]
+//	z0 = [a.re·0.5 − 0·a.im, a.im·0.5 + 0·a.re]   e0 the same of c
+//	z1 = [0·b.re − (−0.5)·b.im, b.im·0 + b.re·(−0.5)]   e1 of d
+//
+// so each output is VADDSUBPD of P and Q: P = s·0.5, Q = swap(s)·0 for
+// the halves, P = s·0, Q = swap(s)·(−0.5) for the −0.5i products (a
+// product with a constant has one NaN source at most, so its order is
+// free).
+TEXT ·unpackAVX2(SB), NOSPLIT, $0-96
+	MOVQ         z0_base+0(FP), DI
+	MOVQ         z0_len+8(FP), CX
+	MOVQ         z1_base+24(FP), SI
+	MOVQ         e0_base+48(FP), R8
+	MOVQ         e1_base+72(FP), R9
+	MOVQ         CX, AX
+	SHRQ         $1, CX
+	JZ           unpackDone
+	SHLQ         $4, AX
+	LEAQ         -32(R8)(AX*1), R8     // e0's last two bins
+	LEAQ         -32(R9)(AX*1), R9
+	LEAQ         ·unpackLanes(SB), AX
+	VMOVUPD      (AX), Y15             // 0.5
+	VMOVUPD      32(AX), Y14           // −0.5
+	VMOVUPD      64(AX), Y13           // conj mask
+	VXORPD       Y12, Y12, Y12         // +0
+
+unpackLoop:
+	VMOVUPD      (DI), Y0              // Z[k]
+	VPERMPD      $0x4e, (R8), Y1       // Z[m]
+	VXORPD       Y13, Y1, Y2           // conj Z[m]
+	VXORPD       Y13, Y0, Y3           // conj Z[k]
+	VADDPD       Y2, Y0, Y4            // a
+	VSUBPD       Y2, Y0, Y5            // b
+	VADDPD       Y3, Y1, Y6
+	VBLENDPD     $0xa, Y6, Y4, Y6      // c
+	VSUBPD       Y3, Y1, Y7            // d
+	VMULPD       Y15, Y4, Y8           // z0
+	VPERMILPD    $0x5, Y4, Y9
+	VMULPD       Y12, Y9, Y9
+	VADDSUBPD    Y9, Y8, Y8
+	VMOVUPD      Y8, (DI)
+	VMULPD       Y12, Y5, Y8           // z1
+	VPERMILPD    $0x5, Y5, Y9
+	VMULPD       Y14, Y9, Y9
+	VADDSUBPD    Y9, Y8, Y8
+	VMOVUPD      Y8, (SI)
+	VMULPD       Y15, Y6, Y8           // e0
+	VPERMILPD    $0x5, Y6, Y9
+	VMULPD       Y12, Y9, Y9
+	VADDSUBPD    Y9, Y8, Y8
+	VPERMPD      $0x4e, Y8, Y8
+	VMOVUPD      Y8, (R8)
+	VMULPD       Y12, Y7, Y8           // e1
+	VPERMILPD    $0x5, Y7, Y9
+	VMULPD       Y14, Y9, Y9
+	VADDSUBPD    Y9, Y8, Y8
+	VPERMPD      $0x4e, Y8, Y8
+	VMOVUPD      Y8, (R9)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	SUBQ         $32, R8
+	SUBQ         $32, R9
+	DECQ         CX
+	JNZ          unpackLoop
+	VZEROUPPER
+
+unpackDone:
+	RET

@@ -66,19 +66,49 @@ func (p *BatchPlan2D) realRows(lo, hi int) {
 		p.rowPlan.k.pack(d0, r0, r1)
 		p.rowPlan.Forward(d0)
 		// Unpack: R0[k] = (Z[k]+conj(Z[-k]))/2, R1[k] = (Z[k]−conj(Z[-k]))/2i.
-		// Bins k and w−k read each other, so both are read before
-		// either is overwritten.
-		for k := 0; k <= last; k++ {
-			m := (w - k) % w
-			zk, zm := d0[k], d0[m]
-			zmk := cmplx.Conj(zm)
-			d0[k] = (zk + zmk) * 0.5
-			d1[k] = (zk - zmk) * complex(0, -0.5)
-			if m != k {
-				zkm := cmplx.Conj(zk)
-				d0[m] = (zm + zkm) * 0.5
-				d1[m] = (zm - zkm) * complex(0, -0.5)
-			}
+		// Bin 0, and bin w/2 of a full unpack, pair with themselves;
+		// bins 1…n pair with w−1…w−n.
+		n := min(last, w/2-1)
+		unpack(d0[:1], d1[:1], d0[:1], d1[:1])
+		unpack(d0[1:n+1], d1[1:n+1], d0[w-n:], d1[w-n:])
+		if last == w/2 {
+			unpack(d0[last:last+1], d1[last:last+1], d0[last:last+1], d1[last:last+1])
 		}
+	}
+}
+
+// unpack splits the transform Z of a packed row pair (r0 + i·r1) into
+// the rows' own spectra. Bin Z[k] = z0[i] pairs with Z[m] = e0[j],
+// j = len(e0)−1−i (the e bins run backwards), and unpack sets
+//
+//	z0[i] = (Z[k] + conj(Z[m]))·0.5   z1[i] = (Z[k] − conj(Z[m]))·(−0.5i)
+//	e0[j] = (Z[m] + conj(Z[k]))·0.5   e1[j] = (Z[m] − conj(Z[k]))·(−0.5i)
+//
+// reading both bins before writing either. The z and e slices are
+// disjoint or, for a bin paired with itself, the same single bin,
+// whose two writes then agree.
+func unpack(z0, z1, e0, e1 []complex128) {
+	n := unpackVec(z0, z1, e0, e1)
+	unpackGo(z0[n:], z1[n:], e0[:len(e0)-n], e1[:len(e1)-n])
+}
+
+// unpackGo is unpack as a Go loop: the reference of the AVX2 kernel,
+// which gives the same bits, and the bins it leaves. Never inlined, so
+// the one compiled body whose operand order the kernel copies is the
+// one that runs. The multiplies by 0.5 and −0.5i are Go's complex
+// multiplies by complex(0.5, 0) and complex(0, −0.5), products by the
+// zero parts included.
+//
+//go:noinline
+func unpackGo(z0, z1, e0, e1 []complex128) {
+	z1, e0, e1 = z1[:len(z0)], e0[:len(z0)], e1[:len(z0)]
+	for i, zk := range z0 {
+		j := len(e0) - 1 - i
+		zm := e0[j]
+		zmk, zkm := cmplx.Conj(zm), cmplx.Conj(zk)
+		z0[i] = (zk + zmk) * 0.5
+		z1[i] = (zk - zmk) * complex(0, -0.5)
+		e0[j] = (zm + zkm) * 0.5
+		e1[j] = (zm - zkm) * complex(0, -0.5)
 	}
 }

@@ -126,8 +126,21 @@ func (f *Field) Scale(a *Field, s float64) {
 // AddScaled sets f = f + s·a (axpy).
 func (f *Field) AddScaled(a *Field, s float64) {
 	f.mustMatch(a, "AddScaled")
-	for i := range f.Data {
-		f.Data[i] += s * a.Data[i]
+	n := addScaledVec(f.Data, a.Data, s)
+	addScaledGo(f.Data[n:], a.Data[n:], s)
+}
+
+// addScaledGo sets f[i] += s·a[i] for every i of f (a at least as long).
+// It is the reference of the AVX2 kernel, which gives the same bits,
+// and runs the elements the kernel leaves. Never inlined, so the one
+// compiled body whose operand order the kernel copies is the one that
+// runs.
+//
+//go:noinline
+func addScaledGo(f, a []float64, s float64) {
+	a = a[:len(f)]
+	for i := range f {
+		f[i] += s * a[i]
 	}
 }
 

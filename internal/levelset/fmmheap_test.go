@@ -258,7 +258,7 @@ func TestSweepMatchesMarch(t *testing.T) {
 		}
 	}
 	for _, n := range []int{32, 64} {
-		worst = math.Max(worst, checkSweepMatchesMarch(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2)))
+		worst = math.Max(worst, checkSweepMatchesMarch(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2, nil)))
 	}
 	t.Logf("largest |sweep − march| off the seeds: %.3g", worst)
 }
@@ -404,7 +404,7 @@ func TestSweepMatchesPlain(t *testing.T) {
 		}
 	}
 	for _, n := range []int{32, 64} {
-		checkSweepMatchesPlain(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2))
+		checkSweepMatchesPlain(t, "upsampled blocks", UpsampleSpectral(blockPsi(n, 7), 2, nil))
 	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 300; i++ {

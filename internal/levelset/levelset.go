@@ -57,14 +57,18 @@ func edtSq1D(f, out []float64, v []int, z []float64) {
 	}
 }
 
-// The pixel sets the distance transforms measure to. Each is a plain
-// function of one pixel value, so handing one to an EDT allocates
-// nothing; the four spell out Eq. 6's split and its complement exactly,
-// NaN included (a NaN ψ is outside, a NaN mask value in neither set).
-func maskInside(v float64) bool  { return v > 0.5 }
-func maskOutside(v float64) bool { return v <= 0.5 }
-func psiInside(v float64) bool   { return v <= 0 }
-func psiOutside(v float64) bool  { return !(v <= 0) }
+// edtSets names the pair of pixel sets a distance transform measures
+// to. Both spell out Eq. 6's split and its complement exactly, NaN
+// included; the column sweep tests them inline, with no call per pixel.
+type edtSets int
+
+const (
+	// maskSets: inside v > 0.5, outside v ≤ 0.5; a NaN mask value is
+	// in neither set.
+	maskSets edtSets = iota
+	// psiSets: inside ψ ≤ 0, outside every other ψ, NaN included.
+	psiSets
+)
 
 // EDT computes exact Euclidean distance transforms on an engine. Its
 // column pass fans blocks of edtBlock adjacent columns across the
@@ -81,8 +85,8 @@ type EDT struct {
 	scratch []edtScratch // one per worker, for the row pass
 
 	// Operands staged for the pre-bound engine bodies.
-	opIn, opOut, opSrc  *grid.Field
-	opInside, opOutside func(float64) bool
+	opIn, opOut, opSrc *grid.Field
+	opSets             edtSets
 
 	colBody, rowBody func(worker, i int)
 	combineBody      func(lo, hi int)
@@ -173,7 +177,7 @@ func NewEDT(w, h int, eng *engine.Engine) *EDT {
 func (e *EDT) colSweep(_, b int) {
 	w, h := e.w, e.h
 	src, in, out := e.opSrc.Data, e.opIn.Data, e.opOut.Data
-	inside, outside := e.opInside, e.opOutside
+	psi := e.opSets == psiSets
 	x0 := b * edtBlock
 	nb := min(edtBlock, w-x0)
 	var lastIn, lastOut [edtBlock]int
@@ -183,11 +187,21 @@ func (e *EDT) colSweep(_, b int) {
 	for y := 0; y < h; y++ {
 		i := y*w + x0
 		dIn, dOut := in[i:i+nb], out[i:i+nb]
-		for c, v := range src[i : i+nb] {
-			if inside(v) {
-				lastIn[c] = y
+		if psi {
+			for c, v := range src[i : i+nb] {
+				if v <= 0 {
+					lastIn[c] = y
+				} else {
+					lastOut[c] = y
+				}
+				dIn[c], dOut[c] = colSq(y, lastIn[c]), colSq(y, lastOut[c])
 			}
-			if outside(v) {
+			continue
+		}
+		for c, v := range src[i : i+nb] {
+			if v > 0.5 {
+				lastIn[c] = y
+			} else if v <= 0.5 {
 				lastOut[c] = y
 			}
 			dIn[c], dOut[c] = colSq(y, lastIn[c]), colSq(y, lastOut[c])
@@ -212,27 +226,27 @@ func (e *EDT) colSweep(_, b int) {
 }
 
 // sq writes into in and out the exact Euclidean squared-distance
-// transforms of the sets {p : inside(src(p))} and {p : outside(src(p))}:
-// in(p) = min over inside pixels q of |p−q|², out(p) the same over
-// outside pixels. Pixels in a set get 0 in its transform; an empty set
-// gives +inf everywhere. in, out and src must be distinct.
-func (e *EDT) sq(in, out, src *grid.Field, inside, outside func(float64) bool) {
+// transforms of the inside and outside pixel sets of src (sets): in(p) =
+// min over inside pixels q of |p−q|², out(p) the same over outside
+// pixels. Pixels in a set get 0 in its transform; an empty set gives
+// +inf everywhere. in, out and src must be distinct.
+func (e *EDT) sq(in, out, src *grid.Field, sets edtSets) {
 	if in.W != e.w || in.H != e.h || out.W != e.w || out.H != e.h || src.W != e.w || src.H != e.h {
 		panic(fmt.Sprintf("levelset: %dx%d EDT given fields %dx%d, %dx%d and %dx%d", e.w, e.h, in.W, in.H, out.W, out.H, src.W, src.H))
 	}
-	e.opIn, e.opOut, e.opSrc, e.opInside, e.opOutside = in, out, src, inside, outside
+	e.opIn, e.opOut, e.opSrc, e.opSets = in, out, src, sets
 	e.eng.Map((e.w+edtBlock-1)/edtBlock, e.colBody)
 	e.eng.Map(2*e.h, e.rowBody)
-	e.opIn, e.opOut, e.opSrc, e.opInside, e.opOutside = nil, nil, nil, nil, nil
+	e.opIn, e.opOut, e.opSrc = nil, nil, nil
 }
 
-// signedDistance writes into psi the signed distance between the pixel
-// sets inside and outside of src (see SignedDistance), using tmp as
-// scratch of the same shape. psi, tmp and src must be distinct.
-func (e *EDT) signedDistance(psi, tmp, src *grid.Field, inside, outside func(float64) bool) {
+// signedDistance writes into psi the signed distance between the
+// inside and outside pixel sets of src (see SignedDistance), using tmp
+// as scratch of the same shape. psi, tmp and src must be distinct.
+func (e *EDT) signedDistance(psi, tmp, src *grid.Field, sets edtSets) {
 	// psi: squared distance to the pattern, 0 on it; tmp: to the
 	// background, 0 on it.
-	e.sq(psi, tmp, src, inside, outside)
+	e.sq(psi, tmp, src, sets)
 	e.opIn, e.opOut = psi, tmp
 	e.eng.ForChunk(len(psi.Data), e.combineBody)
 	e.opIn, e.opOut = nil, nil
@@ -244,7 +258,7 @@ func (e *EDT) signedDistance(psi, tmp, src *grid.Field, inside, outside func(flo
 // must be distinct fields of one shape. The inside set is Eq. 6's
 // ψ ≤ 0, exactly what SignedDistance(MaskFromPsi(ψ)) would read.
 func (e *EDT) ReinitializeInto(dst, tmp, psi *grid.Field) {
-	e.signedDistance(dst, tmp, psi, psiInside, psiOutside)
+	e.signedDistance(dst, tmp, psi, psiSets)
 }
 
 // SignedDistance computes the signed distance function of the binary
@@ -264,17 +278,27 @@ func SignedDistance(mask *grid.Field) *grid.Field {
 // allocates nothing. dst, tmp and mask must be distinct fields of one
 // shape.
 func (e *EDT) SignedDistanceInto(dst, tmp, mask *grid.Field) {
-	e.signedDistance(dst, tmp, mask, maskInside, maskOutside)
+	e.signedDistance(dst, tmp, mask, maskSets)
 }
 
 // MaskFromPsi extracts the binary mask from the level-set function per
-// Eq. 6: 1 (m_in) where ψ ≤ 0, 0 (m_out) where ψ > 0.
+// Eq. 6: 1 (m_in) where ψ ≤ 0, 0 (m_out) where ψ > 0 or ψ is NaN.
 func MaskFromPsi(dst, psi *grid.Field) {
-	for i, v := range psi.Data {
+	n := maskVec(dst.Data, psi.Data)
+	maskGo(dst.Data[n:], psi.Data[n:])
+}
+
+// maskGo is MaskFromPsi over slices (dst at least as long as psi): the
+// reference of the AVX2 kernel, and the elements it leaves.
+//
+//go:noinline
+func maskGo(dst, psi []float64) {
+	dst = dst[:len(psi)]
+	for i, v := range psi {
 		if v <= 0 {
-			dst.Data[i] = 1
+			dst[i] = 1
 		} else {
-			dst.Data[i] = 0
+			dst[i] = 0
 		}
 	}
 }

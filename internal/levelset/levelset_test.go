@@ -54,7 +54,7 @@ func TestEDTMatchesBruteForce(t *testing.T) {
 		}
 		set := func(x, y int) bool { return m.At(x, y) > 0.5 }
 		got := grid.NewField(n, n)
-		NewEDT(n, n, engine.New("edt3", 3)).sq(got, grid.NewField(n, n), m, maskInside, maskOutside)
+		NewEDT(n, n, engine.New("edt3", 3)).sq(got, grid.NewField(n, n), m, maskSets)
 		want := bruteEDTSq(n, n, set)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("trial %d: EDT disagrees with brute force", trial)
@@ -67,7 +67,7 @@ func TestEDTSinglePoint(t *testing.T) {
 	m := grid.NewField(n, n)
 	m.Set(3, 5, 1)
 	d := grid.NewField(n, n)
-	NewEDT(n, n, nil).sq(d, grid.NewField(n, n), m, maskInside, maskOutside)
+	NewEDT(n, n, nil).sq(d, grid.NewField(n, n), m, maskSets)
 	if d.At(3, 5) != 0 {
 		t.Fatal("distance at the set pixel must be 0")
 	}
@@ -78,7 +78,7 @@ func TestEDTSinglePoint(t *testing.T) {
 
 func TestEDTEmptySet(t *testing.T) {
 	d := grid.NewField(4, 4)
-	NewEDT(4, 4, nil).sq(d, grid.NewField(4, 4), grid.NewField(4, 4), maskInside, maskOutside)
+	NewEDT(4, 4, nil).sq(d, grid.NewField(4, 4), grid.NewField(4, 4), maskSets)
 	for _, v := range d.Data {
 		if v < inf {
 			t.Fatal("empty set must give infinite distances")
@@ -312,6 +312,13 @@ func TestReinitializeIntoMatchesMaskPath(t *testing.T) {
 // bruteSignedDistance is the O(n⁴) reference of the signed distance
 // between the pixel sets inside and outside of src, with
 // signedDistance's conventions for an empty set.
+// The pixel sets of maskSets and psiSets as plain functions of one
+// pixel value, for the brute-force references.
+func maskInside(v float64) bool  { return v > 0.5 }
+func maskOutside(v float64) bool { return v <= 0.5 }
+func psiInside(v float64) bool   { return v <= 0 }
+func psiOutside(v float64) bool  { return !(v <= 0) }
+
 func bruteSignedDistance(src *grid.Field, inside, outside func(float64) bool) *grid.Field {
 	w, h := src.W, src.H
 	dIn := bruteEDTSq(w, h, func(x, y int) bool { return inside(src.At(x, y)) })

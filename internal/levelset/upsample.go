@@ -3,6 +3,7 @@ package levelset
 import (
 	"fmt"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/fft"
 	"lsopc/internal/grid"
 )
@@ -20,8 +21,12 @@ import (
 // restores the unit-gradient property at the new pixel pitch.
 //
 // factor must be a power of two ≥ 1; dimensions must be powers of two.
-// factor 1 returns a clone.
-func UpsampleSpectral(psi *grid.Field, factor int) *grid.Field {
+// factor 1 returns a clone. Both transforms run on eng (nil means
+// engine.CPU()), bit for bit the same on every engine. The fine
+// spectrum is zero outside the coarse row band |v| ≤ h/2, so its
+// inverse is the banded one, which skips those rows: the 1-D transform
+// of a zero row is exactly zero, so skipping it changes no bit.
+func UpsampleSpectral(psi *grid.Field, factor int, eng *engine.Engine) *grid.Field {
 	if factor == 1 {
 		return psi.Clone()
 	}
@@ -33,7 +38,7 @@ func UpsampleSpectral(psi *grid.Field, factor int) *grid.Field {
 
 	coarse := grid.NewCField(w, h)
 	coarse.SetReal(psi)
-	fft.NewBatchPlan2D(w, h, nil).BatchForward([]*grid.CField{coarse})
+	fft.NewBatchPlan2D(w, h, eng).BatchForward([]*grid.CField{coarse})
 
 	// Per-axis bin spreading: ordinary bins map to one fine bin, the
 	// Nyquist bin (signed ±n/2 is ambiguous) splits evenly between both
@@ -63,7 +68,7 @@ func UpsampleSpectral(psi *grid.Field, factor int) *grid.Field {
 			}
 		}
 	}
-	fft.NewBatchPlan2D(fw, fh, nil).BatchInverse([]*grid.CField{fine})
+	fft.NewBatchPlan2D(fw, fh, eng).BatchInverseBanded([]*grid.CField{fine}, h/2)
 
 	out := grid.NewField(fw, fh)
 	fine.Real(out)

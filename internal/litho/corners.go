@@ -229,8 +229,10 @@ func (s *Simulator) sensScale(cond Condition, weight float64) float64 {
 // accumulator's band rows (each row cleared, then accumulated). Only Re
 // of its inverse enters the gradient, and Re of an inverse is the
 // inverse of the spectrum's Hermitian part, so the box is symmetrised
-// and inverse-transformed by one real-output pass.
-func (s *Simulator) adjoint(grad *grid.Field) {
+// and inverse-transformed by one real-output pass. With set the result
+// is written into grad as 0 + x, the bits an add into a zeroed grad
+// gives, else it is added to grad.
+func (s *Simulator) adjoint(grad *grid.Field, set bool) {
 	planes := s.planes()
 	s.opWs = s.opWs[:0]
 	for b := range s.banks {
@@ -254,7 +256,7 @@ func (s *Simulator) adjoint(grad *grid.Field) {
 	s.opFields = nil
 	hermitianPart(s.accum, s.radius)
 	s.batch.InverseRealBanded(planes[0], s.accum, s.radius)
-	s.opGrad = grad
+	s.opGrad, s.opSet = grad, set
 	s.eng.ForChunk(len(grad.Data), s.applyBody)
 	s.opGrad = nil
 }
@@ -271,14 +273,22 @@ func (s *Simulator) ForwardCorners(maskSpec *grid.CField, target *grid.Field, co
 
 // ForwardAndGradientCorners runs the exact forward model for every
 // corner in one pass, sets each corner's requested images and its cost,
-// and accumulates Σ_c w_c·∂‖R_c−target‖²/∂M into grad (Eq. 11) with one
-// adjoint over all banks and one full-grid gradient inverse. The adjoint
-// is linear in the resist sensitivity, so each corner's weight is folded
-// into its bank's W.
+// and sets grad to Σ_c w_c·∂‖R_c−target‖²/∂M (Eq. 11) with one adjoint
+// over all banks and one full-grid gradient inverse. grad's old values
+// are not read: each pixel is written as 0 + x, the bits of an add into
+// a cleared field, so a −0 lands as +0. The adjoint is linear in the
+// resist sensitivity, so each corner's weight is folded into its bank's
+// W.
 func (s *Simulator) ForwardAndGradientCorners(grad *grid.Field, maskSpec *grid.CField, target *grid.Field, corners []Corner) {
+	s.forwardAndGradient(grad, maskSpec, target, corners, true)
+}
+
+// forwardAndGradient is ForwardAndGradientCorners, setting grad or,
+// without set, adding to it.
+func (s *Simulator) forwardAndGradient(grad *grid.Field, maskSpec *grid.CField, target *grid.Field, corners []Corner, set bool) {
 	start := time.Now()
 	s.simulate(maskSpec, target, corners)
-	s.adjoint(grad)
+	s.adjoint(grad, set)
 	d := time.Since(start)
 	mFusedNS.Observe(float64(d))
 	s.trace("forward_gradient", corners, d)
@@ -287,12 +297,12 @@ func (s *Simulator) ForwardAndGradientCorners(grad *grid.Field, maskSpec *grid.C
 // ForwardAndGradient runs the exact forward model at one corner and
 // accumulates weight·∂‖R−target‖²/∂M into grad (Eq. 11), filling out
 // with the aerial and sigmoid resist images. It returns the corner cost
-// ‖R−target‖². It is the one-corner ForwardAndGradientCorners, so each
-// kernel's coherent field serves both the forward model and the
-// adjoint.
+// ‖R−target‖². It is the one-corner ForwardAndGradientCorners, adding
+// to grad instead of setting it, so each kernel's coherent field serves
+// both the forward model and the adjoint.
 func (s *Simulator) ForwardAndGradient(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, out *CornerImages, weight float64) float64 {
 	corners := [1]Corner{{Cond: cond, Weight: weight, Out: out}}
-	s.ForwardAndGradientCorners(grad, maskSpec, target, corners[:])
+	s.forwardAndGradient(grad, maskSpec, target, corners[:], false)
 	return corners[0].Cost
 }
 

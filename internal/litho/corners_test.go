@@ -242,3 +242,29 @@ func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
 		}
 	}
 }
+
+// TestGradientCornersSetsGradient: ForwardAndGradientCorners sets grad
+// without reading it, so a stale (NaN-filled) grad ends bit-identical to
+// a cleared one, and both equal ForwardAndGradient's accumulation into a
+// cleared grad, −0 landing as +0.
+func TestGradientCornersSetsGradient(t *testing.T) {
+	for _, p := range groupPaths {
+		n := p.n
+		s := groupSim(t, p)
+		spec := grid.NewCField(n, n)
+		s.MaskSpectrumInto(spec, randomMask(n, 3))
+		target := randomMask(n, 4)
+		ref := grid.NewField(n, n)
+		s.ForwardAndGradient(ref, spec, Nominal, target, nil, 0.7)
+		for _, fill := range []float64{0, math.NaN(), math.Copysign(0, -1), 1e300} {
+			grad := grid.NewField(n, n)
+			grad.Fill(fill)
+			s.ForwardAndGradientCorners(grad, spec, target, []Corner{{Cond: Nominal, Weight: 0.7}})
+			for i, v := range ref.Data {
+				if math.Float64bits(grad.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s: stale %v: pixel %d = %v, accumulated into zero %v", p.name, fill, i, grad.Data[i], v)
+				}
+			}
+		}
+	}
+}

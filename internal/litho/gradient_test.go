@@ -31,7 +31,7 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 			w.Data[i] = c * (rv - target.Data[i]) * rv * (1 - rv)
 		}
 	})
-	s.adjoint(grad)
+	s.adjoint(grad, false)
 	d := time.Since(start)
 	mGradientNS.Observe(float64(d))
 	s.trace("gradient", corners[:], d)

@@ -1,11 +1,12 @@
 package litho
 
-// The per-pixel loops of a simulate call, as Go loops. They are the
-// reference of the AVX2 kernels in kernels_amd64.s, which give the same
-// bits; the kernels run the elements up to the last multiple of 4 when
-// the CPU has AVX2 (kernels_amd64.go), the Go loops the rest, and all of
-// them elsewhere. A two-NaN operation returns its first source's NaN,
-// and which operand of a commutative operation comes first is the code
+// The per-pixel and per-bin loops of a simulate call, as Go loops. They
+// are the reference of the AVX2 kernels in kernels_amd64.s, which give
+// the same bits; the kernels run the elements up to the last multiple
+// of 4 (of 2 for the complex band loops) when the CPU has AVX2
+// (kernels_amd64.go), the Go loops the rest, and all of them
+// elsewhere. A two-NaN operation returns its first source's NaN, and
+// which operand of a commutative operation comes first is the code
 // generator's choice, made per compiled body. So the Go loops are never
 // inlined: each stays one body, whose operand order in the default
 // build the kernels copy (a race-detector build may order them
@@ -56,6 +57,59 @@ func addGo(dst, src []float64) {
 	src = src[:len(dst)]
 	for i, v := range src {
 		dst[i] += v
+	}
+}
+
+// setInto sets dst[i] = 0 + src[i] for every i of dst (src at least as
+// long): the bits addInto gives on a cleared dst, −0 turned into +0.
+func setInto(dst, src []float64) {
+	n := setVec(dst, src)
+	setGo(dst[n:], src[n:])
+}
+
+//go:noinline
+func setGo(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = 0 + v
+	}
+}
+
+// scaleBins sets dst[i] = src[i]·c for every i of dst (src at least as
+// long): the spectral band copies' rescale by complex(scale, 0). Go's
+// complex multiply keeps the products by the zero imaginary part, so
+// the kernel computes them too.
+func scaleBins(dst, src []complex128, c complex128) {
+	n := scaleBinsVec(dst, src, c)
+	scaleBinsGo(dst[n:], src[n:], c)
+}
+
+//go:noinline
+func scaleBinsGo(dst, src []complex128, c complex128) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = v * c
+	}
+}
+
+// hermitianPairs sets, for every i of a with j = len(b)−1−i (b as
+// long), h = ((a[i].re + b[j].re)/2, (a[i].im − b[j].im)/2), then
+// a[i] = h and b[j] = conj(h): each pair of mirrored bins to its
+// Hermitian part. a and b are disjoint or, for one bin paired with
+// itself, the same single bin, which ends as conj(h).
+func hermitianPairs(a, b []complex128) {
+	n := hermitianPairsVec(a, b)
+	hermitianPairsGo(a[n:], b[:len(b)-n])
+}
+
+//go:noinline
+func hermitianPairsGo(a, b []complex128) {
+	b = b[:len(a)]
+	for i, x := range a {
+		j := len(b) - 1 - i
+		y := b[j]
+		h := complex((real(x)+real(y))/2, (imag(x)-imag(y))/2)
+		a[i], b[j] = h, complex(real(h), -imag(h))
 	}
 }
 

@@ -19,6 +19,10 @@ var conjMask = [4]uint64{0, 1 << 63, 0, 1 << 63}
 // ones holds 1.0 in four lanes, the 1 of costSensAVX2's 1 − r.
 var ones = [4]float64{1, 1, 1, 1}
 
+// halves holds 0.5 in four lanes, hermitianPairsAVX2's /2 (an exact
+// halving, as the Go loop's, which the compiler turns into × 0.5).
+var halves = [4]float64{0.5, 0.5, 0.5, 0.5}
+
 func reduceVec(d []float64, f []complex128, w float64) int {
 	if !kernelsAVX2OK {
 		return 0
@@ -48,6 +52,17 @@ func addVec(dst, src []float64) int {
 	n := len(dst) &^ 3
 	if n > 0 {
 		addAVX2(dst[:n], src[:n])
+	}
+	return n
+}
+
+func setVec(dst, src []float64) int {
+	if !kernelsAVX2OK {
+		return 0
+	}
+	n := len(dst) &^ 3
+	if n > 0 {
+		setAVX2(dst[:n], src[:n])
 	}
 	return n
 }
@@ -112,4 +127,42 @@ func adjointAVX2(e []complex128, w []float64)
 func addAVX2(dst, src []float64)
 
 //go:noescape
+func setAVX2(dst, src []float64)
+
+//go:noescape
 func costSensAVX2(grp *sweepGroup)
+
+// scaleBinsAVX2 and hermitianPairsAVX2 take a length that is a multiple
+// of 2; hermitianPairsAVX2 pairs a[i] with b[len(b)−1−i] and needs a
+// and b disjoint.
+//
+//go:noescape
+func scaleBinsAVX2(dst, src []complex128, cr, ci float64)
+
+//go:noescape
+func hermitianPairsAVX2(a, b []complex128)
+
+func scaleBinsVec(dst, src []complex128, c complex128) int {
+	if !kernelsAVX2OK {
+		return 0
+	}
+	n := len(dst) &^ 1
+	if n > 0 {
+		scaleBinsAVX2(dst[:n], src[:n], real(c), imag(c))
+	}
+	return n
+}
+
+// hermitianPairsVec runs hermitianPairsAVX2 over the longest prefix of a
+// whose length is a multiple of 2 and the matching suffix of b, and
+// returns that length.
+func hermitianPairsVec(a, b []complex128) int {
+	if !kernelsAVX2OK {
+		return 0
+	}
+	n := len(a) &^ 1
+	if n > 0 {
+		hermitianPairsAVX2(a[:n], b[len(b)-n:])
+	}
+	return n
+}

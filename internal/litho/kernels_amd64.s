@@ -116,6 +116,108 @@ addLoop:
 addDone:
 	RET
 
+// func setAVX2(dst, src []float64)
+//
+// dst = src + 0, src the first source (one NaN source at most).
+TEXT ·setAVX2(SB), NOSPLIT, $0-48
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	SHRQ         $2, CX
+	JZ           setDone
+	VXORPD       Y1, Y1, Y1            // +0
+
+setLoop:
+	VADDPD       (SI), Y1, Y0
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          setLoop
+	VZEROUPPER
+
+setDone:
+	RET
+
+// func scaleBinsAVX2(dst, src []complex128, cr, ci float64)
+//
+// dst = v·c with v = src, as Go's complex multiply compiles in
+// scaleBinsGo:
+//
+//	re = v.re·c.re − c.im·v.im       first sources v.re, c.im
+//	im = c.im·v.re + v.im·c.re       first sources c.im, v.im
+//
+// P = [v.re, c.im]·[c.re, v.re] (VBLENDPD, VUNPCKLPD), Q = [c.im, v.im]·
+// [v.im, c.re] (VUNPCKHPD, VSHUFPD), and VADDSUBPD gives P − Q in the
+// real lanes and P + Q in the imaginary ones.
+TEXT ·scaleBinsAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	SHRQ         $1, CX
+	JZ           scaleDone
+	VBROADCASTSD cr+48(FP), Y14
+	VBROADCASTSD ci+56(FP), Y13
+	VBLENDPD     $0xa, Y13, Y14, Y14   // C = c.re c.im
+
+scaleLoop:
+	VMOVUPD      (SI), Y0              // v
+	VBLENDPD     $0xa, Y14, Y0, Y2     // v.re c.im
+	VUNPCKLPD    Y0, Y14, Y3           // c.re v.re
+	VMULPD       Y3, Y2, Y2
+	VUNPCKHPD    Y0, Y14, Y4           // c.im v.im
+	VSHUFPD      $0x5, Y14, Y0, Y5     // v.im c.re
+	VMULPD       Y5, Y4, Y4
+	VADDSUBPD    Y4, Y2, Y2
+	VMOVUPD      Y2, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          scaleLoop
+	VZEROUPPER
+
+scaleDone:
+	RET
+
+// func hermitianPairsAVX2(a, b []complex128)
+//
+// hermitianPairsGo: with x = a[i] and y = b[len(b)−1−i] (two of b's
+// bins loaded from the end backwards and swapped by VPERMPD),
+// h = [(x.re + y.re)·0.5, (x.im − y.im)·0.5], x the first source of the
+// sum and the difference (VADDPD, VSUBPD, VBLENDPD, VMULPD); a[i] = h
+// and b[j] = conj(h), the sign of h.im flipped (VXORPD).
+TEXT ·hermitianPairsAVX2(SB), NOSPLIT, $0-48
+	MOVQ         a_base+0(FP), DI
+	MOVQ         a_len+8(FP), CX
+	MOVQ         b_base+24(FP), SI
+	MOVQ         CX, AX
+	SHRQ         $1, CX
+	JZ           hermDone
+	SHLQ         $4, AX
+	LEAQ         -32(SI)(AX*1), SI     // b's last two bins
+	VMOVUPD      ·halves(SB), Y15
+	VMOVUPD      ·conjMask(SB), Y14
+
+hermLoop:
+	VMOVUPD      (DI), Y0              // x
+	VPERMPD      $0x4e, (SI), Y1       // y, reversed
+	VADDPD       Y1, Y0, Y2            // x + y
+	VSUBPD       Y1, Y0, Y3            // x − y
+	VBLENDPD     $0xa, Y3, Y2, Y2
+	VMULPD       Y15, Y2, Y2           // h
+	VMOVUPD      Y2, (DI)
+	VXORPD       Y14, Y2, Y2           // conj(h)
+	VPERMPD      $0x4e, Y2, Y2
+	VMOVUPD      Y2, (SI)
+	ADDQ         $32, DI
+	SUBQ         $32, SI
+	DECQ         CX
+	JNZ          hermLoop
+	VZEROUPPER
+
+hermDone:
+	RET
+
 // Offsets into sweepGroup.
 #define G_R 0
 #define G_W 24

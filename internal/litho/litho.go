@@ -179,6 +179,7 @@ type Simulator struct {
 	opWs     []*grid.Field // per bank: the W the adjoint multiplies
 	opTarget *grid.Field
 	opGrad   *grid.Field
+	opSet    bool            // applyBody sets the gradient (0 + x) rather than adding
 	opBand   int             // copyBand's and accumBody's row band
 	opCopy   [2]*grid.CField // copyBand's destination and source
 
@@ -293,7 +294,11 @@ func (s *Simulator) bindBodies() {
 		}
 	}
 	s.applyBody = func(lo, hi int) {
-		addInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
+		if s.opSet {
+			setInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
+		} else {
+			addInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
+		}
 	}
 	s.accumBody = func(lo, hi int) {
 		n, fields := s.GridSize(), s.opFields

@@ -1,6 +1,8 @@
 package litho
 
 import (
+	"fmt"
+
 	"lsopc/internal/grid"
 )
 
@@ -84,16 +86,17 @@ func (s *Simulator) copyBand(dst, src *grid.CField, band int) {
 }
 
 // copyBandRow is copyBand's row v: zero dst's wrapped row v, then copy
-// the box bins of src's row v into it, times scale.
+// the box bins of src's row v into it, times scale. The box row is two
+// runs, contiguous on both grids: u ∈ [0, band] at the start of the row
+// and u ∈ [−band, −1] at its end; the bins between them are zeroed.
 func copyBandRow(dst, src *grid.CField, v, band int, scale float64) {
 	n, m := dst.W, src.W
 	c := complex(scale, 0)
 	row := dst.Data[((v+n)%n)*n : ((v+n)%n+1)*n]
-	clear(row)
 	srow := src.Data[((v+m)%m)*m : ((v+m)%m+1)*m]
-	for u := -band; u <= band; u++ {
-		row[(u+n)%n] = srow[(u+m)%m] * c
-	}
+	clear(row[band+1 : n-band])
+	scaleBins(row[:band+1], srow[:band+1], c)
+	scaleBins(row[n-band:], srow[m-band:], c)
 }
 
 // bandRow returns the signed row of item r of a sweep over the 2·band+1
@@ -108,28 +111,26 @@ func bandRow(r, band int) int {
 // hermitianPart replaces the wrapped box |u|, |v| ≤ band of c by its
 // Hermitian part (c(k) + conj c(−k))/2, bin pairs set exactly conjugate,
 // so a real-output inverse of the box gives Re of the complex inverse.
-// A band covering the grid symmetrises every bin.
+// The box must be narrower than the grid (2·band+1 < n), as a kernel
+// box is on an even grid.
+//
+// Row v of the box pairs with row −v, so rows 1…band are visited with
+// their mirrors and row 0 with itself. In row v, bin u pairs with bin
+// −u of the mirror: u = 0 with 0, and each run of the row with the
+// other run of the mirror, backwards (hermitianPairs). Every pair is
+// set once, the self-paired bin (0, 0) included.
 func hermitianPart(c *grid.CField, band int) {
 	n := c.W
-	in := func(f int) bool { return 2*band+1 >= n || f <= band || f >= n-band }
-	for v := 0; v < n; v++ {
-		if !in(v) {
-			continue
-		}
+	if 2*band+1 >= n {
+		panic(fmt.Sprintf("litho: Hermitian box of band %d does not fit a %d grid", band, n))
+	}
+	for v := 0; v <= band; v++ {
 		row := c.Data[v*n : (v+1)*n]
 		mirror := c.Data[((n-v)%n)*n : ((n-v)%n+1)*n]
-		for u := range row {
-			if !in(u) {
-				continue
-			}
-			mu := (n - u) % n
-			i, j := v*n+u, ((n-v)%n)*n+mu
-			if i > j {
-				continue
-			}
-			a, b := row[u], mirror[mu]
-			h := complex((real(a)+real(b))/2, (imag(a)-imag(b))/2)
-			row[u], mirror[mu] = h, complex(real(h), -imag(h))
+		hermitianPairs(row[:1], mirror[:1])
+		hermitianPairs(row[1:band+1], mirror[n-band:])
+		if v > 0 {
+			hermitianPairs(row[n-band:], mirror[1:band+1])
 		}
 	}
 }

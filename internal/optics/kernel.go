@@ -78,23 +78,22 @@ func (k Kernel) MulInto(dst, src *grid.CField) {
 // their wrapped src index and written at their wrapped dst index, so the
 // product lands on the m×m grid that holds the band-limited field
 // exactly (the reduced SOCS grid). On equal grids the indices coincide.
+//
+// Each box row splits into two runs that are contiguous on both grids:
+// u ∈ [−R, −1] at the end of the row and u ∈ [0, R] at its start. The
+// bins between them are zeroed; mulBins writes the runs, +0 for a
+// zero-valued kernel bin.
 func (k Kernel) MulIntoBand(dst, src *grid.CField) {
 	n, m := k.checkPair(dst, src, "MulIntoBand")
-	side := k.boxSide()
+	side, r := k.boxSide(), k.R
 	for bv := 0; bv < side; bv++ {
-		v := bv - k.R
+		v := bv - r
 		row := dst.Data[gridIndex(0, v, m) : gridIndex(0, v, m)+m]
-		for i := range row {
-			row[i] = 0
-		}
-		for bu := 0; bu < side; bu++ {
-			c := k.Box.Data[bv*side+bu]
-			if c == 0 {
-				continue
-			}
-			u := bu - k.R
-			row[gridIndex(u, 0, m)] = src.Data[gridIndex(u, v, n)] * c
-		}
+		srow := src.Data[gridIndex(0, v, n) : gridIndex(0, v, n)+n]
+		box := k.Box.Data[bv*side : (bv+1)*side]
+		clear(row[r+1 : m-r])
+		mulBins(row[m-r:], srow[n-r:], box[:r])
+		mulBins(row[:r+1], srow[:r+1], box[r:])
 	}
 }
 
@@ -119,17 +118,15 @@ func (k Kernel) AccumFlipMulRow(dst, src *grid.CField, w complex128, v int) {
 	if v < -k.R || v > k.R {
 		return
 	}
-	side := k.boxSide()
+	side, r := k.boxSide(), k.R
 	// spectrum(flip(h))(u, v) = spectrum(h)(−u, −v): dst row v reads box
-	// row −v.
-	box := k.Box.Data[(k.R-v)*side : (k.R-v+1)*side]
-	for bu, c := range box {
-		if c == 0 {
-			continue
-		}
-		u := k.R - bu
-		dst.Data[gridIndex(u, v, n)] += w * src.Data[gridIndex(u, v, m)] * c
-	}
+	// row −v, bin u at box column R − u. So each of the row's two runs,
+	// u ∈ [0, R] and u ∈ [−R, −1], reads its box columns in reverse.
+	box := k.Box.Data[(r-v)*side : (r-v+1)*side]
+	drow := dst.Data[gridIndex(0, v, n) : gridIndex(0, v, n)+n]
+	srow := src.Data[gridIndex(0, v, m) : gridIndex(0, v, m)+m]
+	accumFlip(drow[:r+1], srow[:r+1], box[:r+1], w)
+	accumFlip(drow[n-r:], srow[m-r:], box[r+1:], w)
 }
 
 // checkPair panics unless small and large are square grids with small

@@ -3,6 +3,7 @@ package pixelilt
 import (
 	"math"
 
+	"lsopc/internal/engine"
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
@@ -21,7 +22,8 @@ import (
 // levelProgram adapts the pixel baselines to solve.RunLevels.
 type levelProgram struct {
 	opts       Options
-	mask, gray *grid.Field // the full-resolution level's final masks
+	eng        *engine.Engine // the run's engine, which the hand-off runs on
+	mask, gray *grid.Field    // the full-resolution level's final masks
 }
 
 // Level builds the stepper and driver for one resolution level.
@@ -37,10 +39,11 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 	return s.driver(), finish, s.release, nil
 }
 
-// Upsample lifts θ onto the 2× finer grid by spectral interpolation —
-// no redistancing: θ is a sigmoid input, not a signed distance.
+// Upsample lifts θ onto the 2× finer grid by spectral interpolation on
+// the run's engine — no redistancing: θ is a sigmoid input, not a
+// signed distance.
 func (p *levelProgram) Upsample(theta *grid.Field) *grid.Field {
-	return levelset.UpsampleSpectral(theta, 2)
+	return levelset.UpsampleSpectral(theta, 2, p.eng)
 }
 
 // TraceName tags level_switch events with the variant name.

@@ -208,7 +208,7 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	prog := &levelProgram{opts: opts}
+	prog := &levelProgram{opts: opts, eng: sim.Engine()}
 	sched := solve.Plan(opts.MaxIter, opts.MultiResFactor)
 	out, err := solve.RunLevels(ctx, sim, target, sched, prog, 0, from)
 	if err != nil {
@@ -324,7 +324,6 @@ func (s *stepper) Eval(i int) solve.Stats {
 	s.sim.MaskSpectrumInto(s.spec, s.mask)
 
 	corners, weights := s.opts.cornerPlan(i)
-	s.gradM.Zero()
 	// The whole plan runs as one litho call (one adjoint for every
 	// corner); costs still sum in plan order.
 	s.corners = s.corners[:0]

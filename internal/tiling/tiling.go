@@ -320,6 +320,7 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 		res: res, cfg: cfg, pitch: pitch,
 		chip: chip, grid: g,
 		opts: opts, sink: sink, trace: trace, stitchIters: stitchIters,
+		eng:   eng,
 		subs:  eng.Split(workers),
 		psis:  make([]*grid.Field, len(g.Tiles)),
 		stats: make([]TileStat, len(g.Tiles)),
@@ -347,8 +348,13 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 			return nil, err
 		}
 		passStart := time.Now()
-		chipPsi := r.blend()
-		if err := r.runPass(ctx, p, dirty, chipPsi); err != nil {
+		// The tiles copy their windows out of the blend, so it goes
+		// back to the pool once the pass is done.
+		chipPsi := res.Pool().Field(g.ChipW/pitch, g.ChipH/pitch)
+		r.blend(chipPsi)
+		err := r.runPass(ctx, p, dirty, chipPsi)
+		res.Pool().PutField(chipPsi)
+		if err != nil {
 			return nil, err
 		}
 		seam, dirty = r.seamDisagreement()
@@ -362,7 +368,8 @@ func Optimize(ctx context.Context, res *rt.Bank, cfg litho.Config, eng *engine.E
 		}
 	}
 
-	chipPsi := r.blend()
+	chipPsi := grid.NewField(g.ChipW/pitch, g.ChipH/pitch)
+	r.blend(chipPsi)
 	mask := grid.NewField(chipPsi.W, chipPsi.H)
 	levelset.MaskFromPsi(mask, chipPsi)
 	return &Result{
@@ -384,7 +391,8 @@ type runner struct {
 	opts  Options
 	sink  obs.Sink
 	trace string
-	subs  []*engine.Engine
+	eng   *engine.Engine   // the run's engine: blend sweeps its rows
+	subs  []*engine.Engine // one per tile worker
 
 	stitchIters int
 	lastRun     []int
@@ -538,68 +546,103 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 	return nil
 }
 
-// blend accumulates every tile's window ψ into a chip-resolution field
-// under separable ramp weights: weight rises linearly from the window
-// edge over the halo width, is 1 throughout the core, and window sides
-// flush with the chip edge (clamped windows) weigh 1 since no other
-// tile covers them. The accumulated sum is normalised by the weight
-// sum, so single-coverage pixels pass through exactly and seam pixels
-// cross-fade between neighbours.
-func (r *runner) blend() *grid.Field {
-	cw, ch := r.chip.W/r.pitch, r.chip.H/r.pitch
-	num, den := grid.NewField(cw, ch), grid.NewField(cw, ch)
-	haloPx := r.grid.HaloNM / r.pitch
+// blend accumulates every tile's window ψ into num, a zeroed
+// chip-resolution field, under separable ramp weights: weight rises
+// linearly from the window edge over the halo width, is 1 throughout
+// the core, and window sides flush with the chip edge (clamped windows)
+// weigh 1 since no other tile covers them. The accumulated sum is
+// normalised by the weight sum, so single-coverage pixels pass through
+// exactly and seam pixels cross-fade between neighbours. The rows run
+// on the run's engine; each pixel adds its tiles in index order. A
+// row's weight sum is only needed for that row, so it lives in one
+// row of scratch per engine chunk.
+func (r *runner) blend(num *grid.Field) {
 	wpx := r.grid.WindowNM / r.pitch
-	ramp := func(dLo, dHi int, openLo, openHi bool) float64 {
-		w := 1.0
-		if openLo && haloPx > 0 {
-			w = math.Min(w, float64(dLo+1)/float64(haloPx))
-		}
-		if openHi && haloPx > 0 {
-			w = math.Min(w, float64(dHi+1)/float64(haloPx))
-		}
-		return w
-	}
-	for ti, psi := range r.psis {
-		if psi == nil {
-			continue
-		}
-		t := r.grid.Tiles[ti]
-		x0, y0 := t.Window.X0/r.pitch, t.Window.Y0/r.pitch
-		for y := 0; y < wpx; y++ {
-			wy := ramp(y, wpx-1-y, t.Window.Y0 > 0, t.Window.Y1 < r.chip.H)
-			srow := psi.Row(y)
-			nrow := num.Row(y0 + y)
-			drow := den.Row(y0 + y)
-			for x := 0; x < wpx; x++ {
-				w := wy * ramp(x, wpx-1-x, t.Window.X0 > 0, t.Window.X1 < r.chip.W)
-				nrow[x0+x] += w * srow[x]
-				drow[x0+x] += w
+	ramps := windowRamps(wpx, r.grid.HaloNM/r.pitch)
+	r.eng.ForChunk(num.H, func(lo, hi int) {
+		drow := make([]float64, num.W)
+		for cy := lo; cy < hi; cy++ {
+			nrow := num.Row(cy)
+			clear(drow)
+			for ti, psi := range r.psis {
+				t := r.grid.Tiles[ti]
+				y0 := t.Window.Y0 / r.pitch
+				if psi == nil || cy < y0 || cy >= y0+wpx {
+					continue
+				}
+				y, x0 := cy-y0, t.Window.X0/r.pitch
+				wy := ramps[b2i(t.Window.Y0 > 0)][b2i(t.Window.Y1 < r.chip.H)][y]
+				wx := ramps[b2i(t.Window.X0 > 0)][b2i(t.Window.X1 < r.chip.W)]
+				srow, n, d := psi.Row(y), nrow[x0:x0+wpx], drow[x0:x0+wpx]
+				for x, v := range srow {
+					w := wy * wx[x]
+					n[x] += w * v
+					d[x] += w
+				}
+			}
+			for x, d := range drow {
+				if d > 0 {
+					nrow[x] /= d
+				}
 			}
 		}
-	}
-	for i, d := range den.Data {
-		if d > 0 {
-			num.Data[i] /= d
+	})
+}
+
+// windowRamps returns blend's per-axis weights for a window of wpx
+// pixels: ramps[lo][hi][d] is the weight at distance d from the window's
+// low edge when that edge is open (lo = 1, another tile covers it) or
+// flush with the chip (0), and likewise the high edge. An open edge
+// ramps up over the halo: min(1, (d+1)/halo).
+func windowRamps(wpx, haloPx int) (ramps [2][2][]float64) {
+	for lo := range 2 {
+		for hi := range 2 {
+			r := make([]float64, wpx)
+			for d := range r {
+				w := 1.0
+				if lo == 1 && haloPx > 0 {
+					w = math.Min(w, float64(d+1)/float64(haloPx))
+				}
+				if hi == 1 && haloPx > 0 {
+					w = math.Min(w, float64(wpx-d)/float64(haloPx))
+				}
+				r[d] = w
+			}
+			ramps[lo][hi] = r
 		}
 	}
-	return num
+	return ramps
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // seamDisagreement returns the worst mask disagreement fraction over
 // every overlapping tile pair's shared window region, plus the indices
 // of non-empty tiles involved in a pair above seamTolerance (the tiles
-// a stitch pass re-optimizes).
+// a stitch pass re-optimizes). A pixel is inside a window where its ψ
+// is < 0; a tile that has not run is outside everywhere.
 func (r *runner) seamDisagreement() (float64, []int) {
 	worst := 0.0
 	dirtySet := map[int]bool{}
-	inside := func(ti, cx, cy int) bool {
-		psi := r.psis[ti]
-		if psi == nil {
-			return false
+	wpx := r.grid.WindowNM / r.pitch
+	outside := make([]float64, wpx)
+	for x := range outside {
+		outside[x] = 1
+	}
+	// window returns tile ti's ψ over the chip pixels [px0, px1) of row
+	// cy.
+	window := func(ti, cy, px0, px1 int) []float64 {
+		w := r.grid.Tiles[ti].Window
+		x0, y0 := w.X0/r.pitch, w.Y0/r.pitch
+		if r.psis[ti] == nil {
+			return outside[px0-x0 : px1-x0]
 		}
-		t := r.grid.Tiles[ti]
-		return psi.At(cx-t.Window.X0/r.pitch, cy-t.Window.Y0/r.pitch) < 0
+		return r.psis[ti].Row(cy - y0)[px0-x0 : px1-x0]
 	}
 	for i := 0; i < len(r.grid.Tiles); i++ {
 		for j := i + 1; j < len(r.grid.Tiles); j++ {
@@ -615,8 +658,9 @@ func (r *runner) seamDisagreement() (float64, []int) {
 			}
 			cnt := 0
 			for cy := py0; cy < py1; cy++ {
-				for cx := px0; cx < px1; cx++ {
-					if inside(i, cx, cy) != inside(j, cx, cy) {
+				a, b := window(i, cy, px0, px1), window(j, cy, px0, px1)
+				for x, v := range a {
+					if (v < 0) != (b[x] < 0) {
 						cnt++
 					}
 				}

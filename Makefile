@@ -20,33 +20,9 @@
 #               tiled sparse chip within 1.67 of one monolithic window
 #   make benchsmoke - the repository benchmark's own smoke test; bench/
 #               is a nested module that the root go test never compiles
-#   make fuzz    - 10 s per fuzz target over the untrusted-input parsers
-#               (GLP layouts, GDSII streams, PGM masks, gob checkpoints),
-#               the 1-D FFT kernel against its reference loop, the
-#               FFT column passes' AVX2 movement kernels (gathers,
-#               scatters, real-row pack) against their Go loops, the
-#               real-output banded inverse against the complex one, the
-#               real-input forward against the reference 2-D algorithm,
-#               the reduced-grid SOCS aerial and gradient against the dense
-#               full-grid reference, the inline resist sigmoid against
-#               the math.Exp form, its AVX2 kernel against its Go loop,
-#               the per-pixel AVX2 kernels (|∇ψ| through the Hypot
-#               replica, the SOCS reduce, the adjoint product, the
-#               gradient apply and set, the resist sweep's cost and
-#               sensitivity pass, the band rescale and Hermitian
-#               pairing in litho; the tail's gradient sums and velocity
-#               in core; the axpy in grid; the mask in levelset)
-#               against their Go loops, the band-box AVX2 kernels (the
-#               band multiply and flipped accumulate in optics, the
-#               real-row unpack in fft) against their Go loops,
-#               the exact distance transform (SignedDistance,
-#               Reinitialize) against a brute-force reference, the
-#               fast-sweeping redistancing (ReinitializeFMM) against
-#               the fast march it replaced, the offline trace fold (analyze.Parse) against the
-#               live run registry, the postmortem bundle reader
-#               (recorder.Open), the live HTTP handlers' query, type
-#               filter and dump reason parsing, and resuming from a
-#               checkpoint whose iteration offset does not fit the run
+#   make fuzz    - 10 s per fuzz target, every Fuzz* function of every
+#               package (untrusted-input decoders, kernels against their
+#               reference loops, trace folds, resume offsets)
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
 #               every package builds without the amd64 assembly (FFT
 #               butterflies, column-pass movement kernels and real-row
@@ -142,44 +118,21 @@ benchgate:
 benchsmoke:
 	cd bench && $(GO) test ./...
 
-# Fuzz smoke: each target runs for 10 s on its own (go test -fuzz
-# accepts one target per call). Minimising each new interesting input
-# is capped at 200 runs: uncapped, shrinking one ~1.6 KB gob checkpoint
-# can use up the whole 10 s. Failing inputs land in the package's
-# testdata/fuzz directory, where the plain go test replays them.
+# Fuzz smoke: each Fuzz* target of every package runs for 10 s on its
+# own (go test -fuzz accepts one target per call); go test -list finds
+# them, so a new or deleted target needs no edit here. Minimising each
+# new interesting input is capped at 200 runs: uncapped, shrinking one
+# ~1.6 KB gob checkpoint can use up the whole 10 s. Failing inputs land
+# in the package's testdata/fuzz directory, where the plain go test
+# replays them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseGLP$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/geom
-	$(GO) test -run '^$$' -fuzz '^FuzzReadGDS$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/gds
-	$(GO) test -run '^$$' -fuzz '^FuzzReadPGM$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/render
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/solve
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
-	$(GO) test -run '^$$' -fuzz '^FuzzColumnMovesMatchGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
-	$(GO) test -run '^$$' -fuzz '^FuzzInverseRealBandedMatchesComplex$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
-	$(GO) test -run '^$$' -fuzz '^FuzzForwardRealMatchesTextbook$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
-	$(GO) test -run '^$$' -fuzz '^FuzzReducedMatchesReference$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidMatchesExp$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
-	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
-	$(GO) test -run '^$$' -fuzz '^FuzzGradMagKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
-	$(GO) test -run '^$$' -fuzz '^FuzzReduceKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzAdjointKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzAddKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzCostSensKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzSetKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzScaleBinsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzHermitianKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/litho
-	$(GO) test -run '^$$' -fuzz '^FuzzGradSumsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzVelocityKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzAddScaledKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/grid
-	$(GO) test -run '^$$' -fuzz '^FuzzMaskKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
-	$(GO) test -run '^$$' -fuzz '^FuzzMulBinsKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/optics
-	$(GO) test -run '^$$' -fuzz '^FuzzAccumFlipKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/optics
-	$(GO) test -run '^$$' -fuzz '^FuzzUnpackKernelMatchesGo$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/fft
-	$(GO) test -run '^$$' -fuzz '^FuzzSignedDistanceMatchesBruteForce$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
-	$(GO) test -run '^$$' -fuzz '^FuzzSweepMatchesMarch$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/levelset
-	$(GO) test -run '^$$' -fuzz '^FuzzFoldLiveMatchesOffline$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/analyze
-	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs/recorder
-	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandlers$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzResumeAtOffset$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for t in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s -fuzzminimizetime 200x $$pkg; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -188,7 +141,7 @@ vet:
 # scatters, real-row pack) and the real-row unpack of internal/fft, the
 # resist sigmoid and the axpy of internal/grid, |∇ψ| and the mask of
 # internal/levelset, the per-pixel and band loops of internal/litho
-# (SOCS reduce, adjoint product, gradient apply and set, the resist
+# (SOCS reduce, adjoint product, gradient set, the resist
 # sweep's cost and sensitivity pass, band rescale, Hermitian pairing),
 # the band-box loops of internal/optics and the tail sweeps of
 # internal/core have AVX2 assembly kernels on amd64 (chosen by the CPU

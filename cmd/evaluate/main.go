@@ -61,10 +61,6 @@ func run(caseID, glpPath, maskPath, presetStr string, rtSec float64) error {
 		if err != nil {
 			return err
 		}
-		if loaded.W != pipe.GridSize() || loaded.H != pipe.GridSize() {
-			return fmt.Errorf("mask %dx%d does not match the %s preset grid (%d px)",
-				loaded.W, loaded.H, preset, pipe.GridSize())
-		}
 		bin := &lsopc.Field{W: loaded.W, H: loaded.H, Data: make([]float64, len(loaded.Data))}
 		bin.Binarize(loaded)
 		mask = bin

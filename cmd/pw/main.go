@@ -66,9 +66,6 @@ func run(caseID, glpPath, maskPath, presetStr, cutStr string, targetCD, tol floa
 		if err != nil {
 			return err
 		}
-		if loaded.W != pipe.GridSize() {
-			return fmt.Errorf("mask %dx%d does not match the %d-px grid", loaded.W, loaded.H, pipe.GridSize())
-		}
 		bin := lsopc.NewField(loaded.W, loaded.H)
 		bin.Binarize(loaded)
 		mask = bin

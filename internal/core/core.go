@@ -176,30 +176,6 @@ type Result struct {
 	Snapshots []solve.Snapshot
 }
 
-// FinalCost returns the total cost at the last iteration.
-func (r *Result) FinalCost() float64 {
-	if len(r.History) == 0 {
-		return math.NaN()
-	}
-	return r.History[len(r.History)-1].Cost
-}
-
-// BestCost returns the lowest total cost seen during the run; for a
-// single-resolution run it is the cost of the returned (keep-best)
-// mask.
-func (r *Result) BestCost() float64 {
-	if len(r.History) == 0 {
-		return math.NaN()
-	}
-	best := r.History[0].Cost
-	for _, h := range r.History[1:] {
-		if h.Cost < best {
-			best = h.Cost
-		}
-	}
-	return best
-}
-
 // Optimizer runs level-set ILT for one target. Not safe for concurrent
 // use (it owns the simulator's scratch). All of its working memory is
 // leased from the simulator's pool at construction and returned by

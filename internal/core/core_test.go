@@ -11,6 +11,30 @@ import (
 	"lsopc/internal/litho"
 )
 
+// FinalCost returns the total cost at the last iteration.
+func (r *Result) FinalCost() float64 {
+	if len(r.History) == 0 {
+		return math.NaN()
+	}
+	return r.History[len(r.History)-1].Cost
+}
+
+// BestCost returns the lowest total cost seen during the run; for a
+// single-resolution run it is the cost of the returned (keep-best)
+// mask.
+func (r *Result) BestCost() float64 {
+	if len(r.History) == 0 {
+		return math.NaN()
+	}
+	best := r.History[0].Cost
+	for _, h := range r.History[1:] {
+		if h.Cost < best {
+			best = h.Cost
+		}
+	}
+	return best
+}
+
 // newTestSim builds a 64-px simulator (32 nm/px, 2048 nm field) with few
 // kernels so full optimization runs stay fast.
 func newTestSim(t *testing.T, kernels int) *litho.Simulator {

@@ -201,7 +201,7 @@ func TestFusedTailMatchesReference(t *testing.T) {
 					ref := referenceTail(psi, G, gPrev, vPrev, tc.withPrev, lambda)
 					label := fmt.Sprintf("%s/%dpx/%d workers", tc.name, n, workers)
 					gm := grid.NewField(n, n)
-					levelset.GradMag(gm, psi)
+					levelset.GradMagRows(gm, psi, 0, psi.H)
 					fieldsIdentical(t, label+" |∇ψ|", gm, ref.gmag)
 					// The sweeps leave g in gPrev: the next iteration's
 					// g_prev is this one's g, swapped in, not copied.

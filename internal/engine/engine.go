@@ -83,9 +83,6 @@ func (e *Engine) Name() string { return e.name }
 // String implements fmt.Stringer.
 func (e *Engine) String() string { return fmt.Sprintf("engine(%s, %d workers)", e.name, e.workers) }
 
-// Serial reports whether the engine runs with a single worker.
-func (e *Engine) Serial() bool { return e.workers == 1 }
-
 // InstrumentBusy attaches a per-worker busy-time accumulator to the
 // engine and returns the engine for chaining. Pass nil to detach. The
 // accumulator should have at least Workers() slots; out-of-range slots

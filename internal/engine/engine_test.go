@@ -20,14 +20,14 @@ func TestNewClampsWorkers(t *testing.T) {
 
 func TestCPUAndGPUConstructors(t *testing.T) {
 	c := CPU()
-	if !c.Serial() || c.Name() != "cpu" {
+	if c.Workers() != 1 || c.Name() != "cpu" {
 		t.Fatalf("CPU() = %v", c)
 	}
 	g := GPU()
 	if g.Workers() != runtime.NumCPU() || g.Name() != "gpu" {
 		t.Fatalf("GPU() = %v", g)
 	}
-	if runtime.NumCPU() > 1 && g.Serial() {
+	if runtime.NumCPU() > 1 && g.Workers() == 1 {
 		t.Fatal("GPU engine should not be serial on multicore hosts")
 	}
 }
@@ -184,7 +184,7 @@ func TestSplitMorePartsThanWorkersStillExecutes(t *testing.T) {
 		t.Fatalf("Split(5) produced %d sub-engines", len(subs))
 	}
 	for i, sub := range subs {
-		if !sub.Serial() {
+		if sub.Workers() != 1 {
 			t.Fatalf("sub %d has %d workers, want serial", i, sub.Workers())
 		}
 		const n = 100

@@ -242,15 +242,6 @@ func (p *BatchPlan2D) bindRealBody() {
 	p.rowRealBody = p.realRows
 }
 
-// W returns the plan width.
-func (p *BatchPlan2D) W() int { return p.w }
-
-// H returns the plan height.
-func (p *BatchPlan2D) H() int { return p.h }
-
-// Engine returns the execution engine the plan schedules on.
-func (p *BatchPlan2D) Engine() *engine.Engine { return p.eng }
-
 func (p *BatchPlan2D) check(fields []*grid.CField) {
 	for _, f := range fields {
 		if f.W != p.w || f.H != p.h {

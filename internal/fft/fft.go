@@ -126,16 +126,6 @@ func reverseBits(v uint32, bits int) uint32 {
 // It panics if len(x) differs from the plan length.
 func (p *Plan) Forward(x []complex128) { p.transform(x, p.tw) }
 
-// Inverse computes the in-place inverse DFT of x, including the 1/n
-// normalisation, so Inverse∘Forward is the identity.
-func (p *Plan) Inverse(x []complex128) {
-	p.transform(x, p.twinv)
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
 // twiddleTable returns the stage-major twiddles of the inverse or the
 // forward transform.
 func (p *Plan) twiddleTable(inverse bool) []complex128 {

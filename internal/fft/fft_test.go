@@ -13,6 +13,17 @@ import (
 	"lsopc/internal/obs"
 )
 
+// Inverse computes the in-place inverse DFT of x, including the 1/n
+// normalisation, so Inverse∘Forward is the identity: the 1-D inverse
+// the batch passes and the 2-D reference are checked against.
+func (p *Plan) Inverse(x []complex128) {
+	p.transform(x, p.twinv)
+	inv := complex(1/float64(p.n), 0)
+	for i := range x {
+		x[i] *= inv
+	}
+}
+
 // naiveDFT is the O(n²) reference transform.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)

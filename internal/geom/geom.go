@@ -47,11 +47,6 @@ func (r Rect) Area() int { return r.W() * r.H() }
 // Empty reports whether the rectangle has zero area.
 func (r Rect) Empty() bool { return r.X0 >= r.X1 || r.Y0 >= r.Y1 }
 
-// Contains reports whether p lies inside the half-open rectangle.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
-}
-
 // Intersects reports whether r and s share any area.
 func (r Rect) Intersects(s Rect) bool {
 	return r.X0 < s.X1 && s.X0 < r.X1 && r.Y0 < s.Y1 && s.Y0 < r.Y1

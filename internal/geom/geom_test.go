@@ -24,16 +24,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectContainsHalfOpen(t *testing.T) {
-	r := NewRect(0, 0, 10, 10)
-	if !r.Contains(Point{0, 0}) || !r.Contains(Point{9, 9}) {
-		t.Fatal("corner containment wrong")
-	}
-	if r.Contains(Point{10, 5}) || r.Contains(Point{5, 10}) {
-		t.Fatal("half-open boundary must be excluded")
-	}
-}
-
 func TestRectIntersectsAndUnion(t *testing.T) {
 	a := NewRect(0, 0, 10, 10)
 	b := NewRect(5, 5, 15, 15)

@@ -87,15 +87,6 @@ func (c *CField) Mul(a, b *CField) {
 	}
 }
 
-// MulConj sets c = a ⊙ conj(b) element-wise.
-func (c *CField) MulConj(a, b *CField) {
-	c.mustMatch(a, "MulConj")
-	c.mustMatch(b, "MulConj")
-	for i := range c.Data {
-		c.Data[i] = a.Data[i] * cmplx.Conj(b.Data[i])
-	}
-}
-
 // Add sets c = a + b element-wise.
 func (c *CField) Add(a, b *CField) {
 	c.mustMatch(a, "Add")
@@ -212,18 +203,3 @@ func (c *CField) String() string {
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// NextPow2 returns the smallest power of two ≥ n.
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-		if p <= 0 {
-			panic("grid: NextPow2 overflow")
-		}
-	}
-	return p
-}

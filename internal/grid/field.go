@@ -57,9 +57,6 @@ func (f *Field) At(x, y int) float64 { return f.Data[y*f.W+x] }
 // Set stores v at column x, row y.
 func (f *Field) Set(x, y int, v float64) { f.Data[y*f.W+x] = v }
 
-// Idx returns the linear index of (x, y).
-func (f *Field) Idx(x, y int) int { return y*f.W + x }
-
 // Row returns row y as a slice aliasing the field's storage.
 func (f *Field) Row(y int) []float64 { return f.Data[y*f.W : (y+1)*f.W] }
 
@@ -255,17 +252,6 @@ func (f *Field) SubRegion(x0, y0, w, h int) *Field {
 		copy(out.Row(y), f.Row(y0 + y)[x0:x0+w])
 	}
 	return out
-}
-
-// InsertRegion copies g into f with g's top-left corner at (x0, y0).
-// It panics if g does not fit.
-func (f *Field) InsertRegion(g *Field, x0, y0 int) {
-	if x0 < 0 || y0 < 0 || x0+g.W > f.W || y0+g.H > f.H {
-		panic(fmt.Sprintf("grid: InsertRegion %dx%d at (%d,%d) out of %dx%d", g.W, g.H, x0, y0, f.W, f.H))
-	}
-	for y := 0; y < g.H; y++ {
-		copy(f.Row(y0 + y)[x0:x0+g.W], g.Row(y))
-	}
 }
 
 // Downsample returns the field reduced by integer factor k using k×k

@@ -8,6 +8,10 @@ import (
 	"lsopc/internal/grid"
 )
 
+// GradMag is GradMagRows over every row of psi: the whole-field |∇ψ|
+// the level-set tests measure.
+func GradMag(dst, psi *grid.Field) { GradMagRows(dst, psi, 0, psi.H) }
+
 // gradSpecials are operands |∇ψ| must get exactly right: NaNs with
 // payloads and signs, ±Inf, ±0, subnormals, the extremes of the normal
 // range, and values whose differences overflow, cancel or underflow.

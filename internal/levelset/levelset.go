@@ -303,14 +303,11 @@ func maskGo(dst, psi []float64) {
 	}
 }
 
-// GradMag computes |∇ψ| with central differences in the interior and
-// one-sided differences at the borders, writing into dst.
-func GradMag(dst, psi *grid.Field) { GradMagRows(dst, psi, 0, psi.H) }
-
-// GradMagRows is GradMag for the rows [y0, y1) of dst only. It reads ψ
-// one row beyond the range and writes nothing outside it, so disjoint
-// row ranges can run concurrently; the per-pixel arithmetic is the same
-// whatever the range.
+// GradMagRows computes |∇ψ| for the rows [y0, y1) of dst, with central
+// differences in the interior and one-sided differences at the borders.
+// It reads ψ one row beyond the range and writes nothing outside it, so
+// disjoint row ranges can run concurrently; the per-pixel arithmetic is
+// the same whatever the range.
 func GradMagRows(dst, psi *grid.Field, y0, y1 int) {
 	w, h := psi.W, psi.H
 	for y := y0; y < y1; y++ {

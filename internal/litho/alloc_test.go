@@ -79,7 +79,6 @@ func TestForwardAndGradientZeroAllocWarm(t *testing.T) {
 		n := s.GridSize()
 		grad := grid.NewField(n, n)
 		if avg := testing.AllocsPerRun(20, func() {
-			grad.Zero()
 			s.ForwardAndGradient(grad, spec, Nominal, target, imgs, 1)
 		}); avg != 0 {
 			t.Fatalf("%d workers: warm ForwardAndGradient allocates %.1f objects/op, want 0", w, avg)
@@ -113,7 +112,6 @@ func BenchmarkForwardAndGradientWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grad.Zero()
 		s.ForwardAndGradient(grad, spec, Nominal, target, imgs, 1)
 	}
 }

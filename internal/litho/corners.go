@@ -217,8 +217,8 @@ func (s *Simulator) sensScale(cond Condition, weight float64) float64 {
 	return 4 * s.cfg.Steepness * s.Dose(cond) * weight
 }
 
-// adjoint runs the adjoint half of Eq. 11 for every staged bank and adds
-// the result into grad. It needs the bank's E_k in the kernel batch, as
+// adjoint runs the adjoint half of Eq. 11 for every staged bank and sets
+// grad to the result. It needs the bank's E_k in the kernel batch, as
 // socs leaves them, and each bank's resist sensitivity W in its plane.
 // Per bank W, on a reduced grid, enters through its band-2r samples
 // there (the only part the bins the adjoint reads
@@ -229,10 +229,9 @@ func (s *Simulator) sensScale(cond Condition, weight float64) float64 {
 // accumulator's band rows (each row cleared, then accumulated). Only Re
 // of its inverse enters the gradient, and Re of an inverse is the
 // inverse of the spectrum's Hermitian part, so the box is symmetrised
-// and inverse-transformed by one real-output pass. With set the result
-// is written into grad as 0 + x, the bits an add into a zeroed grad
-// gives, else it is added to grad.
-func (s *Simulator) adjoint(grad *grid.Field, set bool) {
+// and inverse-transformed by one real-output pass, whose result is
+// written into grad as 0 + x, the bits an add into a zeroed grad gives.
+func (s *Simulator) adjoint(grad *grid.Field) {
 	planes := s.planes()
 	s.opWs = s.opWs[:0]
 	for b := range s.banks {
@@ -256,7 +255,7 @@ func (s *Simulator) adjoint(grad *grid.Field, set bool) {
 	s.opFields = nil
 	hermitianPart(s.accum, s.radius)
 	s.batch.InverseRealBanded(planes[0], s.accum, s.radius)
-	s.opGrad, s.opSet = grad, set
+	s.opGrad = grad
 	s.eng.ForChunk(len(grad.Data), s.applyBody)
 	s.opGrad = nil
 }
@@ -280,29 +279,21 @@ func (s *Simulator) ForwardCorners(maskSpec *grid.CField, target *grid.Field, co
 // resist sensitivity, so each corner's weight is folded into its bank's
 // W.
 func (s *Simulator) ForwardAndGradientCorners(grad *grid.Field, maskSpec *grid.CField, target *grid.Field, corners []Corner) {
-	s.forwardAndGradient(grad, maskSpec, target, corners, true)
-}
-
-// forwardAndGradient is ForwardAndGradientCorners, setting grad or,
-// without set, adding to it.
-func (s *Simulator) forwardAndGradient(grad *grid.Field, maskSpec *grid.CField, target *grid.Field, corners []Corner, set bool) {
 	start := time.Now()
 	s.simulate(maskSpec, target, corners)
-	s.adjoint(grad, set)
+	s.adjoint(grad)
 	d := time.Since(start)
 	mFusedNS.Observe(float64(d))
 	s.trace("forward_gradient", corners, d)
 }
 
-// ForwardAndGradient runs the exact forward model at one corner and
-// accumulates weight·∂‖R−target‖²/∂M into grad (Eq. 11), filling out
-// with the aerial and sigmoid resist images. It returns the corner cost
-// ‖R−target‖². It is the one-corner ForwardAndGradientCorners, adding
-// to grad instead of setting it, so each kernel's coherent field serves
-// both the forward model and the adjoint.
+// ForwardAndGradient is the one-corner ForwardAndGradientCorners: it
+// runs the exact forward model at cond, fills out with the aerial and
+// sigmoid resist images, sets grad to weight·∂‖R−target‖²/∂M (Eq. 11)
+// without reading it, and returns the corner cost ‖R−target‖².
 func (s *Simulator) ForwardAndGradient(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, out *CornerImages, weight float64) float64 {
 	corners := [1]Corner{{Cond: cond, Weight: weight, Out: out}}
-	s.forwardAndGradient(grad, maskSpec, target, corners[:], false)
+	s.ForwardAndGradientCorners(grad, maskSpec, target, corners[:])
 	return corners[0].Cost
 }
 

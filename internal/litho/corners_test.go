@@ -76,10 +76,11 @@ func TestGroupMatchesSeparateCorners(t *testing.T) {
 		spec := grid.NewCField(n, n)
 		s.MaskSpectrumInto(spec, mask)
 
-		refGrad := grid.NewField(n, n)
+		refGrad, g := grid.NewField(n, n), grid.NewField(n, n)
 		refNom, refOut := NewCornerImages(n), NewCornerImages(n)
 		refCostNom := s.ForwardAndGradient(refGrad, spec, Nominal, target, refNom, 1)
-		refCostOut := s.ForwardAndGradient(refGrad, spec, Outer, target, refOut, 0.6)
+		refCostOut := s.ForwardAndGradient(g, spec, Outer, target, refOut, 0.6)
+		refGrad.Add(refGrad, g)
 
 		grad := grid.NewField(n, n)
 		corners := []Corner{
@@ -183,12 +184,13 @@ func TestMixedBankCornersRunInOneCall(t *testing.T) {
 		target := randomMask(n, 6)
 		for _, order := range [][]Condition{AllConditions, {Inner, Nominal, Outer}} {
 			weights := map[Condition]float64{Nominal: 1, Outer: 0.6, Inner: 0.6}
-			refGrad := grid.NewField(n, n)
+			refGrad, g := grid.NewField(n, n), grid.NewField(n, n)
 			ref := map[Condition]*CornerImages{}
 			refCost := map[Condition]float64{}
 			for _, cond := range order {
 				ref[cond] = NewCornerImages(n)
-				refCost[cond] = s.ForwardAndGradient(refGrad, spec, cond, target, ref[cond], weights[cond])
+				refCost[cond] = s.ForwardAndGradient(g, spec, cond, target, ref[cond], weights[cond])
+				refGrad.Add(refGrad, g)
 			}
 
 			sink := &obs.CollectorSink{}
@@ -233,7 +235,6 @@ func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
 			}
 			s.ForwardAndGradientCorners(grad, spec, target, corners)
 			if avg := testing.AllocsPerRun(20, func() {
-				grad.Zero()
 				s.ForwardAndGradientCorners(grad, spec, target, corners)
 				s.ForwardCorners(spec, target, corners)
 			}); avg != 0 {
@@ -243,10 +244,10 @@ func TestForwardAndGradientGroupZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestGradientCornersSetsGradient: ForwardAndGradientCorners sets grad
-// without reading it, so a stale (NaN-filled) grad ends bit-identical to
-// a cleared one, and both equal ForwardAndGradient's accumulation into a
-// cleared grad, −0 landing as +0.
+// TestGradientCornersSetsGradient: ForwardAndGradientCorners and the
+// one-corner ForwardAndGradient set grad without reading it, so a stale
+// (NaN-filled, −0, huge) grad ends bit-identical to the gradient written
+// into a cleared one, −0 landing as +0.
 func TestGradientCornersSetsGradient(t *testing.T) {
 	for _, p := range groupPaths {
 		n := p.n
@@ -255,14 +256,22 @@ func TestGradientCornersSetsGradient(t *testing.T) {
 		s.MaskSpectrumInto(spec, randomMask(n, 3))
 		target := randomMask(n, 4)
 		ref := grid.NewField(n, n)
-		s.ForwardAndGradient(ref, spec, Nominal, target, nil, 0.7)
-		for _, fill := range []float64{0, math.NaN(), math.Copysign(0, -1), 1e300} {
-			grad := grid.NewField(n, n)
-			grad.Fill(fill)
-			s.ForwardAndGradientCorners(grad, spec, target, []Corner{{Cond: Nominal, Weight: 0.7}})
-			for i, v := range ref.Data {
-				if math.Float64bits(grad.Data[i]) != math.Float64bits(v) {
-					t.Fatalf("%s: stale %v: pixel %d = %v, accumulated into zero %v", p.name, fill, i, grad.Data[i], v)
+		s.ForwardAndGradientCorners(ref, spec, target, []Corner{{Cond: Nominal, Weight: 0.7}})
+		calls := map[string]func(grad *grid.Field){
+			"corner set": func(grad *grid.Field) {
+				s.ForwardAndGradientCorners(grad, spec, target, []Corner{{Cond: Nominal, Weight: 0.7}})
+			},
+			"one corner": func(grad *grid.Field) { s.ForwardAndGradient(grad, spec, Nominal, target, nil, 0.7) },
+		}
+		for name, call := range calls {
+			for _, fill := range []float64{0, math.NaN(), math.Copysign(0, -1), 1e300} {
+				grad := grid.NewField(n, n)
+				grad.Fill(fill)
+				call(grad)
+				for i, v := range ref.Data {
+					if math.Float64bits(grad.Data[i]) != math.Float64bits(v) {
+						t.Fatalf("%s %s: stale %v: pixel %d = %v, written into zero %v", p.name, name, fill, i, grad.Data[i], v)
+					}
 				}
 			}
 		}

@@ -113,7 +113,7 @@ func engineEquivalence(t *testing.T, g warmGrid) {
 		s.AerialFast(res.fast, res.spec, Inner)
 
 		res.resist = grid.NewField(n, n)
-		s.Resist(res.resist, res.aerial)
+		res.resist.Sigmoid(res.aerial, s.cfg.Steepness, s.cfg.Threshold)
 
 		res.printed = grid.NewField(n, n)
 		s.PrintedBinary(res.printed, res.spec, Nominal)

@@ -38,24 +38,3 @@ func TestForwardAndGradientMatchesSeparatePath(t *testing.T) {
 		}
 	}
 }
-
-func TestForwardAndGradientAccumulates(t *testing.T) {
-	s := testSim(t, 2)
-	n := s.GridSize()
-	mask := centeredRectMask(n, 10, 10)
-	target := centeredRectMask(n, 8, 8)
-	spec := s.MaskSpectrum(mask)
-	imgs := NewCornerImages(n)
-
-	g1 := grid.NewField(n, n)
-	s.ForwardAndGradient(g1, spec, Nominal, target, imgs, 1)
-	s.ForwardAndGradient(g1, spec, Inner, target, imgs, 0.5)
-
-	g2 := grid.NewField(n, n)
-	s.ForwardAndGradient(g2, spec, Inner, target, imgs, 0.5)
-	s.ForwardAndGradient(g2, spec, Nominal, target, imgs, 1)
-
-	if !g1.Equal(g2, 1e-9) {
-		t.Fatal("gradient accumulation must be order-independent")
-	}
-}

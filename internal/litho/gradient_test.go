@@ -1,10 +1,6 @@
 package litho
 
-import (
-	"time"
-
-	"lsopc/internal/grid"
-)
+import "lsopc/internal/grid"
 
 // GradientInto is the unfused reference gradient the equivalence,
 // fused and linearity tests compare the corner-set calls with. It
@@ -17,10 +13,10 @@ import (
 // the same maskSpec and corner. With W = 2·s·dose·(R−R*)⊙R⊙(1−R) and
 // E_k = h_k ⊗ M, the Jacobian is Σ_k μ_k·2 Re{flip(h_k) ⊗ (W⊙conj(E_k))};
 // the per-kernel terms are accumulated as spectra so the final inverse
-// transform happens once. It recomputes E_k and W from r, then runs the
-// adjoint of ForwardAndGradient, bit for bit.
+// transform happens once. It recomputes E_k and W from r, runs the
+// adjoint of ForwardAndGradient into a scratch field, bit for bit, and
+// adds that into grad.
 func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond Condition, target *grid.Field, r *grid.Field, weight float64) {
-	start := time.Now()
 	corners := [1]Corner{{Cond: cond, Weight: weight}}
 	s.stageBanks(corners[:])
 	s.socs(s.planes(), maskSpec)
@@ -31,8 +27,7 @@ func (s *Simulator) GradientInto(grad *grid.Field, maskSpec *grid.CField, cond C
 			w.Data[i] = c * (rv - target.Data[i]) * rv * (1 - rv)
 		}
 	})
-	s.adjoint(grad, false)
-	d := time.Since(start)
-	mGradientNS.Observe(float64(d))
-	s.trace("gradient", corners[:], d)
+	g := grid.NewFieldLike(grad)
+	s.adjoint(g)
+	grad.Add(grad, g)
 }

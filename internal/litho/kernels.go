@@ -45,23 +45,9 @@ func adjointGo(e []complex128, w []float64) {
 	}
 }
 
-// addInto sets dst[i] += src[i] for every i of dst (src at least as
-// long).
-func addInto(dst, src []float64) {
-	n := addVec(dst, src)
-	addGo(dst[n:], src[n:])
-}
-
-//go:noinline
-func addGo(dst, src []float64) {
-	src = src[:len(dst)]
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // setInto sets dst[i] = 0 + src[i] for every i of dst (src at least as
-// long): the bits addInto gives on a cleared dst, −0 turned into +0.
+// long): the bits dst[i] += src[i] gives on a cleared dst, −0 turned
+// into +0.
 func setInto(dst, src []float64) {
 	n := setVec(dst, src)
 	setGo(dst[n:], src[n:])

@@ -45,17 +45,6 @@ func adjointVec(e []complex128, w []float64) int {
 	return n
 }
 
-func addVec(dst, src []float64) int {
-	if !kernelsAVX2OK {
-		return 0
-	}
-	n := len(dst) &^ 3
-	if n > 0 {
-		addAVX2(dst[:n], src[:n])
-	}
-	return n
-}
-
 func setVec(dst, src []float64) int {
 	if !kernelsAVX2OK {
 		return 0
@@ -122,9 +111,6 @@ func reduceAVX2(d []float64, f []complex128, w float64)
 
 //go:noescape
 func adjointAVX2(e []complex128, w []float64)
-
-//go:noescape
-func addAVX2(dst, src []float64)
 
 //go:noescape
 func setAVX2(dst, src []float64)

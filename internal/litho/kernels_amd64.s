@@ -93,29 +93,6 @@ adjointLoop:
 adjointDone:
 	RET
 
-// func addAVX2(dst, src []float64)
-//
-// dst += src, dst the first source.
-TEXT ·addAVX2(SB), NOSPLIT, $0-48
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         src_base+24(FP), SI
-	SHRQ         $2, CX
-	JZ           addDone
-
-addLoop:
-	VMOVUPD      (DI), Y0
-	VADDPD       (SI), Y0, Y0
-	VMOVUPD      Y0, (DI)
-	ADDQ         $32, SI
-	ADDQ         $32, DI
-	DECQ         CX
-	JNZ          addLoop
-	VZEROUPPER
-
-addDone:
-	RET
-
 // func setAVX2(dst, src []float64)
 //
 // dst = src + 0, src the first source (one NaN source at most).

@@ -47,19 +47,6 @@ func checkAdjoint(t *testing.T, e []complex128, w []float64) {
 	}
 }
 
-// checkAdd compares addInto with addGo on copies of dst.
-func checkAdd(t *testing.T, dst, src []float64) {
-	t.Helper()
-	want, got := slices.Clone(dst), slices.Clone(dst)
-	addGo(want, src)
-	addInto(got, src)
-	for i := range want {
-		if !kerneltest.SameBits(got[i], want[i]) {
-			t.Fatalf("len %d element %d (%v + %v): kernel %v, Go loop %v", len(dst), i, dst[i], src[i], got[i], want[i])
-		}
-	}
-}
-
 // sweepCase is one cost and sensitivity pass to check: per corner its
 // bank, resist image, factor and starting sum, the banks' stale planes
 // and the target.
@@ -163,8 +150,8 @@ func newSweepCase(rng *rand.Rand, bank []int, n int, value func() float64) *swee
 var sweepBanks = [][]int{{0}, {0, 0}, {0, 1}, {0, 0, 1}, {1, 0, 0, 1}, {0, 1, 0, 1, 2, 0, 2}}
 
 // TestPixelKernelsMatchGo holds the AVX2 forms of the SOCS reduce, the
-// adjoint product, the gradient apply and the resist sweep's cost and
-// sensitivity pass to their Go loops bit for bit: special values in
+// adjoint product and the resist sweep's cost and sensitivity pass to
+// their Go loops bit for bit: special values in
 // every lane, every length residue mod 4, stale destinations, and dense
 // random sweeps.
 func TestPixelKernelsMatchGo(t *testing.T) {
@@ -181,7 +168,6 @@ func TestPixelKernelsMatchGo(t *testing.T) {
 			checkReduce(t, d, f, w)
 		}
 		checkAdjoint(t, f, d)
-		checkAdd(t, d, src)
 		for _, bank := range sweepBanks {
 			checkCostSens(t, newSweepCase(rng, bank, n, value))
 		}
@@ -206,8 +192,6 @@ func TestPixelKernelsMatchGo(t *testing.T) {
 	checkReduce(t, src, f, math.NaN())
 	checkAdjoint(t, f, d)
 	checkAdjoint(t, f, src)
-	checkAdd(t, d, src)
-	checkAdd(t, src, d)
 	for _, bank := range sweepBanks {
 		c := newSweepCase(rng, bank, len(d), value)
 		for i := range c.r {
@@ -249,22 +233,6 @@ func FuzzAdjointKernelMatchesGo(f *testing.F) {
 			w[i], e[i] = kerneltest.ByteValue(data[3*i]), complex(kerneltest.ByteValue(data[3*i+1]), kerneltest.ByteValue(data[3*i+2]))
 		}
 		checkAdjoint(t, e, w)
-	})
-}
-
-// FuzzAddKernelMatchesGo: each 2 data bytes make one pixel's gradient
-// and increment.
-func FuzzAddKernelMatchesGo(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{200, 201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		skipWithoutKernels(t)
-		n := len(data) / 2
-		dst, src := make([]float64, n), make([]float64, n)
-		for i := range dst {
-			dst[i], src[i] = kerneltest.ByteValue(data[2*i]), kerneltest.ByteValue(data[2*i+1])
-		}
-		checkAdd(t, dst, src)
 	})
 }
 
@@ -474,7 +442,6 @@ func BenchmarkPixelKernels(b *testing.B) {
 	}{
 		{"reduce", func() { reduce(d, e, 0.3) }, func() { reduceGo(d, e, 0.3) }},
 		{"adjoint", func() { adjointProduct(e, w) }, func() { adjointGo(e, w) }},
-		{"add", func() { addInto(d, w) }, func() { addGo(d, w) }},
 		{"costSens3/chunk", func() { costSens(cs, c.tg) }, func() { costSensRef(cs, c.tg) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {

@@ -34,14 +34,11 @@ import (
 	"lsopc/internal/rt"
 )
 
-// Per-corner simulate timings in the default registry, one histogram per
-// direction of the model. No call of the package times a gradient
-// alone (only the unfused test reference does), but litho.gradient_ns
-// stays registered: the benchmark's per-layer pass sums all three.
+// Per-call simulate timings in the default registry: forward-only calls
+// and forward-and-gradient calls.
 var (
-	mForwardNS  = obs.Default.Histogram("litho.forward_ns", obs.DurationBounds)
-	mGradientNS = obs.Default.Histogram("litho.gradient_ns", obs.DurationBounds)
-	mFusedNS    = obs.Default.Histogram("litho.forward_gradient_ns", obs.DurationBounds)
+	mForwardNS = obs.Default.Histogram("litho.forward_ns", obs.DurationBounds)
+	mFusedNS   = obs.Default.Histogram("litho.forward_gradient_ns", obs.DurationBounds)
 )
 
 // Condition identifies one process corner.
@@ -179,7 +176,6 @@ type Simulator struct {
 	opWs     []*grid.Field // per bank: the W the adjoint multiplies
 	opTarget *grid.Field
 	opGrad   *grid.Field
-	opSet    bool            // applyBody sets the gradient (0 + x) rather than adding
 	opBand   int             // copyBand's and accumBody's row band
 	opCopy   [2]*grid.CField // copyBand's destination and source
 
@@ -294,11 +290,7 @@ func (s *Simulator) bindBodies() {
 		}
 	}
 	s.applyBody = func(lo, hi int) {
-		if s.opSet {
-			setInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
-		} else {
-			addInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
-		}
+		setInto(s.opGrad.Data[lo:hi], s.plane[0].Data[lo:hi])
 	}
 	s.accumBody = func(lo, hi int) {
 		n, fields := s.GridSize(), s.opFields
@@ -488,11 +480,6 @@ func (s *Simulator) AerialFast(dst *grid.Field, maskSpec *grid.CField, cond Cond
 	if dose := s.Dose(cond); dose != 1 {
 		dst.Scale(dst, dose)
 	}
-}
-
-// Resist applies the sigmoid resist model (Eq. 8) to an aerial image.
-func (s *Simulator) Resist(dst, aerial *grid.Field) {
-	dst.Sigmoid(aerial, s.cfg.Steepness, s.cfg.Threshold)
 }
 
 // ResistBinary applies the hard-threshold resist model (Eq. 2).

@@ -200,7 +200,7 @@ func TestResistModelsConsistent(t *testing.T) {
 	}
 	sig := grid.NewField(n, n)
 	bin := grid.NewField(n, n)
-	s.Resist(sig, aerial)
+	sig.Sigmoid(aerial, s.cfg.Steepness, s.cfg.Threshold)
 	s.ResistBinary(bin, aerial)
 	for i := range sig.Data {
 		// The sigmoid and the step must agree on which side of ½ each
@@ -226,7 +226,7 @@ func TestForwardFillsCornerImages(t *testing.T) {
 	}
 	// R must be the sigmoid of the aerial image.
 	want := grid.NewField(n, n)
-	s.Resist(want, out.Aerial)
+	want.Sigmoid(out.Aerial, s.cfg.Steepness, s.cfg.Threshold)
 	if !out.R.Equal(want, 0) {
 		t.Fatal("Forward R inconsistent with Resist")
 	}

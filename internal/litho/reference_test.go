@@ -104,7 +104,7 @@ func checkAgainstReference(t testing.TB, label string, s *Simulator, mask, targe
 		// The gradient reference starts from the reference resist image,
 		// so it checks the forward and the adjoint together.
 		r := grid.NewField(n, n)
-		s.Resist(r, ref)
+		r.Sigmoid(ref, s.cfg.Steepness, s.cfg.Threshold)
 		w := grid.NewField(n, n)
 		c := 2 * s.cfg.Steepness * s.Dose(cond)
 		for i, rv := range r.Data {

@@ -299,12 +299,3 @@ func borderLabels(labels []int32, w, h int) []bool {
 	}
 	return out
 }
-
-// Summary aggregates violations by kind.
-func Summary(violations []Violation) map[ViolationKind]int {
-	out := make(map[ViolationKind]int)
-	for _, v := range violations {
-		out[v.Kind]++
-	}
-	return out
-}

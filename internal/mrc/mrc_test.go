@@ -6,6 +6,15 @@ import (
 	"lsopc/internal/grid"
 )
 
+// countKinds counts violations by kind.
+func countKinds(violations []Violation) map[ViolationKind]int {
+	out := make(map[ViolationKind]int)
+	for _, v := range violations {
+		out[v.Kind]++
+	}
+	return out
+}
+
 func rectMask(n, x0, y0, x1, y1 int) *grid.Field {
 	f := grid.NewField(n, n)
 	for y := y0; y < y1; y++ {
@@ -54,7 +63,7 @@ func TestWidthViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summary(v)
+	s := countKinds(v)
 	if s[WidthViolation] == 0 {
 		t.Fatalf("thin feature not flagged: %v", v)
 	}
@@ -78,7 +87,7 @@ func TestSpaceViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summary(v)[SpaceViolation] == 0 {
+	if countKinds(v)[SpaceViolation] == 0 {
 		t.Fatalf("narrow gap not flagged: %v", v)
 	}
 }
@@ -91,7 +100,7 @@ func TestSpaceRuleIgnoresBorderGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summary(v)[SpaceViolation] != 0 {
+	if countKinds(v)[SpaceViolation] != 0 {
 		t.Fatalf("border gap flagged: %v", v)
 	}
 }
@@ -107,7 +116,7 @@ func TestAreaViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summary(v)
+	s := countKinds(v)
 	if s[AreaViolation] != 1 {
 		t.Fatalf("small island not flagged: %v", v)
 	}
@@ -128,7 +137,7 @@ func TestHoleViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summary(v)[HoleViolation] != 1 {
+	if countKinds(v)[HoleViolation] != 1 {
 		t.Fatalf("pinhole not flagged: %v", v)
 	}
 	// The outer background must not be a hole violation.
@@ -137,7 +146,7 @@ func TestHoleViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summary(v)[HoleViolation] != 0 {
+	if countKinds(v)[HoleViolation] != 0 {
 		t.Fatalf("outer background flagged as hole: %v", v)
 	}
 }
@@ -183,7 +192,7 @@ func TestExactLimitPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Summary(v)[WidthViolation] != 0 {
+	if countKinds(v)[WidthViolation] != 0 {
 		t.Fatalf("exact-limit width flagged: %v", v)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"lsopc/internal/obs"
 )
@@ -227,9 +226,6 @@ func (r *Run) Phase(name string) *PhaseStats {
 	}
 	return nil
 }
-
-// Wall returns the trace's wall-clock extent.
-func (r *Run) Wall() time.Duration { return time.Duration(r.WallNS) }
 
 // Parse reads a JSONL event stream (see obs.ReadEvents for the line
 // rules) and builds the typed run. Every run-scoped event folds through

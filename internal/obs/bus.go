@@ -91,18 +91,6 @@ func (b *Bus) Unregister() {
 	b.reg.Remove("obs.bus.subscribers")
 }
 
-// Subscribers returns the number of currently attached subscriptions.
-func (b *Bus) Subscribers() int {
-	if subs := b.subs.Load(); subs != nil {
-		return len(*subs)
-	}
-	return 0
-}
-
-// Dropped returns the total events dropped across all subscribers since
-// the bus was built (cumulative; closed subscribers keep counting).
-func (b *Bus) Dropped() int64 { return b.dropped.Value() }
-
 // Subscription is one consumer's bounded view of the bus. A single
 // goroutine should drain it (Next/TryNext); push is concurrency-safe
 // against that consumer. Close detaches it from the bus.
@@ -221,13 +209,6 @@ func (s *Subscription) TryNext() (Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ring.Pop()
-}
-
-// Len returns the number of buffered events awaiting the consumer.
-func (s *Subscription) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.Len()
 }
 
 // Close detaches the subscription from the bus. Buffered events remain

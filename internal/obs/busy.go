@@ -30,9 +30,6 @@ func NewWorkerBusy(n int) *WorkerBusy {
 	return &WorkerBusy{slots: make([]paddedInt64, n)}
 }
 
-// Workers returns the slot count.
-func (w *WorkerBusy) Workers() int { return len(w.slots) }
-
 // Add records d of busy time for the given worker slot. Out-of-range
 // slots clamp to the last slot, so oversized Split partitions degrade
 // to coarse attribution instead of panicking.

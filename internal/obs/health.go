@@ -100,9 +100,6 @@ func NewWatchdog(p HealthPolicy, sink Sink, trace string) *Watchdog {
 	return w
 }
 
-// Trips returns how many unhealthy verdicts the watchdog has issued.
-func (w *Watchdog) Trips() int { return w.trips }
-
 // Observe judges one iteration from its cost, gradient norm and time
 // step. Checks run in severity order (non-finite, divergence, stall);
 // the first that trips wins. An unhealthy verdict emits one EventHealth

@@ -31,8 +31,8 @@ func TestWatchdogNonFinite(t *testing.T) {
 	if events[0].Msg != HealthNonFiniteCost || events[1].Msg != HealthNonFiniteGrad {
 		t.Fatalf("reasons = %q, %q", events[0].Msg, events[1].Msg)
 	}
-	if w.Trips() != 2 {
-		t.Fatalf("trips = %d, want 2", w.Trips())
+	if w.trips != 2 {
+		t.Fatalf("trips = %d, want 2", w.trips)
 	}
 }
 

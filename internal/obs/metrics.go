@@ -18,9 +18,6 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be ≥ 0 for the value to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

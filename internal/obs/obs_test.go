@@ -16,8 +16,9 @@ import (
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -97,8 +98,9 @@ func TestMetricUpdatesDoNotAllocate(t *testing.T) {
 
 func TestWriteTextSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Counter("a.count").Add(1)
+	r.Counter("b.count").Inc()
+	r.Counter("b.count").Inc()
+	r.Counter("a.count").Inc()
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -259,7 +261,9 @@ func TestFlushHelper(t *testing.T) {
 
 func TestHTTPHandlerServesMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("requests").Add(3)
+	for range 3 {
+		r.Counter("requests").Inc()
+	}
 	srv, err := Serve("127.0.0.1:0", r, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)

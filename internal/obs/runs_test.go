@@ -304,7 +304,7 @@ func TestHTTPSSEStream(t *testing.T) {
 
 	// Wait for the subscriber to attach before emitting.
 	deadline := time.Now().Add(2 * time.Second)
-	for bus.Subscribers() == 0 {
+	for bus.subsGauge.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("SSE subscriber never attached")
 		}

@@ -97,24 +97,17 @@ func (k Kernel) MulIntoBand(dst, src *grid.CField) {
 	}
 }
 
-// AccumFlipMul accumulates dst += w · src ⊙ spectrum(flip(h_k)), the
-// adjoint ("h†") multiply of the ILT gradient (Eq. 11). The flipped
-// spectrum's support is the mirrored box, handled by index reflection.
-// src may be a smaller square grid than dst (the reduced SOCS grid):
-// each bin is read at its wrapped src index and accumulated at its
-// wrapped dst index.
-func (k Kernel) AccumFlipMul(dst, src *grid.CField, w complex128) {
-	for v := -k.R; v <= k.R; v++ {
-		k.AccumFlipMulRow(dst, src, w, v)
-	}
-}
-
-// AccumFlipMulRow is AccumFlipMul restricted to the wrapped row v of
-// dst (a no-op for |v| > R). Every bin of dst receives one term per
-// kernel, so rows can be accumulated in any order, or concurrently, and
-// each bin still adds its kernels in the order the caller visits them.
+// AccumFlipMulRow accumulates dst += w · src ⊙ spectrum(flip(h_k)), the
+// adjoint ("h†") multiply of the ILT gradient (Eq. 11), over the wrapped
+// row v of dst (a no-op for |v| > R). The flipped spectrum's support is
+// the mirrored box, handled by index reflection. src may be a smaller
+// square grid than dst (the reduced SOCS grid): each bin is read at its
+// wrapped src index and accumulated at its wrapped dst index. Every bin
+// of dst receives one term per kernel, so rows can be accumulated in any
+// order, or concurrently, and each bin still adds its kernels in the
+// order the caller visits them.
 func (k Kernel) AccumFlipMulRow(dst, src *grid.CField, w complex128, v int) {
-	n, m := k.checkPair(src, dst, "AccumFlipMul")
+	n, m := k.checkPair(src, dst, "AccumFlipMulRow")
 	if v < -k.R || v > k.R {
 		return
 	}

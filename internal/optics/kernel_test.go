@@ -9,6 +9,15 @@ import (
 	"lsopc/internal/grid"
 )
 
+// AccumFlipMul is AccumFlipMulRow over every row of the kernel's band,
+// in ascending order: the whole-field adjoint multiply the row form is
+// checked against.
+func (k Kernel) AccumFlipMul(dst, src *grid.CField, w complex128) {
+	for v := -k.R; v <= k.R; v++ {
+		k.AccumFlipMulRow(dst, src, w, v)
+	}
+}
+
 func randSpec(n int, seed int64) *grid.CField {
 	rng := rand.New(rand.NewSource(seed))
 	c := grid.NewCField(n, n)

@@ -30,7 +30,6 @@ import (
 	"math/cmplx"
 
 	"lsopc/internal/engine"
-	"lsopc/internal/fft"
 	"lsopc/internal/grid"
 )
 
@@ -228,18 +227,6 @@ func pupilBox(cfg Config, sx, sy float64, defocusNM float64, r int) *grid.CField
 	return box
 }
 
-// SpatialKernel materialises kernel k of the bank in the spatial domain
-// (centred at the origin with wraparound), mainly for inspection and
-// tests.
-func (b *Bank) SpatialKernel(k int, eng *engine.Engine) *grid.CField {
-	h := b.Kernels[k].Dense(b.Cfg.GridSize)
-	fft.NewBatchPlan2D(h.W, h.H, eng).BatchInverse([]*grid.CField{h})
-	return h
-}
-
-// K returns the number of kernels in the bank.
-func (b *Bank) K() int { return len(b.Kernels) }
-
 // Radius returns the spectral band half-width (in frequency bins)
 // covering every kernel in the bank, the band the pruned FFT passes may
 // restrict themselves to. All kernels of a bank share the same box
@@ -252,13 +239,4 @@ func (b *Bank) Radius() int {
 		}
 	}
 	return r
-}
-
-// WeightSum returns Σ μ_k (1 after normalisation).
-func (b *Bank) WeightSum() float64 {
-	s := 0.0
-	for _, k := range b.Kernels {
-		s += k.Weight
-	}
-	return s
 }

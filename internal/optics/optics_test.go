@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lsopc/internal/engine"
+	"lsopc/internal/fft"
 	"lsopc/internal/grid"
 )
 
@@ -78,11 +79,15 @@ func TestNewBankBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.K() != 8 {
-		t.Fatalf("K = %d", b.K())
+	if len(b.Kernels) != 8 {
+		t.Fatalf("K = %d", len(b.Kernels))
 	}
-	if math.Abs(b.WeightSum()-1) > 1e-12 {
-		t.Fatalf("weight sum %g", b.WeightSum())
+	wsum := 0.0
+	for _, k := range b.Kernels {
+		wsum += k.Weight
+	}
+	if math.Abs(wsum-1) > 1e-12 {
+		t.Fatalf("weight sum %g", wsum)
 	}
 	if b.Combined.Box == nil || b.Combined.R <= 0 {
 		t.Fatal("combined kernel missing")
@@ -195,7 +200,10 @@ func TestSpatialKernelConcentratedAtOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := b.SpatialKernel(0, engine.CPU())
+	// Kernel 0 in the spatial domain, centred at the origin with
+	// wraparound.
+	h := b.Kernels[0].Dense(cfg.GridSize)
+	fft.NewBatchPlan2D(h.W, h.H, engine.CPU()).BatchInverse([]*grid.CField{h})
 	// The kernel is a (shifted-pupil) Airy-like pattern: its peak
 	// modulus must be at/near the origin and the energy within a
 	// quarter-grid radius must dominate.

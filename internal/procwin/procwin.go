@@ -93,9 +93,6 @@ func (a *Analyzer) doseValues() []float64 {
 func (a *Analyzer) measureCD(aerial *grid.Field, dose float64, cut CutLine) float64 {
 	th := a.sim.Config().Threshold / dose
 	n := aerial.W
-	if cut.X < 0 || cut.X >= n || cut.Y < 0 || cut.Y >= aerial.H {
-		return 0
-	}
 	on := func(x, y int) bool { return aerial.At(x, y) >= th }
 	if !on(cut.X, cut.Y) {
 		return 0
@@ -121,11 +118,15 @@ func (a *Analyzer) measureCD(aerial *grid.Field, dose float64, cut CutLine) floa
 
 // Sweep measures the CD at the cut across the full focus×dose matrix:
 // one mask spectrum, then one unit-dose SOCS pass per focus value
-// (litho.Simulator.AerialAtFocus) that every dose thresholds.
+// (litho.Simulator.AerialAtFocus) that every dose thresholds. The mask
+// must match the simulation grid and the cut's pixel must lie on it.
 func (a *Analyzer) Sweep(mask *grid.Field, cut CutLine) (*Result, error) {
 	n := a.sim.GridSize()
 	if mask.W != n || mask.H != n {
 		return nil, fmt.Errorf("procwin: mask %dx%d does not match grid %d", mask.W, mask.H, n)
+	}
+	if cut.X < 0 || cut.X >= n || cut.Y < 0 || cut.Y >= n {
+		return nil, fmt.Errorf("procwin: cut at (%d, %d) lies outside the %dx%d grid", cut.X, cut.Y, n, n)
 	}
 	pool := a.sim.Pool()
 	spec, aerial := pool.CField(n, n), pool.Field(n, n)

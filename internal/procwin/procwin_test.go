@@ -1,7 +1,9 @@
 package procwin
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lsopc/internal/engine"
@@ -130,10 +132,6 @@ func TestCDZeroWhenFeatureLost(t *testing.T) {
 			t.Fatalf("empty mask CD %g at %+v", p.CDNM, p)
 		}
 	}
-	// Out-of-grid cut is 0, not a panic.
-	if _, err := a.Sweep(grid.NewField(64, 64), CutLine{X: -5, Y: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWindowYield(t *testing.T) {
@@ -152,10 +150,21 @@ func TestWindowYield(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsWrongMask: a mask off the grid, and a cut whose pixel
+// lies outside it (which would measure CD 0 at every point), fail with
+// an error naming the cut and the grid.
 func TestSweepRejectsWrongMask(t *testing.T) {
 	a := testAnalyzer(t)
 	if _, err := a.Sweep(grid.NewField(32, 32), CutLine{X: 16, Y: 16}); err == nil {
 		t.Fatal("mismatched mask accepted")
+	}
+	n := a.sim.GridSize()
+	for _, cut := range []CutLine{{X: -1, Y: 32}, {X: n, Y: 32, Horizontal: true}, {X: 32, Y: n}, {X: -5, Y: 200}} {
+		_, err := a.Sweep(grid.NewField(n, n), cut)
+		want := fmt.Sprintf("cut at (%d, %d) lies outside the %dx%d grid", cut.X, cut.Y, n, n)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("cut %+v: err %v, want one containing %q", cut, err, want)
+		}
 	}
 }
 

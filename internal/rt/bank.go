@@ -16,13 +16,12 @@ import (
 // pool and the coarse-bank memo are internally synchronised), so one
 // Bank safely backs any number of concurrent sessions.
 type Bank struct {
-	cfg       optics.Config
-	defocusNM float64
-	nominal   *optics.Bank
-	defocus   *optics.Bank
-	plan      *fft.Plan
-	pool      *Pool
-	coarse    memo[int, *Bank] // keyed by factor
+	cfg     optics.Config
+	nominal *optics.Bank
+	defocus *optics.Bank
+	plan    *fft.Plan
+	pool    *Pool
+	coarse  memo[int, *Bank] // keyed by factor
 }
 
 // memo caches one build per key, including a failed build: the first
@@ -79,20 +78,16 @@ func wrapBanks(nominal, defocus *optics.Bank, pool *Pool) (*Bank, error) {
 		pool = Shared
 	}
 	return &Bank{
-		cfg:       nominal.Cfg,
-		defocusNM: defocus.DefocusNM,
-		nominal:   nominal,
-		defocus:   defocus,
-		plan:      fft.CachedPlan(n),
-		pool:      pool,
+		cfg:     nominal.Cfg,
+		nominal: nominal,
+		defocus: defocus,
+		plan:    fft.CachedPlan(n),
+		pool:    pool,
 	}, nil
 }
 
 // Optics returns the optics configuration the bank was derived for.
 func (b *Bank) Optics() optics.Config { return b.cfg }
-
-// DefocusNM returns the defocus excursion of the inner-corner bank.
-func (b *Bank) DefocusNM() float64 { return b.defocusNM }
 
 // GridSize returns the preset's grid edge in pixels.
 func (b *Bank) GridSize() int { return b.cfg.GridSize }

@@ -22,7 +22,7 @@ import (
 )
 
 // Process-wide pool metrics, aggregated across all pools in the default
-// registry (per-pool numbers stay available through Pool.Stats). The
+// registry (each pool also counts its own leases and reuses). The
 // pointers are resolved once so a lease costs two extra atomic adds.
 var (
 	mLeases   = obs.Default.Counter("rt.pool.leases")
@@ -156,10 +156,4 @@ func (p *Pool) PutCField(c *grid.CField) {
 	}
 	traceRelease("cfield", len(c.Data))
 	give(p, &p.cfields, dims{c.W, c.H}, c)
-}
-
-// Stats reports total leases and how many were served from the free
-// list (for tests and capacity diagnostics).
-func (p *Pool) Stats() (leases, reuses int64) {
-	return p.leases.Load(), p.reuses.Load()
 }

@@ -30,7 +30,7 @@ func TestPoolFieldReuseAndZeroing(t *testing.T) {
 			t.Fatalf("recycled field not zeroed at %d: %g", i, v)
 		}
 	}
-	if leases, reuses := p.Stats(); leases != 2 || reuses != 1 {
+	if leases, reuses := stats(p); leases != 2 || reuses != 1 {
 		t.Fatalf("stats = %d leases / %d reuses, want 2 / 1", leases, reuses)
 	}
 }
@@ -71,7 +71,7 @@ func TestPoolKeepsBuffersAcrossGC(t *testing.T) {
 	if d := p.CField(32, 32); &d.Data[0] != &c.Data[0] {
 		t.Fatal("cfield lease after GC allocated instead of reusing the returned buffer")
 	}
-	if leases, reuses := p.Stats(); leases != 4 || reuses != 2 {
+	if leases, reuses := stats(p); leases != 4 || reuses != 2 {
 		t.Fatalf("stats = %d leases / %d reuses, want 4 / 2", leases, reuses)
 	}
 }
@@ -84,7 +84,7 @@ func TestPoolDistinctSizesDoNotMix(t *testing.T) {
 	if len(big.Data) != 64 {
 		t.Fatalf("big lease has %d elements", len(big.Data))
 	}
-	_, reuses := p.Stats()
+	_, reuses := stats(p)
 	if reuses != 0 {
 		t.Fatal("a 16-element buffer must not serve a 64-element lease")
 	}
@@ -101,7 +101,7 @@ func TestPoolDistinctShapesDoNotMix(t *testing.T) {
 	if g.W != 4 || g.H != 8 {
 		t.Fatalf("lease %dx%d", g.W, g.H)
 	}
-	_, reuses := p.Stats()
+	_, reuses := stats(p)
 	if reuses != 0 {
 		t.Fatal("an 8x4 buffer must not serve a 4x8 lease")
 	}
@@ -158,11 +158,15 @@ func TestPoolConcurrentLeases(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	leases, _ := p.Stats()
+	leases, _ := stats(p)
 	if leases != 800 {
 		t.Fatalf("leases = %d, want 800", leases)
 	}
 }
+
+// stats reports the pool's total leases and how many were served from
+// its free lists.
+func stats(p *Pool) (leases, reuses int64) { return p.leases.Load(), p.reuses.Load() }
 
 // testOptics returns a small distinct optics configuration per tag so
 // memoization tests do not collide across test runs in one process.
@@ -212,7 +216,7 @@ func TestBankForMemoizationAndAccessors(t *testing.T) {
 	if a != b {
 		t.Fatal("same preset must share one resource bank")
 	}
-	if a.GridSize() != cfg.GridSize || a.Optics() != cfg || a.DefocusNM() != 25 {
+	if a.GridSize() != cfg.GridSize || a.Optics() != cfg || a.Defocus().DefocusNM != 25 {
 		t.Fatal("bank accessors wrong")
 	}
 	if a.Pool() != Shared {

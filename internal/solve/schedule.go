@@ -7,20 +7,6 @@ type Schedule struct {
 	Iters   []int // iteration budget per level
 }
 
-// Levels returns the number of levels in the schedule.
-func (s Schedule) Levels() int { return len(s.Factors) }
-
-// Total returns the scheduled iteration count. It can exceed maxIter
-// only when the degenerate-budget clamps padded levels to one
-// iteration each.
-func (s Schedule) Total() int {
-	t := 0
-	for _, n := range s.Iters {
-		t += n
-	}
-	return t
-}
-
 // Plan splits an iteration budget across the coarse-to-fine schedule —
 // the arithmetic core and pixelilt used to duplicate. With factor ≤ 1
 // it degenerates to a single full-resolution level holding the whole

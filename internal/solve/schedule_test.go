@@ -29,11 +29,14 @@ func TestPlanSchedules(t *testing.T) {
 				t.Fatalf("Plan(%d, %d) = %v/%v, want %v/%v",
 					tc.maxIter, tc.factor, s.Factors, s.Iters, tc.factors, tc.iters)
 			}
-			if s.Levels() != len(tc.factors) {
-				t.Fatalf("Levels() = %d, want %d", s.Levels(), len(tc.factors))
+			// The scheduled total exceeds the budget only when the
+			// clamps padded levels to one iteration each.
+			total := 0
+			for _, n := range s.Iters {
+				total += n
 			}
-			if over := s.Total() > tc.maxIter; over != tc.totalOverBudget {
-				t.Fatalf("Total() = %d vs budget %d: overrun %v, want %v", s.Total(), tc.maxIter, over, tc.totalOverBudget)
+			if over := total > tc.maxIter; over != tc.totalOverBudget {
+				t.Fatalf("total %d vs budget %d: overrun %v, want %v", total, tc.maxIter, over, tc.totalOverBudget)
 			}
 			// Invariants every schedule keeps: ends at full resolution,
 			// halving factors, every level gets at least one iteration.

@@ -64,7 +64,7 @@ func expectIdentical(t *testing.T, res, ref *Result) {
 				i, res.History[i], ref.History[i])
 		}
 	}
-	if !res.Psi.Equal(ref.Psi, 0) {
+	if !res.State.Equal(ref.State, 0) {
 		t.Fatal("resumed ψ differs from the uninterrupted run")
 	}
 	if !res.Mask.Equal(ref.Mask, 0) {

@@ -92,7 +92,6 @@ type Options struct {
 	// the run starts on a grid downsampled by this power-of-two factor,
 	// halving the factor each level until full resolution, the coarse
 	// levels sharing MaxIter/2 evenly. 0 or 1 runs single-resolution.
-	// New ignores it — only Run consumes the schedule.
 	MultiResFactor int
 	// IterOffset shifts the iteration numbers reported in History,
 	// snapshots, trace events and watchdog verdicts — the coarse-to-fine
@@ -153,27 +152,16 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one optimization run.
+// Result is the outcome of one optimization run. Its Outcome's State
+// is the returned ψ: the keep-best iterate, or the last one after a
+// coarse-level abort. History holds one record per iteration: Cost is
+// the total cost (Eq. 13), CostNominal ‖R_nom − R*‖² (Eq. 7) and
+// CostPVB ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12). Snapshots are taken
+// at full resolution only (Fig. 2). Evals is 0: the level-set method
+// does not count corner evaluations.
 type Result struct {
-	Mask       *grid.Field // optimized binary mask M* (Eq. 6 of final ψ)
-	Psi        *grid.Field // final level-set function
-	Iterations int
-	Converged  bool // stopped on the velocity tolerance
-	// Aborted is set when the health watchdog stopped the run early;
-	// AbortReason carries the obs.Health* reason code.
-	Aborted     bool
-	AbortReason string
-	// AbortCheckpoint is the solver state at the aborted iteration
-	// boundary (nil unless Aborted) — resumable through Run, persisted by
-	// the flight recorder's postmortem bundles.
-	AbortCheckpoint *solve.Checkpoint
-	// History holds one record per iteration: Cost is the total cost
-	// (Eq. 13), CostNominal ‖R_nom − R*‖² (Eq. 7) and CostPVB
-	// ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12).
-	History []solve.IterStats
-	// Snapshots are the mask states captured every SnapshotEvery
-	// iterations at full resolution (Fig. 2).
-	Snapshots []solve.Snapshot
+	solve.Outcome
+	Mask *grid.Field // optimized binary mask M* (Eq. 6 of State)
 }
 
 // Optimizer runs level-set ILT for one target. Not safe for concurrent
@@ -407,7 +395,7 @@ func (o *Optimizer) costs() (costNom, costPVB float64) {
 
 // SaveBest copies the current ψ into the keep-best store. solve's Step
 // calls it between Eval and Advance, so the iterate's mask is
-// MaskFromPsi of the stored ψ, and finish and SaveState form it there.
+// MaskFromPsi of the stored ψ.
 func (s *levelStepper) SaveBest() {
 	o := (*Optimizer)(s)
 	o.sim.Engine().ForChunk(len(o.psi.Data), o.saveBody)
@@ -461,14 +449,18 @@ func (s *levelStepper) Snapshot() *grid.Field {
 	return (*Optimizer)(s).mask.Clone()
 }
 
-// State clones ψ — the multi-resolution hand-off and Outcome.State.
-func (s *levelStepper) State() *grid.Field {
-	return (*Optimizer)(s).psi.Clone()
+// State clones the keep-best ψ when best is set, else the last ψ.
+func (s *levelStepper) State(best bool) *grid.Field {
+	o := (*Optimizer)(s)
+	if best {
+		return o.bestPsi.Clone()
+	}
+	return o.psi.Clone()
 }
 
 // SaveState clones the fields a bit-exact resume needs: ψ, the CG
-// memory (previous gradient term and velocity), and the keep-best
-// iterate when tracked, its mask formed from its ψ.
+// memory (previous gradient term and velocity), and the keep-best ψ
+// when tracked.
 func (s *levelStepper) SaveState() map[string]*grid.Field {
 	o := (*Optimizer)(s)
 	st := map[string]*grid.Field{
@@ -477,15 +469,13 @@ func (s *levelStepper) SaveState() map[string]*grid.Field {
 		"velocity": o.velocity.Clone(),
 	}
 	if o.keepBest {
-		st["bestmask"] = grid.NewFieldLike(o.bestPsi)
-		levelset.MaskFromPsi(st["bestmask"], o.bestPsi)
 		st["bestpsi"] = o.bestPsi.Clone()
 	}
 	return st
 }
 
 // RestoreState loads a SaveState map back into the optimizer's scratch.
-// The keep-best mask is not read: it is MaskFromPsi of the keep-best ψ.
+// Fields it does not know are ignored.
 func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 	o := (*Optimizer)(s)
 	psi := st["psi"]
@@ -511,18 +501,6 @@ func (s *levelStepper) RestoreState(st map[string]*grid.Field) error {
 		dst.CopyFrom(f)
 	}
 	return nil
-}
-
-// finish returns the run's mask and ψ from the level's outcome: the
-// keep-best iterate when one was tracked, else the last. Both are
-// cloned out of the leased scratch so they survive Release.
-func (o *Optimizer) finish(out *solve.Outcome) (mask, psi *grid.Field) {
-	psi = o.psi
-	if o.keepBest && !math.IsInf(out.BestCost, 1) {
-		psi = o.bestPsi
-	}
-	o.maskFromPsi(psi)
-	return o.mask.Clone(), psi.Clone()
 }
 
 // costAtPsi evaluates the total cost (Eq. 13) of the mask induced by the

@@ -132,22 +132,53 @@ func TestOptimizationReducesCost(t *testing.T) {
 	}
 }
 
+// TestResultMaskIsBinary: the result is the keep-best iterate. Mask is
+// the Eq. 6 mask of State, and simulating it again gives the lowest
+// cost in History bit for bit, which the last ψ (one step past the last
+// simulated iterate) does not.
 func TestResultMaskIsBinary(t *testing.T) {
 	sim := newTestSim(t, 3)
-	opts := DefaultOptions()
-	opts.MaxIter = 5
-	res := runOpts(t, sim, crossTarget(64), opts)
-	for _, v := range res.Mask.Data {
-		if v != 0 && v != 1 {
-			t.Fatalf("mask value %g not binary", v)
+	target := crossTarget(64)
+	for _, iters := range []int{5, 20, 40} {
+		opts := DefaultOptions()
+		opts.MaxIter = iters
+		res := runOpts(t, sim, target, opts)
+		for _, v := range res.Mask.Data {
+			if v != 0 && v != 1 {
+				t.Fatalf("%d iterations: mask value %g not binary", iters, v)
+			}
+		}
+		if res.Mask.Sum() == 0 {
+			t.Fatalf("%d iterations: optimized mask is empty", iters)
+		}
+		expectMaskOfState(t, res)
+		if got, best := resimulatedCost(sim, target, res.Mask, opts.PVBWeight), res.BestCost(); math.Float64bits(got) != math.Float64bits(best) {
+			t.Fatalf("%d iterations: the mask's cost %v, want the lowest history cost %v", iters, got, best)
 		}
 	}
-	if res.Mask.Sum() == 0 {
-		t.Fatal("optimized mask is empty")
+}
+
+// expectMaskOfState requires res.Mask to be MaskFromPsi(res.State) bit
+// for bit.
+func expectMaskOfState(t *testing.T, res *Result) {
+	t.Helper()
+	want := grid.NewFieldLike(res.State)
+	levelset.MaskFromPsi(want, res.State)
+	for i, v := range want.Data {
+		if math.Float64bits(res.Mask.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("mask pixel %d is %v, MaskFromPsi(State) gives %v", i, res.Mask.Data[i], v)
+		}
 	}
-	if res.Psi == nil {
-		t.Fatal("final ψ missing")
-	}
+}
+
+// resimulatedCost simulates the three corners of mask and returns the
+// total cost (Eq. 13), summed as the optimizer sums it.
+func resimulatedCost(sim *litho.Simulator, target, mask *grid.Field, w float64) float64 {
+	spec := grid.NewCField(mask.W, mask.H)
+	sim.MaskSpectrumInto(spec, mask)
+	c := []litho.Corner{{Cond: litho.Nominal, Weight: 1}, {Cond: litho.Outer, Weight: w}, {Cond: litho.Inner, Weight: w}}
+	sim.ForwardCorners(spec, target, c)
+	return c[litho.Nominal].Cost + w*(c[litho.Outer].Cost+c[litho.Inner].Cost)
 }
 
 func TestHistoryTraceConsistency(t *testing.T) {

@@ -63,37 +63,19 @@ func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Mask:            prog.mask,
-		Psi:             prog.psi,
-		Iterations:      out.Iterations,
-		Converged:       out.Converged,
-		Aborted:         out.Aborted,
-		AbortReason:     out.AbortReason,
-		AbortCheckpoint: out.AbortCheckpoint,
-		History:         out.History,
-		Snapshots:       out.Snapshots,
-	}
-	if res.Psi == nil {
-		// A poisoned coarse run aborted the schedule: the state arrives
-		// lifted to full resolution so the result shape matches the
-		// caller's grid.
-		res.Psi = out.State
-		res.Mask = grid.NewField(res.Psi.W, res.Psi.H)
-		levelset.MaskFromPsi(res.Mask, res.Psi)
-	}
+	res := &Result{Outcome: *out, Mask: grid.NewField(out.State.W, out.State.H)}
+	levelset.MaskFromPsi(res.Mask, res.State)
 	return res, nil
 }
 
 // levelProgram adapts the level-set optimizer to solve.RunLevels.
 type levelProgram struct {
-	opts      Options
-	eng       *engine.Engine // the run's engine: every level's, and the hand-off's
-	mask, psi *grid.Field    // the full-resolution level's final iterate
+	opts Options
+	eng  *engine.Engine // the run's engine: every level's, and the hand-off's
 }
 
 // Level builds the optimizer and driver for one resolution level.
-func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve.LevelConfig) (*solve.Driver, func(*solve.Outcome), func(), error) {
+func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve.LevelConfig) (*solve.Driver, func(), error) {
 	lopts := p.opts
 	lopts.MaxIter = cfg.MaxIter
 	lopts.IterOffset = cfg.Offset
@@ -109,19 +91,14 @@ func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve
 	// the best-so-far bookkeeping restarts at full resolution anyway.
 	o, err := newOptimizer(sim, target, lopts, !cfg.Coarse)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	drv, err := o.driver()
 	if err != nil {
 		o.Release()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	finish := func(out *solve.Outcome) {
-		if !cfg.Coarse {
-			p.mask, p.psi = o.finish(out)
-		}
-	}
-	return drv, finish, o.Release, nil
+	return drv, o.Release, nil
 }
 
 // Upsample is the hand-off: spectral interpolation onto the 2× finer

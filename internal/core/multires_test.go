@@ -9,8 +9,8 @@ import (
 	"lsopc/internal/obs"
 )
 
-// TestMultiResFactor1MatchesRun: with no coarse levels the schedule is
-// exactly New + Optimizer.run — bit-identical masks and history.
+// TestMultiResFactor1MatchesRun: factors 0 and 1 both run the one-level
+// schedule — bit-identical masks and history.
 func TestMultiResFactor1MatchesRun(t *testing.T) {
 	target := crossTarget(64)
 	opts := DefaultOptions()
@@ -69,8 +69,8 @@ func TestMultiResSchedule(t *testing.T) {
 		}
 	}
 
-	if res.Mask.W != 64 || res.Psi.W != 64 {
-		t.Fatalf("result grids %d/%d px, want full resolution 64", res.Mask.W, res.Psi.W)
+	if res.Mask.W != 64 || res.State.W != 64 {
+		t.Fatalf("result grids %d/%d px, want full resolution 64", res.Mask.W, res.State.W)
 	}
 	for _, v := range res.Mask.Data {
 		if v != 0 && v != 1 {
@@ -173,9 +173,10 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Fatalf("poisoned schedule ran %d iterations, want 1", res.Iterations)
 	}
-	if res.Mask == nil || res.Mask.W != 64 || res.Psi == nil || res.Psi.W != 64 {
+	if res.Mask == nil || res.Mask.W != 64 || res.State == nil || res.State.W != 64 {
 		t.Fatal("aborted coarse run must surface full-resolution mask and ψ")
 	}
+	expectMaskOfState(t, res)
 	// No level_switch may fire: the schedule stopped inside level one.
 	for _, e := range sink.Events() {
 		if e.Type == obs.EventLevelSwitch {
@@ -212,4 +213,5 @@ func TestMultiResWatchdogAbortsPoisonedFineLevel(t *testing.T) {
 	if res.Mask.W != 64 {
 		t.Fatalf("result grid %d px, want 64", res.Mask.W)
 	}
+	expectMaskOfState(t, res)
 }

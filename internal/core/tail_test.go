@@ -256,7 +256,7 @@ func TestEngineEquivalentRunsReducedGrid(t *testing.T) {
 	ref := run(1)
 	for _, workers := range []int{2, 3} {
 		got := run(workers)
-		if !got.Mask.Equal(ref.Mask, 0) || !got.Psi.Equal(ref.Psi, 0) {
+		if !got.Mask.Equal(ref.Mask, 0) || !got.State.Equal(ref.State, 0) {
 			t.Fatalf("workers=%d: mask or ψ differs from the serial engine", workers)
 		}
 		if len(got.History) != len(ref.History) {

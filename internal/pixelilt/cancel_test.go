@@ -44,9 +44,9 @@ func cancelBaselineRun(t *testing.T, sim *litho.Simulator, target *grid.Field, o
 
 func expectBaselineIdentical(t *testing.T, res, ref *Result) {
 	t.Helper()
-	if res.Iterations != ref.Iterations || res.CornerSims != ref.CornerSims {
+	if res.Iterations != ref.Iterations || res.Evals != ref.Evals {
 		t.Fatalf("resumed run: %d iters / %d corner sims, reference %d/%d",
-			res.Iterations, res.CornerSims, ref.Iterations, ref.CornerSims)
+			res.Iterations, res.Evals, ref.Iterations, ref.Evals)
 	}
 	if len(res.History) != len(ref.History) {
 		t.Fatalf("resumed history %d rows, reference %d", len(res.History), len(ref.History))

@@ -21,22 +21,16 @@ import (
 
 // levelProgram adapts the pixel baselines to solve.RunLevels.
 type levelProgram struct {
-	opts       Options
-	eng        *engine.Engine // the run's engine, which the hand-off runs on
-	mask, gray *grid.Field    // the full-resolution level's final masks
+	opts Options
+	eng  *engine.Engine // the run's engine, which the hand-off runs on
 }
 
 // Level builds the stepper and driver for one resolution level.
-func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve.LevelConfig) (*solve.Driver, func(*solve.Outcome), func(), error) {
+func (p *levelProgram) Level(sim *litho.Simulator, target *grid.Field, cfg solve.LevelConfig) (*solve.Driver, func(), error) {
 	lopts := p.opts
 	lopts.MaxIter = cfg.MaxIter
 	s := newStepper(sim, target, lopts, cfg.Offset, cfg.State)
-	finish := func(*solve.Outcome) {
-		if !cfg.Coarse {
-			p.gray, p.mask = masksFromTheta(s.theta)
-		}
-	}
-	return s.driver(), finish, s.release, nil
+	return s.driver(), s.release, nil
 }
 
 // Upsample lifts θ onto the 2× finer grid by spectral interpolation on

@@ -135,23 +135,16 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Result is the outcome of a baseline run.
+// Result is the outcome of a baseline run. Its Outcome's State is the
+// final θ, lifted to full resolution after a coarse-level abort.
+// History holds one record per iteration: Cost sums the corner
+// costs simulated that iteration, Evals counts those corners, and
+// MaxVelocity is the ∞-norm of dL/dθ. Outcome.Evals totals the corner
+// evaluations (the runtime proxy).
 type Result struct {
-	Mask       *grid.Field // binarised optimized mask
-	Gray       *grid.Field // continuous sigmoid mask σ(a·θ)
-	Iterations int
-	// Aborted is set when the health watchdog stopped the run early;
-	// AbortReason carries the obs.Health* reason code.
-	Aborted     bool
-	AbortReason string
-	// AbortCheckpoint is the solver state at the aborted iteration
-	// boundary (nil unless Aborted), resumable through Optimize.
-	AbortCheckpoint *solve.Checkpoint
-	// History holds one record per iteration: Cost sums the corner
-	// costs simulated that iteration, Evals counts those corners, and
-	// MaxVelocity is the ∞-norm of dL/dθ.
-	History    []solve.IterStats
-	CornerSims int // total forward+adjoint corner evaluations (runtime proxy)
+	solve.Outcome
+	Mask *grid.Field // binarised optimized mask
+	Gray *grid.Field // continuous sigmoid mask σ(a·θ)
 }
 
 // cornerPlan returns the corners to simulate at iteration i and their
@@ -214,21 +207,8 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Mask:            prog.mask,
-		Gray:            prog.gray,
-		Iterations:      out.Iterations,
-		Aborted:         out.Aborted,
-		AbortReason:     out.AbortReason,
-		AbortCheckpoint: out.AbortCheckpoint,
-		History:         out.History,
-		CornerSims:      out.Evals,
-	}
-	if res.Mask == nil {
-		// A poisoned coarse run aborted the schedule: θ arrives lifted to
-		// full resolution so the result masks match the caller's grid.
-		res.Gray, res.Mask = masksFromTheta(out.State)
-	}
+	res := &Result{Outcome: *out}
+	res.Gray, res.Mask = masksFromTheta(out.State)
 	return res, nil
 }
 
@@ -374,8 +354,9 @@ func (s *stepper) Advance(i int, dt float64) float64 {
 // Snapshot clones the current continuous mask σ(a·θ).
 func (s *stepper) Snapshot() *grid.Field { return s.mask.Clone() }
 
-// State clones θ — the multi-resolution hand-off.
-func (s *stepper) State() *grid.Field { return s.theta.Clone() }
+// State clones θ. best is never set: the baselines keep no best
+// iterate.
+func (s *stepper) State(bool) *grid.Field { return s.theta.Clone() }
 
 // SaveState captures θ, the only state a bit-exact resume needs (the
 // corner plan is a pure function of the iteration number).

@@ -177,8 +177,8 @@ func TestCornerSimAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf.CornerSims != 9 {
-		t.Fatalf("fast corner sims = %d, want 9", rf.CornerSims)
+	if rf.Evals != 9 {
+		t.Fatalf("fast corner sims = %d, want 9", rf.Evals)
 	}
 
 	exact := DefaultOptions(MosaicExact)
@@ -187,8 +187,8 @@ func TestCornerSimAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.CornerSims != 27 {
-		t.Fatalf("exact corner sims = %d, want 27", re.CornerSims)
+	if re.Evals != 27 {
+		t.Fatalf("exact corner sims = %d, want 27", re.Evals)
 	}
 }
 
@@ -221,21 +221,47 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestGrayMaskConsistentWithBinary: both masks are those of the
+// returned θ, also when the watchdog aborts a coarse level and θ
+// arrives lifted to full resolution.
 func TestGrayMaskConsistentWithBinary(t *testing.T) {
-	target := rectTarget(64, 20, 14)
-	res, err := Optimize(context.Background(), newTestSim(t, 2), target, DefaultOptions(MosaicFast), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Gray.Data {
-		if (res.Gray.Data[i] > 0.5) != (res.Mask.Data[i] == 1) {
-			t.Fatal("binary mask must be the gray mask thresholded at 1/2")
+	// No relative improvement reaches 2, so the watchdog stops the run
+	// at its second iteration, on the coarse level.
+	stalls := DefaultOptions(MosaicExact)
+	stalls.MaxIter = 8
+	stalls.MultiResFactor = 2
+	stalls.Health = &obs.HealthPolicy{StallWindow: 1, StallEpsilon: 2, AbortOnUnhealthy: true}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		aborted bool
+	}{
+		{"MOSAIC_fast", DefaultOptions(MosaicFast), false},
+		{"coarse abort", stalls, true},
+	} {
+		res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 14), tc.opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Aborted != tc.aborted || (tc.aborted && res.Iterations != 2) || res.State.W != 64 {
+			t.Fatalf("%s: aborted=%v after %d iterations, θ %d px; want aborted=%v at 64 px", tc.name, res.Aborted, res.Iterations, res.State.W, tc.aborted)
+		}
+		for i := range res.Gray.Data {
+			if (res.Gray.Data[i] > 0.5) != (res.Mask.Data[i] == 1) {
+				t.Fatalf("%s: binary mask must be the gray mask thresholded at 1/2", tc.name)
+			}
+		}
+		gray, mask := masksFromTheta(res.State)
+		for i := range gray.Data {
+			if math.Float64bits(res.Gray.Data[i]) != math.Float64bits(gray.Data[i]) || math.Float64bits(res.Mask.Data[i]) != math.Float64bits(mask.Data[i]) {
+				t.Fatalf("%s: pixel %d: masks %v/%v, masksFromTheta(State) gives %v/%v", tc.name, i, res.Gray.Data[i], res.Mask.Data[i], gray.Data[i], mask.Data[i])
+			}
 		}
 	}
 }
 
 // TestExactPlanRunsOneCornerPass: MOSAIC_exact simulates its three
-// corners in one litho call per iteration, while CornerSims still counts
+// corners in one litho call per iteration, while Evals still counts
 // three conditions.
 func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	sink := &obs.CollectorSink{}
@@ -247,8 +273,8 @@ func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CornerSims != 9 {
-		t.Fatalf("corner sims = %d, want 9", res.CornerSims)
+	if res.Evals != 9 {
+		t.Fatalf("corner sims = %d, want 9", res.Evals)
 	}
 	calls := map[string]int{}
 	for _, e := range sink.Events() {

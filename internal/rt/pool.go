@@ -15,15 +15,14 @@ package rt
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"lsopc/internal/grid"
 	"lsopc/internal/obs"
 )
 
 // Process-wide pool metrics, aggregated across all pools in the default
-// registry (each pool also counts its own leases and reuses). The
-// pointers are resolved once so a lease costs two extra atomic adds.
+// registry. The pointers are resolved once so a lease costs two atomic
+// adds.
 var (
 	mLeases   = obs.Default.Counter("rt.pool.leases")
 	mReuses   = obs.Default.Counter("rt.pool.reuses")
@@ -69,9 +68,6 @@ type Pool struct {
 	mu      sync.Mutex
 	fields  map[dims][]*grid.Field
 	cfields map[dims][]*grid.CField
-
-	leases atomic.Int64 // total leases served
-	reuses atomic.Int64 // leases served from the free list
 }
 
 // NewPool returns an empty pool.
@@ -86,7 +82,6 @@ var Shared = NewPool()
 // lists *m, or returns nil when there is none. It counts the lease
 // either way.
 func take[T any](p *Pool, m *map[dims][]*T, d dims) *T {
-	p.leases.Add(1)
 	mLeases.Inc()
 	p.mu.Lock()
 	l := (*m)[d]
@@ -100,7 +95,6 @@ func take[T any](p *Pool, m *map[dims][]*T, d dims) *T {
 		mMisses.Inc()
 		return nil
 	}
-	p.reuses.Add(1)
 	mReuses.Inc()
 	return v
 }

@@ -9,6 +9,7 @@ import (
 )
 
 func TestPoolFieldReuseAndZeroing(t *testing.T) {
+	m := markLeases()
 	p := NewPool()
 	f := p.Field(8, 4)
 	if f.W != 8 || f.H != 4 {
@@ -30,7 +31,7 @@ func TestPoolFieldReuseAndZeroing(t *testing.T) {
 			t.Fatalf("recycled field not zeroed at %d: %g", i, v)
 		}
 	}
-	if leases, reuses := stats(p); leases != 2 || reuses != 1 {
+	if leases, reuses := m.since(); leases != 2 || reuses != 1 {
 		t.Fatalf("stats = %d leases / %d reuses, want 2 / 1", leases, reuses)
 	}
 }
@@ -59,6 +60,7 @@ func TestPoolCFieldReuseAndZeroing(t *testing.T) {
 // collections, so the next lease of its shape is a reuse, not a fresh
 // allocation.
 func TestPoolKeepsBuffersAcrossGC(t *testing.T) {
+	m := markLeases()
 	p := NewPool()
 	f, c := p.Field(32, 32), p.CField(32, 32)
 	p.PutField(f)
@@ -71,12 +73,13 @@ func TestPoolKeepsBuffersAcrossGC(t *testing.T) {
 	if d := p.CField(32, 32); &d.Data[0] != &c.Data[0] {
 		t.Fatal("cfield lease after GC allocated instead of reusing the returned buffer")
 	}
-	if leases, reuses := stats(p); leases != 4 || reuses != 2 {
+	if leases, reuses := m.since(); leases != 4 || reuses != 2 {
 		t.Fatalf("stats = %d leases / %d reuses, want 4 / 2", leases, reuses)
 	}
 }
 
 func TestPoolDistinctSizesDoNotMix(t *testing.T) {
+	m := markLeases()
 	p := NewPool()
 	small := p.Field(4, 4)
 	p.PutField(small)
@@ -84,7 +87,7 @@ func TestPoolDistinctSizesDoNotMix(t *testing.T) {
 	if len(big.Data) != 64 {
 		t.Fatalf("big lease has %d elements", len(big.Data))
 	}
-	_, reuses := stats(p)
+	_, reuses := m.since()
 	if reuses != 0 {
 		t.Fatal("a 16-element buffer must not serve a 64-element lease")
 	}
@@ -94,6 +97,7 @@ func TestPoolDistinctShapesDoNotMix(t *testing.T) {
 	// Dimension keying: equal element counts with different shapes keep
 	// separate free lists, so multi-resolution sessions never trade
 	// buffers across transposed or re-factored shapes.
+	m := markLeases()
 	p := NewPool()
 	f := p.Field(8, 4)
 	p.PutField(f)
@@ -101,7 +105,7 @@ func TestPoolDistinctShapesDoNotMix(t *testing.T) {
 	if g.W != 4 || g.H != 8 {
 		t.Fatalf("lease %dx%d", g.W, g.H)
 	}
-	_, reuses := stats(p)
+	_, reuses := m.since()
 	if reuses != 0 {
 		t.Fatal("an 8x4 buffer must not serve a 4x8 lease")
 	}
@@ -141,6 +145,7 @@ func BenchmarkPoolMixedSizeLeases(b *testing.B) {
 }
 
 func TestPoolConcurrentLeases(t *testing.T) {
+	m := markLeases()
 	p := NewPool()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -158,15 +163,24 @@ func TestPoolConcurrentLeases(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	leases, _ := stats(p)
+	leases, _ := m.since()
 	if leases != 800 {
 		t.Fatalf("leases = %d, want 800", leases)
 	}
 }
 
-// stats reports the pool's total leases and how many were served from
-// its free lists.
-func stats(p *Pool) (leases, reuses int64) { return p.leases.Load(), p.reuses.Load() }
+// leaseMark holds the process-wide rt.pool.leases and rt.pool.reuses
+// counters at one instant. No test in this package runs in parallel, so
+// the counts since a mark are the test's own.
+type leaseMark struct{ leases, reuses int64 }
+
+func markLeases() leaseMark { return leaseMark{mLeases.Value(), mReuses.Value()} }
+
+// since reports the leases served since the mark and how many of them
+// came from a free list.
+func (m leaseMark) since() (leases, reuses int64) {
+	return mLeases.Value() - m.leases, mReuses.Value() - m.reuses
+}
 
 // testOptics returns a small distinct optics configuration per tag so
 // memoization tests do not collide across test runs in one process.

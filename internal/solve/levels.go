@@ -26,7 +26,7 @@ type LevelConfig struct {
 	State *grid.Field
 	// Coarse marks every level except the final full-resolution one;
 	// methods disable final-mask-only bookkeeping (keep-best,
-	// snapshots, cleanup) on coarse levels.
+	// snapshots) on coarse levels.
 	Coarse bool
 }
 
@@ -34,12 +34,11 @@ type LevelConfig struct {
 // runner: it builds one Driver per level and owns the state
 // interpolation between levels.
 type Program interface {
-	// Level builds the driver for one level. finish is invoked with the
-	// level's outcome after a successful run while the level's
-	// resources are still live (methods assemble their final masks
-	// there); cleanup releases the level's scratch and is always called
-	// after the level ends, success or not.
-	Level(sim *litho.Simulator, target *grid.Field, cfg LevelConfig) (drv *Driver, finish func(*Outcome), cleanup func(), err error)
+	// Level builds the driver for one level. cleanup releases the
+	// level's scratch and is always called after the level ends,
+	// success or not; the level's Outcome owns its fields and outlives
+	// it.
+	Level(sim *litho.Simulator, target *grid.Field, cfg LevelConfig) (drv *Driver, cleanup func(), err error)
 	// Upsample lifts the evolving state onto a 2× finer grid (the
 	// method decides whether to redistance afterwards).
 	Upsample(state *grid.Field) *grid.Field
@@ -138,7 +137,6 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 			total.AbortReason = out.AbortReason
 			total.AbortCheckpoint = out.AbortCheckpoint
 			total.Snapshots = out.Snapshots
-			total.BestCost = out.BestCost
 			total.State = out.State
 			return total, nil
 		}
@@ -178,10 +176,9 @@ func RunLevels(ctx context.Context, sim *litho.Simulator, target *grid.Field, sc
 
 // runOneLevel runs the schedule level of factor f: it builds the level's
 // simulator (a coarse session on sim's truncated banks when f > 1) and
-// target, the program's driver, restores from when it is non-nil, runs
-// the driver and hands the outcome to the program's finish. On every
-// path the level's cleanup runs first, then the coarse session is
-// released.
+// target, the program's driver, restores from when it is non-nil and
+// runs the driver. On every path the level's cleanup runs first, then
+// the coarse session is released.
 func runOneLevel(ctx context.Context, sim *litho.Simulator, target *grid.Field, f int, prog Program, cfg LevelConfig, from *Checkpoint) (*Outcome, error) {
 	lsim, ltarget := sim, target
 	if f > 1 {
@@ -203,7 +200,7 @@ func runOneLevel(ctx context.Context, sim *litho.Simulator, target *grid.Field, 
 		ltarget = target.Downsample(f)
 		ltarget.Binarize(ltarget)
 	}
-	drv, finish, cleanup, err := prog.Level(lsim, ltarget, cfg)
+	drv, cleanup, err := prog.Level(lsim, ltarget, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +220,5 @@ func runOneLevel(ctx context.Context, sim *litho.Simulator, target *grid.Field, 
 	if err != nil {
 		return nil, err
 	}
-	finish(out)
 	return out, nil
 }

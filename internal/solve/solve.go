@@ -93,9 +93,10 @@ type Stepper interface {
 	// Snapshot clones the current mask for the snapshot series. Called
 	// only when Config.SnapshotEvery > 0.
 	Snapshot() *grid.Field
-	// State clones the evolving state (ψ or θ) — the multi-resolution
-	// hand-off and the final Outcome.State.
-	State() *grid.Field
+	// State clones the evolving state (ψ or θ): the keep-best iterate
+	// when best is set, else the last one. It is Outcome.State — the
+	// run's result and the multi-resolution hand-off.
+	State(best bool) *grid.Field
 	// SaveState clones every field a bit-exact resume needs, keyed by
 	// the method's own names (e.g. "psi", "gprev", "velocity").
 	SaveState() map[string]*grid.Field
@@ -147,16 +148,20 @@ type Config struct {
 	Observe func(time.Duration)
 }
 
-// Outcome is what a Driver run produced. History and Snapshots are
-// owned by the outcome; State is a clone of the final evolving state.
+// Outcome is what a Driver run produced; it owns every field. State
+// is the run's result: a clone of the keep-best iterate when
+// Config.KeepBest is set and some iteration's cost beat +Inf, else of
+// the last iterate.
 type Outcome struct {
-	Iterations  int
-	Converged   bool
+	Iterations int
+	// Converged is set when the run stopped on Config.Tolerance.
+	Converged bool
+	// Aborted is set when the health watchdog stopped the run early;
+	// AbortReason carries the obs.Health* reason code.
 	Aborted     bool
 	AbortReason string
-	// BestCost is the lowest cost seen (KeepBest bookkeeping); +Inf
-	// when no iteration ran or KeepBest was off.
-	BestCost  float64
+	// Evals counts the forward+gradient corner evaluations (a runtime
+	// proxy); 0 for a method that does not track them.
 	Evals     int
 	History   []IterStats
 	Snapshots []Snapshot
@@ -193,10 +198,7 @@ func NewDriver(s Stepper, cfg Config) *Driver {
 		cfg:      cfg,
 		scale:    cfg.BaseScale,
 		bestCost: math.Inf(1),
-		out: &Outcome{
-			BestCost: math.Inf(1),
-			History:  make([]IterStats, 0, cfg.MaxIter),
-		},
+		out:      &Outcome{History: make([]IterStats, 0, cfg.MaxIter)},
 	}
 	if cfg.Health != nil {
 		d.wd = obs.NewWatchdog(*cfg.Health, cfg.Sink, cfg.Trace)
@@ -333,10 +335,9 @@ func (d *Driver) Run(ctx context.Context) (out *Outcome, err error) {
 	return out, err
 }
 
-// finish seals the outcome with the final state clone.
+// finish seals the outcome with the one clone of the run's result.
 func (d *Driver) finish() *Outcome {
-	d.out.BestCost = d.bestCost
-	d.out.State = d.s.State()
+	d.out.State = d.s.State(d.cfg.KeepBest && !math.IsInf(d.bestCost, 1))
 	return d.out
 }
 

@@ -24,6 +24,7 @@ type quadStepper struct {
 	grad  float64
 	cost  float64 // overridden by script when set
 	calls []string
+	xs    []float64 // state each Eval saw
 
 	script   []float64 // optional per-iteration cost override
 	scales   []float64 // scale passed to each StepSize call
@@ -43,6 +44,7 @@ func (s *quadStepper) Eval(i int) Stats {
 		s.cancel()
 	}
 	x := s.x.Data[0]
+	s.xs = append(s.xs, x)
 	s.grad = 2 * x
 	s.cost = x * x
 	if i < len(s.script) {
@@ -69,10 +71,20 @@ func (s *quadStepper) Advance(i int, dt float64) float64 {
 }
 
 func (s *quadStepper) Snapshot() *grid.Field { return s.x.Clone() }
-func (s *quadStepper) State() *grid.Field    { return s.x.Clone() }
+
+func (s *quadStepper) State(best bool) *grid.Field {
+	if best {
+		return s.best.Clone()
+	}
+	return s.x.Clone()
+}
 
 func (s *quadStepper) SaveState() map[string]*grid.Field {
-	return map[string]*grid.Field{"x": s.x.Clone()}
+	st := map[string]*grid.Field{"x": s.x.Clone()}
+	if s.best != nil {
+		st["best"] = s.best.Clone()
+	}
+	return st
 }
 
 func (s *quadStepper) RestoreState(st map[string]*grid.Field) error {
@@ -81,6 +93,9 @@ func (s *quadStepper) RestoreState(st map[string]*grid.Field) error {
 		return errors.New("quad: checkpoint missing field x")
 	}
 	s.x.CopyFrom(f)
+	if b := st["best"]; b != nil {
+		s.best = b.Clone()
+	}
 	return nil
 }
 
@@ -163,8 +178,20 @@ func TestDriverKeepBest(t *testing.T) {
 	if saves != 3 { // costs 5, 3, 2 are successive minima
 		t.Fatalf("SaveBest called %d times, want 3 (calls %v)", saves, s.calls)
 	}
-	if out.BestCost != 2 {
-		t.Fatalf("BestCost = %g, want 2", out.BestCost)
+	// The result is the cost-2 iterate (local iteration 3), not the last.
+	if got, want := out.State.Data[0], s.xs[3]; got != want || got == s.x.Data[0] {
+		t.Fatalf("State = %g, want the cost-2 iterate %g (last %g)", got, want, s.x.Data[0])
+	}
+
+	// Off, the result is the last iterate.
+	s = newQuadStepper(1)
+	s.script = []float64{5, 3, 4, 2, 6}
+	out, err = NewDriver(s, quadConfig(5)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.State.Data[0]; got != s.x.Data[0] {
+		t.Fatalf("without KeepBest State = %g, want the last iterate %g", got, s.x.Data[0])
 	}
 }
 
@@ -312,9 +339,6 @@ func TestDriverResumeBitIdentical(t *testing.T) {
 	}
 	if res.State.Data[0] != ref.State.Data[0] {
 		t.Fatalf("final state %g != reference %g", res.State.Data[0], ref.State.Data[0])
-	}
-	if res.BestCost != ref.BestCost {
-		t.Fatalf("best cost %g != reference %g", res.BestCost, ref.BestCost)
 	}
 	// The post-resume step scales must continue the reference trajectory.
 	for i, sc := range s2.scales {

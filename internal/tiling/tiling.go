@@ -530,7 +530,7 @@ func (r *runner) runTile(ctx context.Context, sim *litho.Simulator, ti, pass int
 		})
 	}
 	r.mu.Lock()
-	r.psis[ti] = res.Psi
+	r.psis[ti] = res.State
 	r.stats[ti].Iterations += res.Iterations
 	r.stats[ti].Converged = res.Converged
 	r.stats[ti].Dur += dur

@@ -206,10 +206,12 @@ const (
 	// PresetTest: 128 px @ 16 nm, 4 kernels — unit-test scale.
 	PresetTest Preset = iota
 	// PresetFast: 512 px @ 4 nm, 8 kernels — the default experiment
-	// scale; a full benchmark optimizes in tens of seconds.
+	// scale; a default 50-iteration level-set run of one benchmark
+	// takes under a second on 2 vCPUs.
 	PresetFast
 	// PresetPaper: 2048 px @ 1 nm, 24 kernels — the contest's native
-	// scale used by the paper (minutes per benchmark per method).
+	// scale used by the paper; 10 level-set iterations on B4 take about
+	// 2 s on 2 vCPUs.
 	PresetPaper
 )
 
@@ -261,8 +263,8 @@ func (p Preset) params() (gridSize int, pixelNM float64, kernels int, err error)
 }
 
 // Pipeline is a cheap, concurrency-safe handle over one immutable
-// resource bank: the SOCS kernel banks, FFT plans and rasterised-target
-// cache derived once for its preset. All per-job mutable state lives in
+// resource bank: the SOCS kernel banks and FFT plans derived once for
+// its preset. All per-job mutable state lives in
 // sessions the pipeline leases internally: each of OptimizeLevelSet,
 // OptimizeBaseline, Evaluate, PrintedImages and ProcessWindow takes its
 // own for the length of the call (OptimizeTiled builds one per tile

@@ -3,10 +3,13 @@ package lsopc
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"path/filepath"
 	"testing"
 
+	"lsopc/internal/grid"
+	"lsopc/internal/levelset"
 	"lsopc/internal/obs/recorder"
 	"lsopc/internal/solve"
 )
@@ -152,16 +155,32 @@ func TestCancelResumeThroughPipeline(t *testing.T) {
 				t.Fatalf("checkpoint after %d iterations, want %d", got, tc.at+1)
 			}
 
-			stop.iters = 0
-			got, err := tc.run(context.Background(), p, cp)
-			if err != nil {
-				t.Fatal(err)
+			froms := []*Checkpoint{cp}
+			if best := cp.State["bestpsi"]; best != nil {
+				// A keep-best checkpoint holds ψ, the CG memory and the
+				// keep-best ψ. Older ones also carry "bestmask", the mask
+				// of the keep-best ψ, which a resume ignores.
+				if len(cp.State) != 4 {
+					t.Fatalf("keep-best checkpoint holds %d fields, want 4", len(cp.State))
+				}
+				legacy := *cp
+				legacy.State = maps.Clone(cp.State)
+				legacy.State["bestmask"] = grid.NewFieldLike(best)
+				levelset.MaskFromPsi(legacy.State["bestmask"], best)
+				froms = append(froms, &legacy)
 			}
-			runsIdentical(t, got, want)
-			// A run that ignored the checkpoint would match as well, but
-			// would step through the whole budget again.
-			if stop.iters != resumeIters-(tc.at+1) {
-				t.Fatalf("resumed run stepped %d iterations, want the remaining %d", stop.iters, resumeIters-(tc.at+1))
+			for _, from := range froms {
+				stop.iters = 0
+				got, err := tc.run(context.Background(), p, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runsIdentical(t, got, want)
+				// A run that ignored the checkpoint would match as well,
+				// but would step through the whole budget again.
+				if stop.iters != resumeIters-(tc.at+1) {
+					t.Fatalf("resumed run stepped %d iterations, want the remaining %d", stop.iters, resumeIters-(tc.at+1))
+				}
 			}
 
 			var bundles []TraceEvent

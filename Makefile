@@ -9,8 +9,9 @@
 #   make vet     - static analysis
 #   make bench   - the headline benchmarks behind the Table II claims,
 #               then the two A/B speed gates of make benchgate
-#   make trace   - instrumented runs (single-window and tiled, the tiled
-#               one with the -serve live endpoint attached) + JSONL
+#   make trace   - instrumented runs (single-window level-set and
+#               MOSAIC_exact baseline, and tiled, the tiled one with the
+#               -serve live endpoint attached) + JSONL
 #               trace validation (tracestats -check) + analytics (tracestats)
 #               + Chrome/Perfetto timeline export + the live-telemetry
 #               end-to-end smoke (SSE + /runs during a tiled run) and
@@ -62,8 +63,10 @@ race:
 # malformed, missing any event family of the taxonomy (DESIGN.md §9),
 # carries an unknown event kind (-strict) or violates the per-run
 # invariants (run ids everywhere, per-run monotonic iterations), then
-# prints the tracestats analytics report over the same trace. The tiled
-# leg runs with -serve attached (flag smoke: server up for the whole
+# prints the tracestats analytics report over the same trace. The
+# baseline leg does the same for a MOSAIC_exact run under the watchdog,
+# so the pixel baselines' iteration, corner and span events go through
+# the strict check too. The tiled leg runs with -serve attached (flag smoke: server up for the whole
 # run, graceful shutdown after) and its trace is exported to a
 # Chrome/Perfetto timeline. The final leg is the live-telemetry e2e
 # smoke — a tiled run observed over real HTTP must show per-tile
@@ -79,6 +82,9 @@ trace:
 	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -health -tracefile $$d/trace.jsonl; \
 	$(GO) run ./cmd/tracestats -check -strict -require iteration,corner,plan_cache,pool,span $$d/trace.jsonl; \
 	$(GO) run ./cmd/tracestats $$d/trace.jsonl; \
+	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -method MOSAIC_exact -health -tracefile $$d/trace-baseline.jsonl; \
+	$(GO) run ./cmd/tracestats -check -strict -require iteration,corner,span $$d/trace-baseline.jsonl; \
+	$(GO) run ./cmd/tracestats $$d/trace-baseline.jsonl; \
 	$(GO) run ./cmd/benchgen -dir $$d/bench -chip 2x2 -cells B1,B4; \
 	$(GO) run ./cmd/lsopc -preset test -glp $$d/bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -serve 127.0.0.1:0 -tracefile $$d/trace-tiled.jsonl; \
 	$(GO) run ./cmd/tracestats -check -strict -require tile_start,tile_done,iteration,span $$d/trace-tiled.jsonl; \

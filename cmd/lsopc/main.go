@@ -7,8 +7,7 @@
 //	lsopc -glp design.glp -preset fast -method MOSAIC_exact
 //	lsopc -case B1 -iters 30 -pvb-weight 0.8 -out mask.pgm -ascii
 //	lsopc -case B4 -tracefile run.jsonl          # structured event trace
-//	lsopc -case B4 -metrics 127.0.0.1:6060       # live /metrics + pprof
-//	lsopc -case B4 -serve 127.0.0.1:6060         # live /runs + SSE event stream
+//	lsopc -case B4 -serve 127.0.0.1:6060         # live /runs + SSE, /metrics + pprof
 //	lsopc -glp chip.glp -tiled -tile-workers 4   # full-chip tiled run
 //	lsopc -glp chip.glp -tiled -halo 320 -stitch-passes 3 -out chip.pgm
 //	lsopc -case B4 -checkpoint run.ckpt          # Ctrl-C writes a resumable checkpoint
@@ -37,24 +36,23 @@ import (
 
 // cliConfig carries every parsed flag.
 type cliConfig struct {
-	caseID      string
-	glpPath     string
-	preset      string
-	method      string
-	iters       int
-	pvbWeight   float64
-	serial      bool
-	outPath     string
-	outGLP      string
-	ascii       bool
-	trace       bool
-	tracePath   string
-	metricsAddr string
-	serveAddr   string
-	health      bool
-	multires    int
-	checkpoint  string
-	resume      string
+	caseID     string
+	glpPath    string
+	preset     string
+	method     string
+	iters      int
+	pvbWeight  float64
+	serial     bool
+	outPath    string
+	outGLP     string
+	ascii      bool
+	trace      bool
+	tracePath  string
+	serveAddr  string
+	health     bool
+	multires   int
+	checkpoint string
+	resume     string
 
 	tiled        bool
 	halo         int
@@ -78,10 +76,9 @@ func main() {
 	flag.StringVar(&cfg.outPath, "out", "", "write the optimized mask as a PGM file")
 	flag.StringVar(&cfg.outGLP, "out-glp", "", "write the optimized mask geometry as a GLP file")
 	flag.BoolVar(&cfg.ascii, "ascii", false, "print an ASCII preview of target vs printed image")
-	flag.BoolVar(&cfg.trace, "trace", false, "print the per-iteration cost trace (level-set only)")
+	flag.BoolVar(&cfg.trace, "trace", false, "print the per-iteration cost trace")
 	flag.StringVar(&cfg.tracePath, "tracefile", "", "write a structured JSONL event trace (iterations, corner timings, plan-cache and pool events) to this file")
-	flag.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address for the duration of the run (e.g. 127.0.0.1:6060)")
-	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live run status on this address for the duration of the run: /runs, /runs/{id}, /runs/{id}/events (SSE), /healthz, plus the -metrics endpoints (e.g. :6060)")
+	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live run status on this address for the duration of the run: /runs, /runs/{id}, /runs/{id}/events (SSE), /healthz, /metrics, /debug/vars and /debug/pprof (e.g. :6060)")
 	flag.BoolVar(&cfg.health, "health", false, "run the numerical-health watchdog (NaN/Inf, stall, divergence detection; aborts the run on an unhealthy iteration)")
 	flag.IntVar(&cfg.multires, "multires", 1, "coarse-to-fine start factor (power of two): begin on a grid downsampled by this factor, halving each level; 1 = single resolution")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run is cancelled (Ctrl-C)")
@@ -185,42 +182,27 @@ func run(cfg cliConfig) error {
 	if cfg.serial {
 		eng = lsopc.CPUEngine()
 	}
-	// shutdown gracefully stops an observability server on every exit
-	// path — normal completion, errors, and the SIGINT cancel path all
-	// reach the deferred call; active SSE streams are closed and any
-	// late serve error is surfaced.
-	shutdown := func(name string, s interface {
-		Shutdown(context.Context) error
-	}) {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := s.Shutdown(sctx); err != nil {
-			fmt.Fprintf(os.Stderr, "lsopc: %s shutdown: %v\n", name, err)
-		}
-	}
-	if cfg.metricsAddr != "" {
-		srv, err := lsopc.ServeMetrics(cfg.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer shutdown("metrics endpoint", srv)
-		fmt.Fprintf(os.Stderr, "metrics endpoint on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
-	}
 	// Trace sinks: the JSONL file (-tracefile) and the live telemetry
 	// feed (-serve) compose through one tee installed both as the
 	// runtime sink and as the pipeline sink.
 	var sinks []lsopc.TraceSink
 	var flight *lsopc.FlightRecorder
 	if cfg.serveAddr != "" {
-		var lopts []lsopc.LiveOption
-		if cfg.flightDir != "" {
-			lopts = append(lopts, lsopc.WithFlightDir(cfg.flightDir))
-		}
-		live, err := lsopc.ServeLive(cfg.serveAddr, lopts...)
+		live, err := lsopc.ServeLive(cfg.serveAddr, cfg.flightDir)
 		if err != nil {
 			return fmt.Errorf("live endpoint: %w", err)
 		}
-		defer shutdown("live endpoint", live)
+		// The live server stops gracefully on every exit path — normal
+		// completion, errors, and the SIGINT cancel path all reach the
+		// deferred call; active SSE streams are closed and any late
+		// serve error is surfaced.
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := live.Shutdown(sctx); err != nil {
+				fmt.Fprintf(os.Stderr, "lsopc: live endpoint shutdown: %v\n", err)
+			}
+		}()
 		fmt.Fprintf(os.Stderr, "live status on http://%s/runs (SSE at /runs/{id}/events, metrics at /metrics)\n", live.Addr())
 		sinks = append(sinks, live.Sink())
 		flight = live.Recorder() // Sink() above already feeds its rings
@@ -327,19 +309,15 @@ func run(cfg cliConfig) error {
 	}
 
 	fmt.Printf("method %s finished in %v\n", result.Method, result.Elapsed.Round(1e6))
-	switch {
-	case result.LevelSet != nil && result.LevelSet.Aborted:
+	if result.Aborted {
 		fmt.Printf("health watchdog ABORTED the run at iteration %d: %s\n",
-			result.LevelSet.Iterations, result.LevelSet.AbortReason)
-	case result.Baseline != nil && result.Baseline.Aborted:
-		fmt.Printf("health watchdog ABORTED the run at iteration %d: %s\n",
-			result.Baseline.Iterations, result.Baseline.AbortReason)
+			result.Iterations, result.AbortReason)
 	}
 	fmt.Println(result.Report)
 
-	if cfg.trace && result.LevelSet != nil {
+	if cfg.trace {
 		fmt.Println("iter  cost_total  cost_nominal  cost_pvb  max|v|  dt  lambda")
-		for _, h := range result.LevelSet.History {
+		for _, h := range result.History {
 			fmt.Printf("%4d  %10.4f  %12.4f  %8.4f  %6.3g  %.3g  %.3f\n",
 				h.Iter, h.Cost, h.CostNominal, h.CostPVB, h.MaxVelocity, h.TimeStep, h.LambdaPRP)
 		}

@@ -173,8 +173,8 @@ func runFig2(preset lsopc.Preset, caseID, dir string) error {
 		return err
 	}
 	fmt.Printf("Fig.2 evolution for %s: %d snapshots over %d iterations\n",
-		caseID, len(run.LevelSet.Snapshots), run.LevelSet.Iterations)
-	for _, s := range run.LevelSet.Snapshots {
+		caseID, len(run.Snapshots), run.Iterations)
+	for _, s := range run.Snapshots {
 		name := fmt.Sprintf("fig2_iter%03d.pgm", s.Iter)
 		if err := render.SavePGM(filepath.Join(dir, name), s.Mask, 0, 1); err != nil {
 			return err

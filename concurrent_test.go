@@ -84,11 +84,11 @@ func TestConcurrentOptimizationMatchesSerial(t *testing.T) {
 		if !reportsMatch(want.Report, got.Report) {
 			t.Fatalf("%s: reports differ: %+v vs %+v", id, want.Report, got.Report)
 		}
-		if len(want.LevelSet.History) != len(got.LevelSet.History) {
+		if len(want.History) != len(got.History) {
 			t.Fatalf("%s: history lengths differ", id)
 		}
-		for i := range want.LevelSet.History {
-			if want.LevelSet.History[i] != got.LevelSet.History[i] {
+		for i := range want.History {
+			if want.History[i] != got.History[i] {
 				t.Fatalf("%s: iteration %d trace differs", id, i)
 			}
 		}

@@ -82,7 +82,7 @@ func ExamplePipeline_OptimizeLevelSetContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("resumed to", run.LevelSet.Iterations, "iterations")
+	fmt.Println("resumed to", run.Iterations, "iterations")
 	// Output:
 	// cancelled after 3 iterations
 	// resumed to 6 iterations

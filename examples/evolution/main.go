@@ -41,7 +41,7 @@ func main() {
 	}
 
 	fmt.Printf("Fig.2-style evolution on %s (ψ contour per snapshot):\n\n", layout.Name)
-	for _, s := range run.LevelSet.Snapshots {
+	for _, s := range run.Snapshots {
 		printed, _, _, err := pipe.PrintedImages(s.Mask)
 		if err != nil {
 			log.Fatal(err)
@@ -61,8 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\ncost trace: %.2f", run.LevelSet.History[0].Cost)
-	for _, h := range run.LevelSet.History[1:] {
+	fmt.Printf("\ncost trace: %.2f", run.History[0].Cost)
+	for _, h := range run.History[1:] {
 		fmt.Printf(" → %.2f", h.Cost)
 	}
 	fmt.Printf("\n%s\nsnapshots written to %s/\n", run.Report, outDir)

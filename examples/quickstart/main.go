@@ -36,7 +36,7 @@ func main() {
 	}
 
 	fmt.Printf("finished in %v after %d iterations\n",
-		run.Elapsed.Round(1e6), run.LevelSet.Iterations)
+		run.Elapsed.Round(1e6), run.Iterations)
 	fmt.Println("optimized: ", run.Report)
 
 	// Compare with the unoptimized design (mask = target).

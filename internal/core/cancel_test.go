@@ -49,7 +49,7 @@ func cancelRun(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Opti
 // expectIdentical asserts a resumed run reproduced the uninterrupted
 // reference bit for bit: same history row by row, same final ψ and
 // mask.
-func expectIdentical(t *testing.T, res, ref *Result) {
+func expectIdentical(t *testing.T, res, ref *solve.Outcome) {
 	t.Helper()
 	if res.Iterations != ref.Iterations || res.Converged != ref.Converged {
 		t.Fatalf("resumed run: %d iters converged=%v, reference %d/%v",

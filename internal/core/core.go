@@ -102,7 +102,7 @@ type Options struct {
 	// cost, gradient norm and time step are judged against the policy,
 	// unhealthy iterations emit a typed health event to the simulator's
 	// trace sink (litho.Simulator.SetSink), and with
-	// AbortOnUnhealthy the run stops early (Result.Aborted/AbortReason).
+	// AbortOnUnhealthy the run stops early (Outcome.Aborted/AbortReason).
 	// nil disables the watchdog entirely.
 	Health *obs.HealthPolicy
 }
@@ -150,18 +150,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: IterOffset must be ≥ 0, got %d", o.IterOffset)
 	}
 	return nil
-}
-
-// Result is the outcome of one optimization run. Its Outcome's State
-// is the returned ψ: the keep-best iterate, or the last one after a
-// coarse-level abort. History holds one record per iteration: Cost is
-// the total cost (Eq. 13), CostNominal ‖R_nom − R*‖² (Eq. 7) and
-// CostPVB ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12). Snapshots are taken
-// at full resolution only (Fig. 2). Evals is 0: the level-set method
-// does not count corner evaluations.
-type Result struct {
-	solve.Outcome
-	Mask *grid.Field // optimized binary mask M* (Eq. 6 of State)
 }
 
 // Optimizer runs level-set ILT for one target. Not safe for concurrent

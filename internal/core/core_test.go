@@ -9,20 +9,21 @@ import (
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
+	"lsopc/internal/solve"
 )
 
-// FinalCost returns the total cost at the last iteration.
-func (r *Result) FinalCost() float64 {
+// finalCost returns the total cost at the last iteration.
+func finalCost(r *solve.Outcome) float64 {
 	if len(r.History) == 0 {
 		return math.NaN()
 	}
 	return r.History[len(r.History)-1].Cost
 }
 
-// BestCost returns the lowest total cost seen during the run; for a
+// bestCost returns the lowest total cost seen during the run; for a
 // single-resolution run it is the cost of the returned (keep-best)
 // mask.
-func (r *Result) BestCost() float64 {
+func bestCost(r *solve.Outcome) float64 {
 	if len(r.History) == 0 {
 		return math.NaN()
 	}
@@ -72,7 +73,7 @@ func crossTarget(n int) *grid.Field {
 	return f
 }
 
-func runOpts(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Options) *Result {
+func runOpts(t *testing.T, sim *litho.Simulator, target *grid.Field, opts Options) *solve.Outcome {
 	t.Helper()
 	res, err := Run(context.Background(), sim, target, opts, nil)
 	if err != nil {
@@ -122,7 +123,7 @@ func TestOptimizationReducesCost(t *testing.T) {
 		t.Fatal("no history recorded")
 	}
 	first := res.History[0].Cost
-	best := res.BestCost()
+	best := bestCost(res)
 	if !(best < first) {
 		t.Fatalf("cost did not decrease: %g → %g", first, best)
 	}
@@ -152,7 +153,7 @@ func TestResultMaskIsBinary(t *testing.T) {
 			t.Fatalf("%d iterations: optimized mask is empty", iters)
 		}
 		expectMaskOfState(t, res)
-		if got, best := resimulatedCost(sim, target, res.Mask, opts.PVBWeight), res.BestCost(); math.Float64bits(got) != math.Float64bits(best) {
+		if got, best := resimulatedCost(sim, target, res.Mask, opts.PVBWeight), bestCost(res); math.Float64bits(got) != math.Float64bits(best) {
 			t.Fatalf("%d iterations: the mask's cost %v, want the lowest history cost %v", iters, got, best)
 		}
 	}
@@ -160,7 +161,7 @@ func TestResultMaskIsBinary(t *testing.T) {
 
 // expectMaskOfState requires res.Mask to be MaskFromPsi(res.State) bit
 // for bit.
-func expectMaskOfState(t *testing.T, res *Result) {
+func expectMaskOfState(t *testing.T, res *solve.Outcome) {
 	t.Helper()
 	want := grid.NewFieldLike(res.State)
 	levelset.MaskFromPsi(want, res.State)
@@ -267,7 +268,7 @@ func TestCGAndGDBothConverge(t *testing.T) {
 		opts.MaxIter = 15
 		opts.UseCG = useCG
 		res := runOpts(t, sim, target, opts)
-		return res.History[0].Cost, res.BestCost()
+		return res.History[0].Cost, bestCost(res)
 	}
 	cgFirst, cg := run(true)
 	gdFirst, gd := run(false)
@@ -287,7 +288,7 @@ func TestReinitDoesNotBreakOptimization(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 25 // reinitialises after iterations 9 and 19
 	res := runOpts(t, sim, crossTarget(64), opts)
-	if res.BestCost() >= res.History[0].Cost {
+	if bestCost(res) >= res.History[0].Cost {
 		t.Fatal("cost increased despite reinitialisation")
 	}
 }
@@ -301,7 +302,7 @@ func TestDeterministicRuns(t *testing.T) {
 	if !a.Mask.Equal(b.Mask, 0) {
 		t.Fatal("optimization must be deterministic")
 	}
-	if a.FinalCost() != b.FinalCost() || a.BestCost() != b.BestCost() {
+	if finalCost(a) != finalCost(b) || bestCost(a) != bestCost(b) {
 		t.Fatal("cost trace must be deterministic")
 	}
 }
@@ -315,7 +316,7 @@ func TestEngineEquivalentRuns(t *testing.T) {
 	opts.MaxIter = 5
 	opts.PVBWeight = 0.5 // exercise the corner workers
 
-	run := func(workers int) *Result {
+	run := func(workers int) *solve.Outcome {
 		cfg := litho.DefaultConfig(64, 32)
 		cfg.Optics.Kernels = 3
 		sim, err := litho.NewSimulator(cfg, engine.New("eq", workers))
@@ -346,8 +347,8 @@ func TestEngineEquivalentRuns(t *testing.T) {
 }
 
 func TestFinalCostEmptyHistory(t *testing.T) {
-	r := &Result{}
-	if !math.IsNaN(r.FinalCost()) || !math.IsNaN(r.BestCost()) {
+	r := &solve.Outcome{}
+	if !math.IsNaN(finalCost(r)) || !math.IsNaN(bestCost(r)) {
 		t.Fatal("costs of empty history must be NaN")
 	}
 }
@@ -389,7 +390,7 @@ func TestLineSearchImprovesOrMatches(t *testing.T) {
 		opts := DefaultOptions()
 		opts.MaxIter = 10
 		opts.LineSearch = ls
-		return runOpts(t, sim, target, opts).BestCost()
+		return bestCost(runOpts(t, sim, target, opts))
 	}
 	plain := run(false)
 	searched := run(true)

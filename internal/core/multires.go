@@ -53,7 +53,15 @@ import (
 // bit-for-bit (snapshots excepted — they restart at the resume point).
 // A checkpoint that does not fit the run fails with an error wrapping
 // solve.ErrCheckpointMismatch.
-func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*Result, error) {
+//
+// The outcome's State is the returned ψ: the keep-best iterate, or the
+// last one after a coarse-level abort; Mask is its binary mask M*
+// (Eq. 6). History holds one record per iteration: Cost is the total
+// cost (Eq. 13), CostNominal ‖R_nom − R*‖² (Eq. 7) and CostPVB
+// ‖R_in − R*‖² + ‖R_out − R*‖² (Eq. 12). Snapshots are taken at full
+// resolution only (Fig. 2). Evals is 0: the level-set method does not
+// count corner evaluations.
+func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*solve.Outcome, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,9 +71,9 @@ func Run(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Outcome: *out, Mask: grid.NewField(out.State.W, out.State.H)}
-	levelset.MaskFromPsi(res.Mask, res.State)
-	return res, nil
+	out.Mask = grid.NewField(out.State.W, out.State.H)
+	levelset.MaskFromPsi(out.Mask, out.State)
+	return out, nil
 }
 
 // levelProgram adapts the level-set optimizer to solve.RunLevels.

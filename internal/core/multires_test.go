@@ -122,7 +122,7 @@ func TestMultiResConvergesNearBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bb, sb := base.BestCost(), sched.BestCost()
+	bb, sb := bestCost(base), bestCost(sched)
 	if math.IsNaN(sb) {
 		t.Fatal("schedule produced no finite cost")
 	}

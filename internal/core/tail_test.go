@@ -9,6 +9,7 @@ import (
 	"lsopc/internal/grid"
 	"lsopc/internal/levelset"
 	"lsopc/internal/litho"
+	"lsopc/internal/solve"
 )
 
 // The unfused level-set tail, kept as the reference the fused sweeps of
@@ -241,7 +242,7 @@ func TestEngineEquivalentRunsReducedGrid(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 12 // reaches the reinitialisation after iteration 9
 	target := crossTarget(n)
-	run := func(workers int) *Result {
+	run := func(workers int) *solve.Outcome {
 		cfg := litho.DefaultConfig(n, 8)
 		cfg.Optics.Kernels = 3
 		sim, err := litho.NewSimulator(cfg, engine.New("eq", workers))

@@ -41,7 +41,7 @@ func CGvsGD(preset lsopc.Preset, caseID string, maxIter int) ([]ConvergenceTrace
 			label = "gradient-descent"
 		}
 		tr := ConvergenceTrace{Label: label}
-		for _, h := range run.LevelSet.History {
+		for _, h := range run.History {
 			tr.Cost = append(tr.Cost, h.Cost)
 		}
 		out = append(out, tr)
@@ -188,7 +188,7 @@ func TimeStepStudy(preset lsopc.Preset, caseID string, maxIter int) ([]Convergen
 			return nil, err
 		}
 		tr := ConvergenceTrace{Label: v.label}
-		for _, h := range run.LevelSet.History {
+		for _, h := range run.History {
 			tr.Cost = append(tr.Cost, h.Cost)
 		}
 		out = append(out, tr)

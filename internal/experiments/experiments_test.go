@@ -82,12 +82,12 @@ func TestFig2Evolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.LevelSet == nil || len(run.LevelSet.Snapshots) != 2 {
-		t.Fatalf("expected 2 snapshots, got %+v", run.LevelSet)
+	if len(run.Snapshots) != 2 {
+		t.Fatalf("expected 2 snapshots, got %d", len(run.Snapshots))
 	}
 	// Evolution must actually move the contour between snapshots.
-	a := run.LevelSet.Snapshots[0].Mask
-	b := run.LevelSet.Snapshots[1].Mask
+	a := run.Snapshots[0].Mask
+	b := run.Snapshots[1].Mask
 	if a.XORCount(b) == 0 {
 		t.Fatal("mask did not evolve between snapshots")
 	}

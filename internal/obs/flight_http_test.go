@@ -84,7 +84,7 @@ func TestHTTPDumpEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	rr := NewRunRegistry(reg)
 	dumper := &stubDumper{}
-	srv := httptest.NewServer(Handler(reg, rr, nil, dumper))
+	srv := httptest.NewServer(Handler(reg, rr, NewBus(reg), dumper))
 	defer srv.Close()
 	rr.Emit(Event{Type: EventIteration, Trace: "s1", Iter: 0, Cost: 2})
 
@@ -135,7 +135,7 @@ func TestHTTPDumpEndpoint(t *testing.T) {
 	}
 
 	// Without a dumper the endpoint is disabled, not missing.
-	srv2 := httptest.NewServer(Handler(reg, rr, nil, nil))
+	srv2 := httptest.NewServer(Handler(reg, rr, NewBus(reg), nil))
 	defer srv2.Close()
 	resp3, err := http.Post(srv2.URL+"/runs/s1/dump", "", nil)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestServeLifecycleCleansRegistry(t *testing.T) {
 	}
 	for cycle := 0; cycle < 2; cycle++ {
 		bus := NewBus(reg)
-		srv, err := Serve("127.0.0.1:0", reg, nil, bus, nil)
+		srv, err := Serve("127.0.0.1:0", reg, NewRunRegistry(reg), bus, nil)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}

@@ -36,12 +36,11 @@ type Dumper interface {
 //	/runs/{id}/events    SSE live event stream (?types=a,b filters kinds)
 //	/runs/{id}/dump      POST: capture a postmortem bundle (?reason=... tags it)
 //
-// runs, bus and dumper are optional: with a nil RunRegistry the /runs
-// endpoints answer 404, with a nil Bus the SSE endpoint answers 503,
-// and with a nil Dumper the dump endpoint answers 503. The handler uses
-// its own mux, so mounting it does not disturb the process default mux
-// (importing net/http/pprof also registers on http.DefaultServeMux;
-// commands using Handler never serve that mux).
+// runs and bus are required; dumper is optional: with a nil Dumper the
+// dump endpoint answers 503. The handler uses its own mux, so mounting
+// it does not disturb the process default mux (importing
+// net/http/pprof also registers on http.DefaultServeMux; commands using
+// Handler never serve that mux).
 func Handler(r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
@@ -65,10 +64,6 @@ func Handler(r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) http.Handl
 	})
 
 	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, req *http.Request) {
-		if runs == nil {
-			http.NotFound(w, req)
-			return
-		}
 		list := runs.Runs()
 		q := req.URL.Query()
 		if phase := q.Get("phase"); phase != "" {
@@ -97,10 +92,6 @@ func Handler(r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) http.Handl
 		writeJSON(w, map[string]any{"runs": list})
 	})
 	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
-		if runs == nil {
-			http.NotFound(w, req)
-			return
-		}
 		st, tail, ok := runs.Run(req.PathValue("id"))
 		if !ok {
 			http.NotFound(w, req)
@@ -109,10 +100,6 @@ func Handler(r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) http.Handl
 		writeJSON(w, map[string]any{"run": st, "iterations": tail})
 	})
 	mux.HandleFunc("GET /runs/{id}/events", func(w http.ResponseWriter, req *http.Request) {
-		if bus == nil {
-			http.Error(w, "event streaming not enabled", http.StatusServiceUnavailable)
-			return
-		}
 		serveSSE(w, req, bus)
 	})
 	mux.HandleFunc("POST /runs/{id}/dump", func(w http.ResponseWriter, req *http.Request) {
@@ -121,11 +108,9 @@ func Handler(r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) http.Handl
 			return
 		}
 		id := req.PathValue("id")
-		if runs != nil {
-			if _, _, ok := runs.Run(id); !ok {
-				http.NotFound(w, req)
-				return
-			}
+		if _, _, ok := runs.Run(id); !ok {
+			http.NotFound(w, req)
+			return
 		}
 		reason := req.URL.Query().Get("reason")
 		if reason == "" {
@@ -234,23 +219,18 @@ type Server struct {
 // Idempotent (the sampler stop is once-guarded, metric removal is
 // deletion by name).
 func (s *Server) release() {
-	if s.stopSampler != nil {
-		s.stopSampler()
-	}
-	if s.bus != nil {
-		s.bus.Unregister()
-	}
+	s.stopSampler()
+	s.bus.Unregister()
 }
 
 // Serve starts the observability endpoint on addr (e.g. ":6060" or
 // "127.0.0.1:0") in a background goroutine, publishing the registry to
 // expvar under "lsopc" and starting a runtime sampler that feeds the
-// registry's runtime.* gauges for as long as the server runs. runs, bus
-// and dumper are optional (see Handler). Shutdown/Close stop the
-// sampler and unregister its gauges (and the bus counters, when a bus
-// was passed), so Serve/Shutdown cycles leave the registry clean. A
-// serve failure after startup is logged to stderr and retrievable via
-// Err/Shutdown.
+// registry's runtime.* gauges for as long as the server runs. runs and
+// bus are required, dumper is optional (see Handler). Shutdown/Close
+// stop the sampler and unregister its gauges and the bus counters, so
+// Serve/Shutdown cycles leave the registry clean. A serve failure after
+// startup is logged to stderr and retrievable via Err/Shutdown.
 func Serve(addr string, r *Registry, runs *RunRegistry, bus *Bus, dumper Dumper) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -264,7 +264,7 @@ func TestHTTPHandlerServesMetricsAndPprof(t *testing.T) {
 	for range 3 {
 		r.Counter("requests").Inc()
 	}
-	srv, err := Serve("127.0.0.1:0", r, nil, nil, nil)
+	srv, err := Serve("127.0.0.1:0", r, NewRunRegistry(r), NewBus(r), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,8 +291,12 @@ func TestCaptureRequiresDir(t *testing.T) {
 func TestDumpLongReason(t *testing.T) {
 	dir := t.TempDir()
 	r := quiet(t, Config{Dir: dir})
-	r.Emit(obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 0, Cost: 1})
-	srv := httptest.NewServer(obs.Handler(obs.NewRegistry(), nil, nil, r))
+	reg := obs.NewRegistry()
+	runs := obs.NewRunRegistry(reg)
+	e := obs.Event{Type: obs.EventIteration, Trace: "s1", Iter: 0, Cost: 1}
+	r.Emit(e)
+	runs.Emit(e)
+	srv := httptest.NewServer(obs.Handler(reg, runs, obs.NewBus(reg), r))
 	defer srv.Close()
 
 	reason := strings.Repeat("operator poke ", 22)[:300]

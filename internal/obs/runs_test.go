@@ -254,28 +254,6 @@ func TestHTTPRunsEndpoints(t *testing.T) {
 	}
 }
 
-func TestHTTPRunsDisabled(t *testing.T) {
-	reg := NewRegistry()
-	srv := httptest.NewServer(Handler(reg, nil, nil, nil))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/runs with nil registry: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(srv.URL + "/runs/s1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("SSE with nil bus: %d", resp.StatusCode)
-	}
-}
-
 // TestHTTPSSEStream drives the live stream end to end: subscribe over
 // HTTP, emit events on the bus, assert the matching-run events (and
 // only those, honoring the ?types= filter) arrive as SSE frames.

@@ -42,7 +42,7 @@ func cancelBaselineRun(t *testing.T, sim *litho.Simulator, target *grid.Field, o
 	return cerr.Checkpoint
 }
 
-func expectBaselineIdentical(t *testing.T, res, ref *Result) {
+func expectBaselineIdentical(t *testing.T, res, ref *solve.Outcome) {
 	t.Helper()
 	if res.Iterations != ref.Iterations || res.Evals != ref.Evals {
 		t.Fatalf("resumed run: %d iters / %d corner sims, reference %d/%d",
@@ -57,8 +57,8 @@ func expectBaselineIdentical(t *testing.T, res, ref *Result) {
 				i, res.History[i], ref.History[i])
 		}
 	}
-	if !res.Gray.Equal(ref.Gray, 0) {
-		t.Fatal("resumed gray mask differs from the uninterrupted run")
+	if !res.State.Equal(ref.State, 0) {
+		t.Fatal("resumed θ differs from the uninterrupted run")
 	}
 	if !res.Mask.Equal(ref.Mask, 0) {
 		t.Fatal("resumed binary mask differs from the uninterrupted run")

@@ -43,14 +43,14 @@ func (p *levelProgram) Upsample(theta *grid.Field) *grid.Field {
 // TraceName tags level_switch events with the variant name.
 func (p *levelProgram) TraceName() string { return p.opts.Variant.String() }
 
-// masksFromTheta builds the continuous and binarised masks of θ.
-func masksFromTheta(theta *grid.Field) (gray, bin *grid.Field) {
+// maskFromTheta builds the binarised mask of θ: σ(a·θ) thresholded
+// at one half.
+func maskFromTheta(theta *grid.Field) *grid.Field {
 	const a = maskSteepness
-	gray = grid.NewField(theta.W, theta.H)
+	m := grid.NewField(theta.W, theta.H)
 	for j, v := range theta.Data {
-		gray.Data[j] = 1 / (1 + math.Exp(-a*v))
+		m.Data[j] = 1 / (1 + math.Exp(-a*v))
 	}
-	bin = grid.NewField(theta.W, theta.H)
-	bin.Binarize(gray)
-	return gray, bin
+	m.Binarize(m)
+	return m
 }

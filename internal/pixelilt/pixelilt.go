@@ -93,7 +93,7 @@ type Options struct {
 	MultiResFactor int
 	// Health enables the numerical-health watchdog over the iteration
 	// cost; unhealthy iterations emit a health event and, with
-	// AbortOnUnhealthy, stop the run (Result.Aborted/AbortReason).
+	// AbortOnUnhealthy, stop the run (Outcome.Aborted/AbortReason).
 	Health *obs.HealthPolicy
 }
 
@@ -133,18 +133,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pixelilt: MultiResFactor must be a power of two, got %d", o.MultiResFactor)
 	}
 	return nil
-}
-
-// Result is the outcome of a baseline run. Its Outcome's State is the
-// final θ, lifted to full resolution after a coarse-level abort.
-// History holds one record per iteration: Cost sums the corner
-// costs simulated that iteration, Evals counts those corners, and
-// MaxVelocity is the ∞-norm of dL/dθ. Outcome.Evals totals the corner
-// evaluations (the runtime proxy).
-type Result struct {
-	solve.Outcome
-	Mask *grid.Field // binarised optimized mask
-	Gray *grid.Field // continuous sigmoid mask σ(a·θ)
 }
 
 // cornerPlan returns the corners to simulate at iteration i and their
@@ -197,7 +185,14 @@ func (o Options) constantCornerPlan() bool {
 // original run's options continues the run, and the result then matches
 // the uninterrupted run bit-for-bit. A checkpoint that does not fit the
 // run fails with an error wrapping solve.ErrCheckpointMismatch.
-func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*Result, error) {
+//
+// The outcome's State is the final θ, lifted to full resolution after
+// a coarse-level abort; Mask is σ(a·θ) binarised. History holds one
+// record per iteration: Cost sums the corner costs simulated that
+// iteration, Evals counts those corners, and MaxVelocity is the ∞-norm
+// of dL/dθ. Outcome.Evals totals the corner evaluations (the runtime
+// proxy).
+func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*solve.Outcome, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -207,9 +202,8 @@ func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opt
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Outcome: *out}
-	res.Gray, res.Mask = masksFromTheta(out.State)
-	return res, nil
+	out.Mask = maskFromTheta(out.State)
+	return out, nil
 }
 
 // stepper adapts one baseline level to the solve.Stepper contract: Eval
@@ -317,12 +311,14 @@ func (s *stepper) Eval(i int) solve.Stats {
 	}
 
 	// dL/dθ = dL/dM ⊙ a·M(1−M); the ∞-norm normalises the step, keeping
-	// the update scale-free across benchmarks.
+	// the update scale-free across benchmarks. A NaN entry makes the
+	// norm NaN, so the watchdog sees it and the run cannot read as
+	// converged.
 	maxG := 0.0
 	for j := range s.gradM.Data {
 		m := s.mask.Data[j]
 		s.gradM.Data[j] *= a * m * (1 - m)
-		if g := math.Abs(s.gradM.Data[j]); g > maxG {
+		if g := math.Abs(s.gradM.Data[j]); g > maxG || g != g {
 			maxG = g
 		}
 	}

@@ -216,14 +216,14 @@ func TestOptimizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Mask.Equal(b.Mask, 0) || !a.Gray.Equal(b.Gray, 0) {
+	if !a.Mask.Equal(b.Mask, 0) || !a.State.Equal(b.State, 0) {
 		t.Fatal("baseline optimization must be deterministic")
 	}
 }
 
-// TestGrayMaskConsistentWithBinary: both masks are those of the
-// returned θ, also when the watchdog aborts a coarse level and θ
-// arrives lifted to full resolution.
+// TestGrayMaskConsistentWithBinary: the binary mask is σ(a·θ) of the
+// returned θ thresholded at 1/2, also when the watchdog aborts a coarse
+// level and θ arrives lifted to full resolution.
 func TestGrayMaskConsistentWithBinary(t *testing.T) {
 	// No relative improvement reaches 2, so the watchdog stops the run
 	// at its second iteration, on the coarse level.
@@ -246,17 +246,39 @@ func TestGrayMaskConsistentWithBinary(t *testing.T) {
 		if res.Aborted != tc.aborted || (tc.aborted && res.Iterations != 2) || res.State.W != 64 {
 			t.Fatalf("%s: aborted=%v after %d iterations, θ %d px; want aborted=%v at 64 px", tc.name, res.Aborted, res.Iterations, res.State.W, tc.aborted)
 		}
-		for i := range res.Gray.Data {
-			if (res.Gray.Data[i] > 0.5) != (res.Mask.Data[i] == 1) {
-				t.Fatalf("%s: binary mask must be the gray mask thresholded at 1/2", tc.name)
+		mask := maskFromTheta(res.State)
+		for i, v := range res.State.Data {
+			if gray := 1 / (1 + math.Exp(-maskSteepness*v)); (gray >= 0.5) != (res.Mask.Data[i] == 1) {
+				t.Fatalf("%s: pixel %d: mask %v, σ(a·θ) %v", tc.name, i, res.Mask.Data[i], gray)
+			}
+			if math.Float64bits(res.Mask.Data[i]) != math.Float64bits(mask.Data[i]) {
+				t.Fatalf("%s: pixel %d: mask %v, maskFromTheta(State) gives %v", tc.name, i, res.Mask.Data[i], mask.Data[i])
 			}
 		}
-		gray, mask := masksFromTheta(res.State)
-		for i := range gray.Data {
-			if math.Float64bits(res.Gray.Data[i]) != math.Float64bits(gray.Data[i]) || math.Float64bits(res.Mask.Data[i]) != math.Float64bits(mask.Data[i]) {
-				t.Fatalf("%s: pixel %d: masks %v/%v, masksFromTheta(State) gives %v/%v", tc.name, i, res.Gray.Data[i], res.Mask.Data[i], gray.Data[i], mask.Data[i])
-			}
-		}
+	}
+}
+
+// TestNaNGradientAborts: a PV-band weight at the top of the float64
+// range (which Validate accepts) turns dL/dθ into NaN. The gradient
+// norm must carry the NaN to the watchdog, which aborts the run at once
+// with a non-finite verdict; a NaN norm must not read as a vanished
+// gradient, so the run is not Converged.
+func TestNaNGradientAborts(t *testing.T) {
+	opts := DefaultOptions(MosaicExact)
+	opts.PVBWeight = math.MaxFloat64
+	hp := obs.DefaultHealthPolicy()
+	opts.Health = &hp
+	if err := opts.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 14), opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonFinite := res.AbortReason == obs.HealthNonFiniteCost || res.AbortReason == obs.HealthNonFiniteGrad
+	if !res.Aborted || !nonFinite || res.Converged {
+		t.Fatalf("aborted=%v reason=%q converged=%v after %d iterations; want a non-finite abort, not converged",
+			res.Aborted, res.AbortReason, res.Converged, res.Iterations)
 	}
 }
 

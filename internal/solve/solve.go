@@ -151,7 +151,9 @@ type Config struct {
 // Outcome is what a Driver run produced; it owns every field. State
 // is the run's result: a clone of the keep-best iterate when
 // Config.KeepBest is set and some iteration's cost beat +Inf, else of
-// the last iterate.
+// the last iterate. Mask is the binary mask of State under the
+// method's own rule; the driver leaves it nil and the method's run
+// entry point (core.Run, pixelilt.Optimize) sets it.
 type Outcome struct {
 	Iterations int
 	// Converged is set when the run stopped on Config.Tolerance.
@@ -166,6 +168,7 @@ type Outcome struct {
 	History   []IterStats
 	Snapshots []Snapshot
 	State     *grid.Field
+	Mask      *grid.Field
 	// AbortCheckpoint is captured at the iteration boundary a watchdog
 	// abort stopped the run on, so a poisoned run can be resumed (e.g.
 	// under a different policy) or bisected postmortem. nil unless

@@ -10,9 +10,6 @@ import (
 // Live-telemetry types, re-exported so downstream code only imports
 // this package. See DESIGN.md §13–14.
 type (
-	// ObsServer is a running observability HTTP endpoint with graceful
-	// Shutdown (returned by ServeMetrics and owned by LiveServer).
-	ObsServer = obs.Server
 	// TraceBus fans trace events out to dynamic subscribers over
 	// bounded ring buffers without ever blocking the optimizer.
 	TraceBus = obs.Bus
@@ -41,7 +38,7 @@ type (
 // NewFlightRecorder builds a standalone flight recorder writing bundles
 // under cfg.Dir (zero values of the other fields pick the defaults
 // recorder.Config documents). Attach it to pipelines with WithFlightRecorder, or let
-// ServeLive own one via WithFlightDir.
+// ServeLive own one by passing it a flight directory.
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	return recorder.New(cfg)
 }
@@ -53,9 +50,9 @@ func OpenBundle(dir string) (*BundleManifest, error) { return recorder.Open(dir)
 // registry fed by trace sinks, served over HTTP (/runs, /runs/{id},
 // /runs/{id}/events SSE, /runs/{id}/dump, /healthz, plus the
 // /metrics·expvar·pprof endpoints). The HTTP server owns a periodic
-// runtime sampler feeding process-health gauges; with WithFlightDir the
-// server also owns a flight recorder that records every attached run
-// and serves on-demand bundle captures. Build one with ServeLive,
+// runtime sampler feeding process-health gauges; given a flight
+// directory the server also owns a flight recorder that records every
+// attached run and serves on-demand bundle captures. Build one with ServeLive,
 // attach Sink() to pipelines (and SetRuntimeTrace), and Shutdown when
 // done.
 type LiveServer struct {
@@ -65,25 +62,14 @@ type LiveServer struct {
 	srv  *obs.Server
 }
 
-// LiveOption customises ServeLive.
-type LiveOption func(*liveConfig)
-
-type liveConfig struct {
-	flightDir string
-}
-
-// WithFlightDir equips the live server with a flight recorder writing
-// postmortem bundles under dir, enabling POST /runs/{id}/dump and
-// anomaly captures for pipelines attached via Sink().
-func WithFlightDir(dir string) LiveOption {
-	return func(c *liveConfig) { c.flightDir = dir }
-}
-
 // ServeLive starts the live observability endpoint on addr (":6060",
-// "127.0.0.1:0", …) over the default metrics registry. The returned
+// "127.0.0.1:0", …) over the default metrics registry. A non-empty
+// flightDir equips the server with a flight recorder writing postmortem
+// bundles under it, enabling POST /runs/{id}/dump and anomaly captures
+// for pipelines attached via Sink(); "" runs without one. The returned
 // server's Sink() must be attached to the pipelines it should observe:
 //
-//	live, _ := lsopc.ServeLive(":6060", lsopc.WithFlightDir("flight"))
+//	live, _ := lsopc.ServeLive(":6060", "flight")
 //	defer live.Shutdown(context.Background())
 //	lsopc.SetRuntimeTrace(live.Sink())
 //	pipe.WithTraceSink(lsopc.TeeTraceSink(jsonlSink, live.Sink()))
@@ -91,20 +77,16 @@ func WithFlightDir(dir string) LiveOption {
 // With zero attached SSE clients the bus adds no allocations to the
 // emit path; slow clients drop oldest events rather than slowing the
 // run (see DESIGN.md §13).
-func ServeLive(addr string, opts ...LiveOption) (*LiveServer, error) {
-	var cfg liveConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func ServeLive(addr, flightDir string) (*LiveServer, error) {
 	bus := obs.NewBus(nil)
 	runs := obs.NewRunRegistry(nil)
 	var rec *recorder.Recorder
 	var dumper obs.Dumper
-	if cfg.flightDir != "" {
+	if flightDir != "" {
 		// The recorder's capture events feed back through the registry
 		// (Captures count) and the bus (SSE clients see the bundle land).
 		rec = recorder.New(recorder.Config{
-			Dir:  cfg.flightDir,
+			Dir:  flightDir,
 			Runs: runs,
 			Sink: obs.TeeSink([]obs.Sink{runs, bus}),
 		})
@@ -141,10 +123,10 @@ func (l *LiveServer) Runs() *RunRegistry { return l.runs }
 func (l *LiveServer) Bus() *TraceBus { return l.bus }
 
 // Recorder returns the flight recorder, or nil when the server was
-// built without WithFlightDir.
+// built without a flight directory.
 func (l *LiveServer) Recorder() *FlightRecorder { return l.rec }
 
-// Err surfaces a serve failure, if any (see ObsServer.Err).
+// Err surfaces a serve failure, if any (see obs.Server.Err).
 func (l *LiveServer) Err() error { return l.srv.Err() }
 
 // Shutdown stops the flight recorder's sampler and gracefully stops the

@@ -84,7 +84,7 @@ func liveGetJSON(t *testing.T, url string, into any) {
 // as they happen, and land in a consistent terminal state — all over
 // real HTTP, with a clean Shutdown at the end.
 func TestLiveServerStreamsTiledRun(t *testing.T) {
-	live, err := ServeLive("127.0.0.1:0")
+	live, err := ServeLive("127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestLiveRunsMatchOfflineFold(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			live, err := ServeLive("127.0.0.1:0")
+			live, err := ServeLive("127.0.0.1:0", "")
 			if err != nil {
 				t.Fatal(err)
 			}

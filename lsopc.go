@@ -48,8 +48,6 @@ type (
 	Report = metrics.Report
 	// LevelSetOptions configures the paper's optimizer (Algorithm 1).
 	LevelSetOptions = core.Options
-	// LevelSetResult is the optimizer outcome with its history trace.
-	LevelSetResult = core.Result
 	// BaselineVariant selects a pixel-based baseline algorithm.
 	BaselineVariant = pixelilt.Variant
 	// Engine is the execution engine (CPU serial / GPU-style parallel).
@@ -82,6 +80,11 @@ type (
 	// (level-set or baseline): the evolving field, iteration position,
 	// step scale and watchdog windows. See internal/solve.
 	Checkpoint = solve.Checkpoint
+	// Outcome is what one optimizer run produced, whatever the method:
+	// the evolving field (ψ or θ) it ended on, its binary mask, the
+	// per-iteration history, snapshots and the watchdog verdict. See
+	// internal/solve.
+	Outcome = solve.Outcome
 	// CancelledError is the error a cancelled optimization returns; it
 	// carries the Checkpoint and unwraps to the context's error
 	// (errors.Is(err, context.Canceled) works, errors.As recovers it).
@@ -154,15 +157,6 @@ func Metrics() *MetricsRegistry { return obs.Default }
 // MetricsSnapshot returns a flat name→value copy of the default
 // registry (histograms expand to .count/.sum/.le* keys).
 func MetricsSnapshot() map[string]float64 { return obs.Default.Snapshot() }
-
-// ServeMetrics starts the observability HTTP endpoint on addr
-// (/metrics, /debug/vars, /debug/pprof/*, /healthz) over the default
-// registry and returns a handle exposing the bound address and a
-// graceful Shutdown. For the live run endpoints (/runs, SSE, dump) use
-// ServeLive instead. See DESIGN.md §9 and §13.
-func ServeMetrics(addr string) (*ObsServer, error) {
-	return obs.Serve(addr, obs.Default, nil, nil, nil)
-}
 
 // SetRuntimeTrace installs a process-wide sink for events that have no
 // session in scope (plan-cache lookups, pool leases inside bank and
@@ -316,7 +310,8 @@ func WithTraceSink(s TraceSink) PipelineOption {
 //	    lsopc.WithFlightRecorder(rec))
 //
 // (ServeLive's Sink() already includes its recorder, so pipelines fed
-// from a live server with WithFlightDir just pass live.Recorder() here.)
+// from a live server with a flight directory just pass live.Recorder()
+// here.)
 func WithFlightRecorder(rec *FlightRecorder) PipelineOption {
 	return func(p *Pipeline) { p.flight = rec }
 }
@@ -577,28 +572,14 @@ func (p *Pipeline) Release() {
 	obs.Flush(p.sink)
 }
 
-// RunResult is a complete optimize-and-evaluate outcome.
+// RunResult is a complete optimize-and-evaluate outcome: the run's
+// Outcome (mask, history, snapshots, watchdog verdict), read the same
+// way for every method, and the contest Report of its mask.
 type RunResult struct {
-	Method  string
-	Mask    *Field
+	Method string
+	Outcome
 	Report  Report
 	Elapsed time.Duration
-	// LevelSet holds the optimizer trace when the level-set method ran
-	// (nil for baselines).
-	LevelSet *LevelSetResult
-	// Baseline holds the baseline trace when a baseline ran.
-	Baseline *pixelilt.Result
-}
-
-// abort reports the watchdog abort of the method that ran, if any.
-func (r *RunResult) abort() (reason string, cp *Checkpoint, aborted bool) {
-	switch {
-	case r.LevelSet != nil:
-		return r.LevelSet.AbortReason, r.LevelSet.AbortCheckpoint, r.LevelSet.Aborted
-	case r.Baseline != nil:
-		return r.Baseline.AbortReason, r.Baseline.AbortCheckpoint, r.Baseline.Aborted
-	}
-	return "", nil, false
 }
 
 // OptimizeLevelSet is OptimizeLevelSetContext without a context or a
@@ -619,13 +600,9 @@ func (p *Pipeline) OptimizeLevelSet(l *Layout, opts LevelSetOptions) (*RunResult
 // trace sink, the run's events go to it under a trace id of their own.
 // Safe to call concurrently.
 func (p *Pipeline) OptimizeLevelSetContext(ctx context.Context, l *Layout, opts LevelSetOptions, from *Checkpoint) (*RunResult, error) {
-	return p.optimize(l, "optimize.levelset",
-		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
-			res, err := core.Run(ctx, sim, target, opts, from)
-			if err != nil {
-				return nil, err
-			}
-			return &RunResult{Method: "level-set", Mask: res.Mask, LevelSet: res}, nil
+	return p.optimize(l, "level-set", "optimize.levelset",
+		func(sim *litho.Simulator, target *Field) (*Outcome, error) {
+			return core.Run(ctx, sim, target, opts, from)
 		})
 }
 
@@ -640,13 +617,10 @@ func (p *Pipeline) OptimizeBaseline(l *Layout, opts pixelilt.Options) (*RunResul
 // checkpoint and tracing work as in
 // OptimizeLevelSetContext. Safe to call concurrently.
 func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts pixelilt.Options, from *Checkpoint) (*RunResult, error) {
-	return p.optimize(l, "optimize."+opts.Variant.String(),
-		func(sim *litho.Simulator, target *Field) (*RunResult, error) {
-			res, err := pixelilt.Optimize(ctx, sim, target, opts, from)
-			if err != nil {
-				return nil, err
-			}
-			return &RunResult{Method: opts.Variant.String(), Mask: res.Mask, Baseline: res}, nil
+	method := opts.Variant.String()
+	return p.optimize(l, method, "optimize."+method,
+		func(sim *litho.Simulator, target *Field) (*Outcome, error) {
+			return pixelilt.Optimize(ctx, sim, target, opts, from)
 		})
 }
 
@@ -654,8 +628,8 @@ func (p *Pipeline) OptimizeBaselineContext(ctx context.Context, l *Layout, opts 
 // whose simulator carries the run's trace context, and rasterises the
 // target. It hands a cancellation or watchdog abort to the flight
 // recorder, emits the job span and evaluates the mask.
-func (p *Pipeline) optimize(l *Layout, span string,
-	run func(sim *litho.Simulator, target *Field) (*RunResult, error)) (*RunResult, error) {
+func (p *Pipeline) optimize(l *Layout, method, span string,
+	run func(sim *litho.Simulator, target *Field) (*Outcome, error)) (*RunResult, error) {
 	s, err := p.lease()
 	if err != nil {
 		return nil, err
@@ -667,7 +641,7 @@ func (p *Pipeline) optimize(l *Layout, span string,
 		return nil, err
 	}
 	start := time.Now()
-	r, err := run(s.sim, target)
+	out, err := run(s.sim, target)
 	if err != nil {
 		var cerr *CancelledError
 		if errors.As(err, &cerr) {
@@ -675,10 +649,10 @@ func (p *Pipeline) optimize(l *Layout, span string,
 		}
 		return nil, err
 	}
-	if reason, cp, aborted := r.abort(); aborted {
-		p.captureAnomaly(BundleAnomaly{RunID: s.trace, Reason: reason, Checkpoint: cp})
+	if out.Aborted {
+		p.captureAnomaly(BundleAnomaly{RunID: s.trace, Reason: out.AbortReason, Checkpoint: out.AbortCheckpoint})
 	}
-	r.Elapsed = time.Since(start)
+	r := &RunResult{Method: method, Outcome: *out, Elapsed: time.Since(start)}
 	s.traceSpan(span, start)
 	if r.Report, err = s.evaluate(l, target, r.Mask, r.Elapsed); err != nil {
 		return nil, err

@@ -1,8 +1,14 @@
 package lsopc
 
 import (
+	"context"
+	"math"
 	"testing"
 	"time"
+
+	"lsopc/internal/core"
+	"lsopc/internal/levelset"
+	"lsopc/internal/pixelilt"
 )
 
 func TestPresetParsing(t *testing.T) {
@@ -102,7 +108,7 @@ func TestEndToEndLevelSetRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Method != "level-set" || run.LevelSet == nil || run.Baseline != nil {
+	if run.Method != "level-set" {
 		t.Fatal("run metadata wrong")
 	}
 	if run.Elapsed <= 0 {
@@ -141,11 +147,107 @@ func TestEndToEndBaselineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Method != "MOSAIC_fast" || run.Baseline == nil || run.LevelSet != nil {
+	if run.Method != "MOSAIC_fast" {
 		t.Fatal("baseline run metadata wrong")
 	}
 	if run.Report.ShapeViolations != 0 {
 		t.Fatalf("B10 should print cleanly, got %d shape violations", run.Report.ShapeViolations)
+	}
+}
+
+// TestRunOutcomeOneShapePerMethod: a Pipeline run of either method
+// carries the Outcome of a direct core.Run / pixelilt.Optimize on the
+// same target and options, bit for bit, and its Mask is the method's
+// own mask rule applied to its State.
+func TestRunOutcomeOneShapePerMethod(t *testing.T) {
+	p, err := NewPipeline(PresetTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Benchmark("B4")
+	target, err := p.Target(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsOpts := DefaultLevelSetOptions()
+	lsOpts.MaxIter = 8
+	blOpts := DefaultBaselineOptions(MosaicFast)
+	blOpts.MaxIter = 8
+	for _, tc := range []struct {
+		method string
+		run    func() (*RunResult, error)
+		direct func() (*Outcome, error)
+		mask   func(state *Field) *Field
+	}{
+		{
+			method: "level-set",
+			run:    func() (*RunResult, error) { return p.OptimizeLevelSet(l, lsOpts) },
+			direct: func() (*Outcome, error) {
+				return core.Run(context.Background(), p.Simulator(), target, lsOpts, nil)
+			},
+			mask: func(psi *Field) *Field {
+				m := NewField(psi.W, psi.H)
+				levelset.MaskFromPsi(m, psi)
+				return m
+			},
+		},
+		{
+			method: "MOSAIC_fast",
+			run:    func() (*RunResult, error) { return p.OptimizeBaseline(l, blOpts) },
+			direct: func() (*Outcome, error) {
+				return pixelilt.Optimize(context.Background(), p.Simulator(), target, blOpts, nil)
+			},
+			// σ(a·θ) at pixelilt's mask steepness a = 4, binarised at ½.
+			mask: func(theta *Field) *Field {
+				m := NewField(theta.W, theta.H)
+				for i, v := range theta.Data {
+					m.Data[i] = 1 / (1 + math.Exp(-4*v))
+				}
+				m.Binarize(m)
+				return m
+			},
+		},
+	} {
+		run, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.direct()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Method != tc.method {
+			t.Fatalf("method %q, want %q", run.Method, tc.method)
+		}
+		got := run.Outcome
+		if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Aborted != want.Aborted ||
+			got.Evals != want.Evals || len(got.History) != len(want.History) || len(got.Snapshots) != len(want.Snapshots) {
+			t.Fatalf("%s: outcome %d iters conv=%v aborted=%v evals=%d %d rows, direct %d/%v/%v/%d/%d rows",
+				tc.method, got.Iterations, got.Converged, got.Aborted, got.Evals, len(got.History),
+				want.Iterations, want.Converged, want.Aborted, want.Evals, len(want.History))
+		}
+		fieldBitsEqual(t, tc.method+" state", got.State, want.State)
+		fieldBitsEqual(t, tc.method+" mask", got.Mask, want.Mask)
+		fieldBitsEqual(t, tc.method+" mask rule", run.Mask, tc.mask(run.State))
+		for i, w := range want.History {
+			if g := got.History[i]; iterBits(g) != iterBits(w) {
+				t.Fatalf("%s: history[%d] %+v, direct %+v", tc.method, i, g, w)
+			}
+		}
+	}
+}
+
+// fieldBitsEqual fails unless a and b have the same shape and the same
+// bits in every pixel.
+func fieldBitsEqual(t *testing.T, what string, a, b *Field) {
+	t.Helper()
+	if a.W != b.W || a.H != b.H {
+		t.Fatalf("%s: %dx%d vs %dx%d", what, a.W, a.H, b.W, b.H)
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			t.Fatalf("%s: pixel %d %v vs %v", what, i, a.Data[i], b.Data[i])
+		}
 	}
 }
 

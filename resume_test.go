@@ -72,24 +72,11 @@ func resumeCases(l *Layout) []resumeCase {
 // precision.
 func runsIdentical(t *testing.T, got, want *RunResult) {
 	t.Helper()
-	if got.Mask.W != want.Mask.W || got.Mask.H != want.Mask.H {
-		t.Fatalf("mask %dx%d, want %dx%d", got.Mask.W, got.Mask.H, want.Mask.W, want.Mask.H)
-	}
-	for i, v := range want.Mask.Data {
-		if math.Float64bits(got.Mask.Data[i]) != math.Float64bits(v) {
-			t.Fatalf("mask differs at pixel %d: %v vs %v", i, got.Mask.Data[i], v)
-		}
-	}
+	fieldBitsEqual(t, "mask", got.Mask, want.Mask)
 	if !reportsMatch(got.Report, want.Report) {
 		t.Fatalf("report %+v, want %+v", got.Report, want.Report)
 	}
-	hist := func(r *RunResult) []solve.IterStats {
-		if r.LevelSet != nil {
-			return r.LevelSet.History
-		}
-		return r.Baseline.History
-	}
-	ha, hb := hist(got), hist(want)
+	ha, hb := got.History, want.History
 	if len(ha) != len(hb) {
 		t.Fatalf("history has %d rows, want %d", len(ha), len(hb))
 	}

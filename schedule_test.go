@@ -42,9 +42,9 @@ func TestMultiResMatchesBaselineQuality(t *testing.T) {
 			t.Fatalf("%s: multires mask %dx%d, want %dx%d",
 				spec.ID, got.Mask.W, got.Mask.H, want.Mask.W, want.Mask.H)
 		}
-		if got.LevelSet.Iterations != want.LevelSet.Iterations {
+		if got.Iterations != want.Iterations {
 			t.Errorf("%s: iteration budgets differ: %d vs %d",
-				spec.ID, got.LevelSet.Iterations, want.LevelSet.Iterations)
+				spec.ID, got.Iterations, want.Iterations)
 		}
 		if g, w := got.Report.EPEViolations, want.Report.EPEViolations; g > w+10 {
 			t.Errorf("%s: EPE violations %d vs baseline %d", spec.ID, g, w)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
@@ -252,12 +253,11 @@ func TestPipelineRunHealthPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := res.LevelSet
-	if !ls.Aborted || ls.AbortReason != obs.HealthStall {
-		t.Fatalf("aborted=%v reason=%q, want stall abort", ls.Aborted, ls.AbortReason)
+	if !res.Aborted || res.AbortReason != obs.HealthStall {
+		t.Fatalf("aborted=%v reason=%q, want stall abort", res.Aborted, res.AbortReason)
 	}
-	if ls.Iterations >= opts.MaxIter {
-		t.Fatalf("run used the full budget (%d iterations) despite the abort policy", ls.Iterations)
+	if res.Iterations >= opts.MaxIter {
+		t.Fatalf("run used the full budget (%d iterations) despite the abort policy", res.Iterations)
 	}
 	found := false
 	for _, e := range sink.Events() {
@@ -270,6 +270,33 @@ func TestPipelineRunHealthPolicy(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no health event reached the pipeline sink")
+	}
+}
+
+// TestPipelineBaselineNaNGradientAborts: a baseline whose gradient is
+// NaN (PVBWeight = math.MaxFloat64 on a 64² rectangle) is stopped by the
+// watchdog, and the pipeline's run shows the abort on the same fields a
+// level-set run uses.
+func TestPipelineBaselineNaNGradientAborts(t *testing.T) {
+	p, err := NewCustomPipeline(64, 32, 2, CPUEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	l := NewLayout("rect", 2048, 2048)
+	l.Rects = append(l.Rects, NewRect(704, 800, 1344, 1248))
+	opts := DefaultBaselineOptions(MosaicExact)
+	opts.PVBWeight = math.MaxFloat64
+	hp := DefaultHealthPolicy()
+	opts.Health = &hp
+	run, err := p.OptimizeBaseline(l, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonFinite := run.AbortReason == obs.HealthNonFiniteCost || run.AbortReason == obs.HealthNonFiniteGrad
+	if !run.Aborted || !nonFinite || run.Converged {
+		t.Fatalf("aborted=%v reason=%q converged=%v after %d iterations; want a non-finite abort, not converged",
+			run.Aborted, run.AbortReason, run.Converged, run.Iterations)
 	}
 }
 

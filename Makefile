@@ -23,7 +23,8 @@
 #               is a nested module that the root go test never compiles
 #   make fuzz    - 10 s per fuzz target, every Fuzz* function of every
 #               package (untrusted-input decoders, kernels against their
-#               reference loops, trace folds, resume offsets)
+#               reference loops, trace folds, the health replay against
+#               the live watchdog, resume offsets)
 #   make crossarch - the cross-arch leg: GOARCH=arm64 go vet ./... proves
 #               every package builds without the amd64 assembly (FFT
 #               butterflies, column-pass movement kernels and real-row

@@ -79,7 +79,7 @@ func main() {
 	flag.BoolVar(&cfg.trace, "trace", false, "print the per-iteration cost trace")
 	flag.StringVar(&cfg.tracePath, "tracefile", "", "write a structured JSONL event trace (iterations, corner timings, plan-cache and pool events) to this file")
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live run status on this address for the duration of the run: /runs, /runs/{id}, /runs/{id}/events (SSE), /healthz, /metrics, /debug/vars and /debug/pprof (e.g. :6060)")
-	flag.BoolVar(&cfg.health, "health", false, "run the numerical-health watchdog (NaN/Inf, stall, divergence detection; aborts the run on an unhealthy iteration)")
+	flag.BoolVar(&cfg.health, "health", false, "stop the run on its first unhealthy iteration: a NaN/Inf cost or gradient, 8 iterations in a row improving the cost by less than 1e-9 relative, or a cost above 10x the minimum of the previous 10 (MOSAIC_fast and PVOPC: NaN/Inf only); tracestats replays the same rule on any trace")
 	flag.IntVar(&cfg.multires, "multires", 1, "coarse-to-fine start factor (power of two): begin on a grid downsampled by this factor, halving each level; 1 = single resolution")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run is cancelled (Ctrl-C)")
 	flag.StringVar(&cfg.resume, "resume", "", "resume a cancelled run from this checkpoint file (options must match the original run)")
@@ -101,16 +101,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// healthPolicy is the watchdog policy -health sets on every run (the
-// level-set, baseline and tiled ones alike); nil without the flag.
-func (cfg cliConfig) healthPolicy() *lsopc.HealthPolicy {
-	if !cfg.health {
-		return nil
-	}
-	hp := lsopc.DefaultHealthPolicy()
-	return &hp
 }
 
 // validateFlags rejects flag combinations before any resources are
@@ -288,7 +278,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
-		opts.Health = cfg.healthPolicy()
+		opts.Health = cfg.health
 		result, err = pipe.OptimizeLevelSetContext(ctx, layout, opts, from)
 	case "MOSAIC_fast", "MOSAIC_exact", "robust", "PVOPC":
 		opts := lsopc.DefaultBaselineOptions(parseVariant(cfg.method))
@@ -299,7 +289,7 @@ func run(cfg cliConfig) error {
 			opts.PVBWeight = cfg.pvbWeight
 		}
 		opts.MultiResFactor = cfg.multires
-		opts.Health = cfg.healthPolicy()
+		opts.Health = cfg.health
 		result, err = pipe.OptimizeBaselineContext(ctx, layout, opts, from)
 	default:
 		return fmt.Errorf("unknown method %q", cfg.method)
@@ -394,7 +384,7 @@ func runTiled(ctx context.Context, pipe *lsopc.Pipeline, layout *lsopc.Layout, c
 		opts.PVBWeight = cfg.pvbWeight
 	}
 	opts.MultiResFactor = cfg.multires
-	opts.Health = cfg.healthPolicy()
+	opts.Health = cfg.health
 
 	result, err := pipe.OptimizeTiledContext(ctx, layout, lsopc.TileOptions{
 		HaloNM:       cfg.halo,

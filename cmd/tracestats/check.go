@@ -101,6 +101,10 @@ func check(in io.Reader) (counts, unknown map[string]int, err error) {
 			if e.N < 1 {
 				return fmt.Errorf("stitch_pass re-optimizing %d tiles, want ≥ 1", e.N)
 			}
+		case obs.EventHealth:
+			if !obs.HealthReason(e.Msg) {
+				return fmt.Errorf("health event with reason %q, not a watchdog reason code", e.Msg)
+			}
 		case obs.EventCancelled:
 			if e.Msg == "" {
 				return fmt.Errorf("cancelled event without a cause message")

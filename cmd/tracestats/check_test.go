@@ -82,7 +82,7 @@ func TestCheckRequiresRunIDs(t *testing.T) {
 	sessionScoped := map[string]string{
 		"iteration":  `{"type":"iteration","seq":1,"iter":0,"cost":1}` + "\n",
 		"span":       `{"type":"span","seq":1,"name":"optimize.levelset"}` + "\n",
-		"health":     `{"type":"health","seq":1,"iter":3,"msg":"cost_nan"}` + "\n",
+		"health":     `{"type":"health","seq":1,"iter":3,"msg":"stall"}` + "\n",
 		"tile_start": `{"type":"tile_start","seq":1,"tile":1}` + "\n",
 		"cancelled":  `{"type":"cancelled","seq":1,"iter":2,"msg":"context canceled"}` + "\n",
 	}
@@ -99,6 +99,23 @@ func TestCheckRequiresRunIDs(t *testing.T) {
 	}, "\n") + "\n"
 	if _, _, err := check(strings.NewReader(runtime)); err != nil {
 		t.Fatalf("runtime-scoped events rejected: %v", err)
+	}
+}
+
+// TestCheckHealthReasonCodes: a health event carries one of the four
+// watchdog reason codes; any other code (or none) is schema drift.
+func TestCheckHealthReasonCodes(t *testing.T) {
+	for _, reason := range []string{"non_finite_cost", "non_finite_gradient", "stall", "divergence"} {
+		trace := `{"type":"health","seq":1,"trace":"s1","iter":3,"msg":"` + reason + `"}` + "\n"
+		if _, _, err := check(strings.NewReader(trace)); err != nil {
+			t.Errorf("%s: %v", reason, err)
+		}
+	}
+	for _, reason := range []string{"", "cost_nan", "STALLED", "diverged"} {
+		trace := `{"type":"health","seq":1,"trace":"s1","iter":3,"msg":"` + reason + `"}` + "\n"
+		if _, _, err := check(strings.NewReader(trace)); err == nil {
+			t.Errorf("health reason %q: accepted", reason)
+		}
 	}
 }
 

@@ -2,11 +2,19 @@
 // the -tracefile flag of cmd/lsopc and cmd/tables into human-readable
 // analytics: event inventory, plan-cache and pool hit rates, a per-phase
 // latency table with exact p50/p95/p99 over the raw span durations, and
-// per-session convergence summaries (slope of ln(cost), stalls,
-// non-finite costs, divergence, watchdog health events). Coarse-to-fine
-// traces additionally get per-resolution-level convergence segments and
-// per-grid-size corner phases ("corner:…@64"). Tiled runs (lsopc -tiled)
-// get per-tile latency percentiles and a stitch-pass convergence table.
+// per-session convergence summaries (slope of ln(cost), best cost) with
+// health verdicts. The verdicts come from replaying each session's
+// iterations through the live health watchdog (obs.Watchdog, the rule
+// behind lsopc -health), whether or not the run itself ran it: a fresh
+// watchdog starts at the session's first iteration, at each
+// level_switch and at each tile_start of a tile run, as in the live
+// run. Two limits: MOSAIC_fast and PVOPC sessions replay with the
+// stall and divergence checks on, which their live runs skip, and a
+// trace that begins at a resume point replays from a fresh watchdog.
+// Coarse-to-fine traces additionally get per-resolution-level
+// convergence segments and per-grid-size corner phases
+// ("corner:…@64"). Tiled runs (lsopc -tiled) get per-tile latency
+// percentiles and a stitch-pass convergence table.
 //
 // With -check it validates a trace instead of reporting on it. It fails
 // with a non-zero exit when a line is not valid JSON, an event carries
@@ -19,6 +27,7 @@
 // run registry rely on. Tiled-run events carry structural invariants of
 // their own: tile_start/tile_done must name a tile ordinal ≥ 1, and
 // stitch_pass must name a pass ≥ 1 over ≥ 1 re-optimized tiles.
+// Health events must carry one of the watchdog's reason codes.
 // Cancellation events must carry their cause message, checkpoint events
 // must report ≥ 1 captured state fields, and capture events their
 // reason, bundle directory and ≥ 1 bundle files. Event kinds outside the
@@ -32,7 +41,7 @@
 //	tracestats run.jsonl
 //	tracestats run1.jsonl run2.jsonl           # independent reports
 //	tracestats -diff before.jsonl after.jsonl  # run-vs-run comparison
-//	tracestats -json run.jsonl                 # machine-readable
+//	tracestats -json run.jsonl                 # machine-readable; sessions.*.health is the replay
 //	tracestats -chrome timeline.json run.jsonl # Perfetto-loadable timeline
 //	tracestats -bundle flight/s1-non_finite... # inspect a postmortem bundle
 //	tracestats -check -strict -require iteration,corner run.jsonl
@@ -62,7 +71,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the parsed run(s) / diff as JSON")
 		diff      = flag.Bool("diff", false, "compare exactly two traces (A then B)")
 		topN      = flag.Int("top", 0, "show only the top N phases by total time (0 = all)")
-		stallWin  = flag.Int("stall-window", 0, "stall-detection trailing window (0 = default)")
 		chrome    = flag.String("chrome", "", "write a Chrome Trace Event timeline (Perfetto / chrome://tracing) of the trace to this file instead of reporting")
 		bundle    = flag.Bool("bundle", false, "treat each argument as a flight-recorder postmortem bundle directory: validate its manifest and report its event tail")
 		checkOnly = flag.Bool("check", false, "validate each trace's invariants and print its per-type event counts instead of reporting")
@@ -101,7 +109,7 @@ func main() {
 			if i > 0 {
 				fmt.Println()
 			}
-			if err := inspectBundle(dir, *stallWin, *topN, *jsonOut); err != nil {
+			if err := inspectBundle(dir, *topN, *jsonOut); err != nil {
 				fmt.Fprintln(os.Stderr, "tracestats:", err)
 				os.Exit(1)
 			}
@@ -119,7 +127,7 @@ func main() {
 
 	runs := make([]*analyze.Run, flag.NArg())
 	for i, path := range flag.Args() {
-		run, err := parse(path, *stallWin)
+		run, err := parse(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracestats:", err)
 			os.Exit(1)
@@ -156,12 +164,12 @@ func main() {
 // validated manifest (trigger, captured files, notes), the latest
 // runtime snapshot, and the regular analytics report over the bundle's
 // event tail.
-func inspectBundle(dir string, stallWin, topN int, jsonOut bool) error {
+func inspectBundle(dir string, topN int, jsonOut bool) error {
 	man, err := recorder.Open(dir)
 	if err != nil {
 		return err
 	}
-	run, err := parse(filepath.Join(dir, recorder.EventsFile), stallWin)
+	run, err := parse(filepath.Join(dir, recorder.EventsFile))
 	if err != nil {
 		return fmt.Errorf("bundle %s: %w", dir, err)
 	}
@@ -246,13 +254,8 @@ func openTrace(path string) (io.ReadCloser, error) {
 	return os.Open(path)
 }
 
-// parse reads one trace (path or "-" for stdin) with optional threshold
-// overrides.
-func parse(path string, stallWin int) (*analyze.Run, error) {
-	th := analyze.DefaultThresholds()
-	if stallWin > 0 {
-		th.StallWindow = stallWin
-	}
+// parse reads one trace (path or "-" for stdin).
+func parse(path string) (*analyze.Run, error) {
 	in, err := openTrace(path)
 	if err != nil {
 		return nil, err
@@ -262,7 +265,7 @@ func parse(path string, stallWin int) (*analyze.Run, error) {
 	if path == "-" {
 		label = "stdin"
 	}
-	run, err := analyze.Parse(in, th)
+	run, err := analyze.Parse(in)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
@@ -342,20 +345,8 @@ func printRun(r *analyze.Run, topN int) {
 				c.Iterations, c.FirstCost, c.FinalCost, c.BestCost, c.BestIter,
 				-100*c.ReductionFrac)
 			fmt.Printf("  slope ln(cost)/iter: %+.4g\n", c.SlopeLogPerIter)
-			if c.NonFinite {
-				fmt.Printf("  NON-FINITE cost at iteration %d\n", c.NonFiniteIter)
-			}
-			// Coarse-to-fine sessions sum costs over different grid sizes,
-			// so stall/divergence verdicts only make sense per level.
 			if len(s.Levels) > 0 {
 				fmt.Println("  (costs span multiple resolutions; see per-level summaries)")
-			} else {
-				if c.Stalled {
-					fmt.Printf("  STALLED from iteration %d\n", c.StallIter)
-				}
-				if c.Diverged {
-					fmt.Println("  DIVERGED (final cost well above best)")
-				}
 			}
 		}
 		for _, lv := range s.Levels {
@@ -414,14 +405,8 @@ func printDiff(d *analyze.RunDiff) {
 		fmt.Printf("  mean final cost %.6g -> %.6g (ratio %.3f)\n",
 			c.AMeanFinalCost, c.BMeanFinalCost, c.FinalCostRatio)
 	}
-	if c.AStalledRuns+c.BStalledRuns > 0 {
-		fmt.Printf("  stalled runs: %d vs %d\n", c.AStalledRuns, c.BStalledRuns)
-	}
-	if c.ANonFiniteRuns+c.BNonFiniteRuns > 0 {
-		fmt.Printf("  non-finite runs: %d vs %d\n", c.ANonFiniteRuns, c.BNonFiniteRuns)
-	}
 	if c.AUnhealthy+c.BUnhealthy > 0 {
-		fmt.Printf("  health events: %d vs %d\n", c.AUnhealthy, c.BUnhealthy)
+		fmt.Printf("  health verdicts: %d vs %d\n", c.AUnhealthy, c.BUnhealthy)
 	}
 }
 

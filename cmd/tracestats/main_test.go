@@ -22,7 +22,7 @@ func TestFmtDur(t *testing.T) {
 }
 
 func TestParseStdinLabelAndErrors(t *testing.T) {
-	if _, err := parse("/nonexistent/trace.jsonl", 0); err == nil {
+	if _, err := parse("/nonexistent/trace.jsonl"); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

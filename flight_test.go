@@ -44,8 +44,7 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	layout := Benchmark("B1")
 	opts := DefaultLevelSetOptions()
 	opts.MaxIter = 20
-	hp := DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 
 	_, err = pipe.OptimizeTiled(layout, TileOptions{
 		HaloNM:     256,
@@ -107,7 +106,7 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := analyze.Parse(ef, analyze.DefaultThresholds())
+	run, err := analyze.Parse(ef)
 	ef.Close()
 	if err != nil {
 		t.Fatalf("event tail unreadable by the inspector: %v", err)
@@ -129,7 +128,7 @@ func TestFlightRecorderTiledAbortBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ropts := opts
-	ropts.Health = nil
+	ropts.Health = false
 	res, err := core.Run(context.Background(), pipe.Simulator(), target, ropts, cp)
 	if err != nil {
 		t.Fatalf("resume from bundle checkpoint: %v", err)

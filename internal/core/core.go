@@ -98,13 +98,12 @@ type Options struct {
 	// driver uses it to keep one globally contiguous iteration axis
 	// across levels. Plain runs leave it 0.
 	IterOffset int
-	// Health enables the numerical-health watchdog: each iteration's
-	// cost, gradient norm and time step are judged against the policy,
-	// unhealthy iterations emit a typed health event to the simulator's
-	// trace sink (litho.Simulator.SetSink), and with
-	// AbortOnUnhealthy the run stops early (Outcome.Aborted/AbortReason).
-	// nil disables the watchdog entirely.
-	Health *obs.HealthPolicy
+	// Health runs the numerical-health watchdog (obs.Watchdog) over each
+	// iteration's cost, gradient norm and time step: an unhealthy
+	// iteration emits a typed health event to the simulator's trace sink
+	// (litho.Simulator.SetSink) and stops the run
+	// (Outcome.Aborted/AbortReason).
+	Health bool
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -281,6 +280,10 @@ func (o *Optimizer) driver() (*solve.Driver, error) {
 		return nil, err
 	}
 	sink, trace := o.sim.TraceSink()
+	var wd *obs.Watchdog
+	if o.opts.Health {
+		wd = obs.NewWatchdog(true)
+	}
 	return solve.NewDriver((*levelStepper)(o), solve.Config{
 		Method:        methodName,
 		MaxIter:       o.opts.MaxIter,
@@ -293,7 +296,7 @@ func (o *Optimizer) driver() (*solve.Driver, error) {
 		Sink:          sink,
 		Trace:         trace,
 		Engine:        o.sim.Engine().Name(),
-		Health:        o.opts.Health,
+		Watchdog:      wd,
 		Observe:       observeStep,
 	}), nil
 }
@@ -347,17 +350,16 @@ type levelStepper Optimizer
 // evolution velocity (with the PRP momentum term of Eqs. 15–16 when CG
 // is enabled). All scratch lives on the optimizer and every engine task
 // is pre-bound, so a steady-state call allocates nothing.
-func (s *levelStepper) Eval(i int) solve.Stats {
+func (s *levelStepper) Eval(i int) solve.IterStats {
 	o := (*Optimizer)(s)
 	o.maskFromPsi(o.psi)
 	costNom, costPVB := o.simulate()
 	lambda := o.velocityFromGradient(o.opts.UseCG && i > 0)
-	return solve.Stats{
+	return solve.IterStats{
 		Cost:        costNom + o.opts.PVBWeight*costPVB,
 		CostNominal: costNom,
 		CostPVB:     costPVB,
 		LambdaPRP:   lambda,
-		Detailed:    true,
 	}
 }
 

@@ -28,8 +28,7 @@ func TestWatchdogAbortsNaNRun(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 20
 	opts.PVBWeight = 0 // nominal-only: the NaN comes from the target
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 	sim.SetSink(sink, "nan-run")
 
 	res := runOpts(t, sim, nanTarget(64), opts)
@@ -59,45 +58,13 @@ func TestWatchdogAbortsNaNRun(t *testing.T) {
 	}
 }
 
-// TestWatchdogNonAbortingPolicy keeps the run going but still traces the
-// unhealthy iterations.
-func TestWatchdogNonAbortingPolicy(t *testing.T) {
-	sim := newTestSim(t, 2)
-	sink := &obs.CollectorSink{}
-	opts := DefaultOptions()
-	opts.MaxIter = 5
-	opts.PVBWeight = 0
-	hp := obs.DefaultHealthPolicy()
-	hp.AbortOnUnhealthy = false
-	opts.Health = &hp
-	sim.SetSink(sink, "")
-
-	res := runOpts(t, sim, nanTarget(64), opts)
-	if res.Aborted || res.AbortReason != "" {
-		t.Fatalf("non-aborting policy aborted the run: %+v", res)
-	}
-	// The run may still stop early on its own (the all-NaN velocity
-	// reads as a zero front speed), but every iteration that did run
-	// must carry a health event.
-	count := 0
-	for _, e := range sink.Events() {
-		if e.Type == obs.EventHealth {
-			count++
-		}
-	}
-	if count != res.Iterations || count == 0 {
-		t.Fatalf("health events = %d, want one per executed iteration (%d)", count, res.Iterations)
-	}
-}
-
 // TestWatchdogHealthyRunUntouched: a clean optimization under the
-// default policy must not trip, abort, or change the result shape.
+// watchdog must not trip, abort, or change the result shape.
 func TestWatchdogHealthyRunUntouched(t *testing.T) {
 	sim := newTestSim(t, 2)
 	opts := DefaultOptions()
 	opts.MaxIter = 8
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 
 	res := runOpts(t, sim, crossTarget(64), opts)
 	if res.Aborted || res.AbortReason != "" {

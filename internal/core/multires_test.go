@@ -159,8 +159,7 @@ func TestMultiResWatchdogAbortsPoisonedCoarse(t *testing.T) {
 	opts.MaxIter = 8
 	opts.MultiResFactor = 2
 	opts.PVBWeight = math.MaxFloat64 // poisons cost from the first (coarse) iteration
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 	sim.SetSink(sink, "nan-coarse")
 
 	res, err := Run(context.Background(), sim, checkerTarget(64), opts, nil)
@@ -196,8 +195,7 @@ func TestMultiResWatchdogAbortsPoisonedFineLevel(t *testing.T) {
 	opts.MultiResFactor = 2
 	opts.PVBWeight = 0 // nominal-only: the NaN comes from the target
 	opts.Tolerance = 0
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 
 	res, err := Run(context.Background(), sim, nanTarget(64), opts, nil)
 	if err != nil {

@@ -3,11 +3,11 @@
 // -tracefile output of cmd/lsopc and cmd/tables) back into typed
 // runs — each session's state folded by obs.Folds, exactly as the live
 // /runs view folds it — and computes the summaries a human (or CI)
-// actually wants on top: per-session convergence curves with
-// slope/stall/divergence analysis,
-// per-phase latency aggregation with interpolated-free exact
-// p50/p95/p99 over the raw span durations, plan-cache and pool hit
-// rates, and run-vs-run diffs.
+// actually wants on top: per-session convergence curves (ln-cost
+// slope, best cost), health verdicts from replaying the iterations
+// through the live watchdog (obs.Watchdog), per-phase latency
+// aggregation with interpolated-free exact p50/p95/p99 over the raw
+// span durations, plan-cache and pool hit rates, and run-vs-run diffs.
 //
 // The package depends only on internal/obs (for the Event schema, the
 // reader and the fold) and the standard library, so commands and tests can consume traces
@@ -23,25 +23,6 @@ import (
 
 	"lsopc/internal/obs"
 )
-
-// Thresholds tune the convergence analysis. The zero value is replaced
-// by DefaultThresholds.
-type Thresholds struct {
-	// StallWindow is the trailing iteration count over which relative
-	// improvement below StallEpsilon flags a stalled run.
-	StallWindow int
-	// StallEpsilon is the relative cost-improvement floor for the stall
-	// window.
-	StallEpsilon float64
-	// DivergenceFactor flags a diverged run when the final cost exceeds
-	// this multiple of the best cost.
-	DivergenceFactor float64
-}
-
-// DefaultThresholds returns the standard analysis configuration.
-func DefaultThresholds() Thresholds {
-	return Thresholds{StallWindow: 5, StallEpsilon: 1e-6, DivergenceFactor: 2}
-}
 
 // IterPoint is one optimizer iteration of one session's series.
 type IterPoint struct {
@@ -69,20 +50,10 @@ type Convergence struct {
 	// iteration index — the average relative cost change per iteration
 	// (negative = converging). Zero when fewer than two positive costs.
 	SlopeLogPerIter float64 `json:"slope_log_per_iter"`
-	// Stalled: the trailing StallWindow iterations improved the cost by
-	// less than StallEpsilon (relative). StallIter is where the stalled
-	// window starts (-1 when not stalled).
-	Stalled   bool `json:"stalled"`
-	StallIter int  `json:"stall_iter"`
-	// NonFinite: a NaN/Inf cost appeared at NonFiniteIter (-1 when the
-	// whole curve is finite).
-	NonFinite     bool `json:"non_finite"`
-	NonFiniteIter int  `json:"non_finite_iter"`
-	// Diverged: the final cost exceeds DivergenceFactor × the best cost.
-	Diverged bool `json:"diverged"`
 }
 
-// HealthEvent is one watchdog verdict recorded in the trace.
+// HealthEvent is one watchdog verdict: the iteration it judged, its
+// obs.Health* reason code and the iteration's cost.
 type HealthEvent struct {
 	Iter   int     `json:"iter"`
 	Reason string  `json:"reason"`
@@ -111,6 +82,15 @@ type LevelSegment struct {
 // plus the offline-only series: every iteration point, the convergence
 // summary over them, the health verdicts and, for coarse-to-fine runs
 // (level_switch events), one segment per resolution in schedule order.
+//
+// Health is the watchdog replayed over the iteration events: a fresh
+// obs.Watchdog starts wherever the live run started one (the session's
+// first iteration, each level_switch, each tile_start of a tile
+// sub-run) and judges every iteration, so on a -health run the first
+// verdict is the run's abort. The replay keeps going past a verdict.
+// It runs the windowed checks for every method (a live MOSAIC_fast or
+// PVOPC run judges non-finite values only), and a trace that begins at
+// a resume point replays from a fresh watchdog.
 type Session struct {
 	Run         obs.RunState   `json:"run"`
 	Iterations  []IterPoint    `json:"iterations,omitempty"`
@@ -193,7 +173,8 @@ type Run struct {
 	Pool      HitRate             `json:"pool"`
 	// PoolReleases counts pool release events (not part of the hit rate).
 	PoolReleases int `json:"pool_releases"`
-	// Health is every watchdog event in the trace, in order.
+	// Health is every health event the live watchdogs emitted into the
+	// trace, in order; the sessions' Health fields are the replay.
 	Health []obs.Event `json:"health,omitempty"`
 	// Tiled is populated when the trace carries tile/stitch events.
 	Tiled *TiledStats `json:"tiled,omitempty"`
@@ -231,10 +212,7 @@ func (r *Run) Phase(name string) *PhaseStats {
 // rules) and builds the typed run. Every run-scoped event folds through
 // obs.Folds, the reducer behind the live /runs view, into its session's
 // Run state.
-func Parse(in io.Reader, th Thresholds) (*Run, error) {
-	if th.StallWindow == 0 && th.StallEpsilon == 0 && th.DivergenceFactor == 0 {
-		th = DefaultThresholds()
-	}
+func Parse(in io.Reader) (*Run, error) {
 	run := &Run{
 		ByType:    map[string]int{},
 		Sessions:  map[string]*Session{},
@@ -242,6 +220,9 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 		levelDurs: map[string][]int64{},
 	}
 	var folds obs.Folds
+	// The replay's watchdog per run id; deleting one starts a fresh
+	// watchdog at that run's next iteration.
+	watchdogs := map[string]*obs.Watchdog{}
 	var firstNS, lastNS int64
 	err := obs.ReadEvents(in, func(e obs.Event) error {
 		run.Events++
@@ -266,10 +247,19 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 					TimeStep:    e.TimeStep,
 					DurNS:       e.DurNS,
 				})
+				wd := watchdogs[e.Trace]
+				if wd == nil {
+					wd = obs.NewWatchdog(true)
+					watchdogs[e.Trace] = wd
+				}
+				if reason := wd.Observe(e.Cost, e.GradNorm, e.TimeStep); reason != "" {
+					s.Health = append(s.Health, HealthEvent{Iter: e.Iter, Reason: reason, Cost: e.Cost})
+				}
 			case obs.EventLevelSwitch:
 				s.switches = append(s.switches, e)
-			case obs.EventHealth:
-				s.Health = append(s.Health, HealthEvent{Iter: e.Iter, Reason: e.Msg, Cost: e.Cost})
+				delete(watchdogs, e.Trace)
+			case obs.EventTileStart:
+				delete(watchdogs, obs.TileRunID(e.Trace, e.Tile))
 			}
 		}
 		switch e.Type {
@@ -330,7 +320,7 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 	if lastNS > firstNS {
 		run.WallNS = lastNS - firstNS
 	}
-	run.finalize(th)
+	run.finalize()
 	return run, nil
 }
 
@@ -372,7 +362,7 @@ func (r *Run) observePhase(name string, durNS int64) {
 
 // finalize computes quantiles and convergence summaries and sorts the
 // phase table by total time (descending).
-func (r *Run) finalize(th Thresholds) {
+func (r *Run) finalize() {
 	// Multi-resolution runs get per-grid-size corner phases
 	// ("corner:forward_gradient/nominal@64") next to the aggregate ones,
 	// so latency percentiles can be compared across levels.
@@ -400,8 +390,8 @@ func (r *Run) finalize(th Thresholds) {
 		r.phaseIdx[p.Name] = i
 	}
 	for _, s := range r.Sessions {
-		s.Convergence = summarize(s.Iterations, th)
-		s.Levels = buildLevels(s, th)
+		s.Convergence = summarize(s.Iterations)
+		s.Levels = buildLevels(s)
 		s.switches = nil
 	}
 	if r.Tiled != nil {
@@ -416,7 +406,7 @@ func (r *Run) finalize(th Thresholds) {
 // per-resolution segments at its level_switch boundaries (a switch at
 // global iteration i ends the level that ran iterations < i). Sessions
 // without switches return nil.
-func buildLevels(s *Session, th Thresholds) []LevelSegment {
+func buildLevels(s *Session) []LevelSegment {
 	if len(s.switches) == 0 {
 		return nil
 	}
@@ -439,7 +429,7 @@ func buildLevels(s *Session, th Thresholds) []LevelSegment {
 			GridN:       gridN,
 			Iterations:  len(pts),
 			InterpNS:    interpNS,
-			Convergence: summarize(pts, th),
+			Convergence: summarize(pts),
 		}
 		if len(pts) > 0 {
 			seg.StartIter = pts[0].Iter
@@ -493,41 +483,22 @@ func percentile(sorted []int64, q float64) float64 {
 // First and best cost and the ln-cost slope come from folding the
 // series through obs.Fold, so they follow the live view's rules (the
 // best cost is the lowest finite one, reported at its iteration number).
-func summarize(iters []IterPoint, th Thresholds) Convergence {
-	c := Convergence{Iterations: len(iters), StallIter: -1, NonFiniteIter: -1}
+func summarize(iters []IterPoint) Convergence {
+	c := Convergence{Iterations: len(iters)}
 	if len(iters) == 0 {
 		return c
 	}
 	var f obs.Fold
+	finite := true
 	for _, p := range iters {
 		f.Apply(obs.Event{Type: obs.EventIteration, Iter: p.Iter, Cost: p.Cost})
-		if !c.NonFinite && (math.IsNaN(p.Cost) || math.IsInf(p.Cost, 0)) {
-			c.NonFinite, c.NonFiniteIter = true, p.Iter
-		}
+		finite = finite && !math.IsNaN(p.Cost) && !math.IsInf(p.Cost, 0)
 	}
 	st := f.State()
 	c.FirstCost, c.BestCost, c.BestIter, c.SlopeLogPerIter = st.FirstCost, st.BestCost, st.BestIter, st.Slope
 	c.FinalCost = iters[len(iters)-1].Cost
-	if c.FirstCost != 0 && !c.NonFinite {
+	if c.FirstCost != 0 && finite {
 		c.ReductionFrac = (c.FirstCost - c.FinalCost) / c.FirstCost
-	}
-	// Stall: the trailing window's total relative improvement is below
-	// the epsilon.
-	if w := th.StallWindow; !c.NonFinite && w > 0 && len(iters) > w {
-		start := iters[len(iters)-1-w].Cost
-		end := c.FinalCost
-		denom := math.Abs(start)
-		if denom < 1 {
-			denom = 1
-		}
-		if (start-end)/denom < th.StallEpsilon {
-			c.Stalled = true
-			c.StallIter = iters[len(iters)-1-w].Iter
-		}
-	}
-	if !c.NonFinite && th.DivergenceFactor > 0 && c.BestCost > 0 &&
-		c.FinalCost > th.DivergenceFactor*c.BestCost {
-		c.Diverged = true
 	}
 	return c
 }

@@ -52,7 +52,7 @@ func TestParseTypedRun(t *testing.T) {
 		events = append(events, obs.Event{Type: obs.EventPool, Name: "field.release", N: 64})
 	}
 
-	run, err := Parse(traceBuf(t, events), DefaultThresholds())
+	run, err := Parse(traceBuf(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestParseTypedRun(t *testing.T) {
 	if c.Iterations != 12 || c.FirstCost != 1000 {
 		t.Fatalf("convergence = %+v", c)
 	}
-	if c.BestIter != 11 || c.Stalled || c.NonFinite || c.Diverged {
-		t.Fatalf("convergence flags = %+v", c)
+	if c.BestIter != 11 || len(s.Health) != 0 {
+		t.Fatalf("convergence = %+v, health = %+v", c, s.Health)
 	}
 	// ln(0.8) per iteration ≈ -0.223.
 	if math.Abs(c.SlopeLogPerIter-math.Log(0.8)) > 1e-9 {
@@ -110,15 +110,16 @@ func TestParseTypedRun(t *testing.T) {
 
 func TestParseDetectsStallAndNaNAndHealth(t *testing.T) {
 	var events []obs.Event
-	// s1 stalls: constant cost after iteration 2.
-	for i := 0; i < 10; i++ {
+	// s1 stalls: constant cost from iteration 2, so iterations 3…10
+	// are the eight stalled ones the watchdog needs.
+	for i := 0; i < 12; i++ {
 		c := 100.0
 		if i < 2 {
 			c = 200 - float64(i)*50
 		}
 		events = append(events, iterEvent("s1", i, c))
 	}
-	// s2 goes NaN at iteration 3 and carries a watchdog event.
+	// s2 goes NaN at iteration 3 and carries the live watchdog's event.
 	for i := 0; i < 5; i++ {
 		c := 50.0
 		if i >= 3 {
@@ -128,23 +129,59 @@ func TestParseDetectsStallAndNaNAndHealth(t *testing.T) {
 	}
 	events = append(events, obs.Event{Type: obs.EventHealth, Trace: "s2", Iter: 3, Msg: obs.HealthNonFiniteCost, Cost: math.NaN()})
 
-	run, err := Parse(traceBuf(t, events), DefaultThresholds())
+	run, err := Parse(traceBuf(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := run.Sessions["s1"].Convergence
-	if !c1.Stalled || c1.StallIter < 2 {
-		t.Fatalf("s1 convergence = %+v, want stalled", c1)
+	if h := run.Sessions["s1"].Health; len(h) != 1 || h[0].Iter != 10 || h[0].Reason != obs.HealthStall || h[0].Cost != 100 {
+		t.Fatalf("s1 health = %+v, want one stall at 10", h)
 	}
-	c2 := run.Sessions["s2"].Convergence
-	if !c2.NonFinite || c2.NonFiniteIter != 3 {
-		t.Fatalf("s2 convergence = %+v, want non-finite at 3", c2)
+	// The replay keeps judging past the first verdict.
+	h := run.Sessions["s2"].Health
+	if len(h) != 2 || h[0].Iter != 3 || h[0].Reason != obs.HealthNonFiniteCost || h[1].Iter != 4 || !math.IsNaN(h[0].Cost) {
+		t.Fatalf("s2 health = %+v, want non-finite cost at 3 and 4", h)
 	}
 	if len(run.Health) != 1 || run.Health[0].Msg != obs.HealthNonFiniteCost {
 		t.Fatalf("run health = %+v", run.Health)
 	}
-	if h := run.Sessions["s2"].Health; len(h) != 1 || h[0].Reason != obs.HealthNonFiniteCost {
-		t.Fatalf("s2 health = %+v", h)
+}
+
+// TestReplayStartsFreshWatchdogs: the replay starts a fresh watchdog
+// where the live run starts one — at a level_switch of the session and
+// at a tile_start of a tile sub-run — so seven stalled iterations on
+// each side of the boundary are no stall, while fifteen in one segment
+// are.
+func TestReplayStartsFreshWatchdogs(t *testing.T) {
+	stalled := func(trace string, from, n int) []obs.Event {
+		var events []obs.Event
+		for i := from; i < from+n; i++ {
+			events = append(events, iterEvent(trace, i, 100))
+		}
+		return events
+	}
+	var events []obs.Event
+	events = append(events, stalled("s1", 0, 8)...)
+	events = append(events, obs.Event{Type: obs.EventLevelSwitch, Trace: "s1", Iter: 8, OldN: 64, N: 128})
+	events = append(events, stalled("s1", 8, 8)...)
+	events = append(events, obs.Event{Type: obs.EventTileStart, Trace: "job", Tile: 2})
+	events = append(events, stalled("job.t2", 0, 8)...)
+	events = append(events, obs.Event{Type: obs.EventTileStart, Trace: "job", Tile: 2, Pass: 1})
+	events = append(events, stalled("job.t2", 8, 8)...)
+	// A tile_start of another tile leaves this one's watchdog running.
+	events = append(events, stalled("job.t3", 0, 8)...)
+	events = append(events, obs.Event{Type: obs.EventTileStart, Trace: "job", Tile: 4})
+	events = append(events, stalled("job.t3", 8, 8)...)
+	run, err := Parse(traceBuf(t, events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"s1", "job.t2"} {
+		if h := run.Sessions[id].Health; len(h) != 0 {
+			t.Errorf("%s: health %+v across a fresh watchdog, want none", id, h)
+		}
+	}
+	if h := run.Sessions["job.t3"].Health; len(h) != 1 || h[0].Iter != 8 || h[0].Reason != obs.HealthStall {
+		t.Errorf("job.t3: health %+v, want one stall at 8", h)
 	}
 }
 
@@ -154,15 +191,19 @@ func TestParseDetectsDivergence(t *testing.T) {
 	for i, c := range costs {
 		events = append(events, iterEvent("s1", i, c))
 	}
-	run, err := Parse(traceBuf(t, events), DefaultThresholds())
+	run, err := Parse(traceBuf(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := run.Sessions["s1"].Convergence
-	if !c.Diverged || c.BestCost != 10 || c.BestIter != 3 {
-		t.Fatalf("convergence = %+v, want diverged with best 10 @ 3", c)
+	s := run.Sessions["s1"]
+	if c := s.Convergence; c.BestCost != 10 || c.BestIter != 3 {
+		t.Fatalf("convergence = %+v, want best 10 @ 3", c)
 	}
-	if c.ReductionFrac >= 0 {
+	// 400 > 10 × 10, the minimum of the previous iterations.
+	if h := s.Health; len(h) != 1 || h[0].Iter != 4 || h[0].Reason != obs.HealthDivergence || h[0].Cost != 400 {
+		t.Fatalf("health = %+v, want divergence at 4", h)
+	}
+	if c := s.Convergence; c.ReductionFrac >= 0 {
 		t.Fatalf("reduction = %g, want negative", c.ReductionFrac)
 	}
 }
@@ -177,7 +218,7 @@ func TestParseBestIsFiniteAtIterationNumber(t *testing.T) {
 	for i, c := range []float64{9, 8, 2, 3, 4, 5, 6} {
 		resumed = append(resumed, iterEvent("s1", 5+i, c))
 	}
-	run, err := Parse(traceBuf(t, resumed), DefaultThresholds())
+	run, err := Parse(traceBuf(t, resumed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +237,7 @@ func TestParseBestIsFiniteAtIterationNumber(t *testing.T) {
 		}
 		multires = append(multires, iterEvent("s1", i, c))
 	}
-	run, err = Parse(traceBuf(t, multires), DefaultThresholds())
+	run, err = Parse(traceBuf(t, multires))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +251,16 @@ func TestParseBestIsFiniteAtIterationNumber(t *testing.T) {
 
 	run, err = Parse(traceBuf(t, []obs.Event{
 		iterEvent("s1", 0, math.Inf(-1)), iterEvent("s1", 1, 3), iterEvent("s1", 2, 5),
-	}), DefaultThresholds())
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s = run.Sessions["s1"]
-	if c := s.Convergence; c.BestCost != 3 || c.BestIter != 1 || !c.NonFinite {
-		t.Errorf("-Inf first: best %g @%d non-finite=%v, want 3 @1, true", c.BestCost, c.BestIter, c.NonFinite)
+	if c := s.Convergence; c.BestCost != 3 || c.BestIter != 1 {
+		t.Errorf("-Inf first: best %g @%d, want 3 @1", c.BestCost, c.BestIter)
+	}
+	if h := s.Health; len(h) != 1 || h[0].Iter != 0 || h[0].Reason != obs.HealthNonFiniteCost {
+		t.Errorf("-Inf first: health %+v, want non-finite cost at 0", h)
 	}
 	if s.Run.BestCost != 3 || s.Run.BestIter != 1 {
 		t.Errorf("-Inf first: folded best %g @%d, want 3 @1", s.Run.BestCost, s.Run.BestIter)
@@ -246,7 +290,7 @@ func TestParseTiledRun(t *testing.T) {
 		})
 	}
 
-	run, err := Parse(traceBuf(t, events), DefaultThresholds())
+	run, err := Parse(traceBuf(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +322,13 @@ func TestParseTiledRun(t *testing.T) {
 }
 
 func TestParseRejectsEmptyAndMalformed(t *testing.T) {
-	if _, err := Parse(strings.NewReader(""), DefaultThresholds()); err == nil {
+	if _, err := Parse(strings.NewReader("")); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	if _, err := Parse(strings.NewReader("{not json\n"), DefaultThresholds()); err == nil {
+	if _, err := Parse(strings.NewReader("{not json\n")); err == nil {
 		t.Fatal("malformed line accepted")
 	}
-	if _, err := Parse(strings.NewReader(`{"seq":1}`+"\n"), DefaultThresholds()); err == nil {
+	if _, err := Parse(strings.NewReader(`{"seq":1}` + "\n")); err == nil {
 		t.Fatal("type-less event accepted")
 	}
 }
@@ -318,7 +362,7 @@ func TestDiff(t *testing.T) {
 			cost = finalCost + (cost-finalCost)*0.5
 		}
 		events = append(events, obs.Event{Type: obs.EventPlanCache, Name: "plan1d", N: 64, Hit: true})
-		run, err := Parse(traceBuf(t, events), DefaultThresholds())
+		run, err := Parse(traceBuf(t, events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +385,7 @@ func TestDiff(t *testing.T) {
 	if corner == nil || corner.P50Ratio != 2 {
 		t.Fatalf("corner delta = %+v, want p50 ratio 2", corner)
 	}
-	if d.Convergence.ASessions != 1 || d.Convergence.BSessions != 1 {
+	if d.Convergence.ASessions != 1 || d.Convergence.BSessions != 1 || d.Convergence.AUnhealthy != 0 {
 		t.Fatalf("convergence delta = %+v", d.Convergence)
 	}
 	if d.APlanHitRate != 1 || d.BPlanHitRate != 1 {

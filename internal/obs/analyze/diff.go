@@ -30,12 +30,10 @@ type ConvergenceDelta struct {
 	AMeanFinalCost float64 `json:"a_mean_final_cost"`
 	BMeanFinalCost float64 `json:"b_mean_final_cost"`
 	FinalCostRatio float64 `json:"final_cost_ratio"` // B/A
-	AUnhealthy     int     `json:"a_unhealthy"`
-	BUnhealthy     int     `json:"b_unhealthy"`
-	AStalledRuns   int     `json:"a_stalled_runs"`
-	BStalledRuns   int     `json:"b_stalled_runs"`
-	ANonFiniteRuns int     `json:"a_non_finite_runs"`
-	BNonFiniteRuns int     `json:"b_non_finite_runs"`
+	// AUnhealthy/BUnhealthy count the replayed watchdog verdicts
+	// (Session.Health) over every session.
+	AUnhealthy int `json:"a_unhealthy"`
+	BUnhealthy int `json:"b_unhealthy"`
 }
 
 // RunDiff is the structured comparison of two parsed traces.
@@ -100,31 +98,24 @@ func Diff(a, b *Run) *RunDiff {
 }
 
 func convergenceDelta(a, b *Run) ConvergenceDelta {
-	cd := ConvergenceDelta{AUnhealthy: len(a.Health), BUnhealthy: len(b.Health)}
-	aggregate := func(r *Run, sessions, iters, stalled, nonFinite *int, meanFinal *float64) {
+	var cd ConvergenceDelta
+	aggregate := func(r *Run, sessions, iters, unhealthy *int, meanFinal *float64) {
 		var sum float64
-		var withIters int
 		for _, s := range r.Sessions {
+			*unhealthy += len(s.Health)
 			if len(s.Iterations) == 0 {
 				continue
 			}
 			*sessions++
-			withIters++
 			*iters += s.Convergence.Iterations
 			sum += s.Convergence.FinalCost
-			if s.Convergence.Stalled {
-				*stalled++
-			}
-			if s.Convergence.NonFinite {
-				*nonFinite++
-			}
 		}
-		if withIters > 0 {
-			*meanFinal = sum / float64(withIters)
+		if *sessions > 0 {
+			*meanFinal = sum / float64(*sessions)
 		}
 	}
-	aggregate(a, &cd.ASessions, &cd.AIterations, &cd.AStalledRuns, &cd.ANonFiniteRuns, &cd.AMeanFinalCost)
-	aggregate(b, &cd.BSessions, &cd.BIterations, &cd.BStalledRuns, &cd.BNonFiniteRuns, &cd.BMeanFinalCost)
+	aggregate(a, &cd.ASessions, &cd.AIterations, &cd.AUnhealthy, &cd.AMeanFinalCost)
+	aggregate(b, &cd.BSessions, &cd.BIterations, &cd.BUnhealthy, &cd.BMeanFinalCost)
 	if cd.AMeanFinalCost != 0 {
 		cd.FinalCostRatio = cd.BMeanFinalCost / cd.AMeanFinalCost
 	}

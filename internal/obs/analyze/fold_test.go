@@ -50,7 +50,7 @@ func FuzzFoldLiveMatchesOffline(f *testing.F) {
 	f.Add([]byte(`{"type":"span","trace":"a.t3","name":"optimize"}` + "\n" + `{"type":"tile_start","trace":"a","tile":3,"time_ns":5}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		run, err := Parse(bytes.NewReader(data), DefaultThresholds())
+		run, err := Parse(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -6,96 +6,113 @@ import (
 )
 
 func TestWatchdogNonFinite(t *testing.T) {
-	var c CollectorSink
-	w := NewWatchdog(DefaultHealthPolicy(), &c, "s1")
-	if v := w.Observe(0, 10, 1, 0.5); !v.Healthy {
-		t.Fatalf("healthy iteration flagged: %+v", v)
+	w := NewWatchdog(true)
+	if r := w.Observe(10, 1, 0.5); r != "" {
+		t.Fatalf("healthy iteration flagged: %q", r)
 	}
-	v := w.Observe(1, math.NaN(), 1, 0.5)
-	if v.Healthy || v.Reason != HealthNonFiniteCost || !v.Abort {
-		t.Fatalf("NaN cost verdict = %+v", v)
+	if r := w.Observe(math.NaN(), 1, 0.5); r != HealthNonFiniteCost {
+		t.Fatalf("NaN cost verdict = %q", r)
 	}
-	v = w.Observe(2, 10, math.Inf(1), 0.5)
-	if v.Healthy || v.Reason != HealthNonFiniteGrad {
-		t.Fatalf("Inf gradient verdict = %+v", v)
+	if r := w.Observe(10, math.Inf(1), 0.5); r != HealthNonFiniteGrad {
+		t.Fatalf("Inf gradient verdict = %q", r)
 	}
-	events := c.Events()
-	if len(events) != 2 {
-		t.Fatalf("health events = %d, want 2", len(events))
+	// Without the windowed checks the non-finite ones still run.
+	nw := NewWatchdog(false)
+	if r := nw.Observe(math.Inf(-1), 1, 0.5); r != HealthNonFiniteCost {
+		t.Fatalf("windowless -Inf cost verdict = %q", r)
 	}
-	for _, e := range events {
-		if e.Type != EventHealth || e.Trace != "s1" {
-			t.Fatalf("bad health event: %+v", e)
+	if r := nw.Observe(10, math.NaN(), 0.5); r != HealthNonFiniteGrad {
+		t.Fatalf("windowless NaN gradient verdict = %q", r)
+	}
+	for _, r := range []string{HealthNonFiniteCost, HealthNonFiniteGrad, HealthStall, HealthDivergence} {
+		if !HealthReason(r) {
+			t.Fatalf("HealthReason(%q) = false", r)
 		}
 	}
-	if events[0].Msg != HealthNonFiniteCost || events[1].Msg != HealthNonFiniteGrad {
-		t.Fatalf("reasons = %q, %q", events[0].Msg, events[1].Msg)
-	}
-	if w.trips != 2 {
-		t.Fatalf("trips = %d, want 2", w.trips)
+	if HealthReason("") || HealthReason("stalled") {
+		t.Fatal("HealthReason accepts a code the watchdog never returns")
 	}
 }
 
 func TestWatchdogDivergence(t *testing.T) {
-	p := HealthPolicy{DivergenceWindow: 5, DivergenceFactor: 10, AbortOnUnhealthy: true}
-	w := NewWatchdog(p, nil, "")
+	w := NewWatchdog(true)
 	for i, c := range []float64{4, 3, 2} {
-		if v := w.Observe(i, c, 1, 0.5); !v.Healthy {
-			t.Fatalf("iter %d flagged: %+v", i, v)
+		if r := w.Observe(c, 1, 0.5); r != "" {
+			t.Fatalf("iter %d flagged: %q", i, r)
 		}
 	}
 	// 2 is the window minimum; 25 > 10×2 diverges.
-	v := w.Observe(3, 25, 1, 0.5)
-	if v.Healthy || v.Reason != HealthDivergence || !v.Abort {
-		t.Fatalf("divergence verdict = %+v", v)
+	if r := w.Observe(25, 1, 0.5); r != HealthDivergence {
+		t.Fatalf("divergence verdict = %q", r)
 	}
 	// Moderate growth below the factor stays healthy.
-	w2 := NewWatchdog(p, nil, "")
+	w2 := NewWatchdog(true)
 	for i, c := range []float64{4, 3, 2, 15, 19} {
-		if v := w2.Observe(i, c, 1, 0.5); !v.Healthy {
-			t.Fatalf("iter %d (cost %g) flagged: %+v", i, c, v)
+		if r := w2.Observe(c, 1, 0.5); r != "" {
+			t.Fatalf("iter %d (cost %g) flagged: %q", i, c, r)
 		}
+	}
+	// The window is the previous divergenceWindow costs: a low cost
+	// that has slid out of it no longer counts.
+	w3 := NewWatchdog(true)
+	w3.Observe(1, 1, 0.5)
+	for i := 0; i < divergenceWindow; i++ {
+		w3.Observe(50-float64(i), 1, 0.5)
+	}
+	if r := w3.Observe(11, 1, 0.5); r != "" {
+		t.Fatalf("cost 11 judged against a minimum outside the window: %q", r)
+	}
+	// Without the windowed checks nothing diverges.
+	nw := NewWatchdog(false)
+	nw.Observe(1, 1, 0.5)
+	if r := nw.Observe(1e6, 1, 0.5); r != "" {
+		t.Fatalf("windowless watchdog flagged a jump: %q", r)
 	}
 }
 
 func TestWatchdogStall(t *testing.T) {
-	p := HealthPolicy{StallWindow: 3, StallEpsilon: 1e-9}
-	w := NewWatchdog(p, nil, "")
-	if v := w.Observe(0, 100, 1, 0.5); !v.Healthy {
-		t.Fatalf("first iteration flagged: %+v", v)
+	w := NewWatchdog(true)
+	if r := w.Observe(100, 1, 0.5); r != "" {
+		t.Fatalf("first iteration flagged: %q", r)
 	}
-	// Three identical costs in a row = three stalled iterations.
-	var v Verdict
-	for i := 1; i <= 3; i++ {
-		v = w.Observe(i, 100, 1, 0.5)
+	// stallWindow identical costs in a row are stallWindow stalled
+	// iterations; one fewer is not yet a stall.
+	for i := 1; i < stallWindow; i++ {
+		if r := w.Observe(100, 1, 0.5); r != "" {
+			t.Fatalf("stall flagged after %d stalled iterations", i)
+		}
 	}
-	if v.Healthy || v.Reason != HealthStall {
-		t.Fatalf("stall verdict = %+v", v)
-	}
-	if v.Abort {
-		t.Fatal("abort requested without AbortOnUnhealthy")
+	if r := w.Observe(100, 1, 0.5); r != HealthStall {
+		t.Fatalf("stall verdict = %q", r)
 	}
 	// Progress re-arms the counter.
-	if v := w.Observe(4, 50, 1, 0.5); !v.Healthy {
-		t.Fatalf("progress after stall flagged: %+v", v)
+	if r := w.Observe(50, 1, 0.5); r != "" {
+		t.Fatalf("progress after stall flagged: %q", r)
 	}
 	// A zero time step counts as stalled regardless of cost movement.
-	w2 := NewWatchdog(p, nil, "")
-	for i := 0; i < 2; i++ {
-		w2.Observe(i, float64(100-i), 1, 0)
+	w2 := NewWatchdog(true)
+	var r string
+	for i := 0; i < stallWindow; i++ {
+		r = w2.Observe(float64(100-i), 1, 0)
 	}
-	if v := w2.Observe(2, 97, 1, 0); v.Healthy || v.Reason != HealthStall {
-		t.Fatalf("zero-step stall verdict = %+v", v)
+	if r != HealthStall {
+		t.Fatalf("zero-step stall verdict = %q", r)
+	}
+	// Without the windowed checks nothing stalls.
+	nw := NewWatchdog(false)
+	for i := 0; i < 2*stallWindow; i++ {
+		if r := nw.Observe(100, 1, 0); r != "" {
+			t.Fatalf("windowless watchdog flagged a stall: %q", r)
+		}
 	}
 }
 
 func TestWatchdogObserveDoesNotAllocate(t *testing.T) {
-	var c CollectorSink
-	w := NewWatchdog(HealthPolicy{CheckNonFinite: true, StallWindow: 4, DivergenceWindow: 6, DivergenceFactor: 10}, &c, "s1")
+	w := NewWatchdog(true)
 	cost := 100.0
 	if avg := testing.AllocsPerRun(200, func() {
 		cost *= 0.99
-		w.Observe(1, cost, 1, 0.5)
+		w.Observe(cost, 1, 0.5)
 	}); avg != 0 {
 		t.Fatalf("healthy Observe allocates %.1f objects/op, want 0", avg)
 	}

@@ -59,7 +59,7 @@ const (
 	EventProgress = "progress"
 	// EventHealth is a numerical-health verdict from the watchdog: a
 	// NaN/Inf cost or gradient, a stalled front, or cost divergence
-	// (see HealthPolicy). Msg carries the reason code.
+	// (see Watchdog). Msg carries the reason code.
 	EventHealth = "health"
 	// EventLevelSwitch is a multi-resolution level hand-off: OldN/N carry
 	// the old and new grid edges, Iter the global iteration at which the

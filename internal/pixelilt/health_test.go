@@ -20,8 +20,7 @@ func TestWatchdogAbortsNaNBaseline(t *testing.T) {
 	sink := &obs.CollectorSink{}
 	opts := DefaultOptions(MosaicExact)
 	opts.MaxIter = 20
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 	sim.SetSink(sink, "nan-baseline")
 
 	res, err := Optimize(context.Background(), sim, target, opts, nil)
@@ -48,14 +47,13 @@ func TestWatchdogAbortsNaNBaseline(t *testing.T) {
 	}
 }
 
-// TestWatchdogCleanBaseline: a healthy baseline run under the default
-// policy completes without tripping.
+// TestWatchdogCleanBaseline: a healthy baseline run under the watchdog
+// completes without tripping.
 func TestWatchdogCleanBaseline(t *testing.T) {
 	sim := newTestSim(t, 2)
 	opts := DefaultOptions(MosaicFast)
 	opts.MaxIter = 6
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 
 	res, err := Optimize(context.Background(), sim, rectTarget(64, 24, 12), opts, nil)
 	if err != nil {

@@ -91,10 +91,11 @@ type Options struct {
 	// spectrally onto each finer grid; the coarse levels share MaxIter/2
 	// evenly. 0 or 1 is single-resolution.
 	MultiResFactor int
-	// Health enables the numerical-health watchdog over the iteration
-	// cost; unhealthy iterations emit a health event and, with
-	// AbortOnUnhealthy, stop the run (Outcome.Aborted/AbortReason).
-	Health *obs.HealthPolicy
+	// Health runs the numerical-health watchdog (obs.Watchdog) over the
+	// iteration cost: an unhealthy iteration emits a health event and
+	// stops the run (Outcome.Aborted/AbortReason). MOSAIC_fast and PVOPC
+	// get its non-finite checks only (see stepper.driver).
+	Health bool
 }
 
 // DefaultOptions returns the published schedule shape for the variant.
@@ -189,8 +190,10 @@ func (o Options) constantCornerPlan() bool {
 // The outcome's State is the final θ, lifted to full resolution after
 // a coarse-level abort; Mask is σ(a·θ) binarised. History holds one
 // record per iteration: Cost sums the corner costs simulated that
-// iteration, Evals counts those corners, and MaxVelocity is the ∞-norm
-// of dL/dθ. Outcome.Evals totals the corner evaluations (the runtime
+// iteration, CostNominal and CostPVB split it into the nominal corner
+// and the outer + inner corners (each 0 when the plan did not simulate
+// it), Evals counts those corners, and MaxVelocity is the ∞-norm of
+// dL/dθ. Outcome.Evals totals the corner evaluations (the runtime
 // proxy).
 func Optimize(ctx context.Context, sim *litho.Simulator, target *grid.Field, opts Options, from *solve.Checkpoint) (*solve.Outcome, error) {
 	if err := opts.Validate(); err != nil {
@@ -264,16 +267,13 @@ func (s *stepper) release() {
 // fixed step (no adaptive scale, no keep-best) and stop only on budget
 // or a vanished gradient (Tolerance 0: maxV ≤ 0 iff the ∞-norm is 0).
 func (s *stepper) driver() *solve.Driver {
-	health := s.opts.Health
-	if health != nil && !s.opts.constantCornerPlan() {
+	var wd *obs.Watchdog
+	if s.opts.Health {
 		// MOSAIC_fast cycles corners and PVOPC switches phases, so
 		// successive iteration costs sum different corner subsets;
 		// windowed stall/divergence checks would compare incommensurable
-		// values. Keep only the non-finite check.
-		hp := *health
-		hp.StallWindow = 0
-		hp.DivergenceWindow = 0
-		health = &hp
+		// values. Those variants keep only the non-finite checks.
+		wd = obs.NewWatchdog(s.opts.constantCornerPlan())
 	}
 	sink, trace := s.sim.TraceSink()
 	return solve.NewDriver(s, solve.Config{
@@ -284,12 +284,12 @@ func (s *stepper) driver() *solve.Driver {
 		Sink:      sink,
 		Trace:     trace,
 		Engine:    s.sim.Engine().Name(),
-		Health:    health,
+		Watchdog:  wd,
 	})
 }
 
 // Eval simulates local iteration i's corner plan and computes dL/dθ.
-func (s *stepper) Eval(i int) solve.Stats {
+func (s *stepper) Eval(i int) solve.IterStats {
 	const a = maskSteepness
 	// M = σ(a·θ).
 	for j, v := range s.theta.Data {
@@ -305,9 +305,16 @@ func (s *stepper) Eval(i int) solve.Stats {
 		s.corners = append(s.corners, litho.Corner{Cond: cond, Weight: weights[k]})
 	}
 	s.sim.ForwardAndGradientCorners(s.gradM, s.spec, s.target, s.corners)
-	cost := 0.0
+	// The row's split carries only the corners the plan simulated: the
+	// nominal cost, and outer + inner in plan order.
+	row := solve.IterStats{Evals: len(corners)}
 	for _, c := range s.corners {
-		cost += c.Cost
+		row.Cost += c.Cost
+		if c.Cond == litho.Nominal {
+			row.CostNominal = c.Cost
+		} else {
+			row.CostPVB += c.Cost
+		}
 	}
 
 	// dL/dθ = dL/dM ⊙ a·M(1−M); the ∞-norm normalises the step, keeping
@@ -323,11 +330,7 @@ func (s *stepper) Eval(i int) solve.Stats {
 		}
 	}
 	s.maxG = maxG
-	return solve.Stats{
-		Cost:  cost,
-		Evals: len(corners),
-		Name:  s.opts.Variant.String(),
-	}
+	return row
 }
 
 // SaveBest is never called: the baselines report the final iterate.

@@ -225,25 +225,27 @@ func TestOptimizeDeterministic(t *testing.T) {
 // returned θ thresholded at 1/2, also when the watchdog aborts a coarse
 // level and θ arrives lifted to full resolution.
 func TestGrayMaskConsistentWithBinary(t *testing.T) {
-	// No relative improvement reaches 2, so the watchdog stops the run
-	// at its second iteration, on the coarse level.
-	stalls := DefaultOptions(MosaicExact)
-	stalls.MaxIter = 8
-	stalls.MultiResFactor = 2
-	stalls.Health = &obs.HealthPolicy{StallWindow: 1, StallEpsilon: 2, AbortOnUnhealthy: true}
+	// The largest finite PV-band weight makes dL/dθ NaN (see
+	// TestNaNGradientAborts), so the watchdog stops the run at its first
+	// iteration, on the coarse level.
+	poisoned := DefaultOptions(MosaicExact)
+	poisoned.MaxIter = 8
+	poisoned.MultiResFactor = 2
+	poisoned.PVBWeight = math.MaxFloat64
+	poisoned.Health = true
 	for _, tc := range []struct {
 		name    string
 		opts    Options
 		aborted bool
 	}{
 		{"MOSAIC_fast", DefaultOptions(MosaicFast), false},
-		{"coarse abort", stalls, true},
+		{"coarse abort", poisoned, true},
 	} {
 		res, err := Optimize(context.Background(), newTestSim(t, 2), rectTarget(64, 20, 14), tc.opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Aborted != tc.aborted || (tc.aborted && res.Iterations != 2) || res.State.W != 64 {
+		if res.Aborted != tc.aborted || (tc.aborted && res.Iterations != 1) || res.State.W != 64 {
 			t.Fatalf("%s: aborted=%v after %d iterations, θ %d px; want aborted=%v at 64 px", tc.name, res.Aborted, res.Iterations, res.State.W, tc.aborted)
 		}
 		mask := maskFromTheta(res.State)
@@ -266,8 +268,7 @@ func TestGrayMaskConsistentWithBinary(t *testing.T) {
 func TestNaNGradientAborts(t *testing.T) {
 	opts := DefaultOptions(MosaicExact)
 	opts.PVBWeight = math.MaxFloat64
-	hp := obs.DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 	if err := opts.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +307,57 @@ func TestExactPlanRunsOneCornerPass(t *testing.T) {
 	}
 	if len(calls) != 1 || calls["nominal+outer+inner"] != 3 {
 		t.Fatalf("corner calls = %v, want nominal+outer+inner once per iteration", calls)
+	}
+}
+
+// TestRowsSplitCornerCosts: a row's CostNominal is the nominal corner's
+// cost and its CostPVB the outer + inner costs, each only when the
+// iteration's plan simulated that corner. The first MOSAIC_exact row is
+// checked against the three corner costs of the initial mask σ(a·θ₀)
+// simulated here.
+func TestRowsSplitCornerCosts(t *testing.T) {
+	target := rectTarget(64, 20, 14)
+	sim := newTestSim(t, 2)
+	mask := grid.NewField(64, 64)
+	for i, v := range target.Data {
+		mask.Data[i] = 1 / (1 + math.Exp(-maskSteepness*(2*v-1)))
+	}
+	opts := DefaultOptions(MosaicExact)
+	conds, weights := opts.cornerPlan(0)
+	var corners []litho.Corner
+	for k, c := range conds {
+		corners = append(corners, litho.Corner{Cond: c, Weight: weights[k]})
+	}
+	spec := grid.NewCField(64, 64)
+	sim.MaskSpectrumInto(spec, mask)
+	sim.ForwardAndGradientCorners(grid.NewField(64, 64), spec, target, corners)
+	nom, outer, inner := corners[0].Cost, corners[1].Cost, corners[2].Cost
+
+	opts.MaxIter = 1
+	res, err := Optimize(context.Background(), sim, target, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.History[0]; r.CostNominal != nom || r.CostPVB != outer+inner || r.Cost != nom+outer+inner {
+		t.Fatalf("MOSAIC_exact row %+v, corner costs nominal %g outer %g inner %g", r, nom, outer, inner)
+	}
+
+	for _, v := range []Variant{MosaicFast, RobustOPC} {
+		opts := DefaultOptions(v)
+		opts.MaxIter = 6
+		res, err := Optimize(context.Background(), newTestSim(t, 2), target, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res.History {
+			plan, _ := opts.cornerPlan(i)
+			wantNom, wantPVB := 0.0, r.Cost // robust OPC: outer + inner
+			if v == MosaicFast && plan[0] == litho.Nominal {
+				wantNom, wantPVB = r.Cost, 0
+			}
+			if r.Cost <= 0 || r.CostNominal != wantNom || r.CostPVB != wantPVB {
+				t.Fatalf("%s row %d (%v): nominal %g PVB %g of cost %g", v, i, plan, r.CostNominal, r.CostPVB, r.Cost)
+			}
+		}
 	}
 }

@@ -27,45 +27,48 @@ import (
 	"lsopc/internal/obs"
 )
 
-// IterStats records one driver iteration. It is the one history record
-// of every method: core fills the nominal/PV-band cost split and the
-// PRP coefficient, pixelilt the per-iteration corner-simulation count
-// (Evals).
+// IterStats records one driver iteration. It is the one iteration
+// record of every method: its history row, its trace event and the
+// values its watchdog judges. Stepper.Eval fills the cost, its
+// nominal/PV-band split, the PRP coefficient (level-set) and the
+// corner-simulation count (pixelilt, Evals); the driver fills Iter,
+// MaxVelocity and TimeStep.
 type IterStats struct {
-	Iter        int
+	Iter int
+	// Cost is the iteration's total cost: it drives the adaptive step
+	// scale, keep-best selection, watchdog verdicts and trace events.
 	Cost        float64
 	CostNominal float64
 	CostPVB     float64
 	MaxVelocity float64
 	TimeStep    float64
 	LambdaPRP   float64
-	Evals       int
+	// Evals counts the forward+gradient corner evaluations performed
+	// this iteration (0 when the method does not track them).
+	Evals int
+}
+
+// event is the row's iteration trace event. The gradient norm is the
+// one traced value the row does not carry.
+func (r IterStats) event(gradNorm float64) obs.Event {
+	return obs.Event{
+		Type:        obs.EventIteration,
+		Iter:        r.Iter,
+		N:           r.Evals,
+		Cost:        r.Cost,
+		CostNominal: r.CostNominal,
+		CostPVB:     r.CostPVB,
+		GradNorm:    gradNorm,
+		MaxVelocity: r.MaxVelocity,
+		TimeStep:    r.TimeStep,
+		LambdaPRP:   r.LambdaPRP,
+	}
 }
 
 // Snapshot is a mask state captured mid-run.
 type Snapshot struct {
 	Iter int
 	Mask *grid.Field
-}
-
-// Stats is what Stepper.Eval reports for one iteration.
-type Stats struct {
-	// Cost is the iteration's total cost: it drives the adaptive step
-	// scale, keep-best selection, watchdog verdicts and trace events.
-	Cost        float64
-	CostNominal float64
-	CostPVB     float64
-	LambdaPRP   float64
-	// Evals counts the forward+gradient corner evaluations performed
-	// this iteration (0 when the method does not track them).
-	Evals int
-	// Name tags the iteration trace event ("" omits the field).
-	Name string
-	// Detailed selects the level-set event schema: the iteration event
-	// carries the cost split, gradient norm, velocity and step size.
-	// Off, the event carries only Name/N/Cost — the pixel baseline
-	// schema.
-	Detailed bool
 }
 
 // Stepper is the per-method slice of one optimizer iteration. The
@@ -75,8 +78,9 @@ type Stats struct {
 // move). All methods run on the Driver's goroutine.
 type Stepper interface {
 	// Eval simulates local iteration i and computes the search
-	// direction, leaving it in the stepper's scratch.
-	Eval(i int) Stats
+	// direction, leaving it in the stepper's scratch. It returns the
+	// iteration's row with the method's fields set (see IterStats).
+	Eval(i int) IterStats
 	// SaveBest copies the current iterate into the best-iterate store.
 	// Called only when Config.KeepBest is set.
 	SaveBest()
@@ -138,9 +142,10 @@ type Config struct {
 	Trace string
 	// Engine names the execution engine in emitted events.
 	Engine string
-	// Health enables the numerical-health watchdog; the driver owns the
-	// watchdog and stops the run on an abort verdict.
-	Health *obs.HealthPolicy
+	// Watchdog, when non-nil, judges every iteration; the driver emits
+	// its verdict as a health event and stops the run on it. One
+	// watchdog serves one driver.
+	Watchdog *obs.Watchdog
 	// Observe, when non-nil, receives each step's wall time at the same
 	// measurement point the per-method iteration metrics used — before
 	// trace emission, so instrumentation cost stays out of the
@@ -171,7 +176,7 @@ type Outcome struct {
 	Mask      *grid.Field
 	// AbortCheckpoint is captured at the iteration boundary a watchdog
 	// abort stopped the run on, so a poisoned run can be resumed (e.g.
-	// under a different policy) or bisected postmortem. nil unless
+	// without the watchdog) or bisected postmortem. nil unless
 	// Aborted.
 	AbortCheckpoint *Checkpoint
 }
@@ -182,7 +187,6 @@ type Outcome struct {
 type Driver struct {
 	s   Stepper
 	cfg Config
-	wd  *obs.Watchdog
 
 	i        int // next local iteration
 	scale    float64
@@ -192,21 +196,20 @@ type Driver struct {
 	out      *Outcome
 }
 
+// mHealthEvents counts watchdog verdicts process-wide.
+var mHealthEvents = obs.Default.Counter("obs.health.events")
+
 // NewDriver builds a driver over the stepper. The history is allocated
 // to the full budget up front so the steady-state step stays
 // allocation-free.
 func NewDriver(s Stepper, cfg Config) *Driver {
-	d := &Driver{
+	return &Driver{
 		s:        s,
 		cfg:      cfg,
 		scale:    cfg.BaseScale,
 		bestCost: math.Inf(1),
 		out:      &Outcome{History: make([]IterStats, 0, cfg.MaxIter)},
 	}
-	if cfg.Health != nil {
-		d.wd = obs.NewWatchdog(*cfg.Health, cfg.Sink, cfg.Trace)
-	}
-	return d
 }
 
 // Step executes one iteration and reports whether the run should stop
@@ -218,63 +221,41 @@ func (d *Driver) Step() (stop bool) {
 	i := d.i
 	gi := i + d.cfg.Offset // globally reported iteration number
 
-	st := d.s.Eval(i)
+	row := d.s.Eval(i)
 
 	// Feedback step-scale control: shrink after an overshoot, recover
 	// slowly.
 	if d.cfg.AdaptiveStep && i > 0 {
-		if st.Cost > d.prevCost {
+		if row.Cost > d.prevCost {
 			d.scale = math.Max(d.scale*0.5, d.cfg.BaseScale/16)
 		} else {
 			d.scale = math.Min(d.scale*1.1, d.cfg.BaseScale)
 		}
 	}
-	d.prevCost, d.hasPrev = st.Cost, true
-	if d.cfg.KeepBest && st.Cost < d.bestCost {
-		d.bestCost = st.Cost
+	d.prevCost, d.hasPrev = row.Cost, true
+	if d.cfg.KeepBest && row.Cost < d.bestCost {
+		d.bestCost = row.Cost
 		d.s.SaveBest()
 	}
 
 	// Record stats before the update so the trace reflects the state
 	// the direction was computed from.
-	dt, maxV := d.s.StepSize(d.scale)
-	d.out.History = append(d.out.History, IterStats{
-		Iter:        gi,
-		Cost:        st.Cost,
-		CostNominal: st.CostNominal,
-		CostPVB:     st.CostPVB,
-		MaxVelocity: maxV,
-		TimeStep:    dt,
-		LambdaPRP:   st.LambdaPRP,
-		Evals:       st.Evals,
-	})
-	d.out.Evals += st.Evals
+	row.Iter = gi
+	row.TimeStep, row.MaxVelocity = d.s.StepSize(d.scale)
+	d.out.History = append(d.out.History, row)
+	d.out.Evals += row.Evals
 	if d.cfg.Observe != nil {
 		d.cfg.Observe(time.Since(stepStart))
 	}
 	gradNorm := 0.0
-	if d.cfg.Sink != nil || d.wd != nil {
+	if d.cfg.Sink != nil || d.cfg.Watchdog != nil {
 		gradNorm = d.s.GradNorm()
 	}
 	if d.cfg.Sink != nil {
-		e := obs.Event{
-			Type:   obs.EventIteration,
-			Trace:  d.cfg.Trace,
-			Name:   st.Name,
-			Engine: d.cfg.Engine,
-			Iter:   gi,
-			N:      st.Evals,
-			Cost:   st.Cost,
-			DurNS:  time.Since(stepStart).Nanoseconds(),
-		}
-		if st.Detailed {
-			e.CostNominal = st.CostNominal
-			e.CostPVB = st.CostPVB
-			e.GradNorm = gradNorm
-			e.MaxVelocity = maxV
-			e.TimeStep = dt
-			e.LambdaPRP = st.LambdaPRP
-		}
+		e := row.event(gradNorm)
+		e.Trace = d.cfg.Trace
+		e.Engine = d.cfg.Engine
+		e.DurNS = time.Since(stepStart).Nanoseconds()
 		d.cfg.Sink.Emit(e)
 	}
 	if d.cfg.SnapshotEvery > 0 && i%d.cfg.SnapshotEvery == 0 {
@@ -284,12 +265,24 @@ func (d *Driver) Step() (stop bool) {
 	d.out.Iterations = i + 1
 	d.i = i + 1
 	// Health watchdog: judge this iteration's statistics and stop the
-	// run in the same iteration when the policy demands an abort, so a
-	// NaN-poisoned or diverging run cannot burn its remaining budget.
-	if d.wd != nil {
-		if v := d.wd.Observe(gi, st.Cost, gradNorm, dt); v.Abort {
+	// run in the same iteration on a verdict, so a NaN-poisoned or
+	// diverging run cannot burn its remaining budget.
+	if d.cfg.Watchdog != nil {
+		if reason := d.cfg.Watchdog.Observe(row.Cost, gradNorm, row.TimeStep); reason != "" {
+			mHealthEvents.Inc()
+			if d.cfg.Sink != nil {
+				d.cfg.Sink.Emit(obs.Event{
+					Type:     obs.EventHealth,
+					Trace:    d.cfg.Trace,
+					Iter:     gi,
+					Cost:     row.Cost,
+					GradNorm: gradNorm,
+					TimeStep: row.TimeStep,
+					Msg:      reason,
+				})
+			}
 			d.out.Aborted = true
-			d.out.AbortReason = v.Reason
+			d.out.AbortReason = reason
 			// Capture the poisoned state at this exact boundary: the
 			// postmortem path (flight recorder bundles) persists it so the
 			// aborted run stays resumable for bisection.
@@ -298,12 +291,12 @@ func (d *Driver) Step() (stop bool) {
 		}
 	}
 	// Stop when the front has stalled.
-	if maxV <= d.cfg.Tolerance {
+	if row.MaxVelocity <= d.cfg.Tolerance {
 		d.out.Converged = true
 		return true
 	}
 
-	if adt := d.s.Advance(i, dt); adt != dt {
+	if adt := d.s.Advance(i, row.TimeStep); adt != row.TimeStep {
 		d.out.History[len(d.out.History)-1].TimeStep = adt
 	}
 	return false
@@ -388,8 +381,8 @@ func (d *Driver) Checkpoint() *Checkpoint {
 		History:  append([]IterStats(nil), d.out.History...),
 		State:    d.s.SaveState(),
 	}
-	if d.wd != nil {
-		st := d.wd.State()
+	if d.cfg.Watchdog != nil {
+		st := d.cfg.Watchdog.State()
 		cp.Watchdog = &st
 	}
 	return cp
@@ -421,8 +414,8 @@ func (d *Driver) Restore(cp *Checkpoint) error {
 	d.out.Evals = cp.Evals
 	d.out.History = append(d.out.History[:0], cp.History...)
 	d.out.Iterations = cp.Iter
-	if cp.Watchdog != nil && d.wd != nil {
-		d.wd.Restore(*cp.Watchdog)
+	if cp.Watchdog != nil && d.cfg.Watchdog != nil {
+		d.cfg.Watchdog.Restore(*cp.Watchdog)
 	}
 	return d.s.RestoreState(cp.State)
 }

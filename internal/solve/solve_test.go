@@ -38,7 +38,7 @@ func newQuadStepper(x0 float64) *quadStepper {
 	return &quadStepper{x: f, cancelAt: -1}
 }
 
-func (s *quadStepper) Eval(i int) Stats {
+func (s *quadStepper) Eval(i int) IterStats {
 	s.calls = append(s.calls, fmt.Sprintf("eval:%d", i))
 	if s.cancel != nil && i == s.cancelAt {
 		s.cancel()
@@ -50,7 +50,7 @@ func (s *quadStepper) Eval(i int) Stats {
 	if i < len(s.script) {
 		s.cost = s.script[i]
 	}
-	return Stats{Cost: s.cost, CostNominal: s.cost, Name: "quad", Detailed: true}
+	return IterStats{Cost: s.cost, CostNominal: s.cost}
 }
 
 func (s *quadStepper) SaveBest() {

@@ -131,9 +131,9 @@ type Options struct {
 	Workers int
 	// Core is the per-tile optimizer schedule for the initial
 	// independent sweep (iteration budget, multi-res schedule, …). Its
-	// Health is the per-tile watchdog policy: a tile whose optimizer
-	// aborts fails the whole tiled run with a *TileAbortError and
-	// cancels the remaining tiles.
+	// Health runs the watchdog in every tile run: a tile whose
+	// optimizer aborts fails the whole tiled run with a *TileAbortError
+	// and cancels the remaining tiles.
 	Core core.Options
 	// StitchPasses bounds the halo-stitching consistency passes after
 	// the initial sweep; 0 defaults to 2, negative disables stitching.

@@ -250,9 +250,8 @@ func TestTiledNaNPoisonedTileAborts(t *testing.T) {
 	res, cfg := testBank(t, eng)
 	chip := testChip()
 	poisoned := 1
-	hp := obs.DefaultHealthPolicy()
 	opts := tileOpts(3)
-	opts.Core.Health = &hp
+	opts.Core.Health = true
 	opts.PoisonTile = poisoned + 1 // 1-based
 	_, err := Optimize(context.Background(), res, cfg, eng, chip, opts, nil, "")
 	if err == nil {

@@ -335,8 +335,7 @@ func TestLiveRunsMatchOfflineFold(t *testing.T) {
 			defer p.Release()
 			popts := DefaultLevelSetOptions()
 			popts.MaxIter = 20
-			hp := DefaultHealthPolicy()
-			popts.Health = &hp
+			popts.Health = true
 			_, err = p.OptimizeTiled(Benchmark("B1"), TileOptions{HaloNM: 256, Core: popts, PoisonTile: 3})
 			var terr *TileAbortError
 			if !errors.As(err, &terr) {
@@ -358,7 +357,7 @@ func TestLiveRunsMatchOfflineFold(t *testing.T) {
 			if err := FlushTrace(jsonl); err != nil {
 				t.Fatal(err)
 			}
-			offline, err := analyze.Parse(&file, analyze.DefaultThresholds())
+			offline, err := analyze.Parse(&file)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,9 +60,6 @@ type (
 	TraceEvent = obs.Event
 	// MetricsRegistry is a named set of counters/gauges/histograms.
 	MetricsRegistry = obs.Registry
-	// HealthPolicy configures the numerical-health watchdog (NaN/Inf
-	// detection, stall and divergence windows, early abort).
-	HealthPolicy = obs.HealthPolicy
 	// TileOptions configures a tiled full-chip optimization (halo
 	// width, worker count, per-tile schedule, stitch budget).
 	TileOptions = tiling.Options
@@ -128,10 +125,6 @@ func SaveCheckpoint(path string, cp *Checkpoint) error { return solve.SaveCheckp
 
 // LoadCheckpoint reads a checkpoint file.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return solve.LoadCheckpoint(path) }
-
-// DefaultHealthPolicy returns the standard watchdog configuration: all
-// checks on, abort on the first unhealthy iteration.
-func DefaultHealthPolicy() HealthPolicy { return obs.DefaultHealthPolicy() }
 
 // NewJSONLTraceSink returns a sink writing one JSON object per event to
 // w, safe for concurrent sessions (events get a total-order sequence
@@ -674,7 +667,7 @@ func (p *Pipeline) OptimizeTiled(l *Layout, opts TileOptions) (*TiledResult, err
 // until seams converge. The result's Mask/Psi are chip-resolution (chip
 // extent ÷ pipeline pitch). The run's events go to the pipeline's trace
 // sink, tagged with a fresh job id (per-tile runs as "<job>.t<n>");
-// opts.Core.Health is the per-tile watchdog policy, and a
+// opts.Core.Health runs the watchdog in every tile run, and a
 // watchdog-aborted tile fails the whole run with a *TileAbortError. Cancel ctx and in-flight tiles stop at their next
 // iteration boundary, queued tiles and pending stitch passes are
 // skipped, and the error unwraps to the context's error. Tiled runs are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"lsopc/internal/layouts"
 	"lsopc/internal/litho"
 	"lsopc/internal/obs"
+	"lsopc/internal/obs/analyze"
 )
 
 // TestConcurrentSessionTraceIntegrity is the observability acceptance
@@ -230,9 +232,10 @@ func TestPipelineReleaseFlushesSinkOnce(t *testing.T) {
 }
 
 // TestPipelineRunHealthPolicy verifies a per-run opts.Health reaches a
-// run started through the pipeline: a policy that flags every
-// post-first iteration as stalled must abort the run early and emit a
-// typed health event tagged with the session's trace id.
+// run started through the pipeline: B4 on PresetTest stops improving
+// after iteration 9, so the watchdog stops the run with a stall at
+// iteration 17 and emits a typed health event tagged with the
+// session's trace id.
 func TestPipelineRunHealthPolicy(t *testing.T) {
 	sink := NewCollectorTraceSink()
 	p, err := NewPipeline(PresetTest, CPUEngine(), WithTraceSink(sink))
@@ -241,35 +244,90 @@ func TestPipelineRunHealthPolicy(t *testing.T) {
 	}
 	defer p.Release()
 
-	hp := DefaultHealthPolicy()
-	hp.StallWindow = 1
-	hp.StallEpsilon = 1e9 // any finite improvement counts as a stall
-	hp.DivergenceWindow = 0
 	opts := DefaultLevelSetOptions()
-	opts.MaxIter = 10
-	opts.Tolerance = 0
-	opts.Health = &hp
-	res, err := p.OptimizeLevelSet(Benchmark("B1"), opts)
+	opts.Health = true
+	res, err := p.OptimizeLevelSet(Benchmark("B4"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Aborted || res.AbortReason != obs.HealthStall {
-		t.Fatalf("aborted=%v reason=%q, want stall abort", res.Aborted, res.AbortReason)
+	if !res.Aborted || res.AbortReason != obs.HealthStall || res.Iterations != 18 {
+		t.Fatalf("aborted=%v reason=%q after %d iterations, want a stall abort at iteration 17",
+			res.Aborted, res.AbortReason, res.Iterations)
 	}
-	if res.Iterations >= opts.MaxIter {
-		t.Fatalf("run used the full budget (%d iterations) despite the abort policy", res.Iterations)
-	}
-	found := false
+	var health []TraceEvent
 	for _, e := range sink.Events() {
 		if e.Type == EventHealth {
-			found = true
-			if e.Trace == "" || e.Msg != obs.HealthStall {
-				t.Fatalf("health event = %+v, want stall under a session trace id", e)
-			}
+			health = append(health, e)
 		}
 	}
-	if !found {
-		t.Fatal("no health event reached the pipeline sink")
+	if len(health) != 1 || health[0].Trace == "" || health[0].Msg != obs.HealthStall || health[0].Iter != 17 {
+		t.Fatalf("health events = %+v, want one stall at 17 under a session trace id", health)
+	}
+}
+
+// TestOfflineHealthMatchesLive replays traced runs through analyze,
+// which judges each session's iteration events with the live watchdog:
+// on a -health run its verdicts equal the run's health events, and on
+// the same run traced without the watchdog its first verdict is the
+// -health run's abort. B4 stalls at iteration 17; B10 from factor 2
+// diverges on the coarse level at iteration 3.
+func TestOfflineHealthMatchesLive(t *testing.T) {
+	for _, tc := range []struct {
+		layout string
+		factor int
+		iter   int
+		reason string
+	}{
+		{"B4", 1, 17, obs.HealthStall},
+		{"B10", 2, 3, obs.HealthDivergence},
+	} {
+		var first analyze.HealthEvent
+		for _, health := range []bool{true, false} {
+			var buf bytes.Buffer
+			sink := NewJSONLTraceSink(&buf)
+			p, err := NewPipeline(PresetTest, CPUEngine(), WithTraceSink(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultLevelSetOptions()
+			opts.MultiResFactor = tc.factor
+			opts.Health = health
+			res, err := p.OptimizeLevelSet(Benchmark(tc.layout), opts)
+			p.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := analyze.Parse(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(run.Sessions) != 1 {
+				t.Fatalf("%s: %d sessions, want 1", tc.layout, len(run.Sessions))
+			}
+			var replay []analyze.HealthEvent
+			for _, s := range run.Sessions {
+				replay = s.Health
+			}
+			if len(replay) == 0 {
+				t.Fatalf("%s health=%v: the replay passed the run", tc.layout, health)
+			}
+			if !health {
+				if replay[0] != first {
+					t.Errorf("%s: replay without -health first flags %+v, the -health run aborted on %+v", tc.layout, replay[0], first)
+				}
+				continue
+			}
+			first = replay[0]
+			if len(replay) != len(run.Health) || len(replay) != 1 {
+				t.Fatalf("%s: replay %+v, trace health events %+v", tc.layout, replay, run.Health)
+			}
+			if e := run.Health[0]; e.Iter != first.Iter || e.Msg != first.Reason || e.Cost != first.Cost {
+				t.Errorf("%s: replay %+v, trace health event %+v", tc.layout, first, e)
+			}
+			if first.Iter != tc.iter || first.Reason != tc.reason || res.AbortReason != tc.reason || res.Iterations != tc.iter+1 {
+				t.Errorf("%s: abort %q after %d iterations, replay %+v; want %s at %d", tc.layout, res.AbortReason, res.Iterations, first, tc.reason, tc.iter)
+			}
+		}
 	}
 }
 
@@ -287,8 +345,7 @@ func TestPipelineBaselineNaNGradientAborts(t *testing.T) {
 	l.Rects = append(l.Rects, NewRect(704, 800, 1344, 1248))
 	opts := DefaultBaselineOptions(MosaicExact)
 	opts.PVBWeight = math.MaxFloat64
-	hp := DefaultHealthPolicy()
-	opts.Health = &hp
+	opts.Health = true
 	run, err := p.OptimizeBaseline(l, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -300,13 +357,16 @@ func TestPipelineBaselineNaNGradientAborts(t *testing.T) {
 	}
 }
 
-// TestRunEventsCarryRunID runs a coarse-to-fine level-set job and a
-// tiled job through one traced pipeline, under a watchdog that flags
-// every iteration without aborting. Every iteration, corner,
+// TestRunEventsCarryRunID runs two coarse-to-fine level-set jobs and a
+// tiled job through one traced pipeline. Every iteration, corner,
 // level_switch and health event must carry its own run's id: the
-// session id for the level-set job (its coarse-grid corner events
+// session id for a level-set job (its coarse-grid corner events
 // included), "<job>.t<n>" for tile runs; the tile_* and stitch_pass
-// events carry the tiled job's id.
+// events carry the tiled job's id. The first level-set job runs both
+// levels; the second is B10, which the watchdog stops on its coarse
+// level. The tiled job NaN-poisons the first tile's full-resolution
+// target, which its coarse level never sees, so that tile switches
+// levels before the watchdog stops it.
 func TestRunEventsCarryRunID(t *testing.T) {
 	sink := NewCollectorTraceSink()
 	p, err := NewPipeline(PresetTest, CPUEngine(), WithTraceSink(sink))
@@ -318,25 +378,28 @@ func TestRunEventsCarryRunID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp := DefaultHealthPolicy()
-	hp.StallWindow = 1
-	hp.StallEpsilon = 1e9 // every iteration after the first is a stall
-	hp.AbortOnUnhealthy = false
 	opts := DefaultLevelSetOptions()
 	opts.MaxIter = 4
 	opts.Tolerance = 0
 	opts.MultiResFactor = 2
-	opts.Health = &hp
+	opts.Health = true
 
 	if _, err := p.OptimizeLevelSet(Benchmark("B1"), opts); err != nil {
 		t.Fatal(err)
 	}
 	mono := sink.Events()
-	if _, err := p.OptimizeTiled(chip, TileOptions{HaloNM: 256, Core: opts, StitchPasses: 1, StitchIters: 2}); err != nil {
-		t.Fatal(err)
+	diverging := opts
+	diverging.MaxIter = 50
+	if res, err := p.OptimizeLevelSet(Benchmark("B10"), diverging); err != nil || !res.Aborted {
+		t.Fatalf("B10 from factor 2: err %v, want a watchdog abort", err)
 	}
-	tiled := sink.Events()[len(mono):]
-
+	aborted := sink.Events()[len(mono):]
+	_, err = p.OptimizeTiled(chip, TileOptions{HaloNM: 256, Core: opts, StitchPasses: 1, StitchIters: 2, PoisonTile: 1})
+	var terr *TileAbortError
+	if !errors.As(err, &terr) {
+		t.Fatalf("poisoned tiled job returned %v, want a *TileAbortError", err)
+	}
+	tiled := sink.Events()[len(mono)+len(aborted):]
 	// spanTrace is the id on the run's job span.
 	spanTrace := func(events []TraceEvent, name string) string {
 		for _, e := range events {
@@ -355,29 +418,44 @@ func TestRunEventsCarryRunID(t *testing.T) {
 		return false
 	}
 
-	session := spanTrace(mono, "optimize.levelset")
 	seen := map[string]int{}
-	for _, e := range mono {
-		if !runScoped(e) {
-			continue
+	sessions := map[string]bool{}
+	for _, events := range [][]TraceEvent{mono, aborted} {
+		session := spanTrace(events, "optimize.levelset")
+		sessions[session] = true
+		for _, e := range events {
+			if !runScoped(e) {
+				continue
+			}
+			seen[e.Type]++
+			if e.Type == EventCorner && e.N < p.GridSize() {
+				seen["coarse corner"]++
+			}
+			if e.Trace != session {
+				t.Errorf("level-set job: %s event carries trace %q, want the session id %q", e.Type, e.Trace, session)
+			}
 		}
-		seen[e.Type]++
-		if e.Type == EventCorner && e.N < p.GridSize() {
-			seen["coarse corner"]++
-		}
-		if e.Trace != session {
-			t.Errorf("level-set job: %s event carries trace %q, want the session id %q", e.Type, e.Trace, session)
-		}
+	}
+	if len(sessions) != 2 {
+		t.Fatalf("the two level-set jobs share a session id: %v", sessions)
 	}
 	for _, kind := range []string{EventIteration, EventCorner, "coarse corner", EventLevelSwitch, EventHealth} {
 		if seen[kind] == 0 {
-			t.Errorf("level-set job: no %s events (got %v)", kind, seen)
+			t.Errorf("level-set jobs: no %s events (got %v)", kind, seen)
 		}
 	}
 
-	job := spanTrace(tiled, "optimize.tiled")
-	if job == session {
-		t.Fatalf("tiled job reuses the level-set session id %q", job)
+	// The aborted tiled job emits no span; its tile_start events carry
+	// its id.
+	job := ""
+	for _, e := range tiled {
+		if e.Type == EventTileStart {
+			job = e.Trace
+			break
+		}
+	}
+	if job == "" || sessions[job] {
+		t.Fatalf("tiled job id %q: missing or reusing a level-set session id", job)
 	}
 	seen = map[string]int{}
 	for _, e := range tiled {
